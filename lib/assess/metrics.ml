@@ -220,7 +220,7 @@ let of_entries ?ctx ?jobs ?(stop_alpha = default_stop_alpha)
       find 1 res.Attack.Recover.pruned
     in
     let mtd, mtd_conf =
-      if Attack.Distinguisher.is_profiled c.Attack.Ctx.backend then
+      if not (Attack.Distinguisher.has_gap_test c.Attack.Ctx.backend) then
         let extend, prune = Attack.Recover.low_stages leakage in
         let parts =
           List.map
@@ -333,7 +333,7 @@ let run_hqc ?ctx ?jobs ?(stop_alpha = default_stop_alpha) config =
      with Exit -> ());
     let parts0 = Attack.Target.Hqc.parts ~leakage:`Hw ~n ~unit_index:0 ~prev:[||] in
     let mtd, mtd_conf =
-      if Attack.Distinguisher.is_profiled c.Attack.Ctx.backend then
+      if not (Attack.Distinguisher.has_gap_test c.Attack.Ctx.backend) then
         ( profiled_mtd ~ctx:ectx ~parts:parts0 ~known ~truth:secret.(0) ~step
             ~candidates:
               (Array.of_seq

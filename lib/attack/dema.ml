@@ -48,73 +48,39 @@ end
    2^25-candidate enumerations of Section III-C. *)
 let sweep_chunk = 512
 
-let rank_scores ?ctx ?jobs ~score ~top candidates =
-  let c = Ctx.resolve ?ctx ?jobs () in
-  Topk.to_list
-    (Parallel.map_reduce_chunks ~jobs:c.Ctx.jobs ~chunk:sweep_chunk
-       ~map:(fun guesses ->
-         let t = Topk.create top in
-         Array.iter (fun g -> Topk.add t { guess = g; corr = score g }) guesses;
-         t)
-       ~reduce:Topk.merge ~init:(Topk.create top) candidates)
-
-let rank_block_scores ?ctx ?jobs ~score_block ~top candidates =
-  let c = Ctx.resolve ?ctx ?jobs () in
-  Topk.to_list
-    (Parallel.map_reduce_chunks ~jobs:c.Ctx.jobs ~chunk:sweep_chunk
-       ~map:(fun guesses ->
-         let scores = score_block guesses in
-         let t = Topk.create top in
-         Array.iteri (fun i g -> Topk.add t { guess = g; corr = scores.(i) }) guesses;
-         t)
-       ~reduce:Topk.merge ~init:(Topk.create top) candidates)
-
 let hyp_vector ~model ~known guess =
   Array.map (fun y -> float_of_int (Bitops.popcount (model guess y))) known
 
 let backend_name = Distinguisher.name
 
-(* The sequential gap testers are correlation statistics (Fisher-z on
-   |r|); a profiled selection has no incremental form of them. *)
-let pearson_kernel_exn ~what = function
-  | Distinguisher.Pearson_scalar -> Stats.Pearson.Batch.Scalar
-  | Distinguisher.Pearson_batched -> Stats.Pearson.Batch.Batched
-  | Distinguisher.Profiled _ ->
-      invalid_arg
-        (Printf.sprintf
-           "%s: the profiled distinguisher has no sequential gap tester; use a \
-            Pearson backend"
-           what)
+(* ---- the statistics: one {!Distinguisher.S} instance each ---- *)
 
-(* Shared profiled scoring: per (part, trace) the class-conditional
-   log-likelihood table is candidate-independent, so it is computed once
-   and every guess just sums its predicted class's entry — the template
-   analogue of hoisting column statistics out of the Pearson sweep.  The
-   mean (not sum) over traces keeps scores comparable across budgets,
-   like a correlation. *)
-let profiled_rank_scores ~ctx ~nclass ~tables ~known ~d ~top ~tick candidates =
-  let nrm = 1. /. float_of_int (max 1 d) in
-  let score guess =
-    tick 1;
-    let acc = ref 0. in
-    List.iter
-      (fun (model, tbl) ->
-        for i = 0 to d - 1 do
-          let cls = Bitops.popcount (model guess (Array.unsafe_get known i)) in
-          let cls = if cls >= nclass then nclass - 1 else cls in
-          acc := !acc +. Array.unsafe_get (Array.unsafe_get tbl i) cls
-        done)
-      tables;
-    !acc *. nrm
-  in
-  rank_scores ~ctx ~score ~top candidates
+let seg_length batch = match batch with [||] -> 0 | _ -> Array.length (snd batch.(0))
+
+(* The shape check every [prepare] makes: one segment per part, [ncols
+   j] columns for part [j], everything one length.  Returns the
+   length. *)
+let checked_length ~what ~nparts ~ncols batch =
+  if Array.length batch <> nparts then
+    invalid_arg (what ^ ": wrong number of part segments");
+  let len = seg_length batch in
+  Array.iteri
+    (fun j (cols, ks) ->
+      if Array.length cols <> ncols j then
+        invalid_arg (what ^ ": a part segment has the wrong number of columns");
+      if
+        Array.length ks <> len
+        || Array.exists (fun (c : float array) -> Array.length c <> len) cols
+      then invalid_arg (what ^ ": ragged part segments"))
+    batch;
+  len
 
 (* Resolved hypothesis source over one segment of known operands: a
    split model becomes a precomputed per-trace table plus its integer
-   evaluator (built once per sweep, on the owning domain, shared
-   read-only); a plain model becomes a closure over the segment.  Both
-   feed {!Stats.Pearson.Batch.Fused} with exactly [hyp_vector]'s
-   intermediates, so the choice never changes a result. *)
+   evaluator (built once per segment, shared read-only by every
+   candidate chunk); a plain model becomes a closure over the segment.
+   Both yield exactly [hyp_vector]'s intermediates, so the choice never
+   changes a result. *)
 type seg_src =
   | Tab of int array * (int -> int -> int)
   | App of (int -> int -> int)  (* guess -> segment-local trace -> intermediate *)
@@ -124,236 +90,488 @@ let seg_src model known =
   | Hypothesis.Model.Split (prep, eval) -> Tab (Array.map prep known, eval)
   | Hypothesis.Model.Fn f -> App (fun g i -> f g (Array.unsafe_get known i))
 
-let seg_fold acc src ~cols ~len guesses =
-  match src with
-  | Tab (prepped, eval) ->
-      Stats.Pearson.Batch.Fused.fold_split acc ~eval ~guesses ~prepped ~cols ~len
-  | App f ->
-      Stats.Pearson.Batch.Fused.fold acc
-        ~gen:(fun r i -> f (Array.unsafe_get guesses r) i)
-        ~cols ~len
+(* Pearson DEMA (Eq. 1): per candidate, the sum over parts of |r|
+   between the modelled Hamming weights and the part's column.  The
+   plan keeps each column's running moments; a chunk keeps per (part,
+   guess) hypothesis moments, so every accumulator sees its additions
+   in global trace order and the score of a candidate is independent of
+   segmenting and chunking.  The scalar arm is the reference loop; the
+   batched arm runs the same additions through the register-tiled
+   {!Stats.Pearson.Batch.Fused} kernel (split models read the segment's
+   prep table), bit for bit. *)
+module Pearson (K : sig
+  val kernel : Stats.Pearson.Batch.backend
+end) : Distinguisher.S = struct
+  module Fused = Stats.Pearson.Batch.Fused
 
-(* Consecutive parts sharing one model value (physical equality) score
-   several columns from a single generated hypothesis stream — the
-   hoisted refill.  Grouping preserves part order, so the per-guess
-   score accumulation stays the scalar fold's addition sequence. *)
-let group_parts parts =
-  let rec go = function
-    | [] -> []
-    | (s, m) :: rest ->
-        let rec take acc = function
-          | (s', m') :: tl when m' == m -> take (s' :: acc) tl
-          | tl -> (List.rev acc, tl)
-        in
-        let same, tl = take [ s ] rest in
-        (m, Array.of_list same) :: go tl
-  in
-  go parts
+  let name = Distinguisher.name (Distinguisher.of_pearson K.kernel)
+  let scalar = K.kernel = Stats.Pearson.Batch.Scalar
 
-(* ---- incremental hypothesis sweep for sequential campaigns ----
-
-   The fixed-budget sweeps above see the whole campaign at once.  The
-   adaptive engine instead feeds the same additions in batches and
-   finalises correlations at every decision look, which the fused
-   accumulators support directly: they persist across folds and
-   [Fused.corr] reads them without resetting.  A sweep that is fed the
-   campaign to exhaustion therefore scores bit-identically to
-   [Stream.rank] / [rank], and at every intermediate look the Scalar and
-   Batched backends agree bitwise (same additions, same epilogue) — the
-   substrate for stop decisions that are reproducible across [jobs] and
-   backends. *)
-module Sweep = struct
-  type 'k t = {
-    backend : Stats.Pearson.Batch.backend;
-    candidates : int array;
+  type 'k plan = {
+    samples : int array;
     models : 'k Hypothesis.Model.t array;
     appls : (int -> 'k -> int) array;
-    nparts : int;
-    mutable n : int;
     sums : float array;  (* per part: running column sum *)
     sqs : float array;  (* per part: running column sum of squares *)
-    chunks : (int * int) array;  (* (offset, len) per candidate chunk *)
-    cand_chunks : int array array;
-    (* scalar arm: per part x candidate running hypothesis moments *)
-    sh : float array array;
-    shh : float array array;
-    sht : float array array;
-    (* batched arm: one persistent fused accumulator per (chunk, part) *)
-    accs : Stats.Pearson.Batch.Fused.t array array;
+    mutable n : int;
   }
 
-  let create ~backend ~parts candidates =
-    let g = Array.length candidates in
-    if g < 2 then invalid_arg "Dema.Sweep.create: need at least two candidates";
-    let models = Array.of_list parts in
-    let nparts = Array.length models in
-    if nparts = 0 then invalid_arg "Dema.Sweep.create: no parts";
-    let nchunks = (g + sweep_chunk - 1) / sweep_chunk in
-    let chunks =
-      Array.init nchunks (fun c ->
-          let off = c * sweep_chunk in
-          (off, min sweep_chunk (g - off)))
-    in
-    let scalar = backend = Stats.Pearson.Batch.Scalar in
+  let plan ~parts =
+    let models = Array.of_list (List.map snd parts) in
+    let np = Array.length models in
     {
-      backend;
-      candidates;
+      samples = Array.of_list (List.map fst parts);
       models;
       appls = Array.map Hypothesis.Model.apply models;
-      nparts;
+      sums = Array.make np 0.;
+      sqs = Array.make np 0.;
       n = 0;
-      sums = Array.make nparts 0.;
-      sqs = Array.make nparts 0.;
-      chunks;
-      cand_chunks =
-        Array.map (fun (off, len) -> Array.sub candidates off len) chunks;
-      sh = (if scalar then Array.init nparts (fun _ -> Array.make g 0.) else [||]);
-      shh = (if scalar then Array.init nparts (fun _ -> Array.make g 0.) else [||]);
-      sht = (if scalar then Array.init nparts (fun _ -> Array.make g 0.) else [||]);
-      accs =
-        (if scalar then [||]
-         else
-           Array.map
-             (fun (_, len) ->
-               Array.init nparts (fun _ ->
-                   Stats.Pearson.Batch.Fused.create ~rows:len ~ncols:1))
-             chunks);
     }
 
-  let n t = t.n
+  let needs p = Array.to_list (Array.map (fun s -> [ s ]) p.samples)
 
-  (* One batch: per part, its column segment plus the known operands the
-     part's model digests (parts may live on different views, hence the
-     per-part known array).  Additions land per (part, candidate)
-     accumulator in global trace order — chunk parallelism touches
-     disjoint candidate ranges, so every [jobs] produces the same
-     state. *)
-  let fold ?jobs t segs =
-    if Array.length segs <> t.nparts then
-      invalid_arg "Dema.Sweep.fold: wrong number of part segments";
-    let len = Array.length (fst segs.(0)) in
-    if len > 0 then begin
-      Array.iter
-        (fun (col, ks) ->
-          if Array.length col <> len || Array.length ks <> len then
-            invalid_arg "Dema.Sweep.fold: ragged part segments")
-        segs;
-      for j = 0 to t.nparts - 1 do
-        let col, _ = segs.(j) in
-        let s = ref t.sums.(j) and ss = ref t.sqs.(j) in
+  type 'k seg = {
+    len : int;
+    cols : float array array;  (* per part *)
+    ks : 'k array array;  (* per part: known operands *)
+    appls : (int -> 'k -> int) array;
+    srcs : seg_src array;  (* batched arm: per part *)
+  }
+
+  let prepare p batch =
+    let len =
+      checked_length ~what:"Dema: Pearson" ~nparts:(Array.length p.models)
+        ~ncols:(fun _ -> 1) batch
+    in
+    let cols = Array.map (fun (c, _) -> c.(0)) batch in
+    Array.iteri
+      (fun j col ->
+        let s = ref p.sums.(j) and ss = ref p.sqs.(j) in
         for i = 0 to len - 1 do
           let v = Array.unsafe_get col i in
           s := !s +. v;
           ss := !ss +. (v *. v)
         done;
-        t.sums.(j) <- !s;
-        t.sqs.(j) <- !ss
-      done;
-      let jobs = min (Parallel.resolve jobs) (Array.length t.chunks) in
-      (match t.backend with
-      | Stats.Pearson.Batch.Scalar ->
-          let work c =
-            let off, clen = t.chunks.(c) in
-            for j = 0 to t.nparts - 1 do
-              let col, ks = segs.(j) in
-              let model = t.appls.(j) in
-              let sh = t.sh.(j) and shh = t.shh.(j) and sht = t.sht.(j) in
-              for r = off to off + clen - 1 do
-                let guess = Array.unsafe_get t.candidates r in
-                let a = ref (Array.unsafe_get sh r)
-                and aa = ref (Array.unsafe_get shh r)
-                and at = ref (Array.unsafe_get sht r) in
-                for i = 0 to len - 1 do
-                  let x =
-                    float_of_int
-                      (Bitops.popcount (model guess (Array.unsafe_get ks i)))
-                  in
-                  a := !a +. x;
-                  aa := !aa +. (x *. x);
-                  at := !at +. (x *. Array.unsafe_get col i)
-                done;
-                Array.unsafe_set sh r !a;
-                Array.unsafe_set shh r !aa;
-                Array.unsafe_set sht r !at
-              done
-            done
-          in
-          ignore
-            (Parallel.map_array ~jobs work
-               (Array.init (Array.length t.chunks) Fun.id))
-      | Stats.Pearson.Batch.Batched ->
-          (* per-part segment sources (prep tables for split models) are
-             built once on the owner and shared read-only by the chunks *)
-          let srcs =
-            Array.mapi (fun j (_, ks) -> seg_src t.models.(j) ks) segs
-          in
-          let work c =
-            let guesses = t.cand_chunks.(c) in
-            for j = 0 to t.nparts - 1 do
-              let col, _ = segs.(j) in
-              seg_fold t.accs.(c).(j) srcs.(j) ~cols:[| col |] ~len guesses
-            done
-          in
-          ignore
-            (Parallel.map_array ~jobs work
-               (Array.init (Array.length t.chunks) Fun.id)));
-      t.n <- t.n + len
-    end
+        p.sums.(j) <- !s;
+        p.sqs.(j) <- !ss)
+      cols;
+    p.n <- p.n + len;
+    {
+      len;
+      cols;
+      ks = Array.map snd batch;
+      appls = p.appls;
+      srcs =
+        (if scalar then [||]
+         else Array.mapi (fun j (_, ks) -> seg_src p.models.(j) ks) batch);
+    }
 
-  (* Finalised per-candidate scores over everything folded so far: sum
-     over parts of |r|, the fixed-budget sweeps' statistic, computed
-     with their exact epilogue. *)
-  let scores ?jobs t =
-    let g = Array.length t.candidates in
-    let out = Array.make g 0. in
-    if t.n > 0 then begin
-      let nf = float_of_int t.n in
-      let stats =
-        Array.init t.nparts (fun j ->
-            (t.sums.(j), t.sqs.(j) -. (t.sums.(j) *. t.sums.(j) /. nf)))
-      in
-      let jobs = min (Parallel.resolve jobs) (Array.length t.chunks) in
-      let work c =
-        let off, clen = t.chunks.(c) in
-        match t.backend with
-        | Stats.Pearson.Batch.Scalar ->
-            for j = 0 to t.nparts - 1 do
-              let sum_t, var_t = stats.(j) in
-              let sh = t.sh.(j) and shh = t.shh.(j) and sht = t.sht.(j) in
-              for r = off to off + clen - 1 do
-                let a = Array.unsafe_get sh r in
-                let vh = Array.unsafe_get shh r -. (a *. a /. nf) in
-                let cov = Array.unsafe_get sht r -. (a *. sum_t /. nf) in
-                let rr =
-                  if vh <= 0. || var_t <= 0. then 0.
-                  else cov /. sqrt (vh *. var_t)
+  type 'k acc = {
+    guesses : int array;
+    sh : float array array;  (* scalar arm: per part x guess *)
+    shh : float array array;
+    sht : float array array;
+    fused : Fused.t array;  (* batched arm: per part *)
+  }
+
+  let acc p guesses =
+    let g = Array.length guesses and np = Array.length p.models in
+    let moments () =
+      if scalar then Array.init np (fun _ -> Array.make g 0.) else [||]
+    in
+    {
+      guesses;
+      sh = moments ();
+      shh = moments ();
+      sht = moments ();
+      fused =
+        (if scalar then [||]
+         else Array.init np (fun _ -> Fused.create ~rows:g ~ncols:1));
+    }
+
+  let fold a s =
+    let len = s.len in
+    if len > 0 then
+      Array.iteri
+        (fun j col ->
+          if scalar then begin
+            let ks = s.ks.(j) and model = s.appls.(j) in
+            let sh = a.sh.(j) and shh = a.shh.(j) and sht = a.sht.(j) in
+            for r = 0 to Array.length a.guesses - 1 do
+              let guess = Array.unsafe_get a.guesses r in
+              let h = ref (Array.unsafe_get sh r)
+              and hh = ref (Array.unsafe_get shh r)
+              and ht = ref (Array.unsafe_get sht r) in
+              for i = 0 to len - 1 do
+                let x =
+                  float_of_int
+                    (Bitops.popcount (model guess (Array.unsafe_get ks i)))
                 in
-                out.(r) <- out.(r) +. Float.abs rr
-              done
+                h := !h +. x;
+                hh := !hh +. (x *. x);
+                ht := !ht +. (x *. Array.unsafe_get col i)
+              done;
+              Array.unsafe_set sh r !h;
+              Array.unsafe_set shh r !hh;
+              Array.unsafe_set sht r !ht
             done
-        | Stats.Pearson.Batch.Batched ->
-            for j = 0 to t.nparts - 1 do
-              let sum_t, var_t = stats.(j) in
-              let rs =
-                Stats.Pearson.Batch.Fused.corr t.accs.(c).(j) ~index:0 ~n:t.n
-                  ~sum_t ~var_t
-              in
-              for i = 0 to clen - 1 do
-                out.(off + i) <- out.(off + i) +. Float.abs rs.(i)
-              done
-            done
-      in
-      ignore
-        (Parallel.map_array ~jobs work (Array.init (Array.length t.chunks) Fun.id))
-    end;
+          end
+          else
+            match s.srcs.(j) with
+            | Tab (prepped, eval) ->
+                Fused.fold_split a.fused.(j) ~eval ~guesses:a.guesses ~prepped
+                  ~cols:[| col |] ~len
+            | App f ->
+                Fused.fold a.fused.(j)
+                  ~gen:(fun r i -> f (Array.unsafe_get a.guesses r) i)
+                  ~cols:[| col |] ~len)
+        s.cols
+
+  (* [corr_with]'s epilogue per (part, guess) against the plan's whole
+     column moments; |r| summed over parts in part order *)
+  let finalize p a =
+    let g = Array.length a.guesses in
+    let out = Array.make g 0. in
+    let nf = float_of_int p.n in
+    Array.iteri
+      (fun j sum_t ->
+        let var_t = p.sqs.(j) -. (sum_t *. sum_t /. nf) in
+        if scalar then begin
+          let sh = a.sh.(j) and shh = a.shh.(j) and sht = a.sht.(j) in
+          for r = 0 to g - 1 do
+            let h = Array.unsafe_get sh r in
+            let vh = Array.unsafe_get shh r -. (h *. h /. nf) in
+            let cov = Array.unsafe_get sht r -. (h *. sum_t /. nf) in
+            let rr = if vh <= 0. || var_t <= 0. then 0. else cov /. sqrt (vh *. var_t) in
+            out.(r) <- out.(r) +. Float.abs rr
+          done
+        end
+        else begin
+          let rs = Fused.corr a.fused.(j) ~index:0 ~n:p.n ~sum_t ~var_t in
+          for r = 0 to g - 1 do
+            out.(r) <- out.(r) +. Float.abs rs.(r)
+          done
+        end)
+      p.sums;
     out
+end
+
+(* Profiled template scoring: per (part, trace) the class-conditional
+   log-likelihood table is candidate-independent, so [prepare] computes
+   it once per segment from the template's points of interest and every
+   guess just sums its predicted class's entry.  One accumulator per
+   part keeps every sum in global trace order however the stream is
+   split; the mean (not sum) over traces keeps scores comparable across
+   budgets, like a correlation. *)
+module Profiled (P : sig
+  val store : Profile.store
+end) : Distinguisher.S = struct
+  let name = "profiled"
+  let nclass = P.store.Profile.nclass
+
+  type 'k plan = {
+    points : Profile.point array;
+    appls : (int -> 'k -> int) array;
+    mutable n : int;
+  }
+
+  let plan ~parts =
+    {
+      points =
+        Array.of_list (List.map (fun (s, _) -> Profile.point P.store ~sample:s) parts);
+      appls = Array.of_list (List.map (fun (_, m) -> Hypothesis.Model.apply m) parts);
+      n = 0;
+    }
+
+  let needs p =
+    Array.to_list (Array.map (fun pt -> Array.to_list pt.Profile.abs_pois) p.points)
+
+  type 'k seg = {
+    len : int;
+    tables : float array array array;  (* part -> trace -> class score *)
+    ks : 'k array array;
+    appls : (int -> 'k -> int) array;
+  }
+
+  let prepare p batch =
+    let len =
+      checked_length ~what:"Dema: profiled" ~nparts:(Array.length p.points)
+        ~ncols:(fun j -> Array.length p.points.(j).Profile.abs_pois)
+        batch
+    in
+    let tables =
+      Array.mapi
+        (fun j (cols, _) ->
+          let tpl = p.points.(j).Profile.tpl in
+          let x = Array.make (Array.length cols) 0. in
+          Array.init len (fun i ->
+              Array.iteri (fun k (col : float array) -> x.(k) <- col.(i)) cols;
+              Profile.class_scores_vec P.store tpl x))
+        batch
+    in
+    p.n <- p.n + len;
+    { len; tables; ks = Array.map snd batch; appls = p.appls }
+
+  type 'k acc = { guesses : int array; sll : float array array (* part -> guess *) }
+
+  let acc p guesses =
+    {
+      guesses;
+      sll = Array.map (fun _ -> Array.make (Array.length guesses) 0.) p.points;
+    }
+
+  let fold a s =
+    Array.iteri
+      (fun j tbl ->
+        let ks = s.ks.(j) and model = s.appls.(j) and acc = a.sll.(j) in
+        for r = 0 to Array.length a.guesses - 1 do
+          let guess = Array.unsafe_get a.guesses r in
+          let e = ref (Array.unsafe_get acc r) in
+          for i = 0 to s.len - 1 do
+            let cls = Bitops.popcount (model guess (Array.unsafe_get ks i)) in
+            let cls = if cls >= nclass then nclass - 1 else cls in
+            e := !e +. Array.unsafe_get (Array.unsafe_get tbl i) cls
+          done;
+          Array.unsafe_set acc r !e
+        done)
+      s.tables
+
+  let finalize p a =
+    let nrm = 1. /. float_of_int (max 1 p.n) in
+    Array.init (Array.length a.guesses) (fun r ->
+        let s = ref 0. in
+        Array.iter (fun acc -> s := !s +. acc.(r)) a.sll;
+        !s *. nrm)
+end
+
+(* The calibrated absolute-level statistic of the exponent sweep: the
+   negative mean squared residual between the samples and
+   [baseline + alpha * HW], one running error per (part, guess) summed
+   over parts at the end. *)
+module Absolute (L : sig
+  val alpha : float
+  val baseline : float
+end) : Distinguisher.S = struct
+  let name = "absolute"
+
+  type 'k plan = { samples : int array; models : 'k Hypothesis.Model.t array; mutable n : int }
+
+  let plan ~parts =
+    {
+      samples = Array.of_list (List.map fst parts);
+      models = Array.of_list (List.map snd parts);
+      n = 0;
+    }
+
+  let needs p = Array.to_list (Array.map (fun s -> [ s ]) p.samples)
+
+  type 'k seg = { len : int; cols : float array array; srcs : seg_src array }
+
+  let prepare p batch =
+    let len =
+      checked_length ~what:"Dema: absolute" ~nparts:(Array.length p.models)
+        ~ncols:(fun _ -> 1) batch
+    in
+    p.n <- p.n + len;
+    {
+      len;
+      cols = Array.map (fun (c, _) -> c.(0)) batch;
+      srcs = Array.mapi (fun j (_, ks) -> seg_src p.models.(j) ks) batch;
+    }
+
+  type 'k acc = { guesses : int array; err : float array array (* part -> guess *) }
+
+  let acc p guesses =
+    {
+      guesses;
+      err = Array.map (fun _ -> Array.make (Array.length guesses) 0.) p.models;
+    }
+
+  let fold a s =
+    Array.iteri
+      (fun j col ->
+        let gen =
+          match s.srcs.(j) with
+          | Tab (prepped, eval) -> fun gu i -> eval gu (Array.unsafe_get prepped i)
+          | App f -> f
+        in
+        let err = a.err.(j) in
+        for r = 0 to Array.length a.guesses - 1 do
+          let gu = Array.unsafe_get a.guesses r in
+          let e = ref (Array.unsafe_get err r) in
+          for i = 0 to s.len - 1 do
+            let pred =
+              L.baseline +. (L.alpha *. float_of_int (Bitops.popcount (gen gu i)))
+            in
+            let rr = Array.unsafe_get col i -. pred in
+            e := !e +. (rr *. rr)
+          done;
+          Array.unsafe_set err r !e
+        done)
+      s.cols
+
+  let finalize p a =
+    let d = float_of_int p.n in
+    Array.init (Array.length a.guesses) (fun r ->
+        let s = ref 0. in
+        Array.iter (fun err -> s := !s +. err.(r)) a.err;
+        -. !s /. d)
+end
+
+let pearson kernel : (module Distinguisher.S) =
+  (module Pearson (struct
+    let kernel = kernel
+  end))
+
+let distinguisher : Distinguisher.selection -> (module Distinguisher.S) = function
+  | Distinguisher.Profiled store ->
+      (module Profiled (struct
+        let store = store
+      end))
+  | sel -> pearson (Distinguisher.kernel sel)
+
+let absolute ~alpha ~baseline : (module Distinguisher.S) =
+  (module Absolute (struct
+    let alpha = alpha
+    let baseline = baseline
+  end))
+
+(* ---- the driver ---- *)
+
+(* One feed segment over [len] traces: per part, the columns its
+   [needs] name ([get i s] reads sample [s] of trace [i]) and the known
+   operands. *)
+let columns needs ~len ~get ks =
+  Array.of_list
+    (List.map
+       (fun cols ->
+         (Array.of_list (List.map (fun s -> Array.init len (fun i -> get i s)) cols), ks))
+       needs)
+
+(* Fixed-budget sweep: every segment is prepared once, then the
+   candidate sequence is read lazily in [sweep_chunk] chunks, each
+   folded over the prepared segments, finalised and reduced into a
+   local top-k — O(top + jobs x chunk) live per-candidate state, never
+   the whole space.  [source] supplies the segments for the instance's
+   [needs] and their total trace count. *)
+let fixed (type k) (module D : Distinguisher.S) ~ctx:c
+    ~(parts : (int * k Hypothesis.Model.t) list) ~top ~source candidates =
+  let obs = c.Ctx.obs in
+  let plan = D.plan ~parts in
+  let batches, d = source (D.needs plan) in
+  let segs =
+    Obs.span ~level:Obs.Debug obs "dema.prep" (fun () -> List.map (D.prepare plan) batches)
+  in
+  (* guesses are scored on worker domains; the count accumulates in a
+     private Atomic and is emitted once, after the join, from the owning
+     domain (the Obs determinism contract) *)
+  let scored = Atomic.make 0 in
+  let ranking =
+    Obs.span ~level:Obs.Debug obs "dema.score" (fun () ->
+        Topk.to_list
+          (Parallel.map_reduce_chunks ~jobs:c.Ctx.jobs ~chunk:sweep_chunk
+             ~map:(fun guesses ->
+               ignore (Atomic.fetch_and_add scored (Array.length guesses));
+               let a = D.acc plan guesses in
+               List.iter (D.fold a) segs;
+               let sc = D.finalize plan a in
+               let t = Topk.create top in
+               Array.iteri (fun i g -> Topk.add t { guess = g; corr = sc.(i) }) guesses;
+               t)
+             ~reduce:Topk.merge ~init:(Topk.create top) candidates))
+  in
+  if Obs.enabled obs then begin
+    let n = Atomic.get scored in
+    Obs.count obs "dema.guesses" n;
+    (* one correlation = ~6 flops/trace (centre, multiply-accumulate,
+       normalise amortised); a per-sweep order-of-magnitude estimate *)
+    Obs.gauge obs "dema.flops_est"
+      (float_of_int n *. float_of_int (List.length parts) *. 6. *. float_of_int d);
+    (* fewer traces than candidates: the top of the ranking is dominated
+       by chance correlations, not evidence *)
+    if d < n then
+      Obs.count ~level:Obs.Error
+        ~fields:[ ("traces", Obs.Int d); ("guesses", Obs.Int n) ]
+        obs "dema.degenerate_rank" 1
+  end;
+  ranking
+
+let in_memory ~traces ~known needs =
+  let d = Array.length traces in
+  ([ columns needs ~len:d ~get:(fun i s -> traces.(i).(s)) known ], d)
+
+(* ---- incremental sweeps for sequential campaigns ----
+
+   The sequential form of the same fold: the candidate array is split
+   into chunks whose accumulators persist across segments, and scores
+   are finalised at every decision look without a reset.  Fed the
+   campaign to exhaustion it scores bit-identically to the fixed-budget
+   sweep, and at every intermediate look the Scalar and Batched
+   backends agree bitwise — the substrate for stop decisions that are
+   reproducible across [jobs] and backends. *)
+module Sweep = struct
+  type 'k t = {
+    guesses : int array;
+    nparts : int;
+    needs : int list list;
+    mutable n : int;
+    fold_seg : jobs:int -> (float array array * 'k array) array -> unit;
+    finalize : jobs:int -> float array;
+  }
+
+  let of_instance (type k) (module D : Distinguisher.S)
+      ~(parts : (int * k Hypothesis.Model.t) list) guesses : k t =
+    let g = Array.length guesses in
+    if g < 2 then invalid_arg "Dema.Sweep.create: need at least two candidates";
+    if parts = [] then invalid_arg "Dema.Sweep.create: no parts";
+    let plan = D.plan ~parts in
+    let accs =
+      Array.init
+        ((g + sweep_chunk - 1) / sweep_chunk)
+        (fun c ->
+          let off = c * sweep_chunk in
+          D.acc plan (Array.sub guesses off (min sweep_chunk (g - off))))
+    in
+    let chunks = Array.init (Array.length accs) Fun.id in
+    {
+      guesses;
+      nparts = List.length parts;
+      needs = D.needs plan;
+      n = 0;
+      fold_seg =
+        (fun ~jobs batch ->
+          (* the segment's shared work runs once, on the owner *)
+          let seg = D.prepare plan batch in
+          if seg_length batch > 0 then
+            ignore (Parallel.map_array ~jobs (fun c -> D.fold accs.(c) seg) chunks));
+      finalize =
+        (fun ~jobs ->
+          Array.concat
+            (Array.to_list
+               (Parallel.map_array ~jobs (fun c -> D.finalize plan accs.(c)) chunks)));
+    }
+
+  (* [fold] hands each part its column directly, so the parts' sample
+     indices (which only feed [needs]) are never read *)
+  let create ~backend ~parts candidates =
+    of_instance (pearson backend) ~parts:(List.map (fun m -> (0, m)) parts) candidates
+
+  let n t = t.n
+
+  let fold_batch ?jobs t batch =
+    t.fold_seg ~jobs:(Parallel.resolve jobs) batch;
+    t.n <- t.n + seg_length batch
+
+  let fold ?jobs t segs = fold_batch ?jobs t (Array.map (fun (col, ks) -> ([| col |], ks)) segs)
+
+  let scores ?jobs t =
+    if t.n = 0 then Array.make (Array.length t.guesses) 0.
+    else t.finalize ~jobs:(Parallel.resolve jobs)
 
   let ranking ?jobs t ~top =
     let sc = scores ?jobs t in
     let tk = Topk.create top in
-    Array.iteri
-      (fun i s -> Topk.add tk { guess = t.candidates.(i); corr = s })
-      sc;
+    Array.iteri (fun i s -> Topk.add tk { guess = t.guesses.(i); corr = s }) sc;
     Topk.to_list tk
 
   (* Top-1 vs runner-up under the deterministic total order, reported as
@@ -365,8 +583,8 @@ module Sweep = struct
     let second = ref (-1) in
     let better a b =
       compare_scored
-        { guess = t.candidates.(a); corr = sc.(a) }
-        { guess = t.candidates.(b); corr = sc.(b) }
+        { guess = t.guesses.(a); corr = sc.(a) }
+        { guess = t.guesses.(b); corr = sc.(b) }
       < 0
     in
     for i = 1 to Array.length sc - 1 do
@@ -378,230 +596,11 @@ module Sweep = struct
     done;
     let np = float_of_int t.nparts in
     {
-      Sequential.Campaign.winner = t.candidates.(!best);
+      Sequential.Campaign.winner = t.guesses.(!best);
       best = sc.(!best) /. np;
       runner_up = sc.(!second) /. np;
     }
 end
-
-let rank ?ctx ?jobs ?backend ~traces ~parts ~known ~top candidates =
-  let c = Ctx.resolve ?ctx ?jobs ?backend () in
-  let obs = c.Ctx.obs in
-  let d = Array.length traces in
-  let nparts = List.length parts in
-  let run () =
-    (* Guesses are scored on worker domains; the count accumulates in a
-       private Atomic and is emitted once, after the join, from the
-       owning domain (the Obs determinism contract). *)
-    let scored = if Obs.enabled obs then Some (Atomic.make 0) else None in
-    let tick n = match scored with Some a -> ignore (Atomic.fetch_and_add a n) | None -> () in
-    let result =
-      match c.Ctx.backend with
-      | Distinguisher.Pearson_scalar ->
-          (* column statistics are a per-sweep invariant: computed once
-             here, shared read-only by every guess on every domain *)
-          let cols =
-            List.map
-              (fun (s, model) ->
-                (Stats.Pearson.column_stats traces s, Hypothesis.Model.apply model))
-              parts
-          in
-          let score guess =
-            tick 1;
-            List.fold_left
-              (fun acc (col, model) ->
-                acc
-                +. Float.abs
-                     (Stats.Pearson.corr_with col (hyp_vector ~model ~known guess)))
-              0. cols
-          in
-          rank_scores ~ctx:c ~score ~top candidates
-      | Distinguisher.Pearson_batched ->
-          (* Fused sweep: no hypothesis block is ever materialised.  The
-             per-sweep invariants — column statistics and, for split
-             models, the prep table over the known operands — are built
-             once under "dema.prep"; each work chunk then runs one fused
-             kernel pass per part group, generating intermediates on the
-             fly inside the register tiles.  Scores accumulate per guess
-             in part order, exactly like the scalar fold, so every total
-             is bit-identical. *)
-          let groups =
-            Obs.span ~level:Obs.Debug obs "dema.prep" (fun () ->
-                List.map
-                  (fun (m, samples) ->
-                    ( seg_src m known,
-                      Array.map (fun s -> Stats.Pearson.column_stats traces s) samples
-                    ))
-                  (group_parts parts))
-          in
-          let score_block guesses =
-            let g = Array.length guesses in
-            tick g;
-            let scores = Array.make g 0. in
-            List.iter
-              (fun (src, stats) ->
-                let acc =
-                  Stats.Pearson.Batch.Fused.create ~rows:g ~ncols:(Array.length stats)
-                in
-                let cols = Array.map (fun cs -> cs.Stats.Pearson.col) stats in
-                seg_fold acc src ~cols ~len:d guesses;
-                Array.iteri
-                  (fun ci cs ->
-                    let rs =
-                      Stats.Pearson.Batch.Fused.corr acc ~index:ci ~n:d
-                        ~sum_t:cs.Stats.Pearson.sum ~var_t:cs.Stats.Pearson.var_n
-                    in
-                    for i = 0 to g - 1 do
-                      scores.(i) <- scores.(i) +. Float.abs rs.(i)
-                    done)
-                  stats)
-              groups;
-            scores
-          in
-          Obs.span ~level:Obs.Debug obs "dema.score" (fun () ->
-              rank_block_scores ~ctx:c ~score_block ~top candidates)
-      | Distinguisher.Profiled store ->
-          (* profiled arm: per-(part, trace) class-score tables computed
-             once from the template store's points of interest (read
-             straight off the full trace rows), then summed per guess *)
-          let tables =
-            Obs.span ~level:Obs.Debug obs "dema.prep" (fun () ->
-                List.map
-                  (fun (s, m) ->
-                    let pt = Profile.point store ~sample:s in
-                    ( Hypothesis.Model.apply m,
-                      Array.map
-                        (fun t ->
-                          Profile.class_scores store pt ~get:(fun j -> t.(j)))
-                        traces ))
-                  parts)
-          in
-          Obs.span ~level:Obs.Debug obs "dema.score" (fun () ->
-              profiled_rank_scores ~ctx:c ~nclass:store.Profile.nclass ~tables
-                ~known ~d ~top ~tick candidates)
-    in
-    (match scored with
-    | Some a ->
-        let n = Atomic.get a in
-        Obs.count obs "dema.guesses" n;
-        (* one correlation = ~6 flops/trace (centre, multiply-accumulate,
-           normalise amortised); a per-sweep order-of-magnitude estimate *)
-        Obs.gauge obs "dema.flops_est"
-          (float_of_int n *. float_of_int nparts *. 6. *. float_of_int d);
-        (* fewer traces than candidates: the top of the ranking is
-           dominated by chance correlations, not evidence *)
-        if d < n then
-          Obs.count ~level:Obs.Error
-            ~fields:[ ("traces", Obs.Int d); ("guesses", Obs.Int n) ]
-            obs "dema.degenerate_rank" 1
-    | None -> ());
-    result
-  in
-  if Obs.enabled obs then
-    Obs.span obs "dema.rank"
-      ~fields:
-        [
-          ("traces", Obs.Int d);
-          ("parts", Obs.Int nparts);
-          ("top", Obs.Int top);
-          ("backend", Obs.Str (backend_name c.Ctx.backend));
-          ("jobs", Obs.Int c.Ctx.jobs);
-        ]
-      run
-  else run ()
-
-let rank_absolute ?ctx ?jobs ?backend ~traces ~parts ~known ~top ~alpha ~baseline
-    candidates =
-  let c = Ctx.resolve ?ctx ?jobs ?backend () in
-  let obs = c.Ctx.obs in
-  let d = Array.length traces in
-  let run () =
-    let scored = if Obs.enabled obs then Some (Atomic.make 0) else None in
-    let tick n = match scored with Some a -> ignore (Atomic.fetch_and_add a n) | None -> () in
-    let result =
-      (* the absolute-level distinguisher is a calibrated least-squares
-         statistic, not a correlation and not profiled: a [Profiled]
-         selection runs it on the scalar kernel ({!Ctx.kernel}) *)
-      match Ctx.kernel c with
-      | Stats.Pearson.Batch.Scalar ->
-          let cols =
-            List.map
-              (fun (s, model) ->
-                (Array.map (fun t -> t.(s)) traces, Hypothesis.Model.apply model))
-              parts
-          in
-          let score guess =
-            tick 1;
-            let err = ref 0. in
-            List.iter
-              (fun (col, model) ->
-                for i = 0 to d - 1 do
-                  let pred =
-                    baseline
-                    +. (alpha *. float_of_int (Bitops.popcount (model guess known.(i))))
-                  in
-                  let r = col.(i) -. pred in
-                  err := !err +. (r *. r)
-                done)
-              cols;
-            -. !err /. float_of_int d
-          in
-          rank_scores ~ctx:c ~score ~top candidates
-      | Stats.Pearson.Batch.Batched ->
-          (* Same additions in the same (part, trace) order as the scalar
-             arm, one running error per guess row — bit-identical scores;
-             split models additionally skip the per-guess operand digest
-             via the per-sweep prep table. *)
-          let cols =
-            List.map
-              (fun (s, model) ->
-                (Array.map (fun t -> t.(s)) traces, seg_src model known))
-              parts
-          in
-          let score_block guesses =
-            let g = Array.length guesses in
-            tick g;
-            let err = Array.make g 0. in
-            List.iter
-              (fun (col, src) ->
-                let gen =
-                  match src with
-                  | Tab (prepped, eval) ->
-                      fun gu i -> eval gu (Array.unsafe_get prepped i)
-                  | App f -> f
-                in
-                for r = 0 to g - 1 do
-                  let gu = Array.unsafe_get guesses r in
-                  let e = ref (Array.unsafe_get err r) in
-                  for i = 0 to d - 1 do
-                    let pred =
-                      baseline +. (alpha *. float_of_int (Bitops.popcount (gen gu i)))
-                    in
-                    let rr = Array.unsafe_get col i -. pred in
-                    e := !e +. (rr *. rr)
-                  done;
-                  Array.unsafe_set err r !e
-                done)
-              cols;
-            Array.map (fun e -> -. e /. float_of_int d) err
-          in
-          rank_block_scores ~ctx:c ~score_block ~top candidates
-    in
-    (match scored with
-    | Some a -> Obs.count obs "dema.guesses" (Atomic.get a)
-    | None -> ());
-    result
-  in
-  Obs.span obs "dema.rank_absolute"
-    ~fields:
-      [
-        ("traces", Obs.Int d);
-        ("top", Obs.Int top);
-        ("backend", Obs.Str (backend_name c.Ctx.backend));
-      ]
-    run
-
-(* ---- sequential early-stopping rank ---- *)
 
 type until = {
   ranking : scored list;
@@ -610,26 +609,27 @@ type until = {
   looks : int;
 }
 
-(* Single-unit campaign: one incremental sweep fed batch by batch, one
-   tester looking at its leaders.  The unit's inner work (fold, score
-   finalisation) parallelises over candidate chunks with the context's
-   [jobs]; the campaign driver itself runs single-unit. *)
-let run_until ~ctx ~spec ~total ~top ~parts ~feed candidates =
-  let jobs = ctx.Ctx.jobs in
-  let backend = pearson_kernel_exn ~what:"Dema.rank_until" ctx.Ctx.backend in
-  let sweep = Sweep.create ~backend ~parts candidates in
+(* Single-unit campaign: one incremental sweep fed segment by segment,
+   one tester looking at its leaders.  The unit's inner work (fold,
+   score finalisation) parallelises over candidate chunks with the
+   context's [jobs]; the campaign driver itself runs single-unit.
+   [feed needs] pulls the next segment shaped for the instance. *)
+let until ~ctx:c ~what ~spec ~total ~top ~parts ~feed candidates =
+  Distinguisher.require_gap_test ~what c.Ctx.backend;
+  let jobs = c.Ctx.jobs in
+  let sweep =
+    Sweep.of_instance (distinguisher c.Ctx.backend) ~parts (Array.of_seq candidates)
+  in
   let unit_ =
     {
-      Sequential.Campaign.fold = (fun segs -> Sweep.fold ~jobs sweep segs);
+      Sequential.Campaign.fold = (fun b -> Sweep.fold_batch ~jobs sweep b);
       leaders = (fun () -> Sweep.leaders ~jobs sweep);
     }
   in
-  let results =
-    Sequential.Campaign.run ~jobs:1 ~obs:ctx.Ctx.obs ~spec ~total ~feed
-      ~length:(fun segs -> Array.length (snd segs.(0)))
-      [| unit_ |]
+  let r =
+    (Sequential.Campaign.run ~jobs:1 ~obs:c.Ctx.obs ~spec ~total
+       ~feed:(feed sweep.Sweep.needs) ~length:seg_length [| unit_ |]).(0)
   in
-  let r = results.(0) in
   {
     ranking = Sweep.ranking ~jobs sweep ~top;
     stop = r.Sequential.Campaign.stop;
@@ -637,29 +637,55 @@ let run_until ~ctx ~spec ~total ~top ~parts ~feed candidates =
     looks = r.Sequential.Campaign.looks;
   }
 
+(* ---- the in-memory entry points ---- *)
+
+let rank ?ctx ?jobs ?backend ~traces ~parts ~known ~top candidates =
+  let c = Ctx.resolve ?ctx ?jobs ?backend () in
+  let run () =
+    fixed (distinguisher c.Ctx.backend) ~ctx:c ~parts ~top
+      ~source:(in_memory ~traces ~known) candidates
+  in
+  if Obs.enabled c.Ctx.obs then
+    Obs.span c.Ctx.obs "dema.rank"
+      ~fields:
+        [
+          ("traces", Obs.Int (Array.length traces));
+          ("parts", Obs.Int (List.length parts));
+          ("top", Obs.Int top);
+          ("backend", Obs.Str (backend_name c.Ctx.backend));
+          ("jobs", Obs.Int c.Ctx.jobs);
+        ]
+      run
+  else run ()
+
+let rank_absolute ?ctx ?jobs ~traces ~parts ~known ~top ~alpha ~baseline
+    candidates =
+  let c = Ctx.resolve ?ctx ?jobs () in
+  Obs.span c.Ctx.obs "dema.rank_absolute"
+    ~fields:[ ("traces", Obs.Int (Array.length traces)); ("top", Obs.Int top) ]
+    (fun () ->
+      fixed (absolute ~alpha ~baseline) ~ctx:c ~parts ~top
+        ~source:(in_memory ~traces ~known) candidates)
+
 let rank_until ?ctx ?jobs ?backend ~spec ?(batch = 64) ~traces ~parts ~known
     ~top candidates =
   let c = Ctx.resolve ?ctx ?jobs ?backend () in
   if batch < 1 then invalid_arg "Dema.rank_until: batch must be >= 1";
   let total = Array.length traces in
-  let samples = Array.of_list (List.map fst parts) in
-  let models = List.map snd parts in
   let pos = ref 0 in
-  let feed () =
+  let feed needs () =
     if !pos >= total then None
     else begin
       let off = !pos in
       let len = min batch (total - off) in
       pos := off + len;
-      let ks = Array.init len (fun i -> known.(off + i)) in
       Some
-        (Array.map
-           (fun s -> (Array.init len (fun i -> traces.(off + i).(s)), ks))
-           samples)
+        (columns needs ~len
+           ~get:(fun i s -> traces.(off + i).(s))
+           (Array.sub known off len))
     end
   in
-  run_until ~ctx:c ~spec ~total ~top ~parts:models ~feed
-    (Array.of_seq candidates)
+  until ~ctx:c ~what:"Dema.rank_until" ~spec ~total ~top ~parts ~feed candidates
 
 (* ---- streaming engine over an on-disk trace store ----
 
@@ -667,12 +693,12 @@ let rank_until ?ctx ?jobs ?backend ~spec ?(batch = 64) ~traces ~parts ~known
    shards are decoded on the Parallel domain pool (one shard per work
    unit, so at most [jobs] decoded shards are ever live) and their
    per-shard results are combined in shard order.  Column extraction is
-   arithmetic-free, so the assembled columns are byte-for-byte the ones
-   the in-memory path sees and every ranking below is bit-identical to
-   its in-memory counterpart at every [jobs]; the evolution path merges
-   Welford/Chan accumulators in shard order, deterministic at every
-   [jobs] and equal to a prefix rescan up to floating-point
-   reassociation. *)
+   arithmetic-free, so each shard is one driver segment holding exactly
+   the columns the in-memory path sees, and every ranking below is
+   bit-identical to its in-memory counterpart at every [jobs]; the
+   evolution path merges Welford/Chan accumulators in shard order,
+   deterministic at every [jobs] and equal to a prefix rescan up to
+   floating-point reassociation. *)
 module Stream = struct
   type codec = {
     check : Tracestore.meta -> unit;
@@ -701,6 +727,23 @@ module Stream = struct
     codec.check m;
     m
 
+  (* One shard, decoded — or [None] when it is corrupt or unreadable and
+     the policy is [`Skip] (the caller counts the drop).  The reader's
+     own [`Skip] policy swallows a corrupt shard; a silently shrunken
+     campaign skews every downstream statistic, so losing it must be
+     loud unless the caller opted in. *)
+  let fetch codec m ~on_corrupt reader i =
+    let corrupt msg = match on_corrupt with `Fail -> failwith msg | `Skip -> None in
+    match Tracestore.Reader.read_shard reader i with
+    | Some records -> Some (Array.map (codec.decode m) records)
+    | None ->
+        corrupt
+          (Printf.sprintf
+             "Dema.Stream: shard %d is corrupt or unreadable; pass \
+              ~on_corrupt:`Skip to drop it from the campaign"
+             i)
+    | exception Failure msg -> corrupt msg
+
   let map_shards ?ctx ?jobs ?on_corrupt ?prefetch ?(codec = falcon_codec) reader
       f =
     let c = Ctx.resolve ?ctx ?jobs () in
@@ -716,28 +759,9 @@ module Stream = struct
     let done_ = Atomic.make 0 in
     let skipped = Atomic.make 0 in
     let fetch i =
-      match Tracestore.Reader.read_shard reader i with
-      | Some records -> Some (Array.map (codec.decode m) records)
-      | None -> (
-          (* the reader's [`Skip] policy swallowed a corrupt shard; a
-             silently shrunken campaign skews every downstream statistic,
-             so losing it must be loud unless the caller opted in *)
-          match on_corrupt with
-          | `Fail ->
-              failwith
-                (Printf.sprintf
-                   "Dema.Stream: shard %d is corrupt or unreadable; pass \
-                    ~on_corrupt:`Skip to drop it from the campaign"
-                   i)
-          | `Skip ->
-              Atomic.incr skipped;
-              None)
-      | exception Failure msg -> (
-          match on_corrupt with
-          | `Fail -> failwith msg
-          | `Skip ->
-              Atomic.incr skipped;
-              None)
+      let r = fetch codec m ~on_corrupt reader i in
+      if Option.is_none r then Atomic.incr skipped;
+      r
     in
     let progress () =
       if Obs.enabled obs then
@@ -807,206 +831,27 @@ module Stream = struct
     ( Array.concat (List.map fst pieces),
       Array.concat (List.map snd pieces) )
 
-  (* Streaming rank never materialises the campaign: each shard yields a
-     per-part column segment plus its known operands, global column
-     moments come from one sequential pass over the segments in shard
-     order (the very additions [column_stats] makes on the concatenated
-     column), and both backends then score the segments in shard order —
-     the scalar arm with running corr_with accumulators, the batched arm
-     by folding each part group's Fused accumulator across segments.
-     Every addition lands in the same accumulator in the same global
-     trace order as the in-memory sweep, so results are bit-identical to
-     [Dema.rank] on the extracted campaign at every [jobs] and backend. *)
+  (* the driver segment of one decoded shard *)
+  let shard_columns needs ~known (tr : Leakage.trace array) =
+    columns needs ~len:(Array.length tr)
+      ~get:(fun i s -> tr.(i).Leakage.samples.(s))
+      (Array.map known tr)
+
+  (* Store-backed fixed-budget sweep: each shard is one driver segment of
+     the columns the instance needs, so the campaign is never
+     concatenated and every addition lands in the same accumulator in
+     the same global trace order as the in-memory sweep. *)
   let rank ?ctx ?jobs ?backend ?on_corrupt ?prefetch ?codec reader ~parts ~known
       ~top candidates =
     let c = Ctx.resolve ?ctx ?jobs ?backend () in
     let obs = c.Ctx.obs in
-    (* profiled arm: extract each part's template POI columns (one
-       arithmetic-free streaming pass, deterministic in shard order),
-       compute the per-(part, trace) class tables, then score exactly
-       like the in-memory profiled [rank] — bit-identical to it over the
-       same traces at every [jobs] and prefetch setting. *)
-    let run_profiled store =
-      let pts =
-        List.map
-          (fun (s, m) ->
-            (Profile.point store ~sample:s, Hypothesis.Model.apply m))
-          parts
-      in
-      let samples =
-        List.concat_map (fun (pt, _) -> Array.to_list pt.Profile.abs_pois) pts
-      in
-      let cols, ks =
-        Obs.span ~level:Obs.Debug obs "dema.stream.extract" (fun () ->
-            extract ~ctx:c ?on_corrupt ?prefetch ?codec reader ~samples ~known)
-      in
-      let d = Array.length ks in
-      let scored = if Obs.enabled obs then Some (Atomic.make 0) else None in
-      let tick n =
-        match scored with Some a -> ignore (Atomic.fetch_and_add a n) | None -> ()
-      in
-      let tables =
-        Obs.span ~level:Obs.Debug obs "dema.prep" (fun () ->
-            let off = ref 0 in
-            List.map
-              (fun (pt, model) ->
-                let base = !off in
-                let npoi = Array.length pt.Profile.abs_pois in
-                off := base + npoi;
-                let pos = Hashtbl.create npoi in
-                Array.iteri
-                  (fun k a -> Hashtbl.replace pos a (base + k))
-                  pt.Profile.abs_pois;
-                ( model,
-                  Array.map
-                    (fun row ->
-                      Profile.class_scores store pt ~get:(fun j ->
-                          row.(Hashtbl.find pos j)))
-                    cols ))
-              pts)
-      in
-      let result =
-        Obs.span ~level:Obs.Debug obs "dema.score" (fun () ->
-            profiled_rank_scores ~ctx:c ~nclass:store.Profile.nclass ~tables
-              ~known:ks ~d ~top ~tick candidates)
-      in
-      (match scored with
-      | Some a ->
-          let n = Atomic.get a in
-          Obs.count obs "dema.guesses" n;
-          if d < n then
-            Obs.count ~level:Obs.Error
-              ~fields:[ ("traces", Obs.Int d); ("guesses", Obs.Int n) ]
-              obs "dema.degenerate_rank" 1
-      | None -> ());
-      result
-    in
-    let run_pearson () =
-      let samples = Array.of_list (List.map fst parts) in
-      let nsamp = Array.length samples in
+    let source needs =
       let pieces =
         Obs.span ~level:Obs.Debug obs "dema.stream.extract" (fun () ->
-            Array.of_list
-              (map_shards ~ctx:c ?on_corrupt ?prefetch ?codec reader
-                 (fun _ traces ->
-                   let pd = Array.length traces in
-                   ( Array.init nsamp (fun j ->
-                         let s = samples.(j) in
-                         Array.init pd (fun i -> traces.(i).Leakage.samples.(s))),
-                     Array.map known traces ))))
+            map_shards ~ctx:c ?on_corrupt ?prefetch ?codec reader (fun _ tr ->
+                (shard_columns needs ~known tr, Array.length tr)))
       in
-      let total_d = Array.fold_left (fun a (_, ks) -> a + Array.length ks) 0 pieces in
-      let nf = float_of_int total_d in
-      let scored = if Obs.enabled obs then Some (Atomic.make 0) else None in
-      let tick n = match scored with Some a -> ignore (Atomic.fetch_and_add a n) | None -> () in
-      (* whole-campaign column moments, accumulated segment by segment in
-         shard order — bit-identical to [column_stats] on the
-         concatenated column *)
-      let stats =
-        Array.init nsamp (fun j ->
-            let s = ref 0. and ss = ref 0. in
-            Array.iter
-              (fun (cols, _) ->
-                let col = cols.(j) in
-                for i = 0 to Array.length col - 1 do
-                  let v = Array.unsafe_get col i in
-                  s := !s +. v;
-                  ss := !ss +. (v *. v)
-                done)
-              pieces;
-            (!s, !ss -. (!s *. !s /. nf)))
-      in
-      let result =
-        match c.Ctx.backend with
-        | Distinguisher.Profiled _ -> assert false (* handled by run_profiled *)
-        | Distinguisher.Pearson_scalar ->
-            let models =
-              Array.of_list (List.map (fun (_, m) -> Hypothesis.Model.apply m) parts)
-            in
-            let score guess =
-              tick 1;
-              let acc = ref 0. in
-              for j = 0 to nsamp - 1 do
-                let model = models.(j) in
-                let sh = ref 0. and shh = ref 0. and sht = ref 0. in
-                Array.iter
-                  (fun (cols, ks) ->
-                    let col = cols.(j) in
-                    for i = 0 to Array.length ks - 1 do
-                      let x = float_of_int (Bitops.popcount (model guess ks.(i))) in
-                      sh := !sh +. x;
-                      shh := !shh +. (x *. x);
-                      sht := !sht +. (x *. Array.unsafe_get col i)
-                    done)
-                  pieces;
-                let sum_t, var_t = stats.(j) in
-                let vh = !shh -. (!sh *. !sh /. nf) in
-                let cov = !sht -. (!sh *. sum_t /. nf) in
-                let r =
-                  if vh <= 0. || var_t <= 0. then 0. else cov /. sqrt (vh *. var_t)
-                in
-                acc := !acc +. Float.abs r
-              done;
-              !acc
-            in
-            rank_scores ~ctx:c ~score ~top candidates
-        | Distinguisher.Pearson_batched ->
-            let groups =
-              Obs.span ~level:Obs.Debug obs "dema.prep" (fun () ->
-                  List.map
-                    (fun (m, js) ->
-                      (js, Array.map (fun (_, ks) -> seg_src m ks) pieces))
-                    (group_parts (List.mapi (fun j (_, m) -> (j, m)) parts)))
-            in
-            let score_block guesses =
-              let g = Array.length guesses in
-              tick g;
-              let scores = Array.make g 0. in
-              List.iter
-                (fun (js, srcs) ->
-                  let acc =
-                    Stats.Pearson.Batch.Fused.create ~rows:g ~ncols:(Array.length js)
-                  in
-                  Array.iteri
-                    (fun pi (cols, ks) ->
-                      seg_fold acc srcs.(pi)
-                        ~cols:(Array.map (fun j -> cols.(j)) js)
-                        ~len:(Array.length ks) guesses)
-                    pieces;
-                  Array.iteri
-                    (fun ci j ->
-                      let sum_t, var_t = stats.(j) in
-                      let rs =
-                        Stats.Pearson.Batch.Fused.corr acc ~index:ci ~n:total_d
-                          ~sum_t ~var_t
-                      in
-                      for i = 0 to g - 1 do
-                        scores.(i) <- scores.(i) +. Float.abs rs.(i)
-                      done)
-                    js)
-                groups;
-              scores
-            in
-            Obs.span ~level:Obs.Debug obs "dema.score" (fun () ->
-                rank_block_scores ~ctx:c ~score_block ~top candidates)
-      in
-      (match scored with
-      | Some a ->
-          let n = Atomic.get a in
-          Obs.count obs "dema.guesses" n;
-          (* degenerate rank regime: see [rank] *)
-          if total_d < n then
-            Obs.count ~level:Obs.Error
-              ~fields:[ ("traces", Obs.Int total_d); ("guesses", Obs.Int n) ]
-              obs "dema.degenerate_rank" 1
-      | None -> ());
-      result
-    in
-    let run () =
-      match c.Ctx.backend with
-      | Distinguisher.Profiled store -> run_profiled store
-      | Distinguisher.Pearson_scalar | Distinguisher.Pearson_batched ->
-          run_pearson ()
+      (List.map fst pieces, List.fold_left (fun a (_, d) -> a + d) 0 pieces)
     in
     Obs.span obs "dema.stream.rank"
       ~fields:
@@ -1014,7 +859,7 @@ module Stream = struct
           ("shards", Obs.Int (Tracestore.Reader.shard_count reader));
           ("backend", Obs.Str (backend_name c.Ctx.backend));
         ]
-      run
+      (fun () -> fixed (distinguisher c.Ctx.backend) ~ctx:c ~parts ~top ~source candidates)
 
   (* Pull-based shard feed for adaptive campaigns: decoded strictly in
      shard order, one at a time, with one decode kept in flight on a
@@ -1043,21 +888,7 @@ module Stream = struct
           min k avail
     in
     let skipped = ref 0 in
-    let fetch i =
-      match Tracestore.Reader.read_shard reader i with
-      | Some records -> Some (Array.map (codec.decode m) records)
-      | None -> (
-          match on_corrupt with
-          | `Fail ->
-              failwith
-                (Printf.sprintf
-                   "Dema.Stream: shard %d is corrupt or unreadable; pass \
-                    ~on_corrupt:`Skip to drop it from the campaign"
-                   i)
-          | `Skip -> None)
-      | exception Failure msg -> (
-          match on_corrupt with `Fail -> failwith msg | `Skip -> None)
-    in
+    let fetch i = fetch codec m ~on_corrupt reader i in
     let idx = ref 0 in
     let pending = ref None in
     let take () =
@@ -1099,11 +930,11 @@ module Stream = struct
     in
     { next; close; total = cap; skipped = (fun () -> !skipped) }
 
-  (* Adaptive variant of [rank]: shards are decoded one at a time (with
-     the same corrupt-shard policy and an optional decode-ahead domain)
-     and fed to an incremental sweep; the tester looks after each shard
-     per the spec's schedule and the pull stops at the stopping point.
-     Fed to exhaustion it returns [rank]'s exact ranking. *)
+  (* Adaptive variant of [rank]: shards are pulled one at a time from
+     [shard_feed] and fed to an incremental sweep; the tester looks
+     after each shard per the spec's schedule and the pull stops at the
+     stopping point.  Fed to exhaustion it returns [rank]'s exact
+     ranking. *)
   let rank_until ?ctx ?jobs ?backend ?on_corrupt ?prefetch ?codec ~spec
       ?max_traces reader ~parts ~known ~top candidates =
     let c = Ctx.resolve ?ctx ?jobs ?backend () in
@@ -1113,20 +944,6 @@ module Stream = struct
         ~on_corrupt:(Option.value on_corrupt ~default:c.Ctx.on_corrupt)
         ~prefetch:(Option.value prefetch ~default:c.Ctx.prefetch)
         ?codec ?max_traces reader
-    in
-    let samples = Array.of_list (List.map fst parts) in
-    let models = List.map snd parts in
-    let feed () =
-      match fd.next () with
-      | None -> None
-      | Some tr ->
-          let ks = Array.map known tr in
-          Some
-            (Array.map
-               (fun s ->
-                 ( Array.map (fun (t : Leakage.trace) -> t.Leakage.samples.(s)) tr,
-                   ks ))
-               samples)
     in
     Fun.protect ~finally:fd.close (fun () ->
         Obs.span obs "dema.stream.rank_until"
@@ -1139,8 +956,9 @@ module Stream = struct
             ]
           (fun () ->
             let r =
-              run_until ~ctx:c ~spec ~total:fd.total ~top ~parts:models ~feed
-                (Array.of_seq candidates)
+              until ~ctx:c ~what:"Dema.rank_until" ~spec ~total:fd.total ~top ~parts
+                ~feed:(fun needs () -> Option.map (shard_columns needs ~known) (fd.next ()))
+                candidates
             in
             let sk = fd.skipped () in
             if Obs.enabled obs && sk > 0 then
@@ -1209,156 +1027,3 @@ let corr_time ?ctx ?backend ~traces ~model ~known ~guesses () =
 let evolution ~traces ~sample ~model ~known ~guess ~step =
   let hyp = hyp_vector ~model ~known guess in
   Stats.Pearson.evolution ~traces ~hyp ~sample ~step
-
-(* ---- registered distinguisher instances ----
-
-   The {!Distinguisher.S} streaming seam, instantiated.  The two Pearson
-   instances wrap the incremental {!Sweep} (whose fed-to-exhaustion
-   parity with [rank] is test-pinned), so scoring through the interface
-   is bit-identical to the pre-interface fixed-budget paths; the
-   profiled instance accumulates template log-likelihoods per guess with
-   the same class tables the [rank] arms use. *)
-
-module Pearson_instance (K : sig
-  val kernel : Stats.Pearson.Batch.backend
-end) : Distinguisher.S = struct
-  let name = Distinguisher.name (Distinguisher.of_pearson K.kernel)
-
-  type 'k state = { sweep : 'k Sweep.t; needs : int list list }
-
-  let create ~parts ~guesses =
-    {
-      sweep = Sweep.create ~backend:K.kernel ~parts:(List.map snd parts) guesses;
-      needs = List.map (fun (s, _) -> [ s ]) parts;
-    }
-
-  let needs st = st.needs
-
-  let fold ?jobs st batch =
-    let segs =
-      Array.map
-        (fun (cols, ks) ->
-          if Array.length cols <> 1 then
-            invalid_arg
-              "Dema.distinguisher: a Pearson part folds exactly one column";
-          (cols.(0), ks))
-        batch
-    in
-    Sweep.fold ?jobs st.sweep segs
-
-  let finalize ?jobs st = Sweep.scores ?jobs st.sweep
-end
-
-module Pearson_scalar_instance = Pearson_instance (struct
-  let kernel = Stats.Pearson.Batch.Scalar
-end)
-
-module Pearson_batched_instance = Pearson_instance (struct
-  let kernel = Stats.Pearson.Batch.Batched
-end)
-
-module Profiled_instance (P : sig
-  val store : Profile.store
-end) : Distinguisher.S = struct
-  let name = "profiled"
-
-  type 'k state = {
-    guesses : int array;
-    parts : (Profile.template * (int -> 'k -> int)) array;
-    needs : int list list;
-    sll : float array array;
-        (* per part x guess: summed class log-likelihood.  Keeping one
-           accumulator per part means every accumulator sees its terms
-           in global trace order no matter how the stream is chunked,
-           so scores are bit-identical across batch splits (in-memory
-           vs per-shard streaming), not just across [jobs]. *)
-    mutable n : int;
-  }
-
-  let create ~parts ~guesses =
-    let resolved =
-      Array.of_list
-        (List.map
-           (fun (s, m) ->
-             let pt = Profile.point P.store ~sample:s in
-             (pt, Hypothesis.Model.apply m))
-           parts)
-    in
-    {
-      guesses;
-      parts = Array.map (fun (pt, m) -> (pt.Profile.tpl, m)) resolved;
-      needs =
-        Array.to_list
-          (Array.map
-             (fun (pt, _) -> Array.to_list pt.Profile.abs_pois)
-             resolved);
-      sll =
-        Array.init (List.length parts) (fun _ ->
-            Array.make (Array.length guesses) 0.);
-      n = 0;
-    }
-
-  let needs st = st.needs
-
-  (* Accumulation is per-guess into disjoint slots in a fixed loop
-     order, so [jobs] cannot change the result; the fold runs on the
-     owner domain. *)
-  let fold ?jobs st batch =
-    ignore jobs;
-    if Array.length batch <> Array.length st.parts then
-      invalid_arg "Dema.distinguisher: wrong number of part segments";
-    let nclass = P.store.Profile.nclass in
-    let g = Array.length st.guesses in
-    let len =
-      match batch with [||] -> 0 | _ -> Array.length (snd batch.(0))
-    in
-    Array.iteri
-      (fun j (cols, ks) ->
-        let tpl, model = st.parts.(j) in
-        let acc = st.sll.(j) in
-        let npoi = Array.length tpl.Profile.pois in
-        if Array.length cols <> npoi then
-          invalid_arg
-            "Dema.distinguisher: profiled part needs its template's POI columns";
-        Array.iter
-          (fun (col : float array) ->
-            if Array.length col <> len then
-              invalid_arg "Dema.distinguisher: ragged part segments")
-          cols;
-        if Array.length ks <> len then
-          invalid_arg "Dema.distinguisher: ragged part segments";
-        let x = Array.make npoi 0. in
-        for i = 0 to len - 1 do
-          for k = 0 to npoi - 1 do
-            x.(k) <- cols.(k).(i)
-          done;
-          let scores = Profile.class_scores_vec P.store tpl x in
-          let y = ks.(i) in
-          for r = 0 to g - 1 do
-            let cls = Bitops.popcount (model st.guesses.(r) y) in
-            let cls = if cls >= nclass then nclass - 1 else cls in
-            acc.(r) <- acc.(r) +. scores.(cls)
-          done
-        done)
-      batch;
-    st.n <- st.n + len
-
-  let finalize ?jobs st =
-    ignore jobs;
-    let nrm = 1. /. float_of_int (max 1 st.n) in
-    Array.init
-      (Array.length st.guesses)
-      (fun r ->
-        let s = ref 0. in
-        Array.iter (fun acc -> s := !s +. acc.(r)) st.sll;
-        !s *. nrm)
-end
-
-let distinguisher : Distinguisher.selection -> (module Distinguisher.S) =
-  function
-  | Distinguisher.Pearson_scalar -> (module Pearson_scalar_instance)
-  | Distinguisher.Pearson_batched -> (module Pearson_batched_instance)
-  | Distinguisher.Profiled store ->
-      (module Profiled_instance (struct
-        let store = store
-      end))

@@ -1,18 +1,38 @@
 (** Differential EM analysis engine: the Pearson-correlation
-    distinguisher of Eq. (1), in three shapes matched to the paper's
-    plots and to streaming enumeration of large hypothesis spaces.
+    distinguisher of Eq. (1), and every other ranking statistic, run by
+    one driver.
+
+    {b One engine.}  Each statistic is one {!Distinguisher.S} instance
+    — Pearson ({!distinguisher} on a Pearson selection), profiled
+    templates ([Profiled]) and the calibrated absolute-level exponent
+    statistic ({!absolute}).  The driver folds an instance over a
+    {e feed} of (per-part column segments, known operands): in-memory
+    traces are a one-segment feed ({!rank}, {!rank_absolute}), a trace
+    store is its shards ({!Stream.rank}), and a sequential campaign
+    pulls segments and looks between them ({!rank_until},
+    {!Stream.rank_until}).  A fixed budget is the same fold with no
+    looks.  The driver owns candidate chunking, [jobs], top-k selection,
+    the [dema.*] observability events and the degenerate-rank warning;
+    the instance's candidate-independent work (column moments, split
+    model prep tables, template class-score tables) runs once per
+    segment and is shared read-only by every candidate chunk.
 
     {b Determinism.}  All rankings are selected under the strict total
     order {!compare_scored} (higher score first, exact ties broken by
     the smaller guess value), so the returned list is a pure function of
     the candidate {e multiset} — reordering the candidate sequence, or
-    sweeping it in parallel chunks, yields bit-identical output.
+    sweeping it in parallel chunks, yields bit-identical output.  Every
+    instance accumulator receives its additions in global trace order,
+    so in-memory, store-backed and exhausted sequential sweeps over the
+    same traces agree bit for bit at every [jobs], backend and prefetch
+    setting.
 
     {b Parallelism.}  The sweeps accept [?jobs] (default
-    {!Parallel.default_jobs}, i.e. 1): candidates are chunked across a
-    fixed-size domain pool, each domain keeps a local top-k, and the
-    partial top-ks are merged in chunk order.  Per-column trace
-    statistics are computed once per sweep and shared read-only.
+    {!Parallel.default_jobs}, i.e. 1): candidates are read lazily in
+    512-candidate chunks across a fixed-size domain pool, each chunk
+    keeps a local top-k, and the partial top-ks are merged in chunk
+    order — O(top + jobs x chunk) live per-candidate state, so the
+    2{^25}-candidate spaces are never materialised.
 
     {b Execution context.}  Every entry point also accepts [?ctx]
     ({!Ctx.t}), which bundles [jobs], the {!Distinguisher.selection}
@@ -23,47 +43,17 @@
     with any sink attached the returned rankings are bit-identical to
     the uninstrumented path at every [jobs].
 
-    {b Distinguisher dispatch.}  The two Pearson selections run the
-    historical scalar / fused-batched arms byte for byte (parity is
-    test-pinned).  A [Profiled] selection scores guesses by template
-    log-likelihood instead of correlation: per (part, trace) the
-    class-conditional scores are computed once from the
-    {!Profile.store}'s points of interest, and each guess sums the
-    entry of its predicted Hamming class, averaged over traces.  The
-    correlation-only stages ({!rank_absolute}, {!corr_time},
-    calibration) run on {!Ctx.kernel} under a profiled selection; the
-    sequential testers ({!rank_until} and friends) reject it with
-    [Invalid_argument]. *)
+    {b Selections.}  The two Pearson selections score bit-identically.
+    A [Profiled] selection scores guesses by template log-likelihood
+    instead of correlation, averaged over traces.  {!rank_absolute} and
+    {!corr_time} have no profiled form and ignore it; the sequential
+    sweeps reject it with [Invalid_argument]
+    ({!Distinguisher.require_gap_test}). *)
 
 type scored = { guess : int; corr : float }
 
 val compare_scored : scored -> scored -> int
 (** Strict total order: descending score, ties by ascending guess. *)
-
-val rank_scores :
-  ?ctx:Ctx.t ->
-  ?jobs:int ->
-  score:(int -> float) ->
-  top:int ->
-  int Seq.t ->
-  scored list
-(** Generic deterministic top-[top] selection of [candidates] under an
-    arbitrary scoring function (which must be pure and safe to call from
-    any domain).  The building block of {!rank}, {!rank_absolute} and
-    {!Template.rank}. *)
-
-val rank_block_scores :
-  ?ctx:Ctx.t ->
-  ?jobs:int ->
-  score_block:(int array -> float array) ->
-  top:int ->
-  int Seq.t ->
-  scored list
-(** Like {!rank_scores} but the scoring function receives a whole work
-    chunk of candidates at once and returns their scores positionally —
-    the entry point for batched (hypothesis-block) distinguishers.
-    Candidates enter the top-k in chunk order, so the selection is
-    bit-identical to [rank_scores] over the pointwise scores. *)
 
 val rank :
   ?ctx:Ctx.t ->
@@ -85,20 +75,17 @@ val rank :
 
     [backend] (default {!Stats.Pearson.Batch.default_backend}, i.e. the
     batched kernel unless [FD_PEARSON=scalar]) selects between the
-    historical per-guess [hyp_vector]/[corr_with] loop and the fused
-    kernel ({!Stats.Pearson.Batch.Fused}) that generates hypothesis
+    reference per-guess loop and the fused kernel
+    ({!Stats.Pearson.Batch.Fused}) that generates hypothesis
     intermediates on the fly inside register tiles — no per-guess
-    vectors, no [G x D] block.  Consecutive parts sharing one model
-    value (physical equality) are scored from a single generated
-    stream, and {!Hypothesis.Model.Split} models additionally hoist the
-    known-operand digest into a per-sweep prep table.  Both backends
-    produce bit-identical scores, hence bit-identical rankings, at every
-    [jobs]. *)
+    vectors, no [G x D] block; {!Hypothesis.Model.Split} models
+    additionally hoist the known-operand digest into a per-segment prep
+    table.  Both backends produce bit-identical scores, hence
+    bit-identical rankings, at every [jobs]. *)
 
 val rank_absolute :
   ?ctx:Ctx.t ->
   ?jobs:int ->
-  ?backend:Stats.Pearson.Batch.backend ->
   traces:float array array ->
   parts:(int * 'k Hypothesis.Model.t) list ->
   known:'k array ->
@@ -115,9 +102,8 @@ val rank_absolute :
     hypotheses that differ by a per-trace constant (see
     {!Recover.attack_exponent}).  [alpha] and [baseline] come from
     {!Calibrate.estimate} — i.e. from the same traces, not from a
-    profiling device.  [backend] dispatches like {!rank} (the batched
-    arm keeps one running error per guess row, same additions in the
-    same order — bit-identical scores). *)
+    profiling device.  The statistic is the {!absolute} instance, the
+    same under every selection. *)
 
 (** {1 Sequential early-stopping sweeps}
 
@@ -136,11 +122,11 @@ val rank_absolute :
     the returned ranking are bit-identical across [jobs], backends and
     prefetch settings. *)
 
-(** Incremental per-candidate scoring state: a chunked sweep whose
-    accumulators persist across batch folds and can be finalised at any
-    look without a reset.  Used by {!rank_until} /
-    {!Stream.rank_until} and by [Fullkey]'s per-coefficient decision
-    sweeps. *)
+(** Incremental per-candidate scoring state: the Pearson instance over
+    a chunked candidate array whose accumulators persist across batch
+    folds and can be finalised at any look without a reset.  The driver
+    behind {!rank_until} / {!Stream.rank_until}, and [Fullkey]'s
+    per-coefficient decision sweeps. *)
 module Sweep : sig
   type 'k t
 
@@ -207,11 +193,11 @@ val rank_until :
     is bounded by [jobs] decoded shards plus the extracted columns /
     accumulators) and combined in shard order.
 
-    {b Determinism.}  Column extraction is arithmetic-free and both
-    rank backends replay the in-memory sweep's additions in global trace
-    order across shard segments, so {!Stream.rank} is {e bit-identical}
-    to the in-memory {!rank} over the same traces, at every [jobs] and
-    backend, with prefetch on or off.  {!Stream.evolution} merges
+    {b Determinism.}  Column extraction is arithmetic-free and each
+    shard is one driver segment, so every instance replays the in-memory
+    sweep's additions in global trace order and {!Stream.rank} is
+    {e bit-identical} to the in-memory {!rank} over the same traces, at
+    every [jobs] and selection, with prefetch on or off.  {!Stream.evolution} merges
     {!Stats.Welford.Cov} accumulators in shard order (Chan's formula):
     deterministic at every [jobs], and equal to a prefix rescan up to
     floating-point reassociation (1e-9 in the property tests).
@@ -290,10 +276,11 @@ module Stream : sig
   (** Store-backed {!rank}: part sample indices are {e absolute} trace
       sample positions (e.g. from [Leakage.sample_of]); [known] maps a
       trace to the operand fed to the part models.  The campaign is
-      never concatenated: each shard contributes per-part column
-      segments that both backends score in shard order with running
-      accumulators, finalised against whole-campaign column moments —
-      bit-identical to the in-memory {!rank} on the extracted corpus. *)
+      never concatenated: each shard contributes one segment of the
+      columns the selection needs (the part's own column for Pearson,
+      its template's points of interest for [Profiled]), folded in
+      shard order — bit-identical to the in-memory {!rank} on the
+      extracted corpus. *)
 
   (** Pull-based shard feed for adaptive campaigns. *)
   type feed = {
@@ -397,9 +384,10 @@ val backend_name : Distinguisher.selection -> string
 (** {!Distinguisher.name} — kept here for the CLIs' report vocabulary. *)
 
 val distinguisher : Distinguisher.selection -> (module Distinguisher.S)
-(** The registered streaming instances behind the {!Distinguisher.S}
-    seam: the Pearson selections wrap the incremental {!Sweep} (so
-    scoring through the interface is bit-identical to the fixed-budget
-    Pearson paths — parity-tested), and [Profiled] accumulates template
-    log-likelihoods from its store's POI columns.  The Pearson instances
-    require at least two guesses ({!Sweep.create}'s contract). *)
+(** The registered instance behind a selection: the Pearson instance of
+    the selection's kernel (its scalar arm is the bit-identical
+    reference of the batched arm), or template log-likelihood scoring
+    from a [Profiled] store's POI columns. *)
+
+val absolute : alpha:float -> baseline:float -> (module Distinguisher.S)
+(** The calibrated absolute-level instance behind {!rank_absolute}. *)

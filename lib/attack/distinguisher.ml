@@ -18,24 +18,32 @@ let name = function
   | Profiled _ -> "profiled"
 
 let names = [ "scalar"; "batched"; "profiled" ]
-let is_profiled = function Profiled _ -> true | _ -> false
 let default () = of_pearson (Stats.Pearson.Batch.default_backend ())
+let has_gap_test = function Pearson_scalar | Pearson_batched -> true | Profiled _ -> false
 
-let resolve ?backend ?distinguisher () =
-  match distinguisher with
-  | Some d -> d
-  | None -> (
-      match backend with Some b -> of_pearson b | None -> default ())
+let require_gap_test ~what sel =
+  if not (has_gap_test sel) then
+    invalid_arg
+      (Printf.sprintf
+         "%s: the %s distinguisher has no sequential gap statistic (the \
+          stopping testers are correlation statistics); use a Pearson backend"
+         what (name sel))
 
 module type S = sig
   val name : string
 
-  type 'k state
+  type 'k plan
 
-  val create :
-    parts:(int * 'k Hypothesis.Model.t) list -> guesses:int array -> 'k state
+  val plan : parts:(int * 'k Hypothesis.Model.t) list -> 'k plan
+  val needs : 'k plan -> int list list
 
-  val needs : 'k state -> int list list
-  val fold : ?jobs:int -> 'k state -> (float array array * 'k array) array -> unit
-  val finalize : ?jobs:int -> 'k state -> float array
+  type 'k seg
+
+  val prepare : 'k plan -> (float array array * 'k array) array -> 'k seg
+
+  type 'k acc
+
+  val acc : 'k plan -> int array -> 'k acc
+  val fold : 'k acc -> 'k seg -> unit
+  val finalize : 'k plan -> 'k acc -> float array
 end

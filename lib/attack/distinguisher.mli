@@ -1,30 +1,41 @@
 (** The scoring seam: which statistic turns traces into per-guess scores.
 
-    Historically "backend" meant a Pearson kernel choice
-    ({!Stats.Pearson.Batch.backend}, [Scalar | Batched]) — a private
-    enum of one distinguisher.  A profiled template attack is not a
-    Pearson kernel, so the selection is now first-class: a {!selection}
-    names {e which} distinguisher scores a sweep, and the Pearson kernel
-    enum survives inside the two Pearson instances.  {!Ctx.t} carries a
+    A {!selection} names {e which} distinguisher scores a sweep: one of
+    the two Pearson kernels ({!Stats.Pearson.Batch.backend}, bit-identical
+    to each other) or a profiled template store.  {!Ctx.t} carries a
     [selection]; the old [?backend:Stats.Pearson.Batch.backend]
     optionals remain accepted everywhere as deprecated shims that map
     through {!of_pearson}.
 
-    {b The streaming contract} ({!S}): a distinguisher instance is
-    created from a part set and a fixed guess array, declares which
-    absolute trace-sample columns it needs per part ([needs]), folds
-    per-part column batches in global trace order, and finalises to one
-    score per guess.  Determinism is part of the contract: folding the
-    same batches in the same order must yield bit-identical scores at
-    every [jobs], which is what lets the streaming engine merge
-    per-shard work across domains in shard order.  Instances are
-    registered in [Dema] ([Dema.distinguisher]), next to the sweeps
-    that host them; the two Pearson instances wrap the incremental
-    sweep ([Dema.Sweep]) and are bit-identical to the fixed-budget
-    Pearson paths (parity-tested). *)
+    {b One engine.}  Every statistic is an instance of {!S}, and one
+    driver in [Dema] runs them all: it owns the candidate chunking, the
+    domain pool, top-k selection and the [dema.*] observability events,
+    and feeds the instance per-part column segments in global trace
+    order.  In-memory traces are a one-segment feed, a trace store is
+    its shards, and a sequential campaign is the same fold with a
+    tester looking between segments.  The registered instances live in
+    [Dema] ([Dema.distinguisher], [Dema.absolute]).
+
+    {b The contract} ({!S}).  An instance splits its work three ways:
+    - a {e plan} per sweep, which resolves the parts, declares the
+      trace-sample columns each part needs, and accumulates the
+      candidate-independent running totals (column moments, trace
+      count) as segments are {e prepared};
+    - a {e prepared segment}: the candidate-independent work on one
+      batch of traces (prep tables for split models, class-score tables
+      for templates), computed once and shared read-only by every
+      candidate chunk;
+    - an {e accumulator} per candidate chunk, folded with prepared
+      segments and finalised against the plan.
+
+    Determinism is part of the contract: every accumulator receives its
+    additions in global trace order, so scores are bit-identical however
+    the traces are split into segments and the candidates into chunks —
+    which is what lets in-memory, store-backed and sequential sweeps
+    agree bit for bit at every [jobs]. *)
 
 type selection =
-  | Pearson_scalar  (** the historical per-guess correlation loop *)
+  | Pearson_scalar  (** the reference per-guess correlation loop *)
   | Pearson_batched  (** the fused register-tiled Pearson kernel *)
   | Profiled of Profile.store
       (** template log-likelihood scoring against a trained
@@ -37,8 +48,8 @@ val of_pearson : Stats.Pearson.Batch.backend -> selection
 val kernel : selection -> Stats.Pearson.Batch.backend
 (** The Pearson kernel a selection implies for the correlation-only
     stages that have no profiled form (calibration, correlation-vs-time
-    matrices, the absolute-level exponent sweep): the identity on the
-    Pearson instances, [Scalar] under [Profiled]. *)
+    matrices): the identity on the Pearson instances, [Scalar] under
+    [Profiled]. *)
 
 val name : selection -> string
 (** ["scalar"], ["batched"] or ["profiled"] — stable CLI/report
@@ -47,46 +58,63 @@ val name : selection -> string
 val names : string list
 (** The CLI vocabulary, in declaration order. *)
 
-val is_profiled : selection -> bool
-
 val default : unit -> selection
 (** The process default: {!of_pearson} of
     [Stats.Pearson.Batch.default_backend ()] — so [FD_PEARSON] keeps
     selecting the Pearson kernel exactly as before. *)
 
-val resolve :
-  ?backend:Stats.Pearson.Batch.backend -> ?distinguisher:selection -> unit -> selection
-(** Merge the deprecated Pearson optional with the first-class one:
-    an explicit [?distinguisher] wins, else an explicit [?backend] maps
-    through {!of_pearson}, else {!default}. *)
+val has_gap_test : selection -> bool
+(** Whether sequential stopping can decide on this selection: the
+    stopping testers ({!Sequential.Decision}) are Fisher-z gap tests on
+    correlations, so only the Pearson selections have one. *)
 
-(** The streaming distinguisher interface (prep / fold / finalize). *)
+val require_gap_test : what:string -> selection -> unit
+(** The one check every sequential entry point makes: raises
+    [Invalid_argument], prefixed with [what], when {!has_gap_test} is
+    false. *)
+
+(** A distinguisher statistic (plan / prepare / fold / finalize). *)
 module type S = sig
   val name : string
 
-  type 'k state
+  type 'k plan
 
-  val create :
-    parts:(int * 'k Hypothesis.Model.t) list -> guesses:int array -> 'k state
-  (** One sweep over a fixed guess array and an ordered part set; part
-      sample indices are absolute trace positions. *)
+  val plan : parts:(int * 'k Hypothesis.Model.t) list -> 'k plan
+  (** One sweep over an ordered part set; part sample indices are
+      absolute trace positions.  Raises if a part cannot be scored
+      (e.g. [Failure] for a sample the template store does not
+      profile). *)
 
-  val needs : 'k state -> int list list
-  (** Per part (in [create] order), the absolute sample columns every
-      {!fold} batch must supply for that part, in order.  Pearson needs
+  val needs : 'k plan -> int list list
+  (** Per part (in [plan] order), the absolute sample columns every
+      segment must supply for that part, in order.  Pearson needs
       exactly the part's own column; a profiled instance needs its
       template's points of interest. *)
 
-  val fold : ?jobs:int -> 'k state -> (float array array * 'k array) array -> unit
-  (** One batch: element [j] holds part [j]'s column segments (one
-      [float array] per entry of [needs], all of one equal length) and
-      the matching known operands.  Batches must arrive in global trace
-      order; accumulation is deterministic at every [jobs].  Raises
-      [Invalid_argument] on a ragged or mis-shaped batch. *)
+  type 'k seg
 
-  val finalize : ?jobs:int -> 'k state -> float array
-  (** Per-guess scores over everything folded so far (positionally
-      matching the [create] guess array).  Pure with respect to the
-      state — finalising twice, or finalising mid-stream at a look,
-      yields the same scores as the equivalent one-shot sweep. *)
+  val prepare : 'k plan -> (float array array * 'k array) array -> 'k seg
+  (** One segment: element [j] holds part [j]'s column segments (one
+      [float array] per entry of [needs], all of one equal length) and
+      the matching known operands.  Does the segment's
+      candidate-independent work and advances the plan's running
+      totals, so segments must be prepared once each, in global trace
+      order, on one domain.  Raises [Invalid_argument] on a ragged or
+      mis-shaped segment. *)
+
+  type 'k acc
+
+  val acc : 'k plan -> int array -> 'k acc
+  (** Zeroed per-guess state for one chunk of candidates. *)
+
+  val fold : 'k acc -> 'k seg -> unit
+  (** Fold one prepared segment into a chunk's state.  Touches only the
+      accumulator, so distinct chunks fold the same segment
+      concurrently. *)
+
+  val finalize : 'k plan -> 'k acc -> float array
+  (** Per-guess scores (positionally matching the [acc] guesses) over
+      every segment folded so far, against the plan's totals over the
+      segments prepared so far.  Pure: finalising twice, or at a look
+      mid-stream, yields the scores of the equivalent one-shot sweep. *)
 end

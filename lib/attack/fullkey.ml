@@ -313,10 +313,7 @@ let recover_f_fft_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
         invalid_arg
           "Fullkey: ?stop is not available under `Hd leakage — the streaming \
            decision sweeps have no d-free Hamming-distance part set";
-      if Distinguisher.is_profiled c.Ctx.backend then
-        invalid_arg
-          "Fullkey: ?stop is not available under the profiled distinguisher — \
-           the sequential gap testers are correlation statistics";
+      Distinguisher.require_gap_test ~what:"Fullkey: ?stop" c.Ctx.backend;
       recover_f_fft_store_adaptive ~ctx:c ~on_corrupt ~prefetch ~stop:spec
         ~max_traces ~stop_report ~reader strategy n
   | None ->

@@ -482,9 +482,6 @@ let class_scores_vec store tpl x =
   done;
   scores
 
-let class_scores store pt ~get =
-  class_scores_vec store pt.tpl (Array.map get pt.abs_pois)
-
 (* {2 Persistence} *)
 
 let magic = "FDTMPL01"

@@ -116,17 +116,12 @@ val point : store -> sample:int -> point
     [sample mod window] — profiled attacks over un-profiled samples are
     a configuration error, not a silent fallback. *)
 
-val class_scores : store -> point -> get:(int -> float) -> float array
-(** Per-class log-likelihood scores (up to one shared constant) of one
-    trace, reading absolute sample [j] through [get j].  Classes never
-    observed in profiling score as their nearest observed class minus a
-    [0.5 * distance^2] penalty, so a rare-but-legal class degrades
-    smoothly instead of vetoing a candidate outright. *)
-
 val class_scores_vec : store -> template -> float array -> float array
-(** {!class_scores} on a pre-gathered POI vector (values at
-    [template.pois], in order) — the form streaming folds use when the
-    POI columns are already extracted. *)
+(** Per-class log-likelihood scores (up to one shared constant) of one
+    trace, given its values at [template.pois], in order.  Classes
+    never observed in profiling score as their nearest observed class
+    minus a [0.5 * distance^2] penalty, so a rare-but-legal class
+    degrades smoothly instead of vetoing a candidate outright. *)
 
 (** {1 Persistence}
 

@@ -141,20 +141,40 @@ let test_shuffling_dilutes () =
     true
     (shuf_corr < plain_corr /. 2.)
 
-let test_template_profile_sane () =
-  let pv = plain_view 1000 18 in
-  let tpl = Attack.Template.profile pv ~secret in
-  Array.iteri
-    (fun s a ->
-      (* constant-value samples (loads of the secret, sign with constant
-         distribution) may fit arbitrary gain; the mantissa samples must
-         fit alpha ~ 1, sigma ~ noise *)
-      if s >= 4 && s <= 8 then begin
-        Alcotest.(check bool) "alpha near 1" true (Float.abs (a -. 1.) < 0.1);
-        Alcotest.(check bool) "sigma near noise" true
-          (Float.abs (tpl.Attack.Template.sigma.(s) -. 2.) < 0.3)
-      end)
-    tpl.Attack.Template.alpha
+(* Profiled templates (Attack.Profile) trained on a single-window view
+   with a known secret: both mantissa phases of the multiplication,
+   classed by the stage models applied to the true halves — the plan
+   `attack_cli profile` trains per window. *)
+let train_templates (v : Attack.Recover.view) ~secret =
+  let xu = Fpr.mantissa secret lor (1 lsl 52) in
+  let d = xu land ((1 lsl 25) - 1) and e = xu lsr 25 in
+  let low_extend, low_prune = Attack.Recover.low_stages `Hw in
+  let high_extend, high_prune = Attack.Recover.high_stages ~d `Hw in
+  let plan =
+    List.concat_map
+      (fun (g, stage) ->
+        List.map
+          (fun (lbl, m) ->
+            (Attack.Recover.sample lbl, g, Attack.Hypothesis.Model.apply m))
+          stage)
+      [ (d, low_extend @ low_prune); (e, high_extend @ high_prune) ]
+  in
+  let targets =
+    Array.of_list (List.sort_uniq compare (List.map (fun (s, _, _) -> s) plan))
+  in
+  Attack.Profile.train
+    (Attack.Profile.default_spec ~window:Leakage.events_per_mul)
+    ~targets
+    (fun add ->
+      Array.iteri
+        (fun i row ->
+          List.iter
+            (fun (target, g, apply) ->
+              add ~base:0 ~target
+                ~cls:(Bitops.popcount (apply g v.Attack.Recover.known.(i)))
+                row)
+            plan)
+        v.Attack.Recover.traces)
 
 let test_template_recovers_with_fewer_traces () =
   (* profile on 2000 traces of a *different* secret, then attack with a
@@ -170,7 +190,7 @@ let test_template_recovers_with_fewer_traces () =
     let ys = known 2000 "profiling" in
     Attack.Workload.mul_views Leakage.default_model rng ~x:prof_secret ~known:ys
   in
-  let tpl = Attack.Template.profile prof_view ~secret:prof_secret in
+  let store = train_templates prof_view ~secret:prof_secret in
   let attack_views =
     let rng = Stats.Rng.create ~seed:20 in
     let pairs = Attack.Workload.known_input_pairs ~n ~coeff:5 ~count:500 ~seed:"tmpl" in
@@ -178,7 +198,8 @@ let test_template_recovers_with_fewer_traces () =
     [ v1; v2 ]
   in
   let got =
-    Attack.Template.coefficient tpl
+    Attack.Recover.coefficient
+      ~ctx:(Attack.Ctx.make ~distinguisher:(Attack.Distinguisher.Profiled store) ())
       ~strategy:
         (Attack.Recover.Eval_sampled
            { rng = Stats.Rng.create ~seed:21; decoys = 512; truth = secret })
@@ -188,21 +209,23 @@ let test_template_recovers_with_fewer_traces () =
 
 let test_template_rank_orders_truth_first () =
   let pv = plain_view 800 22 in
-  let tpl = Attack.Template.profile pv ~secret in
+  let store = train_templates pv ~secret in
   let cands =
     Array.to_seq
       (Attack.Hypothesis.sampled (Stats.Rng.create ~seed:23) ~width:25 ~truth:d_true
          ~decoys:512 ())
   in
   let ranked =
-    Attack.Template.rank tpl [ pv ]
+    Attack.Dema.rank
+      ~ctx:(Attack.Ctx.make ~distinguisher:(Attack.Distinguisher.Profiled store) ())
+      ~traces:pv.Attack.Recover.traces
       ~parts:
         [
-          (Fpr.Mant_w00, Attack.Recover.m_w00);
-          (Fpr.Mant_w10, Attack.Recover.m_w10);
-          (Fpr.Mant_z1a, Attack.Recover.m_z1a);
+          (Attack.Recover.sample Fpr.Mant_w00, Attack.Recover.p_w00);
+          (Attack.Recover.sample Fpr.Mant_w10, Attack.Recover.p_w10);
+          (Attack.Recover.sample Fpr.Mant_z1a, Attack.Recover.p_z1a);
         ]
-      ~candidates:cands ~top:4
+      ~known:pv.Attack.Recover.known ~top:4 cands
   in
   Alcotest.(check int) "likelihood puts truth first" d_true
     (List.hd ranked).Attack.Dema.guess
@@ -224,7 +247,6 @@ let suite =
     Alcotest.test_case "shares are randomised" `Quick test_masked_shares_are_random;
     Alcotest.test_case "masking blocks first-order CPA" `Slow test_masking_blocks_cpa;
     Alcotest.test_case "shuffling dilutes correlation" `Slow test_shuffling_dilutes;
-    Alcotest.test_case "template profile sane" `Slow test_template_profile_sane;
     Alcotest.test_case "template needs fewer traces" `Slow
       test_template_recovers_with_fewer_traces;
     Alcotest.test_case "template rank" `Slow test_template_rank_orders_truth_first;

@@ -54,16 +54,21 @@ let candidates =
        (Stats.Rng.create ~seed:31)
        ~width:25 ~truth:d_true ~decoys:200 ())
 
-(* Drive a registered instance by hand through create / needs / fold /
-   finalize, splitting the trace set into [chunks] global-order
-   batches. *)
-let drive sel ~jobs ~chunks =
-  let module D = (val Attack.Dema.distinguisher sel : Attack.Distinguisher.S)
+(* Drive an instance by hand through plan / needs / prepare / acc /
+   fold / finalize: the traces split into [chunks] global-order
+   segments, the guesses into [jobs] contiguous slices with one
+   accumulator each. *)
+let drive_instance (module D : Attack.Distinguisher.S) ~parts ~traces ~known
+    ~guesses ~jobs ~chunks =
+  let plan = D.plan ~parts in
+  let needs = D.needs plan in
+  let g = Array.length guesses in
+  let slice = (g + jobs - 1) / jobs in
+  let accs =
+    List.init jobs (fun k ->
+        let lo = min g (k * slice) in
+        D.acc plan (Array.sub guesses lo (min slice (g - lo))))
   in
-  let traces, known = Lazy.force victim_view in
-  let guesses = Lazy.force candidates in
-  let st = D.create ~parts:(Lazy.force low_parts) ~guesses in
-  let needs = D.needs st in
   let total = Array.length traces in
   let per = (total + chunks - 1) / chunks in
   let rec go lo =
@@ -80,12 +85,20 @@ let drive sel ~jobs ~chunks =
                  Array.sub known lo len ))
              needs)
       in
-      D.fold ~jobs st batch;
+      let seg = D.prepare plan batch in
+      List.iter (fun a -> D.fold a seg) accs;
       go (lo + len)
     end
   in
   go 0;
-  (guesses, D.finalize ~jobs st)
+  (guesses, Array.concat (List.map (D.finalize plan) accs))
+
+let drive sel ~jobs ~chunks =
+  let traces, known = Lazy.force victim_view in
+  drive_instance
+    (Attack.Dema.distinguisher sel)
+    ~parts:(Lazy.force low_parts) ~traces ~known
+    ~guesses:(Lazy.force candidates) ~jobs ~chunks
 
 let scores_of_rank sel =
   let traces, known = Lazy.force victim_view in
@@ -151,8 +164,9 @@ let test_profiled_determinism () =
   let module D = (val Attack.Dema.distinguisher sel : Attack.Distinguisher.S)
   in
   let traces, known = Lazy.force victim_view in
-  let st = D.create ~parts:(Lazy.force low_parts) ~guesses:(Lazy.force candidates) in
-  let needs = D.needs st in
+  let plan = D.plan ~parts:(Lazy.force low_parts) in
+  let st = D.acc plan (Lazy.force candidates) in
+  let needs = D.needs plan in
   let batch =
     Array.of_list
       (List.map
@@ -164,9 +178,9 @@ let test_profiled_determinism () =
              known ))
          needs)
   in
-  D.fold st batch;
+  D.fold st (D.prepare plan batch);
   Alcotest.(check bool) "finalize idempotent" true
-    (D.finalize st = D.finalize st)
+    (D.finalize plan st = D.finalize plan st)
 
 let test_profiled_rank_recovers () =
   (* the template scorer puts the true low half first on the
@@ -257,6 +271,106 @@ let prop_pooled_covariance_psd =
       in
       !symmetric && Array.for_all (fun v -> v >= -1e-9 *. scale) evs)
 
+(* One engine, three routes.  A FALCON-8 victim store (160 traces in
+   uneven 23-trace shards) and templates trained on a clone: the
+   profiled statistic scores bit-identically through Dema.rank,
+   Dema.Stream.rank and the instance driven by hand, and the absolute
+   statistic through Dema.rank_absolute and by hand — at jobs 1 and 4
+   and at batch splits 1, 4 and 7. *)
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end
+
+let with_falcon_stores f =
+  let clone = Filename.temp_dir "fd_profile_clone" "" in
+  let victim = Filename.temp_dir "fd_profile_victim" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      rm_rf clone;
+      rm_rf victim)
+    (fun () ->
+      Attack.Target.Falcon.record_store ~dir:clone ~n:8 ~traces:400 ~noise:0.5
+        ~seed:41 ~shard_traces:100 ();
+      Attack.Target.Falcon.record_store ~dir:victim ~n:8 ~traces:160 ~noise:0.5
+        ~seed:42 ~shard_traces:23 ();
+      let store =
+        Attack.Target.profile
+          (module Attack.Target.Falcon)
+          ~dir:clone
+          (Tracestore.Reader.open_store clone)
+      in
+      f store victim (Tracestore.Reader.open_store victim))
+
+let scores_by_guess guesses ranked =
+  let tbl = Hashtbl.create (List.length ranked) in
+  List.iter
+    (fun (s : Attack.Dema.scored) -> Hashtbl.replace tbl s.Attack.Dema.guess s.Attack.Dema.corr)
+    ranked;
+  (guesses, Array.map (Hashtbl.find tbl) guesses)
+
+let test_engine_routes_agree () =
+  with_falcon_stores @@ fun store dir reader ->
+  let parts =
+    Attack.Target.Falcon.parts ~leakage:`Hw ~n:8 ~unit_index:0 ~prev:[||]
+  in
+  let guesses =
+    Attack.Hypothesis.sampled
+      (Stats.Rng.create ~seed:43)
+      ~width:25
+      ~truth:(Attack.Target.Falcon.truth ~n:8 ~dir).(0)
+      ~decoys:600 ()
+  in
+  let top = Array.length guesses in
+  let width = (Tracestore.Reader.meta reader).Tracestore.width in
+  let traces, known =
+    Attack.Dema.Stream.extract reader ~samples:(List.init width Fun.id) ~known:Fun.id
+  in
+  let sel = Attack.Distinguisher.Profiled store in
+  let by_hand instance parts ~jobs ~chunks =
+    drive_instance instance ~parts ~traces ~known ~guesses ~jobs ~chunks
+  in
+  let check_routes what reference routes =
+    List.iter (fun (route, got) -> check_scores_equal (what ^ " " ^ route) reference got) routes
+  in
+  let splits = [ (1, 1); (1, 4); (1, 7); (4, 1); (4, 4); (4, 7) ] in
+  let profiled = Attack.Dema.distinguisher sel in
+  check_routes "profiled"
+    (by_hand profiled parts ~jobs:1 ~chunks:1)
+    (List.map
+       (fun (jobs, chunks) ->
+         (Printf.sprintf "by hand j%d c%d" jobs chunks, by_hand profiled parts ~jobs ~chunks))
+       splits
+    @ List.concat_map
+        (fun jobs ->
+          let ctx = Attack.Ctx.make ~jobs ~distinguisher:sel () in
+          [
+            ( Printf.sprintf "rank j%d" jobs,
+              scores_by_guess guesses
+                (Attack.Dema.rank ~ctx ~traces ~parts ~known ~top (Array.to_seq guesses)) );
+            ( Printf.sprintf "Stream.rank j%d" jobs,
+              scores_by_guess guesses
+                (Attack.Dema.Stream.rank ~ctx reader ~parts ~known:Fun.id ~top
+                   (Array.to_seq guesses)) );
+          ])
+        [ 1; 4 ]);
+  let parts = List.filteri (fun i _ -> i < 3) parts in
+  let absolute = Attack.Dema.absolute ~alpha:1.0 ~baseline:10.0 in
+  check_routes "absolute"
+    (by_hand absolute parts ~jobs:1 ~chunks:1)
+    (List.map
+       (fun (jobs, chunks) ->
+         (Printf.sprintf "by hand j%d c%d" jobs chunks, by_hand absolute parts ~jobs ~chunks))
+       splits
+    @ List.map
+        (fun jobs ->
+          ( Printf.sprintf "rank_absolute j%d" jobs,
+            scores_by_guess guesses
+              (Attack.Dema.rank_absolute ~jobs ~traces ~parts ~known ~top ~alpha:1.0
+                 ~baseline:10.0 (Array.to_seq guesses)) ))
+        [ 1; 4 ])
+
 let suite =
   [
     Alcotest.test_case "pearson instances parity" `Quick
@@ -270,4 +384,6 @@ let suite =
     Alcotest.test_case "un-profiled sample rejected" `Quick
       test_uncovered_sample_rejected;
     QCheck_alcotest.to_alcotest prop_pooled_covariance_psd;
+    Alcotest.test_case "profiled and absolute routes agree" `Quick
+      test_engine_routes_agree;
   ]

@@ -478,6 +478,105 @@ let test_prefetch_parity () =
         && rank ~prefetch:false jobs = reference))
     [ 1; 2; 4; 8 ]
 
+
+(* Rankings over 0, 1, 512 and 513 candidates — the empty, the single,
+   an exactly-one-chunk and a one-past-a-chunk sweep — digested over
+   every entry's guess and score bits ([rank] and [Stream.rank] at both
+   Pearson backends). *)
+let ranking_digest ranked =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";"
+          (List.map
+             (fun (s : Attack.Dema.scored) ->
+               Printf.sprintf "%x:%Lx" s.Attack.Dema.guess
+                 (Int64.bits_of_float s.Attack.Dema.corr))
+             ranked)))
+
+let candidate_count_digests sk traces reader =
+  let d_true =
+    (Fpr.mantissa sk.Falcon.Scheme.f_fft.Fft.re.(0) lor (1 lsl 52)) land 0x1FFFFFF
+  in
+  let pool =
+    Attack.Hypothesis.sampled (Stats.Rng.create ~seed:6) ~width:25 ~truth:d_true
+      ~decoys:600 ()
+  in
+  let rows = Array.map (fun (t : Leakage.trace) -> t.samples) traces in
+  let ks = Array.map known_re0 traces in
+  List.map
+    (fun count ->
+      let cands () = Array.to_seq (Array.sub pool 0 count) in
+      let per_backend f =
+        List.map f [ Stats.Pearson.Batch.Scalar; Stats.Pearson.Batch.Batched ]
+      in
+      ( count,
+        per_backend (fun backend ->
+            ranking_digest
+              (Attack.Dema.rank ~backend ~traces:rows ~parts:(rank_parts ())
+                 ~known:ks ~top:600 (cands ()))),
+        per_backend (fun backend ->
+            ranking_digest
+              (Attack.Dema.Stream.rank ~backend reader ~parts:(rank_parts ())
+                 ~known:known_re0 ~top:600 (cands ()))),
+        ranking_digest
+          (Attack.Dema.rank_absolute ~traces:rows
+             ~parts:[ (Attack.Recover.sample Fpr.Mant_w00, Attack.Recover.p_w00) ]
+             ~known:ks ~top:600 ~alpha:1.0 ~baseline:10.0 (cands ())) ))
+    [ 0; 1; 512; 513 ]
+
+(* Digests of the same sweeps computed by the per-path scoring loops
+   that preceded the one-engine driver: [rank] and [Stream.rank] share
+   one value per count, [rank_absolute] (a single part, so its sum order
+   is unchanged) has its own. *)
+let candidate_count_goldens =
+  [
+    (0, "d41d8cd98f00b204e9800998ecf8427e", "d41d8cd98f00b204e9800998ecf8427e");
+    (1, "4a133bede21352fce792fdb837329940", "36312621a083d807b045ad1ad59dfb94");
+    (512, "fa38e2a069544efae13ec94e8038c673", "14f9dbcf2b0defa61bf4e769fa304955");
+    (513, "fc97003ab14f2aeed571b1eec311de25", "411c952046c6ca5be3e816d9b21d32d0");
+  ]
+
+let test_candidate_count_goldens () =
+  with_campaign @@ fun sk traces reader ->
+  List.iter2
+    (fun (count, r, s, a) (count', pearson, absolute) ->
+      assert (count = count');
+      List.iter
+        (fun (what, got, want) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s over %d candidates" what count)
+            want got)
+        [
+          ("rank", r, [ pearson; pearson ]);
+          ("Stream.rank", s, [ pearson; pearson ]);
+          ("rank_absolute", [ a ], [ absolute ]);
+        ])
+    (candidate_count_digests sk traces reader)
+    candidate_count_goldens
+
+(* A fixed-budget sweep reads the candidate sequence lazily in chunks:
+   ranking all 2^20 20-bit guesses keeps the major heap within a few MB
+   — a materialised candidate array plus per-guess state would need tens
+   of MB. *)
+let test_fixed_sweep_is_lazy () =
+  with_campaign @@ fun _sk traces _reader ->
+  let traces = Array.sub traces 0 16 in
+  let rows = Array.map (fun (t : Leakage.trace) -> t.samples) traces in
+  let ks = Array.map known_re0 traces in
+  Gc.compact ();
+  let before = (Gc.quick_stat ()).Gc.heap_words in
+  let ranked =
+    Attack.Dema.rank ~jobs:1 ~traces:rows ~parts:(rank_parts ()) ~known:ks ~top:8
+      (Attack.Hypothesis.exhaustive ~width:20 ())
+  in
+  let growth_mb =
+    float_of_int (((Gc.quick_stat ()).Gc.heap_words - before) * (Sys.word_size / 8))
+    /. 1e6
+  in
+  Alcotest.(check int) "top-8 returned" 8 (List.length ranked);
+  if growth_mb > 4. then
+    Alcotest.failf "major heap grew by %.1f MB over a 2^20-candidate sweep" growth_mb
+
 let suite =
   [
     Alcotest.test_case "streaming pearson == two-pass" `Quick
@@ -506,4 +605,8 @@ let suite =
       test_mmap_matches_read;
     Alcotest.test_case "prefetch on/off bit-identical at every jobs" `Quick
       test_prefetch_parity;
+    Alcotest.test_case "rank over 0/1/512/513 candidates matches goldens" `Quick
+      test_candidate_count_goldens;
+    Alcotest.test_case "fixed sweep reads candidates lazily" `Quick
+      test_fixed_sweep_is_lazy;
   ]
