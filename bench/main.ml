@@ -16,10 +16,7 @@
      FD_JOBS    worker domains for the key-recovery analysis (1); results
                 are bit-identical at every value
      FD_FULL    1 = exhaustive 2^25 / 2^27 mantissa enumeration in the
-                fig4 section (paper scale; hours on one core)
-     FD_PEARSON scalar = force the per-guess Pearson kernel everywhere
-                (default: the batched hypothesis-block kernel; both are
-                bit-identical — see Stats.Pearson.Batch) *)
+                fig4 section (paper scale; hours on one core) *)
 
 let getenv_int name default =
   match Sys.getenv_opt name with Some v -> int_of_string v | None -> default
@@ -31,6 +28,7 @@ let seed = getenv_int "FD_SEED" 42
 let exhaustive = getenv_int "FD_FULL" 0 = 1
 let jobs = getenv_int "FD_JOBS" 1
 let () = Parallel.set_default_jobs jobs
+let jctx jobs = Attack.Ctx.make ~jobs ()
 
 (* FD_ALPHA / FD_NOISE / FD_BASELINE all land here through the one
    place the acquisition constants live. *)
@@ -274,7 +272,7 @@ let headline () =
             { rng = Stats.Rng.create ~seed:(coeff * 7 + mul); decoys = 512; truth }
         in
         let t0 = Unix.gettimeofday () in
-        let res = Attack.Fullkey.recover_key ~jobs ~traces ~h:pk.h strategy in
+        let res = Attack.Fullkey.recover_key ~ctx:(jctx jobs) ~traces ~h:pk.h strategy in
         let wall = Unix.gettimeofday () -. t0 in
         let ok = Attack.Fullkey.count_correct res.f_fft ~truth:sk.f_fft in
         let forged =
@@ -531,13 +529,13 @@ let stream () =
   let ks = Array.map (fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0)) traces in
   let t0 = Unix.gettimeofday () in
   let mem_ranked =
-    Attack.Dema.rank ~jobs ~traces:rows ~parts ~known:ks ~top:8
+    Attack.Dema.rank ~ctx:(jctx jobs) ~traces:rows ~parts ~known:ks ~top:8
       (Array.to_seq candidates)
   in
   let mem_s = Unix.gettimeofday () -. t0 in
   let t0 = Unix.gettimeofday () in
   let stream_ranked =
-    Attack.Dema.Stream.rank ~jobs reader ~parts
+    Attack.Dema.Stream.rank ~ctx:(jctx jobs) reader ~parts
       ~known:(fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0))
       ~top:8 (Array.to_seq candidates)
   in
@@ -554,7 +552,7 @@ let stream () =
 
   (* evolution checkpoints: shard-merged accumulators vs prefix rescans *)
   let stream_evo =
-    Attack.Dema.Stream.evolution ~jobs reader
+    Attack.Dema.Stream.evolution ~ctx:(jctx jobs) reader
       ~sample:(Attack.Recover.sample Fpr.Mant_w00)
       ~model:Attack.Recover.m_w00
       ~known:(fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0))
@@ -617,7 +615,8 @@ let assess () =
         in
         let t0 = Unix.gettimeofday () in
         let r =
-          Assess.Tvla.of_entries ~jobs ~classify:Assess.Tvla.fixed_vs_random entries
+          Assess.Tvla.of_entries ~ctx:(jctx jobs) ~classify:Assess.Tvla.fixed_vs_random
+            entries
         in
         let tvla_s = Unix.gettimeofday () -. t0 in
         let lo, hi = Assess.Campaign.assessed_region defense in
@@ -635,7 +634,7 @@ let assess () =
   let budget = max 64 (min trace_budget 300) in
   let t0 = Unix.gettimeofday () in
   let outcome =
-    Assess.Metrics.run ~jobs
+    Assess.Metrics.run ~ctx:(jctx jobs)
       { Assess.Metrics.defense = `None; noise; budget; experiments = 4; decoys = 64;
         seed }
   in
@@ -664,9 +663,11 @@ let assess () =
 (* ---------------------------------------------------------------- *)
 (* Batched Pearson kernel: scalar corr_with rows versus Batch.corr_block
    over block shapes (kernel-level, prebuilt hypotheses so only the
-   correlation arithmetic is timed), plus the end-to-end Dema.rank sweep
-   under both backends.  Every comparison also asserts bit-identity.
-   Emits one JSON row (BENCH_pearson.json). *)
+   correlation arithmetic is timed), plus the end-to-end ranking sweep
+   on the scalar reference and the fused kernel through the same
+   Dema.Sweep path.  Every comparison also asserts bit-identity, the
+   ranking against Dema.rank's production top-32 as well.  Emits one
+   JSON row (BENCH_pearson.json). *)
 
 let pearson () =
   section "Pearson — scalar vs batched distinguisher kernel";
@@ -692,22 +693,31 @@ let pearson () =
     done;
     (!r, !best)
   in
-  (* headline metric: the full two-part ranking sweep under both
-     backends, model evaluation included — what an attack campaign
-     actually pays per candidate enumeration *)
+  (* headline metric: the full two-part ranking sweep on both kernels,
+     model evaluation included — what an attack campaign actually pays
+     per candidate enumeration.  Both arms run the same Dema.Sweep path,
+     so the ratio compares the kernels only. *)
   let parts =
     [
       (Attack.Recover.sample Fpr.Mant_w00, Attack.Recover.p_w00);
       (Attack.Recover.sample Fpr.Mant_w10, Attack.Recover.p_w10);
     ]
   in
+  let columns =
+    Array.of_list
+      (List.map (fun (s, _) -> (Array.map (fun row -> row.(s)) traces, known)) parts)
+  in
   let rank backend () =
-    Attack.Dema.rank ~jobs ~backend ~traces ~parts ~known ~top:32
-      (Array.to_seq guesses)
+    let sweep = Attack.Dema.Sweep.create ~backend ~parts:(List.map snd parts) guesses in
+    Attack.Dema.Sweep.fold ~jobs sweep columns;
+    Attack.Dema.Sweep.ranking ~jobs sweep ~top:32
   in
   let scalar_rank, rank_scalar_s = time_best (rank Stats.Pearson.Batch.Scalar) in
   let batched_rank, rank_batched_s = time_best (rank Stats.Pearson.Batch.Batched) in
-  let rank_identical = scalar_rank = batched_rank in
+  let production_rank =
+    Attack.Dema.rank ~ctx:(jctx jobs) ~traces ~parts ~known ~top:32 (Array.to_seq guesses)
+  in
+  let rank_identical = scalar_rank = batched_rank && batched_rank = production_rank in
   let rank_speedup = rank_scalar_s /. rank_batched_s in
   Printf.printf
     "end-to-end rank (2 parts, top 32): scalar %.4f s, batched %.4f s (%.2fx), \
@@ -717,7 +727,7 @@ let pearson () =
      Debug level, span durations parsed back out of the JSONL log *)
   let span_buf = Buffer.create 4096 in
   let obs_ctx =
-    Attack.Ctx.make ~jobs ~backend:Stats.Pearson.Batch.Batched
+    Attack.Ctx.make ~jobs
       ~obs:(Obs.make ~level:Obs.Debug (Obs.Jsonl.to_buffer span_buf))
       ()
   in
@@ -859,7 +869,7 @@ let pearson () =
    Fisher-z stopping at alpha) versus the fixed-budget streaming
    recovery over the same sharded store.  The adaptive run must recover
    the same key while reading at most half the traces on mean, and its
-   stop points must be bit-identical across jobs, backends and prefetch
+   stop points must be bit-identical across jobs and prefetch
    settings.  Emits one JSON row (BENCH_sequential.json) which
    check-bench gates on. *)
 
@@ -897,13 +907,13 @@ let sequential () =
       { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 512; truth }
   in
   let t0 = Unix.gettimeofday () in
-  let fixed = Attack.Fullkey.recover_f_fft_store ~jobs ~reader strategy in
+  let fixed = Attack.Fullkey.recover_f_fft_store ~ctx:(jctx jobs) ~reader strategy in
   let fixed_s = Unix.gettimeofday () -. t0 in
   let spec = Sequential.Decision.spec ~alpha () in
   let summary = ref None in
   let t0 = Unix.gettimeofday () in
   let adaptive =
-    Attack.Fullkey.recover_f_fft_store ~jobs ~stop:spec
+    Attack.Fullkey.recover_f_fft_store ~ctx:(jctx jobs) ~stop:spec
       ~stop_report:(fun s -> summary := Some s)
       ~reader strategy
   in
@@ -918,12 +928,11 @@ let sequential () =
     Array.fold_left (fun acc u -> acc +. float_of_int u) 0. used /. float_of_int units
   in
   let median = used.((units - 1) / 2) in
-  (* determinism probe: same campaign on one worker, the scalar backend
-     and no prefetch — stop points and recovered key must be bit-identical *)
+  (* determinism probe: same campaign on one worker and no prefetch —
+     stop points and recovered key must be bit-identical *)
   let summary2 = ref None in
-  let scalar_ctx = Attack.Ctx.make ~jobs:1 ~backend:Stats.Pearson.Batch.Scalar () in
   let adaptive2 =
-    Attack.Fullkey.recover_f_fft_store ~ctx:scalar_ctx ~prefetch:false ~stop:spec
+    Attack.Fullkey.recover_f_fft_store ~ctx:(jctx 1) ~prefetch:false ~stop:spec
       ~stop_report:(fun s -> summary2 := Some s)
       ~reader strategy
   in
@@ -953,7 +962,7 @@ let sequential () =
     s.Sequential.Campaign.traces_saved;
   Printf.printf "adaptive key identical to fixed-budget key: %b\n%!" keys_identical;
   Printf.printf
-    "stops and key bit-identical at jobs=1 + scalar backend + no prefetch: %b\n%!"
+    "stops and key bit-identical at jobs=1 + no prefetch: %b\n%!"
     stops_identical;
   let oc = open_out "BENCH_sequential.json" in
   Printf.fprintf oc
@@ -995,7 +1004,7 @@ let obs_bench () =
   Printf.printf "%d guesses x %d traces, %d jobs\n%!" (Array.length guesses)
     (Array.length traces) jobs;
   let legacy () =
-    Attack.Dema.rank ~jobs ~traces ~parts ~known ~top:32 (Array.to_seq guesses)
+    Attack.Dema.rank ~ctx:(jctx jobs) ~traces ~parts ~known ~top:32 (Array.to_seq guesses)
   in
   let null_ctx = Attack.Ctx.with_jobs jobs (Attack.Ctx.default ()) in
   let null () =
@@ -1100,7 +1109,7 @@ let leakage_bench () =
   Tracestore.Writer.close writer;
   rm_store dst;
   let t0 = Unix.gettimeofday () in
-  let st = Align.realign_store ~jobs ~max_shift ~src ~dst () in
+  let st = Align.realign_store ~ctx:(jctx jobs) ~max_shift ~src ~dst () in
   let realign_s = Unix.gettimeofday () -. t0 in
   let realign_tps = float_of_int st.Align.traces /. realign_s in
   Printf.printf
@@ -1115,7 +1124,9 @@ let leakage_bench () =
       { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 512; truth }
   in
   let attack name traces =
-    let res = Attack.Fullkey.recover_key ~jobs ~leakage:`Hd ~traces ~h:pk.h strategy in
+    let res =
+      Attack.Fullkey.recover_key ~ctx:(jctx jobs) ~leakage:`Hd ~traces ~h:pk.h strategy
+    in
     let correct = Attack.Fullkey.count_correct res.Attack.Fullkey.f_fft ~truth:sk.f_fft in
     Printf.printf "bus-HD attack on %-9s: %2d / %2d coefficients, full key %b\n%!"
       name correct (2 * n)
@@ -1160,7 +1171,7 @@ let leakage_bench () =
             mtd_clean
         in
         let rows, _ =
-          Align.realign_rows ~jobs ~max_shift ~fill:mtd_model.Leakage.baseline
+          Align.realign_rows ~ctx:(jctx jobs) ~max_shift ~fill:mtd_model.Leakage.baseline
             rows
         in
         Array.map2
@@ -1207,7 +1218,7 @@ let leakage_bench () =
   let variant (j, pf) =
     let d = Filename.concat tmp (Printf.sprintf "fd_bench_leak_det_%d_%b" j pf) in
     rm_store d;
-    let st = Align.realign_store ~jobs:j ~prefetch:pf ~max_shift ~src ~dst:d () in
+    let st = Align.realign_store ~ctx:(jctx j) ~prefetch:pf ~max_shift ~src ~dst:d () in
     let r = Tracestore.Reader.open_store d in
     let records = Array.of_seq (Tracestore.Reader.to_seq r) in
     rm_store d;
@@ -1278,26 +1289,19 @@ let target_bench () =
      (SR %.2f) in %.2fs\n%!"
     experiments hqc_budget noise successes experiments hqc_sr hqc_s;
   (* determinism probe on campaign 0: the whole outcome — witness
-     included — must survive every jobs x backend x prefetch change *)
+     included — must survive every jobs x prefetch change *)
   let dir0, o0 = List.hd outcomes in
-  let variant (j, backend, pf) =
+  let variant (j, pf) =
     let reader = Tracestore.Reader.open_store dir0 in
-    H.recover_store
-      ~ctx:(Attack.Ctx.make ~jobs:j ~backend ())
-      ~prefetch:pf ~dir:dir0 reader
+    H.recover_store ~ctx:(jctx j) ~prefetch:pf ~dir:dir0 reader
   in
   let hqc_deterministic =
     List.for_all
       (fun cfg -> variant cfg = o0)
-      [
-        (1, Stats.Pearson.Batch.Scalar, false);
-        (2, Stats.Pearson.Batch.Batched, true);
-        (4, Stats.Pearson.Batch.Scalar, true);
-        (4, Stats.Pearson.Batch.Batched, false);
-      ]
+      [ (1, false); (2, true); (4, true); (4, false) ]
   in
   Printf.printf
-    "hqc witness %s; bit-identical across jobs 1/2/4 x backend x prefetch: %b\n%!"
+    "hqc witness %s; bit-identical across jobs 1/2/4 x prefetch: %b\n%!"
     (String.trim o0.Attack.Target.witness)
     hqc_deterministic;
   List.iter (fun (dir, _) -> rm_store dir) outcomes;
@@ -1341,7 +1345,7 @@ let target_bench () =
     (List.length target_parts)
     jobs;
   let rank parts () =
-    Attack.Dema.Stream.rank ~jobs reader ~parts
+    Attack.Dema.Stream.rank ~ctx:(jctx jobs) reader ~parts
       ~known:(fun (t : Leakage.trace) -> t)
       ~top:16 (Array.to_seq candidates)
   in
@@ -1522,10 +1526,8 @@ let profiled () =
     let reader = Tracestore.Reader.open_store victim in
     F.recover_store
       ~ctx:
-        (Attack.Ctx.make ~jobs:j
-           ~distinguisher:(Attack.Distinguisher.Profiled store)
-           ~prefetch:pf ())
-      ~dir:victim reader
+        (Attack.Ctx.make ~jobs:j ~distinguisher:(Attack.Distinguisher.Profiled store) ())
+      ~prefetch:pf ~dir:victim reader
   in
   let o0 = crack (1, false) in
   let deterministic =

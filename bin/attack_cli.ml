@@ -127,40 +127,31 @@ let print_stop_summary (s : Sequential.Campaign.summary) =
    key reassembly behind Attack.Target.S. *)
 let crack_target (module T : Attack.Target.S) dir leakage until_confident alpha
     max_traces flags ctx =
-  if until_confident && not (T.supports_stop leakage) then begin
-    prerr_endline
-      "--until-confident is not available for this target under --leakage hd";
-    1
-  end
-  else begin
-    let reader = Cli_common.open_store flags dir in
-    Printf.printf "streaming %d traces (%d shards) of a %s victim from %s\n%!"
-      (Tracestore.Reader.total_traces reader)
-      (Tracestore.Reader.shard_count reader)
-      T.name dir;
-    let stop =
-      if until_confident then begin
-        Printf.printf
-          "adaptive trace budget: stop per unit at confidence (alpha %g)\n%!" alpha;
-        Some (Sequential.Decision.spec ~alpha ())
-      end
-      else None
-    in
-    let o =
-      T.recover_store ~ctx ~leakage ?stop ?max_traces
-        ~on_corrupt:flags.Cli_common.Common_flags.on_corrupt
-        ~prefetch:flags.Cli_common.Common_flags.prefetch ~dir reader
-    in
-    (match o.Attack.Target.stop with
-    | Some s -> print_stop_summary s
-    | None -> ());
-    Printf.printf "recovered %d/%d key units from %d of %d traces\n" o.units o.units
-      o.traces
-      (Tracestore.Reader.total_traces reader);
-    Printf.printf "witness: %s\n" (String.trim o.witness);
-    Printf.printf "secret recovered exactly: %b\n" o.success;
-    if o.success then 0 else 1
-  end
+  let reader = Cli_common.open_store flags dir in
+  Printf.printf "streaming %d traces (%d shards) of a %s victim from %s\n%!"
+    (Tracestore.Reader.total_traces reader)
+    (Tracestore.Reader.shard_count reader)
+    T.name dir;
+  let stop =
+    if until_confident then begin
+      Printf.printf "adaptive trace budget: stop per unit at confidence (alpha %g)\n%!"
+        alpha;
+      Some (Sequential.Decision.spec ~alpha ())
+    end
+    else None
+  in
+  let o =
+    T.recover_store ~ctx ~leakage ?stop ?max_traces
+      ~on_corrupt:flags.Cli_common.Common_flags.on_corrupt
+      ~prefetch:flags.Cli_common.Common_flags.prefetch ~dir reader
+  in
+  (match o.Attack.Target.stop with Some s -> print_stop_summary s | None -> ());
+  Printf.printf "recovered %d/%d key units from %d of %d traces\n" o.units o.units
+    o.traces
+    (Tracestore.Reader.total_traces reader);
+  Printf.printf "witness: %s\n" (String.trim o.witness);
+  Printf.printf "secret recovered exactly: %b\n" o.success;
+  if o.success then 0 else 1
 
 (* Profiling phase of the GALACTICS-style template attack: train
    per-intermediate Gaussian templates on a cloned-device campaign whose
@@ -180,7 +171,10 @@ let cmd_profile target dir out leakage npoi ndim max_traces flags =
         (Tracestore.Reader.shard_count reader)
         T.name dir;
       let store =
-        Attack.Target.profile ~ctx ~leakage ?npoi ?ndim ?max_traces t ~dir reader
+        Attack.Target.profile ~ctx ~leakage
+          ~on_corrupt:flags.Cli_common.Common_flags.on_corrupt
+          ~prefetch:flags.Cli_common.Common_flags.prefetch ?npoi ?ndim ?max_traces t
+          ~dir reader
       in
       Attack.Profile.save out store;
       Printf.printf "wrote %s: %s\n" out (Attack.Profile.describe store);
@@ -322,7 +316,7 @@ let until_confident_arg =
            reading traces once the sequential Fisher-z test on its top-1 vs \
            runner-up correlation gap reaches confidence, instead of consuming \
            the whole campaign.  The recovered key and every stop point are \
-           bit-identical across -j and backends.")
+           bit-identical across -j and $(b,--no-prefetch).")
 
 let alpha_arg =
   Arg.(

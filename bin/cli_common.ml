@@ -32,10 +32,10 @@ open Cmdliner
 
 type log = Off | Pretty | Jsonl of string
 
-(* The --backend enum covers every registered distinguisher: the two
-   Pearson kernels plus the profiled template backend, which needs a
-   --templates store to instantiate. *)
-type backend_flag = Auto | Scalar | Batched | Profiled
+(* The --backend enum covers every registered distinguisher: Pearson
+   plus the profiled template backend, which needs a --templates store
+   to instantiate. *)
+type backend_flag = Pearson | Profiled
 
 module Common_flags = struct
   type t = {
@@ -59,25 +59,17 @@ let jobs_arg =
           "Worker domains for parallelisable stages.  Every result is \
            bit-identical at every value; 1 (the default) runs sequentially.")
 
-let backend_conv =
-  Arg.enum
-    [
-      ("auto", Auto);
-      ("scalar", Scalar);
-      ("batched", Batched);
-      ("profiled", Profiled);
-    ]
+let backend_conv = Arg.enum [ ("pearson", Pearson); ("profiled", Profiled) ]
 
 let backend_arg =
   Arg.(
     value
-    & opt backend_conv Auto
-    & info [ "backend" ] ~docv:"KERNEL"
+    & opt backend_conv Pearson
+    & info [ "backend" ] ~docv:"DISTINGUISHER"
         ~doc:
-          "Distinguisher backend: $(b,auto) (the process default, honouring \
-           FD_PEARSON), $(b,scalar) or $(b,batched) (Pearson correlation — \
-           all three produce bit-identical rankings), or $(b,profiled) \
-           (Gaussian template log-likelihood; requires $(b,--templates)).")
+          "Distinguisher: $(b,pearson) (correlation DEMA, the default) or \
+           $(b,profiled) (Gaussian template log-likelihood; requires \
+           $(b,--templates)).")
 
 let templates_arg =
   Arg.(
@@ -240,13 +232,11 @@ let store_default_arg ~doc =
 (* Resolve the --backend / --templates pair into a distinguisher
    selection.  --backend profiled without --templates is a
    configuration error (exit 1 with a message naming both flags);
-   --templates with a Pearson backend is ignored deliberately so
+   --templates with --backend pearson is ignored deliberately so
    scripts can hold the flag constant while sweeping backends. *)
 let distinguisher_of_flags (flags : Common_flags.t) =
   match flags.Common_flags.backend with
-  | Auto -> Attack.Distinguisher.default ()
-  | Scalar -> Attack.Distinguisher.Pearson_scalar
-  | Batched -> Attack.Distinguisher.Pearson_batched
+  | Pearson -> Attack.Distinguisher.Pearson
   | Profiled -> (
       match flags.Common_flags.templates with
       | Some path -> Attack.Distinguisher.Profiled (Attack.Profile.load path)
@@ -279,10 +269,6 @@ let run (flags : Common_flags.t) f =
             close_out oc )
   in
   let ctx =
-    Attack.Ctx.make
-      ~distinguisher:(distinguisher_of_flags flags)
-      ~obs
-      ~on_corrupt:flags.Common_flags.on_corrupt
-      ~prefetch:flags.Common_flags.prefetch ()
+    Attack.Ctx.make ~distinguisher:(distinguisher_of_flags flags) ~obs ()
   in
   Fun.protect ~finally:finish (fun () -> f ctx)

@@ -220,12 +220,11 @@ let anchor_of relative =
 
 let clamp max_shift s = max (-max_shift) (min max_shift s)
 
-let realign_rows ?ctx ?jobs ?(max_shift = 3) ?window ~fill rows =
+let realign_rows ?ctx:(c = Attack.Ctx.default ()) ?(max_shift = 3) ?window ~fill rows =
   if max_shift < 0 then invalid_arg "Align.realign_rows: max_shift < 0";
   let d = Array.length rows in
   if d = 0 then (rows, zero_stats)
   else begin
-    let c = Attack.Ctx.resolve ?ctx ?jobs () in
     let obs = c.Attack.Ctx.obs in
     Obs.span obs "align.realign" ~fields:[ ("traces", Obs.Int d) ]
     @@ fun () ->
@@ -250,14 +249,14 @@ let realign_rows ?ctx ?jobs ?(max_shift = 3) ?window ~fill rows =
     (out, st)
   end
 
-let realign_matched ?ctx ?jobs ?(max_shift = 3) ~fill ~templates rows =
+let realign_matched ?ctx:(c = Attack.Ctx.default ()) ?(max_shift = 3) ~fill ~templates
+    rows =
   if max_shift < 0 then invalid_arg "Align.realign_matched: max_shift < 0";
   let d = Array.length rows in
   if d <> Array.length templates then
     invalid_arg "Align.realign_matched: one template per row required";
   if d = 0 then (rows, zero_stats)
   else begin
-    let c = Attack.Ctx.resolve ?ctx ?jobs () in
     let obs = c.Attack.Ctx.obs in
     Obs.span obs "align.realign_matched" ~fields:[ ("traces", Obs.Int d) ]
     @@ fun () ->
@@ -305,10 +304,9 @@ let bootstrap_rows ~reference_traces reader =
    with Exit -> ());
   if !d = 0 then None else Some (Array.of_list (List.rev !rows))
 
-let realign_store ?ctx ?jobs ?on_corrupt ?prefetch ?access ?(max_shift = 3)
-    ?window ?(reference_traces = 64) ~src ~dst () =
+let realign_store ?ctx:(c = Attack.Ctx.default ()) ?on_corrupt ?prefetch ?access
+    ?(max_shift = 3) ?window ?(reference_traces = 64) ~src ~dst () =
   if max_shift < 0 then invalid_arg "Align.realign_store: max_shift < 0";
-  let c = Attack.Ctx.resolve ?ctx ?jobs () in
   let obs = c.Attack.Ctx.obs in
   Obs.span obs "align.realign_store"
     ~fields:[ ("src", Obs.Str src); ("dst", Obs.Str dst) ]

@@ -24,8 +24,8 @@
     static alignment.
 
     Everything here is deterministic: no RNG, pure per-trace shift
-    estimation, so results are bit-identical at every [jobs], backend,
-    and prefetch setting.  Realigning an already-aligned campaign is a
+    estimation, so results are bit-identical at every [jobs] and
+    prefetch setting.  Realigning an already-aligned campaign is a
     no-op (every estimated shift is 0 and the input rows are returned
     physically unchanged). *)
 
@@ -86,7 +86,6 @@ val shift_samples : fill:float -> shift:int -> float array -> float array
 
 val realign_rows :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?max_shift:int ->
   ?window:int * int ->
   fill:float ->
@@ -102,7 +101,6 @@ val realign_rows :
 
 val realign_matched :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?max_shift:int ->
   fill:float ->
   templates:(int * float) array array ->
@@ -119,7 +117,6 @@ val realign_matched :
 
 val realign_store :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?on_corrupt:[ `Fail | `Skip ] ->
   ?prefetch:bool ->
   ?access:[ `Auto | `Mmap | `Read ] ->

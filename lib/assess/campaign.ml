@@ -181,7 +181,7 @@ let load_template condition ~known =
   in
   [| (0, level p0); (1, level p1) |]
 
-let realign_entries ?ctx ?jobs condition defense entries =
+let realign_entries ?ctx condition defense entries =
   if (not condition.realign) || Array.length entries = 0 then
     (entries, Align.zero_stats)
   else begin
@@ -194,8 +194,8 @@ let realign_entries ?ctx ?jobs condition defense entries =
           let templates =
             Array.map (fun e -> load_template condition ~known:e.known) entries
           in
-          Align.realign_matched ?ctx ?jobs ~max_shift ~fill ~templates rows
-      | `Masking | `Shuffle -> Align.realign_rows ?ctx ?jobs ~max_shift ~fill rows
+          Align.realign_matched ?ctx ~max_shift ~fill ~templates rows
+      | `Masking | `Shuffle -> Align.realign_rows ?ctx ~max_shift ~fill rows
     in
     (Array.map2 (fun e samples -> { e with samples }) entries rows, st)
   end

@@ -158,7 +158,6 @@ val load_template : condition -> known:Fpr.t -> (int * float) array
 
 val realign_entries :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   condition ->
   defense ->
   entry array ->

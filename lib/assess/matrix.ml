@@ -29,7 +29,7 @@ type report = {
 }
 
 let schema = "falcon-down/assess-matrix/v5"
-let known_distinguishers = [ "pearson"; "profiled" ]
+let known_distinguishers = Attack.Distinguisher.names
 
 (* Per-target grid shape: the defense and condition axes are FALCON
    acquisition knobs (countermeasure windows, device-model sweeps of
@@ -182,11 +182,10 @@ let hqc_profiled_ctx ~ctx ~sigma ~budget ~seed =
   let store = Attack.Profile.train spec ~targets feed in
   Attack.Ctx.with_backend (Attack.Distinguisher.Profiled store) ctx
 
-let run ?ctx ?jobs ?(targets = [ "falcon" ]) ?(defenses = Campaign.all)
-    ?(conditions = [ Campaign.baseline_condition ])
+let run ?ctx:(c = Attack.Ctx.default ()) ?(targets = [ "falcon" ])
+    ?(defenses = Campaign.all) ?(conditions = [ Campaign.baseline_condition ])
     ?(distinguishers = [ "pearson" ]) ?(progress = fun _ -> ())
     ~sigmas ~budgets ~experiments ~decoys ~seed () =
-  let c = Attack.Ctx.resolve ?ctx ?jobs () in
   let obs = c.Attack.Ctx.obs in
   if targets = [] then invalid_arg "Assess.Matrix: empty target axis";
   List.iter
@@ -348,8 +347,8 @@ let run ?ctx ?jobs ?(targets = [ "falcon" ]) ?(defenses = Campaign.all)
   { seed; experiments; decoys; targets; defenses; sigmas; budgets; conditions;
     distinguishers; cells }
 
-let tiny ?ctx ?jobs ?targets ?conditions ?distinguishers ?progress ~seed () =
-  run ?ctx ?jobs ?targets ?conditions ?distinguishers ?progress
+let tiny ?ctx ?targets ?conditions ?distinguishers ?progress ~seed () =
+  run ?ctx ?targets ?conditions ?distinguishers ?progress
     ~sigmas:[ 0.5 ] ~budgets:[ 200 ] ~experiments:2 ~decoys:24 ~seed ()
 
 (* {2 Serialisation} *)

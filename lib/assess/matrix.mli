@@ -77,7 +77,6 @@ val grid_size :
 
 val run :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?targets:string list ->
   ?defenses:Campaign.defense list ->
   ?conditions:Campaign.condition list ->
@@ -112,7 +111,6 @@ val run :
 
 val tiny :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?targets:string list ->
   ?conditions:Campaign.condition list ->
   ?distinguishers:string list ->

@@ -92,9 +92,8 @@ let profiled_mtd ~ctx ~parts ~known ~truth ~step ~candidates traces =
    different secret/seed) with known truth, classed by the low-stage
    models applied to the true low mantissa half — exactly the
    intermediates the profiled ranking and [profiled_mtd] score. *)
-let profile_entries ?ctx ?jobs ?(condition = Campaign.baseline_condition)
-    ~defense ~truth entries =
-  let c = Attack.Ctx.resolve ?ctx ?jobs () in
+let profile_entries ?ctx:(c = Attack.Ctx.default ())
+    ?(condition = Campaign.baseline_condition) ~defense ~truth entries =
   Obs.span c.Attack.Ctx.obs "metrics.profile" @@ fun () ->
   let fixed =
     Array.of_seq
@@ -128,10 +127,9 @@ let profile_entries ?ctx ?jobs ?(condition = Campaign.baseline_condition)
   in
   Attack.Profile.train spec ~targets feed
 
-let of_entries ?ctx ?jobs ?(stop_alpha = default_stop_alpha)
+let of_entries ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alpha)
     ?(condition = Campaign.baseline_condition) ~defense ~truth ~experiments
     ~decoys ~seed entries =
-  let c = Attack.Ctx.resolve ?ctx ?jobs () in
   let obs = c.Attack.Ctx.obs in
   Obs.span obs "metrics.of_entries"
     ~fields:[ ("experiments", Obs.Int experiments); ("decoys", Obs.Int decoys) ]
@@ -256,14 +254,14 @@ let of_entries ?ctx ?jobs ?(stop_alpha = default_stop_alpha)
     (Array.map (fun (_, m, _, _) -> m) results)
     (Array.map (fun (_, _, mc, _) -> mc) results)
 
-let run ?ctx ?jobs ?stop_alpha ?condition config =
+let run ?ctx ?stop_alpha ?condition config =
   if config.budget < 8 then invalid_arg "Assess.Metrics: budget must be at least 8";
   let secret = Campaign.secret_operand (Stats.Rng.create ~seed:(config.seed lxor 0x5eed)) in
   let entries =
     Campaign.generate ~p_fixed:1.0 ?condition config.defense ~noise:config.noise
       ~secret ~count:(config.budget * config.experiments) ~seed:config.seed
   in
-  of_entries ?ctx ?jobs ?stop_alpha ?condition ~defense:config.defense
+  of_entries ?ctx ?stop_alpha ?condition ~defense:config.defense
     ~truth:secret ~experiments:config.experiments ~decoys:config.decoys
     ~seed:(derived_seed config.seed) entries
 
@@ -280,9 +278,8 @@ let run ?ctx ?jobs ?stop_alpha ?condition config =
 
 type hqc_config = { noise : float; budget : int; experiments : int; seed : int }
 
-let run_hqc ?ctx ?jobs ?(stop_alpha = default_stop_alpha) config =
+let run_hqc ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alpha) config =
   let { noise; budget; experiments; seed } = config in
-  let c = Attack.Ctx.resolve ?ctx ?jobs () in
   let obs = c.Attack.Ctx.obs in
   Obs.span obs "metrics.hqc"
     ~fields:[ ("experiments", Obs.Int experiments); ("budget", Obs.Int budget) ]
@@ -368,9 +365,9 @@ let run_hqc ?ctx ?jobs ?(stop_alpha = default_stop_alpha) config =
     (Array.map (fun (_, m, _, _) -> m) results)
     (Array.map (fun (_, _, mc, _) -> mc) results)
 
-let of_store ?ctx ?jobs ?stop_alpha ?seed ~experiments ~decoys dir =
+let of_store ?ctx ?stop_alpha ?seed ~experiments ~decoys dir =
   let defense, secret, campaign_seed, reader = Campaign.open_store dir in
   let entries = Array.of_seq (Campaign.seq_of_store reader) in
   let seed = match seed with Some s -> s | None -> derived_seed campaign_seed in
-  of_entries ?ctx ?jobs ?stop_alpha ~defense ~truth:secret ~experiments ~decoys
+  of_entries ?ctx ?stop_alpha ~defense ~truth:secret ~experiments ~decoys
     ~seed entries

@@ -34,11 +34,10 @@
     bit-identical at every [jobs]); the candidate sweep inside each
     experiment stays sequential.  The per-experiment attack goes through
     {!Attack.Recover.attack_mantissa_low} and therefore inherits the
-    blocked {!Stats.Pearson.Batch} distinguisher kernel; because that
-    kernel is bit-identical to the scalar path, every SR/GE/MTD figure
-    is unchanged by the backend (or by [FD_PEARSON=scalar]).
+    fused {!Stats.Pearson.Batch} kernel, bit-identical to the scalar
+    reference.
 
-    [?ctx] ({!Attack.Ctx.t}) bundles [jobs], the backend and an
+    [?ctx] ({!Attack.Ctx.t}) bundles [jobs], the distinguisher and an
     observability context; each experiment runs under a buffered child
     context ("metrics.experiment" spans) drained in experiment order, so
     the event stream is deterministic and every figure bit-identical
@@ -74,7 +73,6 @@ val derived_seed : int -> int
 
 val profile_entries :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?condition:Campaign.condition ->
   defense:Campaign.defense ->
   truth:Fpr.t ->
@@ -94,7 +92,6 @@ val profile_entries :
 
 val of_entries :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?stop_alpha:float ->
   ?condition:Campaign.condition ->
   defense:Campaign.defense ->
@@ -123,7 +120,6 @@ val of_entries :
 
 val run :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?stop_alpha:float ->
   ?condition:Campaign.condition ->
   config ->
@@ -135,7 +131,7 @@ val run :
 type hqc_config = { noise : float; budget : int; experiments : int; seed : int }
 
 val run_hqc :
-  ?ctx:Attack.Ctx.t -> ?jobs:int -> ?stop_alpha:float -> hqc_config -> outcome
+  ?ctx:Attack.Ctx.t -> ?stop_alpha:float -> hqc_config -> outcome
 (** The same SR/GE/MTD vocabulary over the HQC rotate-and-accumulate
     victim ({!Attack.Target.Hqc}).  Each experiment draws a fresh sparse
     secret and [budget] simulated traces, then runs the chained per-unit
@@ -145,11 +141,10 @@ val run_hqc :
     position.  MTD and MTD-at-confidence watch the first unit of the
     chain.  Candidate sets are the complete per-unit position ranges —
     no decoy sampling, hence no [decoys] knob.  Deterministic in [seed]
-    at every [jobs] and backend. *)
+    at every [jobs]. *)
 
 val of_store :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?stop_alpha:float ->
   ?seed:int ->
   experiments:int ->

@@ -20,9 +20,10 @@ let default_chunk = 256
 
 module M = Stats.Welford.Moments
 
-let fold_moments ?ctx ?jobs ?(chunk = default_chunk) ~width ~classify ~samples seq =
+let fold_moments ?ctx:(c = Attack.Ctx.default ()) ?(chunk = default_chunk) ~width
+    ~classify ~samples seq =
   if chunk < 1 then invalid_arg "Assess.Tvla: chunk must be positive";
-  let jobs = (Attack.Ctx.resolve ?ctx ?jobs ()).Attack.Ctx.jobs in
+  let jobs = c.Attack.Ctx.jobs in
   let fresh () = Array.init width (fun _ -> M.create ()) in
   let partials =
     Parallel.map_chunks ~jobs ~chunk
@@ -66,8 +67,7 @@ let welch_cs2 ma mb =
   Stats.Signif.welch_t ~mean_a:(e ma) ~var_a:(v ma) ~n_a:(M.count ma) ~mean_b:(e mb)
     ~var_b:(v mb) ~n_b:(M.count mb)
 
-let assess ?ctx ?jobs ?chunk ~width ~classify ~samples seq =
-  let c = Attack.Ctx.resolve ?ctx ?jobs () in
+let assess ?ctx:(c = Attack.Ctx.default ()) ?chunk ~width ~classify ~samples seq =
   let obs = c.Attack.Ctx.obs in
   Obs.span obs "tvla.assess" ~fields:[ ("width", Obs.Int width) ] @@ fun () ->
   let a, b = fold_moments ~ctx:c ?chunk ~width ~classify ~samples seq in
@@ -102,25 +102,25 @@ let entries_width entries =
   if Array.length entries = 0 then 0
   else Array.length entries.(0).Campaign.samples
 
-let of_entries ?ctx ?jobs ?chunk ~classify entries =
-  assess ?ctx ?jobs ?chunk ~width:(entries_width entries) ~classify
+let of_entries ?ctx ?chunk ~classify entries =
+  assess ?ctx ?chunk ~width:(entries_width entries) ~classify
     ~samples:entry_samples (Array.to_seq entries)
 
-let of_store ?ctx ?jobs ?chunk ~classify reader =
+let of_store ?ctx ?chunk ~classify reader =
   let width = (Tracestore.Reader.meta reader).Tracestore.width in
-  assess ?ctx ?jobs ?chunk ~width ~classify ~samples:entry_samples
+  assess ?ctx ?chunk ~width ~classify ~samples:entry_samples
     (Campaign.seq_of_store reader)
 
 (* {2 Bivariate second order} *)
 
 module W = Stats.Welford
 
-let pair_stats ?ctx ?jobs ?(chunk = default_chunk) ~pairs ~mean_a ~mean_b ~classify
-    ~samples seq =
+let pair_stats ?ctx:(c = Attack.Ctx.default ()) ?(chunk = default_chunk) ~pairs ~mean_a
+    ~mean_b ~classify ~samples seq =
   let np = Array.length pairs in
   if np = 0 then [||]
   else begin
-    let jobs = (Attack.Ctx.resolve ?ctx ?jobs ()).Attack.Ctx.jobs in
+    let jobs = c.Attack.Ctx.jobs in
     let fresh () = Array.init np (fun _ -> W.create ()) in
     let partials =
       Parallel.map_chunks ~jobs ~chunk
@@ -155,12 +155,12 @@ let pair_stats ?ctx ?jobs ?(chunk = default_chunk) ~pairs ~mean_a ~mean_b ~class
           ~n_b:(W.count b.(p)))
   end
 
-let pairs_of_entries ?ctx ?jobs ?chunk ~pairs ~mean_a ~mean_b ~classify entries =
-  pair_stats ?ctx ?jobs ?chunk ~pairs ~mean_a ~mean_b ~classify
+let pairs_of_entries ?ctx ?chunk ~pairs ~mean_a ~mean_b ~classify entries =
+  pair_stats ?ctx ?chunk ~pairs ~mean_a ~mean_b ~classify
     ~samples:entry_samples (Array.to_seq entries)
 
-let pairs_of_store ?ctx ?jobs ?chunk ~pairs ~mean_a ~mean_b ~classify reader =
-  pair_stats ?ctx ?jobs ?chunk ~pairs ~mean_a ~mean_b ~classify
+let pairs_of_store ?ctx ?chunk ~pairs ~mean_a ~mean_b ~classify reader =
+  pair_stats ?ctx ?chunk ~pairs ~mean_a ~mean_b ~classify
     ~samples:entry_samples (Campaign.seq_of_store reader)
 
 (* {2 Reading a t-trace} *)

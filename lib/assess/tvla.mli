@@ -18,9 +18,9 @@
     bit patterns), so both paths fold the same numbers through the same
     tree.
 
-    Every entry point also takes [?ctx] ({!Attack.Ctx.t}); an explicit
-    [?jobs] overrides its [jobs] field, and the t statistics are
-    bit-identical with any observability sink attached. *)
+    Every entry point also takes [?ctx] ({!Attack.Ctx.t}) for [jobs] and
+    observability; the t statistics are bit-identical with any sink
+    attached. *)
 
 type side = A | B
 
@@ -45,7 +45,6 @@ val default_chunk : int
 
 val assess :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?chunk:int ->
   width:int ->
   classify:(int -> 'a -> side option) ->
@@ -66,7 +65,6 @@ val random_vs_random : int -> Campaign.entry -> side option
 
 val of_entries :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?chunk:int ->
   classify:(int -> Campaign.entry -> side option) ->
   Campaign.entry array ->
@@ -74,7 +72,6 @@ val of_entries :
 
 val of_store :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?chunk:int ->
   classify:(int -> Campaign.entry -> side option) ->
   Tracestore.Reader.t ->
@@ -91,7 +88,6 @@ val of_store :
 
 val pair_stats :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?chunk:int ->
   pairs:(int * int) array ->
   mean_a:float array ->
@@ -104,7 +100,6 @@ val pair_stats :
 
 val pairs_of_entries :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?chunk:int ->
   pairs:(int * int) array ->
   mean_a:float array ->
@@ -115,7 +110,6 @@ val pairs_of_entries :
 
 val pairs_of_store :
   ?ctx:Attack.Ctx.t ->
-  ?jobs:int ->
   ?chunk:int ->
   pairs:(int * int) array ->
   mean_a:float array ->

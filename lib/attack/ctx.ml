@@ -1,78 +1,21 @@
-type t = {
-  jobs : int;
-  backend : Distinguisher.selection;
-  obs : Obs.t;
-  leakage : [ `Hw | `Hd ];
-  on_corrupt : [ `Fail | `Skip ];
-  prefetch : bool;
-}
+type t = { jobs : int; backend : Distinguisher.selection; obs : Obs.t }
 
 let default () =
-  {
-    jobs = Parallel.default_jobs ();
-    backend = Distinguisher.default ();
-    obs = Obs.null;
-    leakage = `Hw;
-    on_corrupt = `Fail;
-    prefetch = true;
-  }
+  { jobs = Parallel.default_jobs (); backend = Distinguisher.Pearson; obs = Obs.null }
 
-let make ?jobs ?backend ?distinguisher ?obs ?leakage ?on_corrupt ?prefetch () =
+let make ?jobs ?distinguisher ?obs () =
   let d = default () in
   {
     jobs = Parallel.resolve jobs;
-    backend =
-      (match (distinguisher, backend) with
-      | Some sel, _ -> sel
-      | None, Some b -> Distinguisher.of_pearson b
-      | None, None -> d.backend);
+    backend = Option.value distinguisher ~default:d.backend;
     obs = Option.value obs ~default:d.obs;
-    leakage = Option.value leakage ~default:d.leakage;
-    on_corrupt = Option.value on_corrupt ~default:d.on_corrupt;
-    prefetch = Option.value prefetch ~default:d.prefetch;
   }
-
-let of_env () =
-  let d = default () in
-  let jobs =
-    match Sys.getenv_opt "FD_JOBS" with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some j when j >= 1 -> j
-        | _ -> d.jobs)
-    | None -> d.jobs
-  in
-  let backend =
-    match Sys.getenv_opt "FD_PEARSON" with
-    | Some s -> (
-        match String.lowercase_ascii (String.trim s) with
-        | "scalar" -> Distinguisher.Pearson_scalar
-        | "batched" | "blocked" -> Distinguisher.Pearson_batched
-        | _ -> d.backend)
-    | None -> d.backend
-  in
-  { d with jobs; backend }
 
 let with_jobs jobs t =
   if jobs < 1 then invalid_arg "Ctx.with_jobs: jobs must be >= 1";
   { t with jobs }
 
 let with_backend backend t = { t with backend }
-let with_pearson_backend b t = { t with backend = Distinguisher.of_pearson b }
 let with_obs obs t = { t with obs }
-let with_leakage leakage t = { t with leakage }
-let with_on_corrupt on_corrupt t = { t with on_corrupt }
-let with_prefetch prefetch t = { t with prefetch }
 let sequential t = { t with jobs = 1 }
-let kernel t = Distinguisher.kernel t.backend
-
-let resolve ?ctx ?jobs ?backend ?distinguisher () =
-  let base = match ctx with Some c -> c | None -> default () in
-  let jobs = match jobs with Some j -> Parallel.resolve (Some j) | None -> base.jobs in
-  let backend =
-    match (distinguisher, backend) with
-    | Some sel, _ -> sel
-    | None, Some b -> Distinguisher.of_pearson b
-    | None, None -> base.backend
-  in
-  { base with jobs; backend }
+let kernel _ = Stats.Pearson.Batch.Batched

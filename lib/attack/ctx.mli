@@ -1,92 +1,37 @@
-(** Unified execution context for the attack pipeline.
+(** Execution context for the attack pipeline: the one configuration
+    carrier every entry point accepts as [?ctx].
 
-    Every tunable that used to ride along as a separately threaded
-    optional argument — worker count, distinguisher selection,
-    observability, and now the leakage family, corrupt-shard policy and
-    shard prefetch — lives in one record that entry points accept as
-    [?ctx].  [Ctx.t] is the single configuration carrier; the scattered
-    [?jobs]/[?backend]/[?leakage]/[?on_corrupt]/[?prefetch] parameters
-    on entry points are kept as thin deprecated pass-throughs (an
-    explicit value overrides the corresponding [ctx] field), so
-    existing callers compile unchanged while new code builds a context
-    once with the [with_*] builders and hands it down the whole
-    pipeline.
-
-    {b Backend redesign.}  [backend] used to be the Pearson kernel enum
-    [Stats.Pearson.Batch.backend]; it is now a first-class
-    {!Distinguisher.selection} so the profiled template attack is
-    selectable everywhere Pearson is.  The Pearson-typed
-    [?backend] optionals (and {!with_pearson_backend}) survive as
-    deprecated shims through {!Distinguisher.of_pearson}. *)
+    It holds the three knobs that cut across the whole pipeline — the
+    worker count, the distinguisher scoring every ranking, and the
+    observability context.  An omitted [?ctx] means {!default}.  The
+    per-call data choices ([?leakage], [?on_corrupt], [?prefetch]) are
+    arguments of the entry points that use them, not context fields. *)
 
 type t = {
   jobs : int;  (** worker domains for [Parallel] sweeps (>= 1) *)
-  backend : Distinguisher.selection;  (** which distinguisher scores sweeps *)
+  backend : Distinguisher.selection;  (** which distinguisher scores rankings *)
   obs : Obs.t;  (** observability context; [Obs.null] by default *)
-  leakage : [ `Hw | `Hd ];
-      (** hypothesis-model family ([Recover.leakage]); [`Hw] by default *)
-  on_corrupt : [ `Fail | `Skip ];
-      (** streaming corrupt-shard policy; loud [`Fail] by default *)
-  prefetch : bool;
-      (** single-job shard prefetch in the streaming engine; [true] by
-          default *)
 }
 
 val default : unit -> t
 (** The process-wide defaults as of the call: [Parallel.default_jobs]
-    (so a CLI's [Parallel.set_default_jobs] is honoured),
-    {!Distinguisher.default} (which honours [FD_PEARSON]), [Obs.null],
-    [`Hw], [`Fail], prefetch on.  A function, not a constant, because
-    those defaults are mutable. *)
+    (so a CLI's [Parallel.set_default_jobs] is honoured), the Pearson
+    distinguisher and [Obs.null].  A function, not a constant, because
+    the jobs default is mutable. *)
 
-val make :
-  ?jobs:int ->
-  ?backend:Stats.Pearson.Batch.backend ->
-  ?distinguisher:Distinguisher.selection ->
-  ?obs:Obs.t ->
-  ?leakage:[ `Hw | `Hd ] ->
-  ?on_corrupt:[ `Fail | `Skip ] ->
-  ?prefetch:bool ->
-  unit ->
-  t
-(** {!default} with the given fields overridden.  [?backend] is the
-    deprecated Pearson-typed shim; an explicit [?distinguisher] wins
-    over it.  Raises [Invalid_argument] if [jobs < 1]. *)
-
-val of_env : unit -> t
-(** {!default}, then override from the environment: [FD_JOBS] (positive
-    integer) sets [jobs] and [FD_PEARSON] ([scalar]/[batched]) sets the
-    Pearson selection.  Malformed values are ignored. *)
+val make : ?jobs:int -> ?distinguisher:Distinguisher.selection -> ?obs:Obs.t -> unit -> t
+(** {!default} with the given fields overridden.  Raises
+    [Invalid_argument] if [jobs < 1]. *)
 
 val with_jobs : int -> t -> t
 val with_backend : Distinguisher.selection -> t -> t
-
-val with_pearson_backend : Stats.Pearson.Batch.backend -> t -> t
-(** Deprecated shim: {!with_backend} through
-    {!Distinguisher.of_pearson}. *)
-
 val with_obs : Obs.t -> t -> t
-val with_leakage : [ `Hw | `Hd ] -> t -> t
-val with_on_corrupt : [ `Fail | `Skip ] -> t -> t
-val with_prefetch : bool -> t -> t
 
 val sequential : t -> t
 (** [with_jobs 1], for handing a context to per-task inner work that
     must not nest parallelism. *)
 
 val kernel : t -> Stats.Pearson.Batch.backend
-(** {!Distinguisher.kernel} of the selection — the Pearson kernel the
-    correlation-only stages use under this context. *)
-
-val resolve :
-  ?ctx:t ->
-  ?jobs:int ->
-  ?backend:Stats.Pearson.Batch.backend ->
-  ?distinguisher:Distinguisher.selection ->
-  unit ->
-  t
-(** The idiom for entry points: start from [ctx] (or {!default} when
-    omitted) and let an explicit [?jobs]/[?backend]/[?distinguisher]
-    argument override the corresponding field.  This is what makes the
-    deprecated optional parameters and the context API coexist on one
-    signature. *)
+(** The Pearson kernel production sweeps run: always [Batched].  The
+    scalar kernel is the reference the tests compare against
+    ([Dema.pearson Scalar]). *)

@@ -51,8 +51,6 @@ let sweep_chunk = 512
 let hyp_vector ~model ~known guess =
   Array.map (fun y -> float_of_int (Bitops.popcount (model guess y))) known
 
-let backend_name = Distinguisher.name
-
 (* ---- the statistics: one {!Distinguisher.S} instance each ---- *)
 
 let seg_length batch = match batch with [||] -> 0 | _ -> Array.length (snd batch.(0))
@@ -104,7 +102,7 @@ module Pearson (K : sig
 end) : Distinguisher.S = struct
   module Fused = Stats.Pearson.Batch.Fused
 
-  let name = Distinguisher.name (Distinguisher.of_pearson K.kernel)
+  let name = "pearson"
   let scalar = K.kernel = Stats.Pearson.Batch.Scalar
 
   type 'k plan = {
@@ -428,7 +426,7 @@ let distinguisher : Distinguisher.selection -> (module Distinguisher.S) = functi
       (module Profiled (struct
         let store = store
       end))
-  | sel -> pearson (Distinguisher.kernel sel)
+  | Distinguisher.Pearson -> pearson Stats.Pearson.Batch.Batched
 
 let absolute ~alpha ~baseline : (module Distinguisher.S) =
   (module Absolute (struct
@@ -507,8 +505,8 @@ let in_memory ~traces ~known needs =
    are finalised at every decision look without a reset.  Fed the
    campaign to exhaustion it scores bit-identically to the fixed-budget
    sweep, and at every intermediate look the Scalar and Batched
-   backends agree bitwise — the substrate for stop decisions that are
-   reproducible across [jobs] and backends. *)
+   kernels agree bitwise — the substrate for stop decisions that are
+   reproducible across [jobs]. *)
 module Sweep = struct
   type 'k t = {
     guesses : int array;
@@ -639,8 +637,7 @@ let until ~ctx:c ~what ~spec ~total ~top ~parts ~feed candidates =
 
 (* ---- the in-memory entry points ---- *)
 
-let rank ?ctx ?jobs ?backend ~traces ~parts ~known ~top candidates =
-  let c = Ctx.resolve ?ctx ?jobs ?backend () in
+let rank ?ctx:(c = Ctx.default ()) ~traces ~parts ~known ~top candidates =
   let run () =
     fixed (distinguisher c.Ctx.backend) ~ctx:c ~parts ~top
       ~source:(in_memory ~traces ~known) candidates
@@ -652,24 +649,22 @@ let rank ?ctx ?jobs ?backend ~traces ~parts ~known ~top candidates =
           ("traces", Obs.Int (Array.length traces));
           ("parts", Obs.Int (List.length parts));
           ("top", Obs.Int top);
-          ("backend", Obs.Str (backend_name c.Ctx.backend));
+          ("backend", Obs.Str (Distinguisher.name c.Ctx.backend));
           ("jobs", Obs.Int c.Ctx.jobs);
         ]
       run
   else run ()
 
-let rank_absolute ?ctx ?jobs ~traces ~parts ~known ~top ~alpha ~baseline
-    candidates =
-  let c = Ctx.resolve ?ctx ?jobs () in
+let rank_absolute ?ctx:(c = Ctx.default ()) ~traces ~parts ~known ~top ~alpha
+    ~baseline candidates =
   Obs.span c.Ctx.obs "dema.rank_absolute"
     ~fields:[ ("traces", Obs.Int (Array.length traces)); ("top", Obs.Int top) ]
     (fun () ->
       fixed (absolute ~alpha ~baseline) ~ctx:c ~parts ~top
         ~source:(in_memory ~traces ~known) candidates)
 
-let rank_until ?ctx ?jobs ?backend ~spec ?(batch = 64) ~traces ~parts ~known
-    ~top candidates =
-  let c = Ctx.resolve ?ctx ?jobs ?backend () in
+let rank_until ?ctx:(c = Ctx.default ()) ~spec ?(batch = 64) ~traces ~parts
+    ~known ~top candidates =
   if batch < 1 then invalid_arg "Dema.rank_until: batch must be >= 1";
   let total = Array.length traces in
   let pos = ref 0 in
@@ -744,11 +739,8 @@ module Stream = struct
              i)
     | exception Failure msg -> corrupt msg
 
-  let map_shards ?ctx ?jobs ?on_corrupt ?prefetch ?(codec = falcon_codec) reader
-      f =
-    let c = Ctx.resolve ?ctx ?jobs () in
-    let on_corrupt = Option.value on_corrupt ~default:c.Ctx.on_corrupt in
-    let prefetch = Option.value prefetch ~default:c.Ctx.prefetch in
+  let map_shards ?ctx:(c = Ctx.default ()) ?(on_corrupt = `Fail) ?(prefetch = true)
+      ?(codec = falcon_codec) reader f =
     let obs = c.Ctx.obs in
     let m = check_meta codec reader in
     let shards = Tracestore.Reader.shard_count reader in
@@ -818,11 +810,10 @@ module Stream = struct
     end;
     results
 
-  let extract ?ctx ?jobs ?on_corrupt ?prefetch ?codec reader ~samples ~known =
-    let c = Ctx.resolve ?ctx ?jobs () in
+  let extract ?ctx ?on_corrupt ?prefetch ?codec reader ~samples ~known =
     let samples = Array.of_list samples in
     let pieces =
-      map_shards ~ctx:c ?on_corrupt ?prefetch ?codec reader (fun _ traces ->
+      map_shards ?ctx ?on_corrupt ?prefetch ?codec reader (fun _ traces ->
           ( Array.map
               (fun (t : Leakage.trace) -> Array.map (fun s -> t.samples.(s)) samples)
               traces,
@@ -841,9 +832,8 @@ module Stream = struct
      the columns the instance needs, so the campaign is never
      concatenated and every addition lands in the same accumulator in
      the same global trace order as the in-memory sweep. *)
-  let rank ?ctx ?jobs ?backend ?on_corrupt ?prefetch ?codec reader ~parts ~known
-      ~top candidates =
-    let c = Ctx.resolve ?ctx ?jobs ?backend () in
+  let rank ?ctx:(c = Ctx.default ()) ?on_corrupt ?prefetch ?codec reader ~parts
+      ~known ~top candidates =
     let obs = c.Ctx.obs in
     let source needs =
       let pieces =
@@ -857,7 +847,7 @@ module Stream = struct
       ~fields:
         [
           ("shards", Obs.Int (Tracestore.Reader.shard_count reader));
-          ("backend", Obs.Str (backend_name c.Ctx.backend));
+          ("backend", Obs.Str (Distinguisher.name c.Ctx.backend));
         ]
       (fun () -> fixed (distinguisher c.Ctx.backend) ~ctx:c ~parts ~top ~source candidates)
 
@@ -935,23 +925,17 @@ module Stream = struct
      after each shard per the spec's schedule and the pull stops at the
      stopping point.  Fed to exhaustion it returns [rank]'s exact
      ranking. *)
-  let rank_until ?ctx ?jobs ?backend ?on_corrupt ?prefetch ?codec ~spec
+  let rank_until ?ctx:(c = Ctx.default ()) ?on_corrupt ?prefetch ?codec ~spec
       ?max_traces reader ~parts ~known ~top candidates =
-    let c = Ctx.resolve ?ctx ?jobs ?backend () in
     let obs = c.Ctx.obs in
-    let fd =
-      shard_feed
-        ~on_corrupt:(Option.value on_corrupt ~default:c.Ctx.on_corrupt)
-        ~prefetch:(Option.value prefetch ~default:c.Ctx.prefetch)
-        ?codec ?max_traces reader
-    in
+    let fd = shard_feed ?on_corrupt ?prefetch ?codec ?max_traces reader in
     Fun.protect ~finally:fd.close (fun () ->
         Obs.span obs "dema.stream.rank_until"
           ~fields:
             [
               ("shards", Obs.Int (Tracestore.Reader.shard_count reader));
               ("total", Obs.Int fd.total);
-              ("backend", Obs.Str (backend_name c.Ctx.backend));
+              ("backend", Obs.Str (Distinguisher.name c.Ctx.backend));
               ("jobs", Obs.Int c.Ctx.jobs);
             ]
           (fun () ->
@@ -965,9 +949,8 @@ module Stream = struct
               Obs.count obs "dema.shards_skipped" sk;
             r))
 
-  let evolution ?ctx ?jobs ?on_corrupt ?prefetch ?codec reader ~sample ~model
-      ~known ~guess =
-    let c = Ctx.resolve ?ctx ?jobs () in
+  let evolution ?ctx:(c = Ctx.default ()) ?on_corrupt ?prefetch ?codec reader
+      ~sample ~model ~known ~guess =
     if Tracestore.Reader.total_traces reader = 0 then
       failwith "Dema.Stream.evolution: store holds no traces (empty campaign)";
     (* below 4 traces the correlation (and any Fisher-z band on it) is
@@ -1001,28 +984,17 @@ module Stream = struct
     List.rev checkpoints
 end
 
-let corr_time ?ctx ?backend ~traces ~model ~known ~guesses () =
-  let c = Ctx.resolve ?ctx ?backend () in
+(* a correlation-vs-time matrix is Pearson by definition, so it runs
+   the blocked kernel under every selection *)
+let corr_time ?ctx:(c = Ctx.default ()) ~traces ~model ~known ~guesses () =
   Obs.span c.Ctx.obs "dema.corr_time"
-    ~fields:
-      [
-        ("guesses", Obs.Int (Array.length guesses));
-        ("backend", Obs.Str (backend_name c.Ctx.backend));
-      ]
+    ~fields:[ ("guesses", Obs.Int (Array.length guesses)) ]
     (fun () ->
-      (* a correlation-vs-time matrix is Pearson by definition; a
-         [Profiled] selection maps to the scalar kernel via {!Ctx.kernel} *)
-      match Ctx.kernel c with
-      | Stats.Pearson.Batch.Scalar ->
-          let hyps = Array.map (hyp_vector ~model ~known) guesses in
-          Stats.Pearson.corr_matrix ~traces ~hyps
-      | Stats.Pearson.Batch.Batched ->
-          let blk =
-            Hypothesis.Block.create ~rows:(Array.length guesses)
-              ~cols:(Array.length known)
-          in
-          let hb = Hypothesis.Block.fill blk ~model ~known guesses in
-          Stats.Pearson.Batch.corr_matrix_blocked ~traces hb)
+      let blk =
+        Hypothesis.Block.create ~rows:(Array.length guesses) ~cols:(Array.length known)
+      in
+      Stats.Pearson.Batch.corr_matrix_blocked ~traces
+        (Hypothesis.Block.fill blk ~model ~known guesses))
 
 let evolution ~traces ~sample ~model ~known ~guess ~step =
   let hyp = hyp_vector ~model ~known guess in

@@ -24,28 +24,28 @@
     sweeping it in parallel chunks, yields bit-identical output.  Every
     instance accumulator receives its additions in global trace order,
     so in-memory, store-backed and exhausted sequential sweeps over the
-    same traces agree bit for bit at every [jobs], backend and prefetch
+    same traces agree bit for bit at every [jobs] and prefetch
     setting.
 
-    {b Parallelism.}  The sweeps accept [?jobs] (default
+    {b Parallelism.}  The sweeps run [ctx.jobs] workers (default
     {!Parallel.default_jobs}, i.e. 1): candidates are read lazily in
     512-candidate chunks across a fixed-size domain pool, each chunk
     keeps a local top-k, and the partial top-ks are merged in chunk
     order — O(top + jobs x chunk) live per-candidate state, so the
     2{^25}-candidate spaces are never materialised.
 
-    {b Execution context.}  Every entry point also accepts [?ctx]
-    ({!Ctx.t}), which bundles [jobs], the {!Distinguisher.selection}
-    scoring the sweep and an observability context; an explicit
-    [?jobs]/[?backend] argument overrides the corresponding [ctx] field
-    ([?backend] is the deprecated Pearson-typed shim — see
-    {!Distinguisher}).  Instrumentation is observationally transparent:
-    with any sink attached the returned rankings are bit-identical to
-    the uninstrumented path at every [jobs].
+    {b Execution context.}  Every entry point accepts [?ctx]
+    ({!Ctx.t}, default {!Ctx.default}), which bundles [jobs], the
+    {!Distinguisher.selection} scoring the sweep and an observability
+    context.  Instrumentation is observationally transparent: with any
+    sink attached the returned rankings are bit-identical to the
+    uninstrumented path at every [jobs].
 
-    {b Selections.}  The two Pearson selections score bit-identically.
-    A [Profiled] selection scores guesses by template log-likelihood
-    instead of correlation, averaged over traces.  {!rank_absolute} and
+    {b Selections.}  [Pearson] runs the fused kernel; its scalar
+    reference ({!pearson} [Scalar]) scores bit-identically and is what
+    the tests compare against.  A [Profiled] selection scores guesses
+    by template log-likelihood instead of correlation, averaged over
+    traces.  {!rank_absolute} and
     {!corr_time} have no profiled form and ignore it; the sequential
     sweeps reject it with [Invalid_argument]
     ({!Distinguisher.require_gap_test}). *)
@@ -57,8 +57,6 @@ val compare_scored : scored -> scored -> int
 
 val rank :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?backend:Stats.Pearson.Batch.backend ->
   traces:float array array ->
   parts:(int * 'k Hypothesis.Model.t) list ->
   known:'k array ->
@@ -73,19 +71,15 @@ val rank :
     {!compare_scored}.  A part's {!Hypothesis.Model.t} predicts the
     integer intermediate of a trace whose known operand is [y].
 
-    [backend] (default {!Stats.Pearson.Batch.default_backend}, i.e. the
-    batched kernel unless [FD_PEARSON=scalar]) selects between the
-    reference per-guess loop and the fused kernel
-    ({!Stats.Pearson.Batch.Fused}) that generates hypothesis
+    Pearson scoring runs the fused kernel
+    ({!Stats.Pearson.Batch.Fused}), which generates hypothesis
     intermediates on the fly inside register tiles — no per-guess
     vectors, no [G x D] block; {!Hypothesis.Model.Split} models
     additionally hoist the known-operand digest into a per-segment prep
-    table.  Both backends produce bit-identical scores, hence
-    bit-identical rankings, at every [jobs]. *)
+    table. *)
 
 val rank_absolute :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
   traces:float array array ->
   parts:(int * 'k Hypothesis.Model.t) list ->
   known:'k array ->
@@ -115,12 +109,12 @@ val rank_absolute :
 
     {b Determinism.}  A sweep fed to exhaustion scores bit-identically
     to the fixed-budget sweeps, and at {e every intermediate look} the
-    Scalar and Batched backends agree bitwise (same additions into
+    scalar and fused Pearson kernels agree bitwise (same additions into
     per-candidate accumulators in global trace order, same finalisation
     epilogue), candidate-chunk parallelism touches disjoint state, and
     all decisions run on the owner domain — so stop points, winners and
-    the returned ranking are bit-identical across [jobs], backends and
-    prefetch settings. *)
+    the returned ranking are bit-identical across [jobs] and prefetch
+    settings. *)
 
 (** Incremental per-candidate scoring state: the Pearson instance over
     a chunked candidate array whose accumulators persist across batch
@@ -136,9 +130,9 @@ module Sweep : sig
     int array ->
     'k t
   (** One sweep over a fixed candidate array (at least two candidates —
-      a runner-up must exist) and a list of part models.  Parts may live
-      on different views, so each supplies its own known operands at
-      fold time. *)
+      a runner-up must exist) and a list of part models, scored by the
+      {!pearson} instance of [backend].  Parts may live on different
+      views, so each supplies its own known operands at fold time. *)
 
   val n : 'k t -> int
   (** Traces folded so far. *)
@@ -171,8 +165,6 @@ type until = {
 
 val rank_until :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?backend:Stats.Pearson.Batch.backend ->
   spec:Sequential.Decision.spec ->
   ?batch:int ->
   traces:float array array ->
@@ -212,7 +204,7 @@ val rank_until :
     is counted on the ["dema.shards_skipped"] observability counter
     (emitted only when non-zero).
 
-    {b Prefetch.}  With [jobs = 1] and [?prefetch] [true] (the default),
+    {b Prefetch.}  With [ctx.jobs = 1] and [?prefetch] [true] (the default),
     a helper domain reads and decodes shard [i+1] while shard [i] is
     being consumed, overlapping IO/decode with scoring; results are
     still consumed strictly in shard order.  With [jobs > 1] the domain
@@ -236,7 +228,6 @@ module Stream : sig
 
   val map_shards :
     ?ctx:Ctx.t ->
-    ?jobs:int ->
     ?on_corrupt:[ `Fail | `Skip ] ->
     ?prefetch:bool ->
     ?codec:codec ->
@@ -249,7 +240,6 @@ module Stream : sig
 
   val extract :
     ?ctx:Ctx.t ->
-    ?jobs:int ->
     ?on_corrupt:[ `Fail | `Skip ] ->
     ?prefetch:bool ->
     ?codec:codec ->
@@ -262,8 +252,6 @@ module Stream : sig
 
   val rank :
     ?ctx:Ctx.t ->
-    ?jobs:int ->
-    ?backend:Stats.Pearson.Batch.backend ->
     ?on_corrupt:[ `Fail | `Skip ] ->
     ?prefetch:bool ->
     ?codec:codec ->
@@ -310,8 +298,6 @@ module Stream : sig
 
   val rank_until :
     ?ctx:Ctx.t ->
-    ?jobs:int ->
-    ?backend:Stats.Pearson.Batch.backend ->
     ?on_corrupt:[ `Fail | `Skip ] ->
     ?prefetch:bool ->
     ?codec:codec ->
@@ -336,7 +322,6 @@ module Stream : sig
 
   val evolution :
     ?ctx:Ctx.t ->
-    ?jobs:int ->
     ?on_corrupt:[ `Fail | `Skip ] ->
     ?prefetch:bool ->
     ?codec:codec ->
@@ -354,17 +339,16 @@ end
 
 val corr_time :
   ?ctx:Ctx.t ->
-  ?backend:Stats.Pearson.Batch.backend ->
   traces:float array array ->
   model:(int -> 'k -> int) ->
   known:'k array ->
   guesses:int array ->
   unit ->
   float array array
-(** Correlation-versus-time matrix (one row per guess) — Fig. 4 (a-d).
-    [backend] selects the per-guess {!Stats.Pearson.corr_matrix} path or
-    the blocked {!Stats.Pearson.Batch.corr_matrix_blocked} kernel; the
-    matrices are bit-identical. *)
+(** Correlation-versus-time matrix (one row per guess) — Fig. 4 (a-d),
+    on the blocked {!Stats.Pearson.Batch.corr_matrix_blocked} kernel
+    (bit-identical to the per-guess {!Stats.Pearson.corr_matrix}) under
+    every selection. *)
 
 val evolution :
   traces:float array array ->
@@ -380,14 +364,15 @@ val evolution :
 val hyp_vector : model:(int -> 'k -> int) -> known:'k array -> int -> float array
 (** The modelled leakage vector (Hamming weights as floats) of one guess. *)
 
-val backend_name : Distinguisher.selection -> string
-(** {!Distinguisher.name} — kept here for the CLIs' report vocabulary. *)
+val pearson : Stats.Pearson.Batch.backend -> (module Distinguisher.S)
+(** The Pearson DEMA instance on one kernel.  [Batched] is what the
+    [Pearson] selection runs; [Scalar] is the per-guess reference loop,
+    bit-identical to it and kept for the parity tests. *)
 
 val distinguisher : Distinguisher.selection -> (module Distinguisher.S)
-(** The registered instance behind a selection: the Pearson instance of
-    the selection's kernel (its scalar arm is the bit-identical
-    reference of the batched arm), or template log-likelihood scoring
-    from a [Profiled] store's POI columns. *)
+(** The registered instance behind a selection: {!pearson} [Batched],
+    or template log-likelihood scoring from a [Profiled] store's POI
+    columns. *)
 
 val absolute : alpha:float -> baseline:float -> (module Distinguisher.S)
 (** The calibrated absolute-level instance behind {!rank_absolute}. *)

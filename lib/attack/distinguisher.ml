@@ -1,32 +1,15 @@
-type selection =
-  | Pearson_scalar
-  | Pearson_batched
-  | Profiled of Profile.store
+type selection = Pearson | Profiled of Profile.store
 
-let of_pearson = function
-  | Stats.Pearson.Batch.Scalar -> Pearson_scalar
-  | Stats.Pearson.Batch.Batched -> Pearson_batched
-
-let kernel = function
-  | Pearson_scalar -> Stats.Pearson.Batch.Scalar
-  | Pearson_batched -> Stats.Pearson.Batch.Batched
-  | Profiled _ -> Stats.Pearson.Batch.Scalar
-
-let name = function
-  | Pearson_scalar -> "scalar"
-  | Pearson_batched -> "batched"
-  | Profiled _ -> "profiled"
-
-let names = [ "scalar"; "batched"; "profiled" ]
-let default () = of_pearson (Stats.Pearson.Batch.default_backend ())
-let has_gap_test = function Pearson_scalar | Pearson_batched -> true | Profiled _ -> false
+let name = function Pearson -> "pearson" | Profiled _ -> "profiled"
+let names = [ "pearson"; "profiled" ]
+let has_gap_test = function Pearson -> true | Profiled _ -> false
 
 let require_gap_test ~what sel =
   if not (has_gap_test sel) then
     invalid_arg
       (Printf.sprintf
          "%s: the %s distinguisher has no sequential gap statistic (the \
-          stopping testers are correlation statistics); use a Pearson backend"
+          stopping testers are correlation statistics); use the Pearson distinguisher"
          what (name sel))
 
 module type S = sig

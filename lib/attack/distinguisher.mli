@@ -1,11 +1,8 @@
 (** The scoring seam: which statistic turns traces into per-guess scores.
 
-    A {!selection} names {e which} distinguisher scores a sweep: one of
-    the two Pearson kernels ({!Stats.Pearson.Batch.backend}, bit-identical
-    to each other) or a profiled template store.  {!Ctx.t} carries a
-    [selection]; the old [?backend:Stats.Pearson.Batch.backend]
-    optionals remain accepted everywhere as deprecated shims that map
-    through {!of_pearson}.
+    A {!selection} names {e which} distinguisher scores a sweep: Pearson
+    DEMA (Eq. 1) or a profiled template store.  {!Ctx.t} carries a
+    [selection].
 
     {b One engine.}  Every statistic is an instance of {!S}, and one
     driver in [Dema] runs them all: it owns the candidate chunking, the
@@ -35,38 +32,25 @@
     agree bit for bit at every [jobs]. *)
 
 type selection =
-  | Pearson_scalar  (** the reference per-guess correlation loop *)
-  | Pearson_batched  (** the fused register-tiled Pearson kernel *)
+  | Pearson
+      (** the correlation distinguisher, run on the fused register-tiled
+          kernel (its scalar loop is the tests' reference,
+          [Dema.pearson Scalar]) *)
   | Profiled of Profile.store
       (** template log-likelihood scoring against a trained
           {!Profile.store} (GALACTICS-style profiled attack) *)
 
-val of_pearson : Stats.Pearson.Batch.backend -> selection
-(** The deprecated-shim mapping: [Scalar]/[Batched] to the matching
-    Pearson instance. *)
-
-val kernel : selection -> Stats.Pearson.Batch.backend
-(** The Pearson kernel a selection implies for the correlation-only
-    stages that have no profiled form (calibration, correlation-vs-time
-    matrices): the identity on the Pearson instances, [Scalar] under
-    [Profiled]. *)
-
 val name : selection -> string
-(** ["scalar"], ["batched"] or ["profiled"] — stable CLI/report
-    vocabulary. *)
+(** ["pearson"] or ["profiled"] — the one vocabulary of the CLI
+    [--backend] flag, the obs [backend] field and [Assess.Matrix]. *)
 
 val names : string list
-(** The CLI vocabulary, in declaration order. *)
-
-val default : unit -> selection
-(** The process default: {!of_pearson} of
-    [Stats.Pearson.Batch.default_backend ()] — so [FD_PEARSON] keeps
-    selecting the Pearson kernel exactly as before. *)
+(** The vocabulary, in declaration order. *)
 
 val has_gap_test : selection -> bool
 (** Whether sequential stopping can decide on this selection: the
     stopping testers ({!Sequential.Decision}) are Fisher-z gap tests on
-    correlations, so only the Pearson selections have one. *)
+    correlations, so only the Pearson selection has one. *)
 
 val require_gap_test : what:string -> selection -> unit
 (** The one check every sequential entry point makes: raises

@@ -52,8 +52,7 @@ let fan_tasks ~ctx ~n task =
   done;
   out
 
-let recover_f_fft ?ctx ?jobs ?leakage ~traces ~n strategy =
-  let c = Ctx.resolve ?ctx ?jobs () in
+let recover_f_fft ?ctx:(c = Ctx.default ()) ?leakage ~traces ~n strategy =
   Obs.span c.Ctx.obs "fullkey.recover_f_fft"
     ~fields:[ ("n", Obs.Int n); ("jobs", Obs.Int c.Ctx.jobs) ]
   @@ fun () ->
@@ -63,9 +62,9 @@ let recover_f_fft ?ctx ?jobs ?leakage ~traces ~n strategy =
       Recover.coefficient ~ctx:tctx ?leakage ~strategy:(strategy ~coeff ~mul)
         views)
 
-let recover_key ?ctx ?jobs ?leakage ~traces ~h strategy =
+let recover_key ?ctx ?leakage ~traces ~h strategy =
   let n = Array.length h in
-  let f_fft = recover_f_fft ?ctx ?jobs ?leakage ~traces ~n strategy in
+  let f_fft = recover_f_fft ?ctx ?leakage ~traces ~n strategy in
   let f = Fft.round_to_int (Fft.ifft f_fft) in
   let keypair = Ntru.Ntrugen.recover_from_f ~n ~f ~h in
   { f_fft; f; keypair }
@@ -80,7 +79,7 @@ let recover_key ?ctx ?jobs ?leakage ~traces ~h strategy =
    recovered key is bit-identical to [recover_key] at every [jobs];
    peak memory is one decoded shard per domain plus the extracted
    windows, never the whole campaign. *)
-let store_views ?on_corrupt ?prefetch ~ctx ~reader ~coeff ~component () =
+let store_views ~on_corrupt ~prefetch ~ctx ~reader ~coeff ~component =
   let muls = component_muls component in
   let samples =
     List.concat_map
@@ -93,7 +92,7 @@ let store_views ?on_corrupt ?prefetch ~ctx ~reader ~coeff ~component () =
     (t.c_fft.Fft.re.(coeff), t.c_fft.Fft.im.(coeff))
   in
   let narrow, ks =
-    Dema.Stream.extract ~ctx:(Ctx.sequential ctx) ?on_corrupt ?prefetch reader
+    Dema.Stream.extract ~ctx:(Ctx.sequential ctx) ~on_corrupt ~prefetch reader
       ~samples ~known
   in
   List.mapi
@@ -129,7 +128,7 @@ let store_views ?on_corrupt ?prefetch ~ctx ~reader ~coeff ~component () =
    order with single-job inner sweeps (unit-level parallelism comes
    from the campaign driver), and decisions run on the owner domain in
    unit order — stop points, winners and the recovered key are
-   bit-identical at every [jobs] and backend. *)
+   bit-identical at every [jobs]. *)
 
 let decision_candidates strategy ~coeff ~mul =
   match (strategy ~coeff ~mul : Recover.strategy) with
@@ -153,7 +152,7 @@ type unit_state = {
   u_high : Fpr.t Dema.Sweep.t;
 }
 
-let make_unit ~backend strategy ~coeff ~component =
+let make_unit strategy ~coeff ~component =
   let muls = component_muls component in
   let samples =
     Array.of_list
@@ -176,11 +175,11 @@ let make_unit ~backend strategy ~coeff ~component =
     u_muls = muls;
     u_segs = ref [];
     u_low =
-      Dema.Sweep.create ~backend
+      Dema.Sweep.create ~backend:Stats.Pearson.Batch.Batched
         ~parts:(spread [ Recover.p_w00; Recover.p_w10; Recover.p_z1a ])
         low_cands;
     u_high =
-      Dema.Sweep.create ~backend
+      Dema.Sweep.create ~backend:Stats.Pearson.Batch.Batched
         ~parts:(spread [ Recover.p_w01; Recover.p_w11 ])
         high_cands;
   }
@@ -247,18 +246,13 @@ let unit_views u =
 
 let recover_f_fft_store_adaptive ~ctx:c ~on_corrupt ~prefetch ~stop:spec
     ~max_traces ~stop_report ~reader strategy n =
-  let fd =
-    Dema.Stream.shard_feed
-      ~on_corrupt:(Option.value on_corrupt ~default:c.Ctx.on_corrupt)
-      ~prefetch:(Option.value prefetch ~default:c.Ctx.prefetch)
-      ?max_traces reader
-  in
+  let fd = Dema.Stream.shard_feed ~on_corrupt ~prefetch ?max_traces reader in
   let tasks = 2 * n in
   let units =
     Array.init tasks (fun t ->
         let coeff = t lsr 1 in
         let component = if t land 1 = 0 then `Re else `Im in
-        make_unit ~backend:(Ctx.kernel c) strategy ~coeff ~component)
+        make_unit strategy ~coeff ~component)
   in
   let campaign_units =
     Array.mapi
@@ -290,9 +284,9 @@ let recover_f_fft_store_adaptive ~ctx:c ~on_corrupt ~prefetch ~stop:spec
       let mul = match component with `Re -> 0 | `Im -> 1 in
       Recover.coefficient ~ctx:tctx ~strategy:(strategy ~coeff ~mul) views)
 
-let recover_f_fft_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
-    ?max_traces ?stop_report ~reader strategy =
-  let c = Ctx.resolve ?ctx ?jobs () in
+let recover_f_fft_store ?ctx:(c = Ctx.default ()) ?(on_corrupt = `Fail)
+    ?(prefetch = true) ?(leakage = `Hw) ?stop ?max_traces ?stop_report ~reader
+    strategy =
   let n = (Tracestore.Reader.meta reader).Tracestore.n in
   Obs.span c.Ctx.obs "fullkey.recover_f_fft_store"
     ~fields:
@@ -302,6 +296,13 @@ let recover_f_fft_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
         ("adaptive", Obs.Bool (stop <> None));
       ]
   @@ fun () ->
+  (* A prefetch helper domain only pays when nothing else overlaps the
+     reads.  At [jobs > 1] the fixed-budget fan-out already runs that
+     many streaming passes at once (each task's inner context is
+     jobs-1, so each would spawn its own helper), and the adaptive
+     campaign folds units on that many domains: a helper on top
+     oversubscribes the cores. *)
+  let prefetch = prefetch && c.Ctx.jobs = 1 in
   match stop with
   | Some spec ->
       (* The adaptive driver's streaming decision sweeps need a d-free
@@ -309,7 +310,7 @@ let recover_f_fft_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
          transition takes the recovered d, so there is no high sweep to
          decide on.  Mirror the Exhaustive rejection rather than decide
          on a mismatched model. *)
-      if leakage = Some `Hd || (leakage = None && c.Ctx.leakage = `Hd) then
+      if leakage = `Hd then
         invalid_arg
           "Fullkey: ?stop is not available under `Hd leakage — the streaming \
            decision sweeps have no d-free Hamming-distance part set";
@@ -319,15 +320,14 @@ let recover_f_fft_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
   | None ->
       fan_tasks ~ctx:c ~n (fun ~tctx ~coeff ~component ->
           let views =
-            store_views ?on_corrupt ?prefetch ~ctx:tctx ~reader ~coeff
-              ~component ()
+            store_views ~on_corrupt ~prefetch ~ctx:tctx ~reader ~coeff ~component
           in
           let mul = match component with `Re -> 0 | `Im -> 1 in
-          Recover.coefficient ~ctx:tctx ?leakage ~strategy:(strategy ~coeff ~mul)
+          Recover.coefficient ~ctx:tctx ~leakage ~strategy:(strategy ~coeff ~mul)
             views)
 
-let recover_key_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
-    ?max_traces ?stop_report ~reader ~h strategy =
+let recover_key_store ?ctx ?on_corrupt ?prefetch ?leakage ?stop ?max_traces
+    ?stop_report ~reader ~h strategy =
   let n = Array.length h in
   let store_n = (Tracestore.Reader.meta reader).Tracestore.n in
   if store_n <> n then
@@ -337,8 +337,8 @@ let recover_key_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
           is FALCON-%d"
          store_n n);
   let f_fft =
-    recover_f_fft_store ?ctx ?jobs ?on_corrupt ?prefetch ?leakage ?stop
-      ?max_traces ?stop_report ~reader strategy
+    recover_f_fft_store ?ctx ?on_corrupt ?prefetch ?leakage ?stop ?max_traces
+      ?stop_report ~reader strategy
   in
   let f = Fft.round_to_int (Fft.ifft f_fft) in
   let keypair = Ntru.Ntrugen.recover_from_f ~n ~f ~h in

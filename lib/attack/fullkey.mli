@@ -17,7 +17,6 @@ type result = {
 
 val recover_f_fft :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
   ?leakage:Recover.leakage ->
   traces:Leakage.trace array ->
   n:int ->
@@ -27,13 +26,13 @@ val recover_f_fft :
     through multiplication 0 (c_re x f_re), the imaginary part through
     multiplication 1 (c_im x f_im).
 
-    [?jobs] fans the 2n independent per-coefficient attacks out across a
-    domain pool (leftover parallelism flows into the candidate sweeps);
-    the recovered transform is bit-identical at every [jobs] provided
-    [strategy] is pure per (coeff, mul) — e.g. builds any RNG it uses
-    from a (coeff, mul)-derived seed.
+    [ctx.jobs] fans the 2n independent per-coefficient attacks out
+    across a domain pool (leftover parallelism flows into the candidate
+    sweeps); the recovered transform is bit-identical at every [jobs]
+    provided [strategy] is pure per (coeff, mul) — e.g. builds any RNG
+    it uses from a (coeff, mul)-derived seed.
 
-    [?ctx] additionally carries the Pearson backend and an observability
+    [?ctx] also carries the distinguisher and an observability
     context: each task runs under a buffered child context whose events
     ("fullkey.task" spans labelled with coefficient and component, and
     everything the per-coefficient attack emits) are drained in task
@@ -42,7 +41,6 @@ val recover_f_fft :
 
 val recover_key :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
   ?leakage:Recover.leakage ->
   traces:Leakage.trace array ->
   h:int array ->
@@ -51,7 +49,6 @@ val recover_key :
 
 val recover_f_fft_store :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
   ?on_corrupt:[ `Fail | `Skip ] ->
   ?prefetch:bool ->
   ?leakage:Recover.leakage ->
@@ -66,9 +63,12 @@ val recover_f_fft_store :
     only its two 16-sample windows, so peak memory is bounded by one
     decoded shard per domain plus O(traces) extracted window floats —
     never the whole campaign.  Bit-identical to the in-memory path over
-    the same traces, at every [jobs].  [on_corrupt] and [prefetch] are
-    forwarded to {!Dema.Stream.extract}: by default a corrupt shard
-    fails the whole recovery loudly.
+    the same traces, at every [jobs].  [on_corrupt] (default [`Fail])
+    and [prefetch] (default [true]) are forwarded to
+    {!Dema.Stream.extract}: by default a corrupt shard fails the whole
+    recovery loudly.  Prefetch runs only at [ctx.jobs = 1]: at
+    [jobs > 1] the fan-out already overlaps that many streaming passes,
+    and a helper domain per pass would oversubscribe the cores.
 
     {b Adaptive budgets.}  With [?stop], the recovery becomes a single
     streaming pass with 2n live units: each still-undecided
@@ -81,20 +81,20 @@ val recover_f_fft_store :
     attack then runs on its buffered prefix.  [?max_traces] caps the
     campaign; [?stop_report] receives the per-unit traces-used summary.
     Stop points and the recovered transform are bit-identical across
-    [jobs], backends and prefetch settings.  Raises [Invalid_argument]
+    [jobs] and prefetch settings.  Raises [Invalid_argument]
     if [?stop] is combined with an [Exhaustive] strategy (the 2^25
     space cannot be re-scored at every look) or with [~leakage:`Hd]
     (every usable high-half bus transition takes the recovered d, so
     there is no d-free decision sweep); [?max_traces] and
     [?stop_report] are meaningful only with [?stop].
 
-    [?leakage] selects the hypothesis models the per-coefficient
-    attacks are matched against (see {!Recover.leakage}); attack a
+    [?leakage] (default [`Hw]) selects the hypothesis models the
+    per-coefficient attacks are matched against (see
+    {!Recover.leakage}); attack a
     bus-HD campaign ([Leakage.hd_emitter]) with [~leakage:`Hd]. *)
 
 val recover_key_store :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
   ?on_corrupt:[ `Fail | `Skip ] ->
   ?prefetch:bool ->
   ?leakage:Recover.leakage ->

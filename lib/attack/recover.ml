@@ -268,7 +268,7 @@ let default_exponent_window = Seq.init 64 (fun i -> 992 + i)
    all pass the tolerance, and the result is the plain mean over all
    views (arithmetic identical to the historical behaviour, so clean
    HW attacks are bit-for-bit unchanged).  Deterministic fold order, so
-   results stay bit-identical across jobs and backends. *)
+   results stay bit-identical across jobs. *)
 let calibrate_views ?(leakage = `Hw) views =
   let als =
     List.map
@@ -317,10 +317,8 @@ let hd_sign_exp_stage ~mant =
     (Fpr.Result_hi, Hypothesis.Model.fn (fun g y -> lo_word y lxor hi_word g y));
   ]
 
-let sign_exponent_multi ?ctx ?jobs ?leakage
+let sign_exponent_multi ?ctx:(c = Ctx.default ()) ?(leakage = `Hw)
     ?(exp_candidates = default_exponent_window) ~mant views =
-  let c = Ctx.resolve ?ctx ?jobs () in
-  let leakage = Option.value leakage ~default:c.Ctx.leakage in
   Obs.span c.Ctx.obs "recover.sign_exponent"
     ~fields:[ ("views", Obs.Int (List.length views)) ]
   @@ fun () ->
@@ -355,14 +353,11 @@ let sign_exponent_multi ?ctx ?jobs ?leakage
   | best :: _ -> (best.guess lsr 11, best.guess land 0x7FF, ranked)
   | [] -> invalid_arg "Recover.sign_exponent: empty candidate set"
 
-let attack_sign_exponent ?ctx ?jobs ?leakage ?exp_candidates ~mant v =
-  sign_exponent_multi ?ctx ?jobs ?leakage ?exp_candidates ~mant [ v ]
+let attack_sign_exponent ?ctx ?leakage ?exp_candidates ~mant v =
+  sign_exponent_multi ?ctx ?leakage ?exp_candidates ~mant [ v ]
 
-let attack_exponent ?ctx ?jobs ?candidates ~mant ~sign v =
-  let c = Ctx.resolve ?ctx ?jobs () in
-  let candidates =
-    match candidates with Some cs -> cs | None -> default_exponent_window
-  in
+let attack_exponent ?ctx:(c = Ctx.default ()) ?(candidates = default_exponent_window)
+    ~mant ~sign v =
   Obs.span c.Ctx.obs "recover.exponent" @@ fun () ->
   let alpha, baseline = calibrate_views [ v ] in
   let ranked =
@@ -384,9 +379,7 @@ type mantissa_result = {
   pruned : Dema.scored list;
 }
 
-let extend_prune_multi ?ctx ?jobs ?backend ~top ~candidates ~extend_stage ~prune_stage
-    views =
-  let c = Ctx.resolve ?ctx ?jobs ?backend () in
+let extend_prune_multi ~ctx:c ~top ~candidates ~extend_stage ~prune_stage views =
   let obs = c.Ctx.obs in
   let traces, idx = combine views in
   let extend_parts = spread_parts views extend_stage in
@@ -433,45 +426,38 @@ let high_stages ~d = function
       ( [ (Fpr.Mant_w01, p_hd_w01 ~d); (Fpr.Mant_w11, p_hd_w11 ~d) ],
         [ (Fpr.Mant_z1, p_hd_z1 ~d); (Fpr.Mant_zhigh, p_hd_zhigh ~d) ] )
 
-let mantissa_low_multi ?ctx ?jobs ?backend ?leakage ?(top = 16)
+let mantissa_low_multi ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ?(top = 16)
     ~candidates views =
-  let c = Ctx.resolve ?ctx ?jobs ?backend () in
-  let leakage = Option.value leakage ~default:c.Ctx.leakage in
   Obs.span c.Ctx.obs "recover.mantissa_low"
     ~fields:[ ("part", Obs.Str "low25"); ("views", Obs.Int (List.length views)) ]
     (fun () ->
       let extend_stage, prune_stage = low_stages leakage in
       extend_prune_multi ~ctx:c ~top ~candidates ~extend_stage ~prune_stage views)
 
-let attack_mantissa_low ?ctx ?jobs ?backend ?leakage ?top ~candidates v =
-  mantissa_low_multi ?ctx ?jobs ?backend ?leakage ?top ~candidates [ v ]
+let attack_mantissa_low ?ctx ?leakage ?top ~candidates v =
+  mantissa_low_multi ?ctx ?leakage ?top ~candidates [ v ]
 
-let attack_mantissa_low_naive ?ctx ?jobs ?backend ?(top = 16) ~candidates v =
-  let c = Ctx.resolve ?ctx ?jobs ?backend () in
-  Dema.rank ~ctx:c ~traces:v.traces
+let attack_mantissa_low_naive ?ctx ?(top = 16) ~candidates v =
+  Dema.rank ?ctx ~traces:v.traces
     ~parts:[ (sample Fpr.Mant_w00, p_w00); (sample Fpr.Mant_w10, p_w10) ]
     ~known:v.known ~top candidates
 
-let mantissa_high_multi ?ctx ?jobs ?backend ?leakage ?(top = 16)
+let mantissa_high_multi ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ?(top = 16)
     ~candidates ~d views =
-  let c = Ctx.resolve ?ctx ?jobs ?backend () in
-  let leakage = Option.value leakage ~default:c.Ctx.leakage in
   Obs.span c.Ctx.obs "recover.mantissa_high"
     ~fields:[ ("part", Obs.Str "high28"); ("views", Obs.Int (List.length views)) ]
     (fun () ->
       let extend_stage, prune_stage = high_stages ~d leakage in
       extend_prune_multi ~ctx:c ~top ~candidates ~extend_stage ~prune_stage views)
 
-let attack_mantissa_high ?ctx ?jobs ?backend ?leakage ?top ~candidates ~d v =
-  mantissa_high_multi ?ctx ?jobs ?backend ?leakage ?top ~candidates ~d [ v ]
+let attack_mantissa_high ?ctx ?leakage ?top ~candidates ~d v =
+  mantissa_high_multi ?ctx ?leakage ?top ~candidates ~d [ v ]
 
 type strategy =
   | Exhaustive
   | Eval_sampled of { rng : Stats.Rng.t; decoys : int; truth : Fpr.t }
 
-let coefficient ?ctx ?jobs ?backend ?leakage ~strategy views =
-  let c = Ctx.resolve ?ctx ?jobs ?backend () in
-  let leakage = Option.value leakage ~default:c.Ctx.leakage in
+let coefficient ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ~strategy views =
   Obs.span c.Ctx.obs "recover.coefficient"
     ~fields:[ ("views", Obs.Int (List.length views)) ]
   @@ fun () ->

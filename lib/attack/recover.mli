@@ -64,10 +64,8 @@ type leakage = [ `Hw | `Hd ]
 (** Which device model the hypothesis models are matched against:
     the idealized Hamming-weight probe (the default, matching
     [Leakage.default_emitter]) or bus Hamming-distance
-    ([Leakage.hd_emitter]).  Every component attack defaults this from
-    [ctx.Ctx.leakage] (itself [`Hw] by default); the [?leakage]
-    optionals below are deprecated per-call overrides kept for
-    compatibility. *)
+    ([Leakage.hd_emitter]).  Every component attack takes it as a
+    [?leakage] argument, [`Hw] by default. *)
 
 val hd_w10 : int -> Fpr.t -> int
 (** guess = D; predicted (D x B) xor (D x A) — the w10-sample bus
@@ -91,7 +89,7 @@ val norm_value : mant:int -> Fpr.t -> int
     runs on plain ints ([eval]) inside the fused Pearson kernel.  For
     every model, [eval g (prep y) = m_* g y] exactly (integer
     arithmetic), so rankings are bit-identical to the plain functions on
-    either backend. *)
+    either Pearson kernel. *)
 
 val p_sign : Fpr.t Hypothesis.Model.t
 val p_exp : Fpr.t Hypothesis.Model.t
@@ -150,7 +148,6 @@ val attack_sign : view -> int * float
 
 val attack_sign_exponent :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
   ?leakage:leakage ->
   ?exp_candidates:int Seq.t ->
   mant:int ->
@@ -160,7 +157,6 @@ val attack_sign_exponent :
 
 val sign_exponent_multi :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
   ?leakage:leakage ->
   ?exp_candidates:int Seq.t ->
   mant:int ->
@@ -174,7 +170,6 @@ val sign_exponent_multi :
 
 val attack_exponent :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
   ?candidates:int Seq.t ->
   mant:int ->
   sign:int ->
@@ -198,8 +193,6 @@ type mantissa_result = {
 
 val mantissa_low_multi :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?backend:Stats.Pearson.Batch.backend ->
   ?leakage:leakage ->
   ?top:int ->
   candidates:int Seq.t ->
@@ -208,8 +201,6 @@ val mantissa_low_multi :
 
 val attack_mantissa_low :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?backend:Stats.Pearson.Batch.backend ->
   ?leakage:leakage ->
   ?top:int ->
   candidates:int Seq.t ->
@@ -222,8 +213,6 @@ val attack_mantissa_low :
 
 val attack_mantissa_low_naive :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?backend:Stats.Pearson.Batch.backend ->
   ?top:int ->
   candidates:int Seq.t ->
   view ->
@@ -233,8 +222,6 @@ val attack_mantissa_low_naive :
 
 val mantissa_high_multi :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?backend:Stats.Pearson.Batch.backend ->
   ?leakage:leakage ->
   ?top:int ->
   candidates:int Seq.t ->
@@ -244,8 +231,6 @@ val mantissa_high_multi :
 
 val attack_mantissa_high :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?backend:Stats.Pearson.Batch.backend ->
   ?leakage:leakage ->
   ?top:int ->
   candidates:int Seq.t ->
@@ -265,19 +250,13 @@ type strategy =
 
 val coefficient :
   ?ctx:Ctx.t ->
-  ?jobs:int ->
-  ?backend:Stats.Pearson.Batch.backend ->
   ?leakage:leakage ->
   strategy:strategy ->
   view list ->
   Fpr.t
 (** Run all component attacks jointly over the given windows (typically
-    {!views_for}) and reassemble the 64-bit value.  [?jobs] (here and on
-    every ranking entry point above) sets the worker-domain count of the
-    underlying candidate sweeps — see {!Dema}; the output is
-    bit-identical at every [jobs].  [?backend] (on the mantissa rankings)
-    selects the scalar or batched Pearson kernel — also bit-identical,
-    see {!Stats.Pearson.Batch}.  [?ctx] ({!Ctx.t}) bundles both plus the
-    observability context; explicit [?jobs]/[?backend] override its
-    fields, and every ranking stays bit-identical with any sink
-    attached. *)
+    {!views_for}) and reassemble the 64-bit value.  [?ctx] ({!Ctx.t},
+    here and on every ranking entry point above) sets the worker-domain
+    count of the underlying candidate sweeps (see {!Dema}), the
+    distinguisher and the observability context; the output is
+    bit-identical at every [jobs] and with any sink attached. *)

@@ -28,7 +28,6 @@ module type S = sig
     (int * int * (Leakage.trace -> int)) list
 
   val codec : Dema.Stream.codec
-  val supports_stop : leakage -> bool
 
   val record_store :
     ?leakage:leakage ->
@@ -99,11 +98,6 @@ module Falcon = struct
      muls *)
   let profile_window ~n:_ = Leakage.events_per_mul
   let codec = Dema.Stream.falcon_codec
-
-  (* every usable high-half bus transition takes the recovered d, so
-     there is no d-free Hamming-distance decision sweep — the same
-     restriction Fullkey.recover_*_store enforces *)
-  let supports_stop = function `Hw -> true | `Hd -> false
 
   let emitter_of = function
     | `Hw -> Leakage.default_emitter
@@ -279,12 +273,6 @@ module Falcon = struct
 
   let recover_store ?ctx ?(leakage = `Hw) ?stop ?max_traces ?on_corrupt ?prefetch
       ~dir reader =
-    (match stop with
-    | Some _ when not (supports_stop leakage) ->
-        invalid_arg
-          "Target.falcon: ?stop is not available under `Hd leakage (no d-free \
-           Hamming-distance decision sweep)"
-    | _ -> ());
     let pk, truth_kp = read_keys dir in
     let truth_sk = Falcon.Scheme.secret_of_keypair truth_kp in
     let summary = ref None in
@@ -343,7 +331,6 @@ module Hqc_target = struct
 
   (* the HD hypothesis (the accumulator transition rot(u, p_j)) is
      prefix-free, so the decision sweep exists under both families *)
-  let supports_stop _ = true
 
   let check_n n =
     if n <> Hqc.Params.n_bits then
@@ -535,9 +522,8 @@ let find name =
    the owner domain, so the store is bit-identical across jobs and
    prefetch. *)
 
-let profile ?ctx ?leakage ?npoi ?ndim ?max_traces (module T : S) ~dir reader =
-  let c = Ctx.resolve ?ctx () in
-  let leakage = Option.value leakage ~default:c.Ctx.leakage in
+let profile ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ?on_corrupt ?prefetch ?npoi
+    ?ndim ?max_traces (module T : S) ~dir reader =
   let meta = Tracestore.Reader.meta reader in
   T.codec.Dema.Stream.check meta;
   let n = meta.Tracestore.n in
@@ -558,8 +544,7 @@ let profile ?ctx ?leakage ?npoi ?ndim ?max_traces (module T : S) ~dir reader =
   in
   let feed add =
     let fd =
-      Dema.Stream.shard_feed ~on_corrupt:c.Ctx.on_corrupt
-        ~prefetch:c.Ctx.prefetch ~codec:T.codec ?max_traces reader
+      Dema.Stream.shard_feed ?on_corrupt ?prefetch ~codec:T.codec ?max_traces reader
     in
     Fun.protect ~finally:(fun () -> fd.Dema.Stream.close ()) @@ fun () ->
     let rec loop () =

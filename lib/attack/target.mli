@@ -36,7 +36,7 @@ type outcome = {
           sidecar *)
   witness : string;
       (** canonical encoding of the recovered key material — bit-exact
-          comparable across [jobs] x backend x prefetch x leakage *)
+          comparable across [jobs] x prefetch x leakage *)
   units : int;  (** attacked units (2n for FALCON, weight for HQC) *)
   traces : int;  (** campaign traces consumed (max over units) *)
   stop : Sequential.Campaign.summary option;
@@ -81,11 +81,6 @@ module type S = sig
   val codec : Dema.Stream.codec
   (** decode for {!Dema.Stream} entry points over this target's
       stores *)
-
-  val supports_stop : leakage -> bool
-  (** whether {!recover_store} accepts [?stop] under that leakage
-      family (FALCON has no d-free Hamming-distance decision sweep;
-      HQC's HD hypothesis is prefix-free, so both families stop) *)
 
   val record_store :
     ?leakage:leakage ->
@@ -162,9 +157,11 @@ module type S = sig
   (** Recover the secret from a recorded campaign ([dir] locates the
       sidecars; the reader streams the traces).  Deterministic: the
       [witness] (and stop points, with [?stop]) are bit-identical
-      across [jobs], backends and prefetch.  Raises [Invalid_argument]
-      when [?stop] is passed but [supports_stop leakage] is false, and
-      [Failure] on missing/corrupt sidecars. *)
+      across [jobs] and prefetch.  Raises [Invalid_argument] when
+      [?stop] is passed under a combination the attack cannot stop on
+      (FALCON under [`Hd] — {!Fullkey.recover_f_fft_store} — or a
+      selection without a gap test), and [Failure] on missing/corrupt
+      sidecars. *)
 end
 
 module Falcon : S with type known = Leakage.trace
@@ -192,6 +189,8 @@ val find : string -> (module S) option
 val profile :
   ?ctx:Ctx.t ->
   ?leakage:leakage ->
+  ?on_corrupt:[ `Fail | `Skip ] ->
+  ?prefetch:bool ->
   ?npoi:int ->
   ?ndim:int ->
   ?max_traces:int ->
@@ -204,8 +203,9 @@ val profile :
     pooled covariance — see {!Profile.train}) over the target's
     {!S.profile_parts} plan, classing each observation by the Hamming
     weight of its true intermediate.  Scheme-generic — the same
-    function trains FALCON and HQC stores.  [?leakage] defaults from
-    [ctx.Ctx.leakage]; [?npoi]/[?ndim] override
+    function trains FALCON and HQC stores.  [?leakage] defaults to
+    [`Hw]; [?on_corrupt]/[?prefetch] are {!Dema.Stream.shard_feed}'s;
+    [?npoi]/[?ndim] override
     {!Profile.default_spec}.  Deterministic: shard order is the trace
     order, so the store is bit-identical across [jobs] and
     prefetch. *)

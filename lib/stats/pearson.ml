@@ -177,16 +177,6 @@ end
 module Batch = struct
   type backend = Scalar | Batched
 
-  let default =
-    Atomic.make
-      (match Sys.getenv_opt "FD_PEARSON" with
-      | Some v when String.lowercase_ascii v = "scalar" -> Scalar
-      | _ -> Batched)
-
-  let default_backend () = Atomic.get default
-  let set_default_backend b = Atomic.set default b
-  let resolve = function Some b -> b | None -> default_backend ()
-
   type hyp_block = {
     data : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
     capacity : int;

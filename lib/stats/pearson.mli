@@ -94,17 +94,9 @@ end
     by [test/test_pearson_batch.ml]. *)
 module Batch : sig
   type backend = Scalar | Batched
-
-  val default_backend : unit -> backend
-  (** Process-wide kernel choice used when a [?backend] argument is
-      omitted.  Initialised from the [FD_PEARSON] environment variable
-      ([scalar] selects the historical per-guess path; anything else,
-      including unset, selects the batched kernel). *)
-
-  val set_default_backend : backend -> unit
-
-  val resolve : backend option -> backend
-  (** [resolve b] is the idiom for optional [?backend] parameters. *)
+  (** The two Pearson kernels: the reference per-guess loop and the
+      fused register-tiled kernel.  Production sweeps run [Batched]; the
+      tests compare it against [Scalar] bit for bit. *)
 
   type hyp_block
 

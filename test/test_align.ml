@@ -210,7 +210,10 @@ let test_realign_store_deterministic () =
       close_out oc;
       let variant (jobs, prefetch) =
         let dst = Filename.concat tmp (Printf.sprintf "dst%d%b" jobs prefetch) in
-        let st = Align.realign_store ~jobs ~prefetch ~max_shift:2 ~src ~dst () in
+        let st =
+          Align.realign_store ~ctx:(Attack.Ctx.make ~jobs ()) ~prefetch ~max_shift:2 ~src
+            ~dst ()
+        in
         let r = Tracestore.Reader.open_store dst in
         let records = Array.of_seq (Tracestore.Reader.to_seq r) in
         Alcotest.(check bool)
@@ -245,7 +248,7 @@ let test_hd_fullkey_after_realign () =
   in
   let attack traces =
     let res =
-      Attack.Fullkey.recover_key ~jobs:2 ~leakage:`Hd ~traces
+      Attack.Fullkey.recover_key ~ctx:(Attack.Ctx.make ~jobs:2 ()) ~leakage:`Hd ~traces
         ~h:pk.Falcon.Scheme.h strategy
     in
     ( Attack.Fullkey.count_correct res.Attack.Fullkey.f_fft
@@ -256,7 +259,10 @@ let test_hd_fullkey_after_realign () =
   Alcotest.(check bool) "jitter degrades the unaligned attack" true
     (correct_un < 2 * n);
   let rows = Array.map (fun t -> t.Leakage.samples) jittered in
-  let rows, _ = Align.realign_rows ~jobs:2 ~max_shift:2 ~fill:model.Leakage.baseline rows in
+  let rows, _ =
+    Align.realign_rows ~ctx:(Attack.Ctx.make ~jobs:2 ()) ~max_shift:2
+      ~fill:model.Leakage.baseline rows
+  in
   let realigned =
     Array.map2 (fun t samples -> { t with Leakage.samples = samples }) jittered rows
   in
@@ -345,7 +351,7 @@ let test_realign_entries () =
 
 let test_metrics_hd_realign_condition () =
   let run condition =
-    Assess.Metrics.run ~jobs:2 ~condition
+    Assess.Metrics.run ~ctx:(Attack.Ctx.make ~jobs:2 ()) ~condition
       {
         Assess.Metrics.defense = `None;
         noise = sigma;

@@ -45,19 +45,22 @@ let test_tvla_jobs_and_store_invariant () =
     Assess.Campaign.generate `None ~noise:0.5 ~secret ~count:400 ~seed:3
   in
   let mem jobs =
-    Assess.Tvla.of_entries ~jobs ~classify:Assess.Tvla.fixed_vs_random entries
+    Assess.Tvla.of_entries ~ctx:(Attack.Ctx.make ~jobs ())
+      ~classify:Assess.Tvla.fixed_vs_random entries
   in
   let reference = mem 1 in
   Alcotest.(check bool) "jobs-invariant (1 vs 4)" true (tvla_result_eq (mem 4) reference);
   let _, _, _, reader = Assess.Campaign.open_store dir in
   let streamed =
-    Assess.Tvla.of_store ~jobs:3 ~classify:Assess.Tvla.fixed_vs_random reader
+    Assess.Tvla.of_store ~ctx:(Attack.Ctx.make ~jobs:3 ())
+      ~classify:Assess.Tvla.fixed_vs_random reader
   in
   Alcotest.(check bool) "store == memory, bit-identical" true
     (tvla_result_eq streamed reference);
   (* the null split must be deterministic too *)
   let rvr jobs =
-    Assess.Tvla.of_entries ~jobs ~classify:Assess.Tvla.random_vs_random entries
+    Assess.Tvla.of_entries ~ctx:(Attack.Ctx.make ~jobs ())
+      ~classify:Assess.Tvla.random_vs_random entries
   in
   Alcotest.(check bool) "null test jobs-invariant" true (tvla_result_eq (rvr 4) (rvr 1))
 
@@ -113,9 +116,9 @@ let test_metrics_invariances () =
       seed = 5;
     }
   in
-  let reference = Assess.Metrics.run ~jobs:1 config in
+  let reference = Assess.Metrics.run ~ctx:(Attack.Ctx.make ~jobs:1 ()) config in
   Alcotest.(check bool) "metrics jobs-invariant" true
-    (Assess.Metrics.run ~jobs:3 config = reference);
+    (Assess.Metrics.run ~ctx:(Attack.Ctx.make ~jobs:3 ()) config = reference);
   (* the recorded form of the same campaign evaluates identically: the
      secret convention (seed lxor 0x5eed) and the derived candidate
      seed are shared between run and of_store *)
@@ -128,7 +131,8 @@ let test_metrics_invariances () =
         ~count:(config.budget * config.experiments) ~seed:config.seed ~shard_traces:64
         ();
       let from_store =
-        Assess.Metrics.of_store ~jobs:2 ~experiments:config.experiments
+        Assess.Metrics.of_store ~ctx:(Attack.Ctx.make ~jobs:2 ())
+          ~experiments:config.experiments
           ~decoys:config.decoys dir
       in
       Alcotest.(check bool) "store == in-memory metrics" true (from_store = reference))
@@ -188,7 +192,8 @@ let test_json_roundtrip () =
 
 let test_matrix_report_validates () =
   let report =
-    Assess.Matrix.run ~jobs:2 ~defenses:[ `None ] ~sigmas:[ 0.8 ] ~budgets:[ 64 ]
+    Assess.Matrix.run ~ctx:(Attack.Ctx.make ~jobs:2 ()) ~defenses:[ `None ] ~sigmas:[ 0.8 ]
+      ~budgets:[ 64 ]
       ~experiments:2 ~decoys:16 ~seed:3 ()
   in
   let json = Assess.Matrix.to_json report in

@@ -86,7 +86,7 @@ let test_rank_jobs_parity () =
     (fun seed ->
       let traces, parts, known = random_problem seed in
       let rank jobs =
-        Attack.Dema.rank ~jobs ~traces ~parts ~known ~top:16
+        Attack.Dema.rank ~ctx:(Attack.Ctx.make ~jobs ()) ~traces ~parts ~known ~top:16
           (Seq.init 2000 (fun i -> i))
       in
       let want = rank 1 in
@@ -101,7 +101,8 @@ let test_rank_jobs_parity () =
 let test_rank_absolute_jobs_parity () =
   let traces, parts, known = random_problem 63 in
   let rank jobs =
-    Attack.Dema.rank_absolute ~jobs ~traces ~parts ~known ~top:16 ~alpha:1.0
+    Attack.Dema.rank_absolute ~ctx:(Attack.Ctx.make ~jobs ()) ~traces ~parts ~known ~top:16
+      ~alpha:1.0
       ~baseline:0.0
       (Seq.init 2000 (fun i -> i))
   in
@@ -124,8 +125,11 @@ let test_recover_f_fft_jobs_parity () =
     Attack.Recover.Eval_sampled
       { rng = Stats.Rng.create ~seed:(3000 + (coeff * 4) + mul); decoys = 64; truth }
   in
-  let seq = Attack.Fullkey.recover_f_fft ~jobs:1 ~traces ~n strategy in
-  let par = Attack.Fullkey.recover_f_fft ~jobs:4 ~traces ~n strategy in
+  let at jobs =
+    Attack.Fullkey.recover_f_fft ~ctx:(Attack.Ctx.make ~jobs ()) ~traces ~n strategy
+  in
+  let seq = at 1 in
+  let par = at 4 in
   Alcotest.(check bool) "bit-identical FFT(f)" true
     (seq.Fft.re = par.Fft.re && seq.Fft.im = par.Fft.im)
 

@@ -2,8 +2,7 @@
    tolerance, Pretty rendering under an injected clock, deterministic
    event streams from parallel fan-outs, and — the load-bearing
    property — observational transparency: every instrumented pipeline
-   returns bit-identical results with any sink, at every jobs level,
-   under both Pearson backends. *)
+   returns bit-identical results with any sink, at every jobs level. *)
 
 (* Deterministic injectable clock: monotone nanoseconds, domain-safe. *)
 let fake_ns () =
@@ -168,24 +167,20 @@ let candidates =
        (Stats.Rng.create ~seed:92)
        ~width:25 ~truth:d_true ~decoys:512 ())
 
-(* Every (jobs, backend, sink) combination the harness sweeps. *)
+(* Every (jobs, sink) combination the harness sweeps. *)
 let sweep check =
   List.iter
     (fun jobs ->
       List.iter
-        (fun backend ->
-          List.iter
-            (fun sink ->
-              let obs =
-                match sink with
-                | `Null -> Obs.null
-                | `Jsonl ->
-                    Obs.make ~clock:(fake_ns ())
-                      (Obs.Jsonl.to_buffer (Buffer.create 4096))
-              in
-              check (Attack.Ctx.make ~jobs ~backend ~obs ()))
-            [ `Null; `Jsonl ])
-        [ Stats.Pearson.Batch.Scalar; Stats.Pearson.Batch.Batched ])
+        (fun sink ->
+          let obs =
+            match sink with
+            | `Null -> Obs.null
+            | `Jsonl ->
+                Obs.make ~clock:(fake_ns ()) (Obs.Jsonl.to_buffer (Buffer.create 4096))
+          in
+          check (Attack.Ctx.make ~jobs ~obs ()))
+        [ `Null; `Jsonl ])
     [ 1; 4 ]
 
 let test_transparency_recover () =

@@ -224,18 +224,6 @@ let test_edge_shapes () =
        (Array.map (Stats.Pearson.corr_with c) rows5)
        (Stats.Pearson.Batch.corr_block c (Stats.Pearson.Batch.of_rows rows5)))
 
-let test_backend_default () =
-  let saved = Stats.Pearson.Batch.default_backend () in
-  Fun.protect
-    ~finally:(fun () -> Stats.Pearson.Batch.set_default_backend saved)
-    (fun () ->
-      Stats.Pearson.Batch.set_default_backend Stats.Pearson.Batch.Scalar;
-      Alcotest.(check bool) "resolve None follows default" true
-        (Stats.Pearson.Batch.resolve None = Stats.Pearson.Batch.Scalar);
-      Alcotest.(check bool) "resolve Some overrides" true
-        (Stats.Pearson.Batch.resolve (Some Stats.Pearson.Batch.Batched)
-        = Stats.Pearson.Batch.Batched))
-
 (* Allocation canary: a warm corr_block call over a large block must not
    allocate per guess x trace (the regression would be rebuilding a
    D-length vector per row, ~2 MB here).  The legitimate footprint is
@@ -261,15 +249,16 @@ let test_allocation_canary () =
     Alcotest.failf "corr_block allocated %.0f bytes for G=%d D=%d (expected O(G))"
       allocated g d
 
-(* ---- end-to-end pins: scalar and batched paths through the real
-   attack entry points must agree exactly, sequentially and parallel ---- *)
+(* ---- end-to-end pins: the real attack entry points must agree
+   exactly, sequentially and parallel (the scalar reference is pinned
+   against the same entry points in test_profile) ---- *)
 
 let scored_eq (a : Attack.Dema.scored) (b : Attack.Dema.scored) =
   a.guess = b.guess && bits_eq a.corr b.corr
 
 let ranking_eq a b = List.length a = List.length b && List.for_all2 scored_eq a b
 
-let test_extend_prune_backend_parity () =
+let test_extend_prune_jobs_parity () =
   let rng = Stats.Rng.create ~seed:2025 in
   let x = Fpr.make ~sign:0 ~exp:1026 ~mant:0x0A5C3017BC8F2 in
   let known =
@@ -283,29 +272,22 @@ let test_extend_prune_backend_parity () =
       (Stats.Rng.create ~seed:7)
       ~width:25 ~truth:d_true ~decoys:700 ()
   in
-  let run ~jobs ~backend =
-    Attack.Recover.attack_mantissa_low ~jobs ~backend
+  let run jobs =
+    Attack.Recover.attack_mantissa_low ~ctx:(Attack.Ctx.make ~jobs ())
       ~candidates:(Array.to_seq candidates) v
   in
-  let reference = run ~jobs:1 ~backend:Stats.Pearson.Batch.Scalar in
+  let reference = run 1 in
   Alcotest.(check int) "recovers the low mantissa" d_true reference.winner;
-  List.iter
-    (fun (jobs, backend, label) ->
-      let r = run ~jobs ~backend in
-      Alcotest.(check int) (label ^ ": same winner") reference.winner r.winner;
-      Alcotest.(check bool) (label ^ ": same extend ranking") true
-        (ranking_eq reference.extend r.extend);
-      Alcotest.(check bool) (label ^ ": same pruned ranking") true
-        (ranking_eq reference.pruned r.pruned))
-    [
-      (1, Stats.Pearson.Batch.Batched, "batched -j 1");
-      (4, Stats.Pearson.Batch.Scalar, "scalar -j 4");
-      (4, Stats.Pearson.Batch.Batched, "batched -j 4");
-    ]
+  let r = run 4 in
+  Alcotest.(check int) "-j 4: same winner" reference.winner r.winner;
+  Alcotest.(check bool) "-j 4: same extend ranking" true
+    (ranking_eq reference.extend r.extend);
+  Alcotest.(check bool) "-j 4: same pruned ranking" true
+    (ranking_eq reference.pruned r.pruned)
 
-(* Streaming rank through a real on-disk campaign: scalar and batched
-   backends, sequential and parallel, one identical top-k. *)
-let test_stream_rank_backend_parity () =
+(* Streaming rank through a real on-disk campaign: sequential and
+   parallel, prefetch on and off, one identical top-k. *)
+let test_stream_rank_jobs_parity () =
   let sk = fst (Falcon.Scheme.keygen ~n:16 ~seed:"pearson stream key") in
   let model = { Leakage.default_model with noise_sigma = 0.4 } in
   let traces = Leakage.capture model ~seed:78 sk ~count:30 in
@@ -345,21 +327,19 @@ let test_stream_rank_backend_parity () =
           (Attack.Recover.sample Fpr.Mant_z1a, Attack.Recover.p_z1a);
         ]
       in
-      let run ~jobs ~backend =
-        Attack.Dema.Stream.rank ~jobs ~backend reader ~parts
+      let run ~jobs ~prefetch =
+        Attack.Dema.Stream.rank ~ctx:(Attack.Ctx.make ~jobs ()) ~prefetch reader ~parts
           ~known:(fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0))
           ~top:6 (Array.to_seq candidates)
       in
-      let reference = run ~jobs:1 ~backend:Stats.Pearson.Batch.Scalar in
+      let reference = run ~jobs:1 ~prefetch:false in
       List.iter
-        (fun (jobs, backend, label) ->
-          Alcotest.(check bool) (label ^ " == scalar -j 1") true
-            (ranking_eq reference (run ~jobs ~backend)))
-        [
-          (1, Stats.Pearson.Batch.Batched, "batched -j 1");
-          (4, Stats.Pearson.Batch.Scalar, "scalar -j 4");
-          (4, Stats.Pearson.Batch.Batched, "batched -j 4");
-        ])
+        (fun (jobs, prefetch) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "-j %d prefetch %b == -j 1" jobs prefetch)
+            true
+            (ranking_eq reference (run ~jobs ~prefetch)))
+        [ (1, true); (4, false); (4, true) ])
 
 let suite =
   [
@@ -371,11 +351,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fused_segmented_matches_whole;
     QCheck_alcotest.to_alcotest prop_fused_split_matches_fold;
     Alcotest.test_case "edge shapes (G=0, G=1, partial tile)" `Quick test_edge_shapes;
-    Alcotest.test_case "backend default / resolve" `Quick test_backend_default;
     Alcotest.test_case "allocation canary (O(G), not O(GxD))" `Quick
       test_allocation_canary;
-    Alcotest.test_case "extend-and-prune backend parity" `Slow
-      test_extend_prune_backend_parity;
-    Alcotest.test_case "stream rank backend parity" `Quick
-      test_stream_rank_backend_parity;
+    Alcotest.test_case "extend-and-prune jobs parity" `Slow
+      test_extend_prune_jobs_parity;
+    Alcotest.test_case "stream rank jobs parity" `Quick test_stream_rank_jobs_parity;
   ]

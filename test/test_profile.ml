@@ -1,8 +1,8 @@
 (* The profiled template distinguisher and the Distinguisher.S seam:
-   Pearson instance parity with the historical rank path, profiled
-   scorer determinism across jobs / batch splits, template-store
-   round-trip with corruption rejection, and the pooled-covariance
-   symmetric-PSD property. *)
+   the scalar Pearson reference against the fused kernel and every
+   entry point that runs it, profiled scorer determinism across jobs /
+   batch splits, template-store round-trip with corruption rejection,
+   and the pooled-covariance symmetric-PSD property. *)
 
 let m25 = (1 lsl 25) - 1
 let budget = 300
@@ -118,37 +118,6 @@ let check_scores_equal what (g1, s1) (g2, s2) =
       if not (Float.equal v s2.(i)) then
         Alcotest.failf "%s: score %d differs (%.17g vs %.17g)" what i v s2.(i))
     s1
-
-let test_pearson_instance_parity () =
-  (* the two Pearson instances are bit-identical to each other and to
-     the historical rank path, at every jobs count and batch split *)
-  let ref_scores = drive Attack.Distinguisher.Pearson_scalar ~jobs:1 ~chunks:1 in
-  List.iter
-    (fun (sel, jobs, chunks) ->
-      check_scores_equal
-        (Printf.sprintf "%s j%d c%d" (Attack.Distinguisher.name sel) jobs chunks)
-        ref_scores
-        (drive sel ~jobs ~chunks))
-    [
-      (Attack.Distinguisher.Pearson_scalar, 2, 3);
-      (Attack.Distinguisher.Pearson_batched, 1, 1);
-      (Attack.Distinguisher.Pearson_batched, 4, 5);
-    ];
-  (* and Dema.rank through a Pearson ctx reports exactly these scores *)
-  let guesses, scores = ref_scores in
-  List.iter
-    (fun sel ->
-      List.iter
-        (fun (g, corr) ->
-          let i = ref (-1) in
-          Array.iteri (fun k v -> if v = g && !i < 0 then i := k) guesses;
-          if !i < 0 then Alcotest.failf "rank produced unknown guess %#x" g;
-          if not (Float.equal corr scores.(!i)) then
-            Alcotest.failf "rank(%s) score for %#x differs"
-              (Attack.Distinguisher.name sel)
-              g)
-        (scores_of_rank sel))
-    [ Attack.Distinguisher.Pearson_scalar; Attack.Distinguisher.Pearson_batched ]
 
 let test_profiled_determinism () =
   let sel = Attack.Distinguisher.Profiled (Lazy.force store) in
@@ -283,25 +252,25 @@ let rm_rf dir =
     Sys.rmdir dir
   end
 
-let with_falcon_stores f =
-  let clone = Filename.temp_dir "fd_profile_clone" "" in
-  let victim = Filename.temp_dir "fd_profile_victim" "" in
+let with_store ~prefix ~traces ~seed ~shard_traces f =
+  let dir = Filename.temp_dir prefix "" in
   Fun.protect
-    ~finally:(fun () ->
-      rm_rf clone;
-      rm_rf victim)
+    ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      Attack.Target.Falcon.record_store ~dir:clone ~n:8 ~traces:400 ~noise:0.5
-        ~seed:41 ~shard_traces:100 ();
-      Attack.Target.Falcon.record_store ~dir:victim ~n:8 ~traces:160 ~noise:0.5
-        ~seed:42 ~shard_traces:23 ();
-      let store =
-        Attack.Target.profile
-          (module Attack.Target.Falcon)
-          ~dir:clone
-          (Tracestore.Reader.open_store clone)
-      in
-      f store victim (Tracestore.Reader.open_store victim))
+      Attack.Target.Falcon.record_store ~dir ~n:8 ~traces ~noise:0.5 ~seed ~shard_traces
+        ();
+      f dir (Tracestore.Reader.open_store dir))
+
+let with_victim_store f =
+  with_store ~prefix:"fd_profile_victim" ~traces:160 ~seed:42 ~shard_traces:23 f
+
+let with_falcon_stores f =
+  with_store ~prefix:"fd_profile_clone" ~traces:400 ~seed:41 ~shard_traces:100
+  @@ fun clone clone_reader ->
+  let store =
+    Attack.Target.profile (module Attack.Target.Falcon) ~dir:clone clone_reader
+  in
+  with_victim_store (f store)
 
 let scores_by_guess guesses ranked =
   let tbl = Hashtbl.create (List.length ranked) in
@@ -367,9 +336,124 @@ let test_engine_routes_agree () =
         (fun jobs ->
           ( Printf.sprintf "rank_absolute j%d" jobs,
             scores_by_guess guesses
-              (Attack.Dema.rank_absolute ~jobs ~traces ~parts ~known ~top ~alpha:1.0
-                 ~baseline:10.0 (Array.to_seq guesses)) ))
+              (Attack.Dema.rank_absolute ~ctx:(Attack.Ctx.make ~jobs ()) ~traces ~parts
+                 ~known ~top ~alpha:1.0 ~baseline:10.0 (Array.to_seq guesses)) ))
         [ 1; 4 ])
+
+(* The scalar Pearson loop is the reference the fused kernel answers
+   to.  Over a FALCON-8 victim store (160 traces in uneven 23-trace
+   shards), for the low and high mantissa stages under both leakage
+   families, with split and plain forms of every model: the scalar and
+   batched instances driven by hand at jobs 1/4 x segment splits 1/4/7,
+   Dema.rank and Dema.Stream.rank at jobs 1/4 all score bit-identically
+   to the scalar instance at jobs 1 in one segment — and scalar and
+   batched Dema.Sweep report identical leaders and rankings at every
+   intermediate look of a shard-by-shard fold. *)
+let test_pearson_instance_parity () =
+  with_victim_store @@ fun dir reader ->
+  let width = (Tracestore.Reader.meta reader).Tracestore.width in
+  let traces, known =
+    Attack.Dema.Stream.extract reader ~samples:(List.init width Fun.id) ~known:Fun.id
+  in
+  let d = (Attack.Target.Falcon.truth ~n:8 ~dir).(0) in
+  let low_guesses =
+    Attack.Hypothesis.sampled (Stats.Rng.create ~seed:43) ~width:25 ~truth:d
+      ~decoys:300 ()
+  in
+  let high_guesses =
+    Attack.Hypothesis.sampled (Stats.Rng.create ~seed:44) ~width:28 ~lo:(1 lsl 27)
+      ~truth:(1 lsl 27) ~decoys:300 ()
+  in
+  let plain m = Attack.Hypothesis.Model.fn (Attack.Hypothesis.Model.apply m) in
+  (* unit 0's views: coefficient 0, real component, multiplications 0 and 3 *)
+  let view_parts form stage =
+    List.concat_map
+      (fun mul ->
+        List.map
+          (fun (lbl, m) ->
+            let m =
+              Attack.Hypothesis.Model.contramap
+                (fun (t : Leakage.trace) ->
+                  Attack.Fullkey.mul_known (t.c_fft.Fft.re.(0), t.c_fft.Fft.im.(0)) mul)
+                m
+            in
+            (Leakage.sample_of ~coeff:0 ~mul lbl, form m))
+          stage)
+      (Attack.Fullkey.component_muls `Re)
+  in
+  let scalar = Attack.Dema.pearson Stats.Pearson.Batch.Scalar in
+  let batched = Attack.Dema.pearson Stats.Pearson.Batch.Batched in
+  let splits = [ (1, 1); (1, 4); (1, 7); (4, 1); (4, 4); (4, 7) ] in
+  let check_set what guesses parts =
+    let top = Array.length guesses in
+    let by_hand instance ~jobs ~chunks =
+      drive_instance instance ~parts ~traces ~known ~guesses ~jobs ~chunks
+    in
+    let reference = by_hand scalar ~jobs:1 ~chunks:1 in
+    let check route got = check_scores_equal (what ^ " " ^ route) reference got in
+    List.iter
+      (fun (jobs, chunks) ->
+        let label arm = Printf.sprintf "%s j%d c%d" arm jobs chunks in
+        check (label "scalar") (by_hand scalar ~jobs ~chunks);
+        check (label "batched") (by_hand batched ~jobs ~chunks))
+      splits;
+    List.iter
+      (fun jobs ->
+        let ctx = Attack.Ctx.make ~jobs () in
+        check (Printf.sprintf "rank j%d" jobs)
+          (scores_by_guess guesses
+             (Attack.Dema.rank ~ctx ~traces ~parts ~known ~top (Array.to_seq guesses)));
+        check (Printf.sprintf "Stream.rank j%d" jobs)
+          (scores_by_guess guesses
+             (Attack.Dema.Stream.rank ~ctx reader ~parts ~known:Fun.id ~top
+                (Array.to_seq guesses))))
+      [ 1; 4 ];
+    (* the incremental form, one look per shard *)
+    let sweep backend =
+      Attack.Dema.Sweep.create ~backend ~parts:(List.map snd parts) guesses
+    in
+    let ref_sweep = sweep Stats.Pearson.Batch.Scalar in
+    let sweeps =
+      List.map (fun jobs -> (jobs, sweep Stats.Pearson.Batch.Batched)) [ 1; 4 ]
+    in
+    for sh = 0 to Tracestore.Reader.shard_count reader - 1 do
+      let rows =
+        Array.map (fun r -> Leakage.of_record ~n:8 r)
+          (Option.get (Tracestore.Reader.read_shard reader sh))
+      in
+      let batch =
+        Array.of_list
+          (List.map
+             (fun (s, _) ->
+               (Array.map (fun (t : Leakage.trace) -> t.samples.(s)) rows, rows))
+             parts)
+      in
+      Attack.Dema.Sweep.fold ref_sweep batch;
+      let leaders = Attack.Dema.Sweep.leaders ref_sweep in
+      let ranking = Attack.Dema.Sweep.ranking ref_sweep ~top:8 in
+      List.iter
+        (fun (jobs, sw) ->
+          Attack.Dema.Sweep.fold ~jobs sw batch;
+          if Attack.Dema.Sweep.leaders ~jobs sw <> leaders then
+            Alcotest.failf "%s: Sweep leaders differ at look %d, jobs %d" what sh jobs;
+          if Attack.Dema.Sweep.ranking ~jobs sw ~top:8 <> ranking then
+            Alcotest.failf "%s: Sweep ranking differs at look %d, jobs %d" what sh jobs)
+        sweeps
+    done
+  in
+  List.iter
+    (fun leakage ->
+      let lname = match leakage with `Hw -> "hw" | `Hd -> "hd" in
+      let low_x, low_p = Attack.Recover.low_stages leakage in
+      let high_x, high_p = Attack.Recover.high_stages ~d leakage in
+      List.iter
+        (fun (fname, form) ->
+          check_set (Printf.sprintf "low %s %s" lname fname) low_guesses
+            (view_parts form (low_x @ low_p));
+          check_set (Printf.sprintf "high %s %s" lname fname) high_guesses
+            (view_parts form (high_x @ high_p)))
+        [ ("split", Fun.id); ("plain", plain) ])
+    [ `Hw; `Hd ]
 
 let suite =
   [

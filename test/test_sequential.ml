@@ -2,8 +2,9 @@
    (Fisher z oddness/monotonicity, gap antisymmetry, alpha spending),
    tester/schedule unit tests, and the determinism contract of the
    adaptive sweeps — same store + seed + alpha must stop at the same
-   point with the same winner at every jobs value, backend and prefetch
-   setting, and an exhausted adaptive sweep must equal the fixed-budget
+   point with the same winner at every jobs value and prefetch setting
+   (scalar-vs-fused parity at every look is pinned in test_profile),
+   and an exhausted adaptive sweep must equal the fixed-budget
    ranking bitwise. *)
 
 let m25 = (1 lsl 25) - 1
@@ -191,11 +192,11 @@ let test_rank_until_deterministic () =
   let candidates = Array.init 24 (fun i -> 30 + i) in
   let parts = [ (0, synth_model) ] in
   let spec = Sequential.Decision.spec ~alpha:1e-3 ~min_traces:8 () in
-  let run ~jobs ~backend =
-    Attack.Dema.rank_until ~jobs ~backend ~spec ~batch:32 ~traces ~parts ~known
-      ~top:8 (Array.to_seq candidates)
+  let run jobs =
+    Attack.Dema.rank_until ~ctx:(Attack.Ctx.make ~jobs ()) ~spec ~batch:32 ~traces
+      ~parts ~known ~top:8 (Array.to_seq candidates)
   in
-  let reference = run ~jobs:1 ~backend:Stats.Pearson.Batch.Scalar in
+  let reference = run 1 in
   (match reference.Attack.Dema.stop with
   | Some s ->
       Alcotest.(check int) "stops on the true secret" 41
@@ -204,15 +205,10 @@ let test_rank_until_deterministic () =
         (reference.Attack.Dema.n_traces < 300)
   | None -> Alcotest.fail "clear synthetic signal did not stop");
   List.iter
-    (fun (jobs, backend) ->
-      if run ~jobs ~backend <> reference then
+    (fun jobs ->
+      if run jobs <> reference then
         Alcotest.failf "until record diverged at jobs %d" jobs)
-    [
-      (1, Stats.Pearson.Batch.Batched);
-      (2, Stats.Pearson.Batch.Scalar);
-      (2, Stats.Pearson.Batch.Batched);
-      (4, Stats.Pearson.Batch.Batched);
-    ]
+    [ 2; 4 ]
 
 (* {2 Store-backed adaptive sweeps} *)
 
@@ -275,28 +271,24 @@ let test_stream_rank_until () =
   in
   Alcotest.(check bool) "exhausted streaming adaptive = Stream.rank, bitwise" true
     (u.Attack.Dema.ranking = fixed);
-  (* a stopping configuration must be bit-identical across jobs,
-     backends and prefetch *)
+  (* a stopping configuration must be bit-identical across jobs and
+     prefetch *)
   let spec = Sequential.Decision.spec ~alpha:1e-3 ~min_traces:8 () in
-  let run ~jobs ~backend ~prefetch =
-    Attack.Dema.Stream.rank_until ~jobs ~backend ~prefetch ~spec reader
+  let run ~jobs ~prefetch =
+    Attack.Dema.Stream.rank_until ~ctx:(Attack.Ctx.make ~jobs ()) ~prefetch ~spec reader
       ~parts:low_parts ~known ~top:8 (Array.to_seq candidates)
   in
-  let reference = run ~jobs:1 ~backend:Stats.Pearson.Batch.Scalar ~prefetch:false in
+  let reference = run ~jobs:1 ~prefetch:false in
   (match reference.Attack.Dema.stop with
   | Some s ->
       Alcotest.(check int) "streaming stop recovers the truth" d_true
         s.Sequential.Decision.winner
   | None -> Alcotest.fail "low-noise streaming campaign did not stop");
   List.iter
-    (fun (jobs, backend, prefetch) ->
-      if run ~jobs ~backend ~prefetch <> reference then
+    (fun (jobs, prefetch) ->
+      if run ~jobs ~prefetch <> reference then
         Alcotest.failf "streaming until record diverged at jobs %d" jobs)
-    [
-      (2, Stats.Pearson.Batch.Scalar, true);
-      (2, Stats.Pearson.Batch.Batched, true);
-      (4, Stats.Pearson.Batch.Batched, false);
-    ];
+    [ (1, true); (2, true); (4, false) ];
   (* max_traces caps the budget the saved-trace accounting is charged
      against *)
   let capped =
@@ -313,11 +305,13 @@ let test_fullkey_adaptive () =
     Attack.Recover.Eval_sampled
       { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 128; truth }
   in
-  let fixed = Attack.Fullkey.recover_f_fft_store ~jobs:2 ~reader strategy in
+  let fixed =
+    Attack.Fullkey.recover_f_fft_store ~ctx:(Attack.Ctx.make ~jobs:2 ()) ~reader strategy
+  in
   let spec = Sequential.Decision.spec ~alpha:1e-4 ~min_traces:8 () in
   let summary = ref None in
   let adaptive =
-    Attack.Fullkey.recover_f_fft_store ~jobs:2 ~stop:spec
+    Attack.Fullkey.recover_f_fft_store ~ctx:(Attack.Ctx.make ~jobs:2 ()) ~stop:spec
       ~stop_report:(fun s -> summary := Some s)
       ~reader strategy
   in
@@ -334,7 +328,7 @@ let test_fullkey_adaptive () =
   | None -> Alcotest.fail "stop_report not called");
   let summary1 = ref None in
   let adaptive1 =
-    Attack.Fullkey.recover_f_fft_store ~jobs:1 ~stop:spec
+    Attack.Fullkey.recover_f_fft_store ~ctx:(Attack.Ctx.make ~jobs:1 ()) ~stop:spec
       ~stop_report:(fun s -> summary1 := Some s)
       ~reader strategy
   in
@@ -418,7 +412,7 @@ let suite =
     Alcotest.test_case "SPRT rule" `Quick test_sprt_rule;
     Alcotest.test_case "exhausted rank_until = rank, bitwise" `Quick
       test_rank_until_exhausted_equals_rank;
-    Alcotest.test_case "rank_until deterministic across jobs/backends" `Quick
+    Alcotest.test_case "rank_until deterministic across jobs 1/2/4" `Quick
       test_rank_until_deterministic;
     Alcotest.test_case "streaming rank_until: exhaustion + determinism" `Quick
       test_stream_rank_until;

@@ -139,11 +139,11 @@ let test_stream_rank_bit_identical () =
   let rows = Array.map (fun (t : Leakage.trace) -> t.samples) traces in
   let ks = Array.map (fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0)) traces in
   let mem jobs =
-    Attack.Dema.rank ~jobs ~traces:rows ~parts ~known:ks ~top:5
+    Attack.Dema.rank ~ctx:(Attack.Ctx.make ~jobs ()) ~traces:rows ~parts ~known:ks ~top:5
       (Array.to_seq candidates)
   in
   let streamed jobs =
-    Attack.Dema.Stream.rank ~jobs reader ~parts
+    Attack.Dema.Stream.rank ~ctx:(Attack.Ctx.make ~jobs ()) reader ~parts
       ~known:(fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0))
       ~top:5 (Array.to_seq candidates)
   in
@@ -163,7 +163,7 @@ let test_stream_evolution_matches_prefix_rescan () =
   let rows = Array.map (fun (t : Leakage.trace) -> t.samples) traces in
   let ks = Array.map (fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0)) traces in
   let streamed jobs =
-    Attack.Dema.Stream.evolution ~jobs reader
+    Attack.Dema.Stream.evolution ~ctx:(Attack.Ctx.make ~jobs ()) reader
       ~sample:(Attack.Recover.sample Fpr.Mant_w00)
       ~model:Attack.Recover.m_w00
       ~known:(fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0))
@@ -199,10 +199,14 @@ let test_fullkey_store_matches_memory () =
     Attack.Recover.Eval_sampled
       { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 32; truth }
   in
-  let mem = Attack.Fullkey.recover_f_fft ~jobs:1 ~traces ~n:16 strategy in
+  let mem =
+    Attack.Fullkey.recover_f_fft ~ctx:(Attack.Ctx.make ~jobs:1 ()) ~traces ~n:16 strategy
+  in
   List.iter
     (fun jobs ->
-      let st = Attack.Fullkey.recover_f_fft_store ~jobs ~reader strategy in
+      let st =
+        Attack.Fullkey.recover_f_fft_store ~ctx:(Attack.Ctx.make ~jobs ()) ~reader strategy
+      in
       Alcotest.(check bool)
         (Printf.sprintf "store FFT(f) == memory FFT(f) at -j %d" jobs)
         true
@@ -465,7 +469,8 @@ let test_prefetch_parity () =
   let candidates = candidates_for sk in
   let reader = Tracestore.Reader.open_store dir in
   let rank ~prefetch jobs =
-    Attack.Dema.Stream.rank ~jobs ~prefetch reader ~parts:(rank_parts ())
+    Attack.Dema.Stream.rank ~ctx:(Attack.Ctx.make ~jobs ()) ~prefetch reader
+      ~parts:(rank_parts ())
       ~known:known_re0 ~top:5 (Array.to_seq candidates)
   in
   let reference = rank ~prefetch:false 1 in
@@ -481,8 +486,7 @@ let test_prefetch_parity () =
 
 (* Rankings over 0, 1, 512 and 513 candidates — the empty, the single,
    an exactly-one-chunk and a one-past-a-chunk sweep — digested over
-   every entry's guess and score bits ([rank] and [Stream.rank] at both
-   Pearson backends). *)
+   every entry's guess and score bits. *)
 let ranking_digest ranked =
   Digest.to_hex
     (Digest.string
@@ -506,18 +510,13 @@ let candidate_count_digests sk traces reader =
   List.map
     (fun count ->
       let cands () = Array.to_seq (Array.sub pool 0 count) in
-      let per_backend f =
-        List.map f [ Stats.Pearson.Batch.Scalar; Stats.Pearson.Batch.Batched ]
-      in
       ( count,
-        per_backend (fun backend ->
-            ranking_digest
-              (Attack.Dema.rank ~backend ~traces:rows ~parts:(rank_parts ())
-                 ~known:ks ~top:600 (cands ()))),
-        per_backend (fun backend ->
-            ranking_digest
-              (Attack.Dema.Stream.rank ~backend reader ~parts:(rank_parts ())
-                 ~known:known_re0 ~top:600 (cands ()))),
+        ranking_digest
+          (Attack.Dema.rank ~traces:rows ~parts:(rank_parts ()) ~known:ks ~top:600
+             (cands ())),
+        ranking_digest
+          (Attack.Dema.Stream.rank reader ~parts:(rank_parts ()) ~known:known_re0
+             ~top:600 (cands ())),
         ranking_digest
           (Attack.Dema.rank_absolute ~traces:rows
              ~parts:[ (Attack.Recover.sample Fpr.Mant_w00, Attack.Recover.p_w00) ]
@@ -543,13 +542,13 @@ let test_candidate_count_goldens () =
       assert (count = count');
       List.iter
         (fun (what, got, want) ->
-          Alcotest.(check (list string))
+          Alcotest.(check string)
             (Printf.sprintf "%s over %d candidates" what count)
             want got)
         [
-          ("rank", r, [ pearson; pearson ]);
-          ("Stream.rank", s, [ pearson; pearson ]);
-          ("rank_absolute", [ a ], [ absolute ]);
+          ("rank", r, pearson);
+          ("Stream.rank", s, pearson);
+          ("rank_absolute", a, absolute);
         ])
     (candidate_count_digests sk traces reader)
     candidate_count_goldens
@@ -566,8 +565,8 @@ let test_fixed_sweep_is_lazy () =
   Gc.compact ();
   let before = (Gc.quick_stat ()).Gc.heap_words in
   let ranked =
-    Attack.Dema.rank ~jobs:1 ~traces:rows ~parts:(rank_parts ()) ~known:ks ~top:8
-      (Attack.Hypothesis.exhaustive ~width:20 ())
+    Attack.Dema.rank ~ctx:(Attack.Ctx.make ~jobs:1 ()) ~traces:rows ~parts:(rank_parts ())
+      ~known:ks ~top:8 (Attack.Hypothesis.exhaustive ~width:20 ())
   in
   let growth_mb =
     float_of_int (((Gc.quick_stat ()).Gc.heap_words - before) * (Sys.word_size / 8))

@@ -1,7 +1,7 @@
 (* Target framework: the differential parity suite (the FALCON attack
    routed through the scheme-agnostic Attack.Target interface must be
    bit-identical to the direct Fullkey/Dema path at every jobs x
-   backend x prefetch x leakage combination), property tests of the
+   prefetch x leakage combination), property tests of the
    Target contract (enumerator totality, key-reassembly round-trip,
    split-model / plain-model equivalence), and the HQC end-to-end
    determinism, early-stopping and Hd acceptance/rejection pins. *)
@@ -18,23 +18,10 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* the full determinism grid: jobs x backend x prefetch *)
-let grid =
-  List.concat_map
-    (fun jobs ->
-      List.concat_map
-        (fun backend -> [ (jobs, backend, false); (jobs, backend, true) ])
-        [ Stats.Pearson.Batch.Scalar; Stats.Pearson.Batch.Batched ])
-    [ 1; 2; 4 ]
-
-let cfg_label (jobs, backend, prefetch) =
-  Printf.sprintf "jobs %d %s prefetch %b" jobs
-    (match backend with
-    | Stats.Pearson.Batch.Scalar -> "scalar"
-    | Stats.Pearson.Batch.Batched -> "batched")
-    prefetch
-
-let ctx_of (jobs, backend, _) = Attack.Ctx.make ~jobs ~backend ()
+(* the full determinism grid: jobs x prefetch *)
+let grid = List.concat_map (fun jobs -> [ (jobs, false); (jobs, true) ]) [ 1; 2; 4 ]
+let cfg_label (jobs, prefetch) = Printf.sprintf "jobs %d prefetch %b" jobs prefetch
+let ctx_of (jobs, _) = Attack.Ctx.make ~jobs ()
 
 (* {2 FALCON differential parity} *)
 
@@ -92,7 +79,7 @@ let check_falcon_parity leakage () =
         (g.Attack.Fullkey.keypair <> None && g.Attack.Fullkey.f = kp.Ntru.Ntrugen.f);
       let golden_witness = witness_of_fft g.Attack.Fullkey.f_fft in
       List.iter
-        (fun ((_, _, prefetch) as cfg) ->
+        (fun ((_, prefetch) as cfg) ->
           let reader = Tracestore.Reader.open_store dir in
           let o =
             Attack.Target.Falcon.recover_store ~ctx:(ctx_of cfg) ~leakage
@@ -144,7 +131,7 @@ let test_falcon_ranking_parity () =
               ~decoys:256 ()
           in
           let rank cfg parts =
-            let _, _, prefetch = cfg in
+            let _, prefetch = cfg in
             Attack.Dema.Stream.rank ~ctx:(ctx_of cfg) ~prefetch
               (Tracestore.Reader.open_store dir)
               ~parts
@@ -152,7 +139,7 @@ let test_falcon_ranking_parity () =
               ~top:16 (Array.to_seq candidates)
           in
           let reference =
-            rank (1, Stats.Pearson.Batch.Scalar, false) (hand_parts ~leakage:`Hw unit_index)
+            rank (1, false) (hand_parts ~leakage:`Hw unit_index)
           in
           (match reference with
           | best :: _ ->
@@ -178,12 +165,6 @@ let test_falcon_ranking_parity () =
 
 let test_falcon_hd_stop_rejected () =
   with_falcon_store ~leakage:`Hd ~traces:16 (fun dir ->
-      Alcotest.(check bool)
-        "supports_stop hw" true
-        (Attack.Target.Falcon.supports_stop `Hw);
-      Alcotest.(check bool)
-        "supports_stop hd" false
-        (Attack.Target.Falcon.supports_stop `Hd);
       let reader = Tracestore.Reader.open_store dir in
       match
         Attack.Target.Falcon.recover_store ~leakage:`Hd
@@ -360,14 +341,14 @@ let with_hqc_store ?(leakage = `Hw) f =
       f dir)
 
 let hqc_recover ?stop ?leakage dir cfg =
-  let _, _, prefetch = cfg in
+  let _, prefetch = cfg in
   Attack.Target.Hqc.recover_store ~ctx:(ctx_of cfg) ?stop ?leakage ~prefetch ~dir
     (Tracestore.Reader.open_store dir)
 
 let test_hqc_e2e_determinism () =
   with_hqc_store (fun dir ->
       let truth = Attack.Target.Hqc.truth ~n:Hqc.Params.n_bits ~dir in
-      let reference = hqc_recover dir (1, Stats.Pearson.Batch.Scalar, false) in
+      let reference = hqc_recover dir (1, false) in
       Alcotest.(check bool) "recovers the secret" true
         reference.Attack.Target.success;
       Alcotest.(check string) "witness = encoded sidecar truth"
@@ -387,7 +368,7 @@ let test_hqc_stop_parity () =
   with_hqc_store (fun dir ->
       let stop = Sequential.Decision.spec ~alpha:1e-3 () in
       let reference =
-        hqc_recover ~stop dir (1, Stats.Pearson.Batch.Scalar, false)
+        hqc_recover ~stop dir (1, false)
       in
       Alcotest.(check bool) "adaptive run recovers the secret" true
         reference.Attack.Target.success;
@@ -408,13 +389,9 @@ let test_hqc_hd_acceptance () =
   (* hqc stops under both leakage families (the HD hypothesis is
      prefix-free), and an hd-recorded store is recovered under the hd
      model — including adaptively *)
-  Alcotest.(check bool) "supports_stop hw" true
-    (Attack.Target.Hqc.supports_stop `Hw);
-  Alcotest.(check bool) "supports_stop hd" true
-    (Attack.Target.Hqc.supports_stop `Hd);
   with_hqc_store ~leakage:`Hd (fun dir ->
       let o =
-        hqc_recover ~leakage:`Hd dir (2, Stats.Pearson.Batch.Batched, true)
+        hqc_recover ~leakage:`Hd dir (2, true)
       in
       Alcotest.(check bool) "hd store + hd model recovers" true
         o.Attack.Target.success;
@@ -422,7 +399,7 @@ let test_hqc_hd_acceptance () =
         hqc_recover
           ~stop:(Sequential.Decision.spec ~alpha:1e-3 ())
           ~leakage:`Hd dir
-          (1, Stats.Pearson.Batch.Scalar, false)
+          (1, false)
       in
       Alcotest.(check bool) "hd adaptive run recovers" true
         o_stop.Attack.Target.success;
@@ -433,13 +410,13 @@ let test_hqc_hd_rejection () =
   (* the mismatched model must not reconstruct the secret from an
      hw-recorded campaign *)
   with_hqc_store ~leakage:`Hw (fun dir ->
-      let o = hqc_recover ~leakage:`Hd dir (1, Stats.Pearson.Batch.Scalar, false) in
+      let o = hqc_recover ~leakage:`Hd dir (1, false) in
       Alcotest.(check bool) "hw store + hd model fails" false
         o.Attack.Target.success)
 
 let test_hqc_rejects_falcon_store () =
   with_falcon_store ~traces:16 (fun dir ->
-      match hqc_recover dir (1, Stats.Pearson.Batch.Scalar, false) with
+      match hqc_recover dir (1, false) with
       | _ -> Alcotest.fail "hqc recover accepted a FALCON store"
       | exception Failure _ -> ())
 
