@@ -661,20 +661,17 @@ let assess () =
   Printf.printf "wrote BENCH_assess.json\n"
 
 (* ---------------------------------------------------------------- *)
-(* Batched Pearson kernel: scalar corr_with rows versus Batch.corr_block
-   over block shapes (kernel-level, prebuilt hypotheses so only the
-   correlation arithmetic is timed), plus the end-to-end ranking sweep
-   on the scalar reference and the fused kernel through the same
-   Dema.Sweep path.  Every comparison also asserts bit-identity, the
-   ranking against Dema.rank's production top-32 as well.  Emits one
-   JSON row (BENCH_pearson.json). *)
+(* Batched Pearson kernel: the end-to-end ranking sweep on the scalar
+   reference and the fused kernel through the same Dema.Sweep path, and
+   where the fused sweep spends its time.  The rankings must be
+   bit-identical, and equal to Dema.rank's production top-32.  Emits
+   one JSON row (BENCH_pearson.json). *)
 
 let pearson () =
   section "Pearson — scalar vs batched distinguisher kernel";
   let v = Lazy.force paper_view in
   let traces = v.Attack.Recover.traces and known = v.Attack.Recover.known in
   let d = Array.length traces in
-  let c = Stats.Pearson.column_stats traces (Attack.Recover.sample Fpr.Mant_w00) in
   let guesses =
     Attack.Hypothesis.sampled
       (Stats.Rng.create ~seed:(seed + 77))
@@ -755,112 +752,14 @@ let pearson () =
   Printf.printf
     "batched rank breakdown (instrumented run): prep %.4f s, score %.4f s\n%!"
     rank_prep_s rank_score_s;
-  (* hypothesis rows prebuilt once: the timings below compare only the
-     correlation kernels, not the shared model-evaluation cost *)
-  let rows =
-    Array.map (Attack.Dema.hyp_vector ~model:Attack.Recover.m_w00 ~known) guesses
-  in
-  (* two scalar baselines: [corr] is Eq. (1) exactly as written (both
-     sides' moments recomputed per guess — the textbook distinguisher
-     loop), [corr_with] additionally hoists the column statistics (the
-     tightest scalar kernel in this repo) *)
-  let naive () = Array.map (fun h -> Stats.Pearson.corr c.Stats.Pearson.col h) rows in
-  let scalar () = Array.map (Stats.Pearson.corr_with c) rows in
-  let scalar_ref = scalar () in
-  let naive_identical = naive () = scalar_ref in
-  let block_rows = List.filter (fun r -> r <= g) [ 16; 64; 128; 512 ] in
-  (* pack the slices outside the timed region: one block per slice,
-     reused across the repetitions *)
-  let configs =
-    List.concat_map
-      (fun r ->
-        let slices =
-          let out = ref [] and lo = ref 0 in
-          while !lo < g do
-            let len = min r (g - !lo) in
-            out := Stats.Pearson.Batch.of_rows (Array.sub rows !lo len) :: !out;
-            lo := !lo + len
-          done;
-          List.rev !out
-        in
-        List.map (fun dblock -> (r, dblock, slices))
-          (List.sort_uniq compare [ 512; 2048; d ]))
-      block_rows
-  in
-  let run (_, dblock, slices) =
-    Array.concat
-      (List.map (fun b -> Stats.Pearson.Batch.corr_block ~dblock c b) slices)
-  in
-  let identical_all = ref naive_identical in
-  List.iter (fun cfg -> if run cfg <> scalar_ref then identical_all := false) configs;
-  (* interleaved min-of-rounds timing: scalar and every block shape are
-     measured once per round, so slow phases of a shared machine hit all
-     contestants alike instead of whichever ran last *)
-  let rounds = 7 in
-  let naive_s = ref infinity in
-  let scalar_s = ref infinity in
-  let cfg_s = Array.make (List.length configs) infinity in
-  for _ = 1 to rounds do
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (naive ()));
-    naive_s := Float.min !naive_s (Unix.gettimeofday () -. t0);
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (scalar ()));
-    scalar_s := Float.min !scalar_s (Unix.gettimeofday () -. t0);
-    List.iteri
-      (fun k cfg ->
-        let t0 = Unix.gettimeofday () in
-        ignore (Sys.opaque_identity (run cfg));
-        cfg_s.(k) <- Float.min cfg_s.(k) (Unix.gettimeofday () -. t0))
-      configs
-  done;
-  let naive_s = !naive_s and scalar_s = !scalar_s in
-  Printf.printf "scalar corr (Eq. 1 per guess) sweep: %.4f s (%.1f Mcorr-traces/s)\n%!"
-    naive_s
-    (float_of_int (g * d) /. naive_s /. 1e6);
-  Printf.printf "scalar corr_with (hoisted stats) sweep: %.4f s (%.1f Mcorr-traces/s)\n%!"
-    scalar_s
-    (float_of_int (g * d) /. scalar_s /. 1e6);
-  Printf.printf "block rows | dblock | time (s) | vs corr | vs corr_with | bit-identical\n";
-  Printf.printf "-----------+--------+----------+---------+--------------+--------------\n";
-  let results =
-    List.mapi
-      (fun k (r, dblock, _) ->
-        let s = cfg_s.(k) in
-        let speedup = naive_s /. s in
-        let speedup_hoisted = scalar_s /. s in
-        Printf.printf "%10d | %6d | %8.4f | %6.2fx | %11.2fx | %b\n%!" r dblock s
-          speedup speedup_hoisted !identical_all;
-        (r, dblock, s, speedup, speedup_hoisted))
-      configs
-  in
-  let best_speedup =
-    List.fold_left (fun a (_, _, _, s, _) -> Float.max a s) 0. results
-  in
-  let best_speedup_hoisted =
-    List.fold_left (fun a (_, _, _, _, s) -> Float.max a s) 0. results
-  in
-  identical_all := !identical_all && rank_identical;
   let oc = open_out "BENCH_pearson.json" in
   Printf.fprintf oc
     "{\"schema\":\"falcon-down/bench-pearson/v1\",\"section\":\"pearson\",\
      \"traces\":%d,\"guesses\":%d,\"jobs\":%d,\
      \"rank_scalar_s\":%.5f,\"rank_batched_s\":%.5f,\"rank_speedup\":%.2f,\
-     \"rank_prep_s\":%.5f,\"rank_score_s\":%.5f,\
-     \"scalar_corr_s\":%.5f,\"scalar_corr_with_s\":%.5f,\"blocks\":[%s],\
-     \"best_speedup\":%.2f,\"best_speedup_hoisted\":%.2f,\
-     \"bit_identical\":%b}\n"
+     \"rank_prep_s\":%.5f,\"rank_score_s\":%.5f,\"bit_identical\":%b}\n"
     d g jobs rank_scalar_s rank_batched_s rank_speedup rank_prep_s rank_score_s
-    naive_s scalar_s
-    (String.concat ","
-       (List.map
-          (fun (r, dblock, s, speedup, speedup_hoisted) ->
-            Printf.sprintf
-              "{\"rows\":%d,\"dblock\":%d,\"s\":%.5f,\"speedup\":%.2f,\
-               \"speedup_hoisted\":%.2f}"
-              r dblock s speedup speedup_hoisted)
-          results))
-    best_speedup best_speedup_hoisted !identical_all;
+    rank_identical;
   close_out oc;
   Printf.printf "wrote BENCH_pearson.json\n"
 

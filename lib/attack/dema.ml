@@ -184,7 +184,7 @@ end) : Distinguisher.S = struct
       sht = moments ();
       fused =
         (if scalar then [||]
-         else Array.init np (fun _ -> Fused.create ~rows:g ~ncols:1));
+         else Array.init np (fun _ -> Fused.create ~rows:g));
     }
 
   let fold a s =
@@ -217,12 +217,12 @@ end) : Distinguisher.S = struct
           else
             match s.srcs.(j) with
             | Tab (prepped, eval) ->
-                Fused.fold_split a.fused.(j) ~eval ~guesses:a.guesses ~prepped
-                  ~cols:[| col |] ~len
+                Fused.fold_split a.fused.(j) ~eval ~guesses:a.guesses ~prepped ~col
+                  ~len
             | App f ->
                 Fused.fold a.fused.(j)
                   ~gen:(fun r i -> f (Array.unsafe_get a.guesses r) i)
-                  ~cols:[| col |] ~len)
+                  ~col ~len)
         s.cols
 
   (* [corr_with]'s epilogue per (part, guess) against the plan's whole
@@ -245,7 +245,7 @@ end) : Distinguisher.S = struct
           done
         end
         else begin
-          let rs = Fused.corr a.fused.(j) ~index:0 ~n:p.n ~sum_t ~var_t in
+          let rs = Fused.corr a.fused.(j) ~n:p.n ~sum_t ~var_t in
           for r = 0 to g - 1 do
             out.(r) <- out.(r) +. Float.abs rs.(r)
           done
@@ -985,16 +985,13 @@ module Stream = struct
 end
 
 (* a correlation-vs-time matrix is Pearson by definition, so it runs
-   the blocked kernel under every selection *)
+   the scalar matrix kernel under every selection *)
 let corr_time ?ctx:(c = Ctx.default ()) ~traces ~model ~known ~guesses () =
   Obs.span c.Ctx.obs "dema.corr_time"
     ~fields:[ ("guesses", Obs.Int (Array.length guesses)) ]
     (fun () ->
-      let blk =
-        Hypothesis.Block.create ~rows:(Array.length guesses) ~cols:(Array.length known)
-      in
-      Stats.Pearson.Batch.corr_matrix_blocked ~traces
-        (Hypothesis.Block.fill blk ~model ~known guesses))
+      Stats.Pearson.corr_matrix ~traces
+        ~hyps:(Array.map (hyp_vector ~model ~known) guesses))
 
 let evolution ~traces ~sample ~model ~known ~guess ~step =
   let hyp = hyp_vector ~model ~known guess in

@@ -226,18 +226,6 @@ module Stream : sig
       [n * Leakage.events_per_coeff], records decode through
       {!Leakage.of_record} (FFT(c) recomputed from salt+message). *)
 
-  val map_shards :
-    ?ctx:Ctx.t ->
-    ?on_corrupt:[ `Fail | `Skip ] ->
-    ?prefetch:bool ->
-    ?codec:codec ->
-    Tracestore.Reader.t ->
-    (int -> Leakage.trace array -> 'a) ->
-    'a list
-  (** Decode every shard into full traces on the domain pool and return
-      per-shard results in shard order.  Raises [Failure] naming the
-      shard on an unreadable shard unless [~on_corrupt:`Skip]. *)
-
   val extract :
     ?ctx:Ctx.t ->
     ?on_corrupt:[ `Fail | `Skip ] ->
@@ -293,8 +281,8 @@ module Stream : sig
       one decode kept in flight on a helper domain when [?prefetch]
       (the default).  The delivered trace sequence is independent of
       [prefetch].  Unpulled shards are never decoded — the property
-      adaptive campaigns stop early on.  Raises like {!map_shards} on
-      corrupt shards under [`Fail]. *)
+      adaptive campaigns stop early on.  Raises [Failure] naming the
+      shard on a corrupt shard under [`Fail]. *)
 
   val rank_until :
     ?ctx:Ctx.t ->
@@ -345,10 +333,10 @@ val corr_time :
   guesses:int array ->
   unit ->
   float array array
-(** Correlation-versus-time matrix (one row per guess) — Fig. 4 (a-d),
-    on the blocked {!Stats.Pearson.Batch.corr_matrix_blocked} kernel
-    (bit-identical to the per-guess {!Stats.Pearson.corr_matrix}) under
-    every selection. *)
+(** Correlation-versus-time matrix (one row per guess) — Fig. 4 (a-d):
+    {!Stats.Pearson.corr_matrix} over each guess's {!hyp_vector}, under
+    every selection.  No traces give one empty row per guess; raises
+    [Invalid_argument] unless [known] has one operand per trace. *)
 
 val evolution :
   traces:float array array ->

@@ -57,58 +57,6 @@ module Model = struct
     | Split (prep, eval) -> Split ((fun j -> prep (f j)), eval)
 end
 
-(* ---- reusable hypothesis-block builder ----
-
-   The batched distinguisher scores a whole block of guesses against one
-   trace column ({!Stats.Pearson.Batch.corr_block}); this builder owns
-   the G x D Bigarray it fills, so a sweep pays one buffer per domain
-   instead of one [hyp_vector] allocation per guess.  Row r holds
-   [float (popcount (model guesses.(r) known.(i)))] — exactly the floats
-   of [Dema.hyp_vector], so the batched kernel sees bit-identical
-   inputs. *)
-module Block = struct
-  type t = Stats.Pearson.Batch.hyp_block
-
-  let create ~rows ~cols = Stats.Pearson.Batch.create ~rows ~cols
-
-  (* Per-domain scratch blocks, keyed by shape: a sweep asks for the
-     same (rows, cols) on every chunk, so each worker domain ends up
-     owning exactly one buffer that it refills for the whole sweep.
-     Blocks never cross domains — reuse is safe without locks. *)
-  let scratch_key : (int * int, t) Hashtbl.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Hashtbl.create 4)
-
-  let scratch ~rows ~cols =
-    let tbl = Domain.DLS.get scratch_key in
-    match Hashtbl.find_opt tbl (rows, cols) with
-    | Some b -> b
-    | None ->
-        let b = create ~rows ~cols in
-        Hashtbl.replace tbl (rows, cols) b;
-        b
-
-  let fill blk ~model ~known guesses =
-    let g = Array.length guesses and d = Array.length known in
-    if d <> Stats.Pearson.Batch.cols blk then
-      invalid_arg
-        (Printf.sprintf "Hypothesis.Block.fill: %d known operands, block has %d columns"
-           d
-           (Stats.Pearson.Batch.cols blk));
-    if g > Stats.Pearson.Batch.capacity blk then
-      invalid_arg
-        (Printf.sprintf "Hypothesis.Block.fill: %d guesses exceed block capacity %d" g
-           (Stats.Pearson.Batch.capacity blk));
-    Stats.Pearson.Batch.set_rows blk g;
-    for r = 0 to g - 1 do
-      let guess = Array.unsafe_get guesses r in
-      for i = 0 to d - 1 do
-        Stats.Pearson.Batch.unsafe_set blk r i
-          (float_of_int (Bitops.popcount (model guess (Array.unsafe_get known i))))
-      done
-    done;
-    blk
-end
-
 let exhaustive ~width ?(lo = 0) () =
   let hi = 1 lsl width in
   Seq.unfold (fun v -> if v >= hi then None else Some (v, v + 1)) lo

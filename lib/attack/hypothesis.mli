@@ -33,7 +33,8 @@ val sampled :
     (bit-slices of its significand, its exponent, a packed tuple...),
     [eval] combines it with the guess using integer arithmetic only.
     The sweep engines precompute [prep] over the known operands once per
-    sweep and drive the fused kernel with [eval] on plain [int]s —
+    sweep and drive {!Stats.Pearson.Batch.Fused.fold_split} with [eval]
+    on plain [int]s —
     {!fn} models work everywhere but repay the full per-element model
     cost on every guess.  The two forms must agree exactly (integers),
     which makes every backend bit-identical. *)
@@ -55,32 +56,6 @@ module Model : sig
   val contramap : ('j -> 'k) -> 'k t -> 'j t
   (** Precompose the known-operand side (e.g. index into a view's
       operand array); a split model stays split. *)
-end
-
-(** Reusable [G x D] hypothesis-block builder feeding the batched
-    Pearson kernel ({!Stats.Pearson.Batch}).  One {!fill} replaces [G]
-    per-guess [Dema.hyp_vector] allocations with writes into a single
-    flat buffer; row [r] holds exactly the floats of
-    [hyp_vector ~model ~known guesses.(r)], so batched scoring is
-    bit-identical to the scalar sweep. *)
-module Block : sig
-  type t = Stats.Pearson.Batch.hyp_block
-
-  val create : rows:int -> cols:int -> t
-  (** Fresh block with capacity for [rows] guesses of [cols] traces. *)
-
-  val scratch : rows:int -> cols:int -> t
-  (** The calling domain's reusable block of that shape — allocated on
-      first use, then returned again on every later call from the same
-      domain.  Never shared across domains; the caller must overwrite it
-      (via {!fill}) before reading. *)
-
-  val fill : t -> model:(int -> 'k -> int) -> known:'k array -> int array -> t
-  (** [fill blk ~model ~known guesses] writes the modelled leakage of
-      every guess (Hamming weights as floats, one row per guess),
-      declares [Array.length guesses] valid rows, and returns [blk].
-      Raises [Invalid_argument] if [known] does not match the block's
-      columns or there are more guesses than the block's capacity. *)
 end
 
 val exhaustive : width:int -> ?lo:int -> unit -> int Seq.t

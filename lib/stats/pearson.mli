@@ -1,10 +1,12 @@
-(** Pearson-correlation distinguisher kernels (Eq. (1) of the paper).
+(** Pearson correlation, Eq. (1) of the paper: one batched kernel and
+    its scalar references.
 
     A trace set is a [D x T] matrix [traces] (D traces of T samples); a
     hypothesis set is a [G x D] matrix [hyps] (for each of G guesses, the
-    modelled leakage of every trace).  All kernels are allocation-light
-    single-pass formulations so that the attack scales to the paper's
-    10k-trace experiments. *)
+    modelled leakage of every trace).  {!Batch.Fused} is the kernel the
+    attack sweeps run; {!corr}, {!corr_with}, {!corr_matrix} and
+    {!evolution} are the single-pass scalar formulations it is tested
+    against bit for bit, and the ones the Fig. 4 reports use directly. *)
 
 val corr : float array -> float array -> float
 (** Plain correlation of two equal-length vectors; 0 if either is
@@ -29,10 +31,10 @@ val corr_with : col_stats -> float array -> float
 val corr_matrix : traces:float array array -> hyps:float array array -> float array array
 (** [corr_matrix ~traces ~hyps] is the [G x T] matrix of correlations
     between each guess's modelled leakage and each time sample — the
-    paper's correlation-vs-time plots (Fig. 4 a-d). *)
-
-val corr_at_sample : traces:float array array -> hyps:float array array -> sample:int -> float array
-(** Correlations of every guess against one time sample (length G). *)
+    paper's correlation-vs-time plots (Fig. 4 a-d).  Row [g] is
+    bit-identical to [corr hyps.(g)] on each extracted column.  With no
+    traces ([D = 0]) it is [G] empty rows.  Raises [Invalid_argument] if
+    a hypothesis row's length is not [D]. *)
 
 val evolution :
   traces:float array array ->
@@ -45,105 +47,21 @@ val evolution :
     [d = step, 2*step, ...] — the paper's correlation-vs-measurement
     plots (Fig. 4 e-h). *)
 
-(** Streaming per-column correlation tracker: one {!Welford.Cov}
-    accumulator per trace column, fed one trace (hypothesis value +
-    sample row) at a time.  Correlation-vs-trace-count curves become a
-    sequence of {!corr} checkpoints on a single growing tracker — no
-    prefix rescans — and partial trackers built per shard merge in shard
-    order into the whole-campaign statistic (Chan's formula, associative
-    up to floating-point reassociation). *)
-module Streaming : sig
-  type t
-
-  val create : width:int -> t
-  (** Track [width] trace columns against one hypothesis stream. *)
-
-  val add : t -> hyp:float -> float array -> unit
-  (** [add t ~hyp row] folds one trace: its modelled leakage [hyp] and
-      its [width] measured samples.  Raises [Invalid_argument] on a
-      width mismatch. *)
-
-  val count : t -> int
-  val width : t -> int
-
-  val corr : t -> int -> float
-  (** Correlation at column [j] over everything folded so far. *)
-
-  val corr_all : t -> float array
-
-  val merge : t -> t -> t
-  (** Combine disjoint partial trackers; neither input is mutated. *)
-end
-
-(** Batched hypothesis-block distinguisher kernel.
-
-    A [hyp_block] is a [G x D] block of modelled leakage vectors (row r =
-    guess r) backed by one flat [Bigarray], so a sweep fills a single
-    reusable buffer instead of allocating one [hyp_vector] per guess.
-    {!corr_block} scores the whole block against one precomputed trace
-    column in a fused pass: per-row hypothesis moments and block-of-rows
-    dot products, register-blocked four rows at a time and cache-blocked
-    over the trace dimension.
-
-    {b Determinism contract.}  Each row's three accumulators receive
-    exactly the floating-point additions of {!corr_with}, in the same
-    trace order; blocking only interleaves updates of distinct
-    accumulators.  Hence [corr_block c b] is {e bit-identical} to
-    [Array.map (corr_with c) rows] for every block size, and
-    {!corr_matrix_blocked} is bit-identical to {!corr_matrix} — enforced
-    by [test/test_pearson_batch.ml]. *)
+(** The batched Pearson kernel: {!Fused}, the single-column tile every
+    production sweep scores with, and the {!backend} switch that selects
+    it or the scalar reference loop. *)
 module Batch : sig
   type backend = Scalar | Batched
   (** The two Pearson kernels: the reference per-guess loop and the
       fused register-tiled kernel.  Production sweeps run [Batched]; the
       tests compare it against [Scalar] bit for bit. *)
 
-  type hyp_block
-
-  val create : rows:int -> cols:int -> hyp_block
-  (** Fresh block with room for [rows] guesses of [cols] traces each;
-      all [rows] rows are initially declared valid (contents zero). *)
-
-  val rows : hyp_block -> int
-  (** Number of valid rows (see {!set_rows}); kernels score only these. *)
-
-  val cols : hyp_block -> int
-  val capacity : hyp_block -> int
-
-  val set_rows : hyp_block -> int -> unit
-  (** Declare how many leading rows hold live hypotheses — the idiom for
-      a reusable scratch block whose final chunk is short.  Raises
-      [Invalid_argument] outside [0 .. capacity]. *)
-
-  val set : hyp_block -> int -> int -> float -> unit
-  val get : hyp_block -> int -> int -> float
-
-  val unsafe_set : hyp_block -> int -> int -> float -> unit
-  (** Unchecked {!set} for hot fill loops ({!Attack.Hypothesis.Block});
-      the caller must have validated the shape once up front. *)
-
-  val of_rows : ?cols:int -> float array array -> hyp_block
-  (** Pack scalar hypothesis vectors into a block (testing / bench).
-      [cols] defaults to the first row's length and must be given for an
-      empty pack whose column count matters. *)
-
-  val row : hyp_block -> int -> float array
-  (** Copy row [r] back out as a scalar hypothesis vector. *)
-
-  val corr_block : ?dblock:int -> col_stats -> hyp_block -> float array
-  (** [corr_block c b] is the per-row Pearson correlation against the
-      precomputed column, bit-identical to [corr_with c] on each row.
-      [dblock] is the trace-dimension cache tile (default 2048 samples =
-      16 kB of column data); it affects performance only, never the
-      result.  Raises [Invalid_argument] if the column length differs
-      from the block's columns or [dblock < 1]. *)
-
-  (** Fused hypothesis/correlation kernel: no hypothesis block at all.
-      A row generator (or a precomputed per-trace table plus an integer
-      evaluator) produces the modelled {e integer} intermediate on the
-      fly and the register tile computes [float (popcount v)] inline, so
-      a sweep materialises neither per-guess [hyp_vector]s nor a
-      [G x D] block.
+  (** Fused hypothesis/correlation tile: [G] guesses scored against one
+      trace column.  A row generator (or a precomputed per-trace table
+      plus an integer evaluator) produces the modelled {e integer}
+      intermediate on the fly and a four-row register tile computes
+      [float (popcount v)] inline, so a sweep never materialises a
+      hypothesis vector and the hot loop allocates nothing.
 
       The accumulator state survives across {!fold} calls: a streaming
       sweep feeds the campaign one shard segment at a time (in shard
@@ -155,58 +73,40 @@ module Batch : sig
       {!corr} is bit-identical to the scalar path for every tiling,
       segmentation and entry point ([fold] vs [fold_split]), provided
       [eval g prepped.(i)] equals the generated intermediate exactly
-      (they are integers, so "exactly" is ordinary equality).  A
-      multi-column accumulator shares one set of hypothesis moments
-      across its columns — bit-identical to scoring each column
-      separately, because the shared accumulators see the very same
-      additions. *)
+      (they are integers, so "exactly" is ordinary equality).  Enforced
+      by [test/test_pearson_batch.ml]. *)
   module Fused : sig
     type t
 
-    val create : rows:int -> ncols:int -> t
-    (** Accumulator for [rows] guesses scored against [ncols] trace
-        columns (consecutive sweep parts sharing one model).  Raises
-        [Invalid_argument] if [rows < 0] or [ncols < 1]. *)
+    val create : rows:int -> t
+    (** Zeroed accumulator for [rows] guesses.  Raises
+        [Invalid_argument] if [rows < 0]. *)
 
-    val rows : t -> int
-    val ncols : t -> int
-
-    val fold : t -> gen:(int -> int -> int) -> cols:float array array -> len:int -> unit
-    (** [fold t ~gen ~cols ~len] accumulates one segment of [len]
+    val fold : t -> gen:(int -> int -> int) -> col:float array -> len:int -> unit
+    (** [fold t ~gen ~col ~len] accumulates one segment of [len]
         traces: [gen r i] is the modelled integer intermediate of guess
-        row [r] at segment-local trace [i], and [cols] holds this
-        segment of each scored column.  Raises [Invalid_argument] on a
-        column-count or length mismatch. *)
+        row [r] at segment-local trace [i], and [col] holds this
+        segment of the scored column.  Raises [Invalid_argument] if
+        [len < 0] or [col] is shorter than [len]. *)
 
     val fold_split :
       t ->
       eval:(int -> int -> int) ->
       guesses:int array ->
       prepped:int array ->
-      cols:float array array ->
+      col:float array ->
       len:int ->
       unit
     (** Split-model fast path: row [r] of the segment is
         [eval guesses.(r) prepped.(i)] with the guess hoisted out of the
         inner loop — use with {!Attack.Hypothesis.Model} prep tables.
-        Bit-identical to the equivalent {!fold}. *)
+        Bit-identical to the equivalent {!fold}.  Raises
+        [Invalid_argument] like {!fold}, and also unless there is one
+        guess per row and [prepped] covers the segment. *)
 
-    val corr : t -> index:int -> n:int -> sum_t:float -> var_t:float -> float array
-    (** Per-row correlations of column [index], finalised with the
-        whole-sweep column moments ([n] traces, column sum and n-scaled
-        variance) — exactly {!corr_with}'s epilogue.  Does not reset the
-        accumulator. *)
+    val corr : t -> n:int -> sum_t:float -> var_t:float -> float array
+    (** Per-row correlations, finalised with the whole-sweep column
+        moments ([n] traces, column sum and n-scaled variance) — exactly
+        {!corr_with}'s epilogue.  Does not reset the accumulator. *)
   end
-
-  val corr_matrix_blocked : traces:float array array -> hyp_block -> float array array
-  (** [G x T] correlation matrix of every block row against every time
-      sample — the blocked {!corr_matrix} for the Fig. 4 sweeps, with
-      per-sample column statistics hoisted across the guess loop.
-      Bit-identical to {!corr_matrix} on the same hypotheses. *)
 end
-
-val best_sample : float array -> int * float
-(** Index and value of the entry with the largest absolute value. *)
-
-val rank_guesses : float array -> int array
-(** Guess indices sorted by decreasing absolute correlation. *)

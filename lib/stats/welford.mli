@@ -51,7 +51,8 @@ end
     partial accumulators computed shard-by-shard (possibly on different
     domains) combine into exactly the statistic of the concatenated
     stream, up to floating-point reassociation (see the 1e-9 property
-    tests).  The building block of {!Pearson.Streaming}. *)
+    tests).  One per trace column gives a streaming correlation tracker
+    (see [Attack.Dema.Stream.evolution]). *)
 module Cov : sig
   type t
 

@@ -136,6 +136,21 @@ let test_corr_matrix_bit_exact () =
       done)
     hyps
 
+(* Bad input to corr_matrix is an [Invalid_argument], not an assert
+   (which -noassert would remove); no traces is a valid empty case. *)
+let test_corr_matrix_input_checks () =
+  let traces = [| [| 1.; 2. |]; [| 3.; 5. |]; [| 4.; 4. |] |] in
+  Alcotest.check_raises "ragged hypothesis row"
+    (Invalid_argument "Pearson.corr_matrix: a hypothesis row has 2 entries for 3 traces")
+    (fun () ->
+      ignore
+        (Stats.Pearson.corr_matrix ~traces ~hyps:[| [| 1.; 2.; 3. |]; [| 1.; 2. |] |]));
+  Alcotest.(check (array (array (float 0.))))
+    "D = 0: G empty rows" [| [||]; [||]; [||] |]
+    (Stats.Pearson.corr_matrix ~traces:[||] ~hyps:[| [||]; [||]; [||] |]);
+  Alcotest.(check int) "G = 0" 0
+    (Array.length (Stats.Pearson.corr_matrix ~traces ~hyps:[||]))
+
 let test_evolution_tail () =
   let rng = Stats.Rng.create ~seed:5 in
   let d = 64 in
@@ -323,6 +338,7 @@ let suite =
     Alcotest.test_case "corr_matrix agrees with corr" `Quick test_corr_matrix_agrees;
     Alcotest.test_case "corr_matrix bit-exact vs corr" `Quick
       test_corr_matrix_bit_exact;
+    Alcotest.test_case "corr_matrix input checks" `Quick test_corr_matrix_input_checks;
     Alcotest.test_case "evolution tail" `Quick test_evolution_tail;
     Alcotest.test_case "probit" `Quick test_probit;
     Alcotest.test_case "threshold" `Quick test_threshold;

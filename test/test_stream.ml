@@ -1,7 +1,7 @@
 (* Streaming (out-of-core) analysis engine: the property tests of the
-   determinism contract.  Streaming Pearson must equal the two-pass
-   computation to 1e-9; Welford.Cov / Pearson.Streaming merges must be
-   associative and split-point independent; shard-checkpointed evolution
+   determinism contract.  Streaming Pearson (one Welford.Cov per trace
+   column) must equal the two-pass computation to 1e-9; its merges must
+   be associative and split-point independent; shard-checkpointed evolution
    must match prefix rescans; and the store-backed rank / full-key paths
    must be bit-identical to the in-memory ones at every jobs value. *)
 
@@ -39,6 +39,17 @@ let with_campaign f =
       Tracestore.Writer.close w;
       f sk traces (Tracestore.Reader.open_store dir))
 
+(* A streaming per-column correlation tracker: one Welford.Cov per
+   trace column, every column fed the same hypothesis stream. *)
+let tracker ~hyps ~rows ~width lo hi =
+  let cols = Array.init width (fun _ -> Stats.Welford.Cov.create ()) in
+  for i = lo to hi - 1 do
+    Array.iteri (fun j acc -> Stats.Welford.Cov.add acc hyps.(i) rows.(i).(j)) cols
+  done;
+  cols
+
+let merge_trackers = Array.map2 Stats.Welford.Cov.merge
+
 let test_streaming_pearson_matches_two_pass () =
   let rng = Stats.Rng.create ~seed:31 in
   let d = 200 and width = 5 in
@@ -50,17 +61,17 @@ let test_streaming_pearson_matches_two_pass () =
             (float_of_int (j + 1) *. h) +. Stats.Rng.gaussian rng ~mu:0. ~sigma:2.))
       hyps
   in
-  let s = Stats.Pearson.Streaming.create ~width in
-  Array.iteri (fun i row -> Stats.Pearson.Streaming.add s ~hyp:hyps.(i) row) rows;
-  Alcotest.(check int) "count" d (Stats.Pearson.Streaming.count s);
-  for j = 0 to width - 1 do
-    let col = Array.map (fun r -> r.(j)) rows in
-    let two_pass = Stats.Pearson.corr hyps col in
-    if not (feq (Stats.Pearson.Streaming.corr s j) two_pass) then
-      Alcotest.failf "column %d: streaming %.12f vs two-pass %.12f" j
-        (Stats.Pearson.Streaming.corr s j)
-        two_pass
-  done
+  let s = tracker ~hyps ~rows ~width 0 d in
+  Array.iteri
+    (fun j acc ->
+      Alcotest.(check int) "count" d (Stats.Welford.Cov.count acc);
+      let col = Array.map (fun r -> r.(j)) rows in
+      let two_pass = Stats.Pearson.corr hyps col in
+      let streaming = Stats.Welford.Cov.correlation acc in
+      if not (feq streaming two_pass) then
+        Alcotest.failf "column %d: streaming %.12f vs two-pass %.12f" j streaming
+          two_pass)
+    s
 
 let test_streaming_merge_split_independent () =
   let rng = Stats.Rng.create ~seed:32 in
@@ -72,12 +83,15 @@ let test_streaming_merge_split_independent () =
         Array.init width (fun _ -> h +. Stats.Rng.gaussian rng ~mu:0. ~sigma:0.7))
       hyps
   in
-  let tracker lo hi =
-    let s = Stats.Pearson.Streaming.create ~width in
-    for i = lo to hi - 1 do
-      Stats.Pearson.Streaming.add s ~hyp:hyps.(i) rows.(i)
-    done;
-    s
+  let tracker = tracker ~hyps ~rows ~width in
+  let agree what a b =
+    Array.iteri
+      (fun j x ->
+        if
+          not
+            (feq (Stats.Welford.Cov.correlation x) (Stats.Welford.Cov.correlation b.(j)))
+        then Alcotest.failf "%s: col %d diverges" what j)
+      a
   in
   let whole = tracker 0 d in
   (* any split into consecutive chunks must merge back to the whole *)
@@ -90,37 +104,16 @@ let test_streaming_merge_split_independent () =
       in
       let merged =
         match pieces bounds with
-        | p :: ps -> List.fold_left Stats.Pearson.Streaming.merge p ps
+        | p :: ps -> List.fold_left merge_trackers p ps
         | [] -> assert false
       in
-      for j = 0 to width - 1 do
-        if
-          not
-            (feq
-               (Stats.Pearson.Streaming.corr merged j)
-               (Stats.Pearson.Streaming.corr whole j))
-        then
-          Alcotest.failf "split %s col %d diverges"
-            (String.concat "," (List.map string_of_int cuts))
-            j
-      done)
+      agree ("split " ^ String.concat "," (List.map string_of_int cuts)) merged whole)
     [ [ 60 ]; [ 17 ]; [ 40; 80 ]; [ 8; 16; 100 ] ];
   (* associativity: (a + b) + c == a + (b + c) *)
   let a = tracker 0 40 and b = tracker 40 80 and c = tracker 80 d in
-  let left =
-    Stats.Pearson.Streaming.merge (Stats.Pearson.Streaming.merge a b) c
-  in
-  let right =
-    Stats.Pearson.Streaming.merge a (Stats.Pearson.Streaming.merge b c)
-  in
-  for j = 0 to width - 1 do
-    if
-      not
-        (feq
-           (Stats.Pearson.Streaming.corr left j)
-           (Stats.Pearson.Streaming.corr right j))
-    then Alcotest.failf "merge not associative at col %d" j
-  done
+  agree "merge associativity"
+    (merge_trackers (merge_trackers a b) c)
+    (merge_trackers a (merge_trackers b c))
 
 let test_stream_rank_bit_identical () =
   with_campaign @@ fun sk traces reader ->
@@ -553,6 +546,66 @@ let test_candidate_count_goldens () =
     (candidate_count_digests sk traces reader)
     candidate_count_goldens
 
+(* Dema.corr_time, the Fig. 4 (a-d) matrices: Pearson.corr_matrix over
+   hyp_vector rows, bit for bit, on a fixed simulated multiplication
+   view under the sign and exponent models.  The goldens digest every
+   entry's float bits and were captured from the hypothesis-block
+   kernel that computed these matrices before corr_matrix did. *)
+let corr_time_x = Fpr.make ~sign:1 ~exp:1030 ~mant:0x2B7E151628AED
+
+let corr_time_view () =
+  let known =
+    Attack.Workload.known_inputs ~n:16 ~coeff:2 ~component:`Re ~count:120
+      ~seed:"corr_time golden"
+  in
+  Attack.Workload.mul_views Leakage.default_model (Stats.Rng.create ~seed:404)
+    ~x:corr_time_x ~known
+
+let matrix_digest m =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";"
+          (Array.to_list
+             (Array.map
+                (fun row ->
+                  String.concat ","
+                    (Array.to_list
+                       (Array.map
+                          (fun r -> Printf.sprintf "%Lx" (Int64.bits_of_float r))
+                          row)))
+                m))))
+
+let test_corr_time () =
+  let v = corr_time_view () in
+  let traces = v.Attack.Recover.traces and known = v.Attack.Recover.known in
+  let e = Fpr.biased_exponent corr_time_x in
+  List.iter
+    (fun (what, model, guesses, golden) ->
+      let m = Attack.Dema.corr_time ~traces ~model ~known ~guesses () in
+      let reference =
+        Stats.Pearson.corr_matrix ~traces
+          ~hyps:(Array.map (Attack.Dema.hyp_vector ~model ~known) guesses)
+      in
+      Alcotest.(check string)
+        (what ^ ": corr_time == corr_matrix over hyp_vector (bits)")
+        (matrix_digest reference) (matrix_digest m);
+      Alcotest.(check string) (what ^ ": golden") golden (matrix_digest m))
+    [
+      ("sign", Attack.Recover.m_sign, [| 0; 1 |], "066537a4dd35b18662a5a659fb74ca0a");
+      ( "exponent",
+        Attack.Recover.m_exp,
+        [| e; e - 1; e + 1; e - 7; e + 16 |],
+        "54e7e0351c8c5331d3551c2e8dd5bbd0" );
+    ];
+  Alcotest.(check int) "G = 0: empty matrix" 0
+    (Array.length
+       (Attack.Dema.corr_time ~traces ~model:Attack.Recover.m_sign ~known ~guesses:[||]
+          ()));
+  Alcotest.(check (array (array (float 0.))))
+    "D = 0: one empty row per guess" [| [||]; [||] |]
+    (Attack.Dema.corr_time ~traces:[||] ~model:Attack.Recover.m_sign ~known:[||]
+       ~guesses:[| 0; 1 |] ())
+
 (* A fixed-budget sweep reads the candidate sequence lazily in chunks:
    ranking all 2^20 20-bit guesses keeps the major heap within a few MB
    — a materialised candidate array plus per-guess state would need tens
@@ -608,4 +661,6 @@ let suite =
       test_candidate_count_goldens;
     Alcotest.test_case "fixed sweep reads candidates lazily" `Quick
       test_fixed_sweep_is_lazy;
+    Alcotest.test_case "corr_time == corr_matrix, goldens, empty shapes" `Quick
+      test_corr_time;
   ]
