@@ -285,7 +285,8 @@ let store_arg =
     ~doc:
       "Attack a sharded trace-store campaign (recorded with trace_cli) instead \
        of a single trace file, streaming shards so peak memory stays bounded by \
-       one shard per worker.  Overrides --input."
+       one shard per worker plus a window buffer of at most 8 shards' worth.  \
+       Overrides --input."
 
 let capture_cmd =
   Cmd.v

@@ -810,14 +810,17 @@ module Stream = struct
     end;
     results
 
+  let gather ~samples ~known (batch : Leakage.trace array) =
+    ( Array.map
+        (fun (t : Leakage.trace) -> Array.map (fun s -> t.samples.(s)) samples)
+        batch,
+      Array.map known batch )
+
   let extract ?ctx ?on_corrupt ?prefetch ?codec reader ~samples ~known =
     let samples = Array.of_list samples in
     let pieces =
       map_shards ?ctx ?on_corrupt ?prefetch ?codec reader (fun _ traces ->
-          ( Array.map
-              (fun (t : Leakage.trace) -> Array.map (fun s -> t.samples.(s)) samples)
-              traces,
-            Array.map known traces ))
+          gather ~samples ~known traces)
     in
     ( Array.concat (List.map fst pieces),
       Array.concat (List.map snd pieces) )

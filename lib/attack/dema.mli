@@ -226,6 +226,14 @@ module Stream : sig
       [n * Leakage.events_per_coeff], records decode through
       {!Leakage.of_record} (FFT(c) recomputed from salt+message). *)
 
+  val gather :
+    samples:int array ->
+    known:(Leakage.trace -> 'k) ->
+    Leakage.trace array ->
+    float array array * 'k array
+  (** One decoded batch's [|batch| x |samples|] window rows and known
+      operands, in batch order — the per-shard step of {!extract}. *)
+
   val extract :
     ?ctx:Ctx.t ->
     ?on_corrupt:[ `Fail | `Skip ] ->

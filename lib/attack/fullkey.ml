@@ -10,45 +10,60 @@ type result = {
 let component_muls = function `Re -> [ 0; 3 ] | `Im -> [ 1; 2 ]
 let mul_known (re, im) = function 0 | 2 -> re | _ -> im
 
+(* The unit order every driver shares: task [t] attacks coefficient
+   [t / 2], its real part on even [t]. *)
+let unit_of t = (t lsr 1, if t land 1 = 0 then `Re else `Im)
+let mul_of = function `Re -> 0 | `Im -> 1
+
 (* Fan the 2n independent (coefficient, component) attacks across the
-   pool; leftover parallelism goes to the candidate sweeps inside.  Each
-   task runs under a [Obs.buffered] child context (single-owner, one per
-   task) and returns it with its result; the children are drained in
-   task order after the join, so the merged event stream is
-   deterministic at every [jobs] — the Obs ownership contract. *)
-let fan_tasks ~ctx ~n task =
+   pool, [per_pass] units at a time; leftover parallelism goes to the
+   candidate sweeps inside.  [inputs ~lo ~hi] runs once per pass, before
+   its units, and returns the views builder of units [lo, hi).  Each
+   task runs the unchanged per-coefficient attack on its unit's views
+   under a [Obs.buffered] child context (single-owner, one per task),
+   returned with its result; the children are drained in task order
+   after each pass's join, so the merged event stream is deterministic
+   at every [jobs] — the Obs ownership contract. *)
+let recover_units ~ctx ?leakage ~n ~per_pass strategy inputs =
   let obs = ctx.Ctx.obs in
   let tasks = 2 * n in
-  let outer = min ctx.Ctx.jobs tasks in
-  let inner = max 1 (ctx.Ctx.jobs / max outer 1) in
   let done_ = Atomic.make 0 in
-  let results =
-    Parallel.map_array ~jobs:outer
-      (fun t ->
-        let child = Obs.buffered obs in
-        let tctx = Ctx.with_obs child (Ctx.with_jobs inner ctx) in
-        let k = t lsr 1 in
-        let component = if t land 1 = 0 then `Re else `Im in
-        let r =
-          Obs.span child "fullkey.task"
-            ~fields:
-              [
-                ("coeff", Obs.Int k);
-                ("component", Obs.Str (match component with `Re -> "re" | `Im -> "im"));
-              ]
-            (fun () -> task ~tctx ~coeff:k ~component)
-        in
-        if Obs.enabled obs then
-          Obs.progress ~total:tasks obs "coefficients"
-            (1 + Atomic.fetch_and_add done_ 1);
-        (r, child))
-      (Array.init tasks Fun.id)
-  in
-  Array.iter (fun (_, child) -> Obs.drain ~into:obs child) results;
   let out = Fft.zero n in
-  for k = 0 to n - 1 do
-    out.Fft.re.(k) <- fst results.(2 * k);
-    out.Fft.im.(k) <- fst results.((2 * k) + 1)
+  for p = 0 to (tasks - 1) / per_pass do
+    let lo = p * per_pass in
+    let hi = min tasks (lo + per_pass) in
+    let views = inputs ~lo ~hi in
+    let outer = min ctx.Ctx.jobs (hi - lo) in
+    let inner = max 1 (ctx.Ctx.jobs / max outer 1) in
+    let results =
+      Parallel.map_array ~jobs:outer
+        (fun t ->
+          let child = Obs.buffered obs in
+          let tctx = Ctx.with_obs child (Ctx.with_jobs inner ctx) in
+          let coeff, component = unit_of t in
+          let r =
+            Obs.span child "fullkey.task"
+              ~fields:
+                [
+                  ("coeff", Obs.Int coeff);
+                  ("component", Obs.Str (match component with `Re -> "re" | `Im -> "im"));
+                ]
+              (fun () ->
+                Recover.coefficient ~ctx:tctx ?leakage
+                  ~strategy:(strategy ~coeff ~mul:(mul_of component))
+                  (views t ~coeff ~component))
+          in
+          if Obs.enabled obs then
+            Obs.progress ~total:tasks obs "coefficients" (1 + Atomic.fetch_and_add done_ 1);
+          (r, child))
+        (Array.init (hi - lo) (( + ) lo))
+    in
+    Array.iteri
+      (fun i (r, child) ->
+        Obs.drain ~into:obs child;
+        let coeff, component = unit_of (lo + i) in
+        (match component with `Re -> out.Fft.re | `Im -> out.Fft.im).(coeff) <- r)
+      results
   done;
   out
 
@@ -56,11 +71,9 @@ let recover_f_fft ?ctx:(c = Ctx.default ()) ?leakage ~traces ~n strategy =
   Obs.span c.Ctx.obs "fullkey.recover_f_fft"
     ~fields:[ ("n", Obs.Int n); ("jobs", Obs.Int c.Ctx.jobs) ]
   @@ fun () ->
-  fan_tasks ~ctx:c ~n (fun ~tctx ~coeff ~component ->
-      let views = Recover.views_for traces ~coeff ~component in
-      let mul = match component with `Re -> 0 | `Im -> 1 in
-      Recover.coefficient ~ctx:tctx ?leakage ~strategy:(strategy ~coeff ~mul)
-        views)
+  recover_units ~ctx:c ?leakage ~n ~per_pass:(2 * n) strategy
+    (fun ~lo:_ ~hi:_ _ ~coeff ~component ->
+      Recover.views_for traces ~coeff ~component)
 
 let recover_key ?ctx ?leakage ~traces ~h strategy =
   let n = Array.length h in
@@ -69,59 +82,58 @@ let recover_key ?ctx ?leakage ~traces ~h strategy =
   let keypair = Ntru.Ntrugen.recover_from_f ~n ~f ~h in
   { f_fft; f; keypair }
 
-(* ---- out-of-core variant over a Tracestore campaign ----
+(* ---- out-of-core variants over a Tracestore campaign ----
 
-   One streaming pass per (coefficient, component) task extracts just
-   that task's two 16-sample windows and known operands — O(D) floats —
-   then runs the unchanged per-coefficient attack on them.  Extraction
-   is arithmetic-free and in shard order, so the views are exactly the
-   ones [Recover.views_for] builds from the in-memory corpus and the
-   recovered key is bit-identical to [recover_key] at every [jobs];
-   peak memory is one decoded shard per domain plus the extracted
-   windows, never the whole campaign. *)
-let store_views ~on_corrupt ~prefetch ~ctx ~reader ~coeff ~component =
-  let muls = component_muls component in
-  let samples =
-    List.concat_map
-      (fun m ->
-        List.init Leakage.events_per_mul (fun i ->
-            (coeff * Leakage.events_per_coeff) + (m * Leakage.events_per_mul) + i))
-      muls
-  in
-  let known (t : Leakage.trace) =
-    (t.c_fft.Fft.re.(coeff), t.c_fft.Fft.im.(coeff))
-  in
-  let narrow, ks =
-    Dema.Stream.extract ~ctx:(Ctx.sequential ctx) ~on_corrupt ~prefetch reader
-      ~samples ~known
-  in
+   Both store drivers gather many units' inputs from one streaming
+   pass: each decoded shard yields every unit's two 16-sample windows
+   and FFT(c) known operands ([Dema.Stream.gather]), and [recover_units]
+   runs the unchanged per-coefficient attack on each unit's slice.
+   They differ only in whether the pass also folds decision sweeps that
+   let a unit stop early.  Extraction is arithmetic-free and in shard
+   order, so every unit's views are the ones [Recover.views_for] builds
+   in memory and the key is bit-identical to [recover_key] at every
+   [jobs].  The adaptive driver buffers each live unit's prefix, up to
+   D x 2n x 32 floats.  The fixed-budget one takes as many whole
+   coefficients per pass as fit in [window_shards] decoded shards' worth
+   of floats (all of them, in one pass, unless the campaign spans more
+   than about [window_shards] shards), so its peak memory is that
+   buffer plus one decoded shard per domain. *)
+let window_shards = 8
+
+(* A unit's 32 absolute sample indices, in view order. *)
+let unit_samples ~coeff ~component =
+  List.concat_map
+    (fun m ->
+      List.init Leakage.events_per_mul (fun i ->
+          (coeff * Leakage.events_per_coeff) + (m * Leakage.events_per_mul) + i))
+    (component_muls component)
+
+(* A unit's views from window rows holding its [unit_samples] at
+   columns [off ..] and each trace's (c_re, c_im) of its coefficient. *)
+let unit_views ~component ~off rows ks =
   List.mapi
     (fun vi m ->
-      let lo = vi * Leakage.events_per_mul in
+      let lo = off + (vi * Leakage.events_per_mul) in
       {
         Recover.traces =
-          Array.map (fun row -> Array.sub row lo Leakage.events_per_mul) narrow;
-        known =
-          Array.map (fun (re, im) -> match m with 0 | 2 -> re | _ -> im) ks;
+          Array.map (fun row -> Array.sub row lo Leakage.events_per_mul) rows;
+        known = Array.map (fun k -> mul_known k m) ks;
       })
-    muls
+    (component_muls component)
 
 (* ---- adaptive (early-stopping) variant ----
 
-   One single streaming pass over the campaign with 2n live units (vs
-   one pass per task above): each batch is decoded once and every
-   still-undecided unit extracts its two windows from it, buffers them
-   (the prefix its final attack will run on) and folds two incremental
-   decision sweeps — low mantissa half on [w00; w10; z1a] over the
-   width-25 candidate set (z1a is what breaks the exact shift-alias
-   ties of w00/w10) and high half on [w01; w11] over the width-28
-   candidates (whose [lo] excludes shift aliases, so no d-dependent
-   part is needed).  The unit's reported gap is the {e weaker} of the
-   two sweeps' standardised gaps, so a stop certifies both halves
-   separated at the spent level.  Once stopped, the unit is retired:
-   its buffer stops growing and later batches skip its scoring
-   entirely.  The unchanged per-coefficient attack then runs on each
-   unit's buffered prefix.
+   Each batch is decoded once and every still-undecided unit extracts
+   its two windows from it, buffers them (the prefix its final attack
+   will run on) and folds two incremental decision sweeps — low
+   mantissa half on [w00; w10; z1a] over the width-25 candidate set
+   (z1a is what breaks the exact shift-alias ties of w00/w10) and high
+   half on [w01; w11] over the width-28 candidates (whose [lo] excludes
+   shift aliases, so no d-dependent part is needed).  The unit's
+   reported gap is the {e weaker} of the two sweeps' standardised gaps,
+   so a stop certifies both halves separated at the spent level.  Once
+   stopped, the unit is retired: its buffer stops growing and later
+   batches skip its scoring entirely.
 
    Determinism: batches arrive in shard order whatever the prefetch
    setting, each unit's sweeps are folded only by its own unit in batch
@@ -144,8 +156,8 @@ let decision_candidates strategy ~coeff ~mul =
       )
 
 type unit_state = {
-  u_samples : int array;  (* 32 absolute sample indices, window order *)
-  u_muls : int list;
+  u_samples : int array;  (* [unit_samples], as an array *)
+  u_component : [ `Re | `Im ];
   (* buffered prefix, newest segment first: (D_b x 32 window rows, knowns) *)
   u_segs : (float array array * (Fpr.t * Fpr.t) array) list ref;
   u_low : Fpr.t Dema.Sweep.t;
@@ -154,25 +166,13 @@ type unit_state = {
 
 let make_unit strategy ~coeff ~component =
   let muls = component_muls component in
-  let samples =
-    Array.of_list
-      (List.concat_map
-         (fun m ->
-           List.init Leakage.events_per_mul (fun i ->
-               (coeff * Leakage.events_per_coeff) + (m * Leakage.events_per_mul)
-               + i))
-         muls)
+  let low_cands, high_cands =
+    decision_candidates strategy ~coeff ~mul:(mul_of component)
   in
-  let mul = match component with `Re -> 0 | `Im -> 1 in
-  let low_cands, high_cands = decision_candidates strategy ~coeff ~mul in
-  let spread models =
-    List.concat_map
-      (fun m -> List.map (fun _ -> m) muls)
-      models
-  in
+  let spread = List.concat_map (fun m -> List.map (fun _ -> m) muls) in
   {
-    u_samples = samples;
-    u_muls = muls;
+    u_samples = Array.of_list (unit_samples ~coeff ~component);
+    u_component = component;
     u_segs = ref [];
     u_low =
       Dema.Sweep.create ~backend:Stats.Pearson.Batch.Batched
@@ -184,16 +184,10 @@ let make_unit strategy ~coeff ~component =
         high_cands;
   }
 
-let unit_fold u (batch : Leakage.trace array) ~coeff =
-  let rows =
-    Array.map
-      (fun (t : Leakage.trace) ->
-        Array.map (fun s -> t.Leakage.samples.(s)) u.u_samples)
-      batch
-  in
-  let ks =
-    Array.map
-      (fun (t : Leakage.trace) ->
+let unit_fold u batch ~coeff =
+  let rows, ks =
+    Dema.Stream.gather ~samples:u.u_samples
+      ~known:(fun (t : Leakage.trace) ->
         (t.Leakage.c_fft.Fft.re.(coeff), t.Leakage.c_fft.Fft.im.(coeff)))
       batch
   in
@@ -201,7 +195,9 @@ let unit_fold u (batch : Leakage.trace array) ~coeff =
   (* per-view known operands and per-(view, label) columns *)
   let kvs =
     Array.of_list
-      (List.map (fun m -> Array.map (fun k -> mul_known k m) ks) u.u_muls)
+      (List.map
+         (fun m -> Array.map (fun k -> mul_known k m) ks)
+         (component_muls u.u_component))
   in
   let nviews = Array.length kvs in
   let col vi lbl =
@@ -230,36 +226,19 @@ let unit_leaders u =
   in
   if z ll <= z lh then ll else lh
 
-let unit_views u =
-  let rows = Array.concat (List.rev_map fst !(u.u_segs)) in
-  let ks = Array.concat (List.rev_map snd !(u.u_segs)) in
-  List.mapi
-    (fun vi m ->
-      {
-        Recover.traces =
-          Array.map
-            (fun row -> Array.sub row (vi * Leakage.events_per_mul) Leakage.events_per_mul)
-            rows;
-        known = Array.map (fun k -> mul_known k m) ks;
-      })
-    u.u_muls
-
 let recover_f_fft_store_adaptive ~ctx:c ~on_corrupt ~prefetch ~stop:spec
     ~max_traces ~stop_report ~reader strategy n =
   let fd = Dema.Stream.shard_feed ~on_corrupt ~prefetch ?max_traces reader in
-  let tasks = 2 * n in
   let units =
-    Array.init tasks (fun t ->
-        let coeff = t lsr 1 in
-        let component = if t land 1 = 0 then `Re else `Im in
+    Array.init (2 * n) (fun t ->
+        let coeff, component = unit_of t in
         make_unit strategy ~coeff ~component)
   in
   let campaign_units =
     Array.mapi
       (fun t u ->
-        let coeff = t lsr 1 in
         {
-          Sequential.Campaign.fold = (fun batch -> unit_fold u batch ~coeff);
+          Sequential.Campaign.fold = (fun batch -> unit_fold u batch ~coeff:(t lsr 1));
           leaders = (fun () -> unit_leaders u);
         })
       units
@@ -278,11 +257,12 @@ let recover_f_fft_store_adaptive ~ctx:c ~on_corrupt ~prefetch ~stop:spec
    if Obs.enabled c.Ctx.obs && sk > 0 then
      Obs.count c.Ctx.obs "dema.shards_skipped" sk);
   (* the unchanged per-coefficient attack, on each unit's buffered prefix *)
-  fan_tasks ~ctx:c ~n (fun ~tctx ~coeff ~component ->
-      let t = (2 * coeff) + match component with `Re -> 0 | `Im -> 1 in
-      let views = unit_views units.(t) in
-      let mul = match component with `Re -> 0 | `Im -> 1 in
-      Recover.coefficient ~ctx:tctx ~strategy:(strategy ~coeff ~mul) views)
+  recover_units ~ctx:c ~n ~per_pass:(2 * n) strategy
+    (fun ~lo:_ ~hi:_ t ~coeff:_ ~component ->
+      let u = units.(t) in
+      unit_views ~component ~off:0
+        (Array.concat (List.rev_map fst !(u.u_segs)))
+        (Array.concat (List.rev_map snd !(u.u_segs))))
 
 let recover_f_fft_store ?ctx:(c = Ctx.default ()) ?(on_corrupt = `Fail)
     ?(prefetch = true) ?(leakage = `Hw) ?stop ?max_traces ?stop_report ~reader
@@ -297,11 +277,9 @@ let recover_f_fft_store ?ctx:(c = Ctx.default ()) ?(on_corrupt = `Fail)
       ]
   @@ fun () ->
   (* A prefetch helper domain only pays when nothing else overlaps the
-     reads.  At [jobs > 1] the fixed-budget fan-out already runs that
-     many streaming passes at once (each task's inner context is
-     jobs-1, so each would spawn its own helper), and the adaptive
-     campaign folds units on that many domains: a helper on top
-     oversubscribes the cores. *)
+     reads.  At [jobs > 1] the fixed-budget pass already decodes shards
+     on that many domains, and the adaptive campaign folds units on
+     them: a helper on top oversubscribes the cores. *)
   let prefetch = prefetch && c.Ctx.jobs = 1 in
   match stop with
   | Some spec ->
@@ -318,13 +296,27 @@ let recover_f_fft_store ?ctx:(c = Ctx.default ()) ?(on_corrupt = `Fail)
       recover_f_fft_store_adaptive ~ctx:c ~on_corrupt ~prefetch ~stop:spec
         ~max_traces ~stop_report ~reader strategy n
   | None ->
-      fan_tasks ~ctx:c ~n (fun ~tctx ~coeff ~component ->
-          let views =
-            store_views ~on_corrupt ~prefetch ~ctx:tctx ~reader ~coeff ~component
+      (* per trace, a coefficient buffers 64 window and 2 known floats;
+         a decoded trace holds [width] samples and 2n FFT(c) floats *)
+      let m = Tracestore.Reader.meta reader in
+      let shard_floats = window_shards * m.shard_traces * (m.width + (2 * n)) in
+      let coeff_floats = max 1 (Tracestore.Reader.total_traces reader) * 66 in
+      let per_pass = 2 * max 1 (shard_floats / coeff_floats) in
+      recover_units ~ctx:c ~leakage ~n ~per_pass strategy (fun ~lo ~hi ->
+          let c0 = lo / 2 and len = (hi - lo) / 2 in
+          let rows, cs =
+            Dema.Stream.extract ~ctx:c ~on_corrupt ~prefetch reader
+              ~samples:
+                (List.concat
+                   (List.init (hi - lo) (fun i ->
+                        let coeff, component = unit_of (lo + i) in
+                        unit_samples ~coeff ~component)))
+              ~known:(fun (t : Leakage.trace) ->
+                (Array.sub t.c_fft.re c0 len, Array.sub t.c_fft.im c0 len))
           in
-          let mul = match component with `Re -> 0 | `Im -> 1 in
-          Recover.coefficient ~ctx:tctx ~leakage ~strategy:(strategy ~coeff ~mul)
-            views)
+          fun t ~coeff ~component ->
+            unit_views ~component ~off:((t - lo) * 2 * Leakage.events_per_mul) rows
+              (Array.map (fun (re, im) -> (re.(coeff - c0), im.(coeff - c0))) cs))
 
 let recover_key_store ?ctx ?on_corrupt ?prefetch ?leakage ?stop ?max_traces
     ?stop_report ~reader ~h strategy =

@@ -58,22 +58,27 @@ val recover_f_fft_store :
   reader:Tracestore.Reader.t ->
   (coeff:int -> mul:int -> Recover.strategy) ->
   Fft.t
-(** Out-of-core {!recover_f_fft} over a {!Tracestore} campaign: each
-    (coefficient, component) task makes one streaming pass extracting
-    only its two 16-sample windows, so peak memory is bounded by one
-    decoded shard per domain plus O(traces) extracted window floats —
-    never the whole campaign.  Bit-identical to the in-memory path over
+(** Out-of-core {!recover_f_fft} over a {!Tracestore} campaign.  Each
+    streaming pass reads and decodes every shard once and gathers many
+    (coefficient, component) units' two 16-sample windows and FFT(c)
+    operands; the per-coefficient attacks then run on each unit's
+    slice.  At a fixed budget a pass takes as many whole coefficients as
+    fit in a window buffer of 8 decoded shards' worth of floats, so a
+    campaign of up to about 8 shards is read once and a larger one in
+    proportionally more passes; peak memory is that buffer plus one
+    decoded shard per domain.  Bit-identical to the in-memory path over
     the same traces, at every [jobs].  [on_corrupt] (default [`Fail])
-    and [prefetch] (default [true]) are forwarded to
-    {!Dema.Stream.extract}: by default a corrupt shard fails the whole
-    recovery loudly.  Prefetch runs only at [ctx.jobs = 1]: at
-    [jobs > 1] the fan-out already overlaps that many streaming passes,
-    and a helper domain per pass would oversubscribe the cores.
+    and [prefetch] (default [true]) are forwarded to each pass: by
+    default a corrupt shard fails the whole recovery loudly, naming the
+    shard; [`Skip] drops it and counts it in [dema.shards_skipped] once
+    per pass.  Prefetch runs only at [ctx.jobs = 1]: at [jobs > 1] the
+    pass already decodes shards on the domain pool, and a helper domain
+    on top would oversubscribe the cores.
 
-    {b Adaptive budgets.}  With [?stop], the recovery becomes a single
-    streaming pass with 2n live units: each still-undecided
-    (coefficient, component) buffers its windows from every batch and
-    folds two incremental decision sweeps (low mantissa half on
+    {b Adaptive budgets.}  With [?stop], one pass runs with 2n live
+    units: each still-undecided (coefficient, component) buffers its
+    windows from every batch (up to D x 2n x 32 floats in all) and folds
+    two incremental decision sweeps (low mantissa half on
     [w00; w10; z1a], high half on [w01; w11], over the strategy's
     candidate sets); a unit stops — and is retired from all later
     batches — once the {e weaker} of its two top-1 vs runner-up gaps

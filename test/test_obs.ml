@@ -274,20 +274,20 @@ let test_transparency_stream_rank () =
    stream modulo span durations is — buffered per-task children are
    drained in task order, so domain scheduling cannot reorder events. *)
 
+let fullkey_strategy sk ~coeff ~mul =
+  let truth =
+    if mul = 0 then sk.Falcon.Scheme.f_fft.Fft.re.(coeff)
+    else sk.Falcon.Scheme.f_fft.Fft.im.(coeff)
+  in
+  Attack.Recover.Eval_sampled
+    { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 64; truth }
+
 let fullkey_log ~jobs =
   with_campaign @@ fun sk reader ->
   let buf = Buffer.create (1 lsl 14) in
   let obs = Obs.make ~clock:(fake_ns ()) (Obs.Jsonl.to_buffer buf) in
   let ctx = Attack.Ctx.make ~jobs ~obs () in
-  let strategy ~coeff ~mul =
-    let truth =
-      if mul = 0 then sk.Falcon.Scheme.f_fft.Fft.re.(coeff)
-      else sk.Falcon.Scheme.f_fft.Fft.im.(coeff)
-    in
-    Attack.Recover.Eval_sampled
-      { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 64; truth }
-  in
-  ignore (Attack.Fullkey.recover_f_fft_store ~ctx ~reader strategy);
+  ignore (Attack.Fullkey.recover_f_fft_store ~ctx ~reader (fullkey_strategy sk));
   Buffer.contents buf
 
 (* Strip per-run measurement noise: span durations always, and — when
@@ -334,6 +334,37 @@ let test_fullkey_log_deterministic () =
     (normalize ~strip_jobs:true (Obs.Jsonl.read_string a)
     = normalize ~strip_jobs:true (Obs.Jsonl.read_string c))
 
+(* A fixed-budget store recovery reads a campaign of a few shards once
+   for all 2n units: the stream's shard and trace counters appear
+   exactly once, covering the whole store, at every jobs level. *)
+let test_fullkey_store_one_pass () =
+  with_campaign @@ fun sk reader ->
+  List.iter
+    (fun jobs ->
+      let t, buf = jsonl_ctx () in
+      ignore
+        (Attack.Fullkey.recover_f_fft_store
+           ~ctx:(Attack.Ctx.make ~jobs ~obs:t ())
+           ~reader (fullkey_strategy sk));
+      let records = Obs.Jsonl.read_string (Buffer.contents buf) in
+      let counts name =
+        List.filter_map
+          (fun r ->
+            if Option.bind (Obs.Json.member "name" r) Obs.Json.to_string_opt = Some name
+            then Option.bind (Obs.Json.member "value" r) Obs.Json.to_int_opt
+            else None)
+          records
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "one tracestore.shards count at jobs=%d" jobs)
+        [ Tracestore.Reader.shard_count reader ]
+        (counts "tracestore.shards");
+      Alcotest.(check (list int))
+        (Printf.sprintf "one tracestore.traces count at jobs=%d" jobs)
+        [ Tracestore.Reader.total_traces reader ]
+        (counts "tracestore.traces"))
+    [ 1; 2 ]
+
 (* {2 Buffered children} *)
 
 let test_buffered_drain_order () =
@@ -371,6 +402,8 @@ let suite =
       test_transparency_stream_rank;
     Alcotest.test_case "fullkey JSONL stream deterministic" `Slow
       test_fullkey_log_deterministic;
+    Alcotest.test_case "fullkey store reads the campaign once" `Slow
+      test_fullkey_store_one_pass;
     Alcotest.test_case "buffered children drain in order" `Quick
       test_buffered_drain_order;
   ]

@@ -16,10 +16,9 @@ let rm_rf dir =
     Sys.rmdir dir
   end
 
-(* one campaign, shared across the suite: 30 traces in shards of 8 *)
-let with_campaign f =
-  let sk = Lazy.force sk16 in
-  let traces = Leakage.capture model ~seed:77 sk ~count:30 in
+(* [traces] written to a temporary FALCON-16 store in shards of
+   [shard_traces], handed to [f] as a reader *)
+let with_store ~shard_traces traces f =
   let dir = Filename.temp_dir "fd_stream_test" "" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
@@ -27,7 +26,7 @@ let with_campaign f =
       let w =
         Tracestore.Writer.create ~dir ~n:16
           ~width:(16 * Leakage.events_per_coeff)
-          ~shard_traces:8
+          ~shard_traces
           ~model:
             {
               Tracestore.alpha = model.alpha;
@@ -37,7 +36,13 @@ let with_campaign f =
       in
       Array.iter (fun t -> Tracestore.Writer.append w (Leakage.to_record t)) traces;
       Tracestore.Writer.close w;
-      f sk traces (Tracestore.Reader.open_store dir))
+      f (Tracestore.Reader.open_store dir))
+
+(* one campaign, shared across the suite: 30 traces in shards of 8 *)
+let with_campaign f =
+  let sk = Lazy.force sk16 in
+  let traces = Leakage.capture model ~seed:77 sk ~count:30 in
+  with_store ~shard_traces:8 traces (f sk traces)
 
 (* A streaming per-column correlation tracker: one Welford.Cov per
    trace column, every column fed the same hypothesis stream. *)
@@ -182,16 +187,26 @@ let test_stream_evolution_matches_prefix_rescan () =
   (* deterministic across jobs (same shard-order merge) *)
   Alcotest.(check bool) "evolution jobs-invariant" true (streamed 2 = checkpoints)
 
+let fullkey_strategy sk ~coeff ~mul =
+  let truth =
+    if mul = 0 then sk.Falcon.Scheme.f_fft.Fft.re.(coeff)
+    else sk.Falcon.Scheme.f_fft.Fft.im.(coeff)
+  in
+  Attack.Recover.Eval_sampled
+    { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 32; truth }
+
+(* The values of every [name] counter in a JSONL log. *)
+let counts buf name =
+  List.filter_map
+    (fun r ->
+      if Option.bind (Obs.Json.member "name" r) Obs.Json.to_string_opt = Some name
+      then Option.bind (Obs.Json.member "value" r) Obs.Json.to_int_opt
+      else None)
+    (Obs.Jsonl.read_string (Buffer.contents buf))
+
 let test_fullkey_store_matches_memory () =
   with_campaign @@ fun sk traces reader ->
-  let strategy ~coeff ~mul =
-    let truth =
-      if mul = 0 then sk.Falcon.Scheme.f_fft.Fft.re.(coeff)
-      else sk.Falcon.Scheme.f_fft.Fft.im.(coeff)
-    in
-    Attack.Recover.Eval_sampled
-      { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 32; truth }
-  in
+  let strategy = fullkey_strategy sk in
   let mem =
     Attack.Fullkey.recover_f_fft ~ctx:(Attack.Ctx.make ~jobs:1 ()) ~traces ~n:16 strategy
   in
@@ -204,6 +219,36 @@ let test_fullkey_store_matches_memory () =
         (Printf.sprintf "store FFT(f) == memory FFT(f) at -j %d" jobs)
         true
         (st.Fft.re = mem.Fft.re && st.Fft.im = mem.Fft.im))
+    [ 1; 2 ]
+
+(* 64 traces in 32 two-trace shards outgrow the fixed-budget window
+   buffer (8 decoded shards' worth): the recovery takes several
+   passes, each reading the whole store, and stays bit-identical to the
+   in-memory path. *)
+let test_fullkey_store_multi_pass () =
+  let sk = Lazy.force sk16 in
+  let traces = Leakage.capture model ~seed:79 sk ~count:64 in
+  with_store ~shard_traces:2 traces @@ fun reader ->
+  let strategy = fullkey_strategy sk in
+  let mem =
+    Attack.Fullkey.recover_f_fft ~ctx:(Attack.Ctx.make ~jobs:1 ()) ~traces ~n:16 strategy
+  in
+  List.iter
+    (fun jobs ->
+      let buf = Buffer.create 4096 in
+      let ctx = Attack.Ctx.make ~jobs ~obs:(Obs.make (Obs.Jsonl.to_buffer buf)) () in
+      let st = Attack.Fullkey.recover_f_fft_store ~ctx ~reader strategy in
+      Alcotest.(check bool)
+        (Printf.sprintf "multi-pass FFT(f) == memory FFT(f) at -j %d" jobs)
+        true
+        (st.Fft.re = mem.Fft.re && st.Fft.im = mem.Fft.im);
+      let passes = counts buf "tracestore.shards" in
+      Alcotest.(check bool)
+        (Printf.sprintf "several whole-store passes, fewer than 2n, at -j %d" jobs)
+        true
+        (List.length passes > 1
+        && List.length passes < 32
+        && List.for_all (( = ) (Tracestore.Reader.shard_count reader)) passes))
     [ 1; 2 ]
 
 let contains_frag msg frag =
@@ -439,6 +484,45 @@ let test_skip_policy_drops_and_counts () =
   in
   Alcotest.(check bool) "dema.shards_skipped == 1 emitted" true skipped
 
+(* The fixed-budget full-key path under both corrupt-shard policies:
+   [`Skip] recovers exactly the in-memory FFT(f) over the surviving
+   traces and counts the drop once; [`Fail] names the shard. *)
+let test_fullkey_store_corrupt_shard () =
+  with_campaign_dir @@ fun sk traces dir ->
+  flip_byte (Filename.concat dir (Tracestore.shard_name 1)) 40;
+  let strategy = fullkey_strategy sk in
+  let kept =
+    Array.of_list
+      (List.filteri (fun i _ -> i < 8 || i >= 16) (Array.to_list traces))
+  in
+  let mem =
+    Attack.Fullkey.recover_f_fft ~ctx:(Attack.Ctx.make ~jobs:1 ()) ~traces:kept ~n:16
+      strategy
+  in
+  List.iter
+    (fun jobs ->
+      let buf = Buffer.create 4096 in
+      let ctx = Attack.Ctx.make ~jobs ~obs:(Obs.make (Obs.Jsonl.to_buffer buf)) () in
+      let reader = Tracestore.Reader.open_store ~policy:`Skip dir in
+      let st =
+        Attack.Fullkey.recover_f_fft_store ~ctx ~on_corrupt:`Skip ~reader strategy
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "skip FFT(f) == memory FFT(f) over survivors at -j %d" jobs)
+        true
+        (st.Fft.re = mem.Fft.re && st.Fft.im = mem.Fft.im);
+      Alcotest.(check (list int))
+        (Printf.sprintf "dema.shards_skipped once, value 1, at -j %d" jobs)
+        [ 1 ] (counts buf "dema.shards_skipped"))
+    [ 1; 2 ];
+  match
+    Attack.Fullkey.recover_f_fft_store ~reader:(Tracestore.Reader.open_store dir)
+      strategy
+  with
+  | _ -> Alcotest.fail "recover_f_fft_store accepted a corrupt shard"
+  | exception Failure msg ->
+      Alcotest.(check bool) "error names shard 1" true (contains_frag msg "shard 1")
+
 let test_mmap_matches_read () =
   with_campaign_dir @@ fun sk _traces dir ->
   let mmap = Tracestore.Reader.open_store ~access:`Mmap dir in
@@ -641,6 +725,8 @@ let suite =
       test_stream_evolution_matches_prefix_rescan;
     Alcotest.test_case "fullkey store path == memory path" `Slow
       test_fullkey_store_matches_memory;
+    Alcotest.test_case "fullkey store path splits into bounded passes" `Slow
+      test_fullkey_store_multi_pass;
     Alcotest.test_case "stream rejects width mismatch" `Quick
       test_stream_rejects_width_mismatch;
     Alcotest.test_case "evolution on a single-shard store" `Quick
@@ -653,6 +739,8 @@ let suite =
       test_truncated_shard_fails_loudly;
     Alcotest.test_case "skip policy drops the shard and counts it" `Quick
       test_skip_policy_drops_and_counts;
+    Alcotest.test_case "fullkey store path under a corrupt shard" `Slow
+      test_fullkey_store_corrupt_shard;
     Alcotest.test_case "mmap and read decode identically" `Quick
       test_mmap_matches_read;
     Alcotest.test_case "prefetch on/off bit-identical at every jobs" `Quick
