@@ -39,6 +39,22 @@ let section name = Printf.printf "\n================ %s ================\n%!" na
 
 let want name = match only with None -> true | Some o -> o = name
 
+(* Every BENCH_<section>.json is one Obs.Json object written here: the
+   Assess.Bench_gate schema when check-bench gates the section, the
+   section name, then its fields.  A non-finite number is written as
+   null, which check-bench refuses by field name. *)
+let emit ?schema section fields =
+  let file = Printf.sprintf "BENCH_%s.json" section in
+  let json =
+    Obs.Json.(
+      Obj
+        ((match schema with Some s -> [ ("schema", String s) ] | None -> [])
+        @ (("section", String section) :: fields)))
+  in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (Obs.Json.to_string json ^ "\n"));
+  Printf.printf "wrote %s\n" file
+
 (* The paper's Fig. 4 coefficient. *)
 let paper_coeff = 0xC06017BC8036B580L
 let xu = Fpr.mantissa paper_coeff lor (1 lsl 52)
@@ -450,7 +466,8 @@ let ablation_prune () =
    must be bit-identical (column extraction is arithmetic-free); the
    evolution checkpoints agree with prefix rescans up to FP
    reassociation.  Emits one JSON row (BENCH_stream.json) with
-   throughput and a peak-memory proxy. *)
+   throughput and a peak-memory proxy; check-bench gates its
+   bit_identical. *)
 
 let vm_hwm_kb () =
   (* Linux peak resident set (VmHWM), falling back to the instantaneous
@@ -580,18 +597,17 @@ let stream () =
   Printf.printf
     "streaming throughput %.0f traces/s; peak RSS %d kB (VmHWM), OCaml top heap %d words\n"
     tps hwm heap_w;
-  let oc = open_out "BENCH_stream.json" in
-  Printf.fprintf oc
-    "{\"section\":\"stream\",\"n\":%d,\"traces\":%d,\"shards\":%d,\"jobs\":%d,\
-     \"candidates\":%d,\"write_s\":%.4f,\"mem_rank_s\":%.4f,\"stream_rank_s\":%.4f,\
-     \"stream_traces_per_sec\":%.1f,\"bit_identical\":%b,\"evo_max_dev\":%.3e,\
-     \"vm_hwm_kb\":%d,\"top_heap_words\":%d}\n"
-    n count
-    (Tracestore.Reader.shard_count reader)
-    jobs (Array.length candidates) write_s mem_s stream_s tps identical max_dev hwm
-    heap_w;
-  close_out oc;
-  Printf.printf "wrote BENCH_stream.json\n";
+  emit ~schema:Assess.Bench_gate.stream "stream"
+    Obs.Json.
+      [
+        ("n", Int n); ("traces", Int count);
+        ("shards", Int (Tracestore.Reader.shard_count reader)); ("jobs", Int jobs);
+        ("candidates", Int (Array.length candidates)); ("write_s", Float write_s);
+        ("mem_rank_s", Float mem_s); ("stream_rank_s", Float stream_s);
+        ("stream_traces_per_sec", Float tps); ("bit_identical", Bool identical);
+        ("evo_max_dev", Float max_dev); ("vm_hwm_kb", Int hwm);
+        ("top_heap_words", Int heap_w);
+      ];
   rm_store dir
 
 (* ---------------------------------------------------------------- *)
@@ -647,35 +663,43 @@ let assess () =
     metrics_s;
   let t1_of d = List.assoc d (List.map (fun (d, t1, _) -> (d, t1)) rows) in
   let tps_of d = List.assoc d (List.map (fun (d, _, t) -> (d, t)) rows) in
-  let oc = open_out "BENCH_assess.json" in
-  Printf.fprintf oc
-    "{\"section\":\"assess\",\"traces\":%d,\"noise\":%.2f,\"jobs\":%d,\
-     \"max_t1_none\":%.3f,\"max_t1_masking\":%.3f,\"max_t1_shuffle\":%.3f,\
-     \"tvla_traces_per_sec_none\":%.1f,\"tvla_traces_per_sec_masking\":%.1f,\
-     \"metrics_budget\":%d,\"metrics_s\":%.4f,\"success_rate\":%.3f,\
-     \"guessing_entropy\":%.3f,\"mtd\":%s}\n"
-    count noise jobs (t1_of `None) (t1_of `Masking) (t1_of `Shuffle) (tps_of `None)
-    (tps_of `Masking) budget metrics_s outcome.success_rate outcome.guessing_entropy
-    (match outcome.mtd with Some d -> string_of_int d | None -> "null");
-  close_out oc;
-  Printf.printf "wrote BENCH_assess.json\n"
+  emit "assess"
+    Obs.Json.
+      [
+        ("traces", Int count); ("noise", Float noise); ("jobs", Int jobs);
+        ("max_t1_none", Float (t1_of `None)); ("max_t1_masking", Float (t1_of `Masking));
+        ("max_t1_shuffle", Float (t1_of `Shuffle));
+        ("tvla_traces_per_sec_none", Float (tps_of `None));
+        ("tvla_traces_per_sec_masking", Float (tps_of `Masking));
+        ("metrics_budget", Int budget); ("metrics_s", Float metrics_s);
+        ("success_rate", Float outcome.success_rate);
+        ("guessing_entropy", Float outcome.guessing_entropy);
+        ("mtd", match outcome.mtd with Some d -> Int d | None -> Null);
+      ]
 
 (* ---------------------------------------------------------------- *)
 (* Batched Pearson kernel: the end-to-end ranking sweep on the scalar
    reference and the fused kernel through the same Dema.Sweep path, and
    where the fused sweep spends its time.  The rankings must be
-   bit-identical, and equal to Dema.rank's production top-32.  Emits
-   one JSON row (BENCH_pearson.json). *)
+   bit-identical, and equal to Dema.rank's production top-32.  Then the
+   FALCON streaming rank through Target.Falcon.parts vs the hand-built
+   part set: bit-identical rankings within 5% throughput.  Emits one
+   JSON row (BENCH_pearson.json) which check-bench gates on, including
+   both speed ratios. *)
 
 let pearson () =
-  section "Pearson — scalar vs batched distinguisher kernel";
+  section "Pearson — scalar vs batched kernel, Target.parts vs hand-built parts";
   let v = Lazy.force paper_view in
   let traces = v.Attack.Recover.traces and known = v.Attack.Recover.known in
   let d = Array.length traces in
+  (* both speed ratios are gated, so each timed ranking covers at least
+     ~5e6 guess x trace correlations (2048 decoys from 2500 traces up):
+     at smaller budgets a ~10 ms arm sits inside scheduler noise *)
+  let decoys traces = max 2048 (5_000_000 / traces) in
   let guesses =
     Attack.Hypothesis.sampled
       (Stats.Rng.create ~seed:(seed + 77))
-      ~width:25 ~truth:d_true ~decoys:2048 ()
+      ~width:25 ~truth:d_true ~decoys:(decoys d) ()
   in
   let g = Array.length guesses in
   Printf.printf "%d guesses x %d traces, %d jobs\n%!" g d jobs;
@@ -752,16 +776,103 @@ let pearson () =
   Printf.printf
     "batched rank breakdown (instrumented run): prep %.4f s, score %.4f s\n%!"
     rank_prep_s rank_score_s;
-  let oc = open_out "BENCH_pearson.json" in
-  Printf.fprintf oc
-    "{\"schema\":\"falcon-down/bench-pearson/v1\",\"section\":\"pearson\",\
-     \"traces\":%d,\"guesses\":%d,\"jobs\":%d,\
-     \"rank_scalar_s\":%.5f,\"rank_batched_s\":%.5f,\"rank_speedup\":%.2f,\
-     \"rank_prep_s\":%.5f,\"rank_score_s\":%.5f,\"bit_identical\":%b}\n"
-    d g jobs rank_scalar_s rank_batched_s rank_speedup rank_prep_s rank_score_s
-    rank_identical;
-  close_out oc;
-  Printf.printf "wrote BENCH_pearson.json\n"
+  (* the Target framework must be a free abstraction: the streaming
+     rank of FALCON unit 0's low-mantissa phase with hand-built parts
+     (the pre-target idiom: extend + prune at both component
+     multiplications, models contramapped over the known FFT(c)
+     operand) vs Target.Falcon.parts, on the same recorded store *)
+  let module F = Attack.Target.Falcon in
+  let n = full_n in
+  let count = min trace_budget 2000 in
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "fd_bench_target_falcon" in
+  rm_store dir;
+  F.record_store ~dir ~n ~traces:count ~noise ~seed
+    ~shard_traces:(max 1 ((count + 3) / 4))
+    ();
+  let reader = Tracestore.Reader.open_store dir in
+  let falcon_d = (F.truth ~n ~dir).(0) in
+  let candidates =
+    Attack.Hypothesis.sampled
+      (Stats.Rng.create ~seed:(seed + 60))
+      ~width:Attack.Recover.mantissa_low_width ~truth:falcon_d ~decoys:(decoys count)
+      ()
+  in
+  let hand_parts =
+    let extend, prune = Attack.Recover.low_stages `Hw in
+    List.concat_map
+      (fun mul ->
+        List.map
+          (fun (label, m) ->
+            ( Leakage.sample_of ~coeff:0 ~mul label,
+              Attack.Hypothesis.Model.contramap
+                (fun (t : Leakage.trace) ->
+                  Attack.Fullkey.mul_known
+                    (t.Leakage.c_fft.Fft.re.(0), t.Leakage.c_fft.Fft.im.(0))
+                    mul)
+                m ))
+          (extend @ prune))
+      (Attack.Fullkey.component_muls `Re)
+  in
+  let target_parts = F.parts ~leakage:`Hw ~n ~unit_index:0 ~prev:[||] in
+  Printf.printf "falcon: %d candidates x %d traces, %d parts per ranking (%d jobs)\n%!"
+    (Array.length candidates) count
+    (List.length target_parts)
+    jobs;
+  let stream_rank parts () =
+    Attack.Dema.Stream.rank ~ctx:(jctx jobs) reader ~parts
+      ~known:(fun (t : Leakage.trace) -> t)
+      ~top:16 (Array.to_seq candidates)
+  in
+  let base_ranked = stream_rank hand_parts () in
+  let target_ranked = stream_rank target_parts () in
+  let falcon_identical = base_ranked = target_ranked in
+  (* median-of-rounds with the measurement order rotating each round,
+     same idiom as the obs section: with a fixed order the GC state left
+     by the first contestant systematically lands on the second and
+     masquerades as abstraction overhead.  A full major before every
+     timed run starts each from the same heap, and the median ignores
+     the lone lucky or preempted round that a min-of-rounds reports *)
+  let rounds = 16 in
+  let contestants = [| stream_rank hand_parts; stream_rank target_parts |] in
+  let times = Array.make_matrix 2 rounds 0. in
+  for round = 0 to rounds - 1 do
+    for k = 0 to 1 do
+      let i = (round + k) mod 2 in
+      Gc.full_major ();
+      let t0 = Unix.gettimeofday () in
+      ignore (Sys.opaque_identity (contestants.(i) ()));
+      times.(i).(round) <- Unix.gettimeofday () -. t0
+    done
+  done;
+  let median a =
+    let a = Array.copy a in
+    Array.sort Float.compare a;
+    (a.((rounds - 1) / 2) +. a.(rounds / 2)) /. 2.
+  in
+  let base_s = median times.(0) and target_s = median times.(1) in
+  let ratio = base_s /. target_s in
+  Printf.printf
+    "rank: hand-built %.4f s, through Target.parts %.4f s (ratio %.2f), \
+     bit-identical top-k %b\n%!"
+    base_s target_s ratio falcon_identical;
+  (match target_ranked with
+  | top :: _ ->
+      Printf.printf "best guess 0x%07x (true 0x%07x), score %.4f\n%!"
+        top.Attack.Dema.guess falcon_d top.Attack.Dema.corr
+  | [] -> ());
+  rm_store dir;
+  emit ~schema:Assess.Bench_gate.pearson "pearson"
+    Obs.Json.
+      [
+        ("traces", Int d); ("guesses", Int g); ("jobs", Int jobs);
+        ("rank_scalar_s", Float rank_scalar_s); ("rank_batched_s", Float rank_batched_s);
+        ("rank_speedup", Float rank_speedup); ("rank_prep_s", Float rank_prep_s);
+        ("rank_score_s", Float rank_score_s); ("bit_identical", Bool rank_identical);
+        ("falcon_n", Int n); ("falcon_traces", Int count);
+        ("falcon_candidates", Int (Array.length candidates));
+        ("falcon_rank_base_s", Float base_s); ("falcon_rank_target_s", Float target_s);
+        ("falcon_rank_ratio", Float ratio); ("falcon_identical", Bool falcon_identical);
+      ]
 
 (* ---------------------------------------------------------------- *)
 (* Sequential early stopping: the adaptive campaign (per-coefficient
@@ -863,18 +974,18 @@ let sequential () =
   Printf.printf
     "stops and key bit-identical at jobs=1 + no prefetch: %b\n%!"
     stops_identical;
-  let oc = open_out "BENCH_sequential.json" in
-  Printf.fprintf oc
-    "{\"schema\":\"falcon-down/bench-sequential/v1\",\"section\":\"sequential\",\
-     \"n\":%d,\"traces\":%d,\"jobs\":%d,\"units\":%d,\"alpha\":%g,\
-     \"stopped_early\":%d,\"looks\":%d,\"traces_saved\":%d,\
-     \"mean_traces\":%.2f,\"median_traces\":%d,\"fixed_s\":%.4f,\"adaptive_s\":%.4f,\
-     \"keys_identical\":%b,\"stops_identical\":%b}\n"
-    n count jobs units alpha s.Sequential.Campaign.stopped s.Sequential.Campaign.looks
-    s.Sequential.Campaign.traces_saved mean median fixed_s adaptive_s keys_identical
-    stops_identical;
-  close_out oc;
-  Printf.printf "wrote BENCH_sequential.json\n";
+  emit ~schema:Assess.Bench_gate.sequential "sequential"
+    Obs.Json.
+      [
+        ("n", Int n); ("traces", Int count); ("jobs", Int jobs); ("units", Int units);
+        ("alpha", Float alpha); ("stopped_early", Int s.Sequential.Campaign.stopped);
+        ("looks", Int s.Sequential.Campaign.looks);
+        ("traces_saved", Int s.Sequential.Campaign.traces_saved);
+        ("mean_traces", Float mean); ("median_traces", Int median);
+        ("fixed_s", Float fixed_s); ("adaptive_s", Float adaptive_s);
+        ("keys_identical", Bool keys_identical);
+        ("stops_identical", Bool stops_identical);
+      ];
   rm_store dir
 
 (* ---------------------------------------------------------------- *)
@@ -883,7 +994,8 @@ let sequential () =
    context.  Instrumentation must be observationally transparent — all
    three rankings are asserted bit-identical — and the Null sink is
    required to cost nothing measurable (the acceptance bar is 2%).
-   Emits one JSON row (BENCH_obs.json). *)
+   Emits one JSON row (BENCH_obs.json); check-bench gates its
+   bit_identical. *)
 
 let obs_bench () =
   section "Obs — instrumentation overhead on the end-to-end ranking sweep";
@@ -947,16 +1059,15 @@ let obs_bench () =
   Printf.printf "jsonl     | %8.4f | %+.2f%% (%d events per run)\n%!" jsonl_s
     (pct legacy_s jsonl_s) events;
   Printf.printf "rankings bit-identical across sinks: %b\n" identical;
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc
-    "{\"section\":\"obs\",\"traces\":%d,\"guesses\":%d,\"jobs\":%d,\
-     \"legacy_s\":%.5f,\"null_s\":%.5f,\"jsonl_s\":%.5f,\
-     \"null_overhead_pct\":%.3f,\"jsonl_overhead_pct\":%.3f,\
-     \"jsonl_events\":%d,\"bit_identical\":%b}\n"
-    (Array.length traces) (Array.length guesses) jobs legacy_s null_s jsonl_s
-    (pct legacy_s null_s) (pct legacy_s jsonl_s) events identical;
-  close_out oc;
-  Printf.printf "wrote BENCH_obs.json\n"
+  emit ~schema:Assess.Bench_gate.obs "obs"
+    Obs.Json.
+      [
+        ("traces", Int (Array.length traces)); ("guesses", Int (Array.length guesses));
+        ("jobs", Int jobs); ("legacy_s", Float legacy_s); ("null_s", Float null_s);
+        ("jsonl_s", Float jsonl_s); ("null_overhead_pct", Float (pct legacy_s null_s));
+        ("jsonl_overhead_pct", Float (pct legacy_s jsonl_s));
+        ("jsonl_events", Int events); ("bit_identical", Bool identical);
+      ]
 
 (* ---------------------------------------------------------------- *)
 (* Register-transfer device models and the realignment pass: capture
@@ -1131,38 +1242,34 @@ let leakage_bench () =
   in
   Printf.printf "bit-identical realignment across jobs 1/2/4 x prefetch: %b\n%!"
     deterministic;
-  let oc = open_out "BENCH_leakage.json" in
-  Printf.fprintf oc
-    "{\"schema\":\"falcon-down/bench-leakage/v1\",\"section\":\"leakage\",\
-     \"n\":%d,\"traces\":%d,\"jobs\":%d,\"max_shift\":%d,\
-     \"capture_hw_tps\":%.1f,\"capture_hd_tps\":%.1f,\
-     \"capture_pipeline_tps\":%.1f,\"realign_tps\":%.1f,\
-     \"mtd_hd_aligned\":%d,\"mtd_hd_realigned\":%d,\
-     \"realign_recovery\":%.4f,\"fullkey_realigned\":%b,\
-     \"unaligned_degraded\":%b,\"deterministic\":%b}\n"
-    n count jobs max_shift hw_tps hd_tps pipe_tps realign_tps mtd_aligned
-    mtd_realigned realign_recovery fullkey_realigned unaligned_degraded
-    deterministic;
-  close_out oc;
-  Printf.printf "wrote BENCH_leakage.json\n";
+  emit ~schema:Assess.Bench_gate.leakage "leakage"
+    Obs.Json.
+      [
+        ("n", Int n); ("traces", Int count); ("jobs", Int jobs);
+        ("max_shift", Int max_shift); ("capture_hw_tps", Float hw_tps);
+        ("capture_hd_tps", Float hd_tps); ("capture_pipeline_tps", Float pipe_tps);
+        ("realign_tps", Float realign_tps); ("mtd_hd_aligned", Int mtd_aligned);
+        ("mtd_hd_realigned", Int mtd_realigned);
+        ("realign_recovery", Float realign_recovery);
+        ("fullkey_realigned", Bool fullkey_realigned);
+        ("unaligned_degraded", Bool unaligned_degraded);
+        ("deterministic", Bool deterministic);
+      ];
   rm_store src;
   rm_store dst
 
 (* ---------------------------------------------------------------- *)
-(* Target framework: the scheme-agnostic attack interface must be a
-   free abstraction.  HQC end to end: full-recovery success rate over
+(* Target framework, HQC end to end: full-recovery success rate over
    independently seeded sharded campaigns plus a jobs x backend x
-   prefetch determinism probe on the recovered witness.  FALCON: the
-   streaming ranking through Target.Falcon.parts versus the same part
-   set built by hand in the pre-target idiom — bit-identical rankings
-   within 5% throughput.  Emits one JSON row (BENCH_target.json) which
-   check-bench gates on. *)
+   prefetch determinism probe on the recovered witness.  (The FALCON
+   Target.parts parity arm is timed, so it lives in the pearson
+   section.)  Emits one JSON row (BENCH_target.json) which check-bench
+   gates on. *)
 
 let target_bench () =
-  section "Target — scheme-agnostic framework: HQC end-to-end + FALCON parity";
+  section "Target — scheme-agnostic framework: HQC end-to-end";
   let tmp = Filename.get_temp_dir_name () in
   let module H = Attack.Target.Hqc in
-  let module F = Attack.Target.Falcon in
   (* HQC: full secret recovery over independent campaigns *)
   let experiments = 10 in
   let hqc_budget = max 64 (min trace_budget 400) in
@@ -1204,92 +1311,13 @@ let target_bench () =
     (String.trim o0.Attack.Target.witness)
     hqc_deterministic;
   List.iter (fun (dir, _) -> rm_store dir) outcomes;
-  (* FALCON: streaming rank of unit 0's low-mantissa phase, hand-built
-     parts (the pre-target idiom: extend + prune at both component
-     multiplications, models contramapped over the known FFT(c)
-     operand) vs Target.Falcon.parts, on the same recorded store *)
-  let n = full_n in
-  let count = min trace_budget 2000 in
-  let dir = Filename.concat tmp "fd_bench_target_falcon" in
-  rm_store dir;
-  F.record_store ~dir ~n ~traces:count ~noise ~seed
-    ~shard_traces:(max 1 ((count + 3) / 4))
-    ();
-  let reader = Tracestore.Reader.open_store dir in
-  let d_true = (F.truth ~n ~dir).(0) in
-  let candidates =
-    Attack.Hypothesis.sampled
-      (Stats.Rng.create ~seed:(seed + 60))
-      ~width:Attack.Recover.mantissa_low_width ~truth:d_true ~decoys:2048 ()
-  in
-  let hand_parts =
-    let extend, prune = Attack.Recover.low_stages `Hw in
-    List.concat_map
-      (fun mul ->
-        List.map
-          (fun (label, m) ->
-            ( Leakage.sample_of ~coeff:0 ~mul label,
-              Attack.Hypothesis.Model.contramap
-                (fun (t : Leakage.trace) ->
-                  Attack.Fullkey.mul_known
-                    (t.Leakage.c_fft.Fft.re.(0), t.Leakage.c_fft.Fft.im.(0))
-                    mul)
-                m ))
-          (extend @ prune))
-      (Attack.Fullkey.component_muls `Re)
-  in
-  let target_parts = F.parts ~leakage:`Hw ~n ~unit_index:0 ~prev:[||] in
-  Printf.printf "falcon: %d candidates x %d traces, %d parts per ranking (%d jobs)\n%!"
-    (Array.length candidates) count
-    (List.length target_parts)
-    jobs;
-  let rank parts () =
-    Attack.Dema.Stream.rank ~ctx:(jctx jobs) reader ~parts
-      ~known:(fun (t : Leakage.trace) -> t)
-      ~top:16 (Array.to_seq candidates)
-  in
-  let base_ranked = rank hand_parts () in
-  let target_ranked = rank target_parts () in
-  let falcon_identical = base_ranked = target_ranked in
-  (* min-of-rounds with the measurement order rotating each round, same
-     idiom as the obs section: with a fixed order the GC state left by
-     the first contestant systematically lands on the second and
-     masquerades as abstraction overhead *)
-  let rounds = 8 in
-  let contestants = [| rank hand_parts; rank target_parts |] in
-  let best = Array.make 2 infinity in
-  for round = 0 to rounds - 1 do
-    for k = 0 to 1 do
-      let i = (round + k) mod 2 in
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (contestants.(i) ()));
-      best.(i) <- Float.min best.(i) (Unix.gettimeofday () -. t0)
-    done
-  done;
-  let base_s = best.(0) and target_s = best.(1) in
-  let ratio = base_s /. target_s in
-  Printf.printf
-    "rank: hand-built %.4f s, through Target.parts %.4f s (ratio %.2f), \
-     bit-identical top-k %b\n%!"
-    base_s target_s ratio falcon_identical;
-  (match target_ranked with
-  | best :: _ ->
-      Printf.printf "best guess 0x%07x (true 0x%07x), score %.4f\n%!"
-        best.Attack.Dema.guess d_true best.Attack.Dema.corr
-  | [] -> ());
-  rm_store dir;
-  let oc = open_out "BENCH_target.json" in
-  Printf.fprintf oc
-    "{\"schema\":\"falcon-down/bench-target/v1\",\"section\":\"target\",\
-     \"jobs\":%d,\"hqc_experiments\":%d,\"hqc_traces\":%d,\"hqc_sr\":%.3f,\
-     \"hqc_s\":%.4f,\"hqc_deterministic\":%b,\"falcon_n\":%d,\
-     \"falcon_traces\":%d,\"falcon_candidates\":%d,\
-     \"falcon_rank_base_s\":%.5f,\"falcon_rank_target_s\":%.5f,\
-     \"falcon_rank_ratio\":%.3f,\"falcon_identical\":%b}\n"
-    jobs experiments hqc_budget hqc_sr hqc_s hqc_deterministic n count
-    (Array.length candidates) base_s target_s ratio falcon_identical;
-  close_out oc;
-  Printf.printf "wrote BENCH_target.json\n"
+  emit ~schema:Assess.Bench_gate.target "target"
+    Obs.Json.
+      [
+        ("jobs", Int jobs); ("hqc_experiments", Int experiments);
+        ("hqc_traces", Int hqc_budget); ("hqc_sr", Float hqc_sr); ("hqc_s", Float hqc_s);
+        ("hqc_deterministic", Bool hqc_deterministic);
+      ]
 
 (* ---------------------------------------------------------------- *)
 (* Micro-benchmarks (Bechamel). *)
@@ -1481,17 +1509,16 @@ let profiled () =
     "matched sigma %.2f, %d traces x %d experiments: unprofiled MTD %s, \
      profiled MTD %s\n%!"
     noise budget experiments (show unprofiled_mtd) (show profiled_mtd);
-  let oc = open_out "BENCH_profiled.json" in
-  Printf.fprintf oc
-    "{\"schema\":\"falcon-down/bench-profiled/v1\",\"section\":\"profiled\",\
-     \"n\":%d,\"jobs\":%d,\"sigma\":%.3f,\"traces\":%d,\"train_traces\":%d,\
-     \"train_s\":%.4f,\"train_tps\":%.1f,\"recover_success\":%b,\
-     \"deterministic\":%b,\"experiments\":%d,\"profiled_mtd\":%d,\
-     \"unprofiled_mtd\":%d}\n"
-    n jobs noise budget count train_s train_tps o0.Attack.Target.success
-    deterministic experiments profiled_mtd unprofiled_mtd;
-  close_out oc;
-  Printf.printf "wrote BENCH_profiled.json\n"
+  emit ~schema:Assess.Bench_gate.profiled "profiled"
+    Obs.Json.
+      [
+        ("n", Int n); ("jobs", Int jobs); ("sigma", Float noise); ("traces", Int budget);
+        ("train_traces", Int count); ("train_s", Float train_s);
+        ("train_tps", Float train_tps);
+        ("recover_success", Bool o0.Attack.Target.success);
+        ("deterministic", Bool deterministic); ("experiments", Int experiments);
+        ("profiled_mtd", Int profiled_mtd); ("unprofiled_mtd", Int unprofiled_mtd);
+      ]
 
 let () =
   Printf.printf

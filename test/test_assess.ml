@@ -226,6 +226,105 @@ let test_matrix_report_validates () =
   | Ok () -> Alcotest.fail "missing cells accepted"
   | Error _ -> ()
 
+(* One minimal passing report per bench-gate schema. *)
+let bench_fixtures =
+  List.map
+    (fun (schema, fields) ->
+      (schema, Assess.Json.of_string (Printf.sprintf {|{"schema":%S,%s}|} schema fields)))
+    Assess.Bench_gate.
+      [
+        ( pearson,
+          {|"traces":300,"guesses":2000,"jobs":2,"rank_scalar_s":0.2,
+            "rank_batched_s":0.1,"rank_speedup":2.0,"rank_prep_s":0.01,
+            "rank_score_s":0.09,"falcon_rank_base_s":0.1,"falcon_rank_target_s":0.1,
+            "falcon_rank_ratio":1.0,"bit_identical":true,"falcon_identical":true|}
+        );
+        ( sequential,
+          {|"n":8,"traces":400,"jobs":2,"units":16,"stopped_early":16,"looks":40,
+            "traces_saved":5000,"alpha":0.0001,"mean_traces":170.5,
+            "median_traces":160,"fixed_s":0.5,"adaptive_s":0.3,
+            "keys_identical":true,"stops_identical":true|} );
+        ( leakage,
+          {|"n":8,"traces":400,"jobs":2,"max_shift":3,"mtd_hd_aligned":22,
+            "mtd_hd_realigned":22,"capture_hw_tps":5000.0,"capture_hd_tps":4000.0,
+            "capture_pipeline_tps":3000.0,"realign_tps":2700.0,
+            "realign_recovery":1.0,"fullkey_realigned":true,
+            "unaligned_degraded":true,"deterministic":true|} );
+        ( target,
+          {|"hqc_experiments":10,"jobs":2,"hqc_sr":1.0,"hqc_deterministic":true|} );
+        ( profiled,
+          {|"n":8,"traces":500,"jobs":2,"train_traces":400,"profiled_mtd":25,
+            "unprofiled_mtd":25,"sigma":0.5,"train_s":0.2,"train_tps":2000.0,
+            "deterministic":true|} );
+        ( stream,
+          {|"n":16,"traces":300,"shards":4,"jobs":2,"candidates":4124,
+            "write_s":0.02,"mem_rank_s":0.01,"stream_rank_s":0.04,
+            "stream_traces_per_sec":7000.0,"bit_identical":true|} );
+        ( obs,
+          {|"traces":300,"guesses":2085,"jobs":2,"jsonl_events":4,"legacy_s":0.013,
+            "null_s":0.013,"jsonl_s":0.014,"bit_identical":true|} );
+      ]
+
+(* Each schema's fixture passes; for every row, each value that breaks
+   only that row's field (null included, as a non-finite number is
+   written) is refused with a message naming the field. *)
+let test_bench_gate_refuses_each_row () =
+  let open Assess.Json in
+  Alcotest.(check (list string))
+    "one fixture per schema" Assess.Bench_gate.schemas (List.map fst bench_fixtures);
+  let set fixture field v =
+    match fixture with
+    | Obj fields ->
+        Obj
+          (List.filter_map
+             (fun (k, x) ->
+               if k <> field then Some (k, x) else Option.map (fun v -> (k, v)) v)
+             fields)
+    | _ -> Alcotest.fail "fixture is not an object"
+  in
+  List.iter
+    (fun (schema, fixture) ->
+      (match Assess.Bench_gate.check fixture with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s fixture refused: %s" schema (String.concat "; " e));
+      List.iter
+        (fun (row : Assess.Bench_gate.row) ->
+          let num k = Option.get (Option.bind (member k fixture) to_number_opt) in
+          let bad =
+            match row.rule with
+            | Int_min lo -> [ Int (lo - 1); Float (float_of_int lo +. 0.5) ]
+            | Non_neg -> [ Float (-1.) ]
+            | True _ -> [ Bool false; Int 1 ]
+            | At_least (b, _) -> [ Float (b -. 0.01) ]
+            | At_most_times (k, other, _) -> [ Float ((k *. num other) +. 1.) ]
+            | Open_unit -> [ Float 0.; Float 1. ]
+          in
+          List.iter
+            (fun v ->
+              let shown = Option.fold ~none:"<missing>" ~some:to_string v in
+              match Assess.Bench_gate.check (set fixture row.field v) with
+              | Ok _ -> Alcotest.failf "%s: %s = %s accepted" schema row.field shown
+              | Error msgs ->
+                  if
+                    not
+                      (List.exists
+                         (String.starts_with ~prefix:(row.field ^ " "))
+                         msgs)
+                  then
+                    Alcotest.failf "%s: %s = %s refused without naming it: %s" schema
+                      row.field shown (String.concat "; " msgs))
+            (None :: List.map Option.some (Null :: String "x" :: bad)))
+        (List.filter
+           (fun (r : Assess.Bench_gate.row) -> r.schema = schema)
+           Assess.Bench_gate.rows))
+    bench_fixtures;
+  List.iter
+    (fun j ->
+      match Assess.Bench_gate.check j with
+      | Ok _ -> Alcotest.failf "accepted %s" (to_string j)
+      | Error _ -> ())
+    [ Obj []; Obj [ ("schema", String "falcon-down/bench-pearson/v1") ]; List [] ]
+
 let suite =
   [
     Alcotest.test_case "campaign store round-trip" `Quick test_campaign_store_roundtrip;
@@ -240,4 +339,6 @@ let suite =
     Alcotest.test_case "countermeasures raise MTD" `Slow test_countermeasures_raise_mtd;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "matrix report validates" `Slow test_matrix_report_validates;
+    Alcotest.test_case "bench gate refuses each row by name" `Quick
+      test_bench_gate_refuses_each_row;
   ]
