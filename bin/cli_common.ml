@@ -44,7 +44,6 @@ module Common_flags = struct
     templates : string option;  (* --templates PATH, required by Profiled *)
     log : log;
     log_level : Obs.level;
-    mmap : [ `Auto | `Mmap | `Read ];
     prefetch : bool;
     on_corrupt : [ `Fail | `Skip ];
   }
@@ -131,20 +130,6 @@ let log_level_arg =
     & info [ "log-level" ] ~docv:"LEVEL"
         ~doc:"Event verbosity: $(b,error), $(b,info) (default) or $(b,debug).")
 
-let mmap_conv =
-  Arg.enum [ ("auto", `Auto); ("on", `Mmap); ("off", `Read) ]
-
-let mmap_arg =
-  Arg.(
-    value
-    & opt mmap_conv `Auto
-    & info [ "mmap" ] ~docv:"MODE"
-        ~doc:
-          "Shard file access: $(b,auto) (default — memory-map, falling back to \
-           buffered reads when the platform refuses), $(b,on) (require mmap) or \
-           $(b,off) (always buffered reads).  Both paths run the same CRC-checked \
-           decoder and yield byte-identical traces.")
-
 let no_prefetch_arg =
   Arg.(
     value
@@ -170,27 +155,25 @@ let on_corrupt_arg =
 
 let flags_term =
   Term.(
-    const (fun jobs backend templates log log_level mmap no_prefetch on_corrupt ->
+    const (fun jobs backend templates log log_level no_prefetch on_corrupt ->
         {
           Common_flags.jobs;
           backend;
           templates;
           log;
           log_level;
-          mmap;
           prefetch = not no_prefetch;
           on_corrupt;
         })
-    $ jobs_arg $ backend_arg $ templates_arg $ log_arg $ log_level_arg $ mmap_arg
+    $ jobs_arg $ backend_arg $ templates_arg $ log_arg $ log_level_arg
     $ no_prefetch_arg $ on_corrupt_arg)
 
-(* Open a trace store honouring the shared --mmap / --on-corrupt flags.
+(* Open a trace store honouring the shared --on-corrupt flag.
    The [policy] on the reader handle matches --on-corrupt so policy-honouring
    iteration (Reader.fold / to_seq) behaves consistently with the streaming
    attack passes, which additionally take the policy explicitly. *)
 let open_store (flags : Common_flags.t) dir =
-  Tracestore.Reader.open_store ~policy:flags.Common_flags.on_corrupt
-    ~access:flags.Common_flags.mmap dir
+  Tracestore.Reader.open_store ~policy:flags.Common_flags.on_corrupt dir
 
 (* Shared data flags (same name, same doc, every CLI). *)
 

@@ -166,9 +166,7 @@ let cmd_inspect store flags =
 
 let cmd_verify store flags =
   Cli_common.run flags @@ fun _ctx ->
-  let meta, results =
-    Tracestore.verify ~access:flags.Cli_common.Common_flags.mmap store
-  in
+  let meta, results = Tracestore.verify store in
   Printf.printf "verifying %s (FALCON-%d, %d samples/trace)\n%!" store
     meta.Tracestore.n meta.Tracestore.width;
   if results = [] then begin
@@ -207,8 +205,7 @@ let cmd_align src dst max_shift ref_traces flags =
     src dst max_shift ref_traces;
   let st =
     Align.realign_store ~ctx ~on_corrupt:flags.Cli_common.Common_flags.on_corrupt
-      ~prefetch:flags.Cli_common.Common_flags.prefetch
-      ~access:flags.Cli_common.Common_flags.mmap ~max_shift
+      ~prefetch:flags.Cli_common.Common_flags.prefetch ~max_shift
       ~reference_traces:ref_traces ~src ~dst ()
   in
   if st.Align.traces = 0 then Printf.printf "empty store: 0 traces realigned\n"
@@ -416,8 +413,8 @@ let import_cmd =
   Cmd.v
     (Cmd.info "import"
        ~doc:
-         "Convert a single-file trace set (including legacy FDTRACE1 files) into a \
-          sharded store")
+         "Convert a single-file trace set (as written by $(b,attack_cli capture)) \
+          into a sharded store")
     Term.(const cmd_import $ in_file_arg $ out_arg $ shard_arg $ noise_arg $ flags)
 
 let () =

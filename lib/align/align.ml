@@ -304,14 +304,14 @@ let bootstrap_rows ~reference_traces reader =
    with Exit -> ());
   if !d = 0 then None else Some (Array.of_list (List.rev !rows))
 
-let realign_store ?ctx:(c = Attack.Ctx.default ()) ?on_corrupt ?prefetch ?access
+let realign_store ?ctx:(c = Attack.Ctx.default ()) ?on_corrupt ?prefetch
     ?(max_shift = 3) ?window ?(reference_traces = 64) ~src ~dst () =
   if max_shift < 0 then invalid_arg "Align.realign_store: max_shift < 0";
   let obs = c.Attack.Ctx.obs in
   Obs.span obs "align.realign_store"
     ~fields:[ ("src", Obs.Str src); ("dst", Obs.Str dst) ]
   @@ fun () ->
-  let reader = Tracestore.Reader.open_store ?policy:on_corrupt ?access src in
+  let reader = Tracestore.Reader.open_store ?policy:on_corrupt src in
   let meta = Tracestore.Reader.meta reader in
   let width = meta.Tracestore.width in
   let fill = meta.Tracestore.model.Tracestore.baseline in

@@ -119,7 +119,6 @@ val realign_store :
   ?ctx:Attack.Ctx.t ->
   ?on_corrupt:[ `Fail | `Skip ] ->
   ?prefetch:bool ->
-  ?access:[ `Auto | `Mmap | `Read ] ->
   ?max_shift:int ->
   ?window:int * int ->
   ?reference_traces:int ->
@@ -131,7 +130,7 @@ val realign_store :
     bootstrap reference is built in memory from the first
     [?reference_traces] (default 64) stored traces; the store then
     streams twice through {!Attack.Dema.Stream.shard_feed} (honouring
-    [?on_corrupt] / [?prefetch] / [?access] exactly as the analysis
+    [?on_corrupt] / [?prefetch] exactly as the analysis
     readers do) — once to estimate every relative shift (a few bytes
     per trace held in memory, so the out-of-core property survives)
     and, after anchoring, once to write the corrected campaign to a

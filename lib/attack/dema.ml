@@ -739,127 +739,16 @@ module Stream = struct
              i)
     | exception Failure msg -> corrupt msg
 
-  let map_shards ?ctx:(c = Ctx.default ()) ?(on_corrupt = `Fail) ?(prefetch = true)
-      ?(codec = falcon_codec) reader f =
-    let obs = c.Ctx.obs in
-    let m = check_meta codec reader in
-    let shards = Tracestore.Reader.shard_count reader in
-    (* [done_] and [skipped] are private worker-side Atomics; [done_]
-       feeds only the lossy progress channel and the deterministic
-       shard/byte/trace/skip counters are emitted below, after the join,
-       from the owning domain. *)
-    let done_ = Atomic.make 0 in
-    let skipped = Atomic.make 0 in
-    let fetch i =
-      let r = fetch codec m ~on_corrupt reader i in
-      if Option.is_none r then Atomic.incr skipped;
-      r
-    in
-    let progress () =
-      if Obs.enabled obs then
-        Obs.progress ~total:shards obs "shards" (1 + Atomic.fetch_and_add done_ 1)
-    in
-    let results =
-      if c.Ctx.jobs = 1 && prefetch && shards > 1 then begin
-        (* single-job pipeline: a helper domain reads and decodes shard
-           i+1 while the owner runs [f] on shard i, overlapping IO with
-           scoring.  Results are consumed strictly in shard order, so the
-           outcome is the sequential one. *)
-        let out = ref [] in
-        let next = ref (Some (Domain.spawn (fun () -> fetch 0))) in
-        Fun.protect
-          ~finally:(fun () ->
-            match !next with
-            | Some dm -> ( try ignore (Domain.join dm) with _ -> ())
-            | None -> ())
-          (fun () ->
-            for i = 0 to shards - 1 do
-              let cur = Domain.join (Option.get !next) in
-              next :=
-                if i + 1 < shards then Some (Domain.spawn (fun () -> fetch (i + 1)))
-                else None;
-              (match cur with
-              | Some traces -> out := f i traces :: !out
-              | None -> ());
-              progress ()
-            done);
-        List.rev !out
-      end
-      else
-        List.filter_map Fun.id
-          (Parallel.map_chunks ~jobs:c.Ctx.jobs ~chunk:1
-             ~map:(fun _ chunk ->
-               let i = chunk.(0) in
-               let r = Option.map (f i) (fetch i) in
-               progress ();
-               r)
-             (Seq.init shards Fun.id))
-    in
-    if Obs.enabled obs then begin
-      let bytes = ref 0 and traces = ref 0 in
-      for i = 0 to shards - 1 do
-        let e = Tracestore.Reader.entry reader i in
-        bytes := !bytes + e.Tracestore.bytes;
-        traces := !traces + e.Tracestore.count
-      done;
-      Obs.count obs "tracestore.shards" shards;
-      Obs.count obs "tracestore.bytes" !bytes;
-      Obs.count obs "tracestore.traces" !traces;
-      let sk = Atomic.get skipped in
-      if sk > 0 then Obs.count obs "dema.shards_skipped" sk
-    end;
-    results
-
-  let gather ~samples ~known (batch : Leakage.trace array) =
-    ( Array.map
-        (fun (t : Leakage.trace) -> Array.map (fun s -> t.samples.(s)) samples)
-        batch,
-      Array.map known batch )
-
-  let extract ?ctx ?on_corrupt ?prefetch ?codec reader ~samples ~known =
-    let samples = Array.of_list samples in
-    let pieces =
-      map_shards ?ctx ?on_corrupt ?prefetch ?codec reader (fun _ traces ->
-          gather ~samples ~known traces)
-    in
-    ( Array.concat (List.map fst pieces),
-      Array.concat (List.map snd pieces) )
-
-  (* the driver segment of one decoded shard *)
-  let shard_columns needs ~known (tr : Leakage.trace array) =
-    columns needs ~len:(Array.length tr)
-      ~get:(fun i s -> tr.(i).Leakage.samples.(s))
-      (Array.map known tr)
-
-  (* Store-backed fixed-budget sweep: each shard is one driver segment of
-     the columns the instance needs, so the campaign is never
-     concatenated and every addition lands in the same accumulator in
-     the same global trace order as the in-memory sweep. *)
-  let rank ?ctx:(c = Ctx.default ()) ?on_corrupt ?prefetch ?codec reader ~parts
-      ~known ~top candidates =
-    let obs = c.Ctx.obs in
-    let source needs =
-      let pieces =
-        Obs.span ~level:Obs.Debug obs "dema.stream.extract" (fun () ->
-            map_shards ~ctx:c ?on_corrupt ?prefetch ?codec reader (fun _ tr ->
-                (shard_columns needs ~known tr, Array.length tr)))
-      in
-      (List.map fst pieces, List.fold_left (fun a (_, d) -> a + d) 0 pieces)
-    in
-    Obs.span obs "dema.stream.rank"
-      ~fields:
-        [
-          ("shards", Obs.Int (Tracestore.Reader.shard_count reader));
-          ("backend", Obs.Str (Distinguisher.name c.Ctx.backend));
-        ]
-      (fun () -> fixed (distinguisher c.Ctx.backend) ~ctx:c ~parts ~top ~source candidates)
-
-  (* Pull-based shard feed for adaptive campaigns: decoded strictly in
-     shard order, one at a time, with one decode kept in flight on a
-     helper domain when [prefetch] — the caller consumes at its own
-     pace and simply stops pulling at the stopping point, so unread
-     shards are never decoded.  The delivered trace sequence (order,
-     skips, truncation at the cap) is independent of [prefetch]. *)
+  (* The one in-order shard loop, behind [shard_feed] and the single-job
+     [map_shards]: shards are decoded strictly in shard order, one at a
+     time, with one decode kept in flight on a helper domain when
+     [prefetch] — the caller consumes at its own pace and simply stops
+     pulling at the stopping point, so unread shards are never decoded.
+     The delivered trace sequence (order, skips, empty shards dropped,
+     truncation at the cap) is independent of [prefetch].  [on_take]
+     runs on the consuming domain once per shard taken, delivered or
+     not.  Without a binding cap every shard is taken, so trailing empty
+     shards are still read and validated, as at [jobs > 1]. *)
   type feed = {
     next : unit -> Leakage.trace array option;
     close : unit -> unit;
@@ -867,12 +756,11 @@ module Stream = struct
     skipped : unit -> int;
   }
 
-  let shard_feed ?(on_corrupt = `Fail) ?(prefetch = true) ?(codec = falcon_codec)
-      ?max_traces reader =
+  let in_order ~on_corrupt ~prefetch ~codec ~max_traces ~on_take reader =
     let m = check_meta codec reader in
     let shards = Tracestore.Reader.shard_count reader in
+    let avail = Tracestore.Reader.total_traces reader in
     let cap =
-      let avail = Tracestore.Reader.total_traces reader in
       match max_traces with
       | None -> avail
       | Some k ->
@@ -898,11 +786,12 @@ module Stream = struct
         pending := Some (Domain.spawn (fun () -> fetch i))
       end;
       (match cur with None -> incr skipped | Some _ -> ());
+      on_take ();
       cur
     in
     let delivered = ref 0 in
     let rec next () =
-      if !delivered >= cap || !idx >= shards then None
+      if !idx >= shards || (cap < avail && !delivered >= cap) then None
       else
         match take () with
         | None -> next ()
@@ -922,6 +811,119 @@ module Stream = struct
       | None -> ()
     in
     { next; close; total = cap; skipped = (fun () -> !skipped) }
+
+  let shard_feed ?(on_corrupt = `Fail) ?(prefetch = true) ?(codec = falcon_codec)
+      ?max_traces reader =
+    in_order ~on_corrupt ~prefetch ~codec ~max_traces ~on_take:ignore reader
+
+  (* [f] on every non-empty decoded shard, results in shard order.  One
+     job drains [in_order]; more jobs decode one shard per work unit on
+     the domain pool.  Both drop empty shards and count skipped ones the
+     same way, so the results do not depend on [jobs] or [prefetch]. *)
+  let map_shards ?ctx:(c = Ctx.default ()) ?(on_corrupt = `Fail) ?(prefetch = true)
+      ?(codec = falcon_codec) reader f =
+    let obs = c.Ctx.obs in
+    let shards = Tracestore.Reader.shard_count reader in
+    (* [done_] feeds only the lossy progress channel; the deterministic
+       shard/byte/trace/skip counters are emitted below, after the
+       join, from the owning domain. *)
+    let done_ = Atomic.make 0 in
+    let progress () =
+      if Obs.enabled obs then
+        Obs.progress ~total:shards obs "shards" (1 + Atomic.fetch_and_add done_ 1)
+    in
+    let results, skipped =
+      if c.Ctx.jobs = 1 then begin
+        let fd =
+          in_order ~on_corrupt ~prefetch ~codec ~max_traces:None ~on_take:progress reader
+        in
+        Fun.protect ~finally:fd.close (fun () ->
+            let rec drain acc =
+              match fd.next () with Some tr -> drain (f tr :: acc) | None -> List.rev acc
+            in
+            let r = drain [] in
+            (r, fd.skipped ()))
+      end
+      else begin
+        let m = check_meta codec reader in
+        (* a private worker-side Atomic, read after the join *)
+        let skipped = Atomic.make 0 in
+        let r =
+          List.filter_map Fun.id
+            (Parallel.map_chunks ~jobs:c.Ctx.jobs ~chunk:1
+               ~map:(fun _ chunk ->
+                 let r =
+                   match fetch codec m ~on_corrupt reader chunk.(0) with
+                   | None ->
+                       Atomic.incr skipped;
+                       None
+                   | Some [||] -> None
+                   | Some traces -> Some (f traces)
+                 in
+                 progress ();
+                 r)
+               (Seq.init shards Fun.id))
+        in
+        (r, Atomic.get skipped)
+      end
+    in
+    if Obs.enabled obs then begin
+      let bytes = ref 0 and traces = ref 0 in
+      for i = 0 to shards - 1 do
+        let e = Tracestore.Reader.entry reader i in
+        bytes := !bytes + e.Tracestore.bytes;
+        traces := !traces + e.Tracestore.count
+      done;
+      Obs.count obs "tracestore.shards" shards;
+      Obs.count obs "tracestore.bytes" !bytes;
+      Obs.count obs "tracestore.traces" !traces;
+      if skipped > 0 then Obs.count obs "dema.shards_skipped" skipped
+    end;
+    results
+
+  let gather ~samples ~known (batch : Leakage.trace array) =
+    ( Array.map
+        (fun (t : Leakage.trace) -> Array.map (fun s -> t.samples.(s)) samples)
+        batch,
+      Array.map known batch )
+
+  let extract ?ctx ?on_corrupt ?prefetch ?codec reader ~samples ~known =
+    let samples = Array.of_list samples in
+    let pieces =
+      map_shards ?ctx ?on_corrupt ?prefetch ?codec reader (fun traces ->
+          gather ~samples ~known traces)
+    in
+    ( Array.concat (List.map fst pieces),
+      Array.concat (List.map snd pieces) )
+
+  (* the driver segment of one decoded shard *)
+  let shard_columns needs ~known (tr : Leakage.trace array) =
+    columns needs ~len:(Array.length tr)
+      ~get:(fun i s -> tr.(i).Leakage.samples.(s))
+      (Array.map known tr)
+
+  (* Store-backed fixed-budget sweep: each shard is one driver segment of
+     the columns the instance needs, so the campaign is never
+     concatenated and every addition lands in the same accumulator in
+     the same global trace order as the in-memory sweep. *)
+  let rank ?ctx:(c = Ctx.default ()) ?on_corrupt ?prefetch ?codec reader ~parts
+      ~known ~top candidates =
+    let obs = c.Ctx.obs in
+    let source needs =
+      let pieces =
+        Obs.span ~level:Obs.Debug obs "dema.stream.extract" (fun () ->
+            map_shards ~ctx:c ?on_corrupt ?prefetch ?codec reader (fun tr ->
+                (shard_columns needs ~known tr, Array.length tr)))
+      in
+      (List.map fst pieces, List.fold_left (fun a (_, d) -> a + d) 0 pieces)
+    in
+    Obs.span obs "dema.stream.rank"
+      ~fields:
+        [
+          ("shards", Obs.Int (Tracestore.Reader.shard_count reader));
+          ("backend", Obs.Str (Distinguisher.name c.Ctx.backend));
+        ]
+      (fun () -> fixed (distinguisher c.Ctx.backend) ~ctx:c ~parts ~top ~source candidates)
 
   (* Adaptive variant of [rank]: shards are pulled one at a time from
      [shard_feed] and fed to an incremental sweep; the tester looks
@@ -965,7 +967,7 @@ module Stream = struct
         ~fields:[ ("traces", Obs.Int tot) ]
         c.Ctx.obs "dema.degenerate_evolution" 1;
     let per_shard =
-      map_shards ~ctx:c ?on_corrupt ?prefetch ?codec reader (fun _ traces ->
+      map_shards ~ctx:c ?on_corrupt ?prefetch ?codec reader (fun traces ->
           let acc = Stats.Welford.Cov.create () in
           Array.iter
             (fun (t : Leakage.trace) ->

@@ -204,11 +204,16 @@ val rank_until :
     is counted on the ["dema.shards_skipped"] observability counter
     (emitted only when non-zero).
 
-    {b Prefetch.}  With [ctx.jobs = 1] and [?prefetch] [true] (the default),
-    a helper domain reads and decodes shard [i+1] while shard [i] is
-    being consumed, overlapping IO/decode with scoring; results are
-    still consumed strictly in shard order.  With [jobs > 1] the domain
-    pool already overlaps shards and the flag is ignored. *)
+    {b Empty shards} (a manifest entry of zero traces) contribute no
+    segment and no checkpoint, at every [jobs] and prefetch setting.
+
+    {b Prefetch.}  With [ctx.jobs = 1] every entry point drains the one
+    in-order shard loop behind {!Stream.shard_feed}: with [?prefetch]
+    [true] (the default) a helper domain reads and decodes shard [i+1]
+    while shard [i] is being consumed, overlapping IO/decode with
+    scoring, and results are still consumed strictly in shard order.
+    With [jobs > 1] the domain pool already overlaps shards and the flag
+    is ignored. *)
 module Stream : sig
   (** How the stream turns a store's records back into traces.  The
       [check] half validates the store's meta (ring size vs sample
@@ -287,10 +292,12 @@ module Stream : sig
     feed
   (** Decode shards strictly in shard order, one pull at a time, with
       one decode kept in flight on a helper domain when [?prefetch]
-      (the default).  The delivered trace sequence is independent of
-      [prefetch].  Unpulled shards are never decoded — the property
-      adaptive campaigns stop early on.  Raises [Failure] naming the
-      shard on a corrupt shard under [`Fail]. *)
+      (the default).  This is the one in-order shard loop: the
+      single-job passes of every other entry point drain it too.  The
+      delivered trace sequence is independent of [prefetch].  Unpulled
+      shards are never decoded — the property adaptive campaigns stop
+      early on.  Raises [Failure] naming the shard on a corrupt shard
+      under [`Fail]. *)
 
   val rank_until :
     ?ctx:Ctx.t ->

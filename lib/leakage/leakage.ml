@@ -379,10 +379,7 @@ let of_record ~n (r : Tracestore.record) =
 (* Single-file persistence is one shard of the Tracestore format:
    exactly the binary layout and validation path of a store shard
    (header, CRC32-protected payload), so a standalone trace file and a
-   sharded campaign cannot drift apart.  Files written by the pre-store
-   "FDTRACE1" format are still readable through the legacy shim. *)
-let legacy_magic = "FDTRACE1"
-
+   sharded campaign cannot drift apart. *)
 let save path traces =
   if Array.length traces = 0 then invalid_arg "Leakage.save: empty trace set";
   let n = Fft.length traces.(0).c_fft in
@@ -390,90 +387,13 @@ let save path traces =
     (Tracestore.Shard.write_file path ~n ~width:(n * events_per_coeff)
        (Array.map to_record traces))
 
-(* The pre-Tracestore reader, kept verbatim as a read-only shim for old
-   fixtures: lengths are validated against the bytes remaining before
-   any allocation, with offset-reporting failures (the PR 1 hardening).
-   There is no CRC in this format. *)
-let max_string_field = 1 lsl 20
-
-let load_legacy path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let total = in_channel_length ic in
-      let fail fmt =
-        Printf.ksprintf
-          (fun s -> failwith (Printf.sprintf "Leakage.load: %s: %s" path s))
-          fmt
-      in
-      let need what bytes =
-        let here = pos_in ic in
-        if bytes < 0 || bytes > total - here then
-          fail "truncated file: %s needs %d bytes at offset %d but only %d remain"
-            what bytes here (total - here)
-      in
-      let read_int what =
-        need what 4;
-        input_binary_int ic
-      in
-      let read_string what =
-        let off = pos_in ic in
-        let len = read_int (what ^ " length") in
-        if len < 0 || len > max_string_field then
-          fail "%s length %d at offset %d out of range [0, %d]" what len off
-            max_string_field;
-        need what len;
-        really_input_string ic len
-      in
-      seek_in ic (String.length legacy_magic);
-      let off_n = pos_in ic in
-      let n = read_int "ring size" in
-      if n < 2 || n > 1024 || n land (n - 1) <> 0 then
-        fail "ring size %d at offset %d is not a power of two in [2, 1024]" n off_n;
-      let off_count = pos_in ic in
-      let count = read_int "trace count" in
-      if count < 0 || count > 10_000_000 then
-        fail "trace count %d at offset %d out of range" count off_count;
-      Array.init count (fun i ->
-          let msg = read_string (Printf.sprintf "trace %d message" i) in
-          let salt = read_string (Printf.sprintf "trace %d salt" i) in
-          let body = read_string (Printf.sprintf "trace %d signature body" i) in
-          let off_slen = pos_in ic in
-          let slen = read_int (Printf.sprintf "trace %d sample count" i) in
-          if slen <> n * events_per_coeff then
-            fail "trace %d sample count %d at offset %d (want %d for n = %d)" i
-              slen off_slen (n * events_per_coeff) n;
-          need (Printf.sprintf "trace %d samples" i) (8 * slen);
-          let raw = Bytes.create (8 * slen) in
-          really_input ic raw 0 (8 * slen);
-          let samples =
-            Array.init slen (fun j -> Int64.float_of_bits (Bytes.get_int64_be raw (8 * j)))
-          in
-          let c = Falcon.Hash.to_point ~n (salt ^ msg) in
-          { samples; c_fft = Fft.fft_of_int c; msg;
-            signature = { Falcon.Scheme.salt; body } }))
-
-let peek_magic path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let want = String.length legacy_magic in
-      if in_channel_length ic < want then ""
-      else really_input_string ic want)
-
 let load path =
-  if peek_magic path = legacy_magic then load_legacy path
-  else begin
-    let n, width, records = Tracestore.Shard.read_file path in
-    if width <> n * events_per_coeff then
-      failwith
-        (Printf.sprintf
-           "Leakage.load: %s: sample width %d does not match n = %d (want %d)" path
-           width n (n * events_per_coeff));
-    Array.map (of_record ~n) records
-  end
+  let n, width, records = Tracestore.Shard.read_file path in
+  if width <> n * events_per_coeff then
+    failwith
+      (Printf.sprintf "Leakage.load: %s: sample width %d does not match n = %d (want %d)"
+         path width n (n * events_per_coeff));
+  Array.map (of_record ~n) records
 
 let ntt_trace model rng p =
   let buf = ref [] in

@@ -243,13 +243,15 @@ val save : string -> trace array -> unit
     set. *)
 
 val load : string -> trace array
-(** Raises [Failure] on a malformed file.  Every declared length is
-    checked against the bytes remaining before anything is allocated,
-    and the payload CRC32 is verified, so truncation or corruption
-    yields a descriptive message naming the offending field and its
-    byte offset — never [End_of_file] or [Out_of_memory].  Files in the
-    pre-store "FDTRACE1" format are read through a legacy shim (same
-    validation, no CRC). *)
+(** [load path] reads a file written by {!save}: one
+    {!Tracestore.Shard} file, decoded by {!Tracestore.Shard.read_file}
+    and rebuilt by {!of_record}.  Raises [Failure] naming [path] on a
+    malformed file or one in any other format (bad magic).  Every
+    declared length is checked against the bytes remaining before
+    anything is allocated, and the payload CRC32 is verified, so
+    truncation or corruption yields a descriptive message naming the
+    offending field and its byte offset — never [End_of_file] or
+    [Out_of_memory]. *)
 
 (** {1 NTT traces (section V-C comparison)} *)
 

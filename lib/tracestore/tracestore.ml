@@ -23,58 +23,12 @@ let shard_name i = Printf.sprintf "shard-%04d.fdt" i
 let shard_path dir i = Filename.concat dir (shard_name i)
 let manifest_path dir = Filename.concat dir manifest_name
 
-(* Validation ceilings, shared with the historical Leakage.load limits:
-   a wild length field must be refused by comparison, not by attempting
-   the allocation. *)
+(* Validation ceilings: a wild length field must be refused by
+   comparison, not by attempting the allocation. *)
 let max_string_field = 1 lsl 20
 let max_traces = 10_000_000
 let max_width = 1 lsl 24
 let max_shards = 1 lsl 20
-
-(* ---- byte sources ----
-
-   A decoded image is either a heap buffer (filled by [really_input]) or
-   a read-only memory-mapped view of the file.  The codec below is
-   written against this accessor set, so both paths run the identical
-   validation (magic, header ranges, CRC, trailing-garbage) and produce
-   identical records — mmap changes only who owns the bytes. *)
-type src =
-  | SBytes of Bytes.t
-  | SMap of (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let src_length = function
-  | SBytes b -> Bytes.length b
-  | SMap m -> Bigarray.Array1.dim m
-
-(* The unchecked reads below are only reached behind an explicit bounds
-   check ([need], or the size guards of the decoders). *)
-let src_i32_be s pos =
-  match s with
-  | SBytes b -> Int32.to_int (Bytes.get_int32_be b pos)
-  | SMap m ->
-      let byte i = Char.code (Bigarray.Array1.unsafe_get m (pos + i)) in
-      let v =
-        (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3
-      in
-      (* sign-extend from 32 bits, matching [Bytes.get_int32_be] *)
-      (v lxor 0x80000000) - 0x80000000
-
-let src_i64_be s pos =
-  match s with
-  | SBytes b -> Bytes.get_int64_be b pos
-  | SMap m ->
-      let r = ref 0L in
-      for k = 0 to 7 do
-        r :=
-          Int64.logor (Int64.shift_left !r 8)
-            (Int64.of_int (Char.code (Bigarray.Array1.unsafe_get m (pos + k))))
-      done;
-      !r
-
-let src_sub_string s pos len =
-  match s with
-  | SBytes b -> Bytes.sub_string b pos len
-  | SMap m -> String.init len (fun i -> Bigarray.Array1.unsafe_get m (pos + i))
 
 module Crc32 = struct
   (* CRC-32 (IEEE 802.3), reflected, table-driven; plain 63-bit ints. *)
@@ -95,19 +49,6 @@ module Crc32 = struct
     done;
     !c lxor 0xFFFFFFFF
 
-  let digest_src s ~pos ~len =
-    match s with
-    | SBytes b -> digest b ~pos ~len
-    | SMap m ->
-        let t = Lazy.force table in
-        let c = ref 0xFFFFFFFF in
-        for i = pos to pos + len - 1 do
-          c :=
-            t.((!c lxor Char.code (Bigarray.Array1.unsafe_get m i)) land 0xFF)
-            lxor (!c lsr 8)
-        done;
-        !c lxor 0xFFFFFFFF
-
   let digest_string s =
     digest (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 end
@@ -115,9 +56,17 @@ end
 let fail ~ctx fmt =
   Printf.ksprintf (fun s -> failwith (Printf.sprintf "Tracestore: %s: %s" ctx s)) fmt
 
-(* ---- binary primitives over a bounds-checked cursor ---- *)
+(* ---- binary primitives over a bounds-checked cursor ----
 
-type cursor = { s : src; mutable pos : int; limit : int }
+   The [Bytes.get_*] reads below are only reached behind an explicit
+   bounds check ([need], or the size guards of the decoders), so a
+   malformed image fails with a diagnostic, never with the
+   [Invalid_argument] of an out-of-range read. *)
+
+type cursor = { b : Bytes.t; mutable pos : int; limit : int }
+
+let get_i32 b pos = Int32.to_int (Bytes.get_int32_be b pos)
+let get_f64 b pos = Int64.float_of_bits (Bytes.get_int64_be b pos)
 
 let need ~ctx cur what bytes =
   if bytes < 0 || bytes > cur.limit - cur.pos then
@@ -126,13 +75,13 @@ let need ~ctx cur what bytes =
 
 let read_i32 ~ctx cur what =
   need ~ctx cur what 4;
-  let v = src_i32_be cur.s cur.pos in
+  let v = get_i32 cur.b cur.pos in
   cur.pos <- cur.pos + 4;
   v
 
 let read_f64 ~ctx cur what =
   need ~ctx cur what 8;
-  let v = Int64.float_of_bits (src_i64_be cur.s cur.pos) in
+  let v = get_f64 cur.b cur.pos in
   cur.pos <- cur.pos + 8;
   v
 
@@ -143,7 +92,7 @@ let read_string ~ctx cur what =
     fail ~ctx "%s length %d at offset %d out of range [0, %d]" what len off
       max_string_field;
   need ~ctx cur what len;
-  let s = src_sub_string cur.s cur.pos len in
+  let s = Bytes.sub_string cur.b cur.pos len in
   cur.pos <- cur.pos + len;
   s
 
@@ -154,7 +103,9 @@ let add_string buf s =
   add_i32 buf (String.length s);
   Buffer.add_string buf s
 
-let read_whole ~ctx path =
+(* [check] sees the file length before the buffer exists, so a file
+   it refuses costs no heap. *)
+let read_whole ?(check = ignore) ~ctx path =
   match open_in_bin path with
   | exception Sys_error m -> fail ~ctx "cannot read: %s" m
   | ic ->
@@ -162,6 +113,7 @@ let read_whole ~ctx path =
         ~finally:(fun () -> close_in ic)
         (fun () ->
           let len = in_channel_length ic in
+          check len;
           let b = Bytes.create len in
           really_input ic b 0 len;
           b)
@@ -171,29 +123,6 @@ let write_whole path b =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_bytes oc b)
-
-(* Map a file read-only.  The mapping outlives the descriptor (POSIX
-   keeps pages valid after close), so the fd is released immediately.
-   Every error is funnelled through [fail] so [`Auto] can fall back to
-   the heap path on a plain [Failure]. *)
-let map_whole ~ctx path =
-  let fd =
-    match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-    | fd -> fd
-    | exception Unix.Unix_error (e, _, _) ->
-        fail ~ctx "cannot open for mmap: %s" (Unix.error_message e)
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let len = (Unix.fstat fd).Unix.st_size in
-      if len = 0 then SBytes Bytes.empty
-      else
-        match Unix.map_file fd Bigarray.char Bigarray.c_layout false [| len |] with
-        | g -> SMap (Bigarray.array1_of_genarray g)
-        | exception Unix.Unix_error (e, _, _) ->
-            fail ~ctx "mmap failed: %s" (Unix.error_message e)
-        | exception Sys_error m -> fail ~ctx "mmap failed: %s" m)
 
 (* ---- per-trace record codec ---- *)
 
@@ -216,7 +145,7 @@ let read_record ~ctx ~width cur i =
   need ~ctx cur (Printf.sprintf "trace %d samples" i) (8 * slen);
   let base = cur.pos in
   let samples =
-    Array.init slen (fun j -> Int64.float_of_bits (src_i64_be cur.s (base + (8 * j))))
+    Array.init slen (fun j -> get_f64 cur.b (base + (8 * j)))
   in
   cur.pos <- base + (8 * slen);
   { msg; salt; body; samples }
@@ -236,8 +165,8 @@ let read_record ~ctx ~width cur i =
 
 let shard_header = 20
 
-let check_magic ~ctx s want =
-  let got = src_sub_string s 0 (String.length want) in
+let check_magic ~ctx b want =
+  let got = Bytes.sub_string b 0 (String.length want) in
   if got <> want then fail ~ctx "bad magic %S (want %S)" got want
 
 let check_n ~ctx ~off n =
@@ -273,13 +202,13 @@ let encode_shard ~n ~width records =
   Bytes.set_int32_be out (Bytes.length payload) (Int32.of_int crc);
   (out, crc)
 
-let decode_shard ?expect ~ctx s =
-  let size = src_length s in
+let decode_shard ?expect ~ctx b =
+  let size = Bytes.length b in
   if size < shard_header + 4 then
     fail ~ctx "truncated: %d bytes is below the %d-byte shard minimum" size
       (shard_header + 4);
-  check_magic ~ctx s shard_magic;
-  let hdr = { s; pos = 8; limit = shard_header } in
+  check_magic ~ctx b shard_magic;
+  let hdr = { b; pos = 8; limit = shard_header } in
   let n = read_i32 ~ctx hdr "ring size" in
   check_n ~ctx ~off:8 n;
   let width = read_i32 ~ctx hdr "sample width" in
@@ -294,8 +223,8 @@ let decode_shard ?expect ~ctx s =
         count e.count
   | _ -> ());
   let crc_off = size - 4 in
-  let stored = src_i32_be s crc_off land 0xFFFFFFFF in
-  let computed = Crc32.digest_src s ~pos:shard_header ~len:(crc_off - shard_header) in
+  let stored = get_i32 b crc_off land 0xFFFFFFFF in
+  let computed = Crc32.digest b ~pos:shard_header ~len:(crc_off - shard_header) in
   if computed <> stored then
     fail ~ctx
       "payload CRC mismatch over bytes [%d, %d): stored %08x, computed %08x — \
@@ -306,7 +235,7 @@ let decode_shard ?expect ~ctx s =
       fail ~ctx "payload CRC %08x at offset %d does not match the manifest CRC %08x"
         stored crc_off e.crc
   | _ -> ());
-  let cur = { s; pos = shard_header; limit = crc_off } in
+  let cur = { b; pos = shard_header; limit = crc_off } in
   let records = Array.init count (fun i -> read_record ~ctx ~width cur i) in
   if cur.pos <> crc_off then
     fail ~ctx "%d bytes of trailing garbage after the last record at offset %d"
@@ -319,7 +248,7 @@ module Shard = struct
     write_whole path bytes;
     { count = Array.length records; bytes = Bytes.length bytes; crc }
 
-  let read_file path = decode_shard ~ctx:path (SBytes (read_whole ~ctx:path path))
+  let read_file path = decode_shard ~ctx:path (read_whole ~ctx:path path)
 end
 
 (* ---- manifest codec ----
@@ -361,15 +290,14 @@ let decode_manifest ~ctx b =
   let size = Bytes.length b in
   if size < 52 then
     fail ~ctx "truncated: %d bytes is below the 52-byte manifest minimum" size;
-  let s = SBytes b in
-  check_magic ~ctx s manifest_magic;
+  check_magic ~ctx b manifest_magic;
   let crc_off = size - 4 in
-  let stored = Int32.to_int (Bytes.get_int32_be b crc_off) land 0xFFFFFFFF in
+  let stored = get_i32 b crc_off land 0xFFFFFFFF in
   let computed = Crc32.digest b ~pos:8 ~len:(crc_off - 8) in
   if computed <> stored then
     fail ~ctx "manifest CRC mismatch over bytes [8, %d): stored %08x, computed %08x"
       crc_off stored computed;
-  let cur = { s; pos = 8; limit = crc_off } in
+  let cur = { b; pos = 8; limit = crc_off } in
   let n = read_i32 ~ctx cur "ring size" in
   check_n ~ctx ~off:8 n;
   let width = read_i32 ~ctx cur "sample width" in
@@ -497,19 +425,17 @@ module Reader = struct
     r_meta : meta;
     entries : shard_entry array;
     policy : [ `Fail | `Skip ];
-    access : [ `Auto | `Mmap | `Read ];
     skipped_rev : (int * string) list ref;
     lock : Mutex.t;
   }
 
-  let open_store ?(policy = `Fail) ?(access = `Auto) dir =
+  let open_store ?(policy = `Fail) dir =
     let m, entries = read_manifest dir in
     {
       dir;
       r_meta = m;
       entries = Array.of_list entries;
       policy;
-      access;
       skipped_rev = ref [];
       lock = Mutex.create ();
     }
@@ -529,19 +455,13 @@ module Reader = struct
     let path = shard_path t.dir i in
     let ctx = Printf.sprintf "shard %d (%s)" i path in
     let e = t.entries.(i) in
-    let s =
-      match t.access with
-      | `Read -> SBytes (read_whole ~ctx path)
-      | `Mmap -> map_whole ~ctx path
-      | `Auto -> (
-          match map_whole ~ctx path with
-          | s -> s
-          | exception Failure _ -> SBytes (read_whole ~ctx path))
+    let b =
+      read_whole ~ctx path ~check:(fun len ->
+          if len <> e.bytes then
+            fail ~ctx "file is %d bytes but the manifest records %d — truncated or replaced"
+              len e.bytes)
     in
-    if src_length s <> e.bytes then
-      fail ~ctx "file is %d bytes but the manifest records %d — truncated or replaced"
-        (src_length s) e.bytes;
-    let n, width, records = decode_shard ~expect:e ~ctx s in
+    let n, width, records = decode_shard ~expect:e ~ctx b in
     if n <> t.r_meta.n then
       fail ~ctx "ring size %d does not match the store's %d" n t.r_meta.n;
     if width <> t.r_meta.width then
@@ -574,8 +494,8 @@ module Reader = struct
            | None -> Seq.empty))
 end
 
-let verify ?access dir =
-  let r = Reader.open_store ~policy:`Fail ?access dir in
+let verify dir =
+  let r = Reader.open_store ~policy:`Fail dir in
   ( Reader.meta r,
     List.init (Reader.shard_count r) (fun i ->
         match Reader.load_shard r i with

@@ -17,9 +17,10 @@
     is exactly one binary trace format and one validation path in the
     repository.
 
-    {b Validation.}  Mirroring the [Leakage.load] hardening: every
-    declared length is checked against the bytes actually present
-    before anything is allocated, and every failure is a [Failure]
+    {b Validation.}  Every declared length is checked against the
+    bytes actually present before anything is allocated (a store
+    shard's file length against its manifest entry before the file is
+    read), and every failure is a [Failure]
     whose message names the offending field, its byte offset, and (for
     store shards) the shard index — never [End_of_file] or
     [Out_of_memory].  See DESIGN.md section 8 for the byte-level
@@ -121,27 +122,14 @@ end
 module Reader : sig
   type t
 
-  val open_store :
-    ?policy:[ `Fail | `Skip ] -> ?access:[ `Auto | `Mmap | `Read ] -> string -> t
+  val open_store : ?policy:[ `Fail | `Skip ] -> string -> t
   (** Open a store for reading; validates the manifest eagerly (a
       corrupt manifest always raises [Failure], whatever the policy).
       [policy] governs shard-level corruption during iteration:
       [`Fail] (default) raises; [`Skip] drops the shard and records it
       in {!skipped}.  The handle is safe to share across domains.
-
-      [access] selects how shard files reach the decoder:
-      - [`Mmap] maps each shard read-only with [Unix.map_file] and
-        decodes straight out of the page cache — no intermediate heap
-        copy of the file image.  Raises [Failure] (or skips, per
-        [policy]) if the platform refuses the mapping.
-      - [`Read] forces the classic [really_input] heap path.
-      - [`Auto] (default) tries [`Mmap] and silently falls back to
-        [`Read] when mapping fails (e.g. network filesystems).
-
-      Both paths run the identical validation — magic, header range
-      checks, manifest cross-checks, payload CRC32, trailing-garbage —
-      and yield byte-identical records; the choice affects only
-      performance. *)
+      Each shard file is read whole into one heap buffer and decoded
+      from there. *)
 
   val meta : t -> meta
   val shard_count : t -> int
@@ -154,9 +142,11 @@ module Reader : sig
 
   val load_shard : t -> int -> record array
   (** Strict single-shard load: reads, CRC-checks and parses shard [i],
-      validating size, count and checksum against the manifest.  Raises
-      [Failure] (naming the shard index and byte offset) on any
-      corruption, regardless of policy. *)
+      validating size, count and checksum against the manifest.  The
+      file's length is compared with the manifest's byte size before
+      its buffer is allocated, so a grown or replaced shard is refused
+      without reading it.  Raises [Failure] (naming the shard index and
+      byte offset) on any corruption, regardless of policy. *)
 
   val read_shard : t -> int -> record array option
   (** Policy-honouring load: [None] if the shard is corrupt and the
@@ -174,9 +164,8 @@ module Reader : sig
       live at any point of the traversal. *)
 end
 
-val verify :
-  ?access:[ `Auto | `Mmap | `Read ] -> string -> meta * (int * (int, string) result) list
-(** [verify ?access dir] opens the manifest strictly and strictly loads
-    every shard, returning per-shard outcomes in order: [Ok count] or
-    [Error diagnostic].  [access] is as in {!Reader.open_store}.  The
-    store is never modified. *)
+val verify : string -> meta * (int * (int, string) result) list
+(** [verify dir] opens the manifest strictly and strictly loads every
+    shard through {!Reader.load_shard}, returning per-shard outcomes in
+    order: [Ok count] or [Error diagnostic].  The store is never
+    modified. *)

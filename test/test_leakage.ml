@@ -229,44 +229,27 @@ let test_load_bitflipped_payload_rejected () =
   check_load_failure "bit-flipped payload" path
     ~mentions:[ "CRC mismatch"; "corruption" ]
 
-let test_load_legacy_format () =
-  (* a pre-Tracestore "FDTRACE1" file (no CRC, OCaml binary ints) must
-     still load through the legacy shim *)
-  let sk = Lazy.force sk16 in
-  let traces = Leakage.capture Leakage.default_model ~seed:35 sk ~count:2 in
-  let path = Filename.temp_file "fd_legacy" ".bin" in
+let test_load_refuses_fdtrace1 () =
+  (* the retired pre-store "FDTRACE1" layout (OCaml binary ints, no
+     CRC) is not a shard file: load must refuse it by its magic, naming
+     the file, rather than guess at its layout *)
+  let path = Filename.temp_file "fd_fdtrace1" ".bin" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out_bin path in
       output_string oc "FDTRACE1";
       output_binary_int oc 16;
-      output_binary_int oc (Array.length traces);
-      Array.iter
-        (fun (t : Leakage.trace) ->
-          let str s =
-            output_binary_int oc (String.length s);
-            output_string oc s
-          in
-          str t.msg;
-          str t.signature.Falcon.Scheme.salt;
-          str t.signature.Falcon.Scheme.body;
-          output_binary_int oc (Array.length t.samples);
-          let b = Bytes.create 8 in
-          Array.iter
-            (fun v ->
-              Bytes.set_int64_be b 0 (Int64.bits_of_float v);
-              output_bytes oc b)
-            t.samples)
-        traces;
+      output_binary_int oc 1;
+      List.iter
+        (fun s ->
+          output_binary_int oc (String.length s);
+          output_string oc s)
+        [ "message"; "salt"; "body" ];
+      output_binary_int oc (16 * Leakage.events_per_coeff);
+      output_string oc (String.make (8 * 16 * Leakage.events_per_coeff) '\000');
       close_out oc;
-      let back = Leakage.load path in
-      Alcotest.(check int) "count" 2 (Array.length back);
-      Array.iteri
-        (fun i (t : Leakage.trace) ->
-          Alcotest.(check bool) "samples bit-exact" true (t.samples = traces.(i).samples);
-          Alcotest.(check bool) "signature" true (t.signature = traces.(i).signature))
-        back)
+      check_load_failure "FDTRACE1 file" path ~mentions:[ path; "bad magic"; "FDTRACE1" ])
 
 let suite =
   suite
@@ -278,5 +261,5 @@ let suite =
         test_load_bitflipped_count_rejected;
       Alcotest.test_case "bit-flipped payload fails CRC" `Quick
         test_load_bitflipped_payload_rejected;
-      Alcotest.test_case "legacy FDTRACE1 shim" `Quick test_load_legacy_format;
+      Alcotest.test_case "FDTRACE1 file refused" `Quick test_load_refuses_fdtrace1;
     ]

@@ -351,7 +351,7 @@ let test_stream_rejects_width_mismatch () =
              in
              scan 0))
 
-(* ---- shard-loss, mmap and prefetch robustness ----
+(* ---- shard-loss, empty-shard and prefetch robustness ----
 
    Same campaign as [with_campaign], but the directory outlives the
    store creation so individual shard files can be damaged and reopened:
@@ -523,24 +523,6 @@ let test_fullkey_store_corrupt_shard () =
   | exception Failure msg ->
       Alcotest.(check bool) "error names shard 1" true (contains_frag msg "shard 1")
 
-let test_mmap_matches_read () =
-  with_campaign_dir @@ fun sk _traces dir ->
-  let mmap = Tracestore.Reader.open_store ~access:`Mmap dir in
-  let read = Tracestore.Reader.open_store ~access:`Read dir in
-  for i = 0 to Tracestore.Reader.shard_count read - 1 do
-    let a = Tracestore.Reader.load_shard mmap i in
-    let b = Tracestore.Reader.load_shard read i in
-    Alcotest.(check bool)
-      (Printf.sprintf "shard %d decodes identically under mmap" i)
-      true (a = b)
-  done;
-  let candidates = candidates_for sk in
-  let rank reader =
-    Attack.Dema.Stream.rank reader ~parts:(rank_parts ()) ~known:known_re0 ~top:5
-      (Array.to_seq candidates)
-  in
-  Alcotest.(check bool) "mmap rank == read rank" true (rank mmap = rank read)
-
 let test_prefetch_parity () =
   with_campaign_dir @@ fun sk _traces dir ->
   let candidates = candidates_for sk in
@@ -560,6 +542,69 @@ let test_prefetch_parity () =
         && rank ~prefetch:false jobs = reference))
     [ 1; 2; 4; 8 ]
 
+(* A store the Writer never produces: 16 traces in shards of 8/0/8/0,
+   the manifest written by hand around two empty shard files.  An empty
+   shard is no segment at any [jobs] or prefetch setting: every pass
+   equals the one over the same 16 traces in two full shards. *)
+let test_empty_shards_dropped () =
+  let sk = Lazy.force sk16 in
+  let traces = Leakage.capture model ~seed:77 sk ~count:16 in
+  let dir = Filename.temp_dir "fd_stream_empty_shards" "" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let n = 16 and width = 16 * Leakage.events_per_coeff in
+      let entries =
+        List.mapi
+          (fun i part ->
+            Tracestore.Shard.write_file
+              (Filename.concat dir (Tracestore.shard_name i))
+              ~n ~width
+              (Array.map Leakage.to_record part))
+          [ Array.sub traces 0 8; [||]; Array.sub traces 8 8; [||] ]
+      in
+      let buf = Buffer.create 128 in
+      let i32 v = Buffer.add_int32_be buf (Int32.of_int v) in
+      let f64 v = Buffer.add_int64_be buf (Int64.bits_of_float v) in
+      Buffer.add_string buf "FDMANIF1";
+      List.iter i32 [ n; width; 8 ];
+      List.iter f64 [ model.alpha; model.noise_sigma; model.baseline ];
+      i32 (List.length entries);
+      List.iter
+        (fun (e : Tracestore.shard_entry) -> List.iter i32 [ e.count; e.bytes; e.crc ])
+        entries;
+      let body = Buffer.contents buf in
+      i32 (Tracestore.Crc32.digest_string (String.sub body 8 (String.length body - 8)));
+      Out_channel.with_open_bin (Filename.concat dir Tracestore.manifest_name) (fun oc ->
+          Buffer.output_buffer oc buf);
+      let reader = Tracestore.Reader.open_store dir in
+      with_store ~shard_traces:8 traces @@ fun full ->
+      let candidates = candidates_for sk in
+      let sample = Attack.Recover.sample Fpr.Mant_w00 in
+      let passes reader ~prefetch jobs =
+        let ctx = Attack.Ctx.make ~jobs () in
+        ( Attack.Dema.Stream.rank ~ctx ~prefetch reader ~parts:(rank_parts ())
+            ~known:known_re0 ~top:5 (Array.to_seq candidates),
+          Attack.Dema.Stream.evolution ~ctx ~prefetch reader ~sample
+            ~model:Attack.Recover.m_w00 ~known:known_re0 ~guess:1,
+          fst (Attack.Dema.Stream.extract ~ctx ~prefetch reader ~samples:[ sample ]
+                 ~known:known_re0) )
+      in
+      let reference = passes full ~prefetch:false 1 in
+      List.iter
+        (fun (jobs, prefetch) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "empty shards dropped at -j %d, prefetch %b" jobs prefetch)
+            true
+            (passes reader ~prefetch jobs = reference))
+        [ (1, false); (1, true); (2, false); (2, true) ];
+      let fd = Attack.Dema.Stream.shard_feed reader in
+      let rec sizes () =
+        match fd.next () with Some b -> Array.length b :: sizes () | None -> []
+      in
+      Alcotest.(check (list int)) "feed delivers the two non-empty shards" [ 8; 8 ]
+        (sizes ());
+      fd.close ())
 
 (* Rankings over 0, 1, 512 and 513 candidates — the empty, the single,
    an exactly-one-chunk and a one-past-a-chunk sweep — digested over
@@ -751,8 +796,8 @@ let suite =
       test_skip_policy_drops_and_counts;
     Alcotest.test_case "fullkey store path under a corrupt shard" `Slow
       test_fullkey_store_corrupt_shard;
-    Alcotest.test_case "mmap and read decode identically" `Quick
-      test_mmap_matches_read;
+    Alcotest.test_case "empty shards dropped at every jobs" `Quick
+      test_empty_shards_dropped;
     Alcotest.test_case "prefetch on/off bit-identical at every jobs" `Quick
       test_prefetch_parity;
     Alcotest.test_case "rank over 0/1/512/513 candidates matches goldens" `Quick

@@ -233,6 +233,62 @@ let test_writer_rejects_width_mismatch () =
       | () -> Alcotest.fail "short trace accepted");
       Tracestore.Writer.close w)
 
+let test_grown_shard_refused_before_reading () =
+  (* a shard grown by 8 MB is refused on its length alone: the file is
+     never read into a heap buffer *)
+  with_store @@ fun dir ->
+  let path = Filename.concat dir (Tracestore.shard_name 1) in
+  let size = file_size path in
+  Out_channel.with_open_gen [ Open_binary; Open_append ] 0 path (fun oc ->
+      output_string oc (String.make (8 lsl 20) '\000'));
+  let r = Tracestore.Reader.open_store dir in
+  let before = Gc.allocated_bytes () in
+  check_failure "grown shard"
+    ~mentions:[ "shard 1"; Printf.sprintf "manifest records %d" size ]
+    (fun () -> Tracestore.Reader.load_shard r 1);
+  let grew = Gc.allocated_bytes () -. before in
+  if grew > float_of_int (256 lsl 10) then
+    Alcotest.failf "refusing the grown shard allocated %.0f bytes" grew
+
+(* ---- mutation: the shard decoder refuses damaged bytes loudly ----
+
+   One two-trace shard (~500 bytes) in a one-shard store.  Every prefix
+   of it and every single-byte xor must make [load_shard] raise
+   [Failure] naming the shard — never [Invalid_argument], [End_of_file],
+   [Out_of_memory] or any other exception, and never a silent load. *)
+let with_one_shard f =
+  with_store ~count:2 ~shard_traces:2 @@ fun dir ->
+  let path = Filename.concat dir (Tracestore.shard_name 0) in
+  let orig = In_channel.with_open_bin path In_channel.input_all in
+  let r = Tracestore.Reader.open_store dir in
+  f ~orig ~load:(fun bytes ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      match Tracestore.Reader.load_shard r 0 with
+      | _ -> Error "accepted"
+      | exception Failure msg when contains msg "shard 0 (" -> Ok ()
+      | exception Failure msg -> Error (Printf.sprintf "Failure %S does not name the shard" msg)
+      | exception e -> Error ("raised " ^ Printexc.to_string e))
+
+let test_every_truncation_refused () =
+  with_one_shard @@ fun ~orig ~load ->
+  for len = 0 to String.length orig - 1 do
+    match load (String.sub orig 0 len) with
+    | Ok () -> ()
+    | Error why -> Alcotest.failf "shard cut to %d bytes: %s" len why
+  done
+
+let test_single_byte_xor_refused () =
+  with_one_shard @@ fun ~orig ~load ->
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 17 |])
+    (QCheck.Test.make ~count:400 ~name:"single-byte xor refused naming the shard"
+       QCheck.(pair (int_bound (String.length orig - 1)) (int_range 1 255))
+       (fun (off, x) ->
+         let b = Bytes.of_string orig in
+         Bytes.set b off (Char.chr (Char.code orig.[off] lxor x));
+         match load (Bytes.to_string b) with
+         | Ok () -> true
+         | Error why -> QCheck.Test.fail_reportf "byte %d xor 0x%02x: %s" off x why))
+
 let test_single_shard_file_roundtrip () =
   let path = Filename.temp_file "fd_shard" ".fdt" in
   Fun.protect
@@ -267,4 +323,8 @@ let suite =
       test_writer_rejects_width_mismatch;
     Alcotest.test_case "single shard file roundtrip" `Quick
       test_single_shard_file_roundtrip;
+    Alcotest.test_case "grown shard refused before reading" `Quick
+      test_grown_shard_refused_before_reading;
+    Alcotest.test_case "every truncation refused" `Quick test_every_truncation_refused;
+    Alcotest.test_case "single-byte xor refused" `Quick test_single_byte_xor_refused;
   ]
