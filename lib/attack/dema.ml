@@ -255,12 +255,17 @@ end) : Distinguisher.S = struct
 end
 
 (* Profiled template scoring: per (part, trace) the class-conditional
-   log-likelihood table is candidate-independent, so [prepare] computes
-   it once per segment from the template's points of interest and every
-   guess just sums its predicted class's entry.  One accumulator per
-   part keeps every sum in global trace order however the stream is
-   split; the mean (not sum) over traces keeps scores comparable across
-   budgets, like a correlation. *)
+   log-likelihood row is candidate-independent, so [prepare] builds one
+   flat {!Profile.class_table} per part and segment from the template's
+   points of interest, next to the part's hypothesis source, and every
+   guess just sums its predicted class's entry.  Split models run a
+   4-guess register tile over the prep table (one prepped load, four
+   eval/popcount/table reads per trace), the shape of
+   {!Stats.Pearson.Batch.Fused.fold_split}; plain models a per-guess
+   loop.  One accumulator per (part, guess) takes its additions in
+   global trace order however the stream is split or the guesses
+   tiled; the mean (not sum) over traces keeps scores comparable
+   across budgets, like a correlation. *)
 module Profiled (P : sig
   val store : Profile.store
 end) : Distinguisher.S = struct
@@ -269,7 +274,7 @@ end) : Distinguisher.S = struct
 
   type 'k plan = {
     points : Profile.point array;
-    appls : (int -> 'k -> int) array;
+    models : 'k Hypothesis.Model.t array;
     mutable n : int;
   }
 
@@ -277,7 +282,7 @@ end) : Distinguisher.S = struct
     {
       points =
         Array.of_list (List.map (fun (s, _) -> Profile.point P.store ~sample:s) parts);
-      appls = Array.of_list (List.map (fun (_, m) -> Hypothesis.Model.apply m) parts);
+      models = Array.of_list (List.map snd parts);
       n = 0;
     }
 
@@ -286,9 +291,8 @@ end) : Distinguisher.S = struct
 
   type 'k seg = {
     len : int;
-    tables : float array array array;  (* part -> trace -> class score *)
-    ks : 'k array array;
-    appls : (int -> 'k -> int) array;
+    tables : float array array;  (* per part: trace-major class scores *)
+    srcs : seg_src array;  (* per part *)
   }
 
   let prepare p batch =
@@ -297,18 +301,15 @@ end) : Distinguisher.S = struct
         ~ncols:(fun j -> Array.length p.points.(j).Profile.abs_pois)
         batch
     in
-    let tables =
-      Array.mapi
-        (fun j (cols, _) ->
-          let tpl = p.points.(j).Profile.tpl in
-          let x = Array.make (Array.length cols) 0. in
-          Array.init len (fun i ->
-              Array.iteri (fun k (col : float array) -> x.(k) <- col.(i)) cols;
-              Profile.class_scores_vec P.store tpl x))
-        batch
-    in
     p.n <- p.n + len;
-    { len; tables; ks = Array.map snd batch; appls = p.appls }
+    {
+      len;
+      tables =
+        Array.mapi
+          (fun j (cols, _) -> Profile.class_table P.store p.points.(j).Profile.tpl cols ~len)
+          batch;
+      srcs = Array.mapi (fun j (_, ks) -> seg_src p.models.(j) ks) batch;
+    }
 
   type 'k acc = { guesses : int array; sll : float array array (* part -> guess *) }
 
@@ -318,19 +319,54 @@ end) : Distinguisher.S = struct
       sll = Array.map (fun _ -> Array.make (Array.length guesses) 0.) p.points;
     }
 
+  let[@inline] entry tbl i cls =
+    Array.unsafe_get tbl ((i * nclass) + if cls >= nclass then nclass - 1 else cls)
+
   let fold a s =
+    let len = s.len and guesses = a.guesses in
+    let g = Array.length guesses in
     Array.iteri
       (fun j tbl ->
-        let ks = s.ks.(j) and model = s.appls.(j) and acc = a.sll.(j) in
-        for r = 0 to Array.length a.guesses - 1 do
-          let guess = Array.unsafe_get a.guesses r in
-          let e = ref (Array.unsafe_get acc r) in
-          for i = 0 to s.len - 1 do
-            let cls = Bitops.popcount (model guess (Array.unsafe_get ks i)) in
-            let cls = if cls >= nclass then nclass - 1 else cls in
-            e := !e +. Array.unsafe_get (Array.unsafe_get tbl i) cls
+        let acc = a.sll.(j) in
+        (* split models run 4-guess tiles; their tail and plain models
+           one guess at a time *)
+        let r = ref 0 in
+        let gen =
+          match s.srcs.(j) with
+          | Tab (prepped, eval) ->
+              while !r + 4 <= g do
+                let r0 = !r in
+                let g0 = Array.unsafe_get guesses r0
+                and g1 = Array.unsafe_get guesses (r0 + 1)
+                and g2 = Array.unsafe_get guesses (r0 + 2)
+                and g3 = Array.unsafe_get guesses (r0 + 3) in
+                let e0 = ref (Array.unsafe_get acc r0)
+                and e1 = ref (Array.unsafe_get acc (r0 + 1))
+                and e2 = ref (Array.unsafe_get acc (r0 + 2))
+                and e3 = ref (Array.unsafe_get acc (r0 + 3)) in
+                for i = 0 to len - 1 do
+                  let p = Array.unsafe_get prepped i in
+                  e0 := !e0 +. entry tbl i (Bitops.popcount (eval g0 p));
+                  e1 := !e1 +. entry tbl i (Bitops.popcount (eval g1 p));
+                  e2 := !e2 +. entry tbl i (Bitops.popcount (eval g2 p));
+                  e3 := !e3 +. entry tbl i (Bitops.popcount (eval g3 p))
+                done;
+                Array.unsafe_set acc r0 !e0;
+                Array.unsafe_set acc (r0 + 1) !e1;
+                Array.unsafe_set acc (r0 + 2) !e2;
+                Array.unsafe_set acc (r0 + 3) !e3;
+                r := r0 + 4
+              done;
+              fun gu i -> eval gu (Array.unsafe_get prepped i)
+          | App f -> f
+        in
+        for r0 = !r to g - 1 do
+          let gu = Array.unsafe_get guesses r0 in
+          let e = ref (Array.unsafe_get acc r0) in
+          for i = 0 to len - 1 do
+            e := !e +. entry tbl i (Bitops.popcount (gen gu i))
           done;
-          Array.unsafe_set acc r !e
+          Array.unsafe_set acc r0 !e
         done)
       s.tables
 

@@ -440,47 +440,87 @@ let point store ~sample =
             with `attack_cli profile` covering this part"
            off sample)
 
-let class_scores_vec store tpl x =
+(* The unseen-class max visits the observed classes nearest-first and
+   stops once [smax - 0.5 * d^2] — the most any class at distance
+   [>= d] can reach, [smax] the row's best observed score — cannot beat
+   the running best.  Exact: float subtraction is monotone, so no
+   skipped candidate exceeds it, and NaN candidates are ignored either
+   way. *)
+let class_table store tpl cols ~len =
   let nclass = store.nclass in
   let npoi = Array.length tpl.pois in
-  if Array.length x <> npoi then
-    invalid_arg "Profile.class_scores_vec: POI vector length mismatch";
+  if Array.length cols <> npoi then
+    invalid_arg "Profile.class_table: one column per point of interest required";
+  if Array.exists (fun (c : float array) -> Array.length c < len) cols then
+    invalid_arg "Profile.class_table: column shorter than the segment";
   let r = if npoi = 0 then 0 else Array.length tpl.proj.(0) in
-  let u =
-    Array.init r (fun d ->
-        let s = ref 0.0 in
-        for i = 0 to npoi - 1 do
-          s := !s +. (tpl.proj.(i).(d) *. (x.(i) -. tpl.grand.(i)))
-        done;
-        !s)
+  let proj = Array.init (npoi * r) (fun k -> tpl.proj.(k / r).(k mod r)) in
+  let observed =
+    Array.of_list (List.filter (fun c -> tpl.counts.(c) > 0) (List.init nclass Fun.id))
   in
-  let scores = Array.make nclass neg_infinity in
-  for c = 0 to nclass - 1 do
-    if tpl.counts.(c) > 0 then begin
+  let unseen =
+    Array.of_list (List.filter (fun c -> tpl.counts.(c) = 0) (List.init nclass Fun.id))
+  in
+  let nobs = Array.length observed in
+  let pm = Array.init (nobs * r) (fun k -> tpl.pmeans.(observed.(k / r)).(k mod r)) in
+  (* per unseen class, its observed classes nearest-first: [near] holds
+     their indices in [observed], [pen] the matching [0.5 * d^2] *)
+  let near = Array.make (Array.length unseen * nobs) 0 in
+  let pen = Array.make (Array.length unseen * nobs) 0. in
+  Array.iteri
+    (fun u c ->
+      let by_dist = Array.init nobs Fun.id in
+      Array.stable_sort
+        (fun a b -> compare (abs (c - observed.(a))) (abs (c - observed.(b))))
+        by_dist;
+      Array.iteri
+        (fun j k ->
+          let d = float_of_int (abs (c - observed.(k))) in
+          near.((u * nobs) + j) <- k;
+          pen.((u * nobs) + j) <- 0.5 *. d *. d)
+        by_dist)
+    unseen;
+  let u = Array.make r 0. in
+  let sc = Array.make nobs 0. in
+  let out = Array.create_float (len * nclass) in
+  for i = 0 to len - 1 do
+    for d = 0 to r - 1 do
       let s = ref 0.0 in
-      let pm = tpl.pmeans.(c) in
+      for k = 0 to npoi - 1 do
+        s :=
+          !s
+          +. Array.unsafe_get proj ((k * r) + d)
+             *. (Array.unsafe_get (Array.unsafe_get cols k) i -. Array.unsafe_get tpl.grand k)
+      done;
+      Array.unsafe_set u d !s
+    done;
+    let row = i * nclass in
+    let smax = ref neg_infinity in
+    for k = 0 to nobs - 1 do
+      let s = ref 0.0 in
       for d = 0 to r - 1 do
-        let e = u.(d) -. pm.(d) in
+        let e = Array.unsafe_get u d -. Array.unsafe_get pm ((k * r) + d) in
         s := !s -. (0.5 *. e *. e)
       done;
-      scores.(c) <- !s
-    end
-  done;
-  (* classes unseen in profiling: nearest observed class, distance-penalised *)
-  for c = 0 to nclass - 1 do
-    if tpl.counts.(c) = 0 then begin
+      let s = !s in
+      Array.unsafe_set sc k s;
+      Array.unsafe_set out (row + Array.unsafe_get observed k) s;
+      if s > !smax then smax := s
+    done;
+    let smax = !smax in
+    for v = 0 to Array.length unseen - 1 do
       let best = ref neg_infinity in
-      for c' = 0 to nclass - 1 do
-        if tpl.counts.(c') > 0 then begin
-          let d = float_of_int (c - c') in
-          let cand = scores.(c') -. (0.5 *. d *. d) in
-          if cand > !best then best := cand
-        end
+      let j = ref (v * nobs) in
+      let stop = !j + nobs in
+      while !j < stop && smax -. Array.unsafe_get pen !j > !best do
+        let cand = Array.unsafe_get sc (Array.unsafe_get near !j) -. Array.unsafe_get pen !j in
+        if cand > !best then best := cand;
+        incr j
       done;
-      scores.(c) <- !best
-    end
+      Array.unsafe_set out (row + Array.unsafe_get unseen v) !best
+    done
   done;
-  scores
+  out
 
 (* {2 Persistence} *)
 
@@ -566,7 +606,13 @@ let read_floats cur n what =
   need cur (8 * n) what;
   Array.init n (fun _ -> read_f64 cur what)
 
-let read_mat cur rows cols what = Array.init rows (fun _ -> read_floats cur cols what)
+let read_mat cur rows cols what =
+  need cur (8 * rows * cols) what;
+  Array.init rows (fun _ -> read_floats cur cols what)
+
+let read_u32s cur n what =
+  need cur (4 * n) what;
+  Array.init n (fun _ -> read_u32 cur what)
 
 let decode data =
   let mlen = String.length magic in
@@ -595,14 +641,21 @@ let decode data =
         let target = read_u32 cur "target offset" in
         if target >= window then fail_at cur "target %d outside window %d" target window;
         let npoi = read_count cur ~max:window "POI count" in
+        if npoi = 0 then fail_at cur "template for target %d has no points of interest" target;
         let r = read_count cur ~max:npoi "LDA dimension" in
-        let pois =
-          Array.init npoi (fun _ ->
-              let p = read_u32 cur "POI" in
-              if p >= window then fail_at cur "POI %d outside window %d" p window;
-              p)
-        in
-        let counts = Array.init nclass (fun _ -> read_u32 cur "class count") in
+        let pois = read_u32s cur npoi "POIs" in
+        Array.iter
+          (fun p -> if p >= window then fail_at cur "POI %d outside window %d" p window)
+          pois;
+        let counts = read_u32s cur nclass "class counts" in
+        (* what [finalize_template] guarantees of every trained template *)
+        let present = Array.fold_left (fun k c -> if c > 0 then k + 1 else k) 0 counts in
+        if present < 2 then
+          fail_at cur "template for target %d observed %d class(es), training needs two"
+            target present;
+        if r < 1 || r > present - 1 then
+          fail_at cur "template for target %d has LDA dimension %d outside 1 .. %d" target r
+            (min npoi (present - 1));
         let grand = read_floats cur npoi "grand mean" in
         let means = read_mat cur nclass npoi "class means" in
         let proj = read_mat cur npoi r "projection" in

@@ -116,12 +116,20 @@ val point : store -> sample:int -> point
     [sample mod window] — profiled attacks over un-profiled samples are
     a configuration error, not a silent fallback. *)
 
-val class_scores_vec : store -> template -> float array -> float array
-(** Per-class log-likelihood scores (up to one shared constant) of one
-    trace, given its values at [template.pois], in order.  Classes
-    never observed in profiling score as their nearest observed class
-    minus a [0.5 * distance^2] penalty, so a rare-but-legal class
-    degrades smoothly instead of vetoing a candidate outright. *)
+val class_table : store -> template -> float array array -> len:int -> float array
+(** [class_table store tpl cols ~len] is the per-class log-likelihood
+    score table (up to one shared constant) of a segment of [len]
+    traces, given [cols.(k)], the traces' values at [tpl.pois.(k)].  It
+    is row-major: trace [i], class [c] at [i * store.nclass + c].  A
+    class observed in profiling scores [-0.5 * ||u - pm_c||^2], [u] the
+    trace's LDA projection; a class never observed scores the max over
+    observed [c'] of [s(c') - 0.5 * (c - c')^2], so a rare-but-legal
+    class degrades smoothly instead of vetoing a candidate outright.
+    That max is searched nearest-first and cut off exactly once no
+    farther class can beat it; every entry is bit-identical to the
+    per-trace score vector the table replaced, NaN candidates ignored
+    as before.  Allocates nothing per trace.  Raises [Invalid_argument]
+    unless there is one column per POI, each at least [len] long. *)
 
 (** {1 Persistence}
 
@@ -135,7 +143,10 @@ val magic : string
 
 val encode : store -> string
 val decode : string -> store
-(** Raises [Failure] on malformed input. *)
+(** Raises [Failure] on malformed input, and on a template training
+    never produces: no points of interest, fewer than two observed
+    classes, or an LDA dimension outside [1 .. min npoi (observed - 1)]
+    — the message names the template's target. *)
 
 val save : string -> store -> unit
 val load : string -> store

@@ -1,8 +1,12 @@
 (* The profiled template distinguisher and the Distinguisher.S seam:
    the scalar Pearson reference against the fused kernel and every
    entry point that runs it, profiled scorer determinism across jobs /
-   batch splits, template-store round-trip with corruption rejection,
-   and the pooled-covariance symmetric-PSD property. *)
+   batch splits, profiled rankings pinned by digest, the flat class
+   table against the per-trace score formula (QCheck oracle),
+   template-store round-trip with corruption rejection, the decoder's
+   refusal of templates training never produces, a truncation / xor
+   mutation harness over the store bytes, and the pooled-covariance
+   symmetric-PSD property. *)
 
 let m25 = (1 lsl 25) - 1
 let budget = 300
@@ -240,6 +244,289 @@ let prop_pooled_covariance_psd =
       in
       !symmetric && Array.for_all (fun v -> v >= -1e-9 *. scale) evs)
 
+(* ---- the decoder refuses templates training never produces ----
+
+   Each fixture is the trained store with template 0 hand-edited and
+   passed back through [encode], so only the invariant under test can
+   object. *)
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let expect_refusal what ~mentions edit =
+  let s = Lazy.force store in
+  let t0 = s.Attack.Profile.templates.(0) in
+  let templates = Array.copy s.Attack.Profile.templates in
+  templates.(0) <- edit t0;
+  let enc = Attack.Profile.encode { s with Attack.Profile.templates } in
+  match Attack.Profile.decode enc with
+  | _ -> Alcotest.failf "%s: decoded" what
+  | exception Failure msg ->
+      List.iter
+        (fun m ->
+          if not (contains msg m) then Alcotest.failf "%s: %S does not mention %S" what msg m)
+        (Printf.sprintf "target %d" t0.Attack.Profile.target :: mentions)
+
+(* keep the first [k] observed classes of [t], zeroing the others' counts *)
+let keep_observed k (t : Attack.Profile.template) =
+  let seen = ref 0 in
+  {
+    t with
+    counts =
+      Array.map
+        (fun c ->
+          if c > 0 && !seen < k then begin
+            incr seen;
+            c
+          end
+          else 0)
+        t.counts;
+  }
+
+let test_decode_refuses_one_class () =
+  expect_refusal "one observed class" ~mentions:[ "observed 1 class" ] (keep_observed 1);
+  expect_refusal "no observed class" ~mentions:[ "observed 0 class" ] (keep_observed 0)
+
+let test_decode_refuses_no_pois () =
+  expect_refusal "npoi = 0" ~mentions:[ "no points of interest" ] (fun t ->
+      {
+        t with
+        pois = [||];
+        grand = [||];
+        means = Array.map (fun _ -> [||]) t.means;
+        proj = [||];
+        pmeans = Array.map (fun _ -> [||]) t.pmeans;
+      })
+
+let test_decode_refuses_lda_dimension () =
+  expect_refusal "r = 0" ~mentions:[ "LDA dimension 0" ] (fun t ->
+      {
+        t with
+        proj = Array.map (fun _ -> [||]) t.proj;
+        pmeans = Array.map (fun _ -> [||]) t.pmeans;
+      });
+  (* r = 3 over three observed classes: at most two directions separate them *)
+  let r = Array.length (Lazy.force store).Attack.Profile.templates.(0).proj.(0) in
+  Alcotest.(check int) "fixture keeps 3 LDA directions" 3 r;
+  expect_refusal "r > observed - 1" ~mentions:[ "LDA dimension 3 outside 1 .. 2" ]
+    (keep_observed 3)
+
+(* ---- mutation: the template decoder refuses damaged bytes loudly ----
+
+   A two-template store small enough to try exhaustively (5 classes,
+   3 POIs, 2 LDA directions; 648 payload bytes).  Every payload
+   truncation and seeded single-byte xors of the payload, each with the
+   trailing CRC recomputed so only the structural checks stand between
+   the damage and a loaded store: [decode] must return a store training
+   could have produced or raise [Failure], never anything else, and
+   allocate no more than a fixed bound whatever the damaged lengths
+   claim. *)
+let tiny_store =
+  lazy
+    (let rng = Stats.Rng.create ~seed:5 in
+     let obs =
+       List.init 80 (fun i ->
+           let cls = i / 2 mod 4 and target = if i land 1 = 0 then 0 else 2 in
+           let samples =
+             Array.init 8 (fun j ->
+                 float_of_int (if j = target + 4 then cls else 0)
+                 +. Stats.Rng.gaussian rng ~mu:0. ~sigma:0.3)
+           in
+           (target, cls, samples))
+     in
+     Attack.Profile.train
+       { Attack.Profile.window = 4; nclass = 5; npoi = 3; ndim = 2 }
+       ~targets:[| 0; 2 |]
+       (fun add -> List.iter (fun (target, cls, samples) -> add ~base:4 ~target ~cls samples) obs))
+
+let sealed payload =
+  let crc = Tracestore.Crc32.digest_string payload in
+  Attack.Profile.magic ^ payload
+  ^ String.init 4 (fun i -> Char.chr ((crc lsr (8 * i)) land 0xff))
+
+let trainable (s : Attack.Profile.store) =
+  Array.for_all
+    (fun (t : Attack.Profile.template) ->
+      let npoi = Array.length t.pois in
+      let present = Array.fold_left (fun k c -> if c > 0 then k + 1 else k) 0 t.counts in
+      let r = if npoi = 0 then 0 else Array.length t.proj.(0) in
+      npoi >= 1 && present >= 2 && r >= 1 && r <= min npoi (present - 1)
+      && Array.length t.counts = s.nclass
+      && Array.for_all (fun p -> Array.length p = r) t.pmeans)
+    s.templates
+
+let decode_bound = 256 lsl 10
+
+let mutant_verdict bytes =
+  (* an empty minor heap keeps a collection (which skews the counter)
+     out of the measured window *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let r =
+    match Attack.Profile.decode bytes with
+    | s -> if trainable s then Ok () else Error "decoded an untrainable store"
+    | exception Failure _ -> Ok ()
+    | exception e -> Error ("raised " ^ Printexc.to_string e)
+  in
+  let grew = Gc.allocated_bytes () -. before in
+  if r = Ok () && grew > float_of_int decode_bound then
+    Error (Printf.sprintf "allocated %.0f bytes" grew)
+  else r
+
+let tiny_payload () =
+  let enc = Attack.Profile.encode (Lazy.force tiny_store) in
+  let m = String.length Attack.Profile.magic in
+  String.sub enc m (String.length enc - m - 4)
+
+let test_every_payload_truncation () =
+  let payload = tiny_payload () in
+  Alcotest.(check int) "fixture size" 648 (String.length payload);
+  Alcotest.(check bool) "intact store decodes" true
+    (mutant_verdict (sealed payload) = Ok ());
+  for len = 0 to String.length payload - 1 do
+    match mutant_verdict (sealed (String.sub payload 0 len)) with
+    | Ok () -> ()
+    | Error why -> Alcotest.failf "payload cut to %d bytes: %s" len why
+  done
+
+let test_payload_xor () =
+  let payload = tiny_payload () in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 23 |])
+    (QCheck.Test.make ~count:3000 ~name:"template payload xor refused or trainable"
+       QCheck.(pair (int_bound (String.length payload - 1)) (int_range 1 255))
+       (fun (off, x) ->
+         let b = Bytes.of_string payload in
+         Bytes.set b off (Char.chr (Char.code payload.[off] lxor x));
+         match mutant_verdict (sealed (Bytes.to_string b)) with
+         | Ok () -> true
+         | Error why -> QCheck.Test.fail_reportf "byte %d xor 0x%02x: %s" off x why))
+
+(* ---- the flat class table against the per-trace formula ----
+
+   The oracle is the per-trace score vector [class_table] replaced,
+   copied verbatim: observed classes by projected distance, unseen
+   classes by a full scan of the observed ones.  Random templates (2..65
+   classes; exactly two observed, both ends observed, scattered with
+   gaps, or one contiguous block; 1..3 LDA directions) over columns
+   that include +-inf and NaN must agree entry by entry under
+   [Float.equal]. *)
+let oracle_scores (store : Attack.Profile.store) (tpl : Attack.Profile.template) x =
+  let nclass = store.nclass in
+  let npoi = Array.length tpl.pois in
+  let r = if npoi = 0 then 0 else Array.length tpl.proj.(0) in
+  let u =
+    Array.init r (fun d ->
+        let s = ref 0.0 in
+        for i = 0 to npoi - 1 do
+          s := !s +. (tpl.proj.(i).(d) *. (x.(i) -. tpl.grand.(i)))
+        done;
+        !s)
+  in
+  let scores = Array.make nclass neg_infinity in
+  for c = 0 to nclass - 1 do
+    if tpl.counts.(c) > 0 then begin
+      let s = ref 0.0 in
+      let pm = tpl.pmeans.(c) in
+      for d = 0 to r - 1 do
+        let e = u.(d) -. pm.(d) in
+        s := !s -. (0.5 *. e *. e)
+      done;
+      scores.(c) <- !s
+    end
+  done;
+  for c = 0 to nclass - 1 do
+    if tpl.counts.(c) = 0 then begin
+      let best = ref neg_infinity in
+      for c' = 0 to nclass - 1 do
+        if tpl.counts.(c') > 0 then begin
+          let d = float_of_int (c - c') in
+          let cand = scores.(c') -. (0.5 *. d *. d) in
+          if cand > !best then best := cand
+        end
+      done;
+      scores.(c) <- !best
+    end
+  done;
+  scores
+
+let random_template rng ~nclass ~shape ~r =
+  let pick n = Stats.Rng.int_below rng n in
+  let observed = Array.make nclass false in
+  (match shape with
+  | 0 ->
+      let a = pick nclass in
+      let b = (a + 1 + pick (nclass - 1)) mod nclass in
+      observed.(a) <- true;
+      observed.(b) <- true
+  | 1 ->
+      observed.(0) <- true;
+      observed.(nclass - 1) <- true;
+      for c = 1 to nclass - 2 do
+        if pick 3 = 0 then observed.(c) <- true
+      done
+  | 2 ->
+      let keep = 1 + pick 4 in
+      for c = 0 to nclass - 1 do
+        if pick 5 < keep then observed.(c) <- true
+      done;
+      observed.(pick nclass) <- true;
+      observed.(pick nclass) <- true
+  | _ ->
+      let lo = pick (nclass - 1) in
+      let hi = lo + 1 + pick (nclass - lo - 1) in
+      for c = lo to hi do
+        observed.(c) <- true
+      done);
+  if Array.fold_left (fun k o -> if o then k + 1 else k) 0 observed < 2 then begin
+    observed.(0) <- true;
+    observed.(nclass - 1) <- true
+  end;
+  let npoi = r + pick 3 in
+  let g () = Stats.Rng.gaussian rng ~mu:0. ~sigma:2. in
+  let grand = Array.init npoi (fun _ -> g ()) in
+  {
+    Attack.Profile.target = 0;
+    pois = Array.init npoi Fun.id;
+    counts = Array.map (fun o -> if o then 1 + pick 9 else 0) observed;
+    grand;
+    means = Array.make nclass grand;
+    proj = Array.init npoi (fun _ -> Array.init r (fun _ -> g ()));
+    pmeans = Array.map (fun o -> Array.init r (fun _ -> if o then 3. *. g () else 0.)) observed;
+  }
+
+let random_value rng =
+  match Stats.Rng.int_below rng 12 with
+  | 0 -> Float.nan
+  | 1 -> Float.infinity
+  | 2 -> Float.neg_infinity
+  | 3 -> Stats.Rng.gaussian rng ~mu:0. ~sigma:1e200
+  | _ -> Stats.Rng.gaussian rng ~mu:0. ~sigma:3.
+
+let prop_class_table_oracle =
+  QCheck.Test.make ~count:500 ~name:"class table equals the per-trace formula"
+    QCheck.(quad (int_range 2 65) (int_range 0 3) (int_range 1 3) (int_bound 1_000_000))
+    (fun (nclass, shape, r, seed) ->
+      let rng = Stats.Rng.create ~seed in
+      let tpl = random_template rng ~nclass ~shape ~r in
+      let npoi = Array.length tpl.pois in
+      let store =
+        { Attack.Profile.window = npoi; nclass; trained = 0; templates = [| tpl |] }
+      in
+      let len = 1 + Stats.Rng.int_below rng 12 in
+      let cols = Array.init npoi (fun _ -> Array.init len (fun _ -> random_value rng)) in
+      let table = Attack.Profile.class_table store tpl cols ~len in
+      Array.length table = len * nclass
+      && List.for_all
+           (fun i ->
+             let want = oracle_scores store tpl (Array.init npoi (fun k -> cols.(k).(i))) in
+             Array.for_all Fun.id
+               (Array.init nclass (fun c ->
+                    Float.equal table.((i * nclass) + c) want.(c)
+                    || QCheck.Test.fail_reportf "trace %d class %d: %h vs oracle %h" i c
+                         table.((i * nclass) + c) want.(c))))
+           (List.init len Fun.id))
+
 (* One engine, three routes.  A FALCON-8 victim store (160 traces in
    uneven 23-trace shards) and templates trained on a clone: the
    profiled statistic scores bit-identically through Dema.rank,
@@ -339,6 +626,97 @@ let test_engine_routes_agree () =
               (Attack.Dema.rank_absolute ~ctx:(Attack.Ctx.make ~jobs ()) ~traces ~parts
                  ~known ~top ~alpha:1.0 ~baseline:10.0 (Array.to_seq guesses)) ))
         [ 1; 4 ])
+
+(* Profiled rankings pinned by digest.  Every (guess, score bits) of the
+   full Dema.rank ranking under the profiled statistic, on the assess
+   fixture (low-mantissa parts over the unprotected victim) and on the
+   FALCON-8 store fixture (unit 0's parts), at jobs 1 and 4, for 0, 1,
+   3, 4, 5, 512 and 513 candidates: the empty sweep, the 4-guess tile's
+   tails and the chunk edges.  The assess fixture runs its split models
+   and their plain form, which must score the same bits.  The goldens were captured from the
+   per-trace class-score vectors and the per-guess fold that preceded
+   the flat class tables and the tiled fold. *)
+let ranking_digest ranked =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";"
+          (List.map
+             (fun (s : Attack.Dema.scored) ->
+               Printf.sprintf "%x:%Lx" s.Attack.Dema.guess
+                 (Int64.bits_of_float s.Attack.Dema.corr))
+             ranked)))
+
+let pinned_counts = [ 0; 1; 3; 4; 5; 512; 513 ]
+
+let profiled_digests store ~traces ~parts ~known pool =
+  List.map
+    (fun count ->
+      let digest jobs =
+        ranking_digest
+          (Attack.Dema.rank
+             ~ctx:(Attack.Ctx.make ~jobs ~distinguisher:(Attack.Distinguisher.Profiled store) ())
+             ~traces ~parts ~known ~top:count
+             (Array.to_seq (Array.sub pool 0 count)))
+      in
+      let d1 = digest 1 in
+      if digest 4 <> d1 then Alcotest.failf "profiled digest over %d candidates differs at jobs 4" count;
+      (count, d1))
+    pinned_counts
+
+let check_digests what goldens got =
+  List.iter2
+    (fun (count, want) (count', got) ->
+      assert (count = count');
+      Alcotest.(check string) (Printf.sprintf "%s over %d candidates" what count) want got)
+    goldens got
+
+let assess_goldens =
+  [
+    (0, "d41d8cd98f00b204e9800998ecf8427e");
+    (1, "ce91ec79a15cae8b0a67e743fdeca394");
+    (3, "450c32b61f0bf66f00fdeb787cf55c9f");
+    (4, "21c7c7ef6e31c8f529eed8476e3a7851");
+    (5, "27e7de1196cc010aba319e50b919f37e");
+    (512, "1367e4044402d05c414a3ae25245c1fc");
+    (513, "a083b9aed4c54dbc2e3e2b6ec735bf8c");
+  ]
+let falcon8_goldens =
+  [
+    (0, "d41d8cd98f00b204e9800998ecf8427e");
+    (1, "62ec9ac2b6d343547c3baee3194865d4");
+    (3, "023597fa07e3a89c0d103c65eaa32c6e");
+    (4, "8e80b8a6db9de0b6ca454ff4ff760690");
+    (5, "fea6980226f0b9e52c455f3e08a76b3f");
+    (512, "56e05cd5d02036c8bfe4f6684147b320");
+    (513, "aeadecd3e6c82b2774fed33128a0fb57");
+  ]
+
+let test_profiled_digests_pinned () =
+  let traces, known = Lazy.force victim_view in
+  let pool =
+    Attack.Hypothesis.sampled (Stats.Rng.create ~seed:47) ~width:25 ~truth:d_true
+      ~decoys:600 ()
+  in
+  let parts = Lazy.force low_parts in
+  check_digests "assess" assess_goldens
+    (profiled_digests (Lazy.force store) ~traces ~parts ~known pool);
+  (* the plain form of the same models takes the per-guess loop *)
+  let plain = Attack.Hypothesis.Model.(List.map (fun (s, m) -> (s, fn (apply m))) parts) in
+  check_digests "assess, plain models" assess_goldens
+    (profiled_digests (Lazy.force store) ~traces ~parts:plain ~known pool);
+  with_falcon_stores @@ fun store dir reader ->
+  let width = (Tracestore.Reader.meta reader).Tracestore.width in
+  let traces, known =
+    Attack.Dema.Stream.extract reader ~samples:(List.init width Fun.id) ~known:Fun.id
+  in
+  let pool =
+    Attack.Hypothesis.sampled (Stats.Rng.create ~seed:43) ~width:25
+      ~truth:(Attack.Target.Falcon.truth ~n:8 ~dir).(0)
+      ~decoys:600 ()
+  in
+  let parts = Attack.Target.Falcon.parts ~leakage:`Hw ~n:8 ~unit_index:0 ~prev:[||] in
+  let got = profiled_digests store ~traces ~parts ~known pool in
+  check_digests "FALCON-8 store" falcon8_goldens got
 
 (* The scalar Pearson loop is the reference the fused kernel answers
    to.  Over a FALCON-8 victim store (160 traces in uneven 23-trace
@@ -470,4 +848,13 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pooled_covariance_psd;
     Alcotest.test_case "profiled and absolute routes agree" `Quick
       test_engine_routes_agree;
+    Alcotest.test_case "profiled digests pinned" `Quick test_profiled_digests_pinned;
+    QCheck_alcotest.to_alcotest prop_class_table_oracle;
+    Alcotest.test_case "decode refuses < 2 observed classes" `Quick
+      test_decode_refuses_one_class;
+    Alcotest.test_case "decode refuses npoi = 0" `Quick test_decode_refuses_no_pois;
+    Alcotest.test_case "decode refuses LDA dimension out of range" `Quick
+      test_decode_refuses_lda_dimension;
+    Alcotest.test_case "every payload truncation" `Quick test_every_payload_truncation;
+    Alcotest.test_case "payload xor refused or trainable" `Quick test_payload_xor;
   ]
