@@ -60,8 +60,18 @@ let print_tvla defense (r : Assess.Tvla.result) pair_t rvr_max =
   Printf.printf "random-vs-random null: max |t1| = %.2f (expect < %.1f)\n" rvr_max
     Assess.Tvla.threshold
 
+(* Recorded assessment campaigns are read strictly, so --on-corrupt skip
+   cannot apply to them: refuse it before the store is opened rather than
+   accept the flag and fail on the first corrupt shard anyway. *)
+let refuse_skip_on_store (flags : Cli_common.Common_flags.t) store =
+  if store <> None && flags.Cli_common.Common_flags.on_corrupt = `Skip then
+    failwith
+      "--on-corrupt skip cannot be used with --store: recorded assessment \
+       campaigns are read strictly, so a corrupt shard always fails the command"
+
 let cmd_tvla store defense traces noise seed flags =
   Cli_common.run flags @@ fun ctx ->
+  refuse_skip_on_store flags store;
   let defense, entries =
     match store with
     | Some dir ->
@@ -133,6 +143,7 @@ let print_outcome (o : Assess.Metrics.outcome) =
 
 let cmd_metrics store defense noise budget experiments decoys seed stop_alpha flags =
   Cli_common.run flags @@ fun ctx ->
+  refuse_skip_on_store flags store;
   let outcome =
     match store with
     | Some dir ->

@@ -127,7 +127,7 @@ let print_stop_summary (s : Sequential.Campaign.summary) =
    key reassembly behind Attack.Target.S. *)
 let crack_target (module T : Attack.Target.S) dir leakage until_confident alpha
     max_traces flags ctx =
-  let reader = Cli_common.open_store flags dir in
+  let reader = Tracestore.Reader.open_store dir in
   Printf.printf "streaming %d traces (%d shards) of a %s victim from %s\n%!"
     (Tracestore.Reader.total_traces reader)
     (Tracestore.Reader.shard_count reader)
@@ -164,7 +164,7 @@ let cmd_profile target dir out leakage npoi ndim max_traces flags =
       prerr_endline ("unknown --target " ^ target);
       1
   | Some t ->
-      let reader = Cli_common.open_store flags dir in
+      let reader = Tracestore.Reader.open_store dir in
       let module T = (val t : Attack.Target.S) in
       Printf.printf "profiling %d traces (%d shards) of a %s campaign from %s\n%!"
         (Tracestore.Reader.total_traces reader)
@@ -199,7 +199,7 @@ let cmd_crack target input store leakage until_confident alpha max_traces flags 
   | Some dir -> (
       (* out-of-core path: stream shards from the store, never holding
          the whole campaign in memory *)
-      let reader = Cli_common.open_store flags dir in
+      let reader = Tracestore.Reader.open_store dir in
       match
         ( Falcon.Keycodec.decode_public (read_file (Filename.concat dir "public.key")),
           Falcon.Keycodec.decode_secret (read_file (Filename.concat dir "secret.key"))

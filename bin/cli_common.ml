@@ -151,7 +151,8 @@ let on_corrupt_arg =
           "What to do when a shard fails its CRC or size checks: $(b,fail) \
            (default — abort loudly naming the shard) or $(b,skip) (drop the \
            shard from the campaign and count it in the dema.shards_skipped \
-           metric).")
+           metric).  Only streaming store reads can skip; commands that read \
+           a store strictly refuse $(b,skip).")
 
 let flags_term =
   Term.(
@@ -167,13 +168,6 @@ let flags_term =
         })
     $ jobs_arg $ backend_arg $ templates_arg $ log_arg $ log_level_arg
     $ no_prefetch_arg $ on_corrupt_arg)
-
-(* Open a trace store honouring the shared --on-corrupt flag.
-   The [policy] on the reader handle matches --on-corrupt so policy-honouring
-   iteration (Reader.fold / to_seq) behaves consistently with the streaming
-   attack passes, which additionally take the policy explicitly. *)
-let open_store (flags : Common_flags.t) dir =
-  Tracestore.Reader.open_store ~policy:flags.Common_flags.on_corrupt dir
 
 (* Shared data flags (same name, same doc, every CLI). *)
 

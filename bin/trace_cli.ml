@@ -135,7 +135,7 @@ let cmd_append store traces seed flags =
 
 let cmd_inspect store flags =
   Cli_common.run flags @@ fun _ctx ->
-  let reader = Cli_common.open_store flags store in
+  let reader = Tracestore.Reader.open_store store in
   let m = Tracestore.Reader.meta reader in
   Printf.printf "store      %s\n" store;
   Printf.printf "victim     FALCON-%d (%d samples/trace)\n" m.Tracestore.n

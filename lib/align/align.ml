@@ -290,19 +290,23 @@ let copy_sidecar src_dir dst_dir name =
 let sidecars = [ "public.key"; "secret.key"; "assess.fda" ]
 
 (* First [reference_traces] rows of the store, for the in-memory
-   bootstrap.  None on an empty store. *)
-let bootstrap_rows ~reference_traces reader =
+   bootstrap, read through the same feed (and corrupt-shard policy) as
+   the two passes.  None on an empty store. *)
+let bootstrap_rows ~on_corrupt ~prefetch ~reference_traces reader =
   if reference_traces < 1 then invalid_arg "Align: reference_traces < 1";
-  let rows = ref [] and d = ref 0 in
-  (try
-     Seq.iter
-       (fun (r : Tracestore.record) ->
-         if !d >= reference_traces then raise Exit;
-         rows := r.Tracestore.samples :: !rows;
-         incr d)
-       (Tracestore.Reader.to_seq reader)
-   with Exit -> ());
-  if !d = 0 then None else Some (Array.of_list (List.rev !rows))
+  let feed =
+    Attack.Dema.Stream.shard_feed ?on_corrupt ?prefetch ~max_traces:reference_traces
+      reader
+  in
+  Fun.protect ~finally:feed.Attack.Dema.Stream.close @@ fun () ->
+  let rec loop acc =
+    match feed.Attack.Dema.Stream.next () with
+    | None -> List.rev acc
+    | Some batch -> loop (batch :: acc)
+  in
+  match Array.concat (loop []) with
+  | [||] -> None
+  | traces -> Some (Array.map (fun (t : Leakage.trace) -> t.Leakage.samples) traces)
 
 let realign_store ?ctx:(c = Attack.Ctx.default ()) ?on_corrupt ?prefetch
     ?(max_shift = 3) ?window ?(reference_traces = 64) ~src ~dst () =
@@ -311,7 +315,7 @@ let realign_store ?ctx:(c = Attack.Ctx.default ()) ?on_corrupt ?prefetch
   Obs.span obs "align.realign_store"
     ~fields:[ ("src", Obs.Str src); ("dst", Obs.Str dst) ]
   @@ fun () ->
-  let reader = Tracestore.Reader.open_store ?policy:on_corrupt src in
+  let reader = Tracestore.Reader.open_store src in
   let meta = Tracestore.Reader.meta reader in
   let width = meta.Tracestore.width in
   let fill = meta.Tracestore.model.Tracestore.baseline in
@@ -326,7 +330,7 @@ let realign_store ?ctx:(c = Attack.Ctx.default ()) ?on_corrupt ?prefetch
     emit_stats obs st;
     st
   in
-  match bootstrap_rows ~reference_traces reader with
+  match bootstrap_rows ~on_corrupt ~prefetch ~reference_traces reader with
   | None -> finish zero_stats
   | Some rows ->
       let reference = bootstrap_reference ~lo ~hi ~max_shift rows in

@@ -759,21 +759,15 @@ module Stream = struct
     m
 
   (* One shard, decoded — or [None] when it is corrupt or unreadable and
-     the policy is [`Skip] (the caller counts the drop).  The reader's
-     own [`Skip] policy swallows a corrupt shard; a silently shrunken
-     campaign skews every downstream statistic, so losing it must be
-     loud unless the caller opted in. *)
+     [on_corrupt] is [`Skip] (the caller counts the drop).  The reader is
+     strict, so this is the one place a corrupt shard is dropped: a
+     silently shrunken campaign skews every downstream statistic, so
+     losing it must be loud unless the caller opted in. *)
   let fetch codec m ~on_corrupt reader i =
-    let corrupt msg = match on_corrupt with `Fail -> failwith msg | `Skip -> None in
-    match Tracestore.Reader.read_shard reader i with
-    | Some records -> Some (Array.map (codec.decode m) records)
-    | None ->
-        corrupt
-          (Printf.sprintf
-             "Dema.Stream: shard %d is corrupt or unreadable; pass \
-              ~on_corrupt:`Skip to drop it from the campaign"
-             i)
-    | exception Failure msg -> corrupt msg
+    match Tracestore.Reader.load_shard reader i with
+    | records -> Some (Array.map (codec.decode m) records)
+    | exception Failure msg -> (
+        match on_corrupt with `Fail -> failwith msg | `Skip -> None)
 
   (* The one in-order shard loop, behind [shard_feed] and the single-job
      [map_shards]: shards are decoded strictly in shard order, one at a

@@ -195,14 +195,15 @@ val rank_until :
     floating-point reassociation (1e-9 in the property tests).
 
     {b Corrupt shards.}  All entry points raise [Failure] if the store's
-    sample width does not match its ring size.  A shard the reader
-    cannot produce — its own [`Fail] policy raised, or its [`Skip]
-    policy returned [None] — is a {e data error} by default
-    ([?on_corrupt] = [`Fail]): the sweep fails naming the shard index
-    rather than silently analysing a shrunken campaign.  Passing
-    [~on_corrupt:`Skip] drops such shards from the analysis; each drop
-    is counted on the ["dema.shards_skipped"] observability counter
-    (emitted only when non-zero).
+    sample width does not match its ring size.  The reader is a strict
+    loader ({!Tracestore.Reader.load_shard} raises on any corrupt or
+    unreadable shard), and [?on_corrupt] here is the only corrupt-shard
+    policy in the library.  By default ([`Fail]) such a shard is a
+    {e data error}: the sweep re-raises the reader's [Failure], which
+    names the shard index, rather than silently analysing a shrunken
+    campaign.  Passing [~on_corrupt:`Skip] drops such shards from the
+    analysis; each drop is counted on the ["dema.shards_skipped"]
+    observability counter (emitted only when non-zero).
 
     {b Empty shards} (a manifest entry of zero traces) contribute no
     segment and no checkpoint, at every [jobs] and prefetch setting.

@@ -1,35 +1,13 @@
 type stop = { winner : int; n_traces : int; confidence : float }
 type t = Continue | Stop of stop
 
-type rule = Fisher_gap | Sprt of { effect : float; beta : float }
-type schedule = Every_batch | Geometric of { first : int; ratio : float }
+type spec = { alpha : float; min_traces : int }
 
-type spec = {
-  rule : rule;
-  alpha : float;
-  schedule : schedule;
-  min_traces : int;
-}
-
-let spec ?(rule = Fisher_gap) ?(schedule = Every_batch) ?(min_traces = 8)
-    ~alpha () =
+let spec ?(min_traces = 8) ~alpha () =
   if not (alpha > 0. && alpha < 1.) then
     invalid_arg "Decision.spec: alpha must lie in (0,1)";
   if min_traces < 4 then invalid_arg "Decision.spec: min_traces must be >= 4";
-  (match rule with
-  | Fisher_gap -> ()
-  | Sprt { effect; beta } ->
-      if not (effect > 0.) then
-        invalid_arg "Decision.spec: SPRT effect must be > 0";
-      if not (beta > 0. && beta < 1.) then
-        invalid_arg "Decision.spec: SPRT beta must lie in (0,1)");
-  (match schedule with
-  | Every_batch -> ()
-  | Geometric { first; ratio } ->
-      if first < 1 then invalid_arg "Decision.spec: Geometric first must be >= 1";
-      if not (ratio > 1.) then
-        invalid_arg "Decision.spec: Geometric ratio must be > 1");
-  { rule; alpha; schedule; min_traces }
+  { alpha; min_traces }
 
 type tester = {
   spec : spec;
@@ -41,18 +19,9 @@ let tester spec = { spec; looks = 0; history = [] }
 let looks t = t.looks
 let history t = List.rev t.history
 
-let due t =
-  match t.spec.schedule with
-  | Every_batch -> t.spec.min_traces
-  | Geometric { first; ratio } ->
-      let target = float_of_int first *. (ratio ** float_of_int t.looks) in
-      let target =
-        if target >= float_of_int max_int then max_int
-        else int_of_float (Float.ceil target)
-      in
-      max t.spec.min_traces target
+let due t = t.spec.min_traces
 
-(* Geometric spending alpha_k = alpha * 2^-k at look k: the levels sum
+(* Alpha spending alpha_k = alpha * 2^-k at look k: the levels sum
    to alpha over any number of looks, so by the union bound the
    family-wise false-stop probability of the whole sequence stays below
    alpha.  Clamped away from 0 so probit stays in-domain at absurd look
@@ -65,21 +34,8 @@ let check t ~n ~winner ~r1 ~r2 =
     let z = Stats.Signif.corr_gap_z ~n ~r1 ~r2 in
     t.looks <- t.looks + 1;
     t.history <- (n, z) :: t.history;
-    let stop () =
+    let z_crit = -.Stats.Signif.probit (spend t.spec.alpha t.looks) in
+    if z >= z_crit then
       Stop { winner; n_traces = n; confidence = 1. -. t.spec.alpha }
-    in
-    match t.spec.rule with
-    | Fisher_gap ->
-        let z_crit = -.Stats.Signif.probit (spend t.spec.alpha t.looks) in
-        if z >= z_crit then stop () else Continue
-    | Sprt { effect; beta } ->
-        (* Under H1 the standardised gap has mean mu = effect *
-           sqrt((n-3)/2); the normal log-likelihood ratio of the
-           observed z is mu*z - mu^2/2, stopped at Wald's upper
-           boundary log((1-beta)/alpha).  The lower boundary is never
-           taken: an undecided unit just keeps buying traces. *)
-        let mu = effect *. sqrt (float_of_int (n - 3) /. 2.) in
-        let llr = (mu *. z) -. (mu *. mu /. 2.) in
-        if llr >= log ((1. -. beta) /. t.spec.alpha) then stop ()
-        else Continue
+    else Continue
   end

@@ -1,7 +1,7 @@
 (** Sequential decision rules for adaptive trace budgets.
 
-    A campaign looks at the evidence repeatedly — after every batch, or
-    on a geometric schedule — and stops buying traces for a hypothesis
+    A campaign looks at the evidence repeatedly — at every batch
+    boundary past a trace floor — and stops buying traces for a hypothesis
     set as soon as the leader's correlation separates from the
     runner-up's at the requested confidence.  Repeated looks inflate
     the false-stop rate of a naive fixed-level test, so every look k
@@ -23,38 +23,14 @@ type stop = {
 
 type t = Continue | Stop of stop
 
-type rule =
-  | Fisher_gap
-      (** One-sided test of the top-1 vs runner-up correlation gap on
-          the Fisher z scale ({!Stats.Signif.corr_gap_z}) against
-          [probit (1 - alpha_k)] at the spent level of each look. *)
-  | Sprt of { effect : float; beta : float }
-      (** Wald sequential probability ratio test of H0 "no gap" vs H1
-          "gap = [effect] on the Fisher z scale", stopping for H1 at
-          [log ((1-beta)/alpha)].  [beta] is the tolerated miss rate;
-          the H0 boundary is never taken — an undecided unit simply
-          continues. *)
-
-type schedule =
-  | Every_batch  (** one look at every batch boundary past the floor *)
-  | Geometric of { first : int; ratio : float }
-      (** look k fires once [first * ratio^k] traces have arrived —
-          O(log n) looks, so less alpha spent on early noise *)
-
 type spec = {
-  rule : rule;
   alpha : float;
-  schedule : schedule;
   min_traces : int;  (** no look before this floor (and never below 4) *)
 }
 
-val spec :
-  ?rule:rule -> ?schedule:schedule -> ?min_traces:int -> alpha:float ->
-  unit -> spec
-(** Validated constructor (defaults: [Fisher_gap], [Every_batch],
-    [min_traces = 8]).  Raises [Invalid_argument] on alpha outside
-    (0,1), [min_traces < 4], non-positive SPRT effect, or a
-    non-increasing geometric schedule. *)
+val spec : ?min_traces:int -> alpha:float -> unit -> spec
+(** Validated constructor ([min_traces] defaults to 8).  Raises
+    [Invalid_argument] on alpha outside (0,1) or [min_traces < 4]. *)
 
 (** {1 Per-unit tester}
 
@@ -74,14 +50,16 @@ val history : tester -> (int * float) list
 (** [(n, z)] per look in chronological order: the stopping curve. *)
 
 val due : tester -> int
-(** Trace count at which this tester's next look is due.  The driver
-    checks at most once per batch once [n >= due t]; under
-    [Every_batch] this is just the [min_traces] floor, under
-    [Geometric] it grows by [ratio] per look. *)
+(** Trace count at which this tester's next look is due: the
+    [min_traces] floor.  The driver looks at most once per batch once
+    [n >= due t]. *)
 
 val check : tester -> n:int -> winner:int -> r1:float -> r2:float -> t
 (** One look at [n] traces with leader correlation [r1] and runner-up
     [r2].  Returns [Continue] without consuming a look while
     [n < min_traces] (or [n <= 3], where the z transform is
     uninformative); otherwise spends the next alpha increment and
-    tests.  [winner] is echoed into the {!stop} payload. *)
+    tests the top-1 vs runner-up correlation gap on the Fisher z scale
+    ({!Stats.Signif.corr_gap_z}) one-sided against
+    [probit (1 - alpha_k)].  [winner] is echoed into the {!stop}
+    payload. *)

@@ -420,25 +420,11 @@ end
 (* ---- analysis ---- *)
 
 module Reader = struct
-  type t = {
-    dir : string;
-    r_meta : meta;
-    entries : shard_entry array;
-    policy : [ `Fail | `Skip ];
-    skipped_rev : (int * string) list ref;
-    lock : Mutex.t;
-  }
+  type t = { dir : string; r_meta : meta; entries : shard_entry array }
 
-  let open_store ?(policy = `Fail) dir =
+  let open_store dir =
     let m, entries = read_manifest dir in
-    {
-      dir;
-      r_meta = m;
-      entries = Array.of_list entries;
-      policy;
-      skipped_rev = ref [];
-      lock = Mutex.create ();
-    }
+    { dir; r_meta = m; entries = Array.of_list entries }
 
   let meta t = t.r_meta
   let shard_count t = Array.length t.entries
@@ -468,34 +454,12 @@ module Reader = struct
       fail ~ctx "sample width %d does not match the store's %d" width t.r_meta.width;
     records
 
-  let read_shard t i =
-    match load_shard t i with
-    | records -> Some records
-    | exception Failure msg when t.policy = `Skip ->
-        Mutex.protect t.lock (fun () -> t.skipped_rev := (i, msg) :: !(t.skipped_rev));
-        None
-
-  let skipped t = Mutex.protect t.lock (fun () -> List.rev !(t.skipped_rev))
-
-  let fold t ~init ~f =
-    let acc = ref init in
-    for i = 0 to shard_count t - 1 do
-      match read_shard t i with
-      | Some records -> acc := f !acc i records
-      | None -> ()
-    done;
-    !acc
-
   let to_seq t =
-    Seq.concat
-      (Seq.init (shard_count t) (fun i ->
-           match read_shard t i with
-           | Some records -> Array.to_seq records
-           | None -> Seq.empty))
+    Seq.concat (Seq.init (shard_count t) (fun i -> Array.to_seq (load_shard t i)))
 end
 
 let verify dir =
-  let r = Reader.open_store ~policy:`Fail dir in
+  let r = Reader.open_store dir in
   ( Reader.meta r,
     List.init (Reader.shard_count r) (fun i ->
         match Reader.load_shard r i with

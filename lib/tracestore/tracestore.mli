@@ -5,9 +5,11 @@
     fixed-size binary {e shards} plus a {e manifest} carrying per-shard
     trace counts, the sample width, leakage-model metadata and CRC32
     checksums.  A {!Writer} appends traces during acquisition (buffering
-    at most one shard); a {!Reader} iterates the corpus one shard at a
-    time with shard-level corruption detection and a skip-or-fail
-    policy.
+    at most one shard); a {!Reader} loads the corpus one shard at a
+    time with shard-level corruption detection.  The reader is strict:
+    whether a corrupt shard fails an analysis or is dropped from it is
+    decided by the caller ([Attack.Dema.Stream]'s [?on_corrupt]), never
+    here.
 
     The layer is deliberately ignorant of the FALCON attack: a trace is
     a {!record} of public strings plus raw samples.  [Leakage] converts
@@ -122,21 +124,19 @@ end
 module Reader : sig
   type t
 
-  val open_store : ?policy:[ `Fail | `Skip ] -> string -> t
+  val open_store : string -> t
   (** Open a store for reading; validates the manifest eagerly (a
-      corrupt manifest always raises [Failure], whatever the policy).
-      [policy] governs shard-level corruption during iteration:
-      [`Fail] (default) raises; [`Skip] drops the shard and records it
-      in {!skipped}.  The handle is safe to share across domains.
-      Each shard file is read whole into one heap buffer and decoded
-      from there. *)
+      corrupt manifest raises [Failure]).  Shards are not touched until
+      loaded.  The handle is immutable and safe to share across
+      domains.  Each shard file is read whole into one heap buffer and
+      decoded from there. *)
 
   val meta : t -> meta
   val shard_count : t -> int
 
   val total_traces : t -> int
-  (** Sum of manifest per-shard counts (including shards that would be
-      skipped). *)
+  (** Sum of manifest per-shard counts (including shards that turn out
+      to be corrupt when loaded). *)
 
   val entry : t -> int -> shard_entry
 
@@ -146,22 +146,15 @@ module Reader : sig
       file's length is compared with the manifest's byte size before
       its buffer is allocated, so a grown or replaced shard is refused
       without reading it.  Raises [Failure] (naming the shard index and
-      byte offset) on any corruption, regardless of policy. *)
-
-  val read_shard : t -> int -> record array option
-  (** Policy-honouring load: [None] if the shard is corrupt and the
-      policy is [`Skip]. *)
-
-  val skipped : t -> (int * string) list
-  (** Shards skipped so far (index, diagnostic), in skip order. *)
-
-  val fold : t -> init:'a -> f:('a -> int -> record array -> 'a) -> 'a
-  (** Sequential in-order fold over shards, one shard in memory at a
-      time; corrupt shards skip or fail per policy. *)
+      byte offset) on any corruption. *)
 
   val to_seq : t -> record Seq.t
   (** Lazy record stream in shard order; at most one decoded shard is
-      live at any point of the traversal. *)
+      live at any point of the traversal.  Each shard goes through
+      {!load_shard}, so a corrupt shard raises its [Failure] when the
+      traversal reaches it — there is no skipping here.  Analyses that
+      may drop corrupt shards read through [Attack.Dema.Stream]
+      instead. *)
 end
 
 val verify : string -> meta * (int * (int, string) result) list

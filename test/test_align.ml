@@ -18,6 +18,11 @@ let rm_rf dir =
     Sys.rmdir dir
   end
 
+let contains msg frag =
+  let n = String.length frag and m = String.length msg in
+  let rec go i = i + n <= m && (String.sub msg i n = frag || go (i + 1)) in
+  go 0
+
 (* {2 Emitters} *)
 
 let test_default_emitter_bitwise () =
@@ -177,11 +182,14 @@ let test_realign_recovers_known_shifts () =
       done)
     rows
 
-let test_realign_store_deterministic () =
+(* [f tmp src traces] over a fresh 3-shard store at [src] (20 traces per
+   shard) holding [traces], 60 clock-jittered bus-HD captures, with a
+   public.key sidecar; [tmp] and everything in it go afterwards. *)
+let with_jittered_store ~seed f =
   let jit =
     { Leakage.hd_emitter with Leakage.jitter = { Leakage.max_shift = 2; drift = 0. } }
   in
-  let traces = Leakage.capture ~emitter:jit model ~seed:13 sk ~count:60 in
+  let traces = Leakage.capture ~emitter:jit model ~seed sk ~count:60 in
   let tmp = Filename.temp_dir "fd_align_test" "" in
   let src = Filename.concat tmp "src" in
   Fun.protect
@@ -208,28 +216,81 @@ let test_realign_store_deterministic () =
       let oc = open_out (Filename.concat src "public.key") in
       output_string oc "sidecar";
       close_out oc;
-      let variant (jobs, prefetch) =
-        let dst = Filename.concat tmp (Printf.sprintf "dst%d%b" jobs prefetch) in
-        let st =
-          Align.realign_store ~ctx:(Attack.Ctx.make ~jobs ()) ~prefetch ~max_shift:2 ~src
-            ~dst ()
-        in
-        let r = Tracestore.Reader.open_store dst in
-        let records = Array.of_seq (Tracestore.Reader.to_seq r) in
-        Alcotest.(check bool)
-          "sidecar copied" true
-          (Sys.file_exists (Filename.concat dst "public.key"));
-        (st, records)
+      f tmp src traces)
+
+let test_realign_store_deterministic () =
+  with_jittered_store ~seed:13 @@ fun tmp src _traces ->
+  let variant (jobs, prefetch) =
+    let dst = Filename.concat tmp (Printf.sprintf "dst%d%b" jobs prefetch) in
+    let st =
+      Align.realign_store ~ctx:(Attack.Ctx.make ~jobs ()) ~prefetch ~max_shift:2 ~src
+        ~dst ()
+    in
+    let r = Tracestore.Reader.open_store dst in
+    let records = Array.of_seq (Tracestore.Reader.to_seq r) in
+    Alcotest.(check bool)
+      "sidecar copied" true
+      (Sys.file_exists (Filename.concat dst "public.key"));
+    (st, records)
+  in
+  match List.map variant [ (1, false); (2, true); (4, false) ] with
+  | first :: rest ->
+      List.iteri
+        (fun i o ->
+          Alcotest.(check bool)
+            (Printf.sprintf "variant %d identical" i)
+            true (o = first))
+        rest
+  | [] -> assert false
+
+(* A corrupt bootstrap shard: under [`Skip] the bootstrap and both
+   passes drop shard 0 alike, so the destination is exactly the
+   in-memory realignment of the 40 surviving traces; under [`Fail] the
+   error names the shard. *)
+let test_realign_store_corrupt_shard () =
+  with_jittered_store ~seed:17 @@ fun tmp src traces ->
+  (* one payload byte of shard 0: header intact, CRC now wrong *)
+  let shard0 = Filename.concat src (Tracestore.shard_name 0) in
+  let fd = open_out_gen [ Open_binary; Open_wronly ] 0 shard0 in
+  seek_out fd 40;
+  output_char fd '\xff';
+  close_out fd;
+  let survivors = Array.sub traces 20 40 in
+  let want, want_st =
+    Align.realign_rows ~max_shift:2 ~fill:model.Leakage.baseline
+      (Array.map (fun t -> t.Leakage.samples) survivors)
+  in
+  List.iter
+    (fun (jobs, prefetch) ->
+      let dst = Filename.concat tmp (Printf.sprintf "skip%d%b" jobs prefetch) in
+      let st =
+        Align.realign_store ~ctx:(Attack.Ctx.make ~jobs ()) ~on_corrupt:`Skip ~prefetch
+          ~max_shift:2 ~src ~dst ()
       in
-      match List.map variant [ (1, false); (2, true); (4, false) ] with
-      | first :: rest ->
-          List.iteri
-            (fun i o ->
-              Alcotest.(check bool)
-                (Printf.sprintf "variant %d identical" i)
-                true (o = first))
-            rest
-      | [] -> assert false)
+      let label = Printf.sprintf " at -j %d, prefetch %b" jobs prefetch in
+      Alcotest.(check int) ("shards_skipped" ^ label) 1 st.Align.shards_skipped;
+      Alcotest.(check bool) ("stats == realign_rows over survivors" ^ label) true
+        ({ st with Align.shards_skipped = 0 } = want_st);
+      let records =
+        Array.of_seq (Tracestore.Reader.to_seq (Tracestore.Reader.open_store dst))
+      in
+      Alcotest.(check int) ("destination holds the survivors" ^ label) 40
+        (Array.length records);
+      Array.iteri
+        (fun i (r : Tracestore.record) ->
+          if r.Tracestore.msg <> survivors.(i).Leakage.msg then
+            Alcotest.failf "trace %d is not survivor %d%s" i i label;
+          if r.Tracestore.samples <> want.(i) then
+            Alcotest.failf "trace %d differs from realign_rows%s" i label)
+        records)
+    [ (1, false); (1, true); (2, false) ];
+  match
+    Align.realign_store ~max_shift:2 ~src ~dst:(Filename.concat tmp "fail") ()
+  with
+  | _ -> Alcotest.fail "realign_store accepted a corrupt shard"
+  | exception Failure msg ->
+      Alcotest.(check bool) "error names shard 0" true
+        (contains msg "shard 0")
 
 (* {2 End-to-end} *)
 
@@ -403,6 +464,8 @@ let suite =
       test_realign_recovers_known_shifts;
     Alcotest.test_case "realign_store deterministic across jobs x prefetch" `Quick
       test_realign_store_deterministic;
+    Alcotest.test_case "realign_store under a corrupt shard" `Quick
+      test_realign_store_corrupt_shard;
     Alcotest.test_case "hd full key after realignment" `Slow
       test_hd_fullkey_after_realign;
     Alcotest.test_case "hd leakage rejects adaptive stop" `Quick test_hd_stop_rejected;

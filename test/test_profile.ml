@@ -797,7 +797,7 @@ let test_pearson_instance_parity () =
     for sh = 0 to Tracestore.Reader.shard_count reader - 1 do
       let rows =
         Array.map (fun r -> Leakage.of_record ~n:8 r)
-          (Option.get (Tracestore.Reader.read_shard reader sh))
+          (Tracestore.Reader.load_shard reader sh)
       in
       let batch =
         Array.of_list

@@ -1,6 +1,6 @@
 (* Sequential early-stopping subsystem: decision-rule properties
    (Fisher z oddness/monotonicity, gap antisymmetry, alpha spending),
-   tester/schedule unit tests, and the determinism contract of the
+   tester unit tests, and the determinism contract of the
    adaptive sweeps — same store + seed + alpha must stop at the same
    point with the same winner at every jobs value and prefetch setting
    (scalar-vs-fused parity at every look is pinned in test_profile),
@@ -58,7 +58,7 @@ let test_signif_edges () =
   Alcotest.(check bool) "normal_cdf saturates" true
     (Stats.Signif.normal_cdf 9. = 1. && Stats.Signif.normal_cdf (-9.) = 0.)
 
-(* {2 Decision rules and schedules} *)
+(* {2 Decision rule} *)
 
 let test_spec_validation () =
   Alcotest.check_raises "alpha 0 rejected"
@@ -78,6 +78,7 @@ let test_min_traces_floor () =
   | Sequential.Decision.Continue -> ()
   | Sequential.Decision.Stop _ -> Alcotest.fail "stopped below the min_traces floor");
   Alcotest.(check int) "no look consumed" 0 (Sequential.Decision.looks t);
+  Alcotest.(check int) "next look due at the floor" 8 (Sequential.Decision.due t);
   match Sequential.Decision.check t ~n:1000 ~winner:1 ~r1:0.9 ~r2:0.0 with
   | Sequential.Decision.Stop s ->
       Alcotest.(check int) "stop at the fed trace count" 1000
@@ -85,26 +86,12 @@ let test_min_traces_floor () =
       Alcotest.(check int) "winner echoed" 1 s.Sequential.Decision.winner;
       Alcotest.(check (float 1e-12)) "confidence is 1 - alpha" 0.99
         s.Sequential.Decision.confidence;
-      Alcotest.(check int) "one look consumed" 1 (Sequential.Decision.looks t)
+      Alcotest.(check int) "one look consumed" 1 (Sequential.Decision.looks t);
+      Alcotest.(check int) "still due at the floor after a look" 8
+        (Sequential.Decision.due t);
+      Alcotest.(check (list int)) "history records the look" [ 1000 ]
+        (List.map fst (Sequential.Decision.history t))
   | Sequential.Decision.Continue -> Alcotest.fail "clear separation did not stop"
-
-let test_geometric_schedule () =
-  let spec =
-    Sequential.Decision.spec ~alpha:0.01
-      ~schedule:(Sequential.Decision.Geometric { first = 8; ratio = 2. })
-      ~min_traces:8 ()
-  in
-  let t = Sequential.Decision.tester spec in
-  Alcotest.(check int) "first look due at first" 8 (Sequential.Decision.due t);
-  (* an uninformative look at n=8 consumes the slot and doubles the due
-     point *)
-  (match Sequential.Decision.check t ~n:8 ~winner:0 ~r1:0.1 ~r2:0.09 with
-  | Sequential.Decision.Continue -> ()
-  | Sequential.Decision.Stop _ -> Alcotest.fail "noise stopped");
-  Alcotest.(check int) "second look due at first*ratio" 16
-    (Sequential.Decision.due t);
-  Alcotest.(check bool) "history records the look" true
-    (List.length (Sequential.Decision.history t) = 1)
 
 let test_alpha_spending_tightens () =
   (* the same moderate gap that passes at look 1 must fail after many
@@ -124,23 +111,6 @@ let test_alpha_spending_tightens () =
   done;
   Alcotest.(check bool) "the same gap no longer stops after 20 spent looks" false
     (gap_stops spent 100)
-
-let test_sprt_rule () =
-  let spec =
-    Sequential.Decision.spec
-      ~rule:(Sequential.Decision.Sprt { effect = 0.3; beta = 0.1 })
-      ~alpha:0.01 ~min_traces:8 ()
-  in
-  let t = Sequential.Decision.tester spec in
-  (match Sequential.Decision.check t ~n:16 ~winner:2 ~r1:0.1 ~r2:0.08 with
-  | Sequential.Decision.Continue -> ()
-  | Sequential.Decision.Stop _ -> Alcotest.fail "SPRT stopped on noise");
-  match Sequential.Decision.check t ~n:2000 ~winner:2 ~r1:0.6 ~r2:0.0 with
-  | Sequential.Decision.Stop s ->
-      Alcotest.(check int) "SPRT stop echoes the winner" 2
-        s.Sequential.Decision.winner
-  | Sequential.Decision.Continue ->
-      Alcotest.fail "SPRT did not stop on overwhelming evidence"
 
 (* {2 In-memory adaptive sweeps} *)
 
@@ -406,10 +376,8 @@ let suite =
     Alcotest.test_case "signif edge cases" `Quick test_signif_edges;
     Alcotest.test_case "spec validation" `Quick test_spec_validation;
     Alcotest.test_case "min_traces floor is a free look" `Quick test_min_traces_floor;
-    Alcotest.test_case "geometric look schedule" `Quick test_geometric_schedule;
     Alcotest.test_case "alpha spending tightens the boundary" `Quick
       test_alpha_spending_tightens;
-    Alcotest.test_case "SPRT rule" `Quick test_sprt_rule;
     Alcotest.test_case "exhausted rank_until = rank, bitwise" `Quick
       test_rank_until_exhausted_equals_rank;
     Alcotest.test_case "rank_until deterministic across jobs 1/2/4" `Quick

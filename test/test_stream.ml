@@ -454,7 +454,7 @@ let test_skip_policy_drops_and_counts () =
   let ctx =
     Attack.Ctx.make ~obs:(Obs.make (Obs.Jsonl.to_buffer buf)) ()
   in
-  let reader = Tracestore.Reader.open_store ~policy:`Skip dir in
+  let reader = Tracestore.Reader.open_store dir in
   let streamed =
     Attack.Dema.Stream.rank ~ctx ~on_corrupt:`Skip reader ~parts:(rank_parts ())
       ~known:known_re0 ~top:5 (Array.to_seq candidates)
@@ -503,7 +503,7 @@ let test_fullkey_store_corrupt_shard () =
     (fun jobs ->
       let buf = Buffer.create 4096 in
       let ctx = Attack.Ctx.make ~jobs ~obs:(Obs.make (Obs.Jsonl.to_buffer buf)) () in
-      let reader = Tracestore.Reader.open_store ~policy:`Skip dir in
+      let reader = Tracestore.Reader.open_store dir in
       let st =
         Attack.Fullkey.recover_f_fft_store ~ctx ~on_corrupt:`Skip ~reader strategy
       in

@@ -1,7 +1,7 @@
 (* Sharded trace-store: roundtrips, append-only growth, and the three
    corruption fixtures (truncation, bit-flip, manifest/shard count
    disagreement) — each of which must be reported with the shard index
-   and a byte offset, and honoured by the skip-or-fail policy. *)
+   and a byte offset.  The reader is strict: it never skips a shard. *)
 
 let width = 24
 
@@ -88,13 +88,10 @@ let test_roundtrip_multi_shard () =
       Alcotest.(check string) "body" want.body rec_.body;
       Alcotest.(check bool) "samples bit-exact" true (rec_.samples = want.samples))
     back;
-  (* fold visits shards in order, one at a time *)
-  let order =
-    Tracestore.Reader.fold r ~init:[] ~f:(fun acc i recs ->
-        (i, Array.length recs) :: acc)
-  in
-  Alcotest.(check (list (pair int int)))
-    "fold order" [ (0, 3); (1, 3); (2, 2) ] (List.rev order)
+  (* each shard loads on its own, with the manifest's count *)
+  Alcotest.(check (list int)) "per-shard loads" [ 3; 3; 2 ]
+    (List.init (Tracestore.Reader.shard_count r) (fun i ->
+         Array.length (Tracestore.Reader.load_shard r i)))
 
 let test_verify_clean () =
   with_store @@ fun dir ->
@@ -156,18 +153,15 @@ let test_bitflip_crc_mismatch () =
   let r = Tracestore.Reader.open_store dir in
   check_failure "bit-flipped payload" ~mentions:[ "shard 0"; "CRC mismatch"; "20" ]
     (fun () -> Tracestore.Reader.load_shard r 0);
-  (* the skip policy drops the shard, records the diagnostic, and keeps
-     iterating the healthy remainder *)
-  let rs = Tracestore.Reader.open_store ~policy:`Skip dir in
-  Alcotest.(check bool) "read_shard skips" true
-    (Tracestore.Reader.read_shard rs 0 = None);
-  let survivors = Array.length (Array.of_seq (Tracestore.Reader.to_seq rs)) in
-  Alcotest.(check int) "remaining traces" 5 survivors;
-  match Tracestore.Reader.skipped rs with
-  | (0, diag) :: _ ->
-      Alcotest.(check bool) "diagnostic names the offset" true
-        (contains diag "CRC mismatch")
-  | other -> Alcotest.failf "skip log wrong: %d entries" (List.length other)
+  (* the reader is strict: iterating the store reaches the corrupt shard
+     and raises the same diagnostic — skipping is the caller's decision
+     (Attack.Dema.Stream's on_corrupt), never the reader's *)
+  let records = Tracestore.Reader.to_seq r in
+  check_failure "to_seq over a bit-flipped shard"
+    ~mentions:[ "shard 0"; "CRC mismatch" ]
+    (fun () -> Seq.iter ignore records);
+  Alcotest.(check int) "shard 1 intact" 3
+    (Array.length (Tracestore.Reader.load_shard r 1))
 
 let test_count_disagreement () =
   with_store @@ fun dir ->
@@ -214,10 +208,7 @@ let test_manifest_corruption () =
   let path = Filename.concat dir Tracestore.manifest_name in
   patch_file path 30 "\xff";
   check_failure "corrupt manifest" ~mentions:[ "manifest"; "CRC" ] (fun () ->
-      Tracestore.Reader.open_store dir);
-  (* a corrupt manifest is fatal even under `Skip *)
-  check_failure "corrupt manifest under skip" ~mentions:[ "manifest" ] (fun () ->
-      Tracestore.Reader.open_store ~policy:`Skip dir)
+      Tracestore.Reader.open_store dir)
 
 let test_writer_rejects_width_mismatch () =
   let dir = Filename.temp_dir "fd_store_test" "" in
