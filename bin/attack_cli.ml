@@ -187,6 +187,13 @@ let cmd_crack target input store leakage until_confident alpha max_traces flags 
        "matching bus Hamming-distance hypothesis models (campaign recorded \
         with --model hd)\n%!");
   match store with
+  | Some _ when max_traces <> None && not until_confident ->
+      (* a fixed-budget crack reads every stored trace; only the
+         adaptive campaign has a budget to cap *)
+      prerr_endline
+        "--max-traces caps an adaptive campaign: pass --until-confident too, or \
+         drop --max-traces to crack the whole store";
+      1
   | Some dir when target <> "falcon" -> (
       match Attack.Target.find target with
       | Some t -> crack_target t dir leakage until_confident alpha max_traces flags ctx
@@ -329,15 +336,8 @@ let alpha_arg =
            $(b,--until-confident): the probability that any coefficient stops \
            on a wrong winner is at most ALPHA.")
 
-let max_traces_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-traces" ] ~docv:"N"
-        ~doc:
-          "Cap the streamed campaign at N traces (needs $(b,--store)); with \
-           $(b,--until-confident), undecided coefficients fall back to their \
-           full buffered prefix at the cap.")
+let max_traces_arg ~doc =
+  Arg.(value & opt (some int) None & info [ "max-traces" ] ~docv:"N" ~doc)
 
 let crack_cmd =
   Cmd.v
@@ -345,7 +345,14 @@ let crack_cmd =
        ~doc:"Recover the key and forge from a stored trace file or trace store")
     Term.(
       const cmd_crack $ Cli_common.target_arg $ in_arg $ store_arg $ leakage_arg
-      $ until_confident_arg $ alpha_arg $ max_traces_arg $ flags)
+      $ until_confident_arg $ alpha_arg
+      $ max_traces_arg
+          ~doc:
+            "Cap the adaptive campaign at N traces (needs $(b,--store) and \
+             $(b,--until-confident)): undecided units fall back to their full \
+             buffered prefix at the cap.  A fixed-budget crack reads the whole \
+             store, so without $(b,--until-confident) the option is refused."
+      $ flags)
 
 let profile_store_arg =
   Cli_common.store_default_arg
@@ -382,7 +389,8 @@ let profile_cmd =
           known key")
     Term.(
       const cmd_profile $ Cli_common.target_arg $ profile_store_arg
-      $ profile_out_arg $ leakage_arg $ npoi_arg $ ndim_arg $ max_traces_arg
+      $ profile_out_arg $ leakage_arg $ npoi_arg $ ndim_arg
+      $ max_traces_arg ~doc:"Train on the first N traces of the campaign only."
       $ flags)
 
 let () =

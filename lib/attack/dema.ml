@@ -226,13 +226,14 @@ end) : Distinguisher.S = struct
         s.cols
 
   (* [corr_with]'s epilogue per (part, guess) against the plan's whole
-     column moments; |r| summed over parts in part order *)
-  let finalize p a =
+     column moments; |r| summed over [parts] in the given order *)
+  let finalize p ~parts a =
     let g = Array.length a.guesses in
     let out = Array.make g 0. in
     let nf = float_of_int p.n in
-    Array.iteri
-      (fun j sum_t ->
+    List.iter
+      (fun j ->
+        let sum_t = p.sums.(j) in
         let var_t = p.sqs.(j) -. (sum_t *. sum_t /. nf) in
         if scalar then begin
           let sh = a.sh.(j) and shh = a.shh.(j) and sht = a.sht.(j) in
@@ -250,7 +251,7 @@ end) : Distinguisher.S = struct
             out.(r) <- out.(r) +. Float.abs rs.(r)
           done
         end)
-      p.sums;
+      parts;
     out
 end
 
@@ -370,11 +371,11 @@ end) : Distinguisher.S = struct
         done)
       s.tables
 
-  let finalize p a =
+  let finalize p ~parts a =
     let nrm = 1. /. float_of_int (max 1 p.n) in
     Array.init (Array.length a.guesses) (fun r ->
         let s = ref 0. in
-        Array.iter (fun acc -> s := !s +. acc.(r)) a.sll;
+        List.iter (fun j -> s := !s +. a.sll.(j).(r)) parts;
         !s *. nrm)
 end
 
@@ -444,11 +445,11 @@ end) : Distinguisher.S = struct
         done)
       s.cols
 
-  let finalize p a =
+  let finalize p ~parts a =
     let d = float_of_int p.n in
     Array.init (Array.length a.guesses) (fun r ->
         let s = ref 0. in
-        Array.iter (fun err -> s := !s +. err.(r)) a.err;
+        List.iter (fun j -> s := !s +. a.err.(j).(r)) parts;
         -. !s /. d)
 end
 
@@ -492,6 +493,7 @@ let fixed (type k) (module D : Distinguisher.S) ~ctx:c
     ~(parts : (int * k Hypothesis.Model.t) list) ~top ~source candidates =
   let obs = c.Ctx.obs in
   let plan = D.plan ~parts in
+  let whole = List.init (List.length parts) Fun.id in
   let batches, d = source (D.needs plan) in
   let segs =
     Obs.span ~level:Obs.Debug obs "dema.prep" (fun () -> List.map (D.prepare plan) batches)
@@ -508,7 +510,7 @@ let fixed (type k) (module D : Distinguisher.S) ~ctx:c
                ignore (Atomic.fetch_and_add scored (Array.length guesses));
                let a = D.acc plan guesses in
                List.iter (D.fold a) segs;
-               let sc = D.finalize plan a in
+               let sc = D.finalize plan ~parts:whole a in
                let t = Topk.create top in
                Array.iteri (fun i g -> Topk.add t { guess = g; corr = sc.(i) }) guesses;
                t)
@@ -550,7 +552,7 @@ module Sweep = struct
     needs : int list list;
     mutable n : int;
     fold_seg : jobs:int -> (float array array * 'k array) array -> unit;
-    finalize : jobs:int -> float array;
+    finalize : jobs:int -> parts:int list -> float array;
   }
 
   let of_instance (type k) (module D : Distinguisher.S)
@@ -579,10 +581,10 @@ module Sweep = struct
           if seg_length batch > 0 then
             ignore (Parallel.map_array ~jobs (fun c -> D.fold accs.(c) seg) chunks));
       finalize =
-        (fun ~jobs ->
+        (fun ~jobs ~parts ->
           Array.concat
             (Array.to_list
-               (Parallel.map_array ~jobs (fun c -> D.finalize plan accs.(c)) chunks)));
+               (Parallel.map_array ~jobs (fun c -> D.finalize plan ~parts accs.(c)) chunks)));
     }
 
   (* [fold] hands each part its column directly, so the parts' sample
@@ -591,6 +593,7 @@ module Sweep = struct
     of_instance (pearson backend) ~parts:(List.map (fun m -> (0, m)) parts) candidates
 
   let n t = t.n
+  let guesses t = t.guesses
 
   let fold_batch ?jobs t batch =
     t.fold_seg ~jobs:(Parallel.resolve jobs) batch;
@@ -598,12 +601,20 @@ module Sweep = struct
 
   let fold ?jobs t segs = fold_batch ?jobs t (Array.map (fun (col, ks) -> ([| col |], ks)) segs)
 
-  let scores ?jobs t =
+  let scores ?jobs ?parts t =
+    let parts =
+      match parts with
+      | None -> List.init t.nparts Fun.id
+      | Some ps ->
+          if List.exists (fun j -> j < 0 || j >= t.nparts) ps then
+            invalid_arg "Dema.Sweep.scores: part index out of range";
+          ps
+    in
     if t.n = 0 then Array.make (Array.length t.guesses) 0.
-    else t.finalize ~jobs:(Parallel.resolve jobs)
+    else t.finalize ~jobs:(Parallel.resolve jobs) ~parts
 
-  let ranking ?jobs t ~top =
-    let sc = scores ?jobs t in
+  let ranking ?jobs ?parts t ~top =
+    let sc = scores ?jobs ?parts t in
     let tk = Topk.create top in
     Array.iteri (fun i s -> Topk.add tk { guess = t.guesses.(i); corr = s }) sc;
     Topk.to_list tk

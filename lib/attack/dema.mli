@@ -120,7 +120,9 @@ val rank_absolute :
     a chunked candidate array whose accumulators persist across batch
     folds and can be finalised at any look without a reset.  The driver
     behind {!rank_until} / {!Stream.rank_until}, and [Fullkey]'s
-    per-coefficient decision sweeps. *)
+    per-coefficient decision sweeps — whose folded accumulators also
+    yield that unit's extend and prune rankings ({!scores} [?parts]),
+    so a stopped unit's candidates are never scored a second time. *)
 module Sweep : sig
   type 'k t
 
@@ -137,22 +139,33 @@ module Sweep : sig
   val n : 'k t -> int
   (** Traces folded so far. *)
 
+  val guesses : 'k t -> int array
+  (** The candidate array the sweep was created on; {!scores} are
+      positional over it.  Shared, not copied: do not mutate. *)
+
   val fold : ?jobs:int -> 'k t -> (float array * 'k array) array -> unit
   (** One batch: element [j] is part [j]'s (column segment, known
       operands), all of one equal length.  Raises [Invalid_argument] on
       a ragged or mis-sized batch. *)
 
-  val scores : ?jobs:int -> 'k t -> float array
-  (** Per-candidate sum over parts of |r| over everything folded so
-      far, with the fixed-budget sweeps' exact epilogue. *)
+  val scores : ?jobs:int -> ?parts:int list -> 'k t -> float array
+  (** Per-candidate sum of |r| over everything folded so far, with the
+      fixed-budget sweeps' exact epilogue, summed over [?parts] —
+      indices into the [create] part list, in the order given (default:
+      every part in creation order).  A subset scores bit-identically
+      to a {!rank} whose [parts] are those parts in that order over the
+      same traces ({!Distinguisher.S.finalize}), so one sweep serves
+      every ordered part subset a caller ranks on.  Raises
+      [Invalid_argument] on an index outside the part list. *)
 
-  val ranking : ?jobs:int -> 'k t -> top:int -> scored list
+  val ranking : ?jobs:int -> ?parts:int list -> 'k t -> top:int -> scored list
   (** Top-[top] of {!scores} under {!compare_scored}. *)
 
   val leaders : ?jobs:int -> 'k t -> Sequential.Campaign.leaders
-  (** Top-1 vs runner-up under {!compare_scored}, reported as mean |r|
-      over parts (so the statistic lives in [0,1] like a single
-      correlation — what the Fisher-z decision rules expect). *)
+  (** Top-1 vs runner-up under {!compare_scored} over {e every} part in
+      creation order, reported as mean |r| over parts (so the statistic
+      lives in [0,1] like a single correlation — what the Fisher-z
+      decision rules expect). *)
 end
 
 type until = {

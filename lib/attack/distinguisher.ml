@@ -28,5 +28,5 @@ module type S = sig
 
   val acc : 'k plan -> int array -> 'k acc
   val fold : 'k acc -> 'k seg -> unit
-  val finalize : 'k plan -> 'k acc -> float array
+  val finalize : 'k plan -> parts:int list -> 'k acc -> float array
 end

@@ -96,9 +96,15 @@ module type S = sig
       accumulator, so distinct chunks fold the same segment
       concurrently. *)
 
-  val finalize : 'k plan -> 'k acc -> float array
+  val finalize : 'k plan -> parts:int list -> 'k acc -> float array
   (** Per-guess scores (positionally matching the [acc] guesses) over
       every segment folded so far, against the plan's totals over the
-      segments prepared so far.  Pure: finalising twice, or at a look
-      mid-stream, yields the scores of the equivalent one-shot sweep. *)
+      segments prepared so far, combining the per-part scores of
+      [parts] — indices into the plan's part list — in that order.  The
+      whole plan in plan order is the sweep's own score; any ordered
+      subset scores exactly as a one-shot sweep whose plan holds just
+      those parts in that order, because each per-(part, guess) term
+      depends only on that part's accumulators.  Pure: finalising
+      twice, or at a look mid-stream, yields the scores of the
+      equivalent one-shot sweep. *)
 end

@@ -18,13 +18,13 @@ let mul_of = function `Re -> 0 | `Im -> 1
 (* Fan the 2n independent (coefficient, component) attacks across the
    pool, [per_pass] units at a time; leftover parallelism goes to the
    candidate sweeps inside.  [inputs ~lo ~hi] runs once per pass, before
-   its units, and returns the views builder of units [lo, hi).  Each
-   task runs the unchanged per-coefficient attack on its unit's views
-   under a [Obs.buffered] child context (single-owner, one per task),
-   returned with its result; the children are drained in task order
-   after each pass's join, so the merged event stream is deterministic
-   at every [jobs] — the Obs ownership contract. *)
-let recover_units ~ctx ?leakage ~n ~per_pass strategy inputs =
+   its units, and returns the attack of units [lo, hi): given a task
+   context and a unit, its recovered value.  Each task runs under a
+   [Obs.buffered] child context (single-owner, one per task), returned
+   with its result; the children are drained in task order after each
+   pass's join, so the merged event stream is deterministic at every
+   [jobs] — the Obs ownership contract. *)
+let recover_units ~ctx ~n ~per_pass inputs =
   let obs = ctx.Ctx.obs in
   let tasks = 2 * n in
   let done_ = Atomic.make 0 in
@@ -32,7 +32,7 @@ let recover_units ~ctx ?leakage ~n ~per_pass strategy inputs =
   for p = 0 to (tasks - 1) / per_pass do
     let lo = p * per_pass in
     let hi = min tasks (lo + per_pass) in
-    let views = inputs ~lo ~hi in
+    let attack = inputs ~lo ~hi in
     let outer = min ctx.Ctx.jobs (hi - lo) in
     let inner = max 1 (ctx.Ctx.jobs / max outer 1) in
     let results =
@@ -48,10 +48,7 @@ let recover_units ~ctx ?leakage ~n ~per_pass strategy inputs =
                   ("coeff", Obs.Int coeff);
                   ("component", Obs.Str (match component with `Re -> "re" | `Im -> "im"));
                 ]
-              (fun () ->
-                Recover.coefficient ~ctx:tctx ?leakage
-                  ~strategy:(strategy ~coeff ~mul:(mul_of component))
-                  (views t ~coeff ~component))
+              (fun () -> attack tctx t)
           in
           if Obs.enabled obs then
             Obs.progress ~total:tasks obs "coefficients" (1 + Atomic.fetch_and_add done_ 1);
@@ -67,13 +64,21 @@ let recover_units ~ctx ?leakage ~n ~per_pass strategy inputs =
   done;
   out
 
+(* The per-coefficient attack of a fixed budget: [Recover.coefficient]
+   on unit [t]'s views. *)
+let by_coefficient ?leakage strategy views tctx t =
+  let coeff, component = unit_of t in
+  Recover.coefficient ~ctx:tctx ?leakage
+    ~strategy:(strategy ~coeff ~mul:(mul_of component))
+    (views t ~coeff ~component)
+
 let recover_f_fft ?ctx:(c = Ctx.default ()) ?leakage ~traces ~n strategy =
   Obs.span c.Ctx.obs "fullkey.recover_f_fft"
     ~fields:[ ("n", Obs.Int n); ("jobs", Obs.Int c.Ctx.jobs) ]
   @@ fun () ->
-  recover_units ~ctx:c ?leakage ~n ~per_pass:(2 * n) strategy
-    (fun ~lo:_ ~hi:_ _ ~coeff ~component ->
-      Recover.views_for traces ~coeff ~component)
+  recover_units ~ctx:c ~n ~per_pass:(2 * n) (fun ~lo:_ ~hi:_ ->
+      by_coefficient ?leakage strategy (fun _ ~coeff ~component ->
+          Recover.views_for traces ~coeff ~component))
 
 let recover_key ?ctx ?leakage ~traces ~h strategy =
   let n = Array.length h in
@@ -86,18 +91,20 @@ let recover_key ?ctx ?leakage ~traces ~h strategy =
 
    Both store drivers gather many units' inputs from one streaming
    pass: each decoded shard yields every unit's two 16-sample windows
-   and FFT(c) known operands ([Dema.Stream.gather]), and [recover_units]
-   runs the unchanged per-coefficient attack on each unit's slice.
-   They differ only in whether the pass also folds decision sweeps that
-   let a unit stop early.  Extraction is arithmetic-free and in shard
-   order, so every unit's views are the ones [Recover.views_for] builds
-   in memory and the key is bit-identical to [recover_key] at every
-   [jobs].  The adaptive driver buffers each live unit's prefix, up to
-   D x 2n x 32 floats.  The fixed-budget one takes as many whole
-   coefficients per pass as fit in [window_shards] decoded shards' worth
-   of floats (all of them, in one pass, unless the campaign spans more
-   than about [window_shards] shards), so its peak memory is that
-   buffer plus one decoded shard per domain. *)
+   and FFT(c) known operands ([Dema.Stream.gather]).  The fixed-budget
+   driver runs [Recover.coefficient] on each unit's slice; the adaptive
+   one also folds decision sweeps that let a unit stop early, then takes
+   the unit's mantissa rankings from those sweeps and runs only
+   [Recover.finish_coefficient] on its buffered prefix.  Extraction is
+   arithmetic-free and in shard order, so every unit's views are the
+   ones [Recover.views_for] builds in memory and the key is
+   bit-identical to [recover_key] at every [jobs].  The adaptive driver
+   buffers each live unit's prefix, up to D x 2n x 32 floats.  The
+   fixed-budget one takes as many whole coefficients per pass as fit in
+   [window_shards] decoded shards' worth of floats (all of them, in one
+   pass, unless the campaign spans more than about [window_shards]
+   shards), so its peak memory is that buffer plus one decoded shard
+   per domain. *)
 let window_shards = 8
 
 (* A unit's 32 absolute sample indices, in view order. *)
@@ -124,16 +131,22 @@ let unit_views ~component ~off rows ks =
 (* ---- adaptive (early-stopping) variant ----
 
    Each batch is decoded once and every still-undecided unit extracts
-   its two windows from it, buffers them (the prefix its final attack
-   will run on) and folds two incremental decision sweeps — low
-   mantissa half on [w00; w10; z1a] over the width-25 candidate set
-   (z1a is what breaks the exact shift-alias ties of w00/w10) and high
-   half on [w01; w11] over the width-28 candidates (whose [lo] excludes
-   shift aliases, so no d-dependent part is needed).  The unit's
-   reported gap is the {e weaker} of the two sweeps' standardised gaps,
-   so a stop certifies both halves separated at the spent level.  Once
-   stopped, the unit is retired: its buffer stops growing and later
+   its two windows from it, buffers them (the prefix its high prune and
+   sign/exponent will run on) and folds two incremental decision sweeps
+   — low mantissa half on [w00; w10; z1a] over the width-25 candidate
+   set (z1a is what breaks the exact shift-alias ties of w00/w10) and
+   high half on [w01; w11] over the width-28 candidates (whose [lo]
+   excludes shift aliases, so no d-dependent part is needed).  The
+   unit's reported gap is the {e weaker} of the two sweeps' standardised
+   gaps, so a stop certifies both halves separated at the spent level.
+   Once stopped, the unit is retired: its buffer stops growing and later
    batches skip its scoring entirely.
+
+   The sweeps' candidate sets are [Recover.coefficient]'s, and their
+   accumulators hold every per-(part, guess) term its extend and prune
+   rankings sum, over the same prefix ([unit_rankings]); only the
+   d-dependent high prune (32 survivors) and sign/exponent still scan
+   the prefix.
 
    Determinism: batches arrive in shard order whatever the prefetch
    setting, each unit's sweeps are folded only by its own unit in batch
@@ -149,11 +162,7 @@ let decision_candidates strategy ~coeff ~mul =
         "Fullkey: ?stop requires a sampled strategy — the exhaustive 2^25 \
          hypothesis space cannot be re-scored at every look"
   | Recover.Eval_sampled { rng; decoys; truth } ->
-      (* same rng threading as [Recover.coefficient]: low then high *)
-      let xu = Fpr.mantissa truth lor (1 lsl 52) in
-      ( Hypothesis.sampled rng ~width:25 ~truth:(xu land ((1 lsl 25) - 1)) ~decoys (),
-        Hypothesis.sampled rng ~width:28 ~lo:(1 lsl 27) ~truth:(xu lsr 25) ~decoys ()
-      )
+      Recover.sampled_candidates ~rng ~decoys ~truth
 
 type unit_state = {
   u_samples : int array;  (* [unit_samples], as an array *)
@@ -226,6 +235,40 @@ let unit_leaders u =
   in
   if z ll <= z lh then ll else lh
 
+(* The sweeps hold their parts label-major ([w00·v0; w00·v1; w10·v0;
+   ...]) while [Recover] spreads a stage view-major ([w00·v0; w10·v0;
+   w00·v1; ...]); [view_major labels] lists the sweep indices of
+   [labels] (label positions) in [Recover]'s order, so the sums add in
+   its order and the scores match bit for bit. *)
+let view_major labels =
+  List.concat_map (fun vi -> List.map (fun li -> (li * 2) + vi) labels) [ 0; 1 ]
+
+(* A unit's low extend-and-prune result and high extend ranking, as
+   [Recover.coefficient] would rank its candidates on the folded
+   prefix: extend on the multiplication parts, prune the extend
+   survivors on those parts followed by z1a. *)
+let unit_rankings ~jobs u =
+  let top = Recover.coefficient_top in
+  let extend = view_major [ 0; 1 ] in
+  let low_extend = Dema.Sweep.ranking ~jobs ~parts:extend u.u_low ~top in
+  let prune = Dema.Sweep.scores ~jobs ~parts:(extend @ view_major [ 2 ]) u.u_low in
+  let index = Hashtbl.create (Array.length prune) in
+  Array.iteri (fun i g -> Hashtbl.replace index g i) (Dema.Sweep.guesses u.u_low);
+  (* at most [top] survivors, so their re-ranking keeps them all *)
+  let pruned =
+    List.sort Dema.compare_scored
+      (List.map
+         (fun (s : Dema.scored) -> { s with corr = prune.(Hashtbl.find index s.guess) })
+         low_extend)
+  in
+  ( { Recover.winner = (List.hd pruned).guess; extend = low_extend; pruned },
+    Dema.Sweep.ranking ~jobs ~parts:extend u.u_high ~top )
+
+let adaptive_rankings strategy ~coeff ~component traces =
+  let u = make_unit strategy ~coeff ~component in
+  if Array.length traces > 0 then unit_fold u traces ~coeff;
+  unit_rankings ~jobs:1 u
+
 let recover_f_fft_store_adaptive ~ctx:c ~on_corrupt ~prefetch ~stop:spec
     ~max_traces ~stop_report ~reader strategy n =
   let fd = Dema.Stream.shard_feed ~on_corrupt ~prefetch ?max_traces reader in
@@ -256,17 +299,23 @@ let recover_f_fft_store_adaptive ~ctx:c ~on_corrupt ~prefetch ~stop:spec
   (let sk = fd.Dema.Stream.skipped () in
    if Obs.enabled c.Ctx.obs && sk > 0 then
      Obs.count c.Ctx.obs "dema.shards_skipped" sk);
-  (* the unchanged per-coefficient attack, on each unit's buffered prefix *)
-  recover_units ~ctx:c ~n ~per_pass:(2 * n) strategy
-    (fun ~lo:_ ~hi:_ t ~coeff:_ ~component ->
+  (* the mantissa rankings come from the sweeps; the tail of the
+     per-coefficient attack runs on each unit's buffered prefix *)
+  recover_units ~ctx:c ~n ~per_pass:(2 * n) (fun ~lo:_ ~hi:_ tctx t ->
       let u = units.(t) in
-      unit_views ~component ~off:0
-        (Array.concat (List.rev_map fst !(u.u_segs)))
-        (Array.concat (List.rev_map snd !(u.u_segs))))
+      let low, high_extend = unit_rankings ~jobs:tctx.Ctx.jobs u in
+      Recover.finish_coefficient ~ctx:tctx ~low ~high_extend
+        (unit_views ~component:u.u_component ~off:0
+           (Array.concat (List.rev_map fst !(u.u_segs)))
+           (Array.concat (List.rev_map snd !(u.u_segs)))))
 
 let recover_f_fft_store ?ctx:(c = Ctx.default ()) ?(on_corrupt = `Fail)
     ?(prefetch = true) ?(leakage = `Hw) ?stop ?max_traces ?stop_report ~reader
     strategy =
+  if max_traces <> None && stop = None then
+    invalid_arg
+      "Fullkey: ?max_traces caps an adaptive campaign and needs ?stop — the \
+       fixed-budget recovery reads every stored trace";
   let n = (Tracestore.Reader.meta reader).Tracestore.n in
   Obs.span c.Ctx.obs "fullkey.recover_f_fft_store"
     ~fields:
@@ -302,7 +351,7 @@ let recover_f_fft_store ?ctx:(c = Ctx.default ()) ?(on_corrupt = `Fail)
       let shard_floats = window_shards * m.shard_traces * (m.width + (2 * n)) in
       let coeff_floats = max 1 (Tracestore.Reader.total_traces reader) * 66 in
       let per_pass = 2 * max 1 (shard_floats / coeff_floats) in
-      recover_units ~ctx:c ~leakage ~n ~per_pass strategy (fun ~lo ~hi ->
+      recover_units ~ctx:c ~n ~per_pass (fun ~lo ~hi ->
           let c0 = lo / 2 and len = (hi - lo) / 2 in
           let rows, cs =
             Dema.Stream.extract ~ctx:c ~on_corrupt ~prefetch reader
@@ -314,9 +363,9 @@ let recover_f_fft_store ?ctx:(c = Ctx.default ()) ?(on_corrupt = `Fail)
               ~known:(fun (t : Leakage.trace) ->
                 (Array.sub t.c_fft.re c0 len, Array.sub t.c_fft.im c0 len))
           in
-          fun t ~coeff ~component ->
-            unit_views ~component ~off:((t - lo) * 2 * Leakage.events_per_mul) rows
-              (Array.map (fun (re, im) -> (re.(coeff - c0), im.(coeff - c0))) cs))
+          by_coefficient ~leakage strategy (fun t ~coeff ~component ->
+              unit_views ~component ~off:((t - lo) * 2 * Leakage.events_per_mul) rows
+                (Array.map (fun (re, im) -> (re.(coeff - c0), im.(coeff - c0))) cs)))
 
 let recover_key_store ?ctx ?on_corrupt ?prefetch ?leakage ?stop ?max_traces
     ?stop_report ~reader ~h strategy =

@@ -82,16 +82,20 @@ val recover_f_fft_store :
     [w00; w10; z1a], high half on [w01; w11], over the strategy's
     candidate sets); a unit stops — and is retired from all later
     batches — once the {e weaker} of its two top-1 vs runner-up gaps
-    passes the sequential test, and the unchanged per-coefficient
-    attack then runs on its buffered prefix.  [?max_traces] caps the
-    campaign; [?stop_report] receives the per-unit traces-used summary.
-    Stop points and the recovered transform are bit-identical across
-    [jobs] and prefetch settings.  Raises [Invalid_argument]
+    passes the sequential test.  Its low extend-and-prune result and
+    high extend ranking are then read off those sweeps
+    ({!adaptive_rankings}), and only {!Recover.finish_coefficient} —
+    the high prune and sign/exponent — scans its buffered prefix; the
+    value equals {!Recover.coefficient} on that prefix.  [?max_traces]
+    caps the campaign; [?stop_report] receives the per-unit traces-used
+    summary.  Stop points and the recovered transform are bit-identical
+    across [jobs] and prefetch settings.  Raises [Invalid_argument]
     if [?stop] is combined with an [Exhaustive] strategy (the 2^25
     space cannot be re-scored at every look) or with [~leakage:`Hd]
     (every usable high-half bus transition takes the recovered d, so
-    there is no d-free decision sweep); [?max_traces] and
-    [?stop_report] are meaningful only with [?stop].
+    there is no d-free decision sweep), and if [?max_traces] is passed
+    without [?stop] (a fixed budget reads every stored trace, so there
+    is nothing to cap); [?stop_report] is called only with [?stop].
 
     [?leakage] (default [`Hw]) selects the hypothesis models the
     per-coefficient attacks are matched against (see
@@ -114,6 +118,22 @@ val recover_key_store :
     store's ring size disagrees with the public key, or (by default) if
     any shard is corrupt — pass [~on_corrupt:`Skip] to drop bad shards
     from the campaign instead. *)
+
+val adaptive_rankings :
+  (coeff:int -> mul:int -> Recover.strategy) ->
+  coeff:int ->
+  component:[ `Re | `Im ] ->
+  Leakage.trace array ->
+  Recover.mantissa_result * Dema.scored list
+(** [adaptive_rankings strategy ~coeff ~component prefix] — what the
+    adaptive driver ({!recover_f_fft_store} [?stop]) hands
+    {!Recover.finish_coefficient} for a unit whose decision sweeps have
+    folded [prefix]: the low half's extend-and-prune result and the high
+    half's extend ranking (top {!Recover.coefficient_top} each), read
+    off the sweeps' accumulators.  Equal, corr values included, to
+    {!Recover.mantissa_low_multi} and the [extend] of
+    {!Recover.mantissa_high_multi} at that top on the unit's views of
+    [prefix].  Raises [Invalid_argument] on an [Exhaustive] strategy. *)
 
 val component_muls : [ `Re | `Im ] -> int list
 (** The two multiplications a secret component leaks through: f_re in

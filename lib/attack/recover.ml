@@ -379,29 +379,37 @@ type mantissa_result = {
   pruned : Dema.scored list;
 }
 
-let extend_prune_multi ~ctx:c ~top ~candidates ~extend_stage ~prune_stage views =
-  let obs = c.Ctx.obs in
+(* Extend: every candidate ranked on the multiplication samples. *)
+let extend_multi ~ctx:c ~top ~candidates ~stage views =
   let traces, idx = combine views in
-  let extend_parts = spread_parts views extend_stage in
   let extend =
-    Obs.span obs "recover.extend" (fun () ->
-        Dema.rank ~ctx:c ~traces ~parts:extend_parts ~known:idx ~top candidates)
+    Obs.span c.Ctx.obs "recover.extend" (fun () ->
+        Dema.rank ~ctx:c ~traces ~parts:(spread_parts views stage) ~known:idx ~top
+          candidates)
   in
-  Obs.gauge obs "recover.extend_survivors" (float_of_int (List.length extend));
+  Obs.gauge c.Ctx.obs "recover.extend_survivors" (float_of_int (List.length extend));
+  extend
+
+(* Prune: the addition sample breaks the multiplication's shift-alias
+   ties; the multiplication samples still separate low-bit neighbours,
+   so the extend survivors are re-ranked on the combined evidence. *)
+let prune_multi ~ctx:c ~top ~extend ~extend_stage ~prune_stage views =
+  let traces, idx = combine views in
   let survivors = List.to_seq (List.map (fun (s : Dema.scored) -> s.guess) extend) in
-  (* The addition sample breaks the multiplication's shift-alias ties; the
-     multiplication samples still separate low-bit neighbours, so the
-     survivors are re-ranked on the combined evidence. *)
   let pruned =
-    Obs.span obs "recover.prune" (fun () ->
+    Obs.span c.Ctx.obs "recover.prune" (fun () ->
         Dema.rank ~ctx:c ~traces
-          ~parts:(extend_parts @ spread_parts views prune_stage)
+          ~parts:(spread_parts views extend_stage @ spread_parts views prune_stage)
           ~known:idx ~top survivors)
   in
-  Obs.gauge obs "recover.prune_survivors" (float_of_int (List.length pruned));
+  Obs.gauge c.Ctx.obs "recover.prune_survivors" (float_of_int (List.length pruned));
   match pruned with
   | best :: _ -> { winner = best.guess; extend; pruned }
   | [] -> invalid_arg "Recover.extend_prune: empty candidate set"
+
+let extend_prune_multi ~ctx ~top ~candidates ~extend_stage ~prune_stage views =
+  let extend = extend_multi ~ctx ~top ~candidates ~stage:extend_stage views in
+  prune_multi ~ctx ~top ~extend ~extend_stage ~prune_stage views
 
 (* Extend phase: correlate the guess against both partial products
    (D x B at the w00 sample, D x A at the w10 sample) — Section III-C.
@@ -457,6 +465,36 @@ type strategy =
   | Exhaustive
   | Eval_sampled of { rng : Stats.Rng.t; decoys : int; truth : Fpr.t }
 
+(* Extend survivors kept per mantissa half: enough that the truth
+   cannot be displaced by its own alias class (up to ~25 exact ties for
+   small D) plus noise. *)
+let coefficient_top = 32
+
+let finish_coefficient ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ~low ~high_extend
+    views =
+  let extend_stage, prune_stage = high_stages ~d:low.winner leakage in
+  let high =
+    Obs.span c.Ctx.obs "recover.mantissa_high"
+      ~fields:[ ("part", Obs.Str "high28"); ("views", Obs.Int (List.length views)) ]
+      (fun () ->
+        prune_multi ~ctx:c ~top:coefficient_top ~extend:high_extend ~extend_stage
+          ~prune_stage views)
+  in
+  let xu = (high.winner lsl 25) lor low.winner in
+  let mant = xu land ((1 lsl 52) - 1) in
+  let s, e, _ = sign_exponent_multi ~ctx:c ~leakage ~mant views in
+  Fpr.make ~sign:s ~exp:e ~mant
+
+(* The high set is drawn from [rng] before the low one: the order every
+   driver has always drawn them in, so sampled candidate sets (and the
+   rankings over them) stay reproducible. *)
+let sampled_candidates ~rng ~decoys ~truth =
+  let xu = Fpr.mantissa truth lor (1 lsl 52) in
+  let high =
+    Hypothesis.sampled rng ~width:28 ~lo:(1 lsl 27) ~truth:(xu lsr 25) ~decoys ()
+  in
+  (Hypothesis.sampled rng ~width:25 ~truth:(xu land m25) ~decoys (), high)
+
 let coefficient ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ~strategy views =
   Obs.span c.Ctx.obs "recover.coefficient"
     ~fields:[ ("views", Obs.Int (List.length views)) ]
@@ -467,21 +505,15 @@ let coefficient ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ~strategy views =
         ( Hypothesis.exhaustive ~width:25 (),
           Hypothesis.exhaustive ~width:28 ~lo:(1 lsl 27) () )
     | Eval_sampled { rng; decoys; truth } ->
-        let xu = Fpr.mantissa truth lor (1 lsl 52) in
-        ( Array.to_seq
-            (Hypothesis.sampled rng ~width:25 ~truth:(xu land m25) ~decoys ()),
-          Array.to_seq
-            (Hypothesis.sampled rng ~width:28 ~lo:(1 lsl 27) ~truth:(xu lsr 25)
-               ~decoys ()) )
+        let low, high = sampled_candidates ~rng ~decoys ~truth in
+        (Array.to_seq low, Array.to_seq high)
   in
-  (* keep enough extend survivors that the truth cannot be displaced by
-     its own alias class (up to ~25 exact ties for small D) plus noise *)
-  let low = mantissa_low_multi ~ctx:c ~leakage ~top:32 ~candidates:low_cands views in
-  let high =
-    mantissa_high_multi ~ctx:c ~leakage ~top:32 ~candidates:high_cands
-      ~d:low.winner views
+  let low =
+    mantissa_low_multi ~ctx:c ~leakage ~top:coefficient_top ~candidates:low_cands views
   in
-  let xu = (high.winner lsl 25) lor low.winner in
-  let mant = xu land ((1 lsl 52) - 1) in
-  let s, e, _ = sign_exponent_multi ~ctx:c ~leakage ~mant views in
-  Fpr.make ~sign:s ~exp:e ~mant
+  let high_extend =
+    extend_multi ~ctx:c ~top:coefficient_top ~candidates:high_cands
+      ~stage:(fst (high_stages ~d:low.winner leakage))
+      views
+  in
+  finish_coefficient ~ctx:c ~leakage ~low ~high_extend views

@@ -248,6 +248,19 @@ type strategy =
   | Eval_sampled of { rng : Stats.Rng.t; decoys : int; truth : Fpr.t }
       (** evaluation mode: truth + alias class + decoys (see DESIGN.md) *)
 
+val sampled_candidates :
+  rng:Stats.Rng.t -> decoys:int -> truth:Fpr.t -> int array * int array
+(** The [Eval_sampled] candidate sets of one coefficient: (low 25-bit,
+    high 28-bit) {!Hypothesis.sampled} sets around [truth]'s mantissa
+    halves, both drawn from [rng] (high first).  What {!coefficient}
+    ranks, and what the adaptive full-key driver's decision sweeps
+    score. *)
+
+val coefficient_top : int
+(** 32 — the extend survivors {!coefficient} keeps per mantissa half:
+    enough that the truth cannot be displaced by its own alias class
+    (up to ~25 exact ties at small D) plus noise. *)
+
 val coefficient :
   ?ctx:Ctx.t ->
   ?leakage:leakage ->
@@ -255,8 +268,28 @@ val coefficient :
   view list ->
   Fpr.t
 (** Run all component attacks jointly over the given windows (typically
-    {!views_for}) and reassemble the 64-bit value.  [?ctx] ({!Ctx.t},
-    here and on every ranking entry point above) sets the worker-domain
-    count of the underlying candidate sweeps (see {!Dema}), the
-    distinguisher and the observability context; the output is
-    bit-identical at every [jobs] and with any sink attached. *)
+    {!views_for}) and reassemble the 64-bit value: the low mantissa
+    half ({!mantissa_low_multi}, top 32), the high half's extend ranking
+    (top 32, on the extend stage of {!high_stages} with the recovered
+    low half), then {!finish_coefficient}.  [?ctx] ({!Ctx.t}, here and
+    on every ranking entry point above) sets the worker-domain count of
+    the underlying candidate sweeps (see {!Dema}), the distinguisher and
+    the observability context; the output is bit-identical at every
+    [jobs] and with any sink attached. *)
+
+val finish_coefficient :
+  ?ctx:Ctx.t ->
+  ?leakage:leakage ->
+  low:mantissa_result ->
+  high_extend:Dema.scored list ->
+  view list ->
+  Fpr.t
+(** The tail of {!coefficient}, given the low half's extend-and-prune
+    result and the high half's extend ranking: prune the high
+    survivors on the combined evidence with [d = low.winner] (the prune
+    stage of {!high_stages} needs it), then recover sign and exponent
+    ({!sign_exponent_multi}) and reassemble.  [coefficient] computes
+    both rankings with {!Dema.rank} on [views]; the adaptive full-key
+    driver ({!Fullkey.recover_f_fft_store} [?stop]) takes them from the
+    decision sweeps it folded on the same traces, which score
+    bit-identically, so both paths recover the same value. *)

@@ -426,6 +426,10 @@ module Hqc_target = struct
 
   let recover_store ?ctx ?(leakage = `Hw) ?stop ?max_traces ?on_corrupt ?prefetch
       ~dir reader =
+    if max_traces <> None && stop = None then
+      invalid_arg
+        "Target.hqc: ?max_traces caps an adaptive campaign and needs ?stop — the \
+         fixed-budget recovery reads every stored trace";
     let n = Hqc.Params.n_bits in
     let total = Tracestore.Reader.total_traces reader in
     let budget = match max_traces with None -> total | Some k -> min k total in

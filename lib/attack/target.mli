@@ -157,10 +157,12 @@ module type S = sig
   (** Recover the secret from a recorded campaign ([dir] locates the
       sidecars; the reader streams the traces).  Deterministic: the
       [witness] (and stop points, with [?stop]) are bit-identical
-      across [jobs] and prefetch.  Raises [Invalid_argument] when
-      [?stop] is passed under a combination the attack cannot stop on
-      (FALCON under [`Hd] — {!Fullkey.recover_f_fft_store} — or a
-      selection without a gap test), and [Failure] on missing/corrupt
+      across [jobs] and prefetch.  [?max_traces] caps an adaptive
+      campaign.  Raises [Invalid_argument] when [?stop] is passed under
+      a combination the attack cannot stop on (FALCON under [`Hd] —
+      {!Fullkey.recover_f_fft_store} — or a selection without a gap
+      test), or [?max_traces] without [?stop] (a fixed budget reads
+      every stored trace), and [Failure] on missing/corrupt
       sidecars. *)
 end
 

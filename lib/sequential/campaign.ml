@@ -41,7 +41,7 @@ let summarize ~total results =
     traces_saved = !saved;
   }
 
-let emit_obs obs ~total results =
+let emit_obs obs ~spec ~total results =
   if Obs.enabled obs then begin
     let s = summarize ~total results in
     Obs.count obs "seq.looks" s.looks;
@@ -50,6 +50,17 @@ let emit_obs obs ~total results =
     if Obs.level_enabled obs Obs.Debug then
       Array.iteri
         (fun i r ->
+          (* the winner a stopped unit settled on, and the boundary its
+             last look tested against *)
+          let winner =
+            match r.stop with
+            | Some s -> [ ("winner", Obs.Int s.Decision.winner) ]
+            | None -> []
+          in
+          let boundary =
+            if r.looks = 0 then []
+            else [ ("boundary", Obs.Float (Decision.z_crit spec ~look:r.looks)) ]
+          in
           let fields =
             [
               ("unit", Obs.Int i);
@@ -57,6 +68,7 @@ let emit_obs obs ~total results =
               ("n_traces", Obs.Int r.n_traces);
               ("looks", Obs.Int r.looks);
             ]
+            @ winner @ boundary
           in
           (* The unit's stopping curve: one gauge per look, wrapped in a
              span so log readers can group the curve per coefficient. *)
@@ -138,5 +150,5 @@ let run ?jobs ?(obs = Obs.null) ~spec ~total ~feed ~length units =
           history = Decision.history testers.(i);
         })
   in
-  emit_obs obs ~total results;
+  emit_obs obs ~spec ~total results;
   results

@@ -65,5 +65,8 @@ val run :
 
     Emits [seq.looks], [seq.stopped_early] and [seq.traces_saved]
     counters plus, at Debug level, a [seq.unit] span per unit carrying
-    its [seq.gap] stopping-curve gauges.  Raises [Invalid_argument] on
-    an empty unit array. *)
+    its [seq.gap] stopping-curve gauges.  The span's fields are
+    [unit], [stopped], [n_traces] and [looks], plus [winner] (the stop's
+    winner, stopped units only) and [boundary] (the {!Decision.z_crit}
+    of the unit's last look, units that looked at least once).  Raises
+    [Invalid_argument] on an empty unit array. *)

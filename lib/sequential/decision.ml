@@ -28,14 +28,15 @@ let due t = t.spec.min_traces
    counts. *)
 let spend alpha k = Float.max (alpha *. (0.5 ** float_of_int k)) 1e-300
 
+let z_crit spec ~look = -.Stats.Signif.probit (spend spec.alpha look)
+
 let check t ~n ~winner ~r1 ~r2 =
   if n < t.spec.min_traces || n <= 3 then Continue
   else begin
     let z = Stats.Signif.corr_gap_z ~n ~r1 ~r2 in
     t.looks <- t.looks + 1;
     t.history <- (n, z) :: t.history;
-    let z_crit = -.Stats.Signif.probit (spend t.spec.alpha t.looks) in
-    if z >= z_crit then
+    if z >= z_crit t.spec ~look:t.looks then
       Stop { winner; n_traces = n; confidence = 1. -. t.spec.alpha }
     else Continue
   end

@@ -32,6 +32,11 @@ val spec : ?min_traces:int -> alpha:float -> unit -> spec
 (** Validated constructor ([min_traces] defaults to 8).  Raises
     [Invalid_argument] on alpha outside (0,1) or [min_traces < 4]. *)
 
+val z_crit : spec -> look:int -> float
+(** The boundary of look [look] (1-based): [probit (1 - alpha_k)] at
+    the look's spent level [alpha_k = alpha * 2^-look].  A look stops
+    when its standardised gap reaches it ({!check}). *)
+
 (** {1 Per-unit tester}
 
     One tester per retired-independently unit of work (a coefficient, a
@@ -60,6 +65,5 @@ val check : tester -> n:int -> winner:int -> r1:float -> r2:float -> t
     [n < min_traces] (or [n <= 3], where the z transform is
     uninformative); otherwise spends the next alpha increment and
     tests the top-1 vs runner-up correlation gap on the Fisher z scale
-    ({!Stats.Signif.corr_gap_z}) one-sided against
-    [probit (1 - alpha_k)].  [winner] is echoed into the {!stop}
-    payload. *)
+    ({!Stats.Signif.corr_gap_z}) one-sided against the look's
+    {!z_crit}.  [winner] is echoed into the {!stop} payload. *)

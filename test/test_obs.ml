@@ -282,12 +282,15 @@ let fullkey_strategy sk ~coeff ~mul =
   Attack.Recover.Eval_sampled
     { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 64; truth }
 
-let fullkey_log ~jobs =
+(* [?stop] runs the adaptive campaign at Debug level, so the log also
+   carries its per-unit [seq.unit] stop events. *)
+let fullkey_log ?stop ~jobs () =
   with_campaign @@ fun sk reader ->
   let buf = Buffer.create (1 lsl 14) in
-  let obs = Obs.make ~clock:(fake_ns ()) (Obs.Jsonl.to_buffer buf) in
+  let level = if stop = None then Obs.Info else Obs.Debug in
+  let obs = Obs.make ~level ~clock:(fake_ns ()) (Obs.Jsonl.to_buffer buf) in
   let ctx = Attack.Ctx.make ~jobs ~obs () in
-  ignore (Attack.Fullkey.recover_f_fft_store ~ctx ~reader (fullkey_strategy sk));
+  ignore (Attack.Fullkey.recover_f_fft_store ~ctx ?stop ~reader (fullkey_strategy sk));
   Buffer.contents buf
 
 (* Strip per-run measurement noise: span durations always, and — when
@@ -314,14 +317,14 @@ let normalize ?(strip_jobs = false) records =
     records
 
 let test_fullkey_log_deterministic () =
-  let a = fullkey_log ~jobs:1 in
-  let b = fullkey_log ~jobs:1 in
+  let a = fullkey_log ~jobs:1 () in
+  let b = fullkey_log ~jobs:1 () in
   Alcotest.(check string) "jobs=1 byte-identical" a b;
   (match Obs.Jsonl.validate (Obs.Jsonl.read_string a) with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "fullkey log invalid: %s" msg);
-  let c = fullkey_log ~jobs:4 in
-  let d = fullkey_log ~jobs:4 in
+  let c = fullkey_log ~jobs:4 () in
+  let d = fullkey_log ~jobs:4 () in
   (match Obs.Jsonl.validate (Obs.Jsonl.read_string c) with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "fullkey jobs=4 log invalid: %s" msg);
@@ -332,7 +335,35 @@ let test_fullkey_log_deterministic () =
      counts are masked out too *)
   Alcotest.(check bool) "jobs=1 vs jobs=4 identical modulo durations+jobs" true
     (normalize ~strip_jobs:true (Obs.Jsonl.read_string a)
-    = normalize ~strip_jobs:true (Obs.Jsonl.read_string c))
+    = normalize ~strip_jobs:true (Obs.Jsonl.read_string c));
+  (* the adaptive campaign's per-unit stop events (unit, n_traces,
+     looks, winner, boundary) are just as deterministic *)
+  let stop = Sequential.Decision.spec ~alpha:1e-2 ~min_traces:8 () in
+  let a = Obs.Jsonl.read_string (fullkey_log ~stop ~jobs:1 ()) in
+  let c = Obs.Jsonl.read_string (fullkey_log ~stop ~jobs:4 ()) in
+  (match Obs.Jsonl.validate a with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "adaptive fullkey log invalid: %s" msg);
+  Alcotest.(check bool) "adaptive: jobs=1 vs jobs=4 identical modulo durations+jobs"
+    true
+    (normalize ~strip_jobs:true a = normalize ~strip_jobs:true c);
+  let field f r = Option.bind (Obs.Json.member "fields" r) (Obs.Json.member f) in
+  let units =
+    List.filter
+      (fun r -> Option.bind (Obs.Json.member "name" r) Obs.Json.to_string_opt = Some "seq.unit")
+      a
+  in
+  Alcotest.(check int) "one seq.unit event per unit" 32 (List.length units);
+  let stopped r = field "stopped" r = Some (Obs.Json.Bool true) in
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "winner iff stopped" (stopped r) (field "winner" r <> None);
+      let looked =
+        Option.bind (field "looks" r) Obs.Json.to_int_opt <> Some 0
+      in
+      Alcotest.(check bool) "boundary iff looked" looked (field "boundary" r <> None))
+    units;
+  Alcotest.(check bool) "some unit stops" true (List.exists stopped units)
 
 (* A fixed-budget store recovery reads a campaign of a few shards once
    for all 2n units: the stream's shard and trace counters appear

@@ -159,6 +159,142 @@ let test_allocation_canary () =
         fun t -> Fused.fold_split t ~eval:fused_eval ~guesses ~prepped ~col ~len:d );
     ]
 
+(* ---- subset scoring: [Distinguisher.S.finalize ~parts] and
+   [Dema.Sweep.scores ?parts] ----
+
+   A sweep folded over every part must score any ordered subset of its
+   parts exactly as a one-shot rank whose [parts] are that subset in
+   that order: each per-(part, guess) term depends only on that part's
+   accumulators, and the subset's terms are summed in the given order. *)
+
+module Model = Attack.Hypothesis.Model
+
+(* A random problem: [np] parts, each with its own column and known
+   operands, split and plain models alternating; distinct guesses (one
+   seed in four spans more than one 512-candidate sweep chunk); a random
+   ordered subset of the parts; random segment cuts. *)
+let random_parts seed =
+  let rng = Stats.Rng.create ~seed in
+  let np = 2 + Stats.Rng.int_below rng 5 in
+  let d = 8 + Stats.Rng.int_below rng 60 in
+  let g =
+    if Stats.Rng.int_below rng 4 = 0 then 513 + Stats.Rng.int_below rng 100
+    else 2 + Stats.Rng.int_below rng 40
+  in
+  let cols =
+    Array.init np (fun _ ->
+        Array.init d (fun _ -> Stats.Rng.gaussian rng ~mu:10. ~sigma:1.5))
+  in
+  let ks = Array.init np (fun _ -> Array.init d (fun _ -> Stats.Rng.bits rng 24)) in
+  let models =
+    Array.init np (fun j ->
+        if j mod 2 = 0 then Model.split ~prep:fused_prep ~eval:fused_eval
+        else Model.fn (fun gg y -> ((gg lxor y) * 3) land 0xFFFF))
+  in
+  let guesses = Array.init g (fun r -> (r lsl 12) lor Stats.Rng.bits rng 12) in
+  let order = Array.init np Fun.id in
+  Stats.Rng.shuffle rng order;
+  let subset = Array.to_list (Array.sub order 0 (1 + Stats.Rng.int_below rng np)) in
+  let cuts =
+    List.sort_uniq compare
+      (0 :: d :: List.init (Stats.Rng.int_below rng 4) (fun _ -> Stats.Rng.int_below rng (d + 1)))
+  in
+  (cols, ks, models, guesses, subset, cuts)
+
+(* consecutive [cuts] as (offset, length) segments *)
+let rec segments = function
+  | a :: (b :: _ as rest) -> (a, b - a) :: segments rest
+  | _ -> []
+
+(* The one-shot reference: per guess, the score a rank whose parts are
+   [subset] (in order) gives it over the whole campaign. *)
+let subset_reference rank (cols, ks, models, guesses, subset, _) =
+  let d = Array.length cols.(0) in
+  let traces = Array.init d (fun i -> Array.map (fun c -> c.(i)) cols) in
+  let parts =
+    List.map (fun j -> (j, Model.contramap (fun i -> ks.(j).(i)) models.(j))) subset
+  in
+  let ranked =
+    rank ~traces ~parts ~known:(Array.init d Fun.id) ~top:(Array.length guesses)
+      (Array.to_seq guesses)
+  in
+  let by_guess = Hashtbl.create 64 in
+  List.iter (fun (s : Attack.Dema.scored) -> Hashtbl.replace by_guess s.guess s.corr) ranked;
+  Array.map (Hashtbl.find by_guess) guesses
+
+let float_equal_all a b = Array.length a = Array.length b && Array.for_all2 Float.equal a b
+
+let prop_sweep_subset_equals_rank =
+  QCheck.Test.make ~count:100
+    ~name:"Sweep.scores ?parts == rank on that part subset (Float.equal)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let ((cols, ks, models, guesses, subset, cuts) as p) = random_parts seed in
+      let want =
+        subset_reference
+          (fun ~traces ~parts ~known ~top c -> Attack.Dema.rank ~traces ~parts ~known ~top c)
+          p
+      in
+      List.for_all
+        (fun (backend, jobs) ->
+          let sweep =
+            Attack.Dema.Sweep.create ~backend ~parts:(Array.to_list models) guesses
+          in
+          List.iter
+            (fun (off, len) ->
+              Attack.Dema.Sweep.fold ~jobs sweep
+                (Array.mapi (fun j c -> (Array.sub c off len, Array.sub ks.(j) off len)) cols))
+            (segments cuts);
+          float_equal_all want (Attack.Dema.Sweep.scores ~jobs ~parts:subset sweep))
+        [
+          (Stats.Pearson.Batch.Scalar, 1);
+          (Stats.Pearson.Batch.Batched, 1);
+          (Stats.Pearson.Batch.Scalar, 2);
+          (Stats.Pearson.Batch.Batched, 2);
+        ])
+
+(* The same contract on any instance, driven by hand: every part in the
+   plan, the guesses in [chunks] accumulators, [finalize] on the
+   subset. *)
+let finalize_subset (module D : Attack.Distinguisher.S) (cols, ks, models, guesses, subset, cuts)
+    ~chunks =
+  let plan = D.plan ~parts:(Array.to_list (Array.mapi (fun j m -> (j, m)) models)) in
+  let g = Array.length guesses in
+  let per = (g + chunks - 1) / chunks in
+  let accs =
+    List.init chunks (fun k ->
+        let lo = min g (k * per) in
+        D.acc plan (Array.sub guesses lo (min per (g - lo))))
+  in
+  List.iter
+    (fun (off, len) ->
+      let seg =
+        D.prepare plan
+          (Array.mapi (fun j c -> ([| Array.sub c off len |], Array.sub ks.(j) off len)) cols)
+      in
+      List.iter (fun a -> D.fold a seg) accs)
+    (segments cuts);
+  Array.concat (List.map (D.finalize plan ~parts:subset) accs)
+
+let prop_absolute_subset_equals_rank =
+  QCheck.Test.make ~count:100
+    ~name:"absolute finalize ~parts == rank_absolute on that subset (Float.equal)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let p = random_parts seed in
+      let alpha = 0.7 and baseline = 9.5 in
+      let want =
+        subset_reference
+          (fun ~traces ~parts ~known ~top c ->
+            Attack.Dema.rank_absolute ~traces ~parts ~known ~top ~alpha ~baseline c)
+          p
+      in
+      List.for_all
+        (fun chunks ->
+          float_equal_all want
+            (finalize_subset (Attack.Dema.absolute ~alpha ~baseline) p ~chunks))
+        [ 1; 2 ])
+
 (* ---- end-to-end pins: the real attack entry points must agree
    exactly, sequentially and parallel (the scalar reference is pinned
    against the same entry points in test_profile) ---- *)
@@ -256,6 +392,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fused_fold_matches_corr_with;
     QCheck_alcotest.to_alcotest prop_fused_segmented_matches_whole;
     QCheck_alcotest.to_alcotest prop_fused_split_matches_fold;
+    QCheck_alcotest.to_alcotest prop_sweep_subset_equals_rank;
+    QCheck_alcotest.to_alcotest prop_absolute_subset_equals_rank;
     Alcotest.test_case "edge shapes (G=0, G=1, partial tile)" `Quick test_edge_shapes;
     Alcotest.test_case "allocation canary (O(G), not O(GxD))" `Quick
       test_allocation_canary;

@@ -310,6 +310,74 @@ let test_fullkey_adaptive () =
         (a.Sequential.Campaign.traces_used = b.Sequential.Campaign.traces_used)
   | _ -> Alcotest.fail "missing stop summaries"
 
+(* Every unit of the adaptive crack recovers what the fixed-budget
+   per-coefficient attack recovers on that unit's own prefix — the first
+   [traces_used.(t)] traces — and the rankings the driver takes from its
+   decision sweeps are the extend-and-prune rankings of that prefix,
+   correlations included. *)
+let test_fullkey_adaptive_prefix_parity () =
+  with_campaign ~n:8 ~count:160 ~shard:20 ~seed:91 @@ fun sk traces reader ->
+  let strategy ~coeff ~mul =
+    let truth = if mul = 0 then sk.f_fft.Fft.re.(coeff) else sk.f_fft.Fft.im.(coeff) in
+    Attack.Recover.Eval_sampled
+      { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 128; truth }
+  in
+  let spec = Sequential.Decision.spec ~alpha:1e-4 ~min_traces:8 () in
+  let run jobs =
+    let summary = ref None in
+    let f_fft =
+      Attack.Fullkey.recover_f_fft_store ~ctx:(Attack.Ctx.make ~jobs ()) ~stop:spec
+        ~stop_report:(fun s -> summary := Some s)
+        ~reader strategy
+    in
+    match !summary with
+    | Some s -> (f_fft, s.Sequential.Campaign.traces_used)
+    | None -> Alcotest.fail "stop_report not called"
+  in
+  let runs = [ run 1; run 2 ] in
+  let used = snd (List.hd runs) in
+  Alcotest.(check bool) "stop points equal at jobs 1 and 2" true
+    (List.for_all (fun (_, u) -> u = used) runs);
+  Alcotest.(check bool) "some unit stops before the budget" true
+    (Array.exists (fun u -> u < Array.length traces) used);
+  Array.iteri
+    (fun t u ->
+      let coeff = t / 2 and mul = t mod 2 in
+      let component = if mul = 0 then `Re else `Im in
+      let prefix = Array.sub traces 0 u in
+      let views = Attack.Recover.views_for prefix ~coeff ~component in
+      let fixed = Attack.Recover.coefficient ~strategy:(strategy ~coeff ~mul) views in
+      List.iteri
+        (fun i (f_fft, _) ->
+          if not (Fpr.equal (if mul = 0 then f_fft.Fft.re else f_fft.Fft.im).(coeff) fixed)
+          then
+            Alcotest.failf "jobs %d unit %d (%d traces): adaptive value differs from \
+                            Recover.coefficient on its prefix" (i + 1) t u)
+        runs;
+      let low_c, high_c =
+        match strategy ~coeff ~mul with
+        | Attack.Recover.Eval_sampled { rng; decoys; truth } ->
+            Attack.Recover.sampled_candidates ~rng ~decoys ~truth
+        | Attack.Recover.Exhaustive -> assert false
+      in
+      let low =
+        Attack.Recover.mantissa_low_multi ~top:32 ~candidates:(Array.to_seq low_c) views
+      in
+      let high =
+        Attack.Recover.mantissa_high_multi ~top:32 ~candidates:(Array.to_seq high_c)
+          ~d:low.winner views
+      in
+      let low', high_extend =
+        Attack.Fullkey.adaptive_rankings strategy ~coeff ~component prefix
+      in
+      if low' <> low then
+        Alcotest.failf "unit %d: sweep-built low ranking differs from \
+                        mantissa_low_multi on its prefix" t;
+      if high_extend <> high.extend then
+        Alcotest.failf "unit %d: sweep-built high extend differs from \
+                        mantissa_high_multi on its prefix" t)
+    used
+
 let test_fullkey_adaptive_rejects_exhaustive () =
   with_campaign ~n:8 ~count:40 ~shard:20 ~seed:13 @@ fun _sk _traces reader ->
   let spec = Sequential.Decision.spec ~alpha:0.01 () in
@@ -386,6 +454,8 @@ let suite =
       test_stream_rank_until;
     Alcotest.test_case "full-key adaptive = fixed, deterministic" `Slow
       test_fullkey_adaptive;
+    Alcotest.test_case "full-key adaptive = per-unit prefix attack" `Slow
+      test_fullkey_adaptive_prefix_parity;
     Alcotest.test_case "adaptive rejects Exhaustive" `Quick
       test_fullkey_adaptive_rejects_exhaustive;
     Alcotest.test_case "degenerate rank regime warns" `Quick

@@ -420,6 +420,23 @@ let test_hqc_rejects_falcon_store () =
       | _ -> Alcotest.fail "hqc recover accepted a FALCON store"
       | exception Failure _ -> ())
 
+(* A fixed budget reads every stored trace: ?max_traces without ?stop
+   is refused on both targets rather than silently ignored. *)
+let test_max_traces_needs_stop () =
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: ?max_traces without ?stop was accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  with_falcon_store ~traces:16 (fun dir ->
+      refused "falcon" (fun () ->
+          Attack.Target.Falcon.recover_store ~max_traces:8 ~dir
+            (Tracestore.Reader.open_store dir)));
+  with_hqc_store (fun dir ->
+      refused "hqc" (fun () ->
+          Attack.Target.Hqc.recover_store ~max_traces:8 ~dir
+            (Tracestore.Reader.open_store dir)))
+
 (* {2 Registry} *)
 
 let test_registry () =
@@ -463,5 +480,7 @@ let suite =
       test_hqc_hd_rejection;
     Alcotest.test_case "hqc rejects a falcon store" `Quick
       test_hqc_rejects_falcon_store;
+    Alcotest.test_case "?max_traces without ?stop refused" `Quick
+      test_max_traces_needs_stop;
     Alcotest.test_case "registry" `Quick test_registry;
   ]
