@@ -681,11 +681,13 @@ let assess () =
 (* Batched Pearson kernel: the end-to-end ranking sweep on the scalar
    reference and the fused kernel through the same Dema.Sweep path, and
    where the fused sweep spends its time.  The rankings must be
-   bit-identical, and equal to Dema.rank's production top-32.  Then the
+   bit-identical, and equal to Dema.rank's production top-32 and to the
+   fused rank of the same products as general split models (the
+   product tile against fold_split's one call per element).  Then the
    FALCON streaming rank through Target.Falcon.parts vs the hand-built
    part set: bit-identical rankings within 5% throughput.  Emits one
    JSON row (BENCH_pearson.json) which check-bench gates on, including
-   both speed ratios. *)
+   all three speed ratios. *)
 
 let pearson () =
   section "Pearson — scalar vs batched kernel, Target.parts vs hand-built parts";
@@ -728,22 +730,41 @@ let pearson () =
     Array.of_list
       (List.map (fun (s, _) -> (Array.map (fun row -> row.(s)) traces, known)) parts)
   in
-  let rank backend () =
+  let rank ~parts backend () =
     let sweep = Attack.Dema.Sweep.create ~backend ~parts:(List.map snd parts) guesses in
     Attack.Dema.Sweep.fold ~jobs sweep columns;
     Attack.Dema.Sweep.ranking ~jobs sweep ~top:32
   in
-  let scalar_rank, rank_scalar_s = time_best (rank Stats.Pearson.Batch.Scalar) in
-  let batched_rank, rank_batched_s = time_best (rank Stats.Pearson.Batch.Batched) in
+  let scalar_rank, rank_scalar_s = time_best (rank ~parts Stats.Pearson.Batch.Scalar) in
+  let batched_rank, rank_batched_s = time_best (rank ~parts Stats.Pearson.Batch.Batched) in
+  (* the same two products as general split models, so the fused sweep
+     runs fold_split with one eval call per element instead of the
+     product tile: the product tile must not fall back to closure
+     speed *)
+  let split_parts =
+    List.map
+      (function
+        | s, Attack.Hypothesis.Model.Product prep ->
+            (s, Attack.Hypothesis.Model.split ~prep ~eval:( * ))
+        | _ -> invalid_arg "bench pearson: the extend parts are product models")
+      parts
+  in
+  let split_rank, rank_split_s =
+    time_best (rank ~parts:split_parts Stats.Pearson.Batch.Batched)
+  in
   let production_rank =
     Attack.Dema.rank ~ctx:(jctx jobs) ~traces ~parts ~known ~top:32 (Array.to_seq guesses)
   in
-  let rank_identical = scalar_rank = batched_rank && batched_rank = production_rank in
+  let rank_identical =
+    scalar_rank = batched_rank && batched_rank = production_rank
+    && split_rank = batched_rank
+  in
   let rank_speedup = rank_scalar_s /. rank_batched_s in
+  let product_speedup = rank_split_s /. rank_batched_s in
   Printf.printf
     "end-to-end rank (2 parts, top 32): scalar %.4f s, batched %.4f s (%.2fx), \
-     identical top-k %b\n%!"
-    rank_scalar_s rank_batched_s rank_speedup rank_identical;
+     split-form %.4f s (product tile %.2fx), identical top-k %b\n%!"
+    rank_scalar_s rank_batched_s rank_speedup rank_split_s product_speedup rank_identical;
   (* where the batched sweep spends its time: one instrumented run at
      Debug level, span durations parsed back out of the JSONL log *)
   let span_buf = Buffer.create 4096 in
@@ -866,7 +887,8 @@ let pearson () =
       [
         ("traces", Int d); ("guesses", Int g); ("jobs", Int jobs);
         ("rank_scalar_s", Float rank_scalar_s); ("rank_batched_s", Float rank_batched_s);
-        ("rank_speedup", Float rank_speedup); ("rank_prep_s", Float rank_prep_s);
+        ("rank_speedup", Float rank_speedup); ("rank_split_s", Float rank_split_s);
+        ("product_speedup", Float product_speedup); ("rank_prep_s", Float rank_prep_s);
         ("rank_score_s", Float rank_score_s); ("bit_identical", Bool rank_identical);
         ("falcon_n", Int n); ("falcon_traces", Int count);
         ("falcon_candidates", Int (Array.length candidates));

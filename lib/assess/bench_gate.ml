@@ -10,7 +10,7 @@ type rule =
 
 type row = { schema : string; field : string; rule : rule }
 
-let pearson = "falcon-down/bench-pearson/v2"
+let pearson = "falcon-down/bench-pearson/v3"
 let sequential = "falcon-down/bench-sequential/v1"
 let leakage = "falcon-down/bench-leakage/v1"
 let target = "falcon-down/bench-target/v2"
@@ -26,9 +26,9 @@ let table =
       [
         ([ "traces"; "guesses"; "jobs" ], Int_min 1);
         ( [
-            "rank_scalar_s"; "rank_batched_s"; "rank_speedup"; "rank_prep_s";
-            "rank_score_s"; "falcon_rank_base_s"; "falcon_rank_target_s";
-            "falcon_rank_ratio";
+            "rank_scalar_s"; "rank_batched_s"; "rank_speedup"; "rank_split_s";
+            "product_speedup"; "rank_prep_s"; "rank_score_s"; "falcon_rank_base_s";
+            "falcon_rank_target_s"; "falcon_rank_ratio";
           ],
           Non_neg );
         ( [ "bit_identical" ],
@@ -37,6 +37,11 @@ let table =
           At_least
             (1.0, "the batched end-to-end rank regressed against the scalar baseline")
         );
+        ( [ "product_speedup" ],
+          At_least
+            ( 1.0,
+              "the product tile ranked slower than the same products through \
+               fold_split's eval call" ) );
         ( [ "falcon_identical" ],
           True
             "the FALCON rank through Target.parts diverged from the hand-built part \

@@ -20,8 +20,9 @@ type rule =
 type row = { schema : string; field : string; rule : rule }
 
 val pearson : string
-(** ["falcon-down/bench-pearson/v2"]: kernel and Target.parts rank
-    parity plus the two speed ratios. *)
+(** ["falcon-down/bench-pearson/v3"]: kernel, split-form and
+    Target.parts rank parity plus three speed ratios (fused vs scalar,
+    product tile vs [fold_split], Target.parts vs hand-built parts). *)
 
 val sequential : string
 val leakage : string

@@ -73,20 +73,25 @@ let checked_length ~what ~nparts ~ncols batch =
     batch;
   len
 
-(* Resolved hypothesis source over one segment of known operands: a
-   split model becomes a precomputed per-trace table plus its integer
-   evaluator (built once per segment, shared read-only by every
-   candidate chunk); a plain model becomes a closure over the segment.
-   Both yield exactly [hyp_vector]'s intermediates, so the choice never
-   changes a result. *)
-type seg_src =
-  | Tab of int array * (int -> int -> int)
-  | App of (int -> int -> int)  (* guess -> segment-local trace -> intermediate *)
+(* Resolved hypothesis source over one segment of known operands, built
+   once per segment and shared read-only by every candidate chunk: a
+   product model becomes its per-trace prep table ([Mul], scored with
+   the multiply inline), a split model its prep table plus its integer
+   evaluator, and a plain model an index table whose evaluator reads
+   the known operand itself.  All yield exactly [hyp_vector]'s
+   intermediates, so the choice never changes a result. *)
+type seg_src = Tab of int array * (int -> int -> int) | Mul of int array
 
 let seg_src model known =
   match model with
+  | Hypothesis.Model.Product prep -> Mul (Array.map prep known)
   | Hypothesis.Model.Split (prep, eval) -> Tab (Array.map prep known, eval)
-  | Hypothesis.Model.Fn f -> App (fun g i -> f g (Array.unsafe_get known i))
+  | Hypothesis.Model.Fn f ->
+      Tab (Array.init (Array.length known) Fun.id, fun g i -> f g (Array.unsafe_get known i))
+
+(* [Mul] as the [Tab] it abbreviates, for the statistics without a
+   product tile *)
+let tab = function Tab (prepped, eval) -> (prepped, eval) | Mul prepped -> (prepped, ( * ))
 
 (* Pearson DEMA (Eq. 1): per candidate, the sum over parts of |r|
    between the modelled Hamming weights and the part's column.  The
@@ -95,8 +100,9 @@ let seg_src model known =
    in global trace order and the score of a candidate is independent of
    segmenting and chunking.  The scalar arm is the reference loop; the
    batched arm runs the same additions through the register-tiled
-   {!Stats.Pearson.Batch.Fused} kernel (split models read the segment's
-   prep table), bit for bit. *)
+   {!Stats.Pearson.Batch.Fused} kernel (product models through its
+   inline-multiply tile, every other model through [fold_split] over
+   the segment's table), bit for bit. *)
 module Pearson (K : sig
   val kernel : Stats.Pearson.Batch.backend
 end) : Distinguisher.S = struct
@@ -216,13 +222,11 @@ end) : Distinguisher.S = struct
           end
           else
             match s.srcs.(j) with
+            | Mul prepped ->
+                Fused.fold_product a.fused.(j) ~guesses:a.guesses ~prepped ~col ~len
             | Tab (prepped, eval) ->
                 Fused.fold_split a.fused.(j) ~eval ~guesses:a.guesses ~prepped ~col
-                  ~len
-            | App f ->
-                Fused.fold a.fused.(j)
-                  ~gen:(fun r i -> f (Array.unsafe_get a.guesses r) i)
-                  ~col ~len)
+                  ~len)
         s.cols
 
   (* [corr_with]'s epilogue per (part, guess) against the plan's whole
@@ -259,14 +263,14 @@ end
    log-likelihood row is candidate-independent, so [prepare] builds one
    flat {!Profile.class_table} per part and segment from the template's
    points of interest, next to the part's hypothesis source, and every
-   guess just sums its predicted class's entry.  Split models run a
-   4-guess register tile over the prep table (one prepped load, four
+   guess just sums its predicted class's entry.  Every model runs a
+   4-guess register tile over its segment table (one prepped load, four
    eval/popcount/table reads per trace), the shape of
-   {!Stats.Pearson.Batch.Fused.fold_split}; plain models a per-guess
-   loop.  One accumulator per (part, guess) takes its additions in
-   global trace order however the stream is split or the guesses
-   tiled; the mean (not sum) over traces keeps scores comparable
-   across budgets, like a correlation. *)
+   {!Stats.Pearson.Batch.Fused.fold_split}; a product model's table is
+   read with [eval = ( * )].  One accumulator per (part, guess) takes
+   its additions in global trace order however the stream is split or
+   the guesses tiled; the mean (not sum) over traces keeps scores
+   comparable across budgets, like a correlation. *)
 module Profiled (P : sig
   val store : Profile.store
 end) : Distinguisher.S = struct
@@ -329,43 +333,37 @@ end) : Distinguisher.S = struct
     Array.iteri
       (fun j tbl ->
         let acc = a.sll.(j) in
-        (* split models run 4-guess tiles; their tail and plain models
-           one guess at a time *)
+        let prepped, eval = tab s.srcs.(j) in
+        (* 4-guess tiles, then the tail one guess at a time *)
         let r = ref 0 in
-        let gen =
-          match s.srcs.(j) with
-          | Tab (prepped, eval) ->
-              while !r + 4 <= g do
-                let r0 = !r in
-                let g0 = Array.unsafe_get guesses r0
-                and g1 = Array.unsafe_get guesses (r0 + 1)
-                and g2 = Array.unsafe_get guesses (r0 + 2)
-                and g3 = Array.unsafe_get guesses (r0 + 3) in
-                let e0 = ref (Array.unsafe_get acc r0)
-                and e1 = ref (Array.unsafe_get acc (r0 + 1))
-                and e2 = ref (Array.unsafe_get acc (r0 + 2))
-                and e3 = ref (Array.unsafe_get acc (r0 + 3)) in
-                for i = 0 to len - 1 do
-                  let p = Array.unsafe_get prepped i in
-                  e0 := !e0 +. entry tbl i (Bitops.popcount (eval g0 p));
-                  e1 := !e1 +. entry tbl i (Bitops.popcount (eval g1 p));
-                  e2 := !e2 +. entry tbl i (Bitops.popcount (eval g2 p));
-                  e3 := !e3 +. entry tbl i (Bitops.popcount (eval g3 p))
-                done;
-                Array.unsafe_set acc r0 !e0;
-                Array.unsafe_set acc (r0 + 1) !e1;
-                Array.unsafe_set acc (r0 + 2) !e2;
-                Array.unsafe_set acc (r0 + 3) !e3;
-                r := r0 + 4
-              done;
-              fun gu i -> eval gu (Array.unsafe_get prepped i)
-          | App f -> f
-        in
+        while !r + 4 <= g do
+          let r0 = !r in
+          let g0 = Array.unsafe_get guesses r0
+          and g1 = Array.unsafe_get guesses (r0 + 1)
+          and g2 = Array.unsafe_get guesses (r0 + 2)
+          and g3 = Array.unsafe_get guesses (r0 + 3) in
+          let e0 = ref (Array.unsafe_get acc r0)
+          and e1 = ref (Array.unsafe_get acc (r0 + 1))
+          and e2 = ref (Array.unsafe_get acc (r0 + 2))
+          and e3 = ref (Array.unsafe_get acc (r0 + 3)) in
+          for i = 0 to len - 1 do
+            let p = Array.unsafe_get prepped i in
+            e0 := !e0 +. entry tbl i (Bitops.popcount (eval g0 p));
+            e1 := !e1 +. entry tbl i (Bitops.popcount (eval g1 p));
+            e2 := !e2 +. entry tbl i (Bitops.popcount (eval g2 p));
+            e3 := !e3 +. entry tbl i (Bitops.popcount (eval g3 p))
+          done;
+          Array.unsafe_set acc r0 !e0;
+          Array.unsafe_set acc (r0 + 1) !e1;
+          Array.unsafe_set acc (r0 + 2) !e2;
+          Array.unsafe_set acc (r0 + 3) !e3;
+          r := r0 + 4
+        done;
         for r0 = !r to g - 1 do
           let gu = Array.unsafe_get guesses r0 in
           let e = ref (Array.unsafe_get acc r0) in
           for i = 0 to len - 1 do
-            e := !e +. entry tbl i (Bitops.popcount (gen gu i))
+            e := !e +. entry tbl i (Bitops.popcount (eval gu (Array.unsafe_get prepped i)))
           done;
           Array.unsafe_set acc r0 !e
         done)
@@ -422,26 +420,53 @@ end) : Distinguisher.S = struct
       err = Array.map (fun _ -> Array.make (Array.length guesses) 0.) p.models;
     }
 
+  let[@inline] sq_residual t x =
+    let rr = t -. (L.baseline +. (L.alpha *. float_of_int (Bitops.popcount x))) in
+    rr *. rr
+
+  (* the profiled fold's 4-guess tiles, then the tail one guess at a
+     time; each guess's error takes its additions in trace order either
+     way *)
   let fold a s =
+    let len = s.len and guesses = a.guesses in
+    let g = Array.length guesses in
     Array.iteri
       (fun j col ->
-        let gen =
-          match s.srcs.(j) with
-          | Tab (prepped, eval) -> fun gu i -> eval gu (Array.unsafe_get prepped i)
-          | App f -> f
-        in
         let err = a.err.(j) in
-        for r = 0 to Array.length a.guesses - 1 do
-          let gu = Array.unsafe_get a.guesses r in
-          let e = ref (Array.unsafe_get err r) in
-          for i = 0 to s.len - 1 do
-            let pred =
-              L.baseline +. (L.alpha *. float_of_int (Bitops.popcount (gen gu i)))
-            in
-            let rr = Array.unsafe_get col i -. pred in
-            e := !e +. (rr *. rr)
+        let prepped, eval = tab s.srcs.(j) in
+        let r = ref 0 in
+        while !r + 4 <= g do
+          let r0 = !r in
+          let g0 = Array.unsafe_get guesses r0
+          and g1 = Array.unsafe_get guesses (r0 + 1)
+          and g2 = Array.unsafe_get guesses (r0 + 2)
+          and g3 = Array.unsafe_get guesses (r0 + 3) in
+          let e0 = ref (Array.unsafe_get err r0)
+          and e1 = ref (Array.unsafe_get err (r0 + 1))
+          and e2 = ref (Array.unsafe_get err (r0 + 2))
+          and e3 = ref (Array.unsafe_get err (r0 + 3)) in
+          for i = 0 to len - 1 do
+            let t = Array.unsafe_get col i and p = Array.unsafe_get prepped i in
+            e0 := !e0 +. sq_residual t (eval g0 p);
+            e1 := !e1 +. sq_residual t (eval g1 p);
+            e2 := !e2 +. sq_residual t (eval g2 p);
+            e3 := !e3 +. sq_residual t (eval g3 p)
           done;
-          Array.unsafe_set err r !e
+          Array.unsafe_set err r0 !e0;
+          Array.unsafe_set err (r0 + 1) !e1;
+          Array.unsafe_set err (r0 + 2) !e2;
+          Array.unsafe_set err (r0 + 3) !e3;
+          r := r0 + 4
+        done;
+        for r0 = !r to g - 1 do
+          let gu = Array.unsafe_get guesses r0 in
+          let e = ref (Array.unsafe_get err r0) in
+          for i = 0 to len - 1 do
+            e :=
+              !e
+              +. sq_residual (Array.unsafe_get col i) (eval gu (Array.unsafe_get prepped i))
+          done;
+          Array.unsafe_set err r0 !e
         done)
       s.cols
 

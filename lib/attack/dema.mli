@@ -74,9 +74,10 @@ val rank :
     Pearson scoring runs the fused kernel
     ({!Stats.Pearson.Batch.Fused}), which generates hypothesis
     intermediates on the fly inside register tiles — no per-guess
-    vectors, no [G x D] block; {!Hypothesis.Model.Split} models
-    additionally hoist the known-operand digest into a per-segment prep
-    table. *)
+    vectors, no [G x D] block.  {!Hypothesis.Model.Split} and
+    {!Hypothesis.Model.Product} models hoist the known-operand digest
+    into a per-segment prep table, and products are multiplied inline
+    ({!Stats.Pearson.Batch.Fused.fold_product}). *)
 
 val rank_absolute :
   ?ctx:Ctx.t ->

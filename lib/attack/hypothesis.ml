@@ -39,22 +39,28 @@ let sampled rng ~width ?(lo = 0) ~truth ~decoys () =
    its exponent...).  A [Split] model names that factorisation so the
    engine can precompute the per-trace part once per sweep and run the
    candidate loop on plain integers — the difference between the
-   batched backend tracking or trouncing the scalar one. *)
+   batched backend tracking or trouncing the scalar one.  A [Product]
+   model is the split whose evaluator is the plain product, named so
+   the kernel can multiply inline instead of calling [eval]. *)
 module Model = struct
   type 'k t =
     | Fn of (int -> 'k -> int)
     | Split of ('k -> int) * (int -> int -> int)
+    | Product of ('k -> int)
 
   let fn f = Fn f
   let split ~prep ~eval = Split (prep, eval)
+  let product prep = Product prep
 
   let apply = function
     | Fn f -> f
     | Split (prep, eval) -> fun g y -> eval g (prep y)
+    | Product prep -> fun g y -> g * prep y
 
   let contramap f = function
     | Fn m -> Fn (fun g j -> m g (f j))
     | Split (prep, eval) -> Split ((fun j -> prep (f j)), eval)
+    | Product prep -> Product (fun j -> prep (f j))
 end
 
 let exhaustive ~width ?(lo = 0) () =

@@ -32,16 +32,20 @@ val sampled :
     [apply g y = eval g (prep y)]: [prep] digests the known operand once
     (bit-slices of its significand, its exponent, a packed tuple...),
     [eval] combines it with the guess using integer arithmetic only.
-    The sweep engines precompute [prep] over the known operands once per
-    sweep and drive {!Stats.Pearson.Batch.Fused.fold_split} with [eval]
-    on plain [int]s —
-    {!fn} models work everywhere but repay the full per-element model
-    cost on every guess.  The two forms must agree exactly (integers),
-    which makes every backend bit-identical. *)
+    A {!product} model is the split whose [eval] is [( * )] — the
+    extend-phase partial products of the paper's mantissa attack — and
+    is scored by {!Stats.Pearson.Batch.Fused.fold_product}, which
+    multiplies inline.  The sweep engines precompute [prep] over the
+    known operands once per segment; split models drive
+    {!Stats.Pearson.Batch.Fused.fold_split} with [eval] on plain
+    [int]s, and {!fn} models drive it over an index table, calling the
+    model on the known operand for every guess.  All forms must agree
+    exactly (integers), which makes every backend bit-identical. *)
 module Model : sig
   type 'k t =
     | Fn of (int -> 'k -> int)
     | Split of ('k -> int) * (int -> int -> int)
+    | Product of ('k -> int)
 
   val fn : (int -> 'k -> int) -> 'k t
   (** Wrap a plain model function. *)
@@ -50,12 +54,16 @@ module Model : sig
   (** [split ~prep ~eval] — the caller asserts
       [eval g (prep y) = apply g y] for all inputs. *)
 
+  val product : ('k -> int) -> 'k t
+  (** [product prep] is the model [apply g y = g * prep y]. *)
+
   val apply : 'k t -> int -> 'k -> int
   (** Evaluate on the original operand type. *)
 
   val contramap : ('j -> 'k) -> 'k t -> 'j t
   (** Precompose the known-operand side (e.g. index into a view's
-      operand array); a split model stays split. *)
+      operand array); a split model stays split, a product a
+      product. *)
 end
 
 val exhaustive : width:int -> ?lo:int -> unit -> int Seq.t

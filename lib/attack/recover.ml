@@ -55,7 +55,9 @@ let m_zhigh ~d e y =
    {!Hypothesis.Model.Split}: [prep] digests the operand once per sweep,
    [eval] runs the candidate loop on plain ints inside the fused kernel.
    [eval g (prep y)] equals the plain model exactly — integer arithmetic
-   in a different grouping — so backends stay bit-identical. *)
+   in a different grouping — so backends stay bit-identical.  The four
+   partial products are {!Hypothesis.Model.Product}s: [eval] is the
+   product itself, which the kernel computes inline. *)
 
 (* B and A packed into one word: B is 25 bits, A is 28, total 53 < 63. *)
 let pack_ba y = b25 y lor (a28 y lsl 25)
@@ -66,10 +68,10 @@ let p_exp =
   Hypothesis.Model.split ~prep:Fpr.biased_exponent
     ~eval:(fun g e -> (g + e - 2100) land 0xFFFFFFFF)
 
-let p_w00 = Hypothesis.Model.split ~prep:b25 ~eval:( * )
-let p_w10 = Hypothesis.Model.split ~prep:a28 ~eval:( * )
-let p_w01 = Hypothesis.Model.split ~prep:b25 ~eval:( * )
-let p_w11 = Hypothesis.Model.split ~prep:a28 ~eval:( * )
+let p_w00 = Hypothesis.Model.product b25
+let p_w10 = Hypothesis.Model.product a28
+let p_w01 = Hypothesis.Model.product b25
+let p_w11 = Hypothesis.Model.product a28
 
 let p_z1a =
   Hypothesis.Model.split ~prep:pack_ba ~eval:(fun d p ->

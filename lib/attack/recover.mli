@@ -86,10 +86,13 @@ val norm_value : mant:int -> Fpr.t -> int
 
     The same models as {!Hypothesis.Model.Split} values: the known
     operand is digested once per sweep ([prep]) and the candidate loop
-    runs on plain ints ([eval]) inside the fused Pearson kernel.  For
-    every model, [eval g (prep y) = m_* g y] exactly (integer
-    arithmetic), so rankings are bit-identical to the plain functions on
-    either Pearson kernel. *)
+    runs on plain ints ([eval]) inside the fused Pearson kernel.  The
+    four partial products [p_w00], [p_w10], [p_w01] and [p_w11] are
+    {!Hypothesis.Model.Product} values ([eval] is the product itself,
+    computed inline by the kernel).  For every model,
+    [eval g (prep y) = m_* g y] exactly (integer arithmetic), so
+    rankings are bit-identical to the plain functions on either Pearson
+    kernel. *)
 
 val p_sign : Fpr.t Hypothesis.Model.t
 val p_exp : Fpr.t Hypothesis.Model.t

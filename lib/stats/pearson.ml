@@ -126,17 +126,17 @@ let evolution ~traces ~hyp ~sample ~step =
 
 (* ---- the batched Pearson kernel ----
 
-   One column, G hypotheses, no hypothesis vectors: a row generator
-   produces the modelled *integer* intermediate on the fly and the tile
-   computes [float (popcount v)] inline.  The accumulator state lives in
-   the [t] record and survives across [fold] calls, which is what lets a
-   streaming sweep feed the campaign one shard segment at a time.
-   Determinism contract: per row, the three accumulators (sum, sum of
-   squares, cross term) receive exactly the additions of [corr_with], in
-   global trace order — the four-row register tile only re-interleaves
-   updates of *distinct* accumulators, so every correlation is
-   bit-identical to the scalar path as long as segments arrive in
-   order. *)
+   One column, G hypotheses, no hypothesis vectors: each guess is
+   combined with a per-trace prep table into the modelled *integer*
+   intermediate on the fly and the tile computes [float (popcount v)]
+   inline.  The accumulator state lives in the [t] record and survives
+   across folds, which is what lets a streaming sweep feed the campaign
+   one shard segment at a time.  Determinism contract: per row, the
+   three accumulators (sum, sum of squares, cross term) receive exactly
+   the additions of [corr_with], in global trace order — the four-row
+   register tile only re-interleaves updates of *distinct*
+   accumulators, so every correlation is bit-identical to the scalar
+   path as long as segments arrive in order. *)
 module Batch = struct
   type backend = Scalar | Batched
 
@@ -148,79 +148,22 @@ module Batch = struct
       let zeros () = Array.make rows 0. in
       { g = rows; sh = zeros (); shh = zeros (); sht = zeros () }
 
-    let check_col col len =
-      if len < 0 then invalid_arg "Pearson.Batch.Fused: negative segment length";
-      if Array.length col < len then
-        invalid_arg "Pearson.Batch.Fused: segment longer than its column"
+    let check entry t ~guesses ~prepped ~col ~len =
+      let fail what = invalid_arg ("Pearson.Batch.Fused." ^ entry ^ ": " ^ what) in
+      if len < 0 then fail "negative segment length";
+      if Array.length col < len then fail "segment longer than its column";
+      if Array.length guesses <> t.g then fail "one guess per row required";
+      if Array.length prepped < len then fail "segment longer than prepped table"
 
-    (* Four rows per register tile: each column load is amortised over
-       four guesses and the twelve accumulators are local float refs —
-       unboxed by the native compiler (no flambda needed), so the hot
-       loop allocates nothing.  Each accumulator receives its additions
-       in trace order. *)
-    let fold t ~gen ~col ~len =
-      check_col col len;
-      let g = t.g in
-      let sh = t.sh and shh = t.shh and sht = t.sht in
-      let r = ref 0 in
-      while !r + 4 <= g do
-        let r0 = !r in
-        let a0 = ref (Array.unsafe_get sh r0)
-        and q0 = ref (Array.unsafe_get shh r0)
-        and c0 = ref (Array.unsafe_get sht r0) in
-        let a1 = ref (Array.unsafe_get sh (r0 + 1))
-        and q1 = ref (Array.unsafe_get shh (r0 + 1))
-        and c1 = ref (Array.unsafe_get sht (r0 + 1)) in
-        let a2 = ref (Array.unsafe_get sh (r0 + 2))
-        and q2 = ref (Array.unsafe_get shh (r0 + 2))
-        and c2 = ref (Array.unsafe_get sht (r0 + 2)) in
-        let a3 = ref (Array.unsafe_get sh (r0 + 3))
-        and q3 = ref (Array.unsafe_get shh (r0 + 3))
-        and c3 = ref (Array.unsafe_get sht (r0 + 3)) in
-        for i = 0 to len - 1 do
-          let t = Array.unsafe_get col i in
-          let x0 = float_of_int (Bitops.popcount (gen r0 i)) in
-          let x1 = float_of_int (Bitops.popcount (gen (r0 + 1) i)) in
-          let x2 = float_of_int (Bitops.popcount (gen (r0 + 2) i)) in
-          let x3 = float_of_int (Bitops.popcount (gen (r0 + 3) i)) in
-          a0 := !a0 +. x0; q0 := !q0 +. (x0 *. x0); c0 := !c0 +. (x0 *. t);
-          a1 := !a1 +. x1; q1 := !q1 +. (x1 *. x1); c1 := !c1 +. (x1 *. t);
-          a2 := !a2 +. x2; q2 := !q2 +. (x2 *. x2); c2 := !c2 +. (x2 *. t);
-          a3 := !a3 +. x3; q3 := !q3 +. (x3 *. x3); c3 := !c3 +. (x3 *. t)
-        done;
-        sh.(r0) <- !a0; shh.(r0) <- !q0; sht.(r0) <- !c0;
-        sh.(r0 + 1) <- !a1; shh.(r0 + 1) <- !q1; sht.(r0 + 1) <- !c1;
-        sh.(r0 + 2) <- !a2; shh.(r0 + 2) <- !q2; sht.(r0 + 2) <- !c2;
-        sh.(r0 + 3) <- !a3; shh.(r0 + 3) <- !q3; sht.(r0 + 3) <- !c3;
-        r := r0 + 4
-      done;
-      while !r < g do
-        let r0 = !r in
-        let a = ref sh.(r0) and q = ref shh.(r0) and c = ref sht.(r0) in
-        for i = 0 to len - 1 do
-          let x = float_of_int (Bitops.popcount (gen r0 i)) in
-          a := !a +. x;
-          q := !q +. (x *. x);
-          c := !c +. (x *. Array.unsafe_get col i)
-        done;
-        sh.(r0) <- !a;
-        shh.(r0) <- !q;
-        sht.(r0) <- !c;
-        incr r
-      done
-
-    (* Split-model fast path: row r is [eval guesses.(r) prepped.(i)].
-       Hoisting the guess out of the inner loop leaves one indirect call
-       (the integer [eval]) per element — no per-element row-generator
-       closure.  Produces exactly the [fold] additions whenever
-       [eval g prepped.(i) = gen r i] (integer equality), so the two
-       entries are interchangeable bit for bit. *)
+    (* Row r is [eval guesses.(r) prepped.(i)], the guess hoisted out of
+       the inner loop: one indirect call (the integer [eval]) per
+       element.  Four rows per register tile: each column and prep load
+       is amortised over four guesses and the twelve accumulators are
+       local float refs — unboxed by the native compiler (no flambda
+       needed), so the hot loop allocates nothing.  Each accumulator
+       receives its additions in trace order. *)
     let fold_split t ~eval ~guesses ~prepped ~col ~len =
-      if Array.length guesses <> t.g then
-        invalid_arg "Pearson.Batch.Fused.fold_split: one guess per row required";
-      if Array.length prepped < len then
-        invalid_arg "Pearson.Batch.Fused.fold_split: segment longer than prepped table";
-      check_col col len;
+      check "fold_split" t ~guesses ~prepped ~col ~len;
       let g = t.g in
       let sh = t.sh and shh = t.shh and sht = t.sht in
       let r = ref 0 in
@@ -267,6 +210,69 @@ module Batch = struct
         for i = 0 to len - 1 do
           let x =
             float_of_int (Bitops.popcount (eval gu (Array.unsafe_get prepped i)))
+          in
+          a := !a +. x;
+          q := !q +. (x *. x);
+          c := !c +. (x *. Array.unsafe_get col i)
+        done;
+        sh.(r0) <- !a;
+        shh.(r0) <- !q;
+        sht.(r0) <- !c;
+        incr r
+      done
+
+    (* The product model's tile: [fold_split] with [eval = ( * )]
+       written inline, so the element loop makes no call at all.  The
+       same additions in the same order, so it is bit-identical to
+       [fold_split ~eval:( * )]. *)
+    let fold_product t ~guesses ~prepped ~col ~len =
+      check "fold_product" t ~guesses ~prepped ~col ~len;
+      let g = t.g in
+      let sh = t.sh and shh = t.shh and sht = t.sht in
+      let r = ref 0 in
+      while !r + 4 <= g do
+        let r0 = !r in
+        let g0 = Array.unsafe_get guesses r0
+        and g1 = Array.unsafe_get guesses (r0 + 1)
+        and g2 = Array.unsafe_get guesses (r0 + 2)
+        and g3 = Array.unsafe_get guesses (r0 + 3) in
+        let a0 = ref (Array.unsafe_get sh r0)
+        and q0 = ref (Array.unsafe_get shh r0)
+        and c0 = ref (Array.unsafe_get sht r0) in
+        let a1 = ref (Array.unsafe_get sh (r0 + 1))
+        and q1 = ref (Array.unsafe_get shh (r0 + 1))
+        and c1 = ref (Array.unsafe_get sht (r0 + 1)) in
+        let a2 = ref (Array.unsafe_get sh (r0 + 2))
+        and q2 = ref (Array.unsafe_get shh (r0 + 2))
+        and c2 = ref (Array.unsafe_get sht (r0 + 2)) in
+        let a3 = ref (Array.unsafe_get sh (r0 + 3))
+        and q3 = ref (Array.unsafe_get shh (r0 + 3))
+        and c3 = ref (Array.unsafe_get sht (r0 + 3)) in
+        for i = 0 to len - 1 do
+          let t = Array.unsafe_get col i in
+          let p = Array.unsafe_get prepped i in
+          let x0 = float_of_int (Bitops.popcount (g0 * p)) in
+          let x1 = float_of_int (Bitops.popcount (g1 * p)) in
+          let x2 = float_of_int (Bitops.popcount (g2 * p)) in
+          let x3 = float_of_int (Bitops.popcount (g3 * p)) in
+          a0 := !a0 +. x0; q0 := !q0 +. (x0 *. x0); c0 := !c0 +. (x0 *. t);
+          a1 := !a1 +. x1; q1 := !q1 +. (x1 *. x1); c1 := !c1 +. (x1 *. t);
+          a2 := !a2 +. x2; q2 := !q2 +. (x2 *. x2); c2 := !c2 +. (x2 *. t);
+          a3 := !a3 +. x3; q3 := !q3 +. (x3 *. x3); c3 := !c3 +. (x3 *. t)
+        done;
+        sh.(r0) <- !a0; shh.(r0) <- !q0; sht.(r0) <- !c0;
+        sh.(r0 + 1) <- !a1; shh.(r0 + 1) <- !q1; sht.(r0 + 1) <- !c1;
+        sh.(r0 + 2) <- !a2; shh.(r0 + 2) <- !q2; sht.(r0 + 2) <- !c2;
+        sh.(r0 + 3) <- !a3; shh.(r0 + 3) <- !q3; sht.(r0 + 3) <- !c3;
+        r := r0 + 4
+      done;
+      while !r < g do
+        let r0 = !r in
+        let gu = Array.unsafe_get guesses r0 in
+        let a = ref sh.(r0) and q = ref shh.(r0) and c = ref sht.(r0) in
+        for i = 0 to len - 1 do
+          let x =
+            float_of_int (Bitops.popcount (gu * Array.unsafe_get prepped i))
           in
           a := !a +. x;
           q := !q +. (x *. x);

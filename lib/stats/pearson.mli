@@ -57,37 +57,37 @@ module Batch : sig
       tests compare it against [Scalar] bit for bit. *)
 
   (** Fused hypothesis/correlation tile: [G] guesses scored against one
-      trace column.  A row generator (or a precomputed per-trace table
-      plus an integer evaluator) produces the modelled {e integer}
-      intermediate on the fly and a four-row register tile computes
-      [float (popcount v)] inline, so a sweep never materialises a
-      hypothesis vector and the hot loop allocates nothing.
+      trace column.  A precomputed per-trace prep table is combined with
+      each guess into the modelled {e integer} intermediate on the fly
+      and a four-row register tile computes [float (popcount v)] inline,
+      so a sweep never materialises a hypothesis vector and the hot loop
+      allocates nothing.
 
-      The accumulator state survives across {!fold} calls: a streaming
-      sweep feeds the campaign one shard segment at a time (in shard
-      order) and finalises once with the whole-campaign column moments.
+      Two entries, one tile shape: {!fold_product} for the product
+      family [v = g * p] (the extend-phase mantissa products), with the
+      multiply written inline, and {!fold_split} for any other integer
+      evaluator, which pays one indirect call per (guess, trace) pair.
+      A model with no prep digest runs {!fold_split} over an index table
+      (entry [i] is [i]) with [eval] reading the known operand itself.
+
+      The accumulator state survives across folds: a streaming sweep
+      feeds the campaign one shard segment at a time (in shard order)
+      and finalises once with the whole-campaign column moments.
 
       {b Determinism contract.}  Per row, the sum / sum-of-squares /
       cross-term accumulators receive exactly the additions of
       {!corr_with} on [hyp_vector]'s floats, in global trace order:
       {!corr} is bit-identical to the scalar path for every tiling,
-      segmentation and entry point ([fold] vs [fold_split]), provided
-      [eval g prepped.(i)] equals the generated intermediate exactly
-      (they are integers, so "exactly" is ordinary equality).  Enforced
-      by [test/test_pearson_batch.ml]. *)
+      segmentation and entry, provided the intermediates are the same
+      integers ([fold_product] and [fold_split ~eval:( * )] are
+      interchangeable bit for bit).  Enforced by
+      [test/test_pearson_batch.ml]. *)
   module Fused : sig
     type t
 
     val create : rows:int -> t
     (** Zeroed accumulator for [rows] guesses.  Raises
         [Invalid_argument] if [rows < 0]. *)
-
-    val fold : t -> gen:(int -> int -> int) -> col:float array -> len:int -> unit
-    (** [fold t ~gen ~col ~len] accumulates one segment of [len]
-        traces: [gen r i] is the modelled integer intermediate of guess
-        row [r] at segment-local trace [i], and [col] holds this
-        segment of the scored column.  Raises [Invalid_argument] if
-        [len < 0] or [col] is shorter than [len]. *)
 
     val fold_split :
       t ->
@@ -97,12 +97,20 @@ module Batch : sig
       col:float array ->
       len:int ->
       unit
-    (** Split-model fast path: row [r] of the segment is
-        [eval guesses.(r) prepped.(i)] with the guess hoisted out of the
-        inner loop — use with {!Attack.Hypothesis.Model} prep tables.
-        Bit-identical to the equivalent {!fold}.  Raises
-        [Invalid_argument] like {!fold}, and also unless there is one
-        guess per row and [prepped] covers the segment. *)
+    (** [fold_split t ~eval ~guesses ~prepped ~col ~len] accumulates one
+        segment of [len] traces: row [r] at segment-local trace [i] is
+        [eval guesses.(r) prepped.(i)], with the guess hoisted out of
+        the inner loop — use with {!Attack.Hypothesis.Model} prep
+        tables — and [col] holds this segment of the scored column.
+        Raises [Invalid_argument] if [len < 0], [col] or [prepped] is
+        shorter than [len], or there is not one guess per row. *)
+
+    val fold_product :
+      t -> guesses:int array -> prepped:int array -> col:float array -> len:int -> unit
+    (** [fold_product t ~guesses ~prepped ~col ~len] is
+        [fold_split t ~eval:( * ) ~guesses ~prepped ~col ~len] with the
+        product computed inline: no call per element, bit-identical
+        accumulators.  Raises [Invalid_argument] like {!fold_split}. *)
 
     val corr : t -> n:int -> sum_t:float -> var_t:float -> float array
     (** Per-row correlations, finalised with the whole-sweep column

@@ -235,7 +235,8 @@ let bench_fixtures =
       [
         ( pearson,
           {|"traces":300,"guesses":2000,"jobs":2,"rank_scalar_s":0.2,
-            "rank_batched_s":0.1,"rank_speedup":2.0,"rank_prep_s":0.01,
+            "rank_batched_s":0.1,"rank_speedup":2.0,"rank_split_s":0.15,
+            "product_speedup":1.5,"rank_prep_s":0.01,
             "rank_score_s":0.09,"falcon_rank_base_s":0.1,"falcon_rank_target_s":0.1,
             "falcon_rank_ratio":1.0,"bit_identical":true,"falcon_identical":true|}
         );
@@ -323,7 +324,12 @@ let test_bench_gate_refuses_each_row () =
       match Assess.Bench_gate.check j with
       | Ok _ -> Alcotest.failf "accepted %s" (to_string j)
       | Error _ -> ())
-    [ Obj []; Obj [ ("schema", String "falcon-down/bench-pearson/v1") ]; List [] ]
+        [
+      Obj [];
+      Obj [ ("schema", String "falcon-down/bench-pearson/v1") ];
+      Obj [ ("schema", String "falcon-down/bench-pearson/v2") ];
+      List [];
+    ]
 
 let suite =
   [

@@ -2,11 +2,12 @@
    contract of Stats.Pearson.Batch says the fused tile is *bit-identical*
    to corr_with over hyp_vector's rows — for every guess count (G = 0,
    G = 1, counts that do not fill the 4-row register tile), constant
-   columns, whole-campaign and arbitrarily segmented folds, and the
-   split-model fast path against the generic generator — and that the
-   batched attack paths (extend-and-prune, streaming rank) return
-   exactly the scalar results at every jobs level.  Everything here
-   checks float *bits*, not tolerances. *)
+   columns, whole-campaign and arbitrarily segmented folds, through both
+   entries (the inline-multiply product tile against fold_split with
+   eval = ( * ), a prep table against the index table a plain model
+   runs over) — and that the batched attack paths (extend-and-prune,
+   streaming rank) return exactly the scalar results at every jobs
+   level.  Everything here checks float *bits*, not tolerances. *)
 
 let bits_eq a b = Int64.bits_of_float a = Int64.bits_of_float b
 
@@ -37,68 +38,98 @@ let fused_model gg y = (gg * (y lor 1)) land 0xFFFFFF
 let fused_prep y = y lor 1
 let fused_eval gg p = (gg * p) land 0xFFFFFF
 
+(* the product model [g * prep y]: at most 44 bits here *)
+let product_model gg y = gg * fused_prep y
+
 let column col = Stats.Pearson.column_stats (Array.map (fun x -> [| x |]) col) 0
 
 (* scalar reference: corr_with over hyp_vector *)
-let fused_reference ~known ~guesses ~col =
+let reference ~model ~known ~guesses ~col =
   let c = column col in
   Array.map
-    (fun gg ->
-      Stats.Pearson.corr_with c (Attack.Dema.hyp_vector ~model:fused_model ~known gg))
+    (fun gg -> Stats.Pearson.corr_with c (Attack.Dema.hyp_vector ~model ~known gg))
     guesses
+
+let fused_reference = reference ~model:fused_model
+let product_reference = reference ~model:product_model
 
 let fused_corr t ~d ~col =
   let c = column col in
   Fused.corr t ~n:d ~sum_t:c.Stats.Pearson.sum ~var_t:c.Stats.Pearson.var_n
 
-(* One whole-campaign fold through each entry point. *)
-let fold_gen ~known ~guesses ~col ~d =
+let fold_with f ~guesses =
   let t = Fused.create ~rows:(Array.length guesses) in
-  Fused.fold t ~gen:(fun r i -> fused_model guesses.(r) known.(i)) ~col ~len:d;
+  f t;
   t
 
+(* One whole-campaign fold of [fused_model] through a plain model's
+   index table: [eval] reads the known operand itself *)
+let fold_index ~known ~guesses ~col ~d =
+  fold_with ~guesses (fun t ->
+      Fused.fold_split t
+        ~eval:(fun gg i -> fused_model gg known.(i))
+        ~guesses ~prepped:(Array.init d Fun.id) ~col ~len:d)
+
+(* ... and through its prep table *)
 let fold_split ~known ~guesses ~col ~d =
-  let t = Fused.create ~rows:(Array.length guesses) in
-  Fused.fold_split t ~eval:fused_eval ~guesses
-    ~prepped:(Array.map fused_prep known)
-    ~col ~len:d;
-  t
+  fold_with ~guesses (fun t ->
+      Fused.fold_split t ~eval:fused_eval ~guesses
+        ~prepped:(Array.map fused_prep known)
+        ~col ~len:d)
 
-let prop_fused_fold_matches_corr_with =
-  QCheck.Test.make ~count:300 ~name:"Fused.fold == corr_with (bitwise)"
+(* [product_model] through the product tile and through fold_split *)
+let fold_product ~known ~guesses ~col ~d =
+  fold_with ~guesses (fun t ->
+      Fused.fold_product t ~guesses ~prepped:(Array.map fused_prep known) ~col ~len:d)
+
+let fold_split_mul ~known ~guesses ~col ~d =
+  fold_with ~guesses (fun t ->
+      Fused.fold_split t ~eval:( * ) ~guesses
+        ~prepped:(Array.map fused_prep known)
+        ~col ~len:d)
+
+let prop_fused_index_matches_corr_with =
+  QCheck.Test.make ~count:300 ~name:"Fused.fold_split index table == corr_with (bitwise)"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let _, d, known, guesses, col = random_fused seed in
       array_bits_eq
         (fused_reference ~known ~guesses ~col)
-        (fused_corr (fold_gen ~known ~guesses ~col ~d) ~d ~col))
+        (fused_corr (fold_index ~known ~guesses ~col ~d) ~d ~col))
+
+(* The same traces split at [cut]: the accumulators must end bitwise
+   equal because each receives the same additions in trace order.
+   [fold_seg t ~off ~len] folds traces [off, off + len). *)
+let segmented_matches_whole ~whole ~fold_seg ~g ~d ~col ~cut =
+  let cut = min cut d in
+  let seg = Fused.create ~rows:g in
+  fold_seg seg ~off:0 ~len:cut;
+  fold_seg seg ~off:cut ~len:(d - cut);
+  array_bits_eq (fused_corr whole ~d ~col) (fused_corr seg ~d ~col)
 
 let prop_fused_segmented_matches_whole =
   QCheck.Test.make ~count:300 ~name:"Fused segmented folds == one fold (bitwise)"
     QCheck.(pair (int_bound 1_000_000) (int_bound 59))
     (fun (seed, cut) ->
       let g, d, known, guesses, col = random_fused seed in
-      let cut = min cut d in
-      let gen off r i = fused_model guesses.(r) known.(off + i) in
-      let whole = fold_gen ~known ~guesses ~col ~d in
-      (* same traces split at [cut]: the accumulators must end bitwise
-         equal because each receives the same additions in trace order *)
-      let seg = Fused.create ~rows:g in
-      Fused.fold seg ~gen:(gen 0) ~col:(Array.sub col 0 cut) ~len:cut;
-      Fused.fold seg ~gen:(gen cut) ~col:(Array.sub col cut (d - cut)) ~len:(d - cut);
-      array_bits_eq (fused_corr whole ~d ~col) (fused_corr seg ~d ~col))
+      segmented_matches_whole ~g ~d ~col ~cut
+        ~whole:(fold_index ~known ~guesses ~col ~d)
+        ~fold_seg:(fun t ~off ~len ->
+          Fused.fold_split t
+            ~eval:(fun gg i -> fused_model gg known.(off + i))
+            ~guesses ~prepped:(Array.init len Fun.id) ~col:(Array.sub col off len) ~len))
 
-let prop_fused_split_matches_fold =
-  QCheck.Test.make ~count:300 ~name:"Fused.fold_split == Fused.fold (bitwise)"
+let prop_fused_split_matches_index =
+  QCheck.Test.make ~count:300 ~name:"Fused.fold_split prep table == index table (bitwise)"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let _, d, known, guesses, col = random_fused seed in
       array_bits_eq
-        (fused_corr (fold_gen ~known ~guesses ~col ~d) ~d ~col)
+        (fused_corr (fold_index ~known ~guesses ~col ~d) ~d ~col)
         (fused_corr (fold_split ~known ~guesses ~col ~d) ~d ~col))
 
 (* Degenerate shapes the generator cannot shrink to reliably, through
-   both entry points. *)
+   every entry. *)
 let test_edge_shapes () =
   let d = 17 in
   let col = Array.init d (fun i -> float_of_int (((i * 7) mod 11) - 5)) in
@@ -106,13 +137,19 @@ let test_edge_shapes () =
   List.iter
     (fun (what, guesses) ->
       let want = fused_reference ~known ~guesses ~col in
+      let want_product = product_reference ~known ~guesses ~col in
       List.iter
-        (fun (entry, fold) ->
+        (fun (entry, fold, expect) ->
           Alcotest.(check bool)
             (Printf.sprintf "%s via %s bitwise" what entry)
             true
-            (array_bits_eq want (fused_corr (fold ~known ~guesses ~col ~d) ~d ~col)))
-        [ ("fold", fold_gen); ("fold_split", fold_split) ])
+            (array_bits_eq expect (fused_corr (fold ~known ~guesses ~col ~d) ~d ~col)))
+        [
+          ("fold_split (index table)", fold_index, want);
+          ("fold_split", fold_split, want);
+          ("fold_product", fold_product, want_product);
+          ("fold_split ~eval:( * )", fold_split_mul, want_product);
+        ])
     [
       ("G=0", [||]);
       ("G=1", [| 0x5A5A5 |]);
@@ -121,7 +158,7 @@ let test_edge_shapes () =
         Array.init 5 (fun r -> if r = 2 then 0 else 0x1234 + (r * 0x777)) );
     ];
   Alcotest.(check int) "G=0 scores to an empty array" 0
-    (Array.length (fused_corr (fold_gen ~known ~guesses:[||] ~col ~d) ~d ~col))
+    (Array.length (fused_corr (fold_index ~known ~guesses:[||] ~col ~d) ~d ~col))
 
 (* Allocation canary: a warm fold over a large segment must not allocate
    per guess x trace (the regression would be boxing every hypothesis
@@ -134,11 +171,13 @@ let test_allocation_canary () =
   let known = Array.init d (fun _ -> Stats.Rng.bits rng 24) in
   let guesses = Array.init g (fun _ -> Stats.Rng.bits rng 20) in
   let prepped = Array.map fused_prep known in
+  let index = Array.init d Fun.id in
   let c = column col in
   let want = fused_reference ~known ~guesses ~col in
-  let gen r i = fused_model guesses.(r) known.(i) in
+  let want_product = product_reference ~known ~guesses ~col in
+  let eval_index gg i = fused_model gg known.(i) in
   List.iter
-    (fun (entry, fold) ->
+    (fun (entry, fold, expect) ->
       let score () =
         let t = Fused.create ~rows:g in
         fold t;
@@ -149,15 +188,51 @@ let test_allocation_canary () =
       let got = score () in
       let allocated = Gc.allocated_bytes () -. before in
       Alcotest.(check bool) (entry ^ ": scores still bitwise equal") true
-        (array_bits_eq want got);
+        (array_bits_eq expect got);
       if allocated > 65536. then
         Alcotest.failf "%s allocated %.0f bytes for G=%d D=%d (expected O(G))" entry
           allocated g d)
     [
-      ("fold", fun t -> Fused.fold t ~gen ~col ~len:d);
+      ( "fold_split (index table)",
+        (fun t -> Fused.fold_split t ~eval:eval_index ~guesses ~prepped:index ~col ~len:d),
+        want );
       ( "fold_split",
-        fun t -> Fused.fold_split t ~eval:fused_eval ~guesses ~prepped ~col ~len:d );
+        (fun t -> Fused.fold_split t ~eval:fused_eval ~guesses ~prepped ~col ~len:d),
+        want );
+      ( "fold_product",
+        (fun t -> Fused.fold_product t ~guesses ~prepped ~col ~len:d),
+        want_product );
     ]
+
+let prop_product_matches_corr_with =
+  QCheck.Test.make ~count:300 ~name:"Fused.fold_product == corr_with (bitwise)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let _, d, known, guesses, col = random_fused seed in
+      array_bits_eq
+        (product_reference ~known ~guesses ~col)
+        (fused_corr (fold_product ~known ~guesses ~col ~d) ~d ~col))
+
+let prop_product_matches_split =
+  QCheck.Test.make ~count:300 ~name:"Fused.fold_product == fold_split ~eval:( * ) (bitwise)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let _, d, known, guesses, col = random_fused seed in
+      array_bits_eq
+        (fused_corr (fold_split_mul ~known ~guesses ~col ~d) ~d ~col)
+        (fused_corr (fold_product ~known ~guesses ~col ~d) ~d ~col))
+
+let prop_product_segmented_matches_whole =
+  QCheck.Test.make ~count:300 ~name:"Fused.fold_product segmented == one fold (bitwise)"
+    QCheck.(pair (int_bound 1_000_000) (int_bound 59))
+    (fun (seed, cut) ->
+      let g, d, known, guesses, col = random_fused seed in
+      let prepped = Array.map fused_prep known in
+      segmented_matches_whole ~g ~d ~col ~cut
+        ~whole:(fold_product ~known ~guesses ~col ~d)
+        ~fold_seg:(fun t ~off ~len ->
+          Fused.fold_product t ~guesses ~prepped:(Array.sub prepped off len)
+            ~col:(Array.sub col off len) ~len))
 
 (* ---- subset scoring: [Distinguisher.S.finalize ~parts] and
    [Dema.Sweep.scores ?parts] ----
@@ -170,7 +245,7 @@ let test_allocation_canary () =
 module Model = Attack.Hypothesis.Model
 
 (* A random problem: [np] parts, each with its own column and known
-   operands, split and plain models alternating; distinct guesses (one
+   operands, split, plain and product models in turn; distinct guesses (one
    seed in four spans more than one 512-candidate sweep chunk); a random
    ordered subset of the parts; random segment cuts. *)
 let random_parts seed =
@@ -188,8 +263,10 @@ let random_parts seed =
   let ks = Array.init np (fun _ -> Array.init d (fun _ -> Stats.Rng.bits rng 24)) in
   let models =
     Array.init np (fun j ->
-        if j mod 2 = 0 then Model.split ~prep:fused_prep ~eval:fused_eval
-        else Model.fn (fun gg y -> ((gg lxor y) * 3) land 0xFFFF))
+        match j mod 3 with
+        | 0 -> Model.split ~prep:fused_prep ~eval:fused_eval
+        | 1 -> Model.fn (fun gg y -> ((gg lxor y) * 3) land 0xFFFF)
+        | _ -> Model.product fused_prep)
   in
   let guesses = Array.init g (fun r -> (r lsl 12) lor Stats.Rng.bits rng 12) in
   let order = Array.init np Fun.id in
@@ -295,6 +372,83 @@ let prop_absolute_subset_equals_rank =
             (finalize_subset (Attack.Dema.absolute ~alpha ~baseline) p ~chunks))
         [ 1; 2 ])
 
+(* The product model's shape: [apply] is the product, and a contramap
+   keeps it a product (so the sweeps still reach the product tile). *)
+let prop_model_product =
+  QCheck.Test.make ~count:300 ~name:"Model.product applies g * prep y, contramap keeps it"
+    QCheck.(pair (int_bound 0xFFFFF) (int_bound 0xFFFFFF))
+    (fun (gg, y) ->
+      let m = Model.product fused_prep in
+      Model.apply m gg y = gg * fused_prep y
+      &&
+      match Model.contramap int_of_string m with
+      | Model.Product prep as m' ->
+          let y' = string_of_int y in
+          prep y' = fused_prep y && Model.apply m' gg y' = gg * fused_prep y
+      | Model.Split _ | Model.Fn _ -> false)
+
+(* The absolute tile pinned to the arithmetic it replaced, not just to a
+   second tiled route: per guess and per part in plan order, a fresh
+   error summing (col - (baseline + alpha * HW))^2 in trace order, the
+   parts added to 0 in order, negated and divided by the trace count.
+   Product, split and plain parts, so every segment source is tiled;
+   G = 513 spans two 512-candidate chunks. *)
+let test_absolute_pinned () =
+  let alpha = 0.7 and baseline = 9.5 and d = 37 in
+  let rng = Stats.Rng.create ~seed:4242 in
+  let models =
+    [|
+      Model.product fused_prep;
+      Model.split ~prep:fused_prep ~eval:fused_eval;
+      Model.fn (fun gg y -> ((gg lxor y) * 3) land 0xFFFF);
+    |]
+  in
+  let cols =
+    Array.map (fun _ -> Array.init d (fun _ -> Stats.Rng.gaussian rng ~mu:10. ~sigma:1.5)) models
+  in
+  let ks = Array.map (fun _ -> Array.init d (fun _ -> Stats.Rng.bits rng 24)) models in
+  let traces = Array.init d (fun i -> Array.map (fun c -> c.(i)) cols) in
+  let parts =
+    Array.to_list (Array.mapi (fun j m -> (j, Model.contramap (fun i -> ks.(j).(i)) m)) models)
+  in
+  let hand gg =
+    let s = ref 0. in
+    Array.iteri
+      (fun j m ->
+        let e = ref 0. in
+        for i = 0 to d - 1 do
+          let hw = Bitops.popcount (Model.apply m gg ks.(j).(i)) in
+          let rr = cols.(j).(i) -. (baseline +. (alpha *. float_of_int hw)) in
+          e := !e +. (rr *. rr)
+        done;
+        s := !s +. !e)
+      models;
+    -. !s /. float_of_int d
+  in
+  List.iter
+    (fun g ->
+      let guesses = Array.init g (fun r -> (r lsl 12) lor Stats.Rng.bits rng 12) in
+      List.iter
+        (fun jobs ->
+          let ranked =
+            Attack.Dema.rank_absolute ~ctx:(Attack.Ctx.make ~jobs ()) ~traces ~parts
+              ~known:(Array.init d Fun.id) ~top:(max 1 g) ~alpha ~baseline
+              (Array.to_seq guesses)
+          in
+          let what = Printf.sprintf "G=%d -j %d" g jobs in
+          Alcotest.(check (list int))
+            (what ^ ": every guess scored")
+            (List.sort compare (Array.to_list guesses))
+            (List.sort compare (List.map (fun (s : Attack.Dema.scored) -> s.guess) ranked));
+          List.iter
+            (fun (s : Attack.Dema.scored) ->
+              if not (Float.equal s.corr (hand s.guess)) then
+                Alcotest.failf "%s: guess 0x%x scored %h, the per-guess loop %h" what s.guess
+                  s.corr (hand s.guess))
+            ranked)
+        [ 1; 4 ])
+    [ 0; 1; 3; 4; 5; 513 ]
+
 (* ---- end-to-end pins: the real attack entry points must agree
    exactly, sequentially and parallel (the scalar reference is pinned
    against the same entry points in test_profile) ---- *)
@@ -389,9 +543,9 @@ let test_stream_rank_jobs_parity () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_fused_fold_matches_corr_with;
+    QCheck_alcotest.to_alcotest prop_fused_index_matches_corr_with;
     QCheck_alcotest.to_alcotest prop_fused_segmented_matches_whole;
-    QCheck_alcotest.to_alcotest prop_fused_split_matches_fold;
+    QCheck_alcotest.to_alcotest prop_fused_split_matches_index;
     QCheck_alcotest.to_alcotest prop_sweep_subset_equals_rank;
     QCheck_alcotest.to_alcotest prop_absolute_subset_equals_rank;
     Alcotest.test_case "edge shapes (G=0, G=1, partial tile)" `Quick test_edge_shapes;
@@ -400,4 +554,10 @@ let suite =
     Alcotest.test_case "extend-and-prune jobs parity" `Slow
       test_extend_prune_jobs_parity;
     Alcotest.test_case "stream rank jobs parity" `Quick test_stream_rank_jobs_parity;
+    QCheck_alcotest.to_alcotest prop_product_matches_corr_with;
+    QCheck_alcotest.to_alcotest prop_product_matches_split;
+    QCheck_alcotest.to_alcotest prop_product_segmented_matches_whole;
+    QCheck_alcotest.to_alcotest prop_model_product;
+    Alcotest.test_case "absolute tile == per-guess residual loop" `Quick
+      test_absolute_pinned;
   ]

@@ -283,6 +283,7 @@ let prop_hqc_split_equivalence =
                  match m with
                  | Attack.Hypothesis.Model.Split (prep, eval) ->
                      eval g (prep u) = direct
+                 | Attack.Hypothesis.Model.Product prep -> g * prep u = direct
                  | Attack.Hypothesis.Model.Fn _ -> false)
                (List.init Hqc.Params.words Fun.id)
                parts)
@@ -312,6 +313,7 @@ let test_falcon_model_equivalence () =
               Alcotest.(check int) "same sample index" s1 s2;
               (match (m1, m2) with
               | Attack.Hypothesis.Model.Split _, Attack.Hypothesis.Model.Split _
+              | Attack.Hypothesis.Model.Product _, Attack.Hypothesis.Model.Product _
               | Attack.Hypothesis.Model.Fn _, Attack.Hypothesis.Model.Fn _ ->
                   ()
               | _ -> Alcotest.fail "contramap changed the model shape");
