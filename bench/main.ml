@@ -156,7 +156,7 @@ let fig4 () =
   (* (a) sign *)
   let sign_guesses = [| 0; 1 |] in
   let m =
-    Attack.Dema.corr_time ~traces:v.traces ~model:Attack.Recover.m_sign ~known:v.known
+    Attack.Dema.corr_time ~traces:v.traces ~model:Attack.Recover.p_sign ~known:v.known
       ~guesses:sign_guesses ()
   in
   print_corr_time "(a) sign bit" sign_guesses [| "s=0"; "s=1 (correct)" |] m;
@@ -167,13 +167,15 @@ let fig4 () =
   let e_true = Fpr.biased_exponent paper_coeff in
   let e_guesses = [| e_true; e_true - 1; e_true + 1; e_true - 7; e_true + 16 |] in
   let m =
-    Attack.Dema.corr_time ~traces:v.traces ~model:Attack.Recover.m_exp ~known:v.known
+    Attack.Dema.corr_time ~traces:v.traces ~model:Attack.Recover.p_exp ~known:v.known
       ~guesses:e_guesses ()
   in
   print_corr_time "(b) exponent (e = ex + ey - 2100 register)" e_guesses
     [| "0x406 (correct)"; "0x405"; "0x407"; "0x3ff"; "0x416" |]
     m;
-  let s', e', _ = Attack.Recover.attack_sign_exponent ~mant:(Fpr.mantissa paper_coeff) v in
+  let s', e', _ =
+    Attack.Recover.sign_exponent_multi ~mant:(Fpr.mantissa paper_coeff) [ v ]
+  in
   Printf.printf "joint sign+exponent recovery: sign=%d exponent=0x%x (true 0x%x)\n" s' e'
     e_true;
 
@@ -205,7 +207,7 @@ let fig4 () =
       Array.to_seq
         (Attack.Hypothesis.sampled rng ~width:25 ~truth:d_true ~decoys:4096 ())
   in
-  let ep = Attack.Recover.attack_mantissa_low ~top:8 ~candidates:cands v in
+  let ep = Attack.Recover.mantissa_low_multi ~top:8 ~candidates:cands [ v ] in
   Printf.printf "\n(d) extend-and-prune on the intermediate addition:\n";
   List.iter
     (fun (s : Attack.Dema.scored) ->
@@ -223,7 +225,9 @@ let fig4 () =
         (Attack.Hypothesis.sampled rng ~width:28 ~lo:(1 lsl 27) ~truth:e_high_true
            ~decoys:4096 ())
   in
-  let hp = Attack.Recover.attack_mantissa_high ~top:8 ~candidates:cands ~d:ep.winner v in
+  let hp =
+    Attack.Recover.mantissa_high_multi ~top:8 ~candidates:cands ~d:ep.winner [ v ]
+  in
   Printf.printf "high-half winner 0x%07x (true 0x%07x)\n" hp.winner e_high_true;
 
   (* (e-h) correlation evolution *)
@@ -233,18 +237,18 @@ let fig4 () =
       (Attack.Dema.evolution ~traces:v.traces ~sample:(Attack.Recover.sample lbl)
          ~model ~known:v.known ~guess ~step:250)
   in
-  let sign_series = evo Fpr.Sign_xor Attack.Recover.m_sign 1 in
-  let exp_series = evo Fpr.Exp_sum Attack.Recover.m_exp e_true in
-  let mul_series = evo Fpr.Mant_w00 Attack.Recover.m_w00 d_true in
+  let sign_series = evo Fpr.Sign_xor Attack.Recover.p_sign 1 in
+  let exp_series = evo Fpr.Exp_sum Attack.Recover.p_exp e_true in
+  let mul_series = evo Fpr.Mant_w00 Attack.Recover.p_w00 d_true in
   let mul_alias_series =
     match aliases with
-    | a :: _ -> evo Fpr.Mant_w00 Attack.Recover.m_w00 a
+    | a :: _ -> evo Fpr.Mant_w00 Attack.Recover.p_w00 a
     | [] -> []
   in
-  let add_series = evo Fpr.Mant_z1a Attack.Recover.m_z1a d_true in
+  let add_series = evo Fpr.Mant_z1a Attack.Recover.p_z1a d_true in
   let add_alias_series =
     match aliases with
-    | a :: _ -> evo Fpr.Mant_z1a Attack.Recover.m_z1a a
+    | a :: _ -> evo Fpr.Mant_z1a Attack.Recover.p_z1a a
     | [] -> []
   in
   print_evolution "(e-h)"
@@ -341,7 +345,7 @@ let ntt_vs_fft () =
       (fun (d, r) -> (d, Float.abs r))
       (Attack.Dema.evolution ~traces:v.traces
          ~sample:(Attack.Recover.sample Fpr.Mant_w00)
-         ~model:Attack.Recover.m_w00 ~known:v.known ~guess:d_true ~step:50)
+         ~model:Attack.Recover.p_w00 ~known:v.known ~guess:d_true ~step:50)
   in
   (* survivors at 1000 traces *)
   let col = Array.init 1000 (fun i -> ntt_traces.(i).(0)) in
@@ -412,10 +416,10 @@ let ablation_snr () =
         | None -> ">10000"
       in
       Printf.printf "%5.1f | %-8s | %-8s | %-8s | %s\n%!" sigma
-        (show (evo Fpr.Mant_w00 Attack.Recover.m_w00 d_true))
-        (show (evo Fpr.Mant_z1a Attack.Recover.m_z1a d_true))
-        (show (evo Fpr.Exp_sum Attack.Recover.m_exp (Fpr.biased_exponent paper_coeff)))
-        (show (evo Fpr.Sign_xor Attack.Recover.m_sign 1)))
+        (show (evo Fpr.Mant_w00 Attack.Recover.p_w00 d_true))
+        (show (evo Fpr.Mant_z1a Attack.Recover.p_z1a d_true))
+        (show (evo Fpr.Exp_sum Attack.Recover.p_exp (Fpr.biased_exponent paper_coeff)))
+        (show (evo Fpr.Sign_xor Attack.Recover.p_sign 1)))
     [ 0.5; 1.0; 2.0; 4.0; 8.0 ]
 
 (* ---------------------------------------------------------------- *)
@@ -450,7 +454,7 @@ let ablation_prune () =
        with
       | { guess; _ } :: _ when guess = d -> incr naive_ok
       | _ -> ());
-      let r = Attack.Recover.attack_mantissa_low ~candidates:(Array.to_seq cands) v in
+      let r = Attack.Recover.mantissa_low_multi ~candidates:(Array.to_seq cands) [ v ] in
       if r.winner = d then incr ep_ok
     end
   done;
@@ -571,14 +575,14 @@ let stream () =
   let stream_evo =
     Attack.Dema.Stream.evolution ~ctx:(jctx jobs) reader
       ~sample:(Attack.Recover.sample Fpr.Mant_w00)
-      ~model:Attack.Recover.m_w00
+      ~model:Attack.Recover.p_w00
       ~known:(fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0))
       ~guess:d_true
   in
   let mem_evo =
     Attack.Dema.evolution ~traces:rows
       ~sample:(Attack.Recover.sample Fpr.Mant_w00)
-      ~model:Attack.Recover.m_w00 ~known:ks ~guess:d_true ~step:shard
+      ~model:Attack.Recover.p_w00 ~known:ks ~guess:d_true ~step:shard
   in
   let max_dev =
     List.fold_left
@@ -1028,10 +1032,11 @@ let obs_bench () =
       (Stats.Rng.create ~seed:(seed + 88))
       ~width:25 ~truth:d_true ~decoys:2048 ()
   in
+  let fn m = Attack.Hypothesis.Model.(fn (apply m)) in
   let parts =
     [
-      (Attack.Recover.sample Fpr.Mant_w00, Attack.Hypothesis.Model.fn Attack.Recover.m_w00);
-      (Attack.Recover.sample Fpr.Mant_w10, Attack.Hypothesis.Model.fn Attack.Recover.m_w10);
+      (Attack.Recover.sample Fpr.Mant_w00, fn Attack.Recover.p_w00);
+      (Attack.Recover.sample Fpr.Mant_w10, fn Attack.Recover.p_w10);
     ]
   in
   Printf.printf "%d guesses x %d traces, %d jobs\n%!" (Array.length guesses)
@@ -1221,7 +1226,7 @@ let leakage_bench () =
           let series =
             Attack.Dema.evolution ~traces:v.Attack.Recover.traces
               ~sample:(Attack.Recover.sample Fpr.Mant_w10)
-              ~model:Attack.Recover.hd_w10 ~known:v.Attack.Recover.known
+              ~model:Attack.Recover.p_hd_w10 ~known:v.Attack.Recover.known
               ~guess:d ~step:1
           in
           Stats.Signif.traces_to_significance series)
@@ -1416,7 +1421,7 @@ let countermeasures () =
         Array.map (fun t -> t.(Attack.Recover.sample Fpr.Mant_w00)) v.Attack.Recover.traces
       in
       let h =
-        Attack.Dema.hyp_vector ~model:Attack.Recover.m_w00 ~known:v.Attack.Recover.known
+        Attack.Dema.hyp_vector ~model:Attack.Recover.p_w00 ~known:v.Attack.Recover.known
           d_true
       in
       let corr = Stats.Pearson.corr h col in
@@ -1424,7 +1429,7 @@ let countermeasures () =
         Attack.Hypothesis.sampled (Stats.Rng.create ~seed:(seed + 32)) ~width:25
           ~truth:d_true ~decoys:1024 ()
       in
-      let r = Attack.Recover.attack_mantissa_low ~candidates:(Array.to_seq cands) v in
+      let r = Attack.Recover.mantissa_low_multi ~candidates:(Array.to_seq cands) [ v ] in
       Printf.printf "%-14s | %+19.4f | %-28s | %d\n%!" name corr
         (if r.winner = d_true then "recovers D" else "FAILS (D not recovered)")
         events)

@@ -146,7 +146,7 @@ let crack_target (module T : Attack.Target.S) dir leakage until_confident alpha
       ~prefetch:flags.Cli_common.Common_flags.prefetch ~dir reader
   in
   (match o.Attack.Target.stop with Some s -> print_stop_summary s | None -> ());
-  Printf.printf "recovered %d/%d key units from %d of %d traces\n" o.units o.units
+  Printf.printf "recovered %d/%d key units from %d of %d traces\n" o.units_ok o.units
     o.traces
     (Tracestore.Reader.total_traces reader);
   Printf.printf "witness: %s\n" (String.trim o.witness);

@@ -33,12 +33,12 @@ let () =
         Attack.Hypothesis.sampled (Stats.Rng.create ~seed:78) ~width:25 ~truth:d_true
           ~decoys:1024 ()
       in
-      let r = Attack.Recover.attack_mantissa_low ~candidates:(Array.to_seq cands) v in
+      let r = Attack.Recover.mantissa_low_multi ~candidates:(Array.to_seq cands) [ v ] in
       let col =
         Array.map (fun t -> t.(Attack.Recover.sample Fpr.Mant_w00)) v.Attack.Recover.traces
       in
       let h =
-        Attack.Dema.hyp_vector ~model:Attack.Recover.m_w00 ~known:v.Attack.Recover.known
+        Attack.Dema.hyp_vector ~model:Attack.Recover.p_w00 ~known:v.Attack.Recover.known
           d_true
       in
       Printf.printf "%-12s  corr(true D) = %+.3f   attack %s   overhead %s\n" name

@@ -43,7 +43,9 @@ let () =
   Printf.printf "  (exact ties: multiplication cannot separate the alias class)\n\n";
 
   Printf.printf "-- extend-and-prune: re-rank on the intermediate addition --\n";
-  let r = Attack.Recover.attack_mantissa_low ~top:8 ~candidates:(Array.to_seq cands) v in
+  let r =
+    Attack.Recover.mantissa_low_multi ~top:8 ~candidates:(Array.to_seq cands) [ v ]
+  in
   List.iter
     (fun (s : Attack.Dema.scored) ->
       Printf.printf "  guess 0x%07x   score %.6f%s\n" s.guess s.corr

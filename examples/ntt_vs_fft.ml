@@ -64,7 +64,7 @@ let () =
   let fft_series =
     Attack.Dema.evolution ~traces:v.traces
       ~sample:(Attack.Recover.sample Fpr.Mant_w00)
-      ~model:Attack.Recover.m_w00 ~known:v.known ~guess:d_true ~step:50
+      ~model:Attack.Recover.p_w00 ~known:v.known ~guess:d_true ~step:50
   in
   (* survival among a sampled candidate set at 1000 traces *)
   let cands =

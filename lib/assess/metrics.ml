@@ -87,6 +87,39 @@ let profiled_mtd ~ctx ~parts ~known ~truth ~step ~candidates traces =
       else None)
     None checkpoints
 
+(* 1-based position of [truth] in [ranking]; [size + 1] when the
+   ranking (over [size] candidates) does not contain it. *)
+let truth_rank ~truth ~size ranking =
+  let rec find k = function
+    | [] -> size + 1
+    | (s : Attack.Dema.scored) :: tl ->
+        if s.Attack.Dema.guess = truth then k else find (k + 1) tl
+  in
+  find 1 ranking
+
+(* One experiment's (mtd, mtd_conf).  Disclosure watches the truth's
+   correlation evolution on the first part; the sequential stop runs
+   the adaptive tester over every part, looking every [step] traces.  A
+   selection with no gap test measures winner stability instead
+   ([profiled_mtd]) and has no mtd_conf. *)
+let disclosure ~ctx ~spec ~step ~parts ~known ~truth ~candidates traces =
+  if not (Attack.Distinguisher.has_gap_test ctx.Attack.Ctx.backend) then
+    (profiled_mtd ~ctx ~parts ~known ~truth ~step ~candidates traces, None)
+  else
+    let sample0, model0 = List.hd parts in
+    let series =
+      Attack.Dema.evolution ~traces ~sample:sample0 ~model:model0 ~known
+        ~guess:truth ~step
+    in
+    let until =
+      Attack.Dema.rank_until ~ctx ~spec ~batch:step ~traces ~parts ~known ~top:1
+        (Array.to_seq candidates)
+    in
+    ( Stats.Signif.traces_to_significance series,
+      Option.map
+        (fun s -> s.Sequential.Decision.n_traces)
+        until.Attack.Dema.stop )
+
 (* Train a window-16 template store for the assess lab's profiled
    cells: the fixed class of a cloned-device campaign (same condition,
    different secret/seed) with known truth, classed by the low-stage
@@ -155,34 +188,21 @@ let of_entries ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alph
   let d_true = Fpr.mantissa truth land m25 in
   if d_true = 0 then
     invalid_arg "Assess.Metrics: degenerate secret (zero low mantissa half)";
-  (* Disclosure watches the strongest d-free part of each device model:
-     the D x B product sample under the Hamming-weight probe, the
-     (D x B) -> (D x A) bus transition at the w10 sample under bus-HD
-     (where the w00 sample's predecessor is the full secret operand). *)
-  let evo_sample, evo_model =
-    match leakage with
-    | `Hw -> (Attack.Recover.sample Fpr.Mant_w00, Attack.Recover.m_w00)
-    | `Hd -> (Attack.Recover.sample Fpr.Mant_w10, Attack.Recover.hd_w10)
+  (* The low-half decision parts, extend then prune.  Their first part
+     is the one disclosure watches: the strongest d-free part of each
+     device model — the D x B product sample under the Hamming-weight
+     probe, the (D x B) -> (D x A) bus transition at the w10 sample
+     under bus-HD (where the w00 sample's predecessor is the full secret
+     operand). *)
+  let parts =
+    let extend, prune = Attack.Recover.low_stages leakage in
+    List.map (fun (lbl, m) -> (Attack.Recover.sample lbl, m)) (extend @ prune)
   in
   let step = max 1 (per / 16) in
   (* measured traces-to-decision: the same sequential tester the
      adaptive campaign engine uses, looking every [step] traces at the
      low-mantissa decision parts over this experiment's candidate set *)
-  let stop_spec = Sequential.Decision.spec ~alpha:stop_alpha () in
-  let stop_parts =
-    match leakage with
-    | `Hw ->
-        [
-          (Attack.Recover.sample Fpr.Mant_w00, Attack.Recover.p_w00);
-          (Attack.Recover.sample Fpr.Mant_w10, Attack.Recover.p_w10);
-          (Attack.Recover.sample Fpr.Mant_z1a, Attack.Recover.p_z1a);
-        ]
-    | `Hd ->
-        [
-          (Attack.Recover.sample Fpr.Mant_w10, Attack.Recover.p_hd_w10);
-          (Attack.Recover.sample Fpr.Mant_z1a, Attack.Recover.p_hd_z1a);
-        ]
-  in
+  let spec = Sequential.Decision.spec ~alpha:stop_alpha () in
   let run_one i =
     let slice = Array.sub fixed (i * per) per in
     let traces =
@@ -206,41 +226,17 @@ let of_entries ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alph
     let res =
       Obs.span child "metrics.experiment" ~fields:[ ("experiment", Obs.Int i) ]
         (fun () ->
-          Attack.Recover.attack_mantissa_low ~ctx:ectx ~leakage
+          Attack.Recover.mantissa_low_multi ~ctx:ectx ~leakage
             ~top:(Array.length candidates) ~candidates:(Array.to_seq candidates)
-            view)
+            [ view ])
     in
     let rank =
-      let rec find k = function
-        | [] -> Array.length candidates + 1
-        | (s : Attack.Dema.scored) :: tl -> if s.Attack.Dema.guess = d_true then k else find (k + 1) tl
-      in
-      find 1 res.Attack.Recover.pruned
+      truth_rank ~truth:d_true ~size:(Array.length candidates)
+        res.Attack.Recover.pruned
     in
     let mtd, mtd_conf =
-      if not (Attack.Distinguisher.has_gap_test c.Attack.Ctx.backend) then
-        let extend, prune = Attack.Recover.low_stages leakage in
-        let parts =
-          List.map
-            (fun (lbl, m) -> (Attack.Recover.sample lbl, m))
-            (extend @ prune)
-        in
-        ( profiled_mtd ~ctx:ectx ~parts ~known ~truth:d_true ~step ~candidates
-            traces,
-          None )
-      else
-        let series =
-          Attack.Dema.evolution ~traces ~sample:evo_sample ~model:evo_model
-            ~known ~guess:d_true ~step
-        in
-        let until =
-          Attack.Dema.rank_until ~ctx:ectx ~spec:stop_spec ~batch:step ~traces
-            ~parts:stop_parts ~known ~top:1 (Array.to_seq candidates)
-        in
-        ( Stats.Signif.traces_to_significance series,
-          match until.Attack.Dema.stop with
-          | Some s -> Some s.Sequential.Decision.n_traces
-          | None -> None )
+      disclosure ~ctx:ectx ~spec ~step ~parts ~known ~truth:d_true ~candidates
+        traces
     in
     (rank, mtd, mtd_conf, child)
   in
@@ -289,7 +285,7 @@ let run_hqc ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alpha) 
   let n = Hqc.Params.n_bits in
   let model = { Leakage.default_model with noise_sigma = noise } in
   let step = max 1 (budget / 16) in
-  let stop_spec = Sequential.Decision.spec ~alpha:stop_alpha () in
+  let spec = Sequential.Decision.spec ~alpha:stop_alpha () in
   let run_one i =
     let eseed = seed + (7919 * i) in
     let secret = Hqc.keygen ~seed:(eseed lxor 0x5eed) in
@@ -313,14 +309,7 @@ let run_hqc ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alpha) 
                ~known ~top:count
                (Attack.Target.Hqc.guess_space ~n ~unit_index:j ~prev)
            in
-           let pos =
-             let rec find k = function
-               | [] -> count + 1
-               | (s : Attack.Dema.scored) :: tl ->
-                   if s.Attack.Dema.guess = secret.(j) then k else find (k + 1) tl
-             in
-             find 1 ranking
-           in
+           let pos = truth_rank ~truth:secret.(j) ~size:count ranking in
            if pos <> 1 then begin
              rank := pos;
              raise Exit
@@ -328,31 +317,13 @@ let run_hqc ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alpha) 
          end
        done
      with Exit -> ());
-    let parts0 = Attack.Target.Hqc.parts ~leakage:`Hw ~n ~unit_index:0 ~prev:[||] in
     let mtd, mtd_conf =
-      if not (Attack.Distinguisher.has_gap_test c.Attack.Ctx.backend) then
-        ( profiled_mtd ~ctx:ectx ~parts:parts0 ~known ~truth:secret.(0) ~step
-            ~candidates:
-              (Array.of_seq
-                 (Attack.Target.Hqc.guess_space ~n ~unit_index:0 ~prev:[||]))
-            traces,
-          None )
-      else
-        let sample0, model0 = List.hd parts0 in
-        let series =
-          Attack.Dema.evolution ~traces ~sample:sample0
-            ~model:(Attack.Hypothesis.Model.apply model0)
-            ~known ~guess:secret.(0) ~step
-        in
-        let until =
-          Attack.Dema.rank_until ~ctx:ectx ~spec:stop_spec ~batch:step ~traces
-            ~parts:parts0 ~known ~top:1
-            (Attack.Target.Hqc.guess_space ~n ~unit_index:0 ~prev:[||])
-        in
-        ( Stats.Signif.traces_to_significance series,
-          match until.Attack.Dema.stop with
-          | Some s -> Some s.Sequential.Decision.n_traces
-          | None -> None )
+      disclosure ~ctx:ectx ~spec ~step
+        ~parts:(Attack.Target.Hqc.parts ~leakage:`Hw ~n ~unit_index:0 ~prev:[||])
+        ~known ~truth:secret.(0)
+        ~candidates:
+          (Array.of_seq (Attack.Target.Hqc.guess_space ~n ~unit_index:0 ~prev:[||]))
+        traces
     in
     (!rank, mtd, mtd_conf, child)
   in

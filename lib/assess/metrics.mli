@@ -3,7 +3,7 @@
     attack experiments.
 
     Each experiment attacks the low mantissa half of the fixed secret
-    with {!Attack.Recover.attack_mantissa_low} over a disjoint slice of
+    with {!Attack.Recover.mantissa_low_multi} over a disjoint slice of
     the campaign's fixed-class traces, ranking the full evaluation
     candidate set ({!Attack.Hypothesis.sampled}: truth + its alias
     class + decoys) so the truth's 1-based rank is always defined:
@@ -13,8 +13,9 @@
       over the sampled candidate set, not the full 2^25 space; also
       reported in bits);
     - {b MTD}: the paper's "measurements needed" — the smallest trace
-      count from which the truth's |correlation| at the DxB partial
-      product stays above the 99.99 % significance threshold
+      count from which the truth's |correlation| at the first low-half
+      decision part (the DxB partial product; its bus transition into
+      DxA under bus-HD) stays above the 99.99 % significance threshold
       ({!Stats.Signif.traces_to_significance} over a
       {!Attack.Dema.evolution} series), reported per cell as the lower
       median over experiments ([None] = the median experiment never
@@ -23,7 +24,8 @@
       sequential early-stopping tester ({!Sequential.Decision}, Fisher-z
       top-1 vs runner-up gap with alpha-spending, default
       [alpha = 1e-4]) run via {!Attack.Dema.rank_until} over the same
-      candidate set and the three low-half decision parts — i.e. the
+      candidate set and the low-half decision parts
+      ({!Attack.Recover.low_stages}, extend then prune) — i.e. the
       trace count at which the adaptive campaign engine would actually
       stop, not an oracle figure that presumes the truth.  Reported as
       lower median + found count, like MTD.  [None] = the tester never
@@ -33,7 +35,7 @@
     function of its arguments per experiment index, so results are
     bit-identical at every [jobs]); the candidate sweep inside each
     experiment stays sequential.  The per-experiment attack goes through
-    {!Attack.Recover.attack_mantissa_low} and therefore inherits the
+    {!Attack.Recover.mantissa_low_multi} and therefore inherits the
     fused {!Stats.Pearson.Batch} kernel, bit-identical to the scalar
     reference.
 

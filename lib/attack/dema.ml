@@ -49,7 +49,8 @@ end
 let sweep_chunk = 512
 
 let hyp_vector ~model ~known guess =
-  Array.map (fun y -> float_of_int (Bitops.popcount (model guess y))) known
+  let f = Hypothesis.Model.apply model in
+  Array.map (fun y -> float_of_int (Bitops.popcount (f guess y))) known
 
 (* ---- the statistics: one {!Distinguisher.S} instance each ---- *)
 
@@ -1032,13 +1033,14 @@ module Stream = struct
       Obs.count ~level:Obs.Error
         ~fields:[ ("traces", Obs.Int tot) ]
         c.Ctx.obs "dema.degenerate_evolution" 1;
+    let f = Hypothesis.Model.apply model in
     let per_shard =
       map_shards ~ctx:c ?on_corrupt ?prefetch ?codec reader (fun traces ->
           let acc = Stats.Welford.Cov.create () in
           Array.iter
             (fun (t : Leakage.trace) ->
               Stats.Welford.Cov.add acc
-                (float_of_int (Bitops.popcount (model guess (known t))))
+                (float_of_int (Bitops.popcount (f guess (known t))))
                 t.samples.(sample))
             traces;
           acc)

@@ -95,7 +95,7 @@ val rank_absolute :
     Pearson correlation this is {e not} invariant under constant shifts
     of the predicted Hamming weight, which is what disambiguates exponent
     hypotheses that differ by a per-trace constant (see
-    {!Recover.attack_exponent}).  [alpha] and [baseline] come from
+    {!Recover.sign_exponent_multi}).  [alpha] and [baseline] come from
     {!Calibrate.estimate} — i.e. from the same traces, not from a
     profiling device.  The statistic is the {!absolute} instance, the
     same under every selection. *)
@@ -345,33 +345,37 @@ module Stream : sig
     ?codec:codec ->
     Tracestore.Reader.t ->
     sample:int ->
-    model:(int -> 'k -> int) ->
+    model:'k Hypothesis.Model.t ->
     known:(Leakage.trace -> 'k) ->
     guess:int ->
     (int * float) list
   (** Correlation-vs-trace-count checkpoints, one per shard boundary
       (Fig. 4 e-h at campaign scale): running accumulators instead of
       prefix rescans.  Raises [Failure] on a store holding no traces —
-      an empty campaign is a data error, not an empty evolution. *)
+      an empty campaign is a data error, not an empty evolution.  The
+      model is the same {!Hypothesis.Model.t} the ranking sweeps take,
+      evaluated through {!Hypothesis.Model.apply}. *)
 end
 
 val corr_time :
   ?ctx:Ctx.t ->
   traces:float array array ->
-  model:(int -> 'k -> int) ->
+  model:'k Hypothesis.Model.t ->
   known:'k array ->
   guesses:int array ->
   unit ->
   float array array
 (** Correlation-versus-time matrix (one row per guess) — Fig. 4 (a-d):
     {!Stats.Pearson.corr_matrix} over each guess's {!hyp_vector}, under
-    every selection.  No traces give one empty row per guess; raises
+    every selection.  [model] is any {!Hypothesis.Model.t} (e.g. the
+    [Recover.p_*] stage models), evaluated through
+    {!Hypothesis.Model.apply}.  No traces give one empty row per guess; raises
     [Invalid_argument] unless [known] has one operand per trace. *)
 
 val evolution :
   traces:float array array ->
   sample:int ->
-  model:(int -> 'k -> int) ->
+  model:'k Hypothesis.Model.t ->
   known:'k array ->
   guess:int ->
   step:int ->
@@ -379,8 +383,10 @@ val evolution :
 (** Correlation at [sample] as a function of the trace count —
     Fig. 4 (e-h). *)
 
-val hyp_vector : model:(int -> 'k -> int) -> known:'k array -> int -> float array
-(** The modelled leakage vector (Hamming weights as floats) of one guess. *)
+val hyp_vector : model:'k Hypothesis.Model.t -> known:'k array -> int -> float array
+(** The modelled leakage vector of one guess: the Hamming weight of
+    [Hypothesis.Model.apply model guess y] for every known operand [y],
+    as floats. *)
 
 val pearson : Stats.Pearson.Batch.backend -> (module Distinguisher.S)
 (** The Pearson DEMA instance on one kernel.  [Batched] is what the

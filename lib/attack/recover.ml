@@ -31,33 +31,19 @@ let m25 = (1 lsl 25) - 1
 let b25 y = (Fpr.mantissa y lor (1 lsl 52)) land m25
 let a28 y = (Fpr.mantissa y lor (1 lsl 52)) lsr 25
 
-(* In the attacked multiply the known FFT(c) value is the first operand
+(* ---- leakage models ----
+
+   In the attacked multiply the known FFT(c) value is the first operand
    and the secret the second: B/A are the known low/high significand
-   halves, the guess is D (secret low 25) or E (secret high 28). *)
-let m_sign g y = g lxor Fpr.sign_bit y
-let m_exp g y = (g + Fpr.biased_exponent y - 2100) land 0xFFFFFFFF
-let m_w00 d y = d * b25 y
-let m_w10 d y = d * a28 y
-let m_z1a d y = ((d * b25 y) lsr 25) + ((d * a28 y) land m25)
-let m_w01 e y = e * b25 y
-let m_w11 e y = e * a28 y
-let m_z1 ~d e y = m_z1a d y + ((e * b25 y) land m25)
-
-let m_zhigh ~d e y =
-  let w01 = e * b25 y and w10 = d * a28 y in
-  let z1 = m_z1 ~d e y in
-  (e * a28 y) + (w01 lsr 25) + (w10 lsr 25) + (z1 lsr 25)
-
-(* ---- split forms ----
-
-   Every model above touches the known operand only through a few small
-   integer digests (B, A, its sign, its exponent), so each factors as a
-   {!Hypothesis.Model.Split}: [prep] digests the operand once per sweep,
-   [eval] runs the candidate loop on plain ints inside the fused kernel.
-   [eval g (prep y)] equals the plain model exactly — integer arithmetic
-   in a different grouping — so backends stay bit-identical.  The four
-   partial products are {!Hypothesis.Model.Product}s: [eval] is the
-   product itself, which the kernel computes inline. *)
+   halves, the guess is D (secret low 25) or E (secret high 28).  Each
+   model predicts the value [Fpr.mul_emit] emits at its label (the test
+   suite checks them against it), and touches the known operand only
+   through a few small integer digests (B, A, its sign, its exponent),
+   so each is a {!Hypothesis.Model.Split}: [prep] digests the operand
+   once per sweep, [eval] runs the candidate loop on plain ints inside
+   the fused kernel.  The four partial products are
+   {!Hypothesis.Model.Product}s: [eval] is the product itself, which
+   the kernel computes inline. *)
 
 (* B and A packed into one word: B is 25 bits, A is 28, total 53 < 63. *)
 let pack_ba y = b25 y lor (a28 y lsl 25)
@@ -114,13 +100,6 @@ let p_zhigh ~d =
    so the HD attack retains the full correlation of the HW one. *)
 
 type leakage = [ `Hw | `Hd ]
-
-let hd_w10 d y = (d * b25 y) lxor (d * a28 y)
-let hd_z1a d y = (d * a28 y) lxor m_z1a d y
-let hd_w01 ~d e y = m_z1a d y lxor (e * b25 y)
-let hd_z1 ~d e y = (e * b25 y) lxor m_z1 ~d e y
-let hd_w11 ~d e y = m_z1 ~d e y lxor (e * a28 y)
-let hd_zhigh ~d e y = (e * a28 y) lxor m_zhigh ~d e y
 
 let p_hd_w10 =
   Hypothesis.Model.split ~prep:pack_ba ~eval:(fun d p ->
@@ -207,7 +186,7 @@ let spread_parts views stage =
 
 let attack_sign v =
   let col = Array.map (fun t -> t.(sample Fpr.Sign_xor)) v.traces in
-  let h = Dema.hyp_vector ~model:m_sign ~known:v.known 1 in
+  let h = Dema.hyp_vector ~model:p_sign ~known:v.known 1 in
   let r1 = Stats.Pearson.corr h col in
   (* guess 0 produces the complementary vector, r0 = -r1; the correct
      guess correlates positively *)
@@ -218,20 +197,10 @@ let attack_sign v =
    produce Hamming-weight sequences affinely equivalent to the right one.
    The store of the result's high 32-bit word (sign, exponent field, top
    mantissa bits) disambiguates once the mantissa and sign are known —
-   that is why the divide-and-conquer runs the mantissa first. *)
-let m_result_hi ~mant ~sign =
-  let x0 = Fpr.make ~sign:0 ~exp:1023 ~mant in
-  fun g y ->
-    let r0 = Fpr.mul x0 y in
-    let e_res = (g + Fpr.biased_exponent r0 - 1023) land 0x7FF in
-    (((sign lxor Fpr.sign_bit y) lsl 31) lor (e_res lsl 20) lor (Fpr.mantissa r0 lsr 32))
-    land 0xFFFFFFFF
-
-(* Split form of the high-word model: the per-operand mantissa product
-   and exponent carry are digested into one packed word — 12 bits of
-   (delta + 2048), 20 of the result's top mantissa bits, 1 of the
-   operand's sign.  Replaces the old per-closure memo table (which was
-   mutated from every worker domain) with a per-sweep prep table. *)
+   that is why the divide-and-conquer runs the mantissa first.  The
+   high-word model's prep digests the per-operand mantissa product and
+   exponent carry into one packed word — 12 bits of (delta + 2048), 20
+   of the result's top mantissa bits, 1 of the operand's sign. *)
 let prep_hi ~mant =
   let x0 = Fpr.make ~sign:0 ~exp:1023 ~mant in
   fun y ->
@@ -246,9 +215,6 @@ let eval_hi ~sign g p =
   let delta = (p lsr 21) - 2048 in
   let e_res = (g + delta) land 0x7FF in
   (((sign lxor sy) lsl 31) lor (e_res lsl 20) lor hi20) land 0xFFFFFFFF
-
-let p_result_hi ~mant ~sign =
-  Hypothesis.Model.split ~prep:(prep_hi ~mant) ~eval:(eval_hi ~sign)
 
 (* Hypotheses e and e + 64k predict Hamming weights that differ by a
    per-trace constant over the narrow FFT(c) exponent spread, so Pearson
@@ -355,26 +321,6 @@ let sign_exponent_multi ?ctx:(c = Ctx.default ()) ?(leakage = `Hw)
   | best :: _ -> (best.guess lsr 11, best.guess land 0x7FF, ranked)
   | [] -> invalid_arg "Recover.sign_exponent: empty candidate set"
 
-let attack_sign_exponent ?ctx ?leakage ?exp_candidates ~mant v =
-  sign_exponent_multi ?ctx ?leakage ?exp_candidates ~mant [ v ]
-
-let attack_exponent ?ctx:(c = Ctx.default ()) ?(candidates = default_exponent_window)
-    ~mant ~sign v =
-  Obs.span c.Ctx.obs "recover.exponent" @@ fun () ->
-  let alpha, baseline = calibrate_views [ v ] in
-  let ranked =
-    Dema.rank_absolute ~ctx:c ~traces:v.traces
-      ~parts:
-        [
-          (sample Fpr.Exp_sum, p_exp);
-          (sample Fpr.Result_hi, p_result_hi ~mant ~sign);
-        ]
-      ~known:v.known ~top:8 ~alpha ~baseline candidates
-  in
-  match ranked with
-  | best :: _ -> (best.guess, ranked)
-  | [] -> invalid_arg "Recover.attack_exponent: empty candidate set"
-
 type mantissa_result = {
   winner : int;
   extend : Dema.scored list;
@@ -444,9 +390,6 @@ let mantissa_low_multi ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ?(top = 16)
       let extend_stage, prune_stage = low_stages leakage in
       extend_prune_multi ~ctx:c ~top ~candidates ~extend_stage ~prune_stage views)
 
-let attack_mantissa_low ?ctx ?leakage ?top ~candidates v =
-  mantissa_low_multi ?ctx ?leakage ?top ~candidates [ v ]
-
 let attack_mantissa_low_naive ?ctx ?(top = 16) ~candidates v =
   Dema.rank ?ctx ~traces:v.traces
     ~parts:[ (sample Fpr.Mant_w00, p_w00); (sample Fpr.Mant_w10, p_w10) ]
@@ -459,9 +402,6 @@ let mantissa_high_multi ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ?(top = 16)
     (fun () ->
       let extend_stage, prune_stage = high_stages ~d leakage in
       extend_prune_multi ~ctx:c ~top ~candidates ~extend_stage ~prune_stage views)
-
-let attack_mantissa_high ?ctx ?leakage ?top ~candidates ~d v =
-  mantissa_high_multi ?ctx ?leakage ?top ~candidates ~d [ v ]
 
 type strategy =
   | Exhaustive

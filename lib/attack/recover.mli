@@ -5,7 +5,10 @@
     operand and a known, per-trace-varying operand.  A {!view} holds the
     16-sample leakage window of that multiplication across D traces, plus
     the known operands.  The two mantissa halves, then sign and exponent,
-    are recovered separately and reassembled ({!coefficient}). *)
+    are recovered separately and reassembled ({!coefficient}).  Each
+    phase correlates against {!Hypothesis.Model.t} models of the
+    multiply's intermediates, pinned by the test suite to the values
+    [Fpr.mul_emit] emits. *)
 
 type view = {
   traces : float array array;  (** D x 16 window samples *)
@@ -25,31 +28,53 @@ val views_for :
 val sample : Fpr.label -> int
 (** Sample index of a multiplication event inside a window. *)
 
-(** {1 Leakage models (predicted intermediates)} *)
+(** {1 Leakage models (predicted intermediates)}
 
-val m_sign : int -> Fpr.t -> int
-val m_exp : int -> Fpr.t -> int
-val m_w00 : int -> Fpr.t -> int
+    Every model is a {!Hypothesis.Model.t}: the one form the ranking
+    sweeps, the profiled trainer, {!Target} and the correlation plots
+    ({!Dema.corr_time}, {!Dema.evolution}) all take.  [apply m guess y]
+    predicts the value [Fpr.mul_emit y secret] emits at the model's
+    event label when [guess] is the matching slice of the secret
+    operand: the test suite checks every model below against the
+    victim's emitter, not against a second copy of the arithmetic.
+
+    The known operand is digested once per sweep ([prep], its
+    significand halves B and A, its sign or its exponent) and the
+    candidate loop runs on plain ints ([eval]) inside the fused Pearson
+    kernel.  The four partial products [p_w00], [p_w10], [p_w01] and
+    [p_w11] are {!Hypothesis.Model.Product} values ([eval] is the
+    product itself, computed inline by the kernel).  Integer arithmetic
+    throughout, so rankings are bit-identical on either Pearson
+    kernel. *)
+
+val p_sign : Fpr.t Hypothesis.Model.t
+(** guess = secret sign bit; predicted sign of the product. *)
+
+val p_exp : Fpr.t Hypothesis.Model.t
+(** guess = secret biased exponent; predicted e = ex + ey - 2100. *)
+
+val p_w00 : Fpr.t Hypothesis.Model.t
 (** guess = D (secret low 25 bits); predicted D x B. *)
 
-val m_w10 : int -> Fpr.t -> int
+val p_w10 : Fpr.t Hypothesis.Model.t
 (** guess = D; predicted D x A. *)
 
-val m_z1a : int -> Fpr.t -> int
+val p_z1a : Fpr.t Hypothesis.Model.t
 (** guess = D; predicted (DB >> 25) + (DA mod 2^25). *)
 
-val m_w01 : int -> Fpr.t -> int
+val p_w01 : Fpr.t Hypothesis.Model.t
 (** guess = E (secret high 28 bits); predicted E x B. *)
 
-val m_w11 : int -> Fpr.t -> int
+val p_w11 : Fpr.t Hypothesis.Model.t
 (** guess = E; predicted E x A. *)
 
-val m_z1 : d:int -> int -> Fpr.t -> int
-val m_zhigh : d:int -> int -> Fpr.t -> int
+val p_z1 : d:int -> Fpr.t Hypothesis.Model.t
+(** guess = E, given the recovered low half [d]; predicted z1a + (EB
+    mod 2^25). *)
 
-val m_result_hi : mant:int -> sign:int -> int -> Fpr.t -> int
-(** guess = biased exponent; predicted high 32-bit word of the stored
-    result, given the recovered mantissa and sign. *)
+val p_zhigh : d:int -> Fpr.t Hypothesis.Model.t
+(** guess = E, given [d]; predicted high-word accumulation
+    EA + (EB >> 25) + (DA >> 25) + (z1 >> 25). *)
 
 (** {2 Hamming-distance forms}
 
@@ -67,56 +92,17 @@ type leakage = [ `Hw | `Hd ]
     ([Leakage.hd_emitter]).  Every component attack takes it as a
     [?leakage] argument, [`Hw] by default. *)
 
-val hd_w10 : int -> Fpr.t -> int
+val p_hd_w10 : Fpr.t Hypothesis.Model.t
 (** guess = D; predicted (D x B) xor (D x A) — the w10-sample bus
     transition. *)
 
-val hd_z1a : int -> Fpr.t -> int
-val hd_w01 : d:int -> int -> Fpr.t -> int
-val hd_z1 : d:int -> int -> Fpr.t -> int
-val hd_w11 : d:int -> int -> Fpr.t -> int
-val hd_zhigh : d:int -> int -> Fpr.t -> int
-
-val norm_value : mant:int -> Fpr.t -> int
-(** The normalised 55-bit product with sticky bit, exactly as
-    [Fpr.mul_emit] forms it — the bus predecessor of the exponent
-    register write. *)
-
-(** {2 Split forms}
-
-    The same models as {!Hypothesis.Model.Split} values: the known
-    operand is digested once per sweep ([prep]) and the candidate loop
-    runs on plain ints ([eval]) inside the fused Pearson kernel.  The
-    four partial products [p_w00], [p_w10], [p_w01] and [p_w11] are
-    {!Hypothesis.Model.Product} values ([eval] is the product itself,
-    computed inline by the kernel).  For every model,
-    [eval g (prep y) = m_* g y] exactly (integer arithmetic), so
-    rankings are bit-identical to the plain functions on either Pearson
-    kernel. *)
-
-val p_sign : Fpr.t Hypothesis.Model.t
-val p_exp : Fpr.t Hypothesis.Model.t
-val p_w00 : Fpr.t Hypothesis.Model.t
-val p_w10 : Fpr.t Hypothesis.Model.t
-val p_z1a : Fpr.t Hypothesis.Model.t
-val p_w01 : Fpr.t Hypothesis.Model.t
-val p_w11 : Fpr.t Hypothesis.Model.t
-val p_z1 : d:int -> Fpr.t Hypothesis.Model.t
-val p_zhigh : d:int -> Fpr.t Hypothesis.Model.t
-
-val p_result_hi : mant:int -> sign:int -> Fpr.t Hypothesis.Model.t
-(** Split {!m_result_hi}: the per-operand product digest lives in the
-    prep table instead of a closure-local memo (the old memo was mutated
-    from every worker domain). *)
-
-val p_hd_w10 : Fpr.t Hypothesis.Model.t
 val p_hd_z1a : Fpr.t Hypothesis.Model.t
 val p_hd_w01 : d:int -> Fpr.t Hypothesis.Model.t
 val p_hd_z1 : d:int -> Fpr.t Hypothesis.Model.t
 val p_hd_w11 : d:int -> Fpr.t Hypothesis.Model.t
 val p_hd_zhigh : d:int -> Fpr.t Hypothesis.Model.t
-(** Split forms of the bus-HD models, same prep digests as the HW
-    splits. *)
+(** The other transitions: each XORs the value at its label with the
+    one before it on the bus, same prep digests as the HW models. *)
 
 (** {2 Stage part sets}
 
@@ -149,15 +135,6 @@ val attack_sign : view -> int * float
 (** Recovered sign bit and its correlation at the sign sample (the
     correct guess correlates positively). *)
 
-val attack_sign_exponent :
-  ?ctx:Ctx.t ->
-  ?leakage:leakage ->
-  ?exp_candidates:int Seq.t ->
-  mant:int ->
-  view ->
-  int * int * Dema.scored list
-(** Single-window variant of {!sign_exponent_multi}. *)
-
 val sign_exponent_multi :
   ?ctx:Ctx.t ->
   ?leakage:leakage ->
@@ -170,23 +147,6 @@ val sign_exponent_multi :
     and the result's high-word store, given the recovered mantissa.
     Needs far fewer traces for the sign bit than the plain differential
     {!attack_sign} (which follows the paper's Fig. 4(a) method). *)
-
-val attack_exponent :
-  ?ctx:Ctx.t ->
-  ?candidates:int Seq.t ->
-  mant:int ->
-  sign:int ->
-  view ->
-  int * Dema.scored list
-(** Biased exponent, combining the e = ex + ey - 2100 register leak with
-    the result's high-word store; the latter requires the already-
-    recovered 52-bit mantissa and sign (the divide-and-conquer recovers
-    the mantissa first).  Exponent hypotheses that differ by multiples of
-    64 predict per-trace-constant Hamming-weight shifts and are invisible
-    to a correlation distinguisher; the default candidate window
-    [992, 1056) applies the coefficient-magnitude prior
-    2^-31 <= |FFT(f)_k| < 2^33, which contains exactly one member of each
-    tie class. *)
 
 type mantissa_result = {
   winner : int;
@@ -201,15 +161,8 @@ val mantissa_low_multi :
   candidates:int Seq.t ->
   view list ->
   mantissa_result
-
-val attack_mantissa_low :
-  ?ctx:Ctx.t ->
-  ?leakage:leakage ->
-  ?top:int ->
-  candidates:int Seq.t ->
-  view ->
-  mantissa_result
-(** Extend on the partial products D x B and D x A, prune on the
+(** Joint over the given windows (a single window is [\[ v \]]).
+    Extend on the partial products D x B and D x A, prune on the
     intermediate addition z1a.  Candidates are 25-bit values.  Under
     [~leakage:`Hd] the stage swaps to the matched bus-transition models
     (extend on the w10 transition, prune on the z1a transition). *)
@@ -230,15 +183,6 @@ val mantissa_high_multi :
   candidates:int Seq.t ->
   d:int ->
   view list ->
-  mantissa_result
-
-val attack_mantissa_high :
-  ?ctx:Ctx.t ->
-  ?leakage:leakage ->
-  ?top:int ->
-  candidates:int Seq.t ->
-  d:int ->
-  view ->
   mantissa_result
 (** Same for the high 28 bits (top bit fixed to 1), pruning on the
     high-word accumulation, with the already-recovered low half [d]. *)

@@ -11,6 +11,7 @@ type outcome = {
   success : bool;
   witness : string;
   units : int;
+  units_ok : int;
   traces : int;
   stop : Sequential.Campaign.summary option;
 }
@@ -44,8 +45,6 @@ module type S = sig
 
   val known_of_trace : Leakage.trace -> known
   val units : n:int -> int
-  val unit_label : n:int -> int -> string
-  val chained : bool
   val guess_count : n:int -> unit_index:int -> prev:int array -> int
   val guess_space : n:int -> unit_index:int -> prev:int array -> int Seq.t
 
@@ -124,11 +123,6 @@ module Falcon = struct
 
   let known_of_trace = Fun.id
   let units ~n = 2 * n
-
-  let unit_label ~n:_ i =
-    Printf.sprintf "c%d.%s" (i lsr 1) (if i land 1 = 0 then "re" else "im")
-
-  let chained = false
 
   (* The flat enumerator covers the paper's width-25 low-mantissa
      phase — the space the extend-and-prune ranking actually sweeps;
@@ -296,6 +290,7 @@ module Falcon = struct
       success = res.Fullkey.keypair <> None && res.Fullkey.f = truth_kp.Ntru.Ntrugen.f;
       witness = witness_of_fft res.Fullkey.f_fft;
       units = units ~n:pk.params.n;
+      units_ok = Fullkey.count_correct res.Fullkey.f_fft ~truth:truth_sk.f_fft;
       traces;
       stop = !summary;
     }
@@ -357,8 +352,6 @@ module Hqc_target = struct
 
   let known_of_trace = Hqc.u_of_trace
   let units ~n:_ = Hqc.Params.weight
-  let unit_label ~n:_ j = Printf.sprintf "p%d" j
-  let chained = true
 
   (* positions are recovered in ascending order: unit j's candidates
      start above the previous winner and leave room for the remaining
@@ -494,6 +487,9 @@ module Hqc_target = struct
       success = winners = truth;
       witness = key_of_winners ~n winners;
       units = w;
+      units_ok =
+        Array.fold_left ( + ) 0
+          (Array.map2 (fun a b -> if a = b then 1 else 0) winners truth);
       traces = Array.fold_left max 0 used;
       stop = summary;
     }

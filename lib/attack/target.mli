@@ -38,6 +38,10 @@ type outcome = {
       (** canonical encoding of the recovered key material — bit-exact
           comparable across [jobs] x prefetch x leakage *)
   units : int;  (** attacked units (2n for FALCON, weight for HQC) *)
+  units_ok : int;
+      (** units whose recovered value matches the sidecar's ground
+          truth: bit-exact FFT(f) values ({!Fullkey.count_correct}) for
+          FALCON, support positions for HQC *)
   traces : int;  (** campaign traces consumed (max over units) *)
   stop : Sequential.Campaign.summary option;
       (** per-unit early-stopping summary, when [?stop] was given *)
@@ -105,18 +109,15 @@ module type S = sig
   val known_of_trace : Leakage.trace -> known
 
   val units : n:int -> int
-  val unit_label : n:int -> int -> string
-
-  val chained : bool
-  (** whether unit [j]'s guess space and models depend on the winners
-      of units [0..j-1] (the [prev] arguments below) *)
 
   val guess_count : n:int -> unit_index:int -> prev:int array -> int
   val guess_space : n:int -> unit_index:int -> prev:int array -> int Seq.t
   (** The declared per-unit guess space; [guess_count] equals the
       length of [guess_space] (enumerator totality, property-tested).
       For FALCON this is the paper's exhaustive width-25 low-mantissa
-      phase space; the later phases are driven by {!recover_store}. *)
+      phase space; the later phases are driven by {!recover_store}.
+      [prev] holds the winners of units [0..unit_index-1]: HQC's units
+      chain on it, FALCON's ignore it. *)
 
   val parts :
     leakage:leakage ->

@@ -89,7 +89,7 @@ let test_naive_attack_has_false_positives () =
 let test_extend_prune_resolves () =
   (* Fig. 4(d): the intermediate addition breaks the ties. *)
   let v = Lazy.force paper_view in
-  let r = Attack.Recover.attack_mantissa_low ~candidates:(low_candidates 2 1000) v in
+  let r = Attack.Recover.mantissa_low_multi ~candidates:(low_candidates 2 1000) [ v ] in
   Alcotest.(check int) "low mantissa recovered" d_true r.winner;
   (* and the prune ranking separates truth strictly from the aliases *)
   match r.pruned with
@@ -100,7 +100,8 @@ let test_extend_prune_resolves () =
 let test_mantissa_high () =
   let v = Lazy.force paper_view in
   let r =
-    Attack.Recover.attack_mantissa_high ~candidates:(high_candidates 3 1000) ~d:d_true v
+    Attack.Recover.mantissa_high_multi ~candidates:(high_candidates 3 1000) ~d:d_true
+      [ v ]
   in
   Alcotest.(check int) "high mantissa recovered" e_true r.winner
 
@@ -112,7 +113,9 @@ let test_sign_attack () =
 
 let test_sign_exponent_attack () =
   let v = Lazy.force paper_view in
-  let s, e, _ = Attack.Recover.attack_sign_exponent ~mant:(Fpr.mantissa paper_coeff) v in
+  let s, e, _ =
+    Attack.Recover.sign_exponent_multi ~mant:(Fpr.mantissa paper_coeff) [ v ]
+  in
   Alcotest.(check int) "sign" 1 s;
   Alcotest.(check int) "exponent" 0x406 e
 
@@ -134,9 +137,9 @@ let test_exhaustive_small_window () =
   let v = view_for x in
   let xu = Fpr.mantissa x lor (1 lsl 52) in
   let r =
-    Attack.Recover.attack_mantissa_low
+    Attack.Recover.mantissa_low_multi
       ~candidates:(Attack.Hypothesis.exhaustive ~width:14 ())
-      v
+      [ v ]
   in
   Alcotest.(check int) "exhaustive recovery" (xu land 0x1FFFFFF) r.winner
 
@@ -156,7 +159,7 @@ let test_evolution_and_significance () =
   let series =
     Attack.Dema.evolution ~traces:v.traces
       ~sample:(Attack.Recover.sample Fpr.Mant_w00)
-      ~model:Attack.Recover.m_w00 ~known:v.known ~guess:d_true ~step:100
+      ~model:Attack.Recover.p_w00 ~known:v.known ~guess:d_true ~step:100
   in
   match Stats.Signif.traces_to_significance series with
   | None -> Alcotest.fail "never significant"
@@ -202,6 +205,45 @@ let test_recovery_fails_with_wrong_traces () =
   Alcotest.(check bool) "key B not recovered from key A's traces" true
     (res.keypair = None || res.f <> sk_b.kp.f)
 
+(* The leakage models are pinned to the victim: applied to the true
+   guess, every stage model of both leakage families, and the sign and
+   exponent models, predict exactly the value [Fpr.mul_emit] emits at
+   the model's label — under bus-HD, its XOR with the previous event's
+   value.  The known FFT(c) operand is the first operand of the
+   attacked multiply, the secret the second. *)
+let prop_models_match_emitter =
+  QCheck.Test.make ~count:2000 ~name:"leakage models = Fpr.mul_emit values"
+    QCheck.(pair int64 int64)
+    (fun (known, secret) ->
+      let events = ref [] in
+      ignore (Fpr.mul_emit ~emit:(fun ev -> events := ev :: !events) known secret);
+      let events = Array.of_list (List.rev !events) in
+      let index lbl =
+        let rec go i = if events.(i).Fpr.label = lbl then i else go (i + 1) in
+        go 0
+      in
+      let hw lbl = events.(index lbl).Fpr.value in
+      let hd lbl =
+        let i = index lbl in
+        events.(i - 1).Fpr.value lxor events.(i).Fpr.value
+      in
+      let yu = Fpr.mantissa secret lor (1 lsl 52) in
+      let d = yu land 0x1FFFFFF and e = yu lsr 25 in
+      let staged leakage =
+        let lx, lp = Attack.Recover.low_stages leakage in
+        let hx, hp = Attack.Recover.high_stages ~d leakage in
+        List.map (fun (lbl, m) -> (lbl, m, d)) (lx @ lp)
+        @ List.map (fun (lbl, m) -> (lbl, m, e)) (hx @ hp)
+      in
+      let matches expect (lbl, m, guess) =
+        Attack.Hypothesis.Model.apply m guess known = expect lbl
+      in
+      List.for_all (matches hw)
+        ((Fpr.Sign_xor, Attack.Recover.p_sign, Fpr.sign_bit secret)
+        :: (Fpr.Exp_sum, Attack.Recover.p_exp, Fpr.biased_exponent secret)
+        :: staged `Hw)
+      && List.for_all (matches hd) (staged `Hd))
+
 let suite =
   [
     Alcotest.test_case "shift aliases" `Quick test_shift_aliases;
@@ -218,4 +260,5 @@ let suite =
     Alcotest.test_case "traces-to-significance" `Slow test_evolution_and_significance;
     Alcotest.test_case "full pipeline forgery" `Slow test_full_pipeline_forgery;
     Alcotest.test_case "wrong traces do not recover" `Slow test_recovery_fails_with_wrong_traces;
+    QCheck_alcotest.to_alcotest prop_models_match_emitter;
   ]

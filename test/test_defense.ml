@@ -100,7 +100,7 @@ let test_masking_blocks_cpa () =
       (Attack.Hypothesis.sampled (Stats.Rng.create ~seed) ~width:25 ~truth:d_true
          ~decoys:256 ())
   in
-  let plain_res = Attack.Recover.attack_mantissa_low ~candidates:(cands 1) pv in
+  let plain_res = Attack.Recover.mantissa_low_multi ~candidates:(cands 1) [ pv ] in
   Alcotest.(check int) "unprotected attack succeeds" d_true plain_res.winner;
   let mv = masked_view count in
   (* interpret the masked trace through the unprotected layout: the
@@ -108,7 +108,7 @@ let test_masking_blocks_cpa () =
   let mv16 =
     { mv with Attack.Recover.traces = Array.map (fun t -> Array.sub t 0 16) mv.traces }
   in
-  let masked_res = Attack.Recover.attack_mantissa_low ~candidates:(cands 2) mv16 in
+  let masked_res = Attack.Recover.mantissa_low_multi ~candidates:(cands 2) [ mv16 ] in
   (* truth should not emerge: its correlation advantage is gone *)
   let top_corr =
     match masked_res.pruned with s :: _ -> s.Attack.Dema.corr | [] -> 0.
@@ -129,7 +129,7 @@ let test_shuffling_dilutes () =
         v.Attack.Recover.traces
     in
     let h =
-      Attack.Dema.hyp_vector ~model:Attack.Recover.m_w00 ~known:v.Attack.Recover.known
+      Attack.Dema.hyp_vector ~model:Attack.Recover.p_w00 ~known:v.Attack.Recover.known
         d_true
     in
     Float.abs (Stats.Pearson.corr h col)

@@ -196,7 +196,11 @@ let test_rank_absolute_sees_constant_offset () =
 
 let test_hyp_vector () =
   let known = [| Fpr.of_int 3; Fpr.of_int 7 |] in
-  let v = Attack.Dema.hyp_vector ~model:(fun g y -> g * Fpr.biased_exponent y) ~known 2 in
+  let v =
+    Attack.Dema.hyp_vector
+      ~model:(Attack.Hypothesis.Model.fn (fun g y -> g * Fpr.biased_exponent y))
+      ~known 2
+  in
   Alcotest.(check int) "length" 2 (Array.length v);
   Array.iter (fun x -> Alcotest.(check bool) "HW-valued" true (x >= 0. && x < 64.)) v
 

@@ -186,15 +186,15 @@ let sweep check =
 let test_transparency_recover () =
   let v = Lazy.force view and cands = Lazy.force candidates in
   let reference =
-    Attack.Recover.attack_mantissa_low ~top:8 ~candidates:(Array.to_seq cands) v
+    Attack.Recover.mantissa_low_multi ~top:8 ~candidates:(Array.to_seq cands) [ v ]
   in
   sweep (fun ctx ->
       let r =
-        Attack.Recover.attack_mantissa_low ~ctx ~top:8
-          ~candidates:(Array.to_seq cands) v
+        Attack.Recover.mantissa_low_multi ~ctx ~top:8
+          ~candidates:(Array.to_seq cands) [ v ]
       in
       if r <> reference then
-        Alcotest.failf "attack_mantissa_low diverged at jobs=%d"
+        Alcotest.failf "mantissa_low_multi diverged at jobs=%d"
           ctx.Attack.Ctx.jobs)
 
 let test_transparency_tvla () =

@@ -50,8 +50,8 @@ let reference ~model ~known ~guesses ~col =
     (fun gg -> Stats.Pearson.corr_with c (Attack.Dema.hyp_vector ~model ~known gg))
     guesses
 
-let fused_reference = reference ~model:fused_model
-let product_reference = reference ~model:product_model
+let fused_reference = reference ~model:(Attack.Hypothesis.Model.fn fused_model)
+let product_reference = reference ~model:(Attack.Hypothesis.Model.fn product_model)
 
 let fused_corr t ~d ~col =
   let c = column col in
@@ -473,8 +473,8 @@ let test_extend_prune_jobs_parity () =
       ~width:25 ~truth:d_true ~decoys:700 ()
   in
   let run jobs =
-    Attack.Recover.attack_mantissa_low ~ctx:(Attack.Ctx.make ~jobs ())
-      ~candidates:(Array.to_seq candidates) v
+    Attack.Recover.mantissa_low_multi ~ctx:(Attack.Ctx.make ~jobs ())
+      ~candidates:(Array.to_seq candidates) [ v ]
   in
   let reference = run 1 in
   Alcotest.(check int) "recovers the low mantissa" d_true reference.winner;

@@ -428,7 +428,7 @@ let test_degenerate_evolution_warns () =
   let _ =
     Attack.Dema.Stream.evolution ~ctx reader
       ~sample:(Attack.Recover.sample Fpr.Mant_w00)
-      ~model:Attack.Recover.m_w00
+      ~model:Attack.Recover.p_w00
       ~known:(fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0))
       ~guess:d_true
   in

@@ -163,7 +163,7 @@ let test_stream_evolution_matches_prefix_rescan () =
   let streamed jobs =
     Attack.Dema.Stream.evolution ~ctx:(Attack.Ctx.make ~jobs ()) reader
       ~sample:(Attack.Recover.sample Fpr.Mant_w00)
-      ~model:Attack.Recover.m_w00
+      ~model:Attack.Recover.p_w00
       ~known:(fun (t : Leakage.trace) -> t.c_fft.Fft.re.(0))
       ~guess:d_true
   in
@@ -174,7 +174,7 @@ let test_stream_evolution_matches_prefix_rescan () =
   let rescans =
     Attack.Dema.evolution ~traces:rows
       ~sample:(Attack.Recover.sample Fpr.Mant_w00)
-      ~model:Attack.Recover.m_w00 ~known:ks ~guess:d_true ~step:1
+      ~model:Attack.Recover.p_w00 ~known:ks ~guess:d_true ~step:1
   in
   List.iter
     (fun (d, r) ->
@@ -284,7 +284,7 @@ let test_stream_evolution_single_shard () =
       match
         Attack.Dema.Stream.evolution reader
           ~sample:(Attack.Recover.sample Fpr.Mant_w00)
-          ~model:Attack.Recover.m_w00 ~known ~guess:d_true
+          ~model:Attack.Recover.p_w00 ~known ~guess:d_true
       with
       | [ (d, r) ] ->
           Alcotest.(check int) "checkpoint at full campaign" 24 d;
@@ -292,7 +292,10 @@ let test_stream_evolution_single_shard () =
           Array.iter
             (fun (t : Leakage.trace) ->
               Stats.Welford.Cov.add acc
-                (float_of_int (Bitops.popcount (Attack.Recover.m_w00 d_true (known t))))
+                (float_of_int
+                   (Bitops.popcount
+                      (Attack.Hypothesis.Model.apply Attack.Recover.p_w00 d_true
+                         (known t))))
                 t.samples.(Attack.Recover.sample Fpr.Mant_w00))
             traces;
           Alcotest.(check bool) "equals full batch correlation" true
@@ -314,7 +317,8 @@ let test_stream_evolution_empty_store () =
       Tracestore.Writer.close w;
       let reader = Tracestore.Reader.open_store dir in
       match
-        Attack.Dema.Stream.evolution reader ~sample:0 ~model:(fun _ _ -> 0)
+        Attack.Dema.Stream.evolution reader ~sample:0
+          ~model:(Attack.Hypothesis.Model.fn (fun _ _ -> 0))
           ~known:(fun _ -> 0) ~guess:0
       with
       | _ -> Alcotest.fail "empty store accepted"
@@ -338,7 +342,8 @@ let test_stream_rejects_width_mismatch () =
       Tracestore.Writer.close w;
       let reader = Tracestore.Reader.open_store dir in
       match
-        Attack.Dema.Stream.evolution reader ~sample:0 ~model:(fun _ _ -> 0)
+        Attack.Dema.Stream.evolution reader ~sample:0
+          ~model:(Attack.Hypothesis.Model.fn (fun _ _ -> 0))
           ~known:(fun _ -> 0) ~guess:0
       with
       | _ -> Alcotest.fail "width mismatch accepted"
@@ -431,7 +436,7 @@ let test_corrupt_shard_fails_loudly () =
   expect_loud "Stream.evolution" (fun () ->
       Attack.Dema.Stream.evolution reader
         ~sample:(Attack.Recover.sample Fpr.Mant_w00)
-        ~model:Attack.Recover.m_w00 ~known:known_re0 ~guess:1)
+        ~model:Attack.Recover.p_w00 ~known:known_re0 ~guess:1)
 
 let test_truncated_shard_fails_loudly () =
   with_campaign_dir @@ fun sk _traces dir ->
@@ -586,7 +591,7 @@ let test_empty_shards_dropped () =
         ( Attack.Dema.Stream.rank ~ctx ~prefetch reader ~parts:(rank_parts ())
             ~known:known_re0 ~top:5 (Array.to_seq candidates),
           Attack.Dema.Stream.evolution ~ctx ~prefetch reader ~sample
-            ~model:Attack.Recover.m_w00 ~known:known_re0 ~guess:1,
+            ~model:Attack.Recover.p_w00 ~known:known_re0 ~guess:1,
           fst (Attack.Dema.Stream.extract ~ctx ~prefetch reader ~samples:[ sample ]
                  ~known:known_re0) )
       in
@@ -720,19 +725,19 @@ let test_corr_time () =
         (matrix_digest reference) (matrix_digest m);
       Alcotest.(check string) (what ^ ": golden") golden (matrix_digest m))
     [
-      ("sign", Attack.Recover.m_sign, [| 0; 1 |], "066537a4dd35b18662a5a659fb74ca0a");
+      ("sign", Attack.Recover.p_sign, [| 0; 1 |], "066537a4dd35b18662a5a659fb74ca0a");
       ( "exponent",
-        Attack.Recover.m_exp,
+        Attack.Recover.p_exp,
         [| e; e - 1; e + 1; e - 7; e + 16 |],
         "54e7e0351c8c5331d3551c2e8dd5bbd0" );
     ];
   Alcotest.(check int) "G = 0: empty matrix" 0
     (Array.length
-       (Attack.Dema.corr_time ~traces ~model:Attack.Recover.m_sign ~known ~guesses:[||]
+       (Attack.Dema.corr_time ~traces ~model:Attack.Recover.p_sign ~known ~guesses:[||]
           ()));
   Alcotest.(check (array (array (float 0.))))
     "D = 0: one empty row per guess" [| [||]; [||] |]
-    (Attack.Dema.corr_time ~traces:[||] ~model:Attack.Recover.m_sign ~known:[||]
+    (Attack.Dema.corr_time ~traces:[||] ~model:Attack.Recover.p_sign ~known:[||]
        ~guesses:[| 0; 1 |] ())
 
 (* A fixed-budget sweep reads the candidate sequence lazily in chunks:

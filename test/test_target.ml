@@ -93,7 +93,10 @@ let check_falcon_parity leakage () =
             true o.Attack.Target.success;
           Alcotest.(check int)
             (cfg_label cfg ^ ": all units attacked")
-            (2 * falcon_n) o.Attack.Target.units)
+            (2 * falcon_n) o.Attack.Target.units;
+          Alcotest.(check int)
+            (cfg_label cfg ^ ": every unit correct")
+            o.Attack.Target.units o.Attack.Target.units_ok)
         grid)
 
 (* the hand-built pre-target part set of one unit's low-mantissa phase:
@@ -358,6 +361,8 @@ let test_hqc_e2e_determinism () =
         reference.Attack.Target.witness;
       Alcotest.(check int) "all units attacked" Hqc.Params.weight
         reference.Attack.Target.units;
+      Alcotest.(check int) "every unit correct" reference.Attack.Target.units
+        reference.Attack.Target.units_ok;
       List.iter
         (fun cfg ->
           Alcotest.(check bool)
@@ -414,7 +419,9 @@ let test_hqc_hd_rejection () =
   with_hqc_store ~leakage:`Hw (fun dir ->
       let o = hqc_recover ~leakage:`Hd dir (1, false) in
       Alcotest.(check bool) "hw store + hd model fails" false
-        o.Attack.Target.success)
+        o.Attack.Target.success;
+      Alcotest.(check bool) "units_ok counts the wrong units" true
+        (o.Attack.Target.units_ok < o.Attack.Target.units))
 
 let test_hqc_rejects_falcon_store () =
   with_falcon_store ~traces:16 (fun dir ->
