@@ -284,13 +284,7 @@ let headline () =
     (fun count ->
       if count <= trace_budget then begin
         let traces = Leakage.capture model ~seed sk ~count in
-        let strategy ~coeff ~mul =
-          let truth =
-            if mul = 0 then sk.f_fft.Fft.re.(coeff) else sk.f_fft.Fft.im.(coeff)
-          in
-          Attack.Recover.Eval_sampled
-            { rng = Stats.Rng.create ~seed:(coeff * 7 + mul); decoys = 512; truth }
-        in
+        let strategy = Attack.Fullkey.sampled_strategy ~seed:0 sk.f_fft in
         let t0 = Unix.gettimeofday () in
         let res = Attack.Fullkey.recover_key ~ctx:(jctx jobs) ~traces ~h:pk.h strategy in
         let wall = Unix.gettimeofday () -. t0 in
@@ -937,11 +931,7 @@ let sequential () =
     count n
     (Tracestore.Reader.shard_count reader)
     alpha jobs;
-  let strategy ~coeff ~mul =
-    let truth = if mul = 0 then sk.f_fft.Fft.re.(coeff) else sk.f_fft.Fft.im.(coeff) in
-    Attack.Recover.Eval_sampled
-      { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 512; truth }
-  in
+  let strategy = Attack.Fullkey.sampled_strategy ~seed:0 sk.f_fft in
   let t0 = Unix.gettimeofday () in
   let fixed = Attack.Fullkey.recover_f_fft_store ~ctx:(jctx jobs) ~reader strategy in
   let fixed_s = Unix.gettimeofday () -. t0 in
@@ -1155,11 +1145,7 @@ let leakage_bench () =
     st.Align.traces realign_s realign_tps st.Align.shifted st.Align.max_abs_shift
     st.Align.mean_abs_shift;
   (* the end-to-end story: unaligned degraded, realigned full recovery *)
-  let strategy ~coeff ~mul =
-    let truth = if mul = 0 then sk.f_fft.Fft.re.(coeff) else sk.f_fft.Fft.im.(coeff) in
-    Attack.Recover.Eval_sampled
-      { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 512; truth }
-  in
+  let strategy = Attack.Fullkey.sampled_strategy ~seed:0 sk.f_fft in
   let attack name traces =
     let res =
       Attack.Fullkey.recover_key ~ctx:(jctx jobs) ~leakage:`Hd ~traces ~h:pk.h strategy

@@ -299,8 +299,9 @@ let stop_alpha_arg =
     & opt float 1e-4
     & info [ "stop-alpha" ] ~docv:"ALPHA"
         ~doc:
-          "Family-wise error budget of the sequential tester behind the measured \
-           MTD-at-confidence column.")
+          "Nominal level of the sequential tester behind the measured \
+           MTD-at-confidence column: a one-sided Fisher-z test of the top-1 vs \
+           runner-up gap, spending ALPHA across its looks.")
 
 let tvla_cmd =
   Cmd.v

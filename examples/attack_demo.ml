@@ -35,11 +35,7 @@ let () =
      this exercises exactly the extend-and-prune logic; the exhaustive
      2^25/2^27 enumeration of the paper is available via
      Recover.Exhaustive). *)
-  let strategy ~coeff ~mul =
-    let truth = if mul = 0 then sk.f_fft.Fft.re.(coeff) else sk.f_fft.Fft.im.(coeff) in
-    Attack.Recover.Eval_sampled
-      { rng = Stats.Rng.create ~seed:(coeff * 7 + mul); decoys = 512; truth }
-  in
+  let strategy = Attack.Fullkey.sampled_strategy ~seed:0 sk.f_fft in
   let t0 = Unix.gettimeofday () in
   let res = Attack.Fullkey.recover_key ~traces ~h:pk.h strategy in
   Printf.printf "  %.1f s\n" (Unix.gettimeofday () -. t0);

@@ -105,8 +105,9 @@ val of_entries :
   outcome
 (** Slice the campaign's fixed-class entries into [experiments]
     consecutive blocks and attack each.  [?stop_alpha] is the sequential
-    tester's family-wise error budget for the MTD-at-confidence column
-    (default [1e-4]).
+    tester's nominal level for the MTD-at-confidence column (default
+    [1e-4]): a one-sided Fisher-z test of the top-1 vs runner-up gap,
+    alpha-spent across looks, with no family-wise guarantee.
 
     [?condition] (default {!Campaign.baseline_condition}) is the
     analysis half of the acquisition condition the entries were

@@ -385,6 +385,11 @@ let recover_key_store ?ctx ?on_corrupt ?prefetch ?leakage ?stop ?max_traces
   let keypair = Ntru.Ntrugen.recover_from_f ~n ~f ~h in
   { f_fft; f; keypair }
 
+let sampled_strategy ~seed (f_fft : Fft.t) ~coeff ~mul =
+  let truth = if mul = 0 then f_fft.Fft.re.(coeff) else f_fft.Fft.im.(coeff) in
+  Recover.Eval_sampled
+    { rng = Stats.Rng.create ~seed:(seed + (coeff * 7) + mul); decoys = 512; truth }
+
 let count_correct recovered ~truth =
   let n = Fft.length recovered in
   assert (Fft.length truth = n);

@@ -145,6 +145,18 @@ val mul_known : Fpr.t * Fpr.t -> int -> Fpr.t
 (** [mul_known (c_re, c_im) mul] — the known operand of a
     multiplication, given the coefficient's FFT(c) component pair. *)
 
+val sampled_strategy :
+  seed:int -> Fft.t -> coeff:int -> mul:int -> Recover.strategy
+(** [sampled_strategy ~seed f_fft] — the truth-aware evaluation
+    strategy every full-key driver runs: [Eval_sampled] with 512 random
+    decoys around the secret [f_fft]'s re (mul 0) or im (mul 1) value at
+    [coeff], its RNG seeded [seed + 7 coeff + mul].  Pure per (coeff,
+    mul), so recovery is bit-identical at every [jobs].  [attack_cli
+    run] passes its experiment seed; every crack passes 0.  The
+    candidate sets contain the truth, so a recovery under this strategy
+    evaluates the attack rather than running it blind: a caller needs
+    the secret FFT(f) to build it. *)
+
 val count_correct : Fft.t -> truth:Fft.t -> int
 (** Number of bit-exact coefficient matches (out of 2n values). *)
 

@@ -255,15 +255,10 @@ module Falcon = struct
            Printf.sprintf "%016Lx"
              (if i land 1 = 0 then f.Fft.re.(i lsr 1) else f.Fft.im.(i lsr 1))))
 
-  (* the sampled-hypothesis strategy of [attack_cli crack] — pure per
-     (coeff, mul), same seeds, so target-routed recovery is
-     bit-identical to the pre-target CLI path *)
-  let crack_strategy (truth_sk : Falcon.Scheme.secret_key) ~coeff ~mul =
-    let truth =
-      if mul = 0 then truth_sk.f_fft.Fft.re.(coeff) else truth_sk.f_fft.Fft.im.(coeff)
-    in
-    Recover.Eval_sampled
-      { rng = Stats.Rng.create ~seed:((coeff * 7) + mul); decoys = 512; truth }
+  (* Success is the paper's end point (Section IV): the key rebuilds,
+     f is the sidecar's, and a forgery on a fixed message verifies
+     under the store's public key. *)
+  let forgery_message = "offline-cracked forgery"
 
   let recover_store ?ctx ?(leakage = `Hw) ?stop ?max_traces ?on_corrupt ?prefetch
       ~dir reader =
@@ -274,7 +269,8 @@ module Falcon = struct
       Fullkey.recover_key_store ?ctx ?on_corrupt ?prefetch ~leakage ?stop
         ?max_traces
         ~stop_report:(fun s -> summary := Some s)
-        ~reader ~h:pk.h (crack_strategy truth_sk)
+        ~reader ~h:pk.h
+        (Fullkey.sampled_strategy ~seed:0 truth_sk.f_fft)
     in
     let total = Tracestore.Reader.total_traces reader in
     let budget =
@@ -285,9 +281,17 @@ module Falcon = struct
       | Some s -> Array.fold_left max 0 s.Sequential.Campaign.traces_used
       | None -> budget
     in
+    let success =
+      match res.Fullkey.keypair with
+      | None -> false
+      | Some keypair ->
+          res.Fullkey.f = truth_kp.Ntru.Ntrugen.f
+          && Falcon.Scheme.verify pk forgery_message
+               (Fullkey.forge ~keypair ~seed:"forger" forgery_message)
+    in
     {
       target = name;
-      success = res.Fullkey.keypair <> None && res.Fullkey.f = truth_kp.Ntru.Ntrugen.f;
+      success;
       witness = witness_of_fft res.Fullkey.f_fft;
       units = units ~n:pk.params.n;
       units_ok = Fullkey.count_correct res.Fullkey.f_fft ~truth:truth_sk.f_fft;
@@ -428,10 +432,12 @@ module Hqc_target = struct
     let budget = match max_traces with None -> total | Some k -> min k total in
     let w = units ~n in
     let winners = Array.make w 0 in
-    let used = Array.make w 0 in
-    let unit_stopped = Array.make w false in
-    let looks = ref 0 in
-    let any_stop = stop <> None in
+    (* one sequential result per unit: a forced position consumes no
+       traces, a fixed-budget ranking reads the whole budget *)
+    let results =
+      Array.make w
+        { Sequential.Campaign.stop = None; n_traces = 0; looks = 0; history = [] }
+    in
     for j = 0 to w - 1 do
       let prev = Array.sub winners 0 j in
       let cands = Array.of_seq (guess_space ~n ~unit_index:j ~prev) in
@@ -440,48 +446,33 @@ module Hqc_target = struct
         failwith "Target.hqc: empty candidate set (corrupt recovered prefix)"
       else if Array.length cands = 1 then
         (* forced position: nothing to rank (a decision sweep needs a
-           runner-up), no traces consumed *)
+           runner-up) *)
         winners.(j) <- cands.(0)
       else
-        match stop with
-        | None ->
-            let ranking =
-              Dema.Stream.rank ?ctx ?on_corrupt ?prefetch ~codec reader ~parts
-                ~known:known_of_trace ~top:1 (Array.to_seq cands)
-            in
-            (match ranking with
-            | best :: _ -> winners.(j) <- best.Dema.guess
-            | [] -> failwith "Target.hqc: empty ranking");
-            used.(j) <- budget
-        | Some spec ->
-            let r =
-              Dema.Stream.rank_until ?ctx ?on_corrupt ?prefetch ~codec ~spec
-                ?max_traces reader ~parts ~known:known_of_trace ~top:1
-                (Array.to_seq cands)
-            in
-            (match r.Dema.ranking with
-            | best :: _ -> winners.(j) <- best.Dema.guess
-            | [] -> failwith "Target.hqc: empty ranking");
-            used.(j) <- r.Dema.n_traces;
-            looks := !looks + r.Dema.looks;
-            if r.Dema.stop <> None then unit_stopped.(j) <- true
+        let ranking, result =
+          match stop with
+          | None ->
+              ( Dema.Stream.rank ?ctx ?on_corrupt ?prefetch ~codec reader ~parts
+                  ~known:known_of_trace ~top:1 (Array.to_seq cands),
+                { results.(j) with n_traces = budget } )
+          | Some spec ->
+              let r =
+                Dema.Stream.rank_until ?ctx ?on_corrupt ?prefetch ~codec ~spec
+                  ?max_traces reader ~parts ~known:known_of_trace ~top:1
+                  (Array.to_seq cands)
+              in
+              ( r.Dema.ranking,
+                { results.(j) with
+                  stop = r.Dema.stop;
+                  n_traces = r.Dema.n_traces;
+                  looks = r.Dema.looks } )
+        in
+        (match ranking with
+        | best :: _ -> winners.(j) <- best.Dema.guess
+        | [] -> failwith "Target.hqc: empty ranking");
+        results.(j) <- result
     done;
     let truth = read_secret dir in
-    let summary =
-      if not any_stop then None
-      else
-        let saved = ref 0 in
-        Array.iteri (fun j s -> if s then saved := !saved + (budget - used.(j))) unit_stopped;
-        Some
-          {
-            Sequential.Campaign.units = w;
-            stopped = Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 unit_stopped;
-            looks = !looks;
-            total_traces = budget;
-            traces_used = used;
-            traces_saved = !saved;
-          }
-    in
     {
       target = name;
       success = winners = truth;
@@ -490,8 +481,11 @@ module Hqc_target = struct
       units_ok =
         Array.fold_left ( + ) 0
           (Array.map2 (fun a b -> if a = b then 1 else 0) winners truth);
-      traces = Array.fold_left max 0 used;
-      stop = summary;
+      traces =
+        Array.fold_left (fun m (r : Sequential.Campaign.result) -> max m r.n_traces) 0
+          results;
+      stop =
+        Option.map (fun _ -> Sequential.Campaign.summarize ~total:budget results) stop;
     }
 end
 

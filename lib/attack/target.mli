@@ -33,7 +33,9 @@ type outcome = {
   target : string;  (** {!S.name} of the instance that produced it *)
   success : bool;
       (** recovered key material matches the store's ground-truth
-          sidecar *)
+          sidecar — for FALCON the whole §IV chain: the keypair
+          rebuilt, f equals the sidecar's f, and a forgery on a fixed
+          message verifies under the store's public key *)
   witness : string;
       (** canonical encoding of the recovered key material — bit-exact
           comparable across [jobs] x prefetch x leakage *)
@@ -169,12 +171,13 @@ end
 
 module Falcon : S with type known = Leakage.trace
 (** The FALCON mantissa/coefficient attack behind the target
-    interface.  [recover_store] delegates to
-    {!Fullkey.recover_key_store} with the sampled-hypothesis strategy
-    of [attack_cli crack] (per-unit seed [coeff*7 + mul], 512 decoys),
-    so its recovered transform is bit-identical to the pre-target CLI
-    path; the [witness] is the hex dump of the recovered FFT(f) bit
-    patterns.  The flat enumerator exposes the width-25 low-mantissa
+    interface, and the only [attack_cli crack --store] driver for
+    FALCON.  [recover_store] delegates to {!Fullkey.recover_key_store}
+    with [Fullkey.sampled_strategy ~seed:0] over the sidecar's FFT(f)
+    (per-unit seed [coeff*7 + mul], 512 decoys), then forges with the
+    rebuilt key ({!Fullkey.forge}, verified under [public.key]) to
+    decide [success]; the [witness] is the hex dump of the recovered
+    FFT(f) bit patterns.  The flat enumerator exposes the width-25 low-mantissa
     phase (per-unit winners/truth are the 25-bit [d] values). *)
 
 module Hqc : S with type known = int

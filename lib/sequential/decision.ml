@@ -22,10 +22,10 @@ let history t = List.rev t.history
 let due t = t.spec.min_traces
 
 (* Alpha spending alpha_k = alpha * 2^-k at look k: the levels sum
-   to alpha over any number of looks, so by the union bound the
-   family-wise false-stop probability of the whole sequence stays below
-   alpha.  Clamped away from 0 so probit stays in-domain at absurd look
-   counts. *)
+   to alpha over any number of looks.  That is a nominal level for one
+   tester's look sequence, not a family-wise bound over a campaign's
+   units (each unit spends the full alpha).  Clamped away from 0 so
+   probit stays in-domain at absurd look counts. *)
 let spend alpha k = Float.max (alpha *. (0.5 ** float_of_int k)) 1e-300
 
 let z_crit spec ~look = -.Stats.Signif.probit (spend spec.alpha look)

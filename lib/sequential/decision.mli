@@ -5,9 +5,15 @@
     set as soon as the leader's correlation separates from the
     runner-up's at the requested confidence.  Repeated looks inflate
     the false-stop rate of a naive fixed-level test, so every look k
-    spends [alpha * 2^-k] of the error budget (the levels sum to
-    [alpha]; by the union bound the family-wise error rate over the
-    whole sequence stays below [alpha]).
+    of a tester spends [alpha * 2^-k] (the levels sum to [alpha]).
+    What each look computes is a one-sided Fisher-z test of the top-1
+    vs runner-up gap at that nominal level.  The level is per tester:
+    a campaign runs one tester per unit ({!Campaign.run}), each
+    spending the full [alpha], so even the union bound over a FALCON-n
+    key is [2n * alpha].  That bound does not hold in practice either
+    (a stop can pick a wrong winner well above the nominal rate); a
+    family-wise guarantee is open (ROADMAP, "Sequential stopping that
+    keeps its alpha promise").
 
     Everything here is pure integer/float arithmetic on the numbers the
     caller passes in: a tester fed the same (n, r1, r2) sequence stops
@@ -18,7 +24,9 @@
 type stop = {
   winner : int;  (** candidate index / guess the campaign settled on *)
   n_traces : int;  (** traces consumed when the decision fired *)
-  confidence : float;  (** guaranteed family-wise level, [1 - alpha] *)
+  confidence : float;
+      (** nominal level of the tester that fired, [1 - alpha] — a
+          per-unit nominal value, not a guaranteed family-wise one *)
 }
 
 type t = Continue | Stop of stop
