@@ -681,39 +681,26 @@ let assess () =
    where the fused sweep spends its time.  The rankings must be
    bit-identical, and equal to Dema.rank's production top-32 and to the
    fused rank of the same products as general split models (the
-   product tile against fold_split's one call per element).  Then the
-   FALCON streaming rank through Target.Falcon.parts vs the hand-built
-   part set: bit-identical rankings within 5% throughput.  Emits one
+   product tile against fold_split's one call per element).  Emits one
    JSON row (BENCH_pearson.json) which check-bench gates on, including
-   all three speed ratios. *)
+   both speed ratios. *)
 
 let pearson () =
-  section "Pearson — scalar vs batched kernel, Target.parts vs hand-built parts";
+  section "Pearson — scalar vs batched kernel, product tile vs fold_split";
   let v = Lazy.force paper_view in
   let traces = v.Attack.Recover.traces and known = v.Attack.Recover.known in
   let d = Array.length traces in
   (* both speed ratios are gated, so each timed ranking covers at least
      ~5e6 guess x trace correlations (2048 decoys from 2500 traces up):
      at smaller budgets a ~10 ms arm sits inside scheduler noise *)
-  let decoys traces = max 2048 (5_000_000 / traces) in
+  let decoys = max 2048 (5_000_000 / d) in
   let guesses =
     Attack.Hypothesis.sampled
       (Stats.Rng.create ~seed:(seed + 77))
-      ~width:25 ~truth:d_true ~decoys:(decoys d) ()
+      ~width:25 ~truth:d_true ~decoys ()
   in
   let g = Array.length guesses in
   Printf.printf "%d guesses x %d traces, %d jobs\n%!" g d jobs;
-  let time_best f =
-    let t0 = Unix.gettimeofday () in
-    let r = ref (f ()) in
-    let best = ref (Unix.gettimeofday () -. t0) in
-    for _ = 1 to 2 do
-      let t0 = Unix.gettimeofday () in
-      r := f ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    (!r, !best)
-  in
   (* headline metric: the full two-part ranking sweep on both kernels,
      model evaluation included — what an attack campaign actually pays
      per candidate enumeration.  Both arms run the same Dema.Sweep path,
@@ -733,8 +720,6 @@ let pearson () =
     Attack.Dema.Sweep.fold ~jobs sweep columns;
     Attack.Dema.Sweep.ranking ~jobs sweep ~top:32
   in
-  let scalar_rank, rank_scalar_s = time_best (rank ~parts Stats.Pearson.Batch.Scalar) in
-  let batched_rank, rank_batched_s = time_best (rank ~parts Stats.Pearson.Batch.Batched) in
   (* the same two products as general split models, so the fused sweep
      runs fold_split with one eval call per element instead of the
      product tile: the product tile must not fall back to closure
@@ -747,9 +732,42 @@ let pearson () =
         | _ -> invalid_arg "bench pearson: the extend parts are product models")
       parts
   in
-  let split_rank, rank_split_s =
-    time_best (rank ~parts:split_parts Stats.Pearson.Batch.Batched)
+  let contestants =
+    [|
+      rank ~parts Stats.Pearson.Batch.Scalar;
+      rank ~parts Stats.Pearson.Batch.Batched;
+      rank ~parts:split_parts Stats.Pearson.Batch.Batched;
+    |]
   in
+  let scalar_rank = contestants.(0) ()
+  and batched_rank = contestants.(1) ()
+  and split_rank = contestants.(2) () in
+  (* median-of-rounds with the measurement order rotating each round:
+     with a fixed order the GC state left by one contestant
+     systematically lands on the next and masquerades as a kernel
+     difference.  A full major before every timed run starts each from
+     the same heap, and the median ignores the lone lucky or preempted
+     round that a min-of-rounds reports *)
+  let rounds = 16 in
+  let k = Array.length contestants in
+  let times = Array.make_matrix k rounds 0. in
+  for round = 0 to rounds - 1 do
+    for j = 0 to k - 1 do
+      let i = (round + j) mod k in
+      Gc.full_major ();
+      let t0 = Unix.gettimeofday () in
+      ignore (Sys.opaque_identity (contestants.(i) ()));
+      times.(i).(round) <- Unix.gettimeofday () -. t0
+    done
+  done;
+  let median a =
+    let a = Array.copy a in
+    Array.sort Float.compare a;
+    (a.((rounds - 1) / 2) +. a.(rounds / 2)) /. 2.
+  in
+  let rank_scalar_s = median times.(0)
+  and rank_batched_s = median times.(1)
+  and rank_split_s = median times.(2) in
   let production_rank =
     Attack.Dema.rank ~ctx:(jctx jobs) ~traces ~parts ~known ~top:32 (Array.to_seq guesses)
   in
@@ -760,9 +778,10 @@ let pearson () =
   let rank_speedup = rank_scalar_s /. rank_batched_s in
   let product_speedup = rank_split_s /. rank_batched_s in
   Printf.printf
-    "end-to-end rank (2 parts, top 32): scalar %.4f s, batched %.4f s (%.2fx), \
-     split-form %.4f s (product tile %.2fx), identical top-k %b\n%!"
-    rank_scalar_s rank_batched_s rank_speedup rank_split_s product_speedup rank_identical;
+    "end-to-end rank (2 parts, top 32, median of %d): scalar %.4f s, batched \
+     %.4f s (%.2fx), split-form %.4f s (product tile %.2fx), identical top-k %b\n%!"
+    rounds rank_scalar_s rank_batched_s rank_speedup rank_split_s product_speedup
+    rank_identical;
   (* where the batched sweep spends its time: one instrumented run at
      Debug level, span durations parsed back out of the JSONL log *)
   let span_buf = Buffer.create 4096 in
@@ -795,91 +814,6 @@ let pearson () =
   Printf.printf
     "batched rank breakdown (instrumented run): prep %.4f s, score %.4f s\n%!"
     rank_prep_s rank_score_s;
-  (* the Target framework must be a free abstraction: the streaming
-     rank of FALCON unit 0's low-mantissa phase with hand-built parts
-     (the pre-target idiom: extend + prune at both component
-     multiplications, models contramapped over the known FFT(c)
-     operand) vs Target.Falcon.parts, on the same recorded store *)
-  let module F = Attack.Target.Falcon in
-  let n = full_n in
-  let count = min trace_budget 2000 in
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "fd_bench_target_falcon" in
-  rm_store dir;
-  F.record_store ~dir ~n ~traces:count ~noise ~seed
-    ~shard_traces:(max 1 ((count + 3) / 4))
-    ();
-  let reader = Tracestore.Reader.open_store dir in
-  let falcon_d = (F.truth ~n ~dir).(0) in
-  let candidates =
-    Attack.Hypothesis.sampled
-      (Stats.Rng.create ~seed:(seed + 60))
-      ~width:Attack.Recover.mantissa_low_width ~truth:falcon_d ~decoys:(decoys count)
-      ()
-  in
-  let hand_parts =
-    let extend, prune = Attack.Recover.low_stages `Hw in
-    List.concat_map
-      (fun mul ->
-        List.map
-          (fun (label, m) ->
-            ( Leakage.sample_of ~coeff:0 ~mul label,
-              Attack.Hypothesis.Model.contramap
-                (fun (t : Leakage.trace) ->
-                  Attack.Fullkey.mul_known
-                    (t.Leakage.c_fft.Fft.re.(0), t.Leakage.c_fft.Fft.im.(0))
-                    mul)
-                m ))
-          (extend @ prune))
-      (Attack.Fullkey.component_muls `Re)
-  in
-  let target_parts = F.parts ~leakage:`Hw ~n ~unit_index:0 ~prev:[||] in
-  Printf.printf "falcon: %d candidates x %d traces, %d parts per ranking (%d jobs)\n%!"
-    (Array.length candidates) count
-    (List.length target_parts)
-    jobs;
-  let stream_rank parts () =
-    Attack.Dema.Stream.rank ~ctx:(jctx jobs) reader ~parts
-      ~known:(fun (t : Leakage.trace) -> t)
-      ~top:16 (Array.to_seq candidates)
-  in
-  let base_ranked = stream_rank hand_parts () in
-  let target_ranked = stream_rank target_parts () in
-  let falcon_identical = base_ranked = target_ranked in
-  (* median-of-rounds with the measurement order rotating each round,
-     same idiom as the obs section: with a fixed order the GC state left
-     by the first contestant systematically lands on the second and
-     masquerades as abstraction overhead.  A full major before every
-     timed run starts each from the same heap, and the median ignores
-     the lone lucky or preempted round that a min-of-rounds reports *)
-  let rounds = 16 in
-  let contestants = [| stream_rank hand_parts; stream_rank target_parts |] in
-  let times = Array.make_matrix 2 rounds 0. in
-  for round = 0 to rounds - 1 do
-    for k = 0 to 1 do
-      let i = (round + k) mod 2 in
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (contestants.(i) ()));
-      times.(i).(round) <- Unix.gettimeofday () -. t0
-    done
-  done;
-  let median a =
-    let a = Array.copy a in
-    Array.sort Float.compare a;
-    (a.((rounds - 1) / 2) +. a.(rounds / 2)) /. 2.
-  in
-  let base_s = median times.(0) and target_s = median times.(1) in
-  let ratio = base_s /. target_s in
-  Printf.printf
-    "rank: hand-built %.4f s, through Target.parts %.4f s (ratio %.2f), \
-     bit-identical top-k %b\n%!"
-    base_s target_s ratio falcon_identical;
-  (match target_ranked with
-  | top :: _ ->
-      Printf.printf "best guess 0x%07x (true 0x%07x), score %.4f\n%!"
-        top.Attack.Dema.guess falcon_d top.Attack.Dema.corr
-  | [] -> ());
-  rm_store dir;
   emit ~schema:Assess.Bench_gate.pearson "pearson"
     Obs.Json.
       [
@@ -888,10 +822,6 @@ let pearson () =
         ("rank_speedup", Float rank_speedup); ("rank_split_s", Float rank_split_s);
         ("product_speedup", Float product_speedup); ("rank_prep_s", Float rank_prep_s);
         ("rank_score_s", Float rank_score_s); ("bit_identical", Bool rank_identical);
-        ("falcon_n", Int n); ("falcon_traces", Int count);
-        ("falcon_candidates", Int (Array.length candidates));
-        ("falcon_rank_base_s", Float base_s); ("falcon_rank_target_s", Float target_s);
-        ("falcon_rank_ratio", Float ratio); ("falcon_identical", Bool falcon_identical);
       ]
 
 (* ---------------------------------------------------------------- *)
@@ -1050,9 +980,8 @@ let obs_bench () =
   let events =
     List.length (String.split_on_char '\n' (String.trim (Buffer.contents buf)))
   in
-  (* interleaved min-of-rounds timing, same idiom as the pearson section:
-     every contestant is measured once per round so shared-machine noise
-     hits all three alike.  The measurement order rotates each round —
+  (* interleaved min-of-rounds timing: every contestant is measured
+     once per round so shared-machine noise hits all three alike.  The measurement order rotates each round —
      with a fixed order, GC and allocator state left by contestant k
      systematically lands on contestant k+1 and masquerades as sink
      overhead. *)
@@ -1273,11 +1202,9 @@ let leakage_bench () =
 
 (* ---------------------------------------------------------------- *)
 (* Target framework, HQC end to end: full-recovery success rate over
-   independently seeded sharded campaigns plus a jobs x backend x
-   prefetch determinism probe on the recovered witness.  (The FALCON
-   Target.parts parity arm is timed, so it lives in the pearson
-   section.)  Emits one JSON row (BENCH_target.json) which check-bench
-   gates on. *)
+   independently seeded sharded campaigns plus a jobs x prefetch
+   determinism probe on the recovered witness.  Emits one JSON row
+   (BENCH_target.json) which check-bench gates on. *)
 
 let target_bench () =
   section "Target — scheme-agnostic framework: HQC end-to-end";
@@ -1291,7 +1218,7 @@ let target_bench () =
     List.init experiments (fun i ->
         let dir = Filename.concat tmp (Printf.sprintf "fd_bench_target_hqc_%d" i) in
         rm_store dir;
-        H.record_store ~dir ~n:H.default_n ~traces:hqc_budget ~noise
+        H.record_store ~dir ~n:Hqc.Params.n_bits ~traces:hqc_budget ~noise
           ~seed:(seed + (13 * i))
           ~shard_traces:(max 1 ((hqc_budget + 3) / 4))
           ();

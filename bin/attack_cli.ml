@@ -99,23 +99,18 @@ let print_stop_summary (s : Sequential.Campaign.summary) =
     s.Sequential.Campaign.total_traces s.Sequential.Campaign.traces_saved
 
 (* Every store crack goes through the target registry: same store
-   streaming, same sequential stopping, scheme-specific enumerator and
-   key reassembly behind Attack.Target.S, one outcome format. *)
-let crack_target (module T : Attack.Target.S) dir leakage until_confident alpha
-    max_traces flags ctx =
+   streaming, same sequential stopping, scheme-specific attack behind
+   Attack.Target.S, one outcome format. *)
+let crack_target (module T : Attack.Target.S) dir leakage stop alpha max_traces
+    flags ctx =
   let reader = Tracestore.Reader.open_store dir in
   Printf.printf "streaming %d traces (%d shards) of a %s victim from %s\n%!"
     (Tracestore.Reader.total_traces reader)
     (Tracestore.Reader.shard_count reader)
     T.name dir;
-  let stop =
-    if until_confident then begin
-      Printf.printf "adaptive trace budget: stop per unit at confidence (alpha %g)\n%!"
-        alpha;
-      Some (Sequential.Decision.spec ~alpha ())
-    end
-    else None
-  in
+  if stop <> None then
+    Printf.printf "adaptive trace budget: stop per unit at confidence (alpha %g)\n%!"
+      alpha;
   let o =
     T.recover_store ~ctx ~leakage ?stop ?max_traces
       ~on_corrupt:flags.Cli_common.Common_flags.on_corrupt
@@ -158,6 +153,17 @@ let cmd_profile target dir out leakage npoi ndim max_traces flags =
 
 let cmd_crack target input store leakage until_confident alpha max_traces flags =
   Cli_common.run flags @@ fun ctx ->
+  let stop =
+    if until_confident then Some (Sequential.Decision.spec ~alpha ()) else None
+  in
+  (* every refusal comes before the first line of output or I/O *)
+  (match store with
+  | Some _ -> Attack.Target.check_options ~ctx ~target ~leakage ~stop ~max_traces ()
+  | None when target <> "falcon" ->
+      failwith ("--target " ^ target ^ " needs a sharded campaign: pass --store")
+  | None when stop <> None || max_traces <> None ->
+      failwith "--until-confident/--max-traces need a sharded campaign: pass --store"
+  | None -> ());
   (if leakage = `Hd then
      Printf.printf
        "matching bus Hamming-distance hypothesis models (campaign recorded \
@@ -165,17 +171,10 @@ let cmd_crack target input store leakage until_confident alpha max_traces flags 
   match store with
   | Some dir -> (
       match Attack.Target.find target with
-      | Some t -> crack_target t dir leakage until_confident alpha max_traces flags ctx
+      | Some t -> crack_target t dir leakage stop alpha max_traces flags ctx
       | None ->
           prerr_endline ("unknown --target " ^ target);
           1)
-  | None when target <> "falcon" ->
-      prerr_endline ("--target " ^ target ^ " needs a sharded campaign: pass --store");
-      1
-  | None when until_confident || max_traces <> None ->
-      prerr_endline
-        "--until-confident/--max-traces need a sharded campaign: pass --store";
-      1
   | None -> (
       let traces = Leakage.load input in
       match

@@ -10,7 +10,7 @@ type rule =
 
 type row = { schema : string; field : string; rule : rule }
 
-let pearson = "falcon-down/bench-pearson/v3"
+let pearson = "falcon-down/bench-pearson/v4"
 let sequential = "falcon-down/bench-sequential/v1"
 let leakage = "falcon-down/bench-leakage/v1"
 let target = "falcon-down/bench-target/v2"
@@ -27,8 +27,7 @@ let table =
         ([ "traces"; "guesses"; "jobs" ], Int_min 1);
         ( [
             "rank_scalar_s"; "rank_batched_s"; "rank_speedup"; "rank_split_s";
-            "product_speedup"; "rank_prep_s"; "rank_score_s"; "falcon_rank_base_s";
-            "falcon_rank_target_s"; "falcon_rank_ratio";
+            "product_speedup"; "rank_prep_s"; "rank_score_s";
           ],
           Non_neg );
         ( [ "bit_identical" ],
@@ -42,15 +41,6 @@ let table =
             ( 1.0,
               "the product tile ranked slower than the same products through \
                fold_split's eval call" ) );
-        ( [ "falcon_identical" ],
-          True
-            "the FALCON rank through Target.parts diverged from the hand-built part \
-             set" );
-        ( [ "falcon_rank_ratio" ],
-          At_least
-            ( 0.95,
-              "routing the FALCON rank through Target.parts cost more than 5% \
-               throughput" ) );
       ] );
     ( sequential,
       [

@@ -20,9 +20,9 @@ type rule =
 type row = { schema : string; field : string; rule : rule }
 
 val pearson : string
-(** ["falcon-down/bench-pearson/v3"]: kernel, split-form and
-    Target.parts rank parity plus three speed ratios (fused vs scalar,
-    product tile vs [fold_split], Target.parts vs hand-built parts). *)
+(** ["falcon-down/bench-pearson/v4"]: kernel and split-form rank
+    parity plus two speed ratios (fused vs scalar, product tile vs
+    [fold_split]). *)
 
 val sequential : string
 val leakage : string

@@ -114,12 +114,7 @@ let assess_hqc_cell ~ctx ~sigma ~budget ~seed =
   let _, rvr_max_t1 = Tvla.max_abs rvr.Tvla.t1 in
   (max_t1, max_t1_sample, max_t2, rvr_max_t1)
 
-let known_target t =
-  List.exists
-    (fun m ->
-      let module T = (val m : Attack.Target.S) in
-      T.name = t)
-    Attack.Target.all
+let known_target t = Option.is_some (Attack.Target.find t)
 
 (* Profiled cells clone the device: a second campaign under the same
    acquisition knobs but a different secret and seed trains the
@@ -143,26 +138,15 @@ let falcon_profiled_ctx ~ctx ~condition defense ~sigma ~budget ~experiments
 
 (* The HQC clone: templates keyed on the per-unit accumulator word
    block, classed by the chained hypothesis models applied to the
-   clone's true support (same construction as
-   {!Attack.Target.profile}, over in-memory captures). *)
+   clone's true support (the plan {!Attack.Target.profile} trains on,
+   over in-memory captures). *)
 let hqc_profiled_ctx ~ctx ~sigma ~budget ~seed =
-  let n = Hqc.Params.n_bits in
   let window = Hqc.Params.words in
   let model = { Leakage.default_model with noise_sigma = sigma } in
   let secret = Hqc.keygen ~seed:(seed lxor 0x5eed) in
   let next = Hqc.capture_stream model ~seed secret in
   let records = Array.init budget (fun _ -> next ()) in
-  let plan =
-    List.concat
-      (List.init Hqc.Params.weight (fun j ->
-           let prev = Array.sub secret 0 j in
-           List.map
-             (fun (s, m) ->
-               ( j * window,
-                 s - (j * window),
-                 Attack.Hypothesis.Model.apply m secret.(j) ))
-             (Attack.Target.Hqc.parts ~leakage:`Hw ~n ~unit_index:j ~prev)))
-  in
+  let plan = Attack.Target.Hqc.profile_plan ~leakage:`Hw secret in
   let targets =
     Array.of_list
       (List.sort_uniq compare (List.map (fun (_, t, _) -> t) plan))

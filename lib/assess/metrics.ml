@@ -282,7 +282,6 @@ let run_hqc ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alpha) 
   @@ fun () ->
   if experiments < 1 then invalid_arg "Assess.Metrics: experiments must be positive";
   if budget < 8 then invalid_arg "Assess.Metrics: budget must be at least 8";
-  let n = Hqc.Params.n_bits in
   let model = { Leakage.default_model with noise_sigma = noise } in
   let step = max 1 (budget / 16) in
   let spec = Sequential.Decision.spec ~alpha:stop_alpha () in
@@ -301,13 +300,13 @@ let run_hqc ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alpha) 
     (try
        for j = 0 to Hqc.Params.weight - 1 do
          let prev = Array.sub secret 0 j in
-         let count = Attack.Target.Hqc.guess_count ~n ~unit_index:j ~prev in
+         let count = Attack.Target.Hqc.guess_count ~unit_index:j ~prev in
          if count > 1 then begin
            let ranking =
              Attack.Dema.rank ~ctx:ectx ~traces
-               ~parts:(Attack.Target.Hqc.parts ~leakage:`Hw ~n ~unit_index:j ~prev)
+               ~parts:(Attack.Target.Hqc.parts ~leakage:`Hw ~unit_index:j ~prev)
                ~known ~top:count
-               (Attack.Target.Hqc.guess_space ~n ~unit_index:j ~prev)
+               (Attack.Target.Hqc.guess_space ~unit_index:j ~prev)
            in
            let pos = truth_rank ~truth:secret.(j) ~size:count ranking in
            if pos <> 1 then begin
@@ -319,10 +318,10 @@ let run_hqc ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alpha) 
      with Exit -> ());
     let mtd, mtd_conf =
       disclosure ~ctx:ectx ~spec ~step
-        ~parts:(Attack.Target.Hqc.parts ~leakage:`Hw ~n ~unit_index:0 ~prev:[||])
+        ~parts:(Attack.Target.Hqc.parts ~leakage:`Hw ~unit_index:0 ~prev:[||])
         ~known ~truth:secret.(0)
         ~candidates:
-          (Array.of_seq (Attack.Target.Hqc.guess_space ~n ~unit_index:0 ~prev:[||]))
+          (Array.of_seq (Attack.Target.Hqc.guess_space ~unit_index:0 ~prev:[||]))
         traces
     in
     (!rank, mtd, mtd_conf, child)

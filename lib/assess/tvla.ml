@@ -159,10 +159,6 @@ let pairs_of_entries ?ctx ?chunk ~pairs ~mean_a ~mean_b ~classify entries =
   pair_stats ?ctx ?chunk ~pairs ~mean_a ~mean_b ~classify
     ~samples:entry_samples (Array.to_seq entries)
 
-let pairs_of_store ?ctx ?chunk ~pairs ~mean_a ~mean_b ~classify reader =
-  pair_stats ?ctx ?chunk ~pairs ~mean_a ~mean_b ~classify
-    ~samples:entry_samples (Campaign.seq_of_store reader)
-
 (* {2 Reading a t-trace} *)
 
 let max_abs ?(lo = 0) ?hi t =
@@ -176,10 +172,3 @@ let max_abs ?(lo = 0) ?hi t =
     done;
     (!best, Float.abs t.(!best))
   end
-
-let exceeding ?(threshold = threshold) t =
-  let acc = ref [] in
-  for j = Array.length t - 1 downto 0 do
-    if Float.abs t.(j) > threshold then acc := j :: !acc
-  done;
-  !acc

@@ -108,21 +108,8 @@ val pairs_of_entries :
   Campaign.entry array ->
   float array
 
-val pairs_of_store :
-  ?ctx:Attack.Ctx.t ->
-  ?chunk:int ->
-  pairs:(int * int) array ->
-  mean_a:float array ->
-  mean_b:float array ->
-  classify:(int -> Campaign.entry -> side option) ->
-  Tracestore.Reader.t ->
-  float array
-
 (** {1 Reading a t-trace} *)
 
 val max_abs : ?lo:int -> ?hi:int -> float array -> int * float
 (** [(sample, |t|)] of the largest-magnitude statistic in the inclusive
     range (clamped to the array); [(lo, 0.)] when the range is empty. *)
-
-val exceeding : ?threshold:float -> float array -> int list
-(** Sample indices with |t| above the threshold, ascending. *)

@@ -9,16 +9,6 @@
     the absolute-level exponent distinguisher ({!Dema.rank_absolute})
     needs. *)
 
-val estimate_points :
-  traces:float array array ->
-  known:Fpr.t array ->
-  (int * (Fpr.t -> int)) list ->
-  float * float
-(** [(alpha, baseline)] by least squares over arbitrary calibration
-    points: each [(sample, word_of)] pairs a trace sample with the known
-    word whose Hamming weight the device leaked there.  Returns
-    [(1., 0.)] when the predictor carries no variance. *)
-
 val estimate :
   traces:float array array ->
   known:Fpr.t array ->

@@ -6,7 +6,7 @@ type result = {
 
 (* Which multiplications a secret component leaks through, and the known
    operand of each — shared by the fixed driver, the adaptive driver and
-   the Target enumerator. *)
+   the FALCON profiling plan (Target.Falcon.profile_parts). *)
 let component_muls = function `Re -> [ 0; 3 ] | `Im -> [ 1; 2 ]
 let mul_known (re, im) = function 0 | 2 -> re | _ -> im
 

@@ -368,7 +368,6 @@ let low_extend_stage = [ (Fpr.Mant_w00, p_w00); (Fpr.Mant_w10, p_w10) ]
 type stage = (Fpr.label * Fpr.t Hypothesis.Model.t) list
 
 let mantissa_low_width = 25
-let mantissa_high_width = 28
 
 let low_stages = function
   | `Hw -> (low_extend_stage, [ (Fpr.Mant_z1a, p_z1a) ])

@@ -107,9 +107,10 @@ val p_hd_zhigh : d:int -> Fpr.t Hypothesis.Model.t
 (** {2 Stage part sets}
 
     The (event label, split model) lists each mantissa phase correlates
-    against, per leakage family — the single source both the fixed and
-    the adaptive full-key drivers, and the {!Target} enumerator, build
-    their part lists from.  First component: the extend stage; second:
+    against, per leakage family — the single source the fixed and the
+    adaptive full-key drivers, the FALCON profiling plan
+    ({!Target.Falcon}) and the assessment metrics build their part
+    lists from.  First component: the extend stage; second:
     the prune stage. *)
 
 type stage = (Fpr.label * Fpr.t Hypothesis.Model.t) list
@@ -125,9 +126,6 @@ val high_stages : d:int -> leakage -> stage * stage
 
 val mantissa_low_width : int
 (** 25 — the guess width of the low phase ({!low_stages} candidates). *)
-
-val mantissa_high_width : int
-(** 28 — the guess width of the high phase (top bit fixed to 1). *)
 
 (** {1 Component attacks} *)
 

@@ -18,8 +18,6 @@ type outcome = {
 
 module type S = sig
   val name : string
-  val default_n : int
-  val width : n:int -> int
   val profile_window : n:int -> int
 
   val profile_parts :
@@ -41,24 +39,6 @@ module type S = sig
     unit ->
     unit
 
-  type known
-
-  val known_of_trace : Leakage.trace -> known
-  val units : n:int -> int
-  val guess_count : n:int -> unit_index:int -> prev:int array -> int
-  val guess_space : n:int -> unit_index:int -> prev:int array -> int Seq.t
-
-  val parts :
-    leakage:leakage ->
-    n:int ->
-    unit_index:int ->
-    prev:int array ->
-    (int * known Hypothesis.Model.t) list
-
-  val truth : n:int -> dir:string -> int array
-  val key_of_winners : n:int -> int array -> string
-  val winners_of_key : n:int -> string -> int array option
-
   val recover_store :
     ?ctx:Ctx.t ->
     ?leakage:leakage ->
@@ -70,6 +50,26 @@ module type S = sig
     Tracestore.Reader.t ->
     outcome
 end
+
+let check_options ?ctx ~target ~leakage ~stop ~max_traces () =
+  if max_traces <> None && stop = None then
+    invalid_arg
+      "--max-traces needs --until-confident: a fixed-budget crack reads every \
+       stored trace";
+  if stop <> None then begin
+    if target = "falcon" && leakage = `Hd then
+      invalid_arg
+        "--until-confident is not available with --leakage hd on falcon: the \
+         streaming decision sweeps have no d-free Hamming-distance part set";
+    match ctx with
+    | Some c when not (Distinguisher.has_gap_test c.Ctx.backend) ->
+        invalid_arg
+          (Printf.sprintf
+             "--until-confident is not available with --backend %s: it has no \
+              sequential gap statistic (use --backend pearson)"
+             (Distinguisher.name c.Ctx.backend))
+    | _ -> ()
+  end
 
 let read_file path =
   let ic = open_in_bin path in
@@ -88,8 +88,6 @@ let store_model (m : Leakage.model) =
 
 module Falcon = struct
   let name = "falcon"
-  let default_n = 32
-  let width ~n = n * Leakage.events_per_coeff
 
   (* templates key on the 16-sample multiplication window — the shape
      of the [Recover.view] slices every ranking phase works over — so
@@ -106,8 +104,8 @@ module Falcon = struct
     let model = { Leakage.default_model with noise_sigma = noise } in
     let sk, pk = Falcon.Scheme.keygen ~n ~seed:(Printf.sprintf "victim-%d" seed) in
     let writer =
-      Tracestore.Writer.create ~dir ~n ~width:(width ~n) ~shard_traces
-        ~model:(store_model model)
+      Tracestore.Writer.create ~dir ~n ~width:(n * Leakage.events_per_coeff)
+        ~shard_traces ~model:(store_model model)
     in
     let next =
       Leakage.capture_stream ~emitter:(emitter_of leakage) model ~seed sk
@@ -118,40 +116,6 @@ module Falcon = struct
     Tracestore.Writer.close writer;
     write_file (Filename.concat dir "public.key") (Falcon.Keycodec.encode_public pk);
     write_file (Filename.concat dir "secret.key") (Falcon.Keycodec.encode_secret sk.kp)
-
-  type known = Leakage.trace
-
-  let known_of_trace = Fun.id
-  let units ~n = 2 * n
-
-  (* The flat enumerator covers the paper's width-25 low-mantissa
-     phase — the space the extend-and-prune ranking actually sweeps;
-     the high half, sign and exponent are later phases of the same
-     unit, driven by [recover_store]. *)
-  let guess_count ~n:_ ~unit_index:_ ~prev:_ =
-    Hypothesis.count ~width:Recover.mantissa_low_width ()
-
-  let guess_space ~n:_ ~unit_index:_ ~prev:_ =
-    Hypothesis.exhaustive ~width:Recover.mantissa_low_width ()
-
-  let component_of i = if i land 1 = 0 then `Re else `Im
-
-  let parts ~leakage ~n:_ ~unit_index ~prev:_ =
-    let coeff = unit_index lsr 1 in
-    let extend, prune = Recover.low_stages leakage in
-    List.concat_map
-      (fun mul ->
-        List.map
-          (fun (label, model) ->
-            ( Leakage.sample_of ~coeff ~mul label,
-              Hypothesis.Model.contramap
-                (fun (t : Leakage.trace) ->
-                  Fullkey.mul_known
-                    (t.c_fft.Fft.re.(coeff), t.c_fft.Fft.im.(coeff))
-                    mul)
-                model ))
-          (extend @ prune))
-      (Fullkey.component_muls (component_of unit_index))
 
   let read_keys dir =
     match
@@ -165,18 +129,6 @@ module Falcon = struct
           (Printf.sprintf "Target.falcon: could not read %s/{public,secret}.key"
              dir)
     | exception Sys_error e -> failwith ("Target.falcon: " ^ e)
-
-  let d_mask = (1 lsl Recover.mantissa_low_width) - 1
-
-  let truth ~n ~dir =
-    let _, kp = read_keys dir in
-    let sk = Falcon.Scheme.secret_of_keypair kp in
-    Array.init (units ~n) (fun i ->
-        let coeff = i lsr 1 in
-        let x =
-          if i land 1 = 0 then sk.f_fft.Fft.re.(coeff) else sk.f_fft.Fft.im.(coeff)
-        in
-        Fpr.mantissa x land d_mask)
 
   (* Profiling plan: both mantissa phases of every (coefficient,
      multiplication) window, classed by the stage models applied to the
@@ -196,7 +148,7 @@ module Falcon = struct
                  else sk.f_fft.Fft.im.(coeff)
                in
                let xu = Fpr.mantissa secret lor (1 lsl 52) in
-               let d = xu land d_mask in
+               let d = xu land ((1 lsl Recover.mantissa_low_width) - 1) in
                let e = xu lsr Recover.mantissa_low_width in
                let low_extend, low_prune = Recover.low_stages leakage in
                let high_extend, high_prune = Recover.high_stages ~d leakage in
@@ -221,31 +173,6 @@ module Falcon = struct
                  [ (d, low_extend @ low_prune); (e, high_extend @ high_prune) ])
              [ 0; 1; 2; 3 ]))
 
-  let key_magic = "FALCOND1"
-
-  let key_of_winners ~n winners =
-    if Array.length winners <> units ~n then
-      invalid_arg "Target.falcon: winner vector length is not 2n";
-    key_magic ^ " "
-    ^ String.concat ","
-        (Array.to_list (Array.map (Printf.sprintf "%07x") winners))
-
-  let winners_of_key ~n s =
-    let prefix = key_magic ^ " " in
-    let plen = String.length prefix in
-    if String.length s <= plen || String.sub s 0 plen <> prefix then None
-    else
-      let parts =
-        String.split_on_char ',' (String.sub s plen (String.length s - plen))
-        |> List.map (fun h -> int_of_string_opt ("0x" ^ h))
-      in
-      if List.exists Option.is_none parts then None
-      else
-        let w = Array.of_list (List.map Option.get parts) in
-        if Array.length w <> units ~n || Array.exists (fun d -> d < 0 || d > d_mask) w
-        then None
-        else Some w
-
   (* the canonical witness of a full recovery: the 2n recovered 64-bit
      FFT(f) patterns, hex, re/im interleaved in unit order *)
   let witness_of_fft (f : Fft.t) =
@@ -262,6 +189,7 @@ module Falcon = struct
 
   let recover_store ?ctx ?(leakage = `Hw) ?stop ?max_traces ?on_corrupt ?prefetch
       ~dir reader =
+    check_options ?ctx ~target:name ~leakage ~stop ~max_traces ();
     let pk, truth_kp = read_keys dir in
     let truth_sk = Falcon.Scheme.secret_of_keypair truth_kp in
     let summary = ref None in
@@ -293,7 +221,7 @@ module Falcon = struct
       target = name;
       success;
       witness = witness_of_fft res.Fullkey.f_fft;
-      units = units ~n:pk.params.n;
+      units = 2 * pk.params.n;
       units_ok = Fullkey.count_correct res.Fullkey.f_fft ~truth:truth_sk.f_fft;
       traces;
       stop = !summary;
@@ -304,8 +232,6 @@ end
 
 module Hqc_target = struct
   let name = "hqc"
-  let default_n = Hqc.Params.n_bits
-  let width ~n:_ = Hqc.Params.width
 
   (* templates key on the per-unit accumulator word block: unit j's
      part w sits at absolute sample j*words + w, offset w *)
@@ -352,10 +278,7 @@ module Hqc_target = struct
     Tracestore.Writer.close writer;
     write_file (Filename.concat dir Hqc.key_file) (Hqc.encode_secret y)
 
-  type known = int
-
   let known_of_trace = Hqc.u_of_trace
-  let units ~n:_ = Hqc.Params.weight
 
   (* positions are recovered in ascending order: unit j's candidates
      start above the previous winner and leave room for the remaining
@@ -365,15 +288,15 @@ module Hqc_target = struct
     let hi = Hqc.Params.n_bits - (Hqc.Params.weight - 1 - unit_index) in
     (lo, hi)
 
-  let guess_count ~n:_ ~unit_index ~prev =
+  let guess_count ~unit_index ~prev =
     let lo, hi = bounds ~unit_index ~prev in
     Hypothesis.range_count ~lo ~hi
 
-  let guess_space ~n:_ ~unit_index ~prev =
+  let guess_space ~unit_index ~prev =
     let lo, hi = bounds ~unit_index ~prev in
     Hypothesis.range ~lo ~hi
 
-  let parts ~leakage ~n:_ ~unit_index ~prev =
+  let parts ~leakage ~unit_index ~prev =
     List.init Hqc.Params.words (fun w ->
         let sample = (unit_index * Hqc.Params.words) + w in
         let model =
@@ -389,6 +312,15 @@ module Hqc_target = struct
         in
         (sample, model))
 
+  let profile_plan ~leakage secret =
+    List.concat
+      (List.init Hqc.Params.weight (fun j ->
+           let prev = Array.sub secret 0 j in
+           let base = j * Hqc.Params.words in
+           List.map
+             (fun (s, m) -> (base, s - base, Hypothesis.Model.apply m secret.(j)))
+             (parts ~leakage ~unit_index:j ~prev)))
+
   let read_secret dir =
     let path = Filename.concat dir Hqc.key_file in
     match Hqc.decode_secret (read_file path) with
@@ -396,41 +328,18 @@ module Hqc_target = struct
     | None -> failwith (Printf.sprintf "Target.hqc: malformed key sidecar %s" path)
     | exception Sys_error e -> failwith ("Target.hqc: " ^ e)
 
-  let truth ~n ~dir =
-    check_n n;
-    read_secret dir
-
   let profile_parts ~leakage ~n ~dir =
     check_n n;
-    let secret = read_secret dir in
-    List.concat
-      (List.init (units ~n) (fun j ->
-           let prev = Array.sub secret 0 j in
-           let base = j * Hqc.Params.words in
-           List.map
-             (fun (s, m) ->
-               let apply = Hypothesis.Model.apply m in
-               (base, s - base, fun tr -> apply secret.(j) (known_of_trace tr)))
-             (parts ~leakage ~n ~unit_index:j ~prev)))
-
-  let key_of_winners ~n winners =
-    check_n n;
-    Hqc.encode_secret winners
-
-  let winners_of_key ~n s =
-    check_n n;
-    Hqc.decode_secret s
+    List.map
+      (fun (base, target, value) -> (base, target, fun tr -> value (known_of_trace tr)))
+      (profile_plan ~leakage (read_secret dir))
 
   let recover_store ?ctx ?(leakage = `Hw) ?stop ?max_traces ?on_corrupt ?prefetch
       ~dir reader =
-    if max_traces <> None && stop = None then
-      invalid_arg
-        "Target.hqc: ?max_traces caps an adaptive campaign and needs ?stop — the \
-         fixed-budget recovery reads every stored trace";
-    let n = Hqc.Params.n_bits in
+    check_options ?ctx ~target:name ~leakage ~stop ~max_traces ();
     let total = Tracestore.Reader.total_traces reader in
     let budget = match max_traces with None -> total | Some k -> min k total in
-    let w = units ~n in
+    let w = Hqc.Params.weight in
     let winners = Array.make w 0 in
     (* one sequential result per unit: a forced position consumes no
        traces, a fixed-budget ranking reads the whole budget *)
@@ -440,8 +349,8 @@ module Hqc_target = struct
     in
     for j = 0 to w - 1 do
       let prev = Array.sub winners 0 j in
-      let cands = Array.of_seq (guess_space ~n ~unit_index:j ~prev) in
-      let parts = parts ~leakage ~n ~unit_index:j ~prev in
+      let cands = Array.of_seq (guess_space ~unit_index:j ~prev) in
+      let parts = parts ~leakage ~unit_index:j ~prev in
       if Array.length cands = 0 then
         failwith "Target.hqc: empty candidate set (corrupt recovered prefix)"
       else if Array.length cands = 1 then
@@ -476,7 +385,7 @@ module Hqc_target = struct
     {
       target = name;
       success = winners = truth;
-      witness = key_of_winners ~n winners;
+      witness = Hqc.encode_secret winners;
       units = w;
       units_ok =
         Array.fold_left ( + ) 0
@@ -488,6 +397,7 @@ module Hqc_target = struct
         Option.map (fun _ -> Sequential.Campaign.summarize ~total:budget results) stop;
     }
 end
+
 
 module Hqc = Hqc_target
 

@@ -2,30 +2,28 @@
 
     The pipeline below the hypothesis layer — trace store, streaming
     Pearson rank, sequential early stopping, SR/GE/MTD metrics — is
-    scheme-agnostic.  A {!S} packages everything that is {e not}:
+    scheme-agnostic.  A {!S} packages what code holding a packed
+    [(module S)] needs of a scheme:
 
-    - an {b intermediate-value enumerator}: the per-unit guess space
-      ({!S.guess_space}) and the matching {!Hypothesis.Model} part set
-      ({!S.parts}) tying guessed key units to trace samples;
     - a {b leakage emitter} for victim capture ({!S.record_store}
       writes a sharded campaign plus ground-truth sidecars) with the
       store {!Dema.Stream.codec} that decodes it back;
-    - a {b key-reassembly} step mapping per-unit winners back to secret
-      key material ({!S.key_of_winners} / {!S.winners_of_key}), and an
-      end-to-end driver ({!S.recover_store}) producing a canonical
-      {!outcome} whose [witness] string is bit-exact comparable across
-      configurations.
+    - a {b profiling plan} ({!S.profile_window}, {!S.profile_parts})
+      that {!profile} trains templates over;
+    - an {b end-to-end driver} ({!S.recover_store}) producing a
+      canonical {!outcome} whose [witness] string is bit-exact
+      comparable across configurations.
 
-    Two instances ship: {!Falcon} re-expresses the existing FALCON
-    mantissa/coefficient attack (delegating its multi-phase
-    extend-and-prune driver to {!Recover}/{!Fullkey} unchanged, so
-    rankings, stops and recovered keys are bit-identical to the
-    pre-target entry points), and {!Hqc} attacks the HQC sparse
-    polynomial multiplication victim of arXiv 2601.07634 (see {!Hqc_}
-    [lib/hqc]): a secret-dependent rotate-and-accumulate schedule whose
-    per-unit winners are the secret support positions, recovered in
-    chained order with the already-won prefix folded into the
-    hypothesis models. *)
+    How a scheme enumerates and ranks its key units is its own
+    business.  {!Falcon} delegates to the multi-phase extend-and-prune
+    driver of {!Recover}/{!Fullkey} unchanged, so rankings, stops and
+    recovered keys are bit-identical to those entry points.  {!Hqc}
+    attacks the HQC sparse polynomial multiplication victim of arXiv
+    2601.07634 (see {!Hqc_} [lib/hqc]): a secret-dependent
+    rotate-and-accumulate schedule whose per-unit winners are the
+    secret support positions, recovered in chained order with the
+    already-won prefix folded into the hypothesis models; its chained
+    enumerator is part of its own signature. *)
 
 type leakage = Recover.leakage
 
@@ -49,16 +47,25 @@ type outcome = {
       (** per-unit early-stopping summary, when [?stop] was given *)
 }
 
+val check_options :
+  ?ctx:Ctx.t ->
+  target:string ->
+  leakage:leakage ->
+  stop:Sequential.Decision.spec option ->
+  max_traces:int option ->
+  unit ->
+  unit
+(** The one refusal of option combinations a store crack cannot run,
+    checked before any I/O.  Raises [Invalid_argument], naming the
+    [attack_cli crack] flags, for [max_traces] without [stop] (a fixed
+    budget reads every stored trace), and for [stop] on target
+    ["falcon"] under [`Hd] (its decision sweeps have no d-free
+    Hamming-distance part set) or under a [ctx] backend with no
+    sequential gap test ({!Distinguisher.has_gap_test}).  Every
+    {!S.recover_store} calls it first. *)
+
 module type S = sig
   val name : string
-
-  (** {2 Victim / capture side} *)
-
-  val default_n : int
-  (** the store ring-size parameter a fresh campaign records with *)
-
-  val width : n:int -> int
-  (** samples per trace at ring size [n] *)
 
   val profile_window : n:int -> int
   (** Periodic window length this target's {!Profile} template stores
@@ -77,8 +84,8 @@ module type S = sig
       truth from the sidecars): every [(base, target, value)] triple
       declares that each trace carries, in the window starting at
       absolute sample [base], an intermediate at window-relative
-      offset [target] whose true value is [value trace] — the same
-      hypothesis models as {!parts}, applied to the {e true} guess, so
+      offset [target] whose true value is [value trace] — the attack's
+      own hypothesis models applied to the {e true} guess, so
       profiling truth and attack hypotheses share one source.  Covers
       every offset the profiled recovery consults (for FALCON: both
       mantissa phases of every coefficient and multiplication).
@@ -103,50 +110,6 @@ module type S = sig
       manifest.  [?leakage] selects the matching device emitter
       (default [`Hw]). *)
 
-  (** {2 Intermediate-value enumerator} *)
-
-  type known
-  (** per-trace known operand fed to the part models *)
-
-  val known_of_trace : Leakage.trace -> known
-
-  val units : n:int -> int
-
-  val guess_count : n:int -> unit_index:int -> prev:int array -> int
-  val guess_space : n:int -> unit_index:int -> prev:int array -> int Seq.t
-  (** The declared per-unit guess space; [guess_count] equals the
-      length of [guess_space] (enumerator totality, property-tested).
-      For FALCON this is the paper's exhaustive width-25 low-mantissa
-      phase space; the later phases are driven by {!recover_store}.
-      [prev] holds the winners of units [0..unit_index-1]: HQC's units
-      chain on it, FALCON's ignore it. *)
-
-  val parts :
-    leakage:leakage ->
-    n:int ->
-    unit_index:int ->
-    prev:int array ->
-    (int * known Hypothesis.Model.t) list
-  (** The (absolute sample index, model) part set ranking unit
-      [unit_index]'s guess space, in canonical order. *)
-
-  val truth : n:int -> dir:string -> int array
-  (** Per-unit ground-truth secrets read from the sidecars of a
-      recorded store — what a perfect ranking's winners would be. *)
-
-  (** {2 Key reassembly} *)
-
-  val key_of_winners : n:int -> int array -> string
-  (** Reassemble per-unit winners into the canonical key-material
-      encoding (the {!outcome} [witness] format). *)
-
-  val winners_of_key : n:int -> string -> int array option
-  (** Inverse of {!key_of_winners}: [winners_of_key ~n
-      (key_of_winners ~n w) = Some w] for any in-range winner vector
-      (round-trip, property-tested). *)
-
-  (** {2 End-to-end driver} *)
-
   val recover_store :
     ?ctx:Ctx.t ->
     ?leakage:leakage ->
@@ -161,15 +124,12 @@ module type S = sig
       sidecars; the reader streams the traces).  Deterministic: the
       [witness] (and stop points, with [?stop]) are bit-identical
       across [jobs] and prefetch.  [?max_traces] caps an adaptive
-      campaign.  Raises [Invalid_argument] when [?stop] is passed under
-      a combination the attack cannot stop on (FALCON under [`Hd] —
-      {!Fullkey.recover_f_fft_store} — or a selection without a gap
-      test), or [?max_traces] without [?stop] (a fixed budget reads
-      every stored trace), and [Failure] on missing/corrupt
+      campaign.  Raises [Invalid_argument] from {!check_options}
+      before reading anything, and [Failure] on missing/corrupt
       sidecars. *)
 end
 
-module Falcon : S with type known = Leakage.trace
+module Falcon : S
 (** The FALCON mantissa/coefficient attack behind the target
     interface, and the only [attack_cli crack --store] driver for
     FALCON.  [recover_store] delegates to {!Fullkey.recover_key_store}
@@ -177,15 +137,43 @@ module Falcon : S with type known = Leakage.trace
     (per-unit seed [coeff*7 + mul], 512 decoys), then forges with the
     rebuilt key ({!Fullkey.forge}, verified under [public.key]) to
     decide [success]; the [witness] is the hex dump of the recovered
-    FFT(f) bit patterns.  The flat enumerator exposes the width-25 low-mantissa
-    phase (per-unit winners/truth are the 25-bit [d] values). *)
+    FFT(f) bit patterns. *)
 
-module Hqc : S with type known = int
+module Hqc : sig
+  include S
+
+  val known_of_trace : Leakage.trace -> int
+  (** the per-trace dense input word [u] the part models read *)
+
+  val guess_count : unit_index:int -> prev:int array -> int
+
+  val guess_space : unit_index:int -> prev:int array -> int Seq.t
+  (** Unit [unit_index]'s candidate support positions, ascending:
+      above the last of [prev] (the winners of units
+      [0..unit_index-1]) and leaving room for the remaining larger
+      positions.  [guess_count] is its length. *)
+
+  val parts :
+    leakage:leakage ->
+    unit_index:int ->
+    prev:int array ->
+    (int * int Hypothesis.Model.t) list
+  (** The (absolute sample index, model) part set ranking unit
+      [unit_index]'s guess space: one split model per accumulator
+      word, with the [prev] prefix folded in under [`Hw]. *)
+
+  val profile_plan :
+    leakage:leakage -> int array -> (int * int * (int -> int)) list
+  (** [profile_plan ~leakage secret]: [(base, target, value)] triples
+      over the known input word — the {!parts} of every unit, chained
+      on the true prefix of the support [secret] and applied to its
+      true position.  {!profile_parts} reads it off each trace's
+      word; in-memory trainers apply it to {!Hqc_.u_of_record}. *)
+end
 (** The HQC rotate-and-accumulate victim ([lib/hqc]).  Units are the
     {!Hqc_.Params.weight} secret support positions, recovered in
-    chained ascending order; [known] is the per-trace dense input word
-    [u].  [witness] is {!Hqc_.encode_secret} of the recovered
-    support. *)
+    chained ascending order.  [witness] is {!Hqc_.encode_secret} of
+    the recovered support. *)
 
 val all : (module S) list
 val names : string list

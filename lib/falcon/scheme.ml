@@ -106,7 +106,5 @@ let verify pk msg sg =
   | None -> false
   | Some (_, _, norm) -> norm <= pk.params.beta_sq
 
-let hash_point pk sg msg = Hash.to_point ~n:pk.params.n (sg.salt ^ msg)
-
 let signature_norm_sq pk msg sg =
   match recompute pk msg sg with None -> None | Some (_, _, norm) -> Some norm

@@ -46,9 +46,5 @@ val sign :
 
 val verify : public_key -> string -> signature -> bool
 
-val hash_point : public_key -> signature -> string -> int array
-(** The public value c = HashToPoint(salt || msg) for a signature — the
-    known input of the known-plaintext attack. *)
-
 val signature_norm_sq : public_key -> string -> signature -> int option
 (** ||(s1, s2)||^2 of a valid-shaped signature (diagnostics). *)

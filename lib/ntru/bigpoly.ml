@@ -28,7 +28,6 @@ let mul a b =
   done;
   out
 
-let mul_scalar p c = Array.map (fun x -> Bignum.mul x c) p
 
 let shift_coeffs p k = Array.map (fun x -> Bignum.shift_left x k) p
 

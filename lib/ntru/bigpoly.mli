@@ -20,7 +20,6 @@ val neg : t -> t
 val mul : t -> t -> t
 (** Schoolbook negacyclic product. *)
 
-val mul_scalar : t -> Bignum.t -> t
 val shift_coeffs : t -> int -> t
 (** Multiply every coefficient by 2^k (k >= 0). *)
 

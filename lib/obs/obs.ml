@@ -43,9 +43,6 @@ type sink = {
   flush : unit -> unit;
 }
 
-let null_sink =
-  { emit = ignore; progress = (fun ~label:_ ~total:_ _ -> ()); flush = ignore }
-
 (* ---- contexts ---- *)
 
 (* A context is either the free Null (every operation returns before

@@ -80,11 +80,6 @@ type sink = {
   flush : unit -> unit;
 }
 
-val null_sink : sink
-(** Discards everything (distinct from {!null}: a context over
-    [null_sink] still pays for clock reads and event construction —
-    use it only to measure that overhead). *)
-
 (** {1 Contexts} *)
 
 type t

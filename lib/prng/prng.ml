@@ -84,10 +84,6 @@ let byte t =
   t.pos <- t.pos + 1;
   b
 
-let u16 t =
-  let lo = byte t in
-  lo lor (byte t lsl 8)
-
 let u64 t =
   let acc = ref 0L in
   for i = 0 to 7 do

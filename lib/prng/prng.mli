@@ -17,7 +17,6 @@ val block : key:string -> nonce:string -> counter:int -> string
 (** Raw 64-byte ChaCha20 block (exposed for the RFC test vectors). *)
 
 val byte : t -> int
-val u16 : t -> int
 val u64 : t -> int64
 
 val bits : t -> int -> int

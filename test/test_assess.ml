@@ -237,8 +237,7 @@ let bench_fixtures =
           {|"traces":300,"guesses":2000,"jobs":2,"rank_scalar_s":0.2,
             "rank_batched_s":0.1,"rank_speedup":2.0,"rank_split_s":0.15,
             "product_speedup":1.5,"rank_prep_s":0.01,
-            "rank_score_s":0.09,"falcon_rank_base_s":0.1,"falcon_rank_target_s":0.1,
-            "falcon_rank_ratio":1.0,"bit_identical":true,"falcon_identical":true|}
+            "rank_score_s":0.09,"bit_identical":true|}
         );
         ( sequential,
           {|"n":8,"traces":400,"jobs":2,"units":16,"stopped_early":16,"looks":40,
@@ -328,6 +327,7 @@ let test_bench_gate_refuses_each_row () =
       Obj [];
       Obj [ ("schema", String "falcon-down/bench-pearson/v1") ];
       Obj [ ("schema", String "falcon-down/bench-pearson/v2") ];
+      Obj [ ("schema", String "falcon-down/bench-pearson/v3") ];
       List [];
     ]
 

@@ -606,14 +606,12 @@ let scores_by_guess guesses ranked =
 
 let test_engine_routes_agree () =
   with_falcon_stores @@ fun store dir reader ->
-  let parts =
-    Attack.Target.Falcon.parts ~leakage:`Hw ~n:8 ~unit_index:0 ~prev:[||]
-  in
+  let parts = Sidecar.falcon_unit_parts ~leakage:`Hw 0 in
   let guesses =
     Attack.Hypothesis.sampled
       (Stats.Rng.create ~seed:43)
       ~width:25
-      ~truth:(Attack.Target.Falcon.truth ~n:8 ~dir).(0)
+      ~truth:(Sidecar.falcon_unit_truth ~dir 0)
       ~decoys:600 ()
   in
   let top = Array.length guesses in
@@ -749,10 +747,10 @@ let test_profiled_digests_pinned () =
   in
   let pool =
     Attack.Hypothesis.sampled (Stats.Rng.create ~seed:43) ~width:25
-      ~truth:(Attack.Target.Falcon.truth ~n:8 ~dir).(0)
+      ~truth:(Sidecar.falcon_unit_truth ~dir 0)
       ~decoys:600 ()
   in
-  let parts = Attack.Target.Falcon.parts ~leakage:`Hw ~n:8 ~unit_index:0 ~prev:[||] in
+  let parts = Sidecar.falcon_unit_parts ~leakage:`Hw 0 in
   let got = profiled_digests store ~traces ~parts ~known pool in
   check_digests "FALCON-8 store" falcon8_goldens got
 
@@ -771,7 +769,7 @@ let test_pearson_instance_parity () =
   let traces, known =
     Attack.Dema.Stream.extract reader ~samples:(List.init width Fun.id) ~known:Fun.id
   in
-  let d = (Attack.Target.Falcon.truth ~n:8 ~dir).(0) in
+  let d = Sidecar.falcon_unit_truth ~dir 0 in
   let low_guesses =
     Attack.Hypothesis.sampled (Stats.Rng.create ~seed:43) ~width:25 ~truth:d
       ~decoys:300 ()

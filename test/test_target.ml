@@ -1,22 +1,16 @@
 (* Target framework: the differential parity suite (the FALCON attack
    routed through the scheme-agnostic Attack.Target interface must be
    bit-identical to the direct Fullkey/Dema path at every jobs x
-   prefetch x leakage combination), property tests of the
-   Target contract (enumerator totality, key-reassembly round-trip,
-   split-model / plain-model equivalence), and the HQC end-to-end
-   determinism, early-stopping and Hd acceptance/rejection pins. *)
+   prefetch x leakage combination), property tests of the HQC chained
+   enumerator (totality, split-model / plain-model equivalence) and key
+   sidecar codec, the HQC end-to-end determinism, early-stopping and Hd
+   acceptance/rejection pins, and the option refusals. *)
 
 let rm_rf dir =
   if Sys.file_exists dir then begin
     Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
     Sys.rmdir dir
   end
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* the full determinism grid: jobs x prefetch *)
 let grid = List.concat_map (fun jobs -> [ (jobs, false); (jobs, true) ]) [ 1; 2; 4 ]
@@ -43,11 +37,13 @@ let with_falcon_store ?(leakage = `Hw) ?(traces = falcon_traces) f =
 let golden dir ~leakage =
   let pk =
     Option.get
-      (Falcon.Keycodec.decode_public (read_file (Filename.concat dir "public.key")))
+      (Falcon.Keycodec.decode_public
+         (Sidecar.read_file (Filename.concat dir "public.key")))
   in
   let kp =
     Option.get
-      (Falcon.Keycodec.decode_secret (read_file (Filename.concat dir "secret.key")))
+      (Falcon.Keycodec.decode_secret
+         (Sidecar.read_file (Filename.concat dir "secret.key")))
   in
   let sk = Falcon.Scheme.secret_of_keypair kp in
   let strategy ~coeff ~mul =
@@ -99,70 +95,44 @@ let check_falcon_parity leakage () =
             o.Attack.Target.units o.Attack.Target.units_ok)
         grid)
 
-(* the hand-built pre-target part set of one unit's low-mantissa phase:
-   extend + prune stages at both component multiplications, models
-   contramapped over the known FFT(c) operand *)
-let hand_parts ~leakage unit_index =
-  let coeff = unit_index lsr 1 in
-  let comp = if unit_index land 1 = 0 then `Re else `Im in
-  let extend, prune = Attack.Recover.low_stages leakage in
-  List.concat_map
-    (fun mul ->
-      List.map
-        (fun (label, m) ->
-          ( Leakage.sample_of ~coeff ~mul label,
-            Attack.Hypothesis.Model.contramap
-              (fun (t : Leakage.trace) ->
-                Attack.Fullkey.mul_known
-                  (t.Leakage.c_fft.Fft.re.(coeff), t.Leakage.c_fft.Fft.im.(coeff))
-                  mul)
-              m ))
-        (extend @ prune))
-    (Attack.Fullkey.component_muls comp)
-
-let test_falcon_ranking_parity () =
+(* The hand-built streaming rank of one unit's low-mantissa phase finds
+   the sidecar truth, with the same ranking at every jobs x prefetch
+   setting. *)
+let test_falcon_hand_ranking () =
   with_falcon_store (fun dir ->
-      let truth = Attack.Target.Falcon.truth ~n:falcon_n ~dir in
       (* one `Re unit and one `Im unit, so both component mappings are
          exercised *)
       List.iter
         (fun unit_index ->
+          let truth = Sidecar.falcon_unit_truth ~dir unit_index in
           let candidates =
             Attack.Hypothesis.sampled
               (Stats.Rng.create ~seed:(100 + unit_index))
-              ~width:Attack.Recover.mantissa_low_width ~truth:truth.(unit_index)
-              ~decoys:256 ()
+              ~width:Attack.Recover.mantissa_low_width ~truth ~decoys:256 ()
           in
-          let rank cfg parts =
+          let rank cfg =
             let _, prefetch = cfg in
             Attack.Dema.Stream.rank ~ctx:(ctx_of cfg) ~prefetch
               (Tracestore.Reader.open_store dir)
-              ~parts
+              ~parts:(Sidecar.falcon_unit_parts ~leakage:`Hw unit_index)
               ~known:(fun (t : Leakage.trace) -> t)
               ~top:16 (Array.to_seq candidates)
           in
-          let reference =
-            rank (1, false) (hand_parts ~leakage:`Hw unit_index)
-          in
+          let reference = rank (1, false) in
           (match reference with
           | best :: _ ->
               Alcotest.(check int)
                 (Printf.sprintf "unit %d: hand-built ranking finds the truth"
                    unit_index)
-                truth.(unit_index) best.Attack.Dema.guess
+                truth best.Attack.Dema.guess
           | [] -> Alcotest.fail "empty ranking");
           List.iter
             (fun cfg ->
-              let target_ranked =
-                rank cfg
-                  (Attack.Target.Falcon.parts ~leakage:`Hw ~n:falcon_n
-                     ~unit_index ~prev:[||])
-              in
               Alcotest.(check bool)
-                (Printf.sprintf "unit %d, %s: Target.parts ranking = golden"
-                   unit_index (cfg_label cfg))
+                (Printf.sprintf "unit %d, %s: ranking = reference" unit_index
+                   (cfg_label cfg))
                 true
-                (target_ranked = reference))
+                (rank cfg = reference))
             grid)
         [ 0; 5 ])
 
@@ -177,19 +147,7 @@ let test_falcon_hd_stop_rejected () =
       | _ -> Alcotest.fail "?stop under `Hd was accepted"
       | exception Invalid_argument _ -> ())
 
-(* {2 Target contract properties} *)
-
-let seq_length s = Seq.fold_left (fun n _ -> n + 1) 0 s
-
-let test_falcon_totality () =
-  let count = Attack.Target.Falcon.guess_count ~n:falcon_n ~unit_index:3 ~prev:[||] in
-  Alcotest.(check int)
-    "declared low-phase space is 2^25"
-    (1 lsl Attack.Recover.mantissa_low_width)
-    count;
-  Alcotest.(check int)
-    "guess_space enumerates exactly guess_count values" count
-    (seq_length (Attack.Target.Falcon.guess_space ~n:falcon_n ~unit_index:3 ~prev:[||]))
+(* {2 HQC enumerator and key sidecar codec} *)
 
 let prop_hqc_totality =
   QCheck.Test.make ~count:200 ~name:"hqc enumerator totality + truth coverage"
@@ -197,48 +155,28 @@ let prop_hqc_totality =
     (fun (j, s) ->
       let secret = Hqc.keygen ~seed:s in
       let prev = Array.sub secret 0 j in
-      let n = Hqc.Params.n_bits in
-      let space =
-        List.of_seq (Attack.Target.Hqc.guess_space ~n ~unit_index:j ~prev)
-      in
-      List.length space = Attack.Target.Hqc.guess_count ~n ~unit_index:j ~prev
+      let space = List.of_seq (Attack.Target.Hqc.guess_space ~unit_index:j ~prev) in
+      List.length space = Attack.Target.Hqc.guess_count ~unit_index:j ~prev
       && List.mem secret.(j) space
       && List.for_all
-           (fun g ->
-             g >= 0 && g < n && (j = 0 || g > prev.(j - 1)))
+           (fun g -> g >= 0 && g < Hqc.Params.n_bits && (j = 0 || g > prev.(j - 1)))
            space)
 
-let prop_falcon_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"falcon winners_of_key o key_of_winners = id"
-    QCheck.(
-      list_of_size
-        (Gen.return (2 * falcon_n))
-        (int_bound ((1 lsl Attack.Recover.mantissa_low_width) - 1)))
-    (fun l ->
-      let w = Array.of_list l in
-      Attack.Target.Falcon.winners_of_key ~n:falcon_n
-        (Attack.Target.Falcon.key_of_winners ~n:falcon_n w)
-      = Some w)
-
+(* the HQC key sidecar (and the outcome witness) format *)
 let prop_hqc_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"hqc winners_of_key o key_of_winners = id"
+  QCheck.Test.make ~count:200 ~name:"hqc encode_secret round-trip"
     QCheck.small_int (fun s ->
       let w = Hqc.keygen ~seed:s in
-      Attack.Target.Hqc.winners_of_key ~n:Hqc.Params.n_bits
-        (Attack.Target.Hqc.key_of_winners ~n:Hqc.Params.n_bits w)
-      = Some w)
+      Hqc.decode_secret (Hqc.encode_secret w) = Some w)
 
-let test_winners_of_key_rejects () =
+let test_hqc_decode_rejects () =
   List.iter
     (fun s ->
       Alcotest.(check bool)
-        (Printf.sprintf "falcon rejects %S" s)
+        (Printf.sprintf "hqc rejects %S" s)
         true
-        (Attack.Target.Falcon.winners_of_key ~n:falcon_n s = None))
-    [ ""; "FALCOND1 "; "NOTAKEY1 0000001"; "FALCOND1 xyz"; "FALCOND1 0000001" ];
-  Alcotest.(check bool)
-    "hqc rejects garbage" true
-    (Attack.Target.Hqc.winners_of_key ~n:Hqc.Params.n_bits "garbage" = None)
+        (Hqc.decode_secret s = None))
+    [ ""; "garbage"; "HQCKEY1 "; "HQCKEY1 1,2,3"; "HQCKEY1 2,7,9,14,16,x" ]
 
 (* split prep/eval factorisation: Model.apply of every HQC part equals
    the direct plain-model intermediate, which in turn equals the
@@ -259,8 +197,7 @@ let prop_hqc_split_equivalence =
       List.for_all
         (fun leakage ->
           let parts =
-            Attack.Target.Hqc.parts ~leakage ~n:Hqc.Params.n_bits ~unit_index:j
-              ~prev
+            Attack.Target.Hqc.parts ~leakage ~unit_index:j ~prev
           in
           List.length parts = Hqc.Params.words
           && List.for_all2
@@ -292,48 +229,6 @@ let prop_hqc_split_equivalence =
                parts)
         [ `Hw; `Hd ])
 
-(* the FALCON parts keep Recover's split models split through the
-   contramap, and apply identically to the hand-built set on real
-   captured traces *)
-let test_falcon_model_equivalence () =
-  let sk, _ = Falcon.Scheme.keygen ~n:falcon_n ~seed:"target model test" in
-  let model = { Leakage.default_model with noise_sigma = 0.3 } in
-  let traces = Leakage.capture model ~seed:3 sk ~count:4 in
-  let rng = Stats.Rng.create ~seed:4 in
-  List.iter
-    (fun leakage ->
-      List.iter
-        (fun unit_index ->
-          let target_parts =
-            Attack.Target.Falcon.parts ~leakage ~n:falcon_n ~unit_index ~prev:[||]
-          in
-          let hand = hand_parts ~leakage unit_index in
-          Alcotest.(check int)
-            "same part count"
-            (List.length hand) (List.length target_parts);
-          List.iter2
-            (fun (s1, m1) (s2, m2) ->
-              Alcotest.(check int) "same sample index" s1 s2;
-              (match (m1, m2) with
-              | Attack.Hypothesis.Model.Split _, Attack.Hypothesis.Model.Split _
-              | Attack.Hypothesis.Model.Product _, Attack.Hypothesis.Model.Product _
-              | Attack.Hypothesis.Model.Fn _, Attack.Hypothesis.Model.Fn _ ->
-                  ()
-              | _ -> Alcotest.fail "contramap changed the model shape");
-              for _ = 1 to 16 do
-                let g = Stats.Rng.bits rng Attack.Recover.mantissa_low_width in
-                Array.iter
-                  (fun t ->
-                    if
-                      Attack.Hypothesis.Model.apply m1 g t
-                      <> Attack.Hypothesis.Model.apply m2 g t
-                    then Alcotest.fail "model values diverge")
-                  traces
-              done)
-            hand target_parts)
-        [ 0; 5 ])
-    [ `Hw; `Hd ]
-
 (* {2 HQC end-to-end} *)
 
 let with_hqc_store ?(leakage = `Hw) f =
@@ -352,12 +247,15 @@ let hqc_recover ?stop ?leakage dir cfg =
 
 let test_hqc_e2e_determinism () =
   with_hqc_store (fun dir ->
-      let truth = Attack.Target.Hqc.truth ~n:Hqc.Params.n_bits ~dir in
+      let truth =
+        Option.get
+          (Hqc.decode_secret (Sidecar.read_file (Filename.concat dir Hqc.key_file)))
+      in
       let reference = hqc_recover dir (1, false) in
       Alcotest.(check bool) "recovers the secret" true
         reference.Attack.Target.success;
       Alcotest.(check string) "witness = encoded sidecar truth"
-        (Attack.Target.Hqc.key_of_winners ~n:Hqc.Params.n_bits truth)
+        (Hqc.encode_secret truth)
         reference.Attack.Target.witness;
       Alcotest.(check int) "all units attacked" Hqc.Params.weight
         reference.Attack.Target.units;
@@ -446,6 +344,45 @@ let test_max_traces_needs_stop () =
           Attack.Target.Hqc.recover_store ~max_traces:8 ~dir
             (Tracestore.Reader.open_store dir)))
 
+(* Target.check_options refuses each combination a store crack cannot
+   run, naming the command-line flags and without touching a store, and
+   lets every runnable one through. *)
+let test_check_options () =
+  let stop = Some (Sequential.Decision.spec ~alpha:1e-3 ()) in
+  let label (target, leakage, stop, max_traces) =
+    Printf.sprintf "%s %s stop=%b max_traces=%b" target
+      (match leakage with `Hw -> "hw" | `Hd -> "hd")
+      (stop <> None) (max_traces <> None)
+  in
+  let check (target, leakage, stop, max_traces) =
+    Attack.Target.check_options ~target ~leakage ~stop ~max_traces ()
+  in
+  List.iter
+    (fun c ->
+      match check c with
+      | () -> Alcotest.failf "%s: accepted" (label c)
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (label c ^ ": message names a flag")
+            true
+            (String.starts_with ~prefix:"--" msg))
+    [
+      ("falcon", `Hw, None, Some 8);
+      ("hqc", `Hw, None, Some 8);
+      ("falcon", `Hd, stop, None);
+    ];
+  List.iter
+    (fun c ->
+      match check c with
+      | () -> ()
+      | exception Invalid_argument msg -> Alcotest.failf "%s: %s" (label c) msg)
+    [
+      ("falcon", `Hw, stop, Some 8);
+      ("falcon", `Hd, None, None);
+      ("hqc", `Hd, stop, None);
+      ("hqc", `Hw, None, None);
+    ]
+
 (* {2 Registry} *)
 
 let test_registry () =
@@ -466,19 +403,15 @@ let suite =
       (check_falcon_parity `Hw);
     Alcotest.test_case "falcon parity vs golden path (hd)" `Slow
       (check_falcon_parity `Hd);
-    Alcotest.test_case "falcon ranking parity: Target.parts vs hand-built" `Slow
-      test_falcon_ranking_parity;
+    Alcotest.test_case "falcon hand-built rank finds truth" `Slow
+      test_falcon_hand_ranking;
     Alcotest.test_case "falcon rejects ?stop under hd" `Quick
       test_falcon_hd_stop_rejected;
-    Alcotest.test_case "falcon enumerator totality" `Quick test_falcon_totality;
     QCheck_alcotest.to_alcotest prop_hqc_totality;
-    QCheck_alcotest.to_alcotest prop_falcon_roundtrip;
     QCheck_alcotest.to_alcotest prop_hqc_roundtrip;
-    Alcotest.test_case "winners_of_key rejects malformed keys" `Quick
-      test_winners_of_key_rejects;
+    Alcotest.test_case "hqc decode_secret rejects garbage" `Quick
+      test_hqc_decode_rejects;
     QCheck_alcotest.to_alcotest prop_hqc_split_equivalence;
-    Alcotest.test_case "falcon model equivalence + split preservation" `Quick
-      test_falcon_model_equivalence;
     Alcotest.test_case "hqc end-to-end determinism" `Quick
       test_hqc_e2e_determinism;
     Alcotest.test_case "hqc early-stop parity across configurations" `Quick
@@ -492,4 +425,6 @@ let suite =
     Alcotest.test_case "?max_traces without ?stop refused" `Quick
       test_max_traces_needs_stop;
     Alcotest.test_case "registry" `Quick test_registry;
+    Alcotest.test_case "check_options refuses before any I/O" `Quick
+      test_check_options;
   ]
