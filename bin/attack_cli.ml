@@ -1,5 +1,6 @@
-(* Attack driver: capture simulated EM traces of a FALCON victim and run
-   the full Falcon-Down key-recovery + forgery pipeline.
+(* Attack driver: run the full Falcon-Down key-recovery + forgery
+   pipeline on a fresh in-memory victim, or crack a trace store recorded
+   with trace_cli offline.
 
      dune exec bin/attack_cli.exe -- run -n 32 -t 2500 --noise 2.0 -j 4
      dune exec bin/attack_cli.exe -- coefficient --traces 4000
@@ -57,31 +58,6 @@ let cmd_coefficient traces noise seed flags =
   Printf.printf "recovered %Lx — %s\n" got
     (if got = x then "bit-exact match" else "MISMATCH");
   if got = x then 0 else 1
-
-let cmd_capture n traces noise seed out flags =
-  Cli_common.run flags @@ fun _ctx ->
-  let model = { Leakage.default_model with noise_sigma = noise } in
-  let sk, pk = Falcon.Scheme.keygen ~n ~seed:(Printf.sprintf "victim-%d" seed) in
-  Printf.printf "capturing %d traces of a fresh FALCON-%d victim...\n%!" traces n;
-  let captured = Leakage.capture model ~seed sk ~count:traces in
-  Leakage.save out captured;
-  (* the attacker also holds the public key; store it alongside *)
-  let oc = open_out (out ^ ".pk") in
-  output_string oc (Falcon.Keycodec.encode_public pk);
-  close_out oc;
-  (* and, for evaluation of the sampled-hypothesis mode, the truth *)
-  let oc = open_out (out ^ ".sk") in
-  output_string oc (Falcon.Keycodec.encode_secret sk.kp);
-  close_out oc;
-  Printf.printf "wrote %s (traces), %s.pk (public key), %s.sk (ground truth)\n" out out
-    out;
-  0
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
 
 let print_stop_summary (s : Sequential.Campaign.summary) =
   let used = Array.copy s.Sequential.Campaign.traces_used in
@@ -151,58 +127,22 @@ let cmd_profile target dir out leakage npoi ndim max_traces flags =
       Printf.printf "wrote %s: %s\n" out (Attack.Profile.describe store);
       0
 
-let cmd_crack target input store leakage until_confident alpha max_traces flags =
+let cmd_crack target dir leakage until_confident alpha max_traces flags =
   Cli_common.run flags @@ fun ctx ->
   let stop =
     if until_confident then Some (Sequential.Decision.spec ~alpha ()) else None
   in
   (* every refusal comes before the first line of output or I/O *)
-  (match store with
-  | Some _ -> Attack.Target.check_options ~ctx ~target ~leakage ~stop ~max_traces ()
-  | None when target <> "falcon" ->
-      failwith ("--target " ^ target ^ " needs a sharded campaign: pass --store")
-  | None when stop <> None || max_traces <> None ->
-      failwith "--until-confident/--max-traces need a sharded campaign: pass --store"
-  | None -> ());
+  Attack.Target.check_options ~ctx ~target ~leakage ~stop ~max_traces ();
   (if leakage = `Hd then
      Printf.printf
        "matching bus Hamming-distance hypothesis models (campaign recorded \
         with --model hd)\n%!");
-  match store with
-  | Some dir -> (
-      match Attack.Target.find target with
-      | Some t -> crack_target t dir leakage stop alpha max_traces flags ctx
-      | None ->
-          prerr_endline ("unknown --target " ^ target);
-          1)
-  | None -> (
-      let traces = Leakage.load input in
-      match
-        ( Falcon.Keycodec.decode_public (read_file (input ^ ".pk")),
-          Falcon.Keycodec.decode_secret (read_file (input ^ ".sk")) )
-      with
-      | Some pk, Some truth_kp ->
-          let truth_sk = Falcon.Scheme.secret_of_keypair truth_kp in
-          Printf.printf "loaded %d traces of a FALCON-%d victim\n%!"
-            (Array.length traces) pk.params.n;
-          let res =
-            Attack.Fullkey.recover_key ~ctx ~leakage ~traces ~h:pk.h
-              (Attack.Fullkey.sampled_strategy ~seed:0 truth_sk.f_fft)
-          in
-          Printf.printf "f recovered exactly: %b\n" (res.f = truth_kp.f);
-          (match res.keypair with
-          | None ->
-              print_endline "key reconstruction failed";
-              1
-          | Some kp ->
-              let msg = "offline-cracked forgery" in
-              let sg = Attack.Fullkey.forge ~keypair:kp ~seed:"forger" msg in
-              Printf.printf "forged signature verifies: %b\n"
-                (Falcon.Scheme.verify pk msg sg);
-              0)
-      | _ ->
-          prerr_endline "could not read companion .pk/.sk files";
-          1)
+  match Attack.Target.find target with
+  | Some t -> crack_target t dir leakage stop alpha max_traces flags ctx
+  | None ->
+      prerr_endline ("unknown --target " ^ target);
+      1
 
 open Cmdliner
 
@@ -222,24 +162,12 @@ let coeff_cmd =
     (Cmd.info "coefficient" ~doc:"Attack the single coefficient of the paper's Fig. 4")
     Term.(const cmd_coefficient $ traces_arg $ noise_arg $ seed_arg $ flags)
 
-let out_arg =
-  Arg.(value & opt string "traces.bin" & info [ "o"; "out" ] ~doc:"Trace file.")
-
-let in_arg =
-  Arg.(value & opt string "traces.bin" & info [ "i"; "input" ] ~doc:"Trace file.")
-
 let store_arg =
-  Cli_common.store_opt_arg
+  Cli_common.store_default_arg
     ~doc:
-      "Attack a sharded trace-store campaign (recorded with trace_cli) instead \
-       of a single trace file, streaming shards so peak memory stays bounded by \
-       one shard per worker plus a window buffer of at most 8 shards' worth.  \
-       Overrides --input."
-
-let capture_cmd =
-  Cmd.v
-    (Cmd.info "capture" ~doc:"Capture simulated EM traces of a fresh victim to a file")
-    Term.(const cmd_capture $ n_arg $ traces_arg $ noise_arg $ seed_arg $ out_arg $ flags)
+      "Sharded trace-store campaign to attack (recorded with trace_cli), \
+       streaming shards so peak memory stays bounded by one shard per worker \
+       plus a window buffer of at most 8 shards' worth."
 
 let leakage_arg =
   Arg.(
@@ -261,11 +189,11 @@ let until_confident_arg =
     & flag
     & info [ "until-confident" ]
         ~doc:
-          "Adaptive trace budget (needs $(b,--store)): each unit stops \
-           reading traces once the sequential Fisher-z test on its top-1 vs \
-           runner-up correlation gap reaches confidence, instead of consuming \
-           the whole campaign.  The recovered key and every stop point are \
-           bit-identical across -j and $(b,--no-prefetch).")
+          "Adaptive trace budget: each unit stops reading traces once the \
+           sequential Fisher-z test on its top-1 vs runner-up correlation gap \
+           reaches confidence, instead of consuming the whole campaign.  The \
+           recovered key and every stop point are bit-identical across -j \
+           and $(b,--no-prefetch).")
 
 let alpha_arg =
   Arg.(
@@ -287,16 +215,17 @@ let max_traces_arg ~doc =
 let crack_cmd =
   Cmd.v
     (Cmd.info "crack"
-       ~doc:"Recover the key and forge from a stored trace file or trace store")
+       ~doc:"Recover the key and forge from a recorded trace store")
     Term.(
-      const cmd_crack $ Cli_common.target_arg $ in_arg $ store_arg $ leakage_arg
+      const cmd_crack $ Cli_common.target_arg $ store_arg $ leakage_arg
       $ until_confident_arg $ alpha_arg
       $ max_traces_arg
           ~doc:
-            "Cap the adaptive campaign at N traces (needs $(b,--store) and \
-             $(b,--until-confident)): undecided units fall back to their full \
-             buffered prefix at the cap.  A fixed-budget crack reads the whole \
-             store, so without $(b,--until-confident) the option is refused."
+            "Cap the adaptive campaign at N traces (needs \
+             $(b,--until-confident)): undecided units fall back to their \
+             full buffered prefix at the cap.  A fixed-budget crack reads the \
+             whole store, so without $(b,--until-confident) the option is \
+             refused."
       $ flags)
 
 let profile_store_arg =
@@ -343,4 +272,4 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group (Cmd.info "attack_cli" ~doc)
-          [ run_cmd; coeff_cmd; capture_cmd; crack_cmd; profile_cmd ]))
+          [ run_cmd; coeff_cmd; crack_cmd; profile_cmd ]))

@@ -235,30 +235,6 @@ let cmd_record_tvla defense traces noise seed p_fixed shard out flags =
     p_fixed noise out;
   0
 
-let cmd_import input out shard noise flags =
-  Cli_common.run flags @@ fun _ctx ->
-  let traces = Leakage.load input in
-  if Array.length traces = 0 then failwith "empty trace file";
-  let n = Fft.length traces.(0).Leakage.c_fft in
-  (* single-file trace sets carry no model metadata, so the acquisition
-     parameters are declared on the command line *)
-  let writer =
-    Tracestore.Writer.create ~dir:out ~n ~width:(n * Leakage.events_per_coeff)
-      ~shard_traces:shard
-      ~model:(store_model { Leakage.default_model with noise_sigma = noise })
-  in
-  Array.iter (fun t -> Tracestore.Writer.append writer (Leakage.to_record t)) traces;
-  Tracestore.Writer.close writer;
-  List.iter
-    (fun (ext, name) ->
-      let src = input ^ ext in
-      if Sys.file_exists src then write_file (Filename.concat out name) (read_file src))
-    [ (".pk", "public.key"); (".sk", "secret.key") ];
-  Printf.printf "imported %d traces from %s into %s (%d shards)\n" (Array.length traces)
-    input out
-    ((Array.length traces + shard - 1) / shard);
-  0
-
 open Cmdliner
 
 let n_arg = Cli_common.n_arg
@@ -285,9 +261,6 @@ let out_arg =
   Arg.(value & opt string "campaign" & info [ "o"; "out" ] ~doc:"Store directory.")
 
 let store_arg = Cli_common.store_default_arg ~doc:"Store directory."
-
-let in_file_arg =
-  Arg.(value & opt string "traces.bin" & info [ "input" ] ~doc:"Single trace file.")
 
 let model_arg =
   Arg.(
@@ -409,14 +382,6 @@ let align_cmd =
       const cmd_align $ align_src_arg $ align_dst_arg $ max_shift_arg
       $ ref_traces_arg $ flags)
 
-let import_cmd =
-  Cmd.v
-    (Cmd.info "import"
-       ~doc:
-         "Convert a single-file trace set (as written by $(b,attack_cli capture)) \
-          into a sharded store")
-    Term.(const cmd_import $ in_file_arg $ out_arg $ shard_arg $ noise_arg $ flags)
-
 let () =
   let doc = "Falcon Down trace-campaign store driver" in
   exit
@@ -424,5 +389,5 @@ let () =
        (Cmd.group (Cmd.info "trace_cli" ~doc)
           [
             record_cmd; record_tvla_cmd; append_cmd; inspect_cmd; verify_cmd;
-            align_cmd; import_cmd;
+            align_cmd;
           ]))

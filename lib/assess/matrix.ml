@@ -147,23 +147,13 @@ let hqc_profiled_ctx ~ctx ~sigma ~budget ~seed =
   let next = Hqc.capture_stream model ~seed secret in
   let records = Array.init budget (fun _ -> next ()) in
   let plan = Attack.Target.Hqc.profile_plan ~leakage:`Hw secret in
-  let targets =
-    Array.of_list
-      (List.sort_uniq compare (List.map (fun (_, t, _) -> t) plan))
-  in
   let spec = Attack.Profile.default_spec ~window in
-  let feed add =
-    Array.iter
-      (fun (r : Tracestore.record) ->
-        let u = Hqc.u_of_record r in
-        List.iter
-          (fun (base, target, value) ->
-            add ~base ~target ~cls:(Bitops.popcount (value u))
-              r.Tracestore.samples)
-          plan)
-      records
+  let store =
+    Attack.Profile.train_plan spec ~plan (fun f ->
+        Array.iter
+          (fun (r : Tracestore.record) -> f (Hqc.u_of_record r) r.samples)
+          records)
   in
-  let store = Attack.Profile.train spec ~targets feed in
   Attack.Ctx.with_backend (Attack.Distinguisher.Profiled store) ctx
 
 let run ?ctx:(c = Attack.Ctx.default ()) ?(targets = [ "falcon" ])

@@ -141,24 +141,15 @@ let profile_entries ?ctx:(c = Attack.Ctx.default ())
   let plan =
     List.map
       (fun (lbl, m) ->
-        (Attack.Recover.sample lbl, Attack.Hypothesis.Model.apply m))
+        let apply = Attack.Hypothesis.Model.apply m in
+        (0, Attack.Recover.sample lbl, fun (e : Campaign.entry) -> apply d_true e.known))
       (extend @ prune)
   in
-  let targets = Array.of_list (List.sort_uniq compare (List.map fst plan)) in
   let spec = Attack.Profile.default_spec ~window:Leakage.events_per_mul in
-  let feed add =
-    Array.iter
-      (fun (e : Campaign.entry) ->
-        let samples = Campaign.attack_window defense e.Campaign.samples in
-        List.iter
-          (fun (target, apply) ->
-            add ~base:0 ~target
-              ~cls:(Bitops.popcount (apply d_true e.Campaign.known))
-              samples)
-          plan)
-      fixed
-  in
-  Attack.Profile.train spec ~targets feed
+  Attack.Profile.train_plan spec ~plan (fun f ->
+      Array.iter
+        (fun (e : Campaign.entry) -> f e (Campaign.attack_window defense e.samples))
+        fixed)
 
 let of_entries ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alpha)
     ?(condition = Campaign.baseline_condition) ~defense ~truth ~experiments

@@ -412,6 +412,15 @@ let train spec ~targets feed =
   in
   { window; nclass; trained = !trained; templates }
 
+let train_plan spec ~plan observations =
+  let targets = Array.of_list (List.map (fun (_, target, _) -> target) plan) in
+  train spec ~targets (fun add ->
+      observations (fun x samples ->
+          List.iter
+            (fun (base, target, value) ->
+              add ~base ~target ~cls:(Bitops.popcount (value x)) samples)
+            plan))
+
 (* {2 Scoring} *)
 
 type point = { tpl : template; abs_pois : int array }

@@ -88,6 +88,21 @@ val train :
     when a template ends with fewer than two observed classes (a
     class-constant intermediate cannot be profiled). *)
 
+val train_plan :
+  spec ->
+  plan:(int * int * ('a -> int)) list ->
+  (('a -> float array -> unit) -> unit) ->
+  store
+(** [train_plan spec ~plan observations] is {!train} over a profiling
+    plan of [(base, target, value)] entries, the one form every
+    profiling caller takes: the templates are the distinct [target]s of
+    [plan], and each observation [x] with trace row [samples] (passed
+    as [f x samples] by [observations f]) adds, entry by entry in plan
+    order, the class [Bitops.popcount (value x)] — the Hamming weight of
+    the true intermediate — at window base [base] for the template at
+    [target].  [observations] runs once per pass and must replay the
+    same observations. *)
+
 val pooled_covariance :
   nclass:int -> classes:int array -> float array array -> float array array
 (** [pooled_covariance ~nclass ~classes rows] is the pooled

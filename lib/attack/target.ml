@@ -420,9 +420,9 @@ let find name =
 (* ---------------- generic profiled training ----------------
 
    One trainer for every target: stream the cloned-device campaign
-   twice through the target's profiling plan (the [Profile.train]
-   two-pass contract) classing each observation by the Hamming weight
-   of its true intermediate.  Shards are pulled strictly in order on
+   twice through the target's profiling plan ([Profile.train_plan],
+   which classes each observation by the Hamming weight of its true
+   intermediate).  Shards are pulled strictly in order on
    the owner domain, so the store is bit-identical across jobs and
    prefetch. *)
 
@@ -434,10 +434,6 @@ let profile ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ?on_corrupt ?prefetch ?np
   let window = T.profile_window ~n in
   let plan = T.profile_parts ~leakage ~n ~dir in
   if plan = [] then failwith "Target.profile: empty profiling plan";
-  let targets =
-    Array.of_list
-      (List.sort_uniq compare (List.map (fun (_, t, _) -> t) plan))
-  in
   let spec =
     let d = Profile.default_spec ~window in
     {
@@ -446,7 +442,7 @@ let profile ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ?on_corrupt ?prefetch ?np
       ndim = Option.value ndim ~default:d.Profile.ndim;
     }
   in
-  let feed add =
+  let observations f =
     let fd =
       Dema.Stream.shard_feed ?on_corrupt ?prefetch ~codec:T.codec ?max_traces reader
     in
@@ -455,23 +451,11 @@ let profile ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ?on_corrupt ?prefetch ?np
       match fd.Dema.Stream.next () with
       | None -> ()
       | Some traces ->
-          Array.iter
-            (fun (tr : Leakage.trace) ->
-              List.iter
-                (fun (base, target, value) ->
-                  add ~base ~target
-                    ~cls:(Bitops.popcount (value tr))
-                    tr.Leakage.samples)
-                plan)
-            traces;
+          Array.iter (fun (tr : Leakage.trace) -> f tr tr.Leakage.samples) traces;
           loop ()
     in
     loop ()
   in
   Obs.span c.Ctx.obs "target.profile"
-    ~fields:
-      [
-        ("target", Obs.Str T.name);
-        ("templates", Obs.Int (Array.length targets));
-      ]
-    (fun () -> Profile.train spec ~targets feed)
+    ~fields:[ ("target", Obs.Str T.name); ("plan", Obs.Int (List.length plan)) ]
+    (fun () -> Profile.train_plan spec ~plan observations)

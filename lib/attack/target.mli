@@ -194,7 +194,7 @@ val profile :
   Profile.store
 (** Train a profiled-template store on a cloned-device campaign with
     known key: stream the store twice (moments + POI selection, then
-    pooled covariance — see {!Profile.train}) over the target's
+    pooled covariance — see {!Profile.train_plan}) over the target's
     {!S.profile_parts} plan, classing each observation by the Hamming
     weight of its true intermediate.  Scheme-generic — the same
     function trains FALCON and HQC stores.  [?leakage] defaults to

@@ -376,25 +376,6 @@ let of_record ~n (r : Tracestore.record) =
     signature = { Falcon.Scheme.salt = r.salt; body = r.body };
   }
 
-(* Single-file persistence is one shard of the Tracestore format:
-   exactly the binary layout and validation path of a store shard
-   (header, CRC32-protected payload), so a standalone trace file and a
-   sharded campaign cannot drift apart. *)
-let save path traces =
-  if Array.length traces = 0 then invalid_arg "Leakage.save: empty trace set";
-  let n = Fft.length traces.(0).c_fft in
-  ignore
-    (Tracestore.Shard.write_file path ~n ~width:(n * events_per_coeff)
-       (Array.map to_record traces))
-
-let load path =
-  let n, width, records = Tracestore.Shard.read_file path in
-  if width <> n * events_per_coeff then
-    failwith
-      (Printf.sprintf "Leakage.load: %s: sample width %d does not match n = %d (want %d)"
-         path width n (n * events_per_coeff));
-  Array.map (of_record ~n) records
-
 let ntt_trace model rng p =
   let buf = ref [] in
   ignore (Zq.ntt_emit ~emit:(fun (e : Zq.ntt_event) -> buf := render model rng e.value :: !buf) p);

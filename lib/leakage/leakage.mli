@@ -213,16 +213,14 @@ val capture_stream :
     [capture m ~seed sk ~count] without ever holding more than one trace
     — append each to a {!Tracestore.Writer} as it is produced. *)
 
-(** {1 Trace-set persistence}
+(** {1 Trace-store records}
 
     A measurement campaign and the key-recovery analysis are separate
-    steps in practice; a captured trace set is stored in the
-    {!Tracestore} binary format (a single-file trace set is exactly one
-    store shard: header, records, trailing CRC32), so standalone files
-    and sharded out-of-core campaigns share one codec and one
-    validation path.  The known input FFT(c) is {e recomputed} from the
-    stored public salt+message on load — exactly the information a real
-    adversary keeps. *)
+    steps in practice; a campaign is persisted as a sharded
+    {!Tracestore}, whose records carry only the public part of each
+    trace.  The known input FFT(c) is {e recomputed} from the stored
+    public salt+message when a record is read back — exactly the
+    information a real adversary keeps. *)
 
 val to_record : trace -> Tracestore.record
 (** Strip a trace to its storable public part (message, salt, signature
@@ -237,21 +235,6 @@ val raw_of_record : Tracestore.record -> trace
     samples and strings are carried verbatim and [c_fft] is left empty
     (length 0).  The decode path of non-FALCON {!Attack.Target} codecs,
     whose known operands live in the record's [msg] field. *)
-
-val save : string -> trace array -> unit
-(** Raises [Sys_error] on I/O failure, [Invalid_argument] on an empty
-    set. *)
-
-val load : string -> trace array
-(** [load path] reads a file written by {!save}: one
-    {!Tracestore.Shard} file, decoded by {!Tracestore.Shard.read_file}
-    and rebuilt by {!of_record}.  Raises [Failure] naming [path] on a
-    malformed file or one in any other format (bad magic).  Every
-    declared length is checked against the bytes remaining before
-    anything is allocated, and the payload CRC32 is verified, so
-    truncation or corruption yields a descriptive message naming the
-    offending field and its byte offset — never [End_of_file] or
-    [Out_of_memory]. *)
 
 (** {1 NTT traces (section V-C comparison)} *)
 

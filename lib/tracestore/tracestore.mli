@@ -14,10 +14,9 @@
     The layer is deliberately ignorant of the FALCON attack: a trace is
     a {!record} of public strings plus raw samples.  [Leakage] converts
     to and from its richer trace type (recomputing the known input
-    FFT(c) from the stored salt and message), and delegates its
-    single-file [save]/[load] through the same {!Shard} codec, so there
-    is exactly one binary trace format and one validation path in the
-    repository.
+    FFT(c) from the stored salt and message).  A store is the one
+    campaign format in the repository, so there is exactly one binary
+    trace format and one validation path.
 
     {b Validation.}  Every declared length is checked against the
     bytes actually present before anything is allocated (a store
@@ -71,8 +70,8 @@ end
 
     A shard file is self-contained: header (magic, ring size, sample
     width, trace count), the trace records, and a trailing CRC32 of the
-    record payload.  [Leakage.save]/[load] use exactly this format for
-    standalone trace files. *)
+    record payload.  The {!Writer} flushes every shard through
+    [write_file]; [read_file] decodes one shard file on its own. *)
 
 module Shard : sig
   val write_file : string -> n:int -> width:int -> record array -> shard_entry
