@@ -81,6 +81,22 @@ let write_file path s =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
+(* The traces a fixed-budget crack reads: every stored trace but those
+   of the shards [`Skip] drops.  A corrupt shard fails every strict load
+   the same way, so under [`Skip] one more load per shard tells which;
+   under [`Fail] a crack that returns has read them all. *)
+let fixed_budget_traces ~on_corrupt reader =
+  match on_corrupt with
+  | Some `Skip ->
+      let read = ref 0 in
+      for i = 0 to Tracestore.Reader.shard_count reader - 1 do
+        match Tracestore.Reader.load_shard reader i with
+        | records -> read := !read + Array.length records
+        | exception Failure _ -> ()
+      done;
+      !read
+  | None | Some `Fail -> Tracestore.Reader.total_traces reader
+
 let store_model (m : Leakage.model) =
   { Tracestore.alpha = m.alpha; noise_sigma = m.noise_sigma; baseline = m.baseline }
 
@@ -200,14 +216,10 @@ module Falcon = struct
         ~reader ~h:pk.h
         (Fullkey.sampled_strategy ~seed:0 truth_sk.f_fft)
     in
-    let total = Tracestore.Reader.total_traces reader in
-    let budget =
-      match max_traces with None -> total | Some k -> min k total
-    in
     let traces =
       match !summary with
       | Some s -> Array.fold_left max 0 s.Sequential.Campaign.traces_used
-      | None -> budget
+      | None -> fixed_budget_traces ~on_corrupt reader
     in
     let success =
       match res.Fullkey.keypair with
@@ -339,6 +351,7 @@ module Hqc_target = struct
     check_options ?ctx ~target:name ~leakage ~stop ~max_traces ();
     let total = Tracestore.Reader.total_traces reader in
     let budget = match max_traces with None -> total | Some k -> min k total in
+    let read = lazy (fixed_budget_traces ~on_corrupt reader) in
     let w = Hqc.Params.weight in
     let winners = Array.make w 0 in
     (* one sequential result per unit: a forced position consumes no
@@ -363,7 +376,7 @@ module Hqc_target = struct
           | None ->
               ( Dema.Stream.rank ?ctx ?on_corrupt ?prefetch ~codec reader ~parts
                   ~known:known_of_trace ~top:1 (Array.to_seq cands),
-                { results.(j) with n_traces = budget } )
+                { results.(j) with n_traces = Lazy.force read } )
           | Some spec ->
               let r =
                 Dema.Stream.rank_until ?ctx ?on_corrupt ?prefetch ~codec ~spec

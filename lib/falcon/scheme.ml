@@ -41,17 +41,15 @@ let public_of_secret (sk : secret_key) = { params = sk.params; h = sk.kp.h }
 
 let body_len (p : Params.t) = p.sig_bytelen - p.salt_len - 1
 
-let sign ?emit_cf ~rng (sk : secret_key) msg =
+(* Signing, with the attacked product [cf_mul c_fft f_fft] supplied by
+   the caller; returns the signature and the FFT(c) it multiplied. *)
+let sign_with ~cf_mul ~rng (sk : secret_key) msg =
   let p = sk.params in
   let salt = String.init p.salt_len (fun _ -> Char.chr (Prng.byte rng)) in
   let c = Hash.to_point ~n:p.n (salt ^ msg) in
   let c_fft = Fft.fft_of_int c in
   (* Line 3 of Algorithm 2: the attacked computation FFT(c) (.) FFT(f). *)
-  let cf =
-    match emit_cf with
-    | None -> Fft.mul c_fft sk.f_fft
-    | Some emit -> Fft.mul_emit ~emit c_fft sk.f_fft
-  in
+  let cf = cf_mul c_fft sk.f_fft in
   let c_big_f = Fft.mul c_fft sk.big_f_fft in
   let q_inv = Fpr.inv (Fpr.of_int Zq.q) in
   let t0 = Fft.neg (Fft.mulconst c_big_f q_inv) in
@@ -75,11 +73,16 @@ let sign ?emit_cf ~rng (sk : secret_key) msg =
         let s2i = Fft.round_to_int (Fft.ifft s2) in
         match Codec.compress ~slen:(body_len p) s2i with
         | None -> attempt (k - 1)
-        | Some body -> { salt; body }
+        | Some body -> ({ salt; body }, c_fft)
       end
     end
   in
   attempt 100
+
+let sign ~rng sk msg = fst (sign_with ~cf_mul:Fft.mul ~rng sk msg)
+
+let sign_observed ~emit_cf ~rng sk msg =
+  sign_with ~cf_mul:(Fft.mul_emit ~emit:emit_cf) ~rng sk msg
 
 let recompute pk msg sg =
   let p = pk.params in

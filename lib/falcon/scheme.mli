@@ -33,16 +33,22 @@ val secret_of_keypair : Ntru.Ntrugen.keypair -> secret_key
 
 val public_of_secret : secret_key -> public_key
 
-val sign :
-  ?emit_cf:(int -> Fpr.event -> unit) ->
+val sign : rng:Prng.t -> secret_key -> string -> signature
+(** Sign a message; fresh salt from [rng].  Raises {!Signing_failed} if
+    100 sampling rounds produce no acceptable signature (does not happen
+    for honest keys). *)
+
+val sign_observed :
+  emit_cf:(int -> Fpr.event -> unit) ->
   rng:Prng.t ->
   secret_key ->
   string ->
-  signature
-(** Sign a message; fresh salt from [rng].  [emit_cf] observes every
-    soft-float intermediate of the FFT(c) (.) FFT(f) multiply, keyed by
-    coefficient index.  Raises {!Signing_failed} if 100 sampling rounds
-    produce no acceptable signature (does not happen for honest keys). *)
+  signature * Fft.t
+(** {!sign} with a probe on the attacked product: [emit_cf] observes
+    every soft-float intermediate of the FFT(c) (.) FFT(f) multiply
+    ({!Fft.mul_emit}), keyed by coefficient index.  Also returns the
+    FFT(c) that was multiplied, so a capture need not recompute it from
+    the salt and message.  Same signature and RNG draws as {!sign}. *)
 
 val verify : public_key -> string -> signature -> bool
 

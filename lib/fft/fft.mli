@@ -15,8 +15,10 @@
     point pair (v, -v), and the sequence of squared points v^2 is exactly
     the tree order of size n/2.
 
-    All arithmetic goes through {!Fpr}, so a transform executes the same
-    soft-float intermediate steps as FALCON's reference code. *)
+    All arithmetic goes through {!Fpr}, so every value is bit-identical
+    to FALCON's reference soft-float; only {!mul_emit} runs the
+    instrumented soft core step by step, the rest takes {!Fpr}'s
+    native-FPU fast path where it is exact. *)
 
 type t = { re : Fpr.t array; im : Fpr.t array }
 (** FFT-domain polynomial: [re.(k) + i im.(k)] is the value at the k-th

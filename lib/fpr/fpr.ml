@@ -194,8 +194,6 @@ let mul_emit ~emit x y =
   emit { label = Result_hi; value = word_hi r; width = 32 };
   r
 
-let mul x y = mul_emit ~emit:no_emit x y
-
 let add_emit ~emit x y =
   (* Order operands so that |x| >= |y|. *)
   let ax = Int64.logand x Int64.max_int and ay = Int64.logand y Int64.max_int in
@@ -231,59 +229,104 @@ let add_emit ~emit x y =
     end
   end
 
-let add x y = add_emit ~emit:no_emit x y
-let sub x y = add x (neg y)
+(* The integer soft core: the reference every operation is tested
+   against.  Its add and mul are the leaking [*_emit] entries above with
+   the probe unplugged. *)
+module Soft = struct
+  let add x y = add_emit ~emit:no_emit x y
+  let sub x y = add x (neg y)
+  let mul x y = mul_emit ~emit:no_emit x y
+
+  let div x y =
+    let sx = sign_bit x and ex = biased_exponent x and mx = mantissa x in
+    let sy = sign_bit y and ey = biased_exponent y and my = mantissa y in
+    let s = sx lxor sy in
+    if ex = 0 then signed_zero s
+    else begin
+      assert (ey <> 0);
+      let xu = mx lor (1 lsl 52) and yu = my lor (1 lsl 52) in
+      (* Restoring long division producing q = floor(xu * 2^55 / yu); the
+         first quotient bit is computed before the loop so that the
+         invariant r < yu holds (xu/yu lies in (1/2, 2)). *)
+      let q = ref (if xu >= yu then 1 else 0) in
+      let r = ref (if xu >= yu then xu - yu else xu) in
+      for _ = 1 to 55 do
+        r := !r lsl 1;
+        q := !q lsl 1;
+        if !r >= yu then begin
+          r := !r - yu;
+          q := !q lor 1
+        end
+      done;
+      norm_pack s (ex - ey - 55) !q (!r <> 0)
+    end
+
+  let sqrt x =
+    if is_zero x then zero
+    else begin
+      assert (sign_bit x = 0);
+      let ex = biased_exponent x and mx = mantissa x in
+      let mu = mx lor (1 lsl 52) in
+      let e2 = ex - 1075 in
+      let m, e2 = if e2 land 1 <> 0 then (mu lsl 1, e2 - 1) else (mu, e2) in
+      (* q = floor (sqrt (m * 2^56)), computed by the classic two-bit
+         shift-and-subtract method; m * 2^56 has 109/110 bits = 55 pairs. *)
+      let q = ref 0 and r = ref 0 in
+      for i = 0 to 54 do
+        let pair = if i <= 26 then (m lsr (52 - (2 * i))) land 3 else 0 in
+        r := (!r lsl 2) lor pair;
+        let c = (!q lsl 2) lor 1 in
+        if !r >= c then begin
+          r := !r - c;
+          q := (!q lsl 1) lor 1
+        end
+        else q := !q lsl 1
+      done;
+      let m55 = !q lor (if !r <> 0 then 1 else 0) in
+      pack_round 0 ((e2 asr 1) - 28) m55
+    end
+end
+
+(* A normal double whose biased exponent lies in [2, 0x7FD].  When both
+   operands and the result of an add/sub/mul/div are such values, the
+   host FPU and the soft core round the same exact value the same way,
+   bit for bit; everything else (zeros, results at or below 2^-1021,
+   where the soft core flushes to zero, and the top of the range) goes
+   to the soft core. *)
+let[@inline] native_range (x : t) =
+  let e = biased_exponent x in
+  e >= 2 && e <= 0x7FD
+
+let add x y =
+  if native_range x && native_range y then begin
+    let r = of_float (to_float x +. to_float y) in
+    if native_range r then r else Soft.add x y
+  end
+  else Soft.add x y
+
+let sub x y =
+  if native_range x && native_range y then begin
+    let r = of_float (to_float x -. to_float y) in
+    if native_range r then r else Soft.sub x y
+  end
+  else Soft.sub x y
+
+let mul x y =
+  if native_range x && native_range y then begin
+    let r = of_float (to_float x *. to_float y) in
+    if native_range r then r else Soft.mul x y
+  end
+  else Soft.mul x y
 
 let div x y =
-  let sx = sign_bit x and ex = biased_exponent x and mx = mantissa x in
-  let sy = sign_bit y and ey = biased_exponent y and my = mantissa y in
-  let s = sx lxor sy in
-  if ex = 0 then signed_zero s
-  else begin
-    assert (ey <> 0);
-    let xu = mx lor (1 lsl 52) and yu = my lor (1 lsl 52) in
-    (* Restoring long division producing q = floor(xu * 2^55 / yu); the
-       first quotient bit is computed before the loop so that the
-       invariant r < yu holds (xu/yu lies in (1/2, 2)). *)
-    let q = ref (if xu >= yu then 1 else 0) in
-    let r = ref (if xu >= yu then xu - yu else xu) in
-    for _ = 1 to 55 do
-      r := !r lsl 1;
-      q := !q lsl 1;
-      if !r >= yu then begin
-        r := !r - yu;
-        q := !q lor 1
-      end
-    done;
-    norm_pack s (ex - ey - 55) !q (!r <> 0)
+  if native_range x && native_range y then begin
+    let r = of_float (to_float x /. to_float y) in
+    if native_range r then r else Soft.div x y
   end
+  else Soft.div x y
 
 let inv x = div one x
-
-let sqrt x =
-  if is_zero x then zero
-  else begin
-    assert (sign_bit x = 0);
-    let ex = biased_exponent x and mx = mantissa x in
-    let mu = mx lor (1 lsl 52) in
-    let e2 = ex - 1075 in
-    let m, e2 = if e2 land 1 <> 0 then (mu lsl 1, e2 - 1) else (mu, e2) in
-    (* q = floor (sqrt (m * 2^56)), computed by the classic two-bit
-       shift-and-subtract method; m * 2^56 has 109/110 bits = 55 pairs. *)
-    let q = ref 0 and r = ref 0 in
-    for i = 0 to 54 do
-      let pair = if i <= 26 then (m lsr (52 - (2 * i))) land 3 else 0 in
-      r := (!r lsl 2) lor pair;
-      let c = (!q lsl 2) lor 1 in
-      if !r >= c then begin
-        r := !r - c;
-        q := (!q lsl 1) lor 1
-      end
-      else q := !q lsl 1
-    done;
-    let m55 = !q lor (if !r <> 0 then 1 else 0) in
-    pack_round 0 ((e2 asr 1) - 28) m55
-  end
+let sqrt = Soft.sqrt
 
 let round_parts s kept roundup =
   let v = if roundup then kept + 1 else kept in

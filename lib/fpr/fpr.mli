@@ -9,11 +9,18 @@
     simulator can sample it.
 
     A value of type {!t} is the raw binary64 bit pattern.  Since OCaml's
-    native [float] is IEEE-754 binary64, every operation here is
-    property-tested bit-for-bit against the host FPU (see
+    native [float] is IEEE-754 binary64, the integer soft core ({!Soft})
+    is property-tested bit-for-bit against the host FPU (see
     [test/test_fpr.ml]); only finite values with biased exponents in
     FALCON's working range are supported (no subnormals, infinities or
-    NaNs — FALCON's own emulation has the same contract). *)
+    NaNs — FALCON's own emulation has the same contract).
+
+    Only {!mul_emit} and {!add_emit} leak: they are the FPEMU model the
+    attack targets and always run the soft core.  The non-emitting
+    {!add}, {!sub}, {!mul} and {!div} compute on the host FPU when both
+    operands and the result are normal with a biased exponent in
+    [\[2, 0x7FD\]], and fall back to {!Soft} otherwise; a property test
+    pins them to {!Soft} bit for bit over the whole exponent range. *)
 
 type t = int64
 (** Binary64 bit pattern: bit 63 sign, bits 62-52 biased exponent,
@@ -94,12 +101,36 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 val div : t -> t -> t
+(** Host-FPU arithmetic where it provably equals the soft core (both
+    operands and the result normal, biased exponent in [\[2, 0x7FD\]]);
+    {!Soft} otherwise.  Bit-identical to {!Soft} on every input. *)
+
 val inv : t -> t
+(** [div one x]. *)
+
 val sqrt : t -> t
+(** {!Soft.sqrt}. *)
 
 val add_emit : emit:emit -> t -> t -> t
 val mul_emit : emit:emit -> t -> t -> t
-(** Instrumented variants; [add] and [mul] are [*_emit ~emit:no_emit]. *)
+(** The leaking entries: the soft core reporting every intermediate, in
+    program order, to [emit].  The only instrumented arithmetic. *)
+
+(** The integer soft core: the reference {!add}/{!sub}/{!mul}/{!div}
+    are tested against, and (through {!add_emit}/{!mul_emit}) the
+    leakage model.  Results at or below [2^-1021] flush to a signed
+    zero. *)
+module Soft : sig
+  val add : t -> t -> t
+  (** [add_emit ~emit:no_emit]. *)
+
+  val sub : t -> t -> t
+  val mul : t -> t -> t
+  (** [mul_emit ~emit:no_emit]. *)
+
+  val div : t -> t -> t
+  val sqrt : t -> t
+end
 
 (** {1 Rounding to integers} *)
 

@@ -18,55 +18,60 @@ let rho =
     18; 2; 61; 56; 14;
   |]
 
-let rotl x k =
+(* The 25 lanes live in a 200-byte buffer, lane i at bytes 8i..8i+7,
+   little-endian (FIPS 202's byte order), and are read and written
+   unboxed: an [int64 array] would box a fresh lane on every update. *)
+let[@inline] lane s i = Bytes.get_int64_le s (8 * i)
+let[@inline] set_lane s i v = Bytes.set_int64_le s (8 * i) v
+
+let[@inline] rotl x k =
   if k = 0 then x
   else Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let keccak_f (st : int64 array) =
-  let c = Array.make 5 0L and d = Array.make 5 0L in
-  let b = Array.make 25 0L in
+(* Lane permutations of the step mappings, indexed by x + 5*y:
+   rho+pi moves lane (x, y) to (y, 2x+3y), chi combines lane (x, y)
+   with lanes (x+1, y) and (x+2, y). *)
+let pi_dst = Array.init 25 (fun i -> let x = i mod 5 and y = i / 5 in y + (5 * (((2 * x) + (3 * y)) mod 5)))
+let chi_1 = Array.init 25 (fun i -> ((i mod 5 + 1) mod 5) + (5 * (i / 5)))
+let chi_2 = Array.init 25 (fun i -> ((i mod 5 + 2) mod 5) + (5 * (i / 5)))
+
+let keccak_f st =
+  let c = Bytes.create 40 and d = Bytes.create 40 in
+  let b = Bytes.create 200 in
   for round = 0 to 23 do
     (* theta *)
     for x = 0 to 4 do
-      c.(x) <-
-        Int64.logxor st.(x)
-          (Int64.logxor st.(x + 5)
-             (Int64.logxor st.(x + 10) (Int64.logxor st.(x + 15) st.(x + 20))))
+      set_lane c x
+        (Int64.logxor (lane st x)
+           (Int64.logxor (lane st (x + 5))
+              (Int64.logxor (lane st (x + 10))
+                 (Int64.logxor (lane st (x + 15)) (lane st (x + 20))))))
     done;
     for x = 0 to 4 do
-      d.(x) <- Int64.logxor c.((x + 4) mod 5) (rotl c.((x + 1) mod 5) 1)
+      set_lane d x
+        (Int64.logxor (lane c ((x + 4) mod 5)) (rotl (lane c ((x + 1) mod 5)) 1))
     done;
-    for x = 0 to 4 do
-      for y = 0 to 4 do
-        st.(x + (5 * y)) <- Int64.logxor st.(x + (5 * y)) d.(x)
-      done
+    for i = 0 to 24 do
+      set_lane st i (Int64.logxor (lane st i) (lane d (i mod 5)))
     done;
     (* rho + pi: B[y, 2x+3y] = rot(A[x,y]) *)
-    for x = 0 to 4 do
-      for y = 0 to 4 do
-        let nx = y and ny = ((2 * x) + (3 * y)) mod 5 in
-        b.(nx + (5 * ny)) <- rotl st.(x + (5 * y)) rho.(x + (5 * y))
-      done
+    for i = 0 to 24 do
+      set_lane b pi_dst.(i) (rotl (lane st i) rho.(i))
     done;
     (* chi *)
-    for x = 0 to 4 do
-      for y = 0 to 4 do
-        st.(x + (5 * y)) <-
-          Int64.logxor
-            b.(x + (5 * y))
-            (Int64.logand
-               (Int64.lognot b.(((x + 1) mod 5) + (5 * y)))
-               b.(((x + 2) mod 5) + (5 * y)))
-      done
+    for i = 0 to 24 do
+      set_lane st i
+        (Int64.logxor (lane b i)
+           (Int64.logand (Int64.lognot (lane b chi_1.(i))) (lane b chi_2.(i))))
     done;
     (* iota *)
-    st.(0) <- Int64.logxor st.(0) round_constants.(round)
+    set_lane st 0 (Int64.logxor (lane st 0) round_constants.(round))
   done
 
 type phase = Absorbing | Squeezing
 
 type xof = {
-  state : int64 array;
+  state : Bytes.t; (* 25 lanes, see [lane] *)
   rate : int; (* in bytes *)
   suffix : int; (* domain-separation padding byte *)
   mutable pos : int;
@@ -74,19 +79,17 @@ type xof = {
 }
 
 let create ~rate ~suffix =
-  { state = Array.make 25 0L; rate; suffix; pos = 0; phase = Absorbing }
+  { state = Bytes.make 200 '\000'; rate; suffix; pos = 0; phase = Absorbing }
 
 let shake128 () = create ~rate:168 ~suffix:0x1F
 let shake256 () = create ~rate:136 ~suffix:0x1F
 let sha3 () = create ~rate:136 ~suffix:0x06
 
+(* byte i of the state is byte i mod 8 of lane i / 8 *)
 let xor_byte st i v =
-  let w = i / 8 and sh = i mod 8 * 8 in
-  st.(w) <- Int64.logxor st.(w) (Int64.shift_left (Int64.of_int (v land 0xFF)) sh)
+  Bytes.set st i (Char.chr (Char.code (Bytes.get st i) lxor (v land 0xFF)))
 
-let get_byte st i =
-  let w = i / 8 and sh = i mod 8 * 8 in
-  Int64.to_int (Int64.shift_right_logical st.(w) sh) land 0xFF
+let get_byte st i = Char.code (Bytes.get st i)
 
 let absorb t msg =
   if t.phase <> Absorbing then invalid_arg "Keccak.absorb: already squeezing";

@@ -282,9 +282,10 @@ let capture_stream ?(emitter = default_emitter) model ~seed
             pos.(k) <- pos.(k) + 1
           end
         in
-        let signature = Falcon.Scheme.sign ~emit_cf:emit ~rng:signer_rng sk msg in
-        let c = Falcon.Hash.to_point ~n (signature.Falcon.Scheme.salt ^ msg) in
-        { samples; c_fft = Fft.fft_of_int c; msg; signature }
+        let signature, c_fft =
+          Falcon.Scheme.sign_observed ~emit_cf:emit ~rng:signer_rng sk msg
+        in
+        { samples; c_fft; msg; signature }
   | { kind; jitter } ->
       (* Register-transfer path, two phases per trace: (1) run the
          signing computation collecting event values and labels in
@@ -313,7 +314,9 @@ let capture_stream ?(emitter = default_emitter) model ~seed
             pos.(k) <- pos.(k) + 1
           end
         in
-        let signature = Falcon.Scheme.sign ~emit_cf:emit ~rng:signer_rng sk msg in
+        let signature, c_fft =
+          Falcon.Scheme.sign_observed ~emit_cf:emit ~rng:signer_rng sk msg
+        in
         let signal = Array.make width 0. in
         (match kind with
         | Hw ->
@@ -340,8 +343,7 @@ let capture_stream ?(emitter = default_emitter) model ~seed
             +. (model.alpha *. signal.(j))
             +. Stats.Rng.gaussian noise_rng ~mu:0. ~sigma:model.noise_sigma
         done;
-        let c = Falcon.Hash.to_point ~n (signature.Falcon.Scheme.salt ^ msg) in
-        { samples; c_fft = Fft.fft_of_int c; msg; signature }
+        { samples; c_fft; msg; signature }
 
 let capture ?emitter model ~seed sk ~count =
   let next = capture_stream ?emitter model ~seed sk in

@@ -189,7 +189,10 @@ val mul_trace : model -> Stats.Rng.t -> known:Fpr.t -> secret:Fpr.t -> float arr
 
 type trace = {
   samples : float array;  (** length 70 * n *)
-  c_fft : Fft.t;  (** the known input FFT(c) (recomputable from salt||msg) *)
+  c_fft : Fft.t;
+      (** the known input FFT(c): on capture, the one the signer
+          multiplied ({!Falcon.Scheme.sign_observed}); recomputable from
+          salt||msg, which is what {!of_record} does *)
   msg : string;
   signature : Falcon.Scheme.signature;
 }
@@ -201,7 +204,10 @@ val capture :
     consumes its own ChaCha20 randomness; measurement noise (and any
     jitter draws) come from the [seed]ed experiment RNG.  [emitter]
     (default {!default_emitter}) selects the device model; the default
-    reproduces the historical capture bitwise. *)
+    reproduces the historical capture bitwise.  Each trace's FFT(c) is
+    the one signing computed, not a second hash and transform; digests
+    of the captured stream (samples, FFT(c), salt, body) are pinned in
+    [test/test_leakage.ml]. *)
 
 val capture_stream :
   ?emitter:emitter ->

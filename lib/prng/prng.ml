@@ -85,11 +85,20 @@ let byte t =
   b
 
 let u64 t =
-  let acc = ref 0L in
-  for i = 0 to 7 do
-    acc := Int64.logor !acc (Int64.shift_left (Int64.of_int (byte t)) (8 * i))
-  done;
-  !acc
+  if t.pos + 8 <= String.length t.buf then begin
+    (* the next 8 bytes of the current block, little-endian, in one read *)
+    let v = String.get_int64_le t.buf t.pos in
+    t.pos <- t.pos + 8;
+    v
+  end
+  else begin
+    (* straddles a block boundary: byte by byte, refilling on the way *)
+    let acc = ref 0L in
+    for i = 0 to 7 do
+      acc := Int64.logor !acc (Int64.shift_left (Int64.of_int (byte t)) (8 * i))
+    done;
+    !acc
+  end
 
 let bits t w =
   assert (w >= 0 && w <= 62);

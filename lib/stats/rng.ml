@@ -1,4 +1,10 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* xoshiro256** state: four 64-bit lanes in one 32-byte buffer.  Lanes
+   are read and written unboxed, so a draw allocates nothing (four
+   [mutable int64] fields would box a fresh int64 on every update). *)
+type t = Bytes.t
+
+let[@inline] lane t i = Bytes.get_int64_le t (8 * i)
+let[@inline] set_lane t i v = Bytes.set_int64_le t (8 * i) v
 
 let splitmix64 state =
   let open Int64 in
@@ -10,32 +16,37 @@ let splitmix64 state =
 
 let create ~seed =
   let st = ref (Int64.of_int seed) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set_lane t i (splitmix64 st)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let rotl (x : int64) k =
+let[@inline] rotl (x : int64) k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let next64 t =
+let[@inline] next t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tt = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tt;
-  t.s3 <- rotl t.s3 45;
+  let s0 = lane t 0 and s1 = lane t 1 and s2 = lane t 2 and s3 = lane t 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tt = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set_lane t 0 s0;
+  set_lane t 1 s1;
+  set_lane t 2 (logxor s2 tt);
+  set_lane t 3 (rotl s3 45);
   result
+
+let next64 t = next t
 
 let bits t w =
   assert (w >= 0 && w <= 62);
-  Int64.to_int (Int64.shift_right_logical (next64 t) (64 - w)) land ((1 lsl w) - 1)
+  Int64.to_int (Int64.shift_right_logical (next t) (64 - w)) land ((1 lsl w) - 1)
 
 let int_below t n =
   assert (n > 0);
@@ -49,7 +60,7 @@ let int_below t n =
   if n = 1 then 0 else draw ()
 
 let float01 t =
-  let v = Int64.to_int (Int64.shift_right_logical (next64 t) 11) in
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int v *. 0x1p-53
 
 let gaussian t ~mu ~sigma =

@@ -5,6 +5,9 @@
     scheme itself (which uses {!Prng.Chacha20} seeded from SHAKE). *)
 
 type t
+(** The 256-bit state, kept as four unboxed 64-bit lanes: a draw
+    allocates nothing.  Streams are pinned by reference outputs in
+    [test/test_stats.ml]. *)
 
 val create : seed:int -> t
 (** [create ~seed] expands [seed] through SplitMix64 into the 256-bit

@@ -152,11 +152,18 @@ let test_emit_cf_observes_multiply () =
   let sk, _ = Lazy.force kp16 in
   let rng = Prng.of_seed "emit rng" in
   let count = Array.make 16 0 in
-  let sg =
-    Falcon.Scheme.sign ~emit_cf:(fun k _ -> count.(k) <- count.(k) + 1) ~rng sk "m"
+  let sg, c_fft =
+    Falcon.Scheme.sign_observed
+      ~emit_cf:(fun k _ -> count.(k) <- count.(k) + 1)
+      ~rng sk "m"
   in
-  ignore sg;
-  Array.iter (fun c -> Alcotest.(check int) "events per coefficient" 70 c) count
+  Array.iter (fun c -> Alcotest.(check int) "events per coefficient" 70 c) count;
+  (* the probe changes nothing: same signature as the plain signer, and
+     the FFT(c) handed back is the one the salt and message give *)
+  let plain = Falcon.Scheme.sign ~rng:(Prng.of_seed "emit rng") sk "m" in
+  Alcotest.(check bool) "same signature as sign" true (sg = plain);
+  let c = Falcon.Hash.to_point ~n:16 (sg.salt ^ "m") in
+  Alcotest.(check bool) "FFT(c) of salt||msg" true (c_fft = Fft.fft_of_int c)
 
 let test_sign_deterministic_given_rng () =
   let sk, _ = Lazy.force kp16 in

@@ -1,6 +1,9 @@
-(* The soft-float is property-tested bit-for-bit against the host FPU:
+(* The soft core is property-tested bit-for-bit against the host FPU:
    OCaml's native [float] is IEEE-754 binary64, which is exactly what
-   FALCON's FPEMU implements for its working range. *)
+   FALCON's FPEMU implements for its working range.  The public
+   add/sub/mul/div compute on the FPU themselves where they can, so the
+   FPU cases below test [Fpr.Soft], and a separate property pins the
+   public operations to [Fpr.Soft] on every input. *)
 
 let rng = Stats.Rng.create ~seed:2021
 
@@ -26,31 +29,104 @@ let binop_agrees name ~fpr_op ~float_op ~count ~erange =
   done
 
 let test_mul_matches_fpu () =
-  binop_agrees "mul" ~fpr_op:Fpr.mul ~float_op:( *. ) ~count:20000 ~erange:300
+  binop_agrees "mul" ~fpr_op:Fpr.Soft.mul ~float_op:( *. ) ~count:20000 ~erange:300
 
 let test_add_matches_fpu () =
-  binop_agrees "add" ~fpr_op:Fpr.add ~float_op:( +. ) ~count:20000 ~erange:300
+  binop_agrees "add" ~fpr_op:Fpr.Soft.add ~float_op:( +. ) ~count:20000 ~erange:300
 
 let test_sub_matches_fpu () =
-  binop_agrees "sub" ~fpr_op:Fpr.sub ~float_op:( -. ) ~count:20000 ~erange:300
+  binop_agrees "sub" ~fpr_op:Fpr.Soft.sub ~float_op:( -. ) ~count:20000 ~erange:300
 
 let test_div_matches_fpu () =
-  binop_agrees "div" ~fpr_op:Fpr.div ~float_op:( /. ) ~count:5000 ~erange:300
+  binop_agrees "div" ~fpr_op:Fpr.Soft.div ~float_op:( /. ) ~count:5000 ~erange:300
 
 let test_add_close_exponents () =
   (* Cancellation-heavy regime: operands with nearby exponents. *)
   for _ = 1 to 20000 do
     let x = random_double ~erange:2 () and y = random_double ~erange:2 () in
     let expect = Int64.bits_of_float (Fpr.to_float x +. Fpr.to_float y) in
-    check_bits "add-close" expect (Fpr.add x y) x y
+    check_bits "add-close" expect (Fpr.Soft.add x y) x y
   done
 
 let test_sqrt_matches_fpu () =
   for _ = 1 to 5000 do
     let x = Int64.logand (random_double ~erange:300 ()) Int64.max_int in
     let expect = Int64.bits_of_float (Float.sqrt (Fpr.to_float x)) in
-    check_bits "sqrt" expect (Fpr.sqrt x) x x
+    check_bits "sqrt" expect (Fpr.Soft.sqrt x) x x
   done
+
+(* The fast-path property draws from its own stream, so the cases after
+   it draw what they always drew. *)
+let fast_rng = Stats.Rng.create ~seed:29
+
+(* Operands for the fast-path property: any bit pattern, random
+   exponent fields over the whole range (subnormal and non-finite
+   encodings included), the boundary fields 0/1/2/0x7FD/0x7FE, and
+   signed zeros. *)
+let with_exp exp =
+  Fpr.make ~sign:(Stats.Rng.bits fast_rng 1) ~exp ~mant:(Stats.Rng.bits fast_rng 52)
+
+let boundary_exponents = [| 0; 1; 2; 0x7FD; 0x7FE |]
+
+let any_operand () =
+  match Stats.Rng.int_below fast_rng 4 with
+  | 0 -> Stats.Rng.next64 fast_rng
+  | 1 -> with_exp (Stats.Rng.int_below fast_rng 0x800)
+  | 2 -> with_exp boundary_exponents.(Stats.Rng.int_below fast_rng 5)
+  | _ -> if Stats.Rng.bits fast_rng 1 = 0 then Fpr.zero else Fpr.neg Fpr.zero
+
+(* In-range operands aimed at a result whose exponent field is 0..3:
+   at or below 2^-1021, where the soft core flushes what the FPU keeps
+   as a subnormal or a tiny normal. *)
+let tiny_result_pair op =
+  let t = Stats.Rng.int_below fast_rng 4 in
+  match op with
+  | `Mul ->
+      let ex = 2 + Stats.Rng.int_below fast_rng 1020 in
+      (with_exp ex, with_exp (t + 1023 - ex))
+  | `Div ->
+      let ey = 1025 + Stats.Rng.int_below fast_rng (0x7FD - 1025) in
+      (with_exp (t + ey - 1023), with_exp ey)
+  | `Add | `Sub ->
+      (* nearby magnitudes near the bottom of the range, so the sum or
+         difference cancels into the flushed region *)
+      let x = with_exp (2 + t) in
+      let y = Int64.logxor x (Int64.of_int (Stats.Rng.bits fast_rng 20)) in
+      let y = if Stats.Rng.bits fast_rng 1 = 0 then y else Fpr.neg y in
+      (x, y)
+
+let outcome f x y = try Ok (f x y) with e -> Error (Printexc.to_string e)
+
+let test_fast_path_equals_soft () =
+  let ops =
+    [
+      ("add", `Add, Fpr.add, Fpr.Soft.add, ( +. ));
+      ("sub", `Sub, Fpr.sub, Fpr.Soft.sub, ( -. ));
+      ("mul", `Mul, Fpr.mul, Fpr.Soft.mul, ( *. ));
+      ("div", `Div, Fpr.div, Fpr.Soft.div, ( /. ));
+    ]
+  in
+  List.iter
+    (fun (name, op, fast, soft, fpu) ->
+      (* cases where the FPU keeps a nonzero result that the soft core
+         flushes: the guard is what keeps the two equal there *)
+      let flushed = ref 0 in
+      for i = 1 to 30000 do
+        let x, y =
+          if i mod 3 = 0 then tiny_result_pair op else (any_operand (), any_operand ())
+        in
+        let got = outcome fast x y and expect = outcome soft x y in
+        if got <> expect then
+          Alcotest.failf "%s %Lx %Lx: fast %s, soft %s" name x y
+            (match got with Ok r -> Printf.sprintf "%Lx" r | Error e -> e)
+            (match expect with Ok r -> Printf.sprintf "%Lx" r | Error e -> e);
+        let r = Fpr.of_float (fpu (Fpr.to_float x) (Fpr.to_float y)) in
+        if (not (Fpr.is_zero r)) && Fpr.biased_exponent r <= 1 then incr flushed
+      done;
+      if !flushed < 1000 then
+        Alcotest.failf "%s: only %d cases with a result at or below 2^-1021" name
+          !flushed)
+    ops
 
 let test_special_values () =
   Alcotest.(check int64) "1*1" Fpr.one (Fpr.mul Fpr.one Fpr.one);
@@ -197,6 +273,8 @@ let suite =
     Alcotest.test_case "add matches FPU, close exponents" `Quick test_add_close_exponents;
     Alcotest.test_case "div matches FPU (5k samples)" `Quick test_div_matches_fpu;
     Alcotest.test_case "sqrt matches FPU (5k samples)" `Quick test_sqrt_matches_fpu;
+    Alcotest.test_case "fast path = soft core (add/sub/mul/div)" `Quick
+      test_fast_path_equals_soft;
     Alcotest.test_case "special values" `Quick test_special_values;
     Alcotest.test_case "of_int exact" `Quick test_of_int_exact;
     Alcotest.test_case "scaled" `Quick test_scaled;

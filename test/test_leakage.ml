@@ -108,6 +108,40 @@ let test_capture_window_consistency () =
       done)
     traces
 
+(* Digest of everything a capture hands back: sample bits, FFT(c) bits,
+   salt and signature body.  The goldens were taken from the all-soft
+   arithmetic, before add/sub/mul/div moved onto the FPU where it is
+   exact, so they pin the whole acquisition stream (signer, noise RNG,
+   emitters, FFT(c)) bit for bit. *)
+let capture_digest (traces : Leakage.trace array) =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun (t : Leakage.trace) ->
+      Array.iter (fun f -> Buffer.add_int64_le b (Int64.bits_of_float f)) t.samples;
+      Array.iter (Buffer.add_int64_le b) t.c_fft.Fft.re;
+      Array.iter (Buffer.add_int64_le b) t.c_fft.Fft.im;
+      Buffer.add_string b t.signature.Falcon.Scheme.salt;
+      Buffer.add_string b t.signature.Falcon.Scheme.body)
+    traces;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_capture_goldens () =
+  let sk = Lazy.force sk16 in
+  let model = Leakage.default_model in
+  Alcotest.(check string) "FALCON-16, default emitter"
+    "8b5e2835ca55854ffaabf7b40623c11d"
+    (capture_digest (Leakage.capture model ~seed:9 sk ~count:3));
+  let emitter =
+    { Leakage.hd_emitter with jitter = { max_shift = 2; drift = 0.01 } }
+  in
+  Alcotest.(check string) "FALCON-16, bus HD + jitter"
+    "3a62485309af15f558f7cce12b211240"
+    (capture_digest (Leakage.capture ~emitter model ~seed:9 sk ~count:3));
+  let sk64 = fst (Falcon.Scheme.keygen ~n:64 ~seed:"leakage golden 64") in
+  Alcotest.(check string) "FALCON-64, one trace"
+    "3cbb72aaf1cada466fd55a37116dbf2e"
+    (capture_digest (Leakage.capture model ~seed:4 sk64 ~count:1))
+
 let test_ntt_trace () =
   let rng = Stats.Rng.create ~seed:14 in
   let p = Array.init 16 (fun i -> (i * 37) mod Zq.q) in
@@ -128,6 +162,7 @@ let suite =
     Alcotest.test_case "c_fft recomputable from public data" `Quick test_capture_c_fft_matches_salt;
     Alcotest.test_case "capture deterministic" `Quick test_capture_determinism;
     Alcotest.test_case "capture window consistency" `Quick test_capture_window_consistency;
+    Alcotest.test_case "capture goldens" `Quick test_capture_goldens;
     Alcotest.test_case "ntt trace" `Quick test_ntt_trace;
   ]
 

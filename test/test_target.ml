@@ -269,6 +269,23 @@ let test_hqc_e2e_determinism () =
             (hqc_recover dir cfg = reference))
         grid)
 
+(* A fixed-budget crack reports the traces it read: the shards that
+   [`Skip] drops are not among them. *)
+let test_hqc_skip_counts_traces_read () =
+  with_hqc_store (fun dir ->
+      let whole = hqc_recover dir (1, false) in
+      Alcotest.(check int) "intact store: every trace" 220 whole.Attack.Target.traces;
+      let shard = Filename.concat dir "shard-0001.fdt" in
+      let bytes = Sidecar.read_file shard in
+      let oc = open_out_bin shard in
+      output_string oc (String.sub bytes 0 (String.length bytes / 2));
+      close_out oc;
+      let o =
+        Attack.Target.Hqc.recover_store ~on_corrupt:`Skip ~dir
+          (Tracestore.Reader.open_store dir)
+      in
+      Alcotest.(check int) "cut shard of 64 dropped" (220 - 64) o.Attack.Target.traces)
+
 let test_hqc_stop_parity () =
   with_hqc_store (fun dir ->
       let stop = Sequential.Decision.spec ~alpha:1e-3 () in
@@ -414,6 +431,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hqc_split_equivalence;
     Alcotest.test_case "hqc end-to-end determinism" `Quick
       test_hqc_e2e_determinism;
+    Alcotest.test_case "hqc fixed budget counts the traces read" `Quick
+      test_hqc_skip_counts_traces_read;
     Alcotest.test_case "hqc early-stop parity across configurations" `Quick
       test_hqc_stop_parity;
     Alcotest.test_case "hqc hd acceptance (store + adaptive)" `Quick
