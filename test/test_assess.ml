@@ -37,6 +37,60 @@ let test_campaign_store_roundtrip () =
      class labels, known operands and every float sample *)
   Alcotest.(check bool) "entries bit-identical" true (stored = generated)
 
+(* Sample-bit digests of every defense under every standard condition:
+   the class draws, operands, countermeasure randomness, jitter and
+   noise all come from one RNG stream, so any change to how a campaign
+   trace is rendered shows here. *)
+let campaign_digest (entries : Assess.Campaign.entry array) =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun (e : Assess.Campaign.entry) ->
+      Buffer.add_char b (match e.cls with Fixed -> 'F' | Random -> 'R');
+      Buffer.add_int64_le b e.known;
+      Array.iter (fun f -> Buffer.add_int64_le b (Int64.bits_of_float f)) e.samples)
+    entries;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let campaign_goldens =
+  [
+    ("none", "hw", "e2a2c4635119219613f5034d84ab1053");
+    ("masking", "hw", "043b1907cf8989a59f14e52b0f260767");
+    ("shuffle", "hw", "721a95402ef69ea15d1cc4b51f4ec123");
+    ("none", "hd", "19ebac8b2fe44fc27e845cd0fca1c013");
+    ("masking", "hd", "bd8d8382e1d97200c5621287d710d01a");
+    ("shuffle", "hd", "65d57271a4be68f1f61fb86e23a26730");
+    ("none", "hd+jitter", "780a02650f32b8b11ecd216750fb4831");
+    ("masking", "hd+jitter", "31a55ff02b65f919aec94bf32707c3ba");
+    ("shuffle", "hd+jitter", "cba76986b9df4ab77b85cecfd02d0d35");
+    (* realignment is analysis-side: generation matches hd+jitter *)
+    ("none", "hd+jitter+realign", "780a02650f32b8b11ecd216750fb4831");
+    ("masking", "hd+jitter+realign", "31a55ff02b65f919aec94bf32707c3ba");
+    ("shuffle", "hd+jitter+realign", "cba76986b9df4ab77b85cecfd02d0d35");
+  ]
+
+let test_campaign_goldens () =
+  let secret = fixed_secret 21 in
+  List.iter
+    (fun condition ->
+      List.iter
+        (fun defense ->
+          let d = Assess.Campaign.name defense
+          and c = Assess.Campaign.condition_name condition in
+          let want =
+            List.find_map
+              (fun (d', c', h) -> if d' = d && c' = c then Some h else None)
+              campaign_goldens
+          in
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s under %s" d c)
+            want
+            (Some
+               (campaign_digest
+                  (Assess.Campaign.generate ~condition defense ~noise:0.5 ~secret
+                     ~count:12 ~seed:33))))
+        Assess.Campaign.all)
+    Assess.Campaign.standard_conditions
+
 let tvla_result_eq (a : Assess.Tvla.result) (b : Assess.Tvla.result) = a = b
 
 let test_tvla_jobs_and_store_invariant () =
@@ -334,6 +388,7 @@ let test_bench_gate_refuses_each_row () =
 let suite =
   [
     Alcotest.test_case "campaign store round-trip" `Quick test_campaign_store_roundtrip;
+    Alcotest.test_case "campaign goldens" `Quick test_campaign_goldens;
     Alcotest.test_case "tvla jobs + store invariant" `Quick
       test_tvla_jobs_and_store_invariant;
     Alcotest.test_case "tvla detects unprotected leak" `Quick

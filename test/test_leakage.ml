@@ -142,6 +142,23 @@ let test_capture_goldens () =
     "3cbb72aaf1cada466fd55a37116dbf2e"
     (capture_digest (Leakage.capture model ~seed:4 sk64 ~count:1))
 
+(* The register-transfer emitters the goldens above leave out: pipeline
+   mixing over the bus, and Hamming distance over the split datapath
+   (whose per-register state differs from the bus). *)
+let test_capture_goldens_register_transfer () =
+  let sk = Lazy.force sk16 in
+  let model = Leakage.default_model in
+  Alcotest.(check string) "FALCON-16, pipelined bus"
+    "ebf9f1c48b8eff5ae80d8b4bce8871c7"
+    (capture_digest
+       (Leakage.capture ~emitter:Leakage.pipelined_emitter model ~seed:9 sk ~count:3));
+  let emitter =
+    { Leakage.kind = Hd Leakage.Register_file.datapath; jitter = Leakage.no_jitter }
+  in
+  Alcotest.(check string) "FALCON-16, datapath HD"
+    "0e0149e9a08d81a9e2156e706e5c0b93"
+    (capture_digest (Leakage.capture ~emitter model ~seed:9 sk ~count:3))
+
 let test_ntt_trace () =
   let rng = Stats.Rng.create ~seed:14 in
   let p = Array.init 16 (fun i -> (i * 37) mod Zq.q) in
@@ -163,6 +180,8 @@ let suite =
     Alcotest.test_case "capture deterministic" `Quick test_capture_determinism;
     Alcotest.test_case "capture window consistency" `Quick test_capture_window_consistency;
     Alcotest.test_case "capture goldens" `Quick test_capture_goldens;
+    Alcotest.test_case "capture goldens, register transfer" `Quick
+      test_capture_goldens_register_transfer;
     Alcotest.test_case "ntt trace" `Quick test_ntt_trace;
   ]
 
