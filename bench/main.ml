@@ -316,14 +316,9 @@ let ntt_vs_fft () =
   (* NTT: secret coefficient times known stream, modular product leaks *)
   let secret_ntt = 4242 in
   let ys = Array.init count (fun _ -> 1 + Stats.Rng.int_below rng (Zq.q - 1)) in
+  let ntt_model = { Leakage.alpha = 1.; noise_sigma = noise; baseline = 0. } in
   let ntt_traces =
-    Array.map
-      (fun y ->
-        [|
-          float_of_int (Bitops.popcount (Zq.mul secret_ntt y))
-          +. Stats.Rng.gaussian rng ~mu:0. ~sigma:noise;
-        |])
-      ys
+    Array.map (fun y -> Leakage.hw_trace ntt_model rng [| Zq.mul secret_ntt y |]) ys
   in
   let ntt_hyp g = Array.map (fun y -> float_of_int (Bitops.popcount (Zq.mul g y))) ys in
   let ntt_series =
@@ -508,12 +503,7 @@ let stream () =
   let writer =
     Tracestore.Writer.create ~dir ~n ~width:(n * Leakage.events_per_coeff)
       ~shard_traces:shard
-      ~model:
-        {
-          Tracestore.alpha = model.Leakage.alpha;
-          noise_sigma = model.Leakage.noise_sigma;
-          baseline = model.Leakage.baseline;
-        }
+      ~model
   in
   let t0 = Unix.gettimeofday () in
   Array.iter (fun t -> Tracestore.Writer.append writer (Leakage.to_record t)) traces;
@@ -846,12 +836,7 @@ let sequential () =
   let writer =
     Tracestore.Writer.create ~dir ~n ~width:(n * Leakage.events_per_coeff)
       ~shard_traces:shard
-      ~model:
-        {
-          Tracestore.alpha = model.Leakage.alpha;
-          noise_sigma = model.Leakage.noise_sigma;
-          baseline = model.Leakage.baseline;
-        }
+      ~model
   in
   Array.iter (fun t -> Tracestore.Writer.append writer (Leakage.to_record t)) traces;
   Tracestore.Writer.close writer;
@@ -1054,12 +1039,7 @@ let leakage_bench () =
   let writer =
     Tracestore.Writer.create ~dir:src ~n ~width:(n * Leakage.events_per_coeff)
       ~shard_traces:(max 1 ((count + 3) / 4))
-      ~model:
-        {
-          Tracestore.alpha = model.Leakage.alpha;
-          noise_sigma = model.Leakage.noise_sigma;
-          baseline = model.Leakage.baseline;
-        }
+      ~model
   in
   Array.iter (fun t -> Tracestore.Writer.append writer (Leakage.to_record t)) jittered;
   Tracestore.Writer.close writer;
@@ -1319,8 +1299,13 @@ let countermeasures () =
       match kind with
       | `Plain -> Leakage.mul_trace model rng ~known:y ~secret:paper_coeff
       | `Masked ->
-          Array.sub (Defense.Masking.trace model rng ~known:y ~secret:paper_coeff) 0 16
-      | `Shuffled -> Defense.Shuffle.trace model rng ~known:y ~secret:paper_coeff
+          Array.sub
+            (Leakage.hw_trace model rng
+               (Defense.Masking.values rng ~known:y ~secret:paper_coeff))
+            0 16
+      | `Shuffled ->
+          Leakage.hw_trace model rng
+            (Defense.Shuffle.values rng ~known:y ~secret:paper_coeff)
     in
     { Attack.Recover.traces = Array.map trace ys; known = ys }
   in

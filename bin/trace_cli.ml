@@ -1,14 +1,13 @@
 (* Trace-campaign driver: record, extend, inspect and verify sharded
    on-disk trace stores (lib/tracestore), the acquisition side of the
-   out-of-core attack pipeline.
+   out-of-core attack pipeline.  [record] hands every --target to its
+   Attack.Target instance with the device model built from
+   --model/--jitter/--drift; every store is written by Target.record,
+   and every sample is drawn by Leakage.render.
 
      dune exec bin/trace_cli.exe -- record -n 32 -t 5000 --shard 1000 -o campaign
      dune exec bin/trace_cli.exe -- verify -i campaign
      dune exec bin/attack_cli.exe -- crack --store campaign -j 4 *)
-
-let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -16,23 +15,8 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let store_model (m : Leakage.model) =
-  { Tracestore.alpha = m.alpha; noise_sigma = m.noise_sigma; baseline = m.baseline }
-
-let leakage_model (m : Tracestore.model_meta) =
-  { Leakage.alpha = m.alpha; noise_sigma = m.noise_sigma; baseline = m.baseline }
-
-let record_into ?emitter ~obs writer model ~seed sk count =
-  let next = Leakage.capture_stream ?emitter model ~seed sk in
-  Obs.span obs "tracestore.record" ~fields:[ ("traces", Obs.Int count) ]
-  @@ fun () ->
-  for i = 1 to count do
-    Tracestore.Writer.append writer (Leakage.to_record (next ()));
-    if Obs.enabled obs then Obs.progress ~total:count obs "traces" i
-  done
-
-(* --model/--jitter/--drift compose into a Leakage.emitter; the default
-   (hw, no jitter) is byte-for-byte the historical capture. *)
+(* --model/--jitter/--drift compose into a Leakage.emitter; a target
+   refuses one it cannot simulate (HQC: hw or hd, no jitter). *)
 let emitter_of kind jitter drift =
   let kind =
     match kind with
@@ -50,86 +34,41 @@ let emitter_label kind jitter drift =
   if jitter = 0 && drift = 0. then k
   else Printf.sprintf "%s, jitter max %d samples, drift %.3f" k jitter drift
 
-(* Non-FALCON victims record through the target registry: the instance
-   owns its victim generation, emitter and ground-truth sidecars.  The
-   device-model composition knobs (--model pipeline, --jitter, --drift)
-   are FALCON-specific and rejected here. *)
-let record_target (module T : Attack.Target.S) n traces noise model_kind jitter
-    drift seed shard out =
-  if jitter <> 0 || drift <> 0. then begin
-    Printf.eprintf "--jitter/--drift are not supported for --target %s\n" T.name;
-    1
-  end
-  else
-    match (model_kind : [ `Hw | `Hd | `Pipeline ]) with
-    | `Pipeline ->
-        Printf.eprintf "--model pipeline is not supported for --target %s\n" T.name;
-        1
-    | (`Hw | `Hd) as leakage ->
-        Printf.printf
-          "recording %d traces of a fresh %s victim into %s (noise sigma %.2f, \
-           device model %s, shards of %d)\n%!"
-          traces T.name out noise
-          (match leakage with `Hw -> "hw" | `Hd -> "hd")
-          shard;
-        T.record_store ~leakage ~dir:out ~n ~traces ~noise ~seed ~shard_traces:shard
-          ();
-        Printf.printf "wrote %d traces in %d shards + manifest and key sidecars\n"
-          traces
-          ((traces + shard - 1) / shard);
-        0
-
+(* Every target records through the registry: the instance owns its
+   victim generation, refuses a bad emitter or noise model before the
+   store is created, and writes its ground-truth sidecars. *)
 let cmd_record target n traces noise model_kind jitter drift seed shard out flags =
   Cli_common.run flags @@ fun ctx ->
-  if target <> "falcon" then
-    match Attack.Target.find target with
-    | Some t -> record_target t n traces noise model_kind jitter drift seed shard out
-    | None ->
-        prerr_endline ("unknown --target " ^ target);
-        1
-  else
-  let model = { Leakage.default_model with noise_sigma = noise } in
-  let emitter = emitter_of model_kind jitter drift in
-  let sk, pk = Falcon.Scheme.keygen ~n ~seed:(Printf.sprintf "victim-%d" seed) in
-  let writer =
-    Tracestore.Writer.create ~dir:out ~n ~width:(n * Leakage.events_per_coeff)
-      ~shard_traces:shard ~model:(store_model model)
-  in
+  let module T = (val Option.get (Attack.Target.find target)) in
+  T.record_store ~ctx
+    ~emitter:(emitter_of model_kind jitter drift)
+    ~dir:out ~n ~traces ~noise ~seed ~shard_traces:shard ();
   Printf.printf
-    "recording %d traces of a fresh FALCON-%d victim into %s (noise sigma %.2f, \
-     device model %s, shards of %d)\n%!"
-    traces n out noise
+    "recorded %d traces of a fresh %s-%d victim into %s (noise sigma %.2f, \
+     device model %s): %d shards of %d + manifest and key sidecars\n"
+    traces T.name n out noise
     (emitter_label model_kind jitter drift)
+    ((traces + shard - 1) / shard)
     shard;
-  record_into ~emitter ~obs:ctx.Attack.Ctx.obs writer model ~seed sk traces;
-  Tracestore.Writer.close writer;
-  (* the attacker also holds the public key; keep the ground truth for
-     evaluation of the sampled-hypothesis mode *)
-  write_file (Filename.concat out "public.key") (Falcon.Keycodec.encode_public pk);
-  write_file (Filename.concat out "secret.key") (Falcon.Keycodec.encode_secret sk.kp);
-  Printf.printf "wrote %d traces in %d shards + manifest, public.key, secret.key\n"
-    traces
-    ((traces + shard - 1) / shard);
   0
 
 let cmd_append store traces seed flags =
   Cli_common.run flags @@ fun ctx ->
   let writer = Tracestore.Writer.open_append store in
   let meta = Tracestore.Writer.meta writer in
-  let model = leakage_model meta.Tracestore.model in
   match Falcon.Keycodec.decode_secret (read_file (Filename.concat store "secret.key")) with
   | None ->
       prerr_endline "could not read the store's secret.key (needed to keep signing)";
       1
   | Some kp ->
       let sk = Falcon.Scheme.secret_of_keypair kp in
+      let next = Leakage.capture_stream meta.Tracestore.model ~seed sk in
       let before = Tracestore.Writer.total_traces writer in
       Printf.printf
         "appending %d traces (campaign seed %d) to %s holding %d; existing shards \
          are never rewritten\n%!"
         traces seed store before;
-      record_into ~obs:ctx.Attack.Ctx.obs writer model ~seed sk traces;
-      Tracestore.Writer.close writer;
+      Attack.Target.record ~ctx writer ~traces (fun () -> Leakage.to_record (next ()));
       Printf.printf "store now records %d traces\n" (before + traces);
       0
 
@@ -269,9 +208,9 @@ let model_arg =
     & info [ "model" ] ~docv:"MODEL"
         ~doc:
           "Device leakage model: $(b,hw) (idealized Hamming-weight probe, the \
-           default — byte-identical to historical captures), $(b,hd) (bus \
-           Hamming-distance over a shared write-back register) or \
-           $(b,pipeline) (bus HD with overlapping pipeline stages).")
+           default), $(b,hd) (bus Hamming-distance over a shared write-back \
+           register) or $(b,pipeline) (bus HD with overlapping pipeline \
+           stages; FALCON only).")
 
 let jitter_arg =
   Arg.(
@@ -280,8 +219,9 @@ let jitter_arg =
     & info [ "jitter" ] ~docv:"SAMPLES"
         ~doc:
           "Per-trace clock jitter: each trace is misaligned by a uniform \
-           integer offset in [-SAMPLES, SAMPLES].  0 (default) draws nothing \
-           and leaves the capture untouched; undo with $(b,align).")
+           integer offset in [-SAMPLES, SAMPLES] (FALCON only).  0 (default) \
+           draws nothing and leaves the capture untouched; undo with \
+           $(b,align).")
 
 let drift_arg =
   Arg.(
@@ -291,12 +231,16 @@ let drift_arg =
         ~doc:
           "Per-trace clock drift bound: a uniform rate in [-RATE, RATE] \
            accumulates a sample-index-proportional misalignment (a linear \
-           clock-frequency error).  0 (default) draws nothing.")
+           clock-frequency error; FALCON only).  0 (default) draws nothing.")
 
 let record_cmd =
   Cmd.v
     (Cmd.info "record"
-       ~doc:"Record a fresh victim's signing campaign into a sharded trace store")
+       ~doc:
+         "Record a fresh victim's campaign into a sharded trace store plus its \
+          key sidecars, through the --target's recorder.  A device model the \
+          target cannot simulate, or a negative noise or jitter, is refused \
+          (exit 1) before the store directory is created")
     Term.(
       const cmd_record $ Cli_common.target_arg $ n_arg $ traces_arg $ noise_arg
       $ model_arg $ jitter_arg $ drift_arg $ seed_arg $ shard_arg $ out_arg $ flags)

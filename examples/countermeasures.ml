@@ -20,8 +20,12 @@ let () =
     let trace y =
       match kind with
       | `Plain -> Leakage.mul_trace model rng ~known:y ~secret
-      | `Masked -> Array.sub (Defense.Masking.trace model rng ~known:y ~secret) 0 16
-      | `Shuffled -> Defense.Shuffle.trace model rng ~known:y ~secret
+      | `Masked ->
+          Array.sub
+            (Leakage.hw_trace model rng (Defense.Masking.values rng ~known:y ~secret))
+            0 16
+      | `Shuffled ->
+          Leakage.hw_trace model rng (Defense.Shuffle.values rng ~known:y ~secret)
     in
     { Attack.Recover.traces = Array.map trace ys; known = ys }
   in

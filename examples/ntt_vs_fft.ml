@@ -25,14 +25,9 @@ let () =
   (* ---- NTT side: secret s, known stream y, leak HW((s * y) mod q) ---- *)
   let secret_ntt = 4242 in
   let ys = Array.init count (fun _ -> 1 + Stats.Rng.int_below rng (Zq.q - 1)) in
+  let ntt_model = { Leakage.alpha = 1.; noise_sigma = noise; baseline = 0. } in
   let ntt_traces =
-    Array.map
-      (fun y ->
-        [|
-          float_of_int (Bitops.popcount (Zq.mul secret_ntt y))
-          +. Stats.Rng.gaussian rng ~mu:0. ~sigma:noise;
-        |])
-      ys
+    Array.map (fun y -> Leakage.hw_trace ntt_model rng [| Zq.mul secret_ntt y |]) ys
   in
   let ntt_hyp g = Array.map (fun y -> float_of_int (Bitops.popcount (Zq.mul g y))) ys in
   let ntt_series =

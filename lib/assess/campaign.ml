@@ -37,12 +37,6 @@ let attack_window defense samples =
   | `Masking -> Array.sub samples 0 Leakage.events_per_mul
   | `None | `Shuffle -> samples
 
-let trace defense model rng ~known ~secret =
-  match defense with
-  | `None -> Leakage.mul_trace model rng ~known ~secret
-  | `Masking -> Defense.Masking.trace model rng ~known ~secret
-  | `Shuffle -> Defense.Shuffle.trace model rng ~known ~secret
-
 let values defense rng ~known ~secret =
   match defense with
   | `None -> Leakage.mul_values ~known ~secret
@@ -101,26 +95,13 @@ let condition_of_name s =
   | [] -> fail ()
 
 let trace_under condition defense model rng ~known ~secret =
-  if condition.kind = `Hw && condition.jitter = Leakage.no_jitter then
-    (* the historical path, byte-for-byte (noise drawn inline per
-       rendered event) — the baseline condition changes nothing *)
-    trace defense model rng ~known ~secret
-  else begin
-    let vals = values defense rng ~known ~secret in
-    let signal =
-      match condition.kind with
-      | `Hw -> Array.map (fun v -> float_of_int (Bitops.popcount v)) vals
-      | `Hd -> Array.map float_of_int (Leakage.bus_hd vals)
-    in
-    let offset, drift = Leakage.draw_jitter condition.jitter rng in
-    let signal = Leakage.misalign ~offset ~drift signal in
-    Array.map
-      (fun s ->
-        model.Leakage.baseline
-        +. (model.Leakage.alpha *. s)
-        +. Stats.Rng.gaussian rng ~mu:0. ~sigma:model.Leakage.noise_sigma)
-      signal
-  end
+  let vals = values defense rng ~known ~secret in
+  let signal =
+    match condition.kind with
+    | `Hw -> Array.map (fun v -> float_of_int (Bitops.popcount v)) vals
+    | `Hd -> Array.map float_of_int (Leakage.bus_hd vals)
+  in
+  Leakage.render model condition.jitter rng signal
 
 let m25 = (1 lsl 25) - 1
 
@@ -137,17 +118,24 @@ let rec secret_operand rng =
 type cls = Fixed | Random
 type entry = { cls : cls; known : Fpr.t; samples : float array }
 
-let iter ?(p_fixed = 0.5) ?(condition = baseline_condition) defense ~noise
-    ~secret ~count ~seed f =
+let noise_model noise = { Leakage.default_model with noise_sigma = noise }
+
+let stream ?(p_fixed = 0.5) ?(condition = baseline_condition) defense ~noise
+    ~secret ~seed =
   if noise <= 0. then invalid_arg "Assess.Campaign: noise_sigma must be positive";
-  if count < 0 then invalid_arg "Assess.Campaign: negative trace count";
-  let model = { Leakage.default_model with Leakage.noise_sigma = noise } in
+  let model = noise_model noise in
   let rng = Stats.Rng.create ~seed in
-  for _ = 1 to count do
+  fun () ->
     let cls = if Stats.Rng.float01 rng < p_fixed then Fixed else Random in
     let known = random_operand rng in
     let secret = match cls with Fixed -> secret | Random -> random_operand rng in
-    f { cls; known; samples = trace_under condition defense model rng ~known ~secret }
+    { cls; known; samples = trace_under condition defense model rng ~known ~secret }
+
+let iter ?p_fixed ?condition defense ~noise ~secret ~count ~seed f =
+  let next = stream ?p_fixed ?condition defense ~noise ~secret ~seed in
+  if count < 0 then invalid_arg "Assess.Campaign: negative trace count";
+  for _ = 1 to count do
+    f (next ())
   done
 
 let generate ?p_fixed ?condition defense ~noise ~secret ~count ~seed =
@@ -308,19 +296,12 @@ let read_sidecar dir =
       (defense, secret, seed))
 
 let record_store ?p_fixed ~dir defense ~noise ~secret ~count ~seed ~shard_traces () =
-  let model =
-    {
-      Tracestore.alpha = Leakage.default_model.Leakage.alpha;
-      noise_sigma = noise;
-      baseline = Leakage.default_model.Leakage.baseline;
-    }
-  in
-  let w =
-    Tracestore.Writer.create ~dir ~n:2 ~width:(width defense) ~shard_traces ~model
-  in
-  iter ?p_fixed defense ~noise ~secret ~count ~seed (fun e ->
-      Tracestore.Writer.append w (to_record e));
-  Tracestore.Writer.close w;
+  let next = stream ?p_fixed defense ~noise ~secret ~seed in
+  if count < 0 then invalid_arg "Assess.Campaign: negative trace count";
+  Attack.Target.record ~ctx:(Attack.Ctx.default ()) ~traces:count
+    (Tracestore.Writer.create ~dir ~n:2 ~width:(width defense) ~shard_traces
+       ~model:(noise_model noise))
+    (fun () -> to_record (next ()));
   write_sidecar ~dir defense ~secret ~seed
 
 let open_store dir =

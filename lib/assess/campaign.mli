@@ -50,15 +50,11 @@ val attack_window : defense -> float array -> float array
     whole trace, except for masked traces where it is the first 16
     samples (the attacker assumes the unprotected layout). *)
 
-val trace :
-  defense -> Leakage.model -> Stats.Rng.t -> known:Fpr.t -> secret:Fpr.t -> float array
-
 val values : defense -> Stats.Rng.t -> known:Fpr.t -> secret:Fpr.t -> int array
 (** The unrendered intermediate values of one protected (or not)
     multiplication, in emission order — the input both device models
     (Hamming weight, bus Hamming distance) render from.  The RNG drives
-    the countermeasure (mask draws, permutation) exactly as {!trace}
-    does. *)
+    the countermeasure (mask draws, permutation). *)
 
 (** {1 Acquisition conditions}
 
@@ -75,8 +71,7 @@ type condition = {
 }
 
 val baseline_condition : condition
-(** [`Hw], no jitter, no realignment — generates byte-for-byte the
-    historical campaign stream. *)
+(** [`Hw], no jitter, no realignment: the idealized probe. *)
 
 val default_jitter : Leakage.jitter
 (** max_shift 2, no drift — the jitter the named "+jitter" conditions
@@ -101,12 +96,11 @@ val trace_under :
   secret:Fpr.t ->
   float array
 (** One campaign trace under an acquisition condition: the defense's
-    intermediate {!values} rendered through the condition's device
-    model, misaligned by a per-trace jitter draw, then
-    baseline + alpha*signal + noise.  Under {!baseline_condition} this
-    {e is} {!trace} (same code path, same RNG stream).  The [realign]
-    flag is carried for the analysis side and does not affect
-    generation. *)
+    intermediate {!values} turned into the condition's device-model
+    signal (Hamming weight or bus Hamming distance) and drawn by
+    {!Leakage.render} under the condition's jitter — the one path for
+    every defense and condition.  The [realign] flag is carried for the
+    analysis side and does not affect generation. *)
 
 val random_operand : Stats.Rng.t -> Fpr.t
 (** Uniform operand in the attack's working range: random sign, biased
@@ -133,9 +127,8 @@ val iter :
 (** Generate [count] traces one at a time (memory stays flat), calling
     the consumer in acquisition order.  Each trace is fixed-class with
     probability [p_fixed] (default 0.5; 1.0 yields an all-fixed attack
-    campaign); [?condition] (default {!baseline_condition}, which
-    reproduces the historical stream bitwise) selects the device model
-    and jitter.  Raises [Invalid_argument] if [noise <= 0] or
+    campaign); [?condition] (default {!baseline_condition}) selects the
+    device model and jitter.  Raises [Invalid_argument] if [noise <= 0] or
     [count < 0]. *)
 
 val generate :
@@ -194,8 +187,9 @@ val record_store :
   shard_traces:int ->
   unit ->
   unit
-(** Generate and record a campaign as a trace store plus sidecar.
-    Raises like {!iter} and [Tracestore.Writer]. *)
+(** Generate and record a campaign as a trace store plus sidecar,
+    through {!Attack.Target.record}.  Raises like {!iter} (before [dir]
+    is created) and [Tracestore.Writer]. *)
 
 val open_store : string -> defense * Fpr.t * int * Tracestore.Reader.t
 (** [(defense, secret, seed, reader)] of a recorded campaign.  Raises

@@ -94,8 +94,7 @@ let assess_hqc_cell ~ctx ~sigma ~budget ~seed =
     Array.init (2 * budget) (fun i ->
         let fixed = i land 1 = 0 in
         let u = if fixed then fixed_u else draw_u () in
-        let values = Hqc.intermediates `Hw secret ~u in
-        (fixed, Array.map (Leakage.render model rng) values))
+        (fixed, Leakage.hw_trace model rng (Hqc.intermediates `Hw secret ~u)))
   in
   let classify_fvr _ (fixed, _) = Some (if fixed then Tvla.A else Tvla.B) in
   let classify_rvr i (fixed, _) =

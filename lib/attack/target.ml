@@ -29,7 +29,8 @@ module type S = sig
   val codec : Dema.Stream.codec
 
   val record_store :
-    ?leakage:leakage ->
+    ?ctx:Ctx.t ->
+    ?emitter:Leakage.emitter ->
     dir:string ->
     n:int ->
     traces:int ->
@@ -97,8 +98,19 @@ let fixed_budget_traces ~on_corrupt reader =
       !read
   | None | Some `Fail -> Tracestore.Reader.total_traces reader
 
-let store_model (m : Leakage.model) =
-  { Tracestore.alpha = m.alpha; noise_sigma = m.noise_sigma; baseline = m.baseline }
+(* The one recorder: every campaign store, whatever its target, is
+   written by this loop under one span. *)
+let record ~ctx writer ~traces next =
+  let obs = ctx.Ctx.obs in
+  Obs.span obs "tracestore.record" ~fields:[ ("traces", Obs.Int traces) ]
+  @@ fun () ->
+  for i = 1 to traces do
+    Tracestore.Writer.append writer (next ());
+    if Obs.enabled obs then Obs.progress ~total:traces obs "traces" i
+  done;
+  Tracestore.Writer.close writer
+
+let noise_model noise = { Leakage.default_model with noise_sigma = noise }
 
 (* ---------------- FALCON ---------------- *)
 
@@ -112,24 +124,15 @@ module Falcon = struct
   let profile_window ~n:_ = Leakage.events_per_mul
   let codec = Dema.Stream.falcon_codec
 
-  let emitter_of = function
-    | `Hw -> Leakage.default_emitter
-    | `Hd -> Leakage.hd_emitter
-
-  let record_store ?(leakage = `Hw) ~dir ~n ~traces ~noise ~seed ~shard_traces () =
-    let model = { Leakage.default_model with noise_sigma = noise } in
+  let record_store ?(ctx = Ctx.default ()) ?(emitter = Leakage.default_emitter) ~dir
+      ~n ~traces ~noise ~seed ~shard_traces () =
+    let model = noise_model noise in
     let sk, pk = Falcon.Scheme.keygen ~n ~seed:(Printf.sprintf "victim-%d" seed) in
-    let writer =
-      Tracestore.Writer.create ~dir ~n ~width:(n * Leakage.events_per_coeff)
-        ~shard_traces ~model:(store_model model)
-    in
-    let next =
-      Leakage.capture_stream ~emitter:(emitter_of leakage) model ~seed sk
-    in
-    for _ = 1 to traces do
-      Tracestore.Writer.append writer (Leakage.to_record (next ()))
-    done;
-    Tracestore.Writer.close writer;
+    let next = Leakage.capture_stream ~emitter model ~seed sk in
+    record ~ctx ~traces
+      (Tracestore.Writer.create ~dir ~n ~width:(n * Leakage.events_per_coeff)
+         ~shard_traces ~model)
+      (fun () -> Leakage.to_record (next ()));
     write_file (Filename.concat dir "public.key") (Falcon.Keycodec.encode_public pk);
     write_file (Filename.concat dir "secret.key") (Falcon.Keycodec.encode_secret sk.kp)
 
@@ -275,19 +278,29 @@ module Hqc_target = struct
         (Printf.sprintf "Target.hqc: ring size is fixed at %d (got %d)"
            Hqc.Params.n_bits n)
 
-  let record_store ?(leakage = `Hw) ~dir ~n ~traces ~noise ~seed ~shard_traces () =
+  (* the victim's two probe models; pipeline mixing, other register
+     files and clock jitter are FALCON capture knobs *)
+  let probe (e : Leakage.emitter) =
+    match e with
+    | { kind = Hw; jitter } when jitter = Leakage.no_jitter -> `Hw
+    | { kind = Hd spec; jitter }
+      when spec == Leakage.Register_file.bus && jitter = Leakage.no_jitter ->
+        `Hd
+    | _ ->
+        invalid_arg
+          "Target.hqc: records under the hw or bus hd model only, without \
+           jitter or drift"
+
+  let record_store ?(ctx = Ctx.default ()) ?(emitter = Leakage.default_emitter) ~dir
+      ~n ~traces ~noise ~seed ~shard_traces () =
     check_n n;
-    let model = { Leakage.default_model with noise_sigma = noise } in
+    let probe = probe emitter in
+    let model = noise_model noise in
     let y = Hqc.keygen ~seed in
-    let writer =
-      Tracestore.Writer.create ~dir ~n ~width:Hqc.Params.width ~shard_traces
-        ~model:(store_model model)
-    in
-    let next = Hqc.capture_stream ~emitter:leakage model ~seed y in
-    for _ = 1 to traces do
-      Tracestore.Writer.append writer (next ())
-    done;
-    Tracestore.Writer.close writer;
+    let next = Hqc.capture_stream ~emitter:probe model ~seed y in
+    record ~ctx ~traces
+      (Tracestore.Writer.create ~dir ~n ~width:Hqc.Params.width ~shard_traces ~model)
+      next;
     write_file (Filename.concat dir Hqc.key_file) (Hqc.encode_secret y)
 
   let known_of_trace = Hqc.u_of_trace

@@ -5,9 +5,10 @@
     scheme-agnostic.  A {!S} packages what code holding a packed
     [(module S)] needs of a scheme:
 
-    - a {b leakage emitter} for victim capture ({!S.record_store}
-      writes a sharded campaign plus ground-truth sidecars) with the
-      store {!Dema.Stream.codec} that decodes it back;
+    - a {b victim recorder} ({!S.record_store} captures under a
+      {!Leakage.emitter} and writes a sharded campaign plus ground-truth
+      sidecars through the one {!record} loop) with the store
+      {!Dema.Stream.codec} that decodes it back;
     - a {b profiling plan} ({!S.profile_window}, {!S.profile_parts})
       that {!profile} trains templates over;
     - an {b end-to-end driver} ({!S.recover_store}) producing a
@@ -64,6 +65,14 @@ val check_options :
     sequential gap test ({!Distinguisher.has_gap_test}).  Every
     {!S.recover_store} calls it first. *)
 
+val record :
+  ctx:Ctx.t -> Tracestore.Writer.t -> traces:int -> (unit -> Tracestore.record) -> unit
+(** The one recorder: append [traces] records drawn from [next] to the
+    writer inside a [tracestore.record] span (reporting progress when
+    the [ctx]'s sink is enabled), then close it.  Every
+    {!S.record_store}, [Assess.Campaign.record_store] and
+    [trace_cli append] write through it. *)
+
 module type S = sig
   val name : string
 
@@ -96,7 +105,8 @@ module type S = sig
       stores *)
 
   val record_store :
-    ?leakage:leakage ->
+    ?ctx:Ctx.t ->
+    ?emitter:Leakage.emitter ->
     dir:string ->
     n:int ->
     traces:int ->
@@ -105,10 +115,14 @@ module type S = sig
     shard_traces:int ->
     unit ->
     unit
-  (** Generate a fresh victim, record a sharded campaign into [dir] and
-      write the target's ground-truth sidecar files next to the
-      manifest.  [?leakage] selects the matching device emitter
-      (default [`Hw]). *)
+  (** Generate a fresh victim, record a sharded campaign into [dir]
+      through {!record} (the [ctx]'s sink gets the [tracestore.record]
+      span and progress) and write the target's ground-truth sidecar
+      files next to the manifest.  [?emitter] (default
+      {!Leakage.default_emitter}) is the device model the victim is
+      captured under; a target refuses one it cannot simulate.  Raises
+      [Invalid_argument] on a bad emitter or noise model before [dir]
+      is created. *)
 
   val recover_store :
     ?ctx:Ctx.t ->
@@ -173,7 +187,10 @@ end
 (** The HQC rotate-and-accumulate victim ([lib/hqc]).  Units are the
     {!Hqc_.Params.weight} secret support positions, recovered in
     chained ascending order.  [witness] is {!Hqc_.encode_secret} of
-    the recovered support. *)
+    the recovered support.  [record_store] captures under
+    {!Leakage.default_emitter} (accumulator-word HW) or
+    {!Leakage.hd_emitter} (the bus transition words) and refuses any
+    other emitter. *)
 
 val all : (module S) list
 val names : string list

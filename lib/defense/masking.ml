@@ -72,21 +72,11 @@ let mul_emit ~rng ~emit x y =
 
 let overhead_factor = float_of_int events_per_mul /. float_of_int Leakage.events_per_mul
 
-(* Unrendered event values in index order.  The mask draws happen before
-   any event is emitted, so collecting values first and rendering later
-   consumes the RNG in exactly the order the one-pass [trace] always
-   did — the two-phase split exists so register-transfer emitters and
-   jitter can transform the value sequence before noise is added. *)
+(* Unrendered event values in index order; the mask draws happen
+   before any event is emitted.  Callers render them through
+   [Leakage.render]. *)
 let values rng ~known ~secret =
   let out = Array.make events_per_mul 0 in
   let emit (e : event) = out.(e.index) <- e.value in
   ignore (mul_emit ~rng ~emit known secret);
   out
-
-let trace model rng ~known ~secret =
-  Array.map
-    (fun v ->
-      model.Leakage.baseline
-      +. (model.Leakage.alpha *. float_of_int (Bitops.popcount v))
-      +. Stats.Rng.gaussian rng ~mu:0. ~sigma:model.Leakage.noise_sigma)
-    (values rng ~known ~secret)

@@ -38,9 +38,7 @@ val overhead_factor : float
     (proxy for the cycle overhead the paper asks to be reported). *)
 
 val values : Stats.Rng.t -> known:Fpr.t -> secret:Fpr.t -> int array
-(** Unrendered event values in index order (mask drawn from the rng
-    first, exactly as in {!trace}) — the hook register-transfer emitters
-    and jitter injection transform before rendering. *)
-
-val trace : Leakage.model -> Stats.Rng.t -> known:Fpr.t -> secret:Fpr.t -> float array
-(** Leakage trace of one masked multiply under the usual HW model. *)
+(** The {!events_per_mul} event values of one masked multiply in index
+    order, the mask drawn from the rng first.  A trace is their
+    rendering through {!Leakage.render} (HW or bus HD, with any jitter),
+    as [Assess.Campaign.trace_under] does. *)

@@ -28,11 +28,3 @@ let values rng ~known ~secret =
   permute product_slots;
   permute add_slots;
   values
-
-let trace model rng ~known ~secret =
-  Array.map
-    (fun v ->
-      model.Leakage.baseline
-      +. (model.Leakage.alpha *. float_of_int (Bitops.popcount v))
-      +. Stats.Rng.gaussian rng ~mu:0. ~sigma:model.Leakage.noise_sigma)
-    (values rng ~known ~secret)

@@ -10,14 +10,11 @@
     requirement by its square. *)
 
 val values : Stats.Rng.t -> known:Fpr.t -> secret:Fpr.t -> int array
-(** Unrendered, already-permuted event values in the 16-sample layout
-    (shuffle draws consumed exactly as in {!trace}). *)
-
-val trace :
-  Leakage.model -> Stats.Rng.t -> known:Fpr.t -> secret:Fpr.t -> float array
-(** One multiply trace in the standard 16-sample layout, with the
-    mantissa partial products (positions of w00/w10/w01/w11) and the two
-    intermediate additions independently permuted per execution. *)
+(** One multiply's event values in the standard 16-sample layout, with
+    the mantissa partial products (positions of w00/w10/w01/w11) and the
+    two intermediate additions independently permuted per execution
+    (shuffle draws from the rng).  A trace is their rendering through
+    {!Leakage.render}, as [Assess.Campaign.trace_under] does. *)
 
 val dilution : int
 (** Shuffle degree of the partial products (4). *)

@@ -110,6 +110,7 @@ let u_of_trace (t : Leakage.trace) =
 
 let capture_stream ?(emitter = `Hw) model ~seed y =
   check_secret y;
+  Leakage.check model Leakage.default_emitter;
   let rng = Stats.Rng.create ~seed in
   fun () ->
     (* the known dense input: one fresh uniform ring element per trace,
@@ -119,8 +120,7 @@ let capture_stream ?(emitter = `Hw) model ~seed y =
     for w = 0 to words - 1 do
       u := !u lor (Stats.Rng.int_below rng (word_mask + 1) lsl (w * word_bits))
     done;
-    let values = intermediates emitter y ~u:!u in
-    let samples = Array.map (fun v -> Leakage.render model rng v) values in
+    let samples = Leakage.hw_trace model rng (intermediates emitter y ~u:!u) in
     { Tracestore.msg = encode_u !u; salt = ""; body = ""; samples }
 
 let key_file = "hqc.key"

@@ -102,9 +102,11 @@ val capture_stream :
   unit ->
   Tracestore.record
 (** One-at-a-time capture: each call draws a fresh uniform [u], runs the
-    accumulator and renders every intermediate through
-    {!Leakage.render}.  RNG state carries across calls, so an
-    incremental campaign equals a batch capture sample-for-sample. *)
+    accumulator and renders the Hamming weight of every intermediate
+    through the one renderer ({!Leakage.hw_trace}, no jitter).  RNG
+    state carries across calls, so an incremental campaign equals a
+    batch capture sample-for-sample.  Raises [Invalid_argument] from
+    {!Leakage.check} on a bad model when created. *)
 
 (** {1 Ground-truth sidecar} *)
 

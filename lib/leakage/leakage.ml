@@ -1,4 +1,8 @@
-type model = { alpha : float; noise_sigma : float; baseline : float }
+type model = Tracestore.model_meta = {
+  alpha : float;
+  noise_sigma : float;
+  baseline : float;
+}
 
 module Params = struct
   type t = model = { alpha : float; noise_sigma : float; baseline : float }
@@ -172,7 +176,13 @@ let hd_emitter = { kind = Hd Register_file.bus; jitter = no_jitter }
 let pipelined_emitter =
   { kind = Pipelined (Register_file.bus, Pipeline.default); jitter = no_jitter }
 
-let check_emitter e =
+let check model e =
+  if not (Float.is_finite model.alpha && Float.is_finite model.baseline) then
+    invalid_arg "Leakage: alpha and baseline must be finite";
+  if not (Float.is_finite model.noise_sigma && model.noise_sigma >= 0.) then
+    invalid_arg
+      (Printf.sprintf "Leakage: noise sigma must be finite and >= 0 (got %g)"
+         model.noise_sigma);
   (match e.kind with
   | Hw -> ()
   | Hd spec -> Register_file.check_spec spec
@@ -213,10 +223,22 @@ let misalign ~offset ~drift signal =
         let k = j - s in
         if k >= 0 && k < len then signal.(k) else 0.)
 
-let render model rng value =
-  model.baseline
-  +. (model.alpha *. float_of_int (Bitops.popcount value))
-  +. Stats.Rng.gaussian rng ~mu:0. ~sigma:model.noise_sigma
+(* The one place a simulated sample is drawn: the jitter draw comes
+   first, then one gaussian per sample in sample order. *)
+let render model jitter rng signal =
+  let offset, drift = draw_jitter jitter rng in
+  let s = misalign ~offset ~drift signal in
+  for j = 0 to Array.length s - 1 do
+    s.(j) <-
+      model.baseline
+      +. (model.alpha *. s.(j))
+      +. Stats.Rng.gaussian rng ~mu:0. ~sigma:model.noise_sigma
+  done;
+  s
+
+let hw_trace model rng values =
+  render model no_jitter rng
+    (Array.map (fun v -> float_of_int (Bitops.popcount v)) values)
 
 let mul_values ~known ~secret =
   let out = Array.make events_per_mul 0 in
@@ -239,8 +261,7 @@ let bus_hd values =
     values
 
 let mul_trace model rng ~known ~secret =
-  let values = mul_values ~known ~secret in
-  Array.map (render model rng) values
+  hw_trace model rng (mul_values ~known ~secret)
 
 type trace = {
   samples : float array;
@@ -251,99 +272,51 @@ type trace = {
 
 let capture_stream ?(emitter = default_emitter) model ~seed
     (sk : Falcon.Scheme.secret_key) =
-  check_emitter emitter;
-  (* The probe state (noise RNG) and the victim's signer RNG live across
-     calls, so an acquisition campaign can pull traces one at a time —
-     appending each to an out-of-core store — and still produce exactly
-     the stream a single batch capture would. *)
+  check model emitter;
+  (* The probe state (noise RNG, register file) and the victim's signer
+     RNG live across calls, so an acquisition campaign can pull traces
+     one at a time — appending each to an out-of-core store — and still
+     produce exactly the stream a single batch capture would. *)
   let noise_rng = Stats.Rng.create ~seed in
   let signer_rng = Prng.of_seed (Printf.sprintf "victim signer %d" seed) in
+  let file =
+    match emitter.kind with
+    | Hw -> None
+    | Hd spec | Pipelined (spec, _) -> Some (Register_file.create spec)
+  in
   let n = sk.params.n in
   let next = ref 0 in
-  match emitter with
-  | { kind = Hw; jitter } when jitter = no_jitter ->
-      (* The original idealized path, byte-for-byte: HW rendered inline
-         as events arrive.  Register-transfer emitters below reproduce
-         this stream bitwise only through this shared entry, which the
-         zero-jitter regression pin in test_align.ml holds in place. *)
-      fun () ->
-        let i = !next in
-        incr next;
-        let msg = Printf.sprintf "message %d-%d" seed i in
-        let samples = Array.make (n * events_per_coeff) 0. in
-        let pos = Array.make n 0 in
-        let emit k (e : Fpr.event) =
-          (* Events of coefficient k arrive in mul0..mul3, add0, add1 order;
-             since Fft.mul_emit processes one coefficient at a time, a
-             per-coefficient cursor places them. *)
-          if pos.(k) < events_per_coeff then begin
-            samples.((k * events_per_coeff) + pos.(k)) <-
-              render model noise_rng e.value;
-            pos.(k) <- pos.(k) + 1
-          end
-        in
-        let signature, c_fft =
-          Falcon.Scheme.sign_observed ~emit_cf:emit ~rng:signer_rng sk msg
-        in
-        { samples; c_fft; msg; signature }
-  | { kind; jitter } ->
-      (* Register-transfer path, two phases per trace: (1) run the
-         signing computation collecting event values and labels in
-         physical arrival order; (2) turn them into a noiseless signal
-         (HW, or register-file HD replayed in arrival order), mix
-         pipeline stages, draw and apply the per-trace jitter, then
-         render baseline + alpha*signal + noise in sample order.  The
-         per-trace draw order (jitter first, then one gaussian per
-         sample) is part of the determinism contract. *)
-      let width = n * events_per_coeff in
-      fun () ->
-        let i = !next in
-        incr next;
-        let msg = Printf.sprintf "message %d-%d" seed i in
-        let pos = Array.make n 0 in
-        let slots = Array.make width 0 in
-        let vals = Array.make width 0 in
-        let labels = Array.make width Fpr.Load_x_lo in
-        let m = ref 0 in
-        let emit k (e : Fpr.event) =
-          if pos.(k) < events_per_coeff then begin
-            slots.(!m) <- (k * events_per_coeff) + pos.(k);
-            vals.(!m) <- e.value;
-            labels.(!m) <- e.label;
-            incr m;
-            pos.(k) <- pos.(k) + 1
-          end
-        in
-        let signature, c_fft =
-          Falcon.Scheme.sign_observed ~emit_cf:emit ~rng:signer_rng sk msg
-        in
-        let signal = Array.make width 0. in
-        (match kind with
-        | Hw ->
-            for t = 0 to !m - 1 do
-              signal.(slots.(t)) <- float_of_int (Bitops.popcount vals.(t))
-            done
-        | Hd spec | Pipelined (spec, _) ->
-            let file = Register_file.create spec in
-            for t = 0 to !m - 1 do
-              signal.(slots.(t)) <-
-                float_of_int (Register_file.write file labels.(t) vals.(t))
-            done);
-        let signal =
-          match kind with
-          | Pipelined (_, pipe) -> Pipeline.mix pipe signal
-          | Hw | Hd _ -> signal
-        in
-        let offset, drift = draw_jitter jitter noise_rng in
-        let signal = misalign ~offset ~drift signal in
-        let samples = Array.make width 0. in
-        for j = 0 to width - 1 do
-          samples.(j) <-
-            model.baseline
-            +. (model.alpha *. signal.(j))
-            +. Stats.Rng.gaussian noise_rng ~mu:0. ~sigma:model.noise_sigma
-        done;
-        { samples; c_fft; msg; signature }
+  fun () ->
+    let i = !next in
+    incr next;
+    let msg = Printf.sprintf "message %d-%d" seed i in
+    let signal = Array.make (n * events_per_coeff) 0. in
+    let pos = Array.make n 0 in
+    Option.iter Register_file.reset file;
+    let emit k (e : Fpr.event) =
+      (* Events of coefficient k arrive in mul0..mul3, add0, add1 order;
+         since Fft.mul_emit processes one coefficient at a time, a
+         per-coefficient cursor places them.  Each event's leakage goes
+         straight into the signal: its HW, or the register-file
+         transition it causes, replayed in arrival order. *)
+      if pos.(k) < events_per_coeff then begin
+        signal.((k * events_per_coeff) + pos.(k)) <-
+          float_of_int
+            (match file with
+            | None -> Bitops.popcount e.value
+            | Some file -> Register_file.write file e.label e.value);
+        pos.(k) <- pos.(k) + 1
+      end
+    in
+    let signature, c_fft =
+      Falcon.Scheme.sign_observed ~emit_cf:emit ~rng:signer_rng sk msg
+    in
+    let signal =
+      match emitter.kind with
+      | Pipelined (_, pipe) -> Pipeline.mix pipe signal
+      | Hw | Hd _ -> signal
+    in
+    { samples = render model emitter.jitter noise_rng signal; c_fft; msg; signature }
 
 let capture ?emitter model ~seed sk ~count =
   let next = capture_stream ?emitter model ~seed sk in
@@ -379,6 +352,6 @@ let of_record ~n (r : Tracestore.record) =
   }
 
 let ntt_trace model rng p =
-  let buf = ref [] in
-  ignore (Zq.ntt_emit ~emit:(fun (e : Zq.ntt_event) -> buf := render model rng e.value :: !buf) p);
-  Array.of_list (List.rev !buf)
+  let values = ref [] in
+  ignore (Zq.ntt_emit ~emit:(fun (e : Zq.ntt_event) -> values := e.value :: !values) p);
+  hw_trace model rng (Array.of_list (List.rev !values))

@@ -14,20 +14,28 @@
     The physics enters only through the signal-to-noise ratio, which is
     an explicit knob — see DESIGN.md for the substitution argument.
 
+    Every simulated sample in the repository — FALCON signing under
+    every emitter, the single-multiply campaigns under every
+    countermeasure and condition, HQC, NTT — is drawn by one function,
+    {!render}: capture paths only compute a noiseless signal and hand it
+    over.
+
     Beyond the idealized Hamming-weight probe, {!emitter} selects
     register-transfer device models: Hamming-{e distance} leakage over a
     configurable {!Register_file} (sample = transitions of the registers
     written), a {!Pipeline} overlap mixer (sample = weighted sum of the
     leakage of all co-resident stages), and per-trace acquisition
     {!jitter} (random phase offset + clock drift).  All are seedable and
-    deterministic; with the default emitter (HW, zero jitter) the output
-    is bitwise identical to the idealized probe.  See DESIGN.md §14. *)
+    deterministic.  See DESIGN.md §14. *)
 
-type model = {
+type model = Tracestore.model_meta = {
   alpha : float;  (** volts per Hamming-weight unit *)
   noise_sigma : float;  (** Gaussian noise, same unit *)
   baseline : float;
 }
+(** The noise model, and the record a trace store's manifest keeps of
+    it: one type, so a model goes to {!Tracestore.Writer.create} and
+    comes back from a store's meta as is. *)
 
 (** The one home of the acquisition constants that used to be scattered
     as per-module magic numbers.  [of_env] honours [FD_ALPHA],
@@ -143,14 +151,20 @@ type kind =
 type emitter = { kind : kind; jitter : jitter }
 
 val default_emitter : emitter
-(** [{ kind = Hw; jitter = no_jitter }] — bitwise identical to the
-    pre-register-transfer capture path. *)
+(** [{ kind = Hw; jitter = no_jitter }] — the idealized probe. *)
 
 val hd_emitter : emitter
 (** HD over {!Register_file.bus}, zero jitter. *)
 
 val pipelined_emitter : emitter
 (** {!Register_file.bus} through {!Pipeline.default}, zero jitter. *)
+
+val check : model -> emitter -> unit
+(** Raises [Invalid_argument] unless alpha and baseline are finite, the
+    noise sigma is finite and [>= 0], and the emitter's register file,
+    pipeline and jitter knobs are well formed.  Every capture stream
+    calls it when it is created, so a recording refuses a bad model
+    before its store is written. *)
 
 val draw_jitter : jitter -> Stats.Rng.t -> int * float
 (** Draw one trace's (offset, drift slope).  A knob that is off consumes
@@ -162,12 +176,19 @@ val misalign : offset:int -> drift:float -> float array -> float array
     positions see zero signal.  [misalign ~offset:0 ~drift:0.] returns
     the input unchanged (physically equal). *)
 
-val render : model -> Stats.Rng.t -> int -> float
-(** One probe sample of one intermediate:
-    [baseline + alpha * HW(value) + N(0, noise_sigma^2)].  The single
-    primitive every capture path (FALCON signing, NTT, and non-FALCON
-    {!Attack.Target} victims) renders through, so all targets share one
-    physical model. *)
+val render : model -> jitter -> Stats.Rng.t -> float array -> float array
+(** The one renderer.  [render model jitter rng signal] takes one
+    trace's noiseless signal — each sample's leakage in model units
+    (HW, HD, or a pipeline mix of them) — draws the per-trace jitter
+    ({!draw_jitter}, nothing when off), {!misalign}s, then renders every
+    sample as [baseline + alpha * s + N(0, noise_sigma^2)], drawing the
+    noise in sample order.  [signal] is consumed: with no jitter drawn
+    it is rendered in place and returned. *)
+
+val hw_trace : model -> Stats.Rng.t -> int array -> float array
+(** [hw_trace model rng values] is [render model no_jitter rng] over
+    the Hamming weights of [values]: the idealized probe over a sequence
+    of intermediates. *)
 
 (** {1 Single-multiply traces (per-coefficient experiments, Fig. 3/4)} *)
 
@@ -183,7 +204,7 @@ val bus_hd : int array -> int array
     starting at zero. *)
 
 val mul_trace : model -> Stats.Rng.t -> known:Fpr.t -> secret:Fpr.t -> float array
-(** Rendered trace of one soft-float multiply: 16 HW samples. *)
+(** {!hw_trace} of {!mul_values}: 16 HW samples. *)
 
 (** {1 Full signing traces} *)
 
@@ -203,8 +224,9 @@ val capture :
 (** Capture [count] signing operations of distinct messages.  The signer
     consumes its own ChaCha20 randomness; measurement noise (and any
     jitter draws) come from the [seed]ed experiment RNG.  [emitter]
-    (default {!default_emitter}) selects the device model; the default
-    reproduces the historical capture bitwise.  Each trace's FFT(c) is
+    (default {!default_emitter}) selects the device model: each signing
+    event's leakage is written into the trace's signal as it is
+    emitted, then {!render} draws the samples.  Each trace's FFT(c) is
     the one signing computed, not a second hash and transform; digests
     of the captured stream (samples, FFT(c), salt, body) are pinned in
     [test/test_leakage.ml]. *)
@@ -217,7 +239,8 @@ val capture_stream :
     RNG state across calls, so
     [Array.init count (capture_stream m ~seed sk)] is the same stream as
     [capture m ~seed sk ~count] without ever holding more than one trace
-    — append each to a {!Tracestore.Writer} as it is produced. *)
+    — append each to a {!Tracestore.Writer} as it is produced.  Raises
+    [Invalid_argument] from {!check} when created. *)
 
 (** {1 Trace-store records}
 

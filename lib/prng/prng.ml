@@ -20,9 +20,8 @@ let quarter st a b c d =
   st.(c) <- (st.(c) + st.(d)) land mask32;
   st.(b) <- rotl32 (st.(b) lxor st.(c)) 7
 
-let block ~key ~nonce ~counter =
-  if String.length key <> 32 then invalid_arg "Prng.block: key must be 32 bytes";
-  if String.length nonce <> 12 then invalid_arg "Prng.block: nonce must be 12 bytes";
+(* The state words of block 0: constants, key, counter 0, nonce. *)
+let initial_state ~key ~nonce =
   let init = Array.make 16 0 in
   init.(0) <- 0x61707865;
   init.(1) <- 0x3320646e;
@@ -31,11 +30,15 @@ let block ~key ~nonce ~counter =
   for i = 0 to 7 do
     init.(4 + i) <- word key (4 * i)
   done;
-  init.(12) <- counter land mask32;
   for i = 0 to 2 do
     init.(13 + i) <- word nonce (4 * i)
   done;
-  let st = Array.copy init in
+  init
+
+(* The block function: 20 rounds over a copy of [init] in the scratch
+   [st], then the 64-byte keystream block written into [out]. *)
+let core init st out =
+  Array.blit init 0 st 0 16;
   for _ = 1 to 10 do
     quarter st 0 4 8 12;
     quarter st 1 5 9 13;
@@ -46,48 +49,60 @@ let block ~key ~nonce ~counter =
     quarter st 2 7 8 13;
     quarter st 3 4 9 14
   done;
-  let out = Bytes.create 64 in
   for i = 0 to 15 do
-    let v = (st.(i) + init.(i)) land mask32 in
-    Bytes.set out (4 * i) (Char.chr (v land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr ((v lsr 24) land 0xFF))
-  done;
-  Bytes.to_string out
+    Bytes.set_int32_le out (4 * i) (Int32.of_int ((st.(i) + init.(i)) land mask32))
+  done
 
+let block ~key ~nonce ~counter =
+  if String.length key <> 32 then invalid_arg "Prng.block: key must be 32 bytes";
+  if String.length nonce <> 12 then invalid_arg "Prng.block: nonce must be 12 bytes";
+  let init = initial_state ~key ~nonce in
+  init.(12) <- counter land mask32;
+  let out = Bytes.create 64 in
+  core init (Array.make 16 0) out;
+  Bytes.unsafe_to_string out
+
+(* A generator owns its state words, round scratch and output block, and
+   refills the block in place. *)
 type t = {
-  key : string;
-  nonce : string;
+  init : int array;
+  st : int array;
+  buf : Bytes.t;
   mutable counter : int;
-  mutable buf : string;
   mutable pos : int;
 }
 
 let create ~key ~nonce =
   if String.length key <> 32 then invalid_arg "Prng.create: key must be 32 bytes";
   if String.length nonce <> 12 then invalid_arg "Prng.create: nonce must be 12 bytes";
-  { key; nonce; counter = 0; buf = ""; pos = 0 }
+  {
+    init = initial_state ~key ~nonce;
+    st = Array.make 16 0;
+    buf = Bytes.create 64;
+    counter = 0;
+    pos = 64;
+  }
 
 let of_seed seed =
   let material = Keccak.shake256_digest seed 44 in
   create ~key:(String.sub material 0 32) ~nonce:(String.sub material 32 12)
 
 let refill t =
-  t.buf <- block ~key:t.key ~nonce:t.nonce ~counter:t.counter;
+  t.init.(12) <- t.counter land mask32;
+  core t.init t.st t.buf;
   t.counter <- t.counter + 1;
   t.pos <- 0
 
 let byte t =
-  if t.pos >= String.length t.buf then refill t;
-  let b = Char.code t.buf.[t.pos] in
+  if t.pos >= 64 then refill t;
+  let b = Char.code (Bytes.get t.buf t.pos) in
   t.pos <- t.pos + 1;
   b
 
 let u64 t =
-  if t.pos + 8 <= String.length t.buf then begin
+  if t.pos + 8 <= 64 then begin
     (* the next 8 bytes of the current block, little-endian, in one read *)
-    let v = String.get_int64_le t.buf t.pos in
+    let v = Bytes.get_int64_le t.buf t.pos in
     t.pos <- t.pos + 8;
     v
   end

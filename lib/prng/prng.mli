@@ -14,7 +14,9 @@ val of_seed : string -> t
     how FALCON seeds its signing PRNG from the RNG-salt. *)
 
 val block : key:string -> nonce:string -> counter:int -> string
-(** Raw 64-byte ChaCha20 block (exposed for the RFC test vectors). *)
+(** Raw 64-byte ChaCha20 block, the RFC 7539 entry point (exposed for
+    its test vectors).  A generator runs the same block function, but
+    refills its own buffer in place, allocating nothing per block. *)
 
 val byte : t -> int
 val u64 : t -> int64

@@ -25,30 +25,60 @@ let contains msg frag =
 
 (* {2 Emitters} *)
 
+(* The default emitter is the idealized probe: every sample is
+   baseline + alpha * HW + one gaussian of the seeded noise RNG, drawn
+   in sample order and trace after trace.  A noise-free capture of the
+   same seed gives the HW signal (same messages, same signer). *)
 let test_default_emitter_bitwise () =
-  let a = Leakage.capture model ~seed:3 sk ~count:6 in
-  let b = Leakage.capture ~emitter:Leakage.default_emitter model ~seed:3 sk ~count:6 in
-  Alcotest.(check int) "count" (Array.length a) (Array.length b);
+  let a = Leakage.capture ~emitter:Leakage.default_emitter model ~seed:3 sk ~count:6 in
+  let clean = Leakage.capture Leakage.clean_model ~seed:3 sk ~count:6 in
+  let noise = Stats.Rng.create ~seed:3 in
+  Alcotest.(check int) "count" (Array.length clean) (Array.length a);
   Array.iteri
     (fun i (t : Leakage.trace) ->
+      let want =
+        Array.map
+          (fun hw ->
+            model.baseline +. (model.alpha *. hw)
+            +. Stats.Rng.gaussian noise ~mu:0. ~sigma:model.noise_sigma)
+          clean.(i).Leakage.samples
+      in
       Alcotest.(check (array (float 0.)))
         (Printf.sprintf "trace %d bitwise" i)
-        t.Leakage.samples b.(i).Leakage.samples)
+        want t.Leakage.samples)
     a
 
+(* The baseline condition is the idealized probe over the undefended
+   multiply: one RNG draws the class, the operands, then one gaussian
+   per intermediate's HW. *)
 let test_campaign_baseline_bitwise () =
   let secret = Assess.Campaign.secret_operand (Stats.Rng.create ~seed:5) in
-  let a = Assess.Campaign.generate `None ~noise:sigma ~secret ~count:40 ~seed:17 in
-  let b =
+  let entries =
     Assess.Campaign.generate ~condition:Assess.Campaign.baseline_condition `None
       ~noise:sigma ~secret ~count:40 ~seed:17
   in
+  let rng = Stats.Rng.create ~seed:17 in
   Array.iteri
     (fun i (e : Assess.Campaign.entry) ->
+      let fixed = Stats.Rng.float01 rng < 0.5 in
+      let known = Assess.Campaign.random_operand rng in
+      let secret = if fixed then secret else Assess.Campaign.random_operand rng in
+      let want =
+        Array.map
+          (fun v ->
+            model.baseline
+            +. (model.alpha *. float_of_int (Bitops.popcount v))
+            +. Stats.Rng.gaussian rng ~mu:0. ~sigma)
+          (Leakage.mul_values ~known ~secret)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "entry %d class and operand" i)
+        true
+        (e.cls = (if fixed then Fixed else Random) && e.known = known);
       Alcotest.(check (array (float 0.)))
         (Printf.sprintf "entry %d bitwise" i)
-        e.Assess.Campaign.samples b.(i).Assess.Campaign.samples)
-    a
+        want e.Assess.Campaign.samples)
+    entries
 
 let test_register_file_bus () =
   let rf = Leakage.Register_file.create Leakage.Register_file.bus in
@@ -204,12 +234,7 @@ let with_jittered_store ~seed f =
       let w =
         Tracestore.Writer.create ~dir:src ~n
           ~width:(n * Leakage.events_per_coeff) ~shard_traces:20
-          ~model:
-            {
-              Tracestore.alpha = model.Leakage.alpha;
-              noise_sigma = model.Leakage.noise_sigma;
-              baseline = model.Leakage.baseline;
-            }
+          ~model
       in
       Array.iter (fun t -> Tracestore.Writer.append w (Leakage.to_record t)) traces;
       Tracestore.Writer.close w;
@@ -343,12 +368,7 @@ let test_hd_stop_rejected () =
       let w =
         Tracestore.Writer.create ~dir ~n ~width:(n * Leakage.events_per_coeff)
           ~shard_traces:8
-          ~model:
-            {
-              Tracestore.alpha = model.Leakage.alpha;
-              noise_sigma = model.Leakage.noise_sigma;
-              baseline = model.Leakage.baseline;
-            }
+          ~model
       in
       Array.iter (fun t -> Tracestore.Writer.append w (Leakage.to_record t)) traces;
       Tracestore.Writer.close w;

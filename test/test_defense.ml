@@ -15,7 +15,11 @@ let masked_view count =
   let ys = known count "masked" in
   {
     Attack.Recover.traces =
-      Array.map (fun y -> Defense.Masking.trace Leakage.default_model rng ~known:y ~secret) ys;
+      Array.map
+        (fun y ->
+          Leakage.hw_trace Leakage.default_model rng
+            (Defense.Masking.values rng ~known:y ~secret))
+        ys;
     known = ys;
   }
 
@@ -24,7 +28,11 @@ let shuffled_view count =
   let ys = known count "shuffled" in
   {
     Attack.Recover.traces =
-      Array.map (fun y -> Defense.Shuffle.trace Leakage.default_model rng ~known:y ~secret) ys;
+      Array.map
+        (fun y ->
+          Leakage.hw_trace Leakage.default_model rng
+            (Defense.Shuffle.values rng ~known:y ~secret))
+        ys;
     known = ys;
   }
 

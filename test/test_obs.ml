@@ -231,12 +231,7 @@ let with_campaign f =
         Tracestore.Writer.create ~dir ~n:16
           ~width:(16 * Leakage.events_per_coeff)
           ~shard_traces:16
-          ~model:
-            {
-              Tracestore.alpha = model.alpha;
-              noise_sigma = model.noise_sigma;
-              baseline = model.baseline;
-            }
+          ~model
       in
       Array.iter (fun t -> Tracestore.Writer.append w (Leakage.to_record t)) traces;
       Tracestore.Writer.close w;

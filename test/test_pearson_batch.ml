@@ -505,12 +505,7 @@ let test_stream_rank_jobs_parity () =
         Tracestore.Writer.create ~dir ~n:16
           ~width:(16 * Leakage.events_per_coeff)
           ~shard_traces:8
-          ~model:
-            {
-              Tracestore.alpha = model.alpha;
-              noise_sigma = model.noise_sigma;
-              baseline = model.baseline;
-            }
+          ~model
       in
       Array.iter (fun t -> Tracestore.Writer.append w (Leakage.to_record t)) traces;
       Tracestore.Writer.close w;

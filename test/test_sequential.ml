@@ -200,12 +200,7 @@ let with_campaign ?(noise = 0.4) ~n ~count ~shard ~seed f =
         Tracestore.Writer.create ~dir ~n
           ~width:(n * Leakage.events_per_coeff)
           ~shard_traces:shard
-          ~model:
-            {
-              Tracestore.alpha = model.alpha;
-              noise_sigma = model.noise_sigma;
-              baseline = model.baseline;
-            }
+          ~model
       in
       Array.iter (fun t -> Tracestore.Writer.append w (Leakage.to_record t)) traces;
       Tracestore.Writer.close w;

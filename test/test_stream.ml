@@ -27,12 +27,7 @@ let with_store ~shard_traces traces f =
         Tracestore.Writer.create ~dir ~n:16
           ~width:(16 * Leakage.events_per_coeff)
           ~shard_traces
-          ~model:
-            {
-              Tracestore.alpha = model.alpha;
-              noise_sigma = model.noise_sigma;
-              baseline = model.baseline;
-            }
+          ~model
       in
       Array.iter (fun t -> Tracestore.Writer.append w (Leakage.to_record t)) traces;
       Tracestore.Writer.close w;
@@ -269,12 +264,7 @@ let test_stream_evolution_single_shard () =
         Tracestore.Writer.create ~dir ~n:16
           ~width:(16 * Leakage.events_per_coeff)
           ~shard_traces:64
-          ~model:
-            {
-              Tracestore.alpha = model.alpha;
-              noise_sigma = model.noise_sigma;
-              baseline = model.baseline;
-            }
+          ~model
       in
       Array.iter (fun t -> Tracestore.Writer.append w (Leakage.to_record t)) traces;
       Tracestore.Writer.close w;
@@ -372,12 +362,7 @@ let with_campaign_dir f =
         Tracestore.Writer.create ~dir ~n:16
           ~width:(16 * Leakage.events_per_coeff)
           ~shard_traces:8
-          ~model:
-            {
-              Tracestore.alpha = model.alpha;
-              noise_sigma = model.noise_sigma;
-              baseline = model.baseline;
-            }
+          ~model
       in
       Array.iter (fun t -> Tracestore.Writer.append w (Leakage.to_record t)) traces;
       Tracestore.Writer.close w;
