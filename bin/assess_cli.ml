@@ -165,20 +165,15 @@ let cmd_metrics store defense noise budget experiments decoys seed stop_alpha fl
 (* {2 matrix} *)
 
 let print_cell (c : Assess.Matrix.cell) =
+  let p = c.point and o = c.outcome in
   Printf.printf "%-6s %-8s sigma %-5g budget %-6d %-17s %-8s sr %.2f ge %6.2f \
                  mtd %-6s max|t1| %8.2f max|t2| %8.2f %s\n%!"
-    c.Assess.Matrix.target
-    (Assess.Campaign.name c.Assess.Matrix.defense)
-    c.Assess.Matrix.sigma c.Assess.Matrix.budget
-    (Assess.Campaign.condition_name c.Assess.Matrix.condition)
-    c.Assess.Matrix.distinguisher
-    c.Assess.Matrix.outcome.Assess.Metrics.success_rate
-    c.Assess.Matrix.outcome.Assess.Metrics.guessing_entropy
-    (match c.Assess.Matrix.outcome.Assess.Metrics.mtd with
-    | Some d -> string_of_int d
-    | None -> "-")
-    c.Assess.Matrix.max_t1 c.Assess.Matrix.max_t2
-    (if c.Assess.Matrix.first_order_leak then "LEAK" else "quiet")
+    p.target (Assess.Campaign.name p.defense) p.sigma p.budget
+    (Assess.Campaign.condition_name p.condition)
+    p.distinguisher o.success_rate o.guessing_entropy
+    (match o.mtd with Some d -> string_of_int d | None -> "-")
+    c.tvla.max_t1 c.tvla.max_t2
+    (if Assess.Matrix.first_order_leak c then "LEAK" else "quiet")
 
 let cmd_matrix tiny targets sigmas budgets conditions distinguishers experiments
     decoys seed out flags =
@@ -209,19 +204,12 @@ let cmd_matrix tiny targets sigmas budgets conditions distinguishers experiments
 
 let cmd_check json_path =
   with_errors @@ fun () ->
-  match Assess.Matrix.validate (Assess.Json.of_string (read_file json_path)) with
+  let report = Assess.Json.of_string (read_file json_path) in
+  match Assess.Matrix.validate report with
   | Ok () ->
-      let cells =
-        match
-          Option.bind
-            (Assess.Json.member "cells" (Assess.Json.of_string (read_file json_path)))
-            Assess.Json.to_list_opt
-        with
-        | Some l -> List.length l
-        | None -> 0
-      in
+      let cells = Option.bind (Assess.Json.member "cells" report) Assess.Json.to_list_opt in
       Printf.printf "%s: valid %s report (%d cells)\n" json_path Assess.Matrix.schema
-        cells;
+        (List.length (Option.get cells));
       Cli_common.ok
   | Error msg ->
       Printf.eprintf "%s: %s\n" json_path msg;
@@ -347,7 +335,10 @@ let conditions_arg =
            comma-separated names built from $(b,hw)/$(b,hd) with optional \
            $(b,+jitter) and $(b,+realign) suffixes, e.g. \
            $(b,hw,hd,hd+jitter,hd+jitter+realign).  The default $(b,hw) \
-           reproduces the pre-axis matrix bit for bit.")
+           reproduces the pre-axis matrix bit for bit.  FALCON cells sweep \
+           every condition; HQC has cells under $(b,hw) only, so \
+           $(b,--targets) with $(b,hqc) needs $(b,hw) here and is refused \
+           without it.")
 
 let targets_arg =
   Arg.(
@@ -357,10 +348,10 @@ let targets_arg =
         ~doc:
           "Target grid axis: comma-separated Attack.Target names \
            ($(b,falcon), $(b,hqc)).  FALCON cells sweep the full defense x \
-           sigma x budget x condition product; other targets contribute a \
-           sigma x budget sub-grid (no defense, baseline condition).  The \
-           default $(b,falcon) reproduces the pre-target-axis matrix cell \
-           for cell.")
+           sigma x budget x condition product; HQC spans only defense none \
+           under condition $(b,hw), a sigma x budget sub-grid, and is refused \
+           when $(b,--conditions) lacks $(b,hw).  The default $(b,falcon) \
+           reproduces the pre-target-axis matrix cell for cell.")
 
 let distinguishers_arg =
   Arg.(

@@ -1,19 +1,21 @@
-type cell = {
+type point = {
   target : string;
   defense : Campaign.defense;
   sigma : float;
   budget : int;
   condition : Campaign.condition;
   distinguisher : string;
-  outcome : Metrics.outcome;
+  seed : int;
+}
+
+type tvla = {
   max_t1 : float;
   max_t1_sample : int;
   max_t2 : float;
   rvr_max_t1 : float;
-  first_order_leak : bool;
-  overhead : float;
-  dilution : int;
 }
+
+type cell = { point : point; outcome : Metrics.outcome; tvla : tvla }
 
 type report = {
   seed : int;
@@ -31,30 +33,16 @@ type report = {
 let schema = "falcon-down/assess-matrix/v5"
 let known_distinguishers = Attack.Distinguisher.names
 
-(* Per-target grid shape: the defense and condition axes are FALCON
-   acquisition knobs (countermeasure windows, device-model sweeps of
-   the FFT multiplier); other targets evaluate sigma x budget with no
-   defense and the baseline condition.  Every target carries the
-   distinguisher axis.  The validator uses the same function, so
-   emitted reports and the checker cannot drift. *)
-let grid_size ~target ~defenses ~sigmas ~budgets ~conditions ~distinguishers =
-  let d = List.length distinguishers in
-  match target with
-  | "falcon" ->
-      List.length defenses * List.length sigmas * List.length budgets
-      * List.length conditions * d
-  | _ -> List.length sigmas * List.length budgets * d
+(* {2 Per-target evaluators} *)
 
-let maybe_realign ~ctx (condition : Campaign.condition) defense entries =
-  fst (Campaign.realign_entries ~ctx condition defense entries)
-
-let assess_cell ~ctx ~condition defense ~sigma ~budget ~seed =
+let assess_falcon ctx ~seed p =
+  let { defense; condition; budget; sigma; _ } = p in
   let secret = Campaign.secret_operand (Stats.Rng.create ~seed:(seed lxor 0x7e57)) in
   let entries =
     Campaign.generate ~condition defense ~noise:sigma ~secret ~count:(2 * budget)
       ~seed
   in
-  let entries = maybe_realign ~ctx condition defense entries in
+  let entries = fst (Campaign.realign_entries ~ctx condition defense entries) in
   let r = Tvla.of_entries ~ctx ~classify:Tvla.fixed_vs_random entries in
   let lo, hi = Campaign.assessed_region defense in
   let max_t1_sample, max_t1 = Tvla.max_abs ~lo ~hi r.Tvla.t1 in
@@ -71,14 +59,14 @@ let assess_cell ~ctx ~condition defense ~sigma ~budget ~seed =
   in
   let rvr = Tvla.of_entries ~ctx ~classify:Tvla.random_vs_random entries in
   let _, rvr_max_t1 = Tvla.max_abs ~lo ~hi rvr.Tvla.t1 in
-  (max_t1, max_t1_sample, max_t2, rvr_max_t1)
+  { max_t1; max_t1_sample; max_t2; rvr_max_t1 }
 
 (* TVLA columns of an HQC cell: fixed-vs-random over the victim's
    rotate-and-accumulate samples (fixed class = one fixed dense input
    u0 under the cell's secret, random class = fresh u per trace), plus
    the random-vs-random null split by acquisition parity. *)
-let assess_hqc_cell ~ctx ~sigma ~budget ~seed =
-  let model = { Leakage.default_model with noise_sigma = sigma } in
+let assess_hqc ctx ~seed p =
+  let model = { Leakage.default_model with noise_sigma = p.sigma } in
   let rng = Stats.Rng.create ~seed in
   let secret = Hqc.keygen ~seed:(seed lxor 0x7e57) in
   let word_span = 1 lsl Hqc.Params.word_bits in
@@ -91,7 +79,7 @@ let assess_hqc_cell ~ctx ~sigma ~budget ~seed =
   in
   let fixed_u = draw_u () in
   let entries =
-    Array.init (2 * budget) (fun i ->
+    Array.init (2 * p.budget) (fun i ->
         let fixed = i land 1 = 0 in
         let u = if fixed then fixed_u else draw_u () in
         (fixed, Leakage.hw_trace model rng (Hqc.intermediates `Hw secret ~u)))
@@ -100,222 +88,256 @@ let assess_hqc_cell ~ctx ~sigma ~budget ~seed =
   let classify_rvr i (fixed, _) =
     if fixed then None else Some (if (i lsr 1) land 1 = 0 then Tvla.A else Tvla.B)
   in
-  let r =
-    Tvla.assess ~ctx ~width:Hqc.Params.width ~classify:classify_fvr ~samples:snd
+  let t1 classify =
+    Tvla.assess ~ctx ~width:Hqc.Params.width ~classify ~samples:snd
       (Array.to_seq entries)
   in
+  let r = t1 classify_fvr in
   let max_t1_sample, max_t1 = Tvla.max_abs r.Tvla.t1 in
   let _, max_t2 = Tvla.max_abs r.Tvla.t2 in
-  let rvr =
-    Tvla.assess ~ctx ~width:Hqc.Params.width ~classify:classify_rvr ~samples:snd
-      (Array.to_seq entries)
-  in
-  let _, rvr_max_t1 = Tvla.max_abs rvr.Tvla.t1 in
-  (max_t1, max_t1_sample, max_t2, rvr_max_t1)
-
-let known_target t = Option.is_some (Attack.Target.find t)
+  let _, rvr_max_t1 = Tvla.max_abs (t1 classify_rvr).Tvla.t1 in
+  { max_t1; max_t1_sample; max_t2; rvr_max_t1 }
 
 (* Profiled cells clone the device: a second campaign under the same
    acquisition knobs but a different secret and seed trains the
    template store ({!Metrics.profile_entries}); the victim campaign is
    then evaluated under [Profiled store], so the profiled and pearson
    cells of one grid point attack the exact same victim traces. *)
-let falcon_profiled_ctx ~ctx ~condition defense ~sigma ~budget ~experiments
-    ~seed =
-  let clone_seed = seed + 4099 in
-  let secret =
-    Campaign.secret_operand (Stats.Rng.create ~seed:(clone_seed lxor 0x5eed))
-  in
+let clone_falcon ctx ~experiments ~seed p =
+  let secret = Campaign.secret_operand (Stats.Rng.create ~seed:(seed lxor 0x5eed)) in
   let entries =
-    Campaign.generate ~p_fixed:1.0 ~condition defense ~noise:sigma ~secret
-      ~count:(budget * experiments) ~seed:clone_seed
+    Campaign.generate ~p_fixed:1.0 ~condition:p.condition p.defense ~noise:p.sigma
+      ~secret ~count:(p.budget * experiments) ~seed
   in
-  let store =
-    Metrics.profile_entries ~ctx ~condition ~defense ~truth:secret entries
-  in
-  Attack.Ctx.with_backend (Attack.Distinguisher.Profiled store) ctx
+  Metrics.profile_entries ~ctx ~condition:p.condition ~defense:p.defense
+    ~truth:secret entries
 
 (* The HQC clone: templates keyed on the per-unit accumulator word
    block, classed by the chained hypothesis models applied to the
    clone's true support (the plan {!Attack.Target.profile} trains on,
    over in-memory captures). *)
-let hqc_profiled_ctx ~ctx ~sigma ~budget ~seed =
-  let window = Hqc.Params.words in
-  let model = { Leakage.default_model with noise_sigma = sigma } in
+let clone_hqc _ctx ~experiments:_ ~seed p =
+  let model = { Leakage.default_model with noise_sigma = p.sigma } in
   let secret = Hqc.keygen ~seed:(seed lxor 0x5eed) in
   let next = Hqc.capture_stream model ~seed secret in
-  let records = Array.init budget (fun _ -> next ()) in
+  let records = Array.init p.budget (fun _ -> next ()) in
   let plan = Attack.Target.Hqc.profile_plan ~leakage:`Hw secret in
-  let spec = Attack.Profile.default_spec ~window in
-  let store =
-    Attack.Profile.train_plan spec ~plan (fun f ->
-        Array.iter
-          (fun (r : Tracestore.record) -> f (Hqc.u_of_record r) r.samples)
-          records)
+  let spec = Attack.Profile.default_spec ~window:Hqc.Params.words in
+  Attack.Profile.train_plan spec ~plan (fun f ->
+      Array.iter
+        (fun (r : Tracestore.record) -> f (Hqc.u_of_record r) r.samples)
+        records)
+
+(* What the matrix needs of a target: the axes it spans ([slice =
+   Some (d, c)]: only defense [d] under condition [c]; [None]: every
+   defense and condition), the attack outcome of a grid point, its
+   TVLA columns, and the template store of its profiled clone. *)
+type evaluator = {
+  slice : (Campaign.defense * Campaign.condition) option;
+  outcome :
+    Attack.Ctx.t -> experiments:int -> decoys:int -> point -> Metrics.outcome;
+  assess : Attack.Ctx.t -> seed:int -> point -> tvla;
+  clone : Attack.Ctx.t -> experiments:int -> seed:int -> point -> Attack.Profile.store;
+}
+
+let evaluators =
+  [
+    ( "falcon",
+      {
+        slice = None;
+        outcome =
+          (fun ctx ~experiments ~decoys p ->
+            Metrics.run ~ctx ~condition:p.condition
+              { Metrics.defense = p.defense; noise = p.sigma; budget = p.budget;
+                experiments; decoys; seed = p.seed });
+        assess = assess_falcon;
+        clone = clone_falcon;
+      } );
+    ( "hqc",
+      {
+        slice = Some (`None, Campaign.baseline_condition);
+        outcome =
+          (fun ctx ~experiments ~decoys:_ p ->
+            Metrics.run_hqc ~ctx
+              { Metrics.noise = p.sigma; budget = p.budget; experiments;
+                seed = p.seed });
+        assess = assess_hqc;
+        clone = clone_hqc;
+      } );
+  ]
+
+(* {2 The grid} *)
+
+(* [idx] advances once per grid point a target spans, across targets;
+   the distinguisher axis is innermost and shares the point's seed, so
+   the pearson and profiled cells evaluate the same victim campaign. *)
+let grid ~targets ~defenses ~sigmas ~budgets ~conditions ~distinguishers ~seed =
+  let refuse fmt = Printf.ksprintf (fun m -> invalid_arg ("Assess.Matrix: " ^ m)) fmt in
+  let nonempty what l = if l = [] then refuse "empty %s axis" what in
+  nonempty "target" targets;
+  nonempty "defense" defenses;
+  nonempty "sigma" sigmas;
+  nonempty "budget" budgets;
+  nonempty "condition" conditions;
+  nonempty "distinguisher" distinguishers;
+  let each l bad msg = List.iter (fun x -> if bad x then msg x) l in
+  each targets (fun t -> not (List.mem_assoc t evaluators)) (refuse "unknown target %S");
+  each distinguishers
+    (fun d -> not (List.mem d known_distinguishers))
+    (refuse "unknown distinguisher %S");
+  each sigmas
+    (fun s -> not (Float.is_finite s && s > 0.))
+    (fun _ -> refuse "sigma must be positive and finite");
+  each budgets (fun b -> b < 8) (fun _ -> refuse "budget must be at least 8");
+  let slice t = (List.assoc t evaluators).slice in
+  List.iter
+    (fun t ->
+      match slice t with
+      | Some (d, c) when not (List.mem d defenses && List.mem c conditions) ->
+          let c = Campaign.condition_name c in
+          refuse
+            "target %S has no cell on this grid: it spans only defense %s under \
+             condition %s (add %s to --conditions)"
+            t (Campaign.name d) c c
+      | _ -> ())
+    targets;
+  let idx = ref 0 in
+  List.concat_map
+    (fun target ->
+      let spans = match slice target with None -> Fun.const true | Some s -> ( = ) s in
+      List.concat_map
+        (fun defense ->
+          List.concat_map
+            (fun sigma ->
+              List.concat_map
+                (fun budget ->
+                  List.concat_map
+                    (fun condition ->
+                      if not (spans (defense, condition)) then []
+                      else begin
+                        let seed = seed + (1009 * !idx) in
+                        incr idx;
+                        List.map
+                          (fun distinguisher ->
+                            { target; defense; sigma; budget; condition;
+                              distinguisher; seed })
+                          distinguishers
+                      end)
+                    conditions)
+                budgets)
+            sigmas)
+        defenses)
+    targets
+
+let first_order_leak c = c.tvla.max_t1 > Tvla.threshold
+
+(* {2 The cell columns}
+
+   Each column is declared once: its name, its value as a JSON scalar
+   (the CSV field is the same scalar, [null] as an empty field), and
+   the check [validate] applies to it, which sees the cell's grid
+   point and the report's experiment count.  A column that is a
+   function of the grid point must equal it exactly. *)
+
+type column = {
+  name : string;
+  get : cell -> Json.t;
+  ok : point -> int -> Json.t -> bool;  (** grid point, report experiments *)
+  why : string;  (** the failed check, as it reads after the field name *)
+}
+
+(* A cell's coordinates: its first report columns and the fields of
+   its [matrix.cell] span. *)
+let coordinates =
+  [
+    ("target", fun p -> Json.String p.target);
+    ("defense", fun p -> Json.String (Campaign.name p.defense));
+    ("sigma", fun p -> Json.Float p.sigma);
+    ("budget", fun p -> Json.Int p.budget);
+    ("condition", fun p -> Json.String (Campaign.condition_name p.condition));
+    ("distinguisher", fun p -> Json.String p.distinguisher);
+  ]
+
+let columns =
+  let on_point (name, f) =
+    { name; get = (fun c -> f c.point); ok = (fun p _ j -> j = f p);
+      why = "does not match the report's grid" }
   in
-  Attack.Ctx.with_backend (Attack.Distinguisher.Profiled store) ctx
+  let col name why ok get = { name; get; ok; why } in
+  let number ok = function Json.Float x -> Float.is_finite x && ok x | _ -> false in
+  let finite = number (fun _ -> true) in
+  let int ok = function Json.Int i -> ok i | _ -> false in
+  let int_opt ok = function Json.Null -> true | j -> int ok j in
+  let opt = function Some d -> Json.Int d | None -> Json.Null in
+  let disclosure p = int_opt (fun d -> d >= 1 && d <= p.budget) in
+  let found e = int (fun k -> k >= 0 && k <= e) in
+  List.map on_point coordinates
+  @ [
+    col "experiments" "is not the report's experiment count"
+      (fun _ e -> ( = ) (Json.Int e))
+      (fun c -> Json.Int c.outcome.experiments);
+    col "success_rate" "is not a number in [0, 1]"
+      (fun _ _ -> number (fun x -> x >= 0. && x <= 1.))
+      (fun c -> Json.Float c.outcome.success_rate);
+    col "guessing_entropy" "is not a number >= 1"
+      (fun _ _ -> number (fun x -> x >= 1.))
+      (fun c -> Json.Float c.outcome.guessing_entropy);
+    col "ge_bits" "is not a finite number" (fun _ _ -> finite)
+      (fun c -> Json.Float c.outcome.ge_bits);
+    col "mtd" "is neither null nor in [1, budget]" (fun p _ -> disclosure p)
+      (fun c -> opt c.outcome.mtd);
+    col "mtd_found" "is not in [0, experiments]" (fun _ e -> found e)
+      (fun c -> Json.Int c.outcome.mtd_found);
+    col "mtd_conf" "is neither null nor in [1, budget]" (fun p _ -> disclosure p)
+      (fun c -> opt c.outcome.mtd_conf);
+    col "mtd_conf_found" "is not in [0, experiments]" (fun _ e -> found e)
+      (fun c -> Json.Int c.outcome.mtd_conf_found);
+    col "max_t1" "is not a finite number" (fun _ _ -> finite)
+      (fun c -> Json.Float c.tvla.max_t1);
+    col "max_t1_sample" "is not an integer" (fun _ _ -> int (fun _ -> true))
+      (fun c -> Json.Int c.tvla.max_t1_sample);
+    col "max_t2" "is not a finite number" (fun _ _ -> finite)
+      (fun c -> Json.Float c.tvla.max_t2);
+    col "rvr_max_t1" "is not a finite number" (fun _ _ -> finite)
+      (fun c -> Json.Float c.tvla.rvr_max_t1);
+    col "first_order_leak" "is not a boolean"
+      (fun _ _ -> function Json.Bool _ -> true | _ -> false)
+      (fun c -> Json.Bool (first_order_leak c));
+    on_point ("overhead", fun p -> Json.Float (Campaign.overhead_factor p.defense));
+    on_point ("dilution", fun p -> Json.Int (Campaign.dilution p.defense));
+  ]
 
 let run ?ctx:(c = Attack.Ctx.default ()) ?(targets = [ "falcon" ])
     ?(defenses = Campaign.all) ?(conditions = [ Campaign.baseline_condition ])
     ?(distinguishers = [ "pearson" ]) ?(progress = fun _ -> ())
     ~sigmas ~budgets ~experiments ~decoys ~seed () =
-  let obs = c.Attack.Ctx.obs in
-  if targets = [] then invalid_arg "Assess.Matrix: empty target axis";
-  List.iter
-    (fun t ->
-      if not (known_target t) then
-        invalid_arg (Printf.sprintf "Assess.Matrix: unknown target %S" t))
-    targets;
-  if defenses = [] then invalid_arg "Assess.Matrix: empty defense list";
-  if sigmas = [] then invalid_arg "Assess.Matrix: empty sigma grid";
-  if budgets = [] then invalid_arg "Assess.Matrix: empty budget grid";
-  if conditions = [] then invalid_arg "Assess.Matrix: empty condition axis";
-  if distinguishers = [] then
-    invalid_arg "Assess.Matrix: empty distinguisher axis";
-  List.iter
-    (fun d ->
-      if not (List.mem d known_distinguishers) then
-        invalid_arg (Printf.sprintf "Assess.Matrix: unknown distinguisher %S" d))
-    distinguishers;
-  List.iter
-    (fun s -> if s <= 0. then invalid_arg "Assess.Matrix: sigma must be positive")
-    sigmas;
-  List.iter
-    (fun b -> if b < 8 then invalid_arg "Assess.Matrix: budget must be at least 8")
-    budgets;
-  (* [idx] advances once per grid point; the distinguisher axis is the
-     innermost loop and shares the grid point's cell seed, so the
-     pearson and profiled cells evaluate the same victim campaign and
-     the default ["pearson"] axis reproduces the v4 seed schedule
-     bit-for-bit. *)
-  let idx = ref 0 in
-  let falcon_cells () =
-    List.concat_map
-      (fun defense ->
-        List.concat_map
-          (fun sigma ->
-            List.concat_map
-              (fun budget ->
-                List.concat_map
-                  (fun condition ->
-                    let cell_seed = seed + (1009 * !idx) in
-                    incr idx;
-                    List.map
-                      (fun dist ->
-                        Obs.span obs "matrix.cell"
-                          ~fields:
-                            [
-                              ("target", Obs.Str "falcon");
-                              ("defense", Obs.Str (Campaign.name defense));
-                              ("sigma", Obs.Float sigma);
-                              ("budget", Obs.Int budget);
-                              ( "condition",
-                                Obs.Str (Campaign.condition_name condition) );
-                              ("distinguisher", Obs.Str dist);
-                            ]
-                        @@ fun () ->
-                        let cell_ctx =
-                          if dist = "profiled" then
-                            falcon_profiled_ctx ~ctx:c ~condition defense
-                              ~sigma ~budget ~experiments ~seed:cell_seed
-                          else c
-                        in
-                        let outcome =
-                          Metrics.run ~ctx:cell_ctx ~condition
-                            { Metrics.defense; noise = sigma; budget;
-                              experiments; decoys; seed = cell_seed }
-                        in
-                        let max_t1, max_t1_sample, max_t2, rvr_max_t1 =
-                          assess_cell ~ctx:c ~condition defense ~sigma ~budget
-                            ~seed:(cell_seed + 17)
-                        in
-                        let cell =
-                          {
-                            target = "falcon";
-                            defense;
-                            sigma;
-                            budget;
-                            condition;
-                            distinguisher = dist;
-                            outcome;
-                            max_t1;
-                            max_t1_sample;
-                            max_t2;
-                            rvr_max_t1;
-                            first_order_leak = max_t1 > Tvla.threshold;
-                            overhead = Campaign.overhead_factor defense;
-                            dilution = Campaign.dilution defense;
-                          }
-                        in
-                        progress cell;
-                        cell)
-                      distinguishers)
-                  conditions)
-              budgets)
-          sigmas)
-      defenses
-  in
-  let hqc_cells () =
-    List.concat_map
-      (fun sigma ->
-        List.concat_map
-          (fun budget ->
-            let cell_seed = seed + (1009 * !idx) in
-            incr idx;
-            List.map
-              (fun dist ->
-                Obs.span obs "matrix.cell"
-                  ~fields:
-                    [
-                      ("target", Obs.Str "hqc");
-                      ("sigma", Obs.Float sigma);
-                      ("budget", Obs.Int budget);
-                      ("distinguisher", Obs.Str dist);
-                    ]
-                @@ fun () ->
-                let cell_ctx =
-                  if dist = "profiled" then
-                    hqc_profiled_ctx ~ctx:c ~sigma ~budget
-                      ~seed:(cell_seed + 4099)
-                  else c
-                in
-                let outcome =
-                  Metrics.run_hqc ~ctx:cell_ctx
-                    { Metrics.noise = sigma; budget; experiments;
-                      seed = cell_seed }
-                in
-                let max_t1, max_t1_sample, max_t2, rvr_max_t1 =
-                  assess_hqc_cell ~ctx:c ~sigma ~budget ~seed:(cell_seed + 17)
-                in
-                let cell =
-                  {
-                    target = "hqc";
-                    defense = `None;
-                    sigma;
-                    budget;
-                    condition = Campaign.baseline_condition;
-                    distinguisher = dist;
-                    outcome;
-                    max_t1;
-                    max_t1_sample;
-                    max_t2;
-                    rvr_max_t1;
-                    first_order_leak = max_t1 > Tvla.threshold;
-                    overhead = 1.;
-                    dilution = 1;
-                  }
-                in
-                progress cell;
-                cell)
-              distinguishers)
-          budgets)
-      sigmas
+  let points =
+    grid ~targets ~defenses ~sigmas ~budgets ~conditions ~distinguishers ~seed
   in
   let cells =
-    List.concat_map
-      (fun target ->
-        match target with "falcon" -> falcon_cells () | _ -> hqc_cells ())
-      targets
+    List.map
+      (fun p ->
+        let ev = List.assoc p.target evaluators in
+        let field = function
+          | Json.Int i -> Obs.Int i
+          | Json.Float x -> Obs.Float x
+          | Json.String s -> Obs.Str s
+          | j -> Obs.Str (Json.to_string j)
+        in
+        Obs.span c.Attack.Ctx.obs "matrix.cell"
+          ~fields:(List.map (fun (name, f) -> (name, field (f p))) coordinates)
+        @@ fun () ->
+        let cell_ctx =
+          if p.distinguisher = "profiled" then
+            let store = ev.clone c ~experiments ~seed:(p.seed + 4099) p in
+            Attack.Ctx.with_backend (Attack.Distinguisher.Profiled store) c
+          else c
+        in
+        let outcome = ev.outcome cell_ctx ~experiments ~decoys p in
+        let cell = { point = p; outcome; tvla = ev.assess c ~seed:(p.seed + 17) p } in
+        progress cell;
+        cell)
+      points
   in
   { seed; experiments; decoys; targets; defenses; sigmas; budgets; conditions;
     distinguishers; cells }
@@ -326,248 +348,106 @@ let tiny ?ctx ?targets ?conditions ?distinguishers ?progress ~seed () =
 
 (* {2 Serialisation} *)
 
-let json_of_cell c =
-  Json.Obj
-    [
-      ("target", Json.String c.target);
-      ("defense", Json.String (Campaign.name c.defense));
-      ("sigma", Json.Float c.sigma);
-      ("budget", Json.Int c.budget);
-      ("condition", Json.String (Campaign.condition_name c.condition));
-      ("distinguisher", Json.String c.distinguisher);
-      ("experiments", Json.Int c.outcome.Metrics.experiments);
-      ("success_rate", Json.Float c.outcome.Metrics.success_rate);
-      ("guessing_entropy", Json.Float c.outcome.Metrics.guessing_entropy);
-      ("ge_bits", Json.Float c.outcome.Metrics.ge_bits);
-      ( "mtd",
-        match c.outcome.Metrics.mtd with Some d -> Json.Int d | None -> Json.Null );
-      ("mtd_found", Json.Int c.outcome.Metrics.mtd_found);
-      ( "mtd_conf",
-        match c.outcome.Metrics.mtd_conf with
-        | Some d -> Json.Int d
-        | None -> Json.Null );
-      ("mtd_conf_found", Json.Int c.outcome.Metrics.mtd_conf_found);
-      ("max_t1", Json.Float c.max_t1);
-      ("max_t1_sample", Json.Int c.max_t1_sample);
-      ("max_t2", Json.Float c.max_t2);
-      ("rvr_max_t1", Json.Float c.rvr_max_t1);
-      ("first_order_leak", Json.Bool c.first_order_leak);
-      ("overhead", Json.Float c.overhead);
-      ("dilution", Json.Int c.dilution);
-    ]
-
 let to_json r =
+  let list f l = Json.List (List.map f l) in
+  let str s = Json.String s in
   Json.Obj
     [
-      ("schema", Json.String schema);
+      ("schema", str schema);
       ("seed", Json.Int r.seed);
       ("experiments", Json.Int r.experiments);
       ("decoys", Json.Int r.decoys);
-      ("targets", Json.List (List.map (fun t -> Json.String t) r.targets));
-      ("defenses", Json.List (List.map (fun d -> Json.String (Campaign.name d)) r.defenses));
-      ("sigmas", Json.List (List.map (fun s -> Json.Float s) r.sigmas));
-      ("budgets", Json.List (List.map (fun b -> Json.Int b) r.budgets));
-      ( "conditions",
-        Json.List
-          (List.map
-             (fun c -> Json.String (Campaign.condition_name c))
-             r.conditions) );
-      ( "distinguishers",
-        Json.List (List.map (fun d -> Json.String d) r.distinguishers) );
-      ("cells", Json.List (List.map json_of_cell r.cells));
+      ("targets", list str r.targets);
+      ("defenses", list (fun d -> str (Campaign.name d)) r.defenses);
+      ("sigmas", list (fun s -> Json.Float s) r.sigmas);
+      ("budgets", list (fun b -> Json.Int b) r.budgets);
+      ("conditions", list (fun c -> str (Campaign.condition_name c)) r.conditions);
+      ("distinguishers", list str r.distinguishers);
+      ( "cells",
+        list (fun c -> Json.Obj (List.map (fun col -> (col.name, col.get c)) columns))
+          r.cells );
     ]
 
-let csv_header =
-  "target,defense,sigma,budget,condition,distinguisher,experiments,\
-   success_rate,guessing_entropy,ge_bits,mtd,mtd_found,mtd_conf,\
-   mtd_conf_found,max_t1,max_t1_sample,max_t2,rvr_max_t1,first_order_leak,\
-   overhead,dilution"
-
 let to_csv r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf csv_header;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun c ->
-      Printf.bprintf buf
-        "%s,%s,%g,%d,%s,%s,%d,%g,%g,%g,%s,%d,%s,%d,%g,%d,%g,%g,%b,%g,%d\n"
-        c.target (Campaign.name c.defense) c.sigma c.budget
-        (Campaign.condition_name c.condition) c.distinguisher
-        c.outcome.Metrics.experiments
-        c.outcome.Metrics.success_rate c.outcome.Metrics.guessing_entropy
-        c.outcome.Metrics.ge_bits
-        (match c.outcome.Metrics.mtd with Some d -> string_of_int d | None -> "")
-        c.outcome.Metrics.mtd_found
-        (match c.outcome.Metrics.mtd_conf with
-        | Some d -> string_of_int d
-        | None -> "")
-        c.outcome.Metrics.mtd_conf_found c.max_t1 c.max_t1_sample c.max_t2
-        c.rvr_max_t1 c.first_order_leak c.overhead c.dilution)
-    r.cells;
-  Buffer.contents buf
+  let field = function
+    | Json.Float f -> Printf.sprintf "%g" f
+    | Json.Int i -> string_of_int i
+    | Json.String s -> s
+    | Json.Bool b -> string_of_bool b
+    | _ -> ""
+  in
+  let line l = String.concat "," l ^ "\n" in
+  String.concat ""
+    (line (List.map (fun col -> col.name) columns)
+    :: List.map (fun c -> line (List.map (fun col -> field (col.get c)) columns)) r.cells)
 
 (* {2 Schema validation} *)
 
 let ( let* ) = Result.bind
 
-let field what conv j key =
-  match Json.member key j with
-  | None -> Error (Printf.sprintf "%s: missing field %S" what key)
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "%s: field %S has the wrong type" what key))
-
 let check cond msg = if cond then Ok () else Error msg
 
-let finite_number j = Option.bind (Json.to_number_opt j) (fun f ->
-    if Float.is_finite f then Some f else None)
+let field conv j key =
+  match Option.map conv (Json.member key j) with
+  | None -> Error (Printf.sprintf "report: missing field %S" key)
+  | Some None -> Error (Printf.sprintf "report: field %S has the wrong type" key)
+  | Some (Some x) -> Ok x
 
-let validate_cell i j =
-  let what = Printf.sprintf "cell %d" i in
-  let* t = field what Json.to_string_opt j "target" in
-  let* () =
-    check (known_target t) (Printf.sprintf "%s: unknown target %S" what t)
-  in
-  let* d = field what Json.to_string_opt j "defense" in
-  let* () =
-    check
-      (List.exists (fun v -> Campaign.name v = d) Campaign.all)
-      (Printf.sprintf "%s: unknown defense %S" what d)
-  in
-  let* sigma = field what finite_number j "sigma" in
-  let* () = check (sigma > 0.) (what ^ ": sigma must be positive") in
-  let* budget = field what Json.to_int_opt j "budget" in
-  let* () = check (budget > 0) (what ^ ": budget must be positive") in
-  let* cond = field what Json.to_string_opt j "condition" in
-  let* () =
-    check
-      (match Campaign.condition_of_name cond with
-      | _ -> true
-      | exception Failure _ -> false)
-      (Printf.sprintf "%s: unknown condition %S" what cond)
-  in
-  let* dist = field what Json.to_string_opt j "distinguisher" in
-  let* () =
-    check
-      (List.mem dist known_distinguishers)
-      (Printf.sprintf "%s: unknown distinguisher %S" what dist)
-  in
-  let* experiments = field what Json.to_int_opt j "experiments" in
-  let* () = check (experiments > 0) (what ^ ": experiments must be positive") in
-  let* sr = field what finite_number j "success_rate" in
-  let* () = check (sr >= 0. && sr <= 1.) (what ^ ": success_rate outside [0,1]") in
-  let* ge = field what finite_number j "guessing_entropy" in
-  let* () = check (ge >= 1.) (what ^ ": guessing_entropy below 1") in
-  let* _ = field what finite_number j "ge_bits" in
-  let* () =
-    match Json.member "mtd" j with
-    | None -> Error (what ^ ": missing field \"mtd\"")
-    | Some Json.Null -> Ok ()
-    | Some (Json.Int d) ->
-        check (d >= 1 && d <= budget) (what ^ ": mtd outside [1, budget]")
-    | Some _ -> Error (what ^ ": field \"mtd\" must be null or an integer")
-  in
-  let* mtd_found = field what Json.to_int_opt j "mtd_found" in
-  let* () =
-    check
-      (mtd_found >= 0 && mtd_found <= experiments)
-      (what ^ ": mtd_found outside [0, experiments]")
-  in
-  let* () =
-    match Json.member "mtd_conf" j with
-    | None -> Error (what ^ ": missing field \"mtd_conf\"")
-    | Some Json.Null -> Ok ()
-    | Some (Json.Int d) ->
-        check (d >= 1 && d <= budget) (what ^ ": mtd_conf outside [1, budget]")
-    | Some _ -> Error (what ^ ": field \"mtd_conf\" must be null or an integer")
-  in
-  let* mtd_conf_found = field what Json.to_int_opt j "mtd_conf_found" in
-  let* () =
-    check
-      (mtd_conf_found >= 0 && mtd_conf_found <= experiments)
-      (what ^ ": mtd_conf_found outside [0, experiments]")
-  in
-  let* _ = field what finite_number j "max_t1" in
-  let* _ = field what Json.to_int_opt j "max_t1_sample" in
-  let* _ = field what finite_number j "max_t2" in
-  let* _ = field what finite_number j "rvr_max_t1" in
-  let* _ = field what Json.to_bool_opt j "first_order_leak" in
-  let* ov = field what finite_number j "overhead" in
-  let* () = check (ov >= 1.) (what ^ ": overhead below 1") in
-  let* dil = field what Json.to_int_opt j "dilution" in
-  check (dil >= 1) (what ^ ": dilution below 1")
+(* An axis of the report, each entry decoded by [conv]; a bad entry is
+   an [Error], an empty axis is left to [grid]. *)
+let axis conv j key =
+  let* l = field Json.to_list_opt j key in
+  List.fold_right
+    (fun e acc ->
+      let* xs = acc in
+      match conv e with
+      | Some x -> Ok (x :: xs)
+      | None ->
+          Error (Printf.sprintf "report: %s entry %s is not valid" key (Json.to_string e)))
+    l (Ok [])
+
+let validate_cell ~experiments i p j =
+  List.fold_left
+    (fun acc col ->
+      let* () = acc in
+      match Json.member col.name j with
+      | None -> Error (Printf.sprintf "cell %d: missing field %S" i col.name)
+      | Some v ->
+          check (col.ok p experiments v)
+            (Printf.sprintf "cell %d: field %S %s" i col.name col.why))
+    (Ok ()) columns
 
 let validate j =
-  let* s = field "report" Json.to_string_opt j "schema" in
+  let* s = field Json.to_string_opt j "schema" in
   let* () = check (s = schema) (Printf.sprintf "report: schema %S, expected %S" s schema) in
-  let* _ = field "report" Json.to_int_opt j "seed" in
-  let* _ = field "report" Json.to_int_opt j "experiments" in
-  let* _ = field "report" Json.to_int_opt j "decoys" in
-  let* targets = field "report" Json.to_list_opt j "targets" in
-  let* () = check (targets <> []) "report: empty target axis" in
-  let* target_names =
-    List.fold_left
-      (fun acc tj ->
-        let* names = acc in
-        match Json.to_string_opt tj with
-        | None -> Error "report: target axis entry is not a string"
-        | Some t ->
-            if known_target t then Ok (t :: names)
-            else Error (Printf.sprintf "report: unknown target %S" t))
-      (Ok []) targets
+  let* seed = field Json.to_int_opt j "seed" in
+  let* experiments = field Json.to_int_opt j "experiments" in
+  let* _ = field Json.to_int_opt j "decoys" in
+  let named of_name e =
+    Option.bind (Json.to_string_opt e) (fun s ->
+        match of_name s with v -> Some v | exception Failure _ -> None)
   in
-  let* defenses = field "report" Json.to_list_opt j "defenses" in
-  let* () = check (defenses <> []) "report: empty defense axis" in
-  let* sigmas = field "report" Json.to_list_opt j "sigmas" in
-  let* () = check (sigmas <> []) "report: empty sigma axis" in
-  let* budgets = field "report" Json.to_list_opt j "budgets" in
-  let* () = check (budgets <> []) "report: empty budget axis" in
-  let* conditions = field "report" Json.to_list_opt j "conditions" in
-  let* () = check (conditions <> []) "report: empty condition axis" in
-  let* () =
-    List.fold_left
-      (fun acc cj ->
-        let* () = acc in
-        match Json.to_string_opt cj with
-        | None -> Error "report: condition axis entry is not a string"
-        | Some s -> (
-            match Campaign.condition_of_name s with
-            | _ -> Ok ()
-            | exception Failure _ ->
-                Error (Printf.sprintf "report: unknown condition %S" s)))
-      (Ok ()) conditions
-  in
-  let* distinguishers = field "report" Json.to_list_opt j "distinguishers" in
-  let* () = check (distinguishers <> []) "report: empty distinguisher axis" in
-  let* () =
-    List.fold_left
-      (fun acc dj ->
-        let* () = acc in
-        match Json.to_string_opt dj with
-        | None -> Error "report: distinguisher axis entry is not a string"
-        | Some d ->
-            if List.mem d known_distinguishers then Ok ()
-            else Error (Printf.sprintf "report: unknown distinguisher %S" d))
-      (Ok ()) distinguishers
-  in
-  let* cells = field "report" Json.to_list_opt j "cells" in
-  let expected =
-    List.fold_left
-      (fun acc target ->
-        acc
-        + grid_size ~target ~defenses ~sigmas ~budgets ~conditions
-            ~distinguishers)
-      0 target_names
+  let* targets = axis Json.to_string_opt j "targets" in
+  let* defenses = axis (named Campaign.of_name) j "defenses" in
+  let* sigmas = axis Json.to_number_opt j "sigmas" in
+  let* budgets = axis Json.to_int_opt j "budgets" in
+  let* conditions = axis (named Campaign.condition_of_name) j "conditions" in
+  let* distinguishers = axis Json.to_string_opt j "distinguishers" in
+  let* cells = field Json.to_list_opt j "cells" in
+  let* points =
+    match grid ~targets ~defenses ~sigmas ~budgets ~conditions ~distinguishers ~seed with
+    | points -> Ok points
+    | exception Invalid_argument msg -> Error ("report: " ^ msg)
   in
   let* () =
     check
-      (List.length cells = expected)
-      (Printf.sprintf "report: %d cells, grid is %d" (List.length cells) expected)
+      (List.length cells = List.length points)
+      (Printf.sprintf "report: %d cells, grid is %d" (List.length cells)
+         (List.length points))
   in
   List.fold_left
-    (fun acc (i, c) ->
+    (fun acc (i, (p, c)) ->
       let* () = acc in
-      validate_cell i c)
+      validate_cell ~experiments i p c)
     (Ok ())
-    (List.mapi (fun i c -> (i, c)) cells)
+    (List.mapi (fun i pc -> (i, pc)) (List.combine points cells))

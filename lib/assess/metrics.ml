@@ -36,7 +36,10 @@ let median_opt xs =
   let mid = keyed.((n - 1) / 2) in
   ((if mid = max_int then None else Some mid), found)
 
-let aggregate ranks mtds mtd_confs =
+let aggregate results =
+  let ranks = Array.map (fun (r, _, _) -> r) results in
+  let mtds = Array.map (fun (_, m, _) -> m) results in
+  let mtd_confs = Array.map (fun (_, _, mc) -> mc) results in
   let experiments = Array.length ranks in
   let success = Array.fold_left (fun acc r -> if r = 1 then acc + 1 else acc) 0 ranks in
   let ge =
@@ -59,6 +62,23 @@ let aggregate ranks mtds mtd_confs =
     mtds;
     mtd_confs;
   }
+
+(* The one experiment driver: [one ectx i] yields experiment [i]'s
+   (rank, mtd, mtd_conf).  Experiments fan out over the pool; the
+   sweep inside each stays sequential, under a buffered child context
+   that is drained in experiment order after the join, so the event
+   stream and every figure are the same at any [jobs]. *)
+let fan_out c ~experiments one =
+  let obs = c.Attack.Ctx.obs in
+  let results =
+    Parallel.map_array ~jobs:c.Attack.Ctx.jobs
+      (fun i ->
+        let child = Obs.buffered obs in
+        (one (Attack.Ctx.with_obs child (Attack.Ctx.sequential c)) i, child))
+      (Array.init experiments Fun.id)
+  in
+  Array.iter (fun (_, child) -> Obs.drain ~into:obs child) results;
+  aggregate (Array.map fst results)
 
 (* Profiled disclosure.  The correlation-evolution t-test and the
    sequential Fisher-z gap tester are correlation statistics with no
@@ -154,8 +174,7 @@ let profile_entries ?ctx:(c = Attack.Ctx.default ())
 let of_entries ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alpha)
     ?(condition = Campaign.baseline_condition) ~defense ~truth ~experiments
     ~decoys ~seed entries =
-  let obs = c.Attack.Ctx.obs in
-  Obs.span obs "metrics.of_entries"
+  Obs.span c.Attack.Ctx.obs "metrics.of_entries"
     ~fields:[ ("experiments", Obs.Int experiments); ("decoys", Obs.Int decoys) ]
   @@ fun () ->
   if experiments < 1 then invalid_arg "Assess.Metrics: experiments must be positive";
@@ -194,52 +213,38 @@ let of_entries ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alph
      adaptive campaign engine uses, looking every [step] traces at the
      low-mantissa decision parts over this experiment's candidate set *)
   let spec = Sequential.Decision.spec ~alpha:stop_alpha () in
-  let run_one i =
-    let slice = Array.sub fixed (i * per) per in
-    let traces =
-      Array.map (fun e -> Campaign.attack_window defense e.Campaign.samples) slice
-    in
-    let known = Array.map (fun e -> e.Campaign.known) slice in
-    let view = { Attack.Recover.traces; known } in
-    let candidates =
-      Attack.Hypothesis.sampled
-        (Stats.Rng.create ~seed:(seed + (7919 * i)))
-        ~width:25 ~truth:d_true ~decoys ()
-    in
-    (* top = the whole candidate set, so the truth always appears in the
-       ranking and its 1-based position is the partial guessing entropy
-       sample; the inner sweep stays sequential — parallelism fans out
-       over experiments, not inside them.  Each experiment runs under a
-       buffered child context, drained in experiment order after the
-       join. *)
-    let child = Obs.buffered obs in
-    let ectx = Attack.Ctx.with_obs child (Attack.Ctx.sequential c) in
-    let res =
-      Obs.span child "metrics.experiment" ~fields:[ ("experiment", Obs.Int i) ]
-        (fun () ->
-          Attack.Recover.mantissa_low_multi ~ctx:ectx ~leakage
-            ~top:(Array.length candidates) ~candidates:(Array.to_seq candidates)
-            [ view ])
-    in
-    let rank =
-      truth_rank ~truth:d_true ~size:(Array.length candidates)
-        res.Attack.Recover.pruned
-    in
-    let mtd, mtd_conf =
-      disclosure ~ctx:ectx ~spec ~step ~parts ~known ~truth:d_true ~candidates
-        traces
-    in
-    (rank, mtd, mtd_conf, child)
+  fan_out c ~experiments @@ fun ectx i ->
+  let slice = Array.sub fixed (i * per) per in
+  let traces =
+    Array.map (fun e -> Campaign.attack_window defense e.Campaign.samples) slice
   in
-  let results =
-    Parallel.map_array ~jobs:c.Attack.Ctx.jobs run_one
-      (Array.init experiments Fun.id)
+  let known = Array.map (fun e -> e.Campaign.known) slice in
+  let view = { Attack.Recover.traces; known } in
+  let candidates =
+    Attack.Hypothesis.sampled
+      (Stats.Rng.create ~seed:(seed + (7919 * i)))
+      ~width:25 ~truth:d_true ~decoys ()
   in
-  Array.iter (fun (_, _, _, child) -> Obs.drain ~into:obs child) results;
-  aggregate
-    (Array.map (fun (r, _, _, _) -> r) results)
-    (Array.map (fun (_, m, _, _) -> m) results)
-    (Array.map (fun (_, _, mc, _) -> mc) results)
+  (* top = the whole candidate set, so the truth always appears in the
+     ranking and its 1-based position is the partial guessing entropy
+     sample *)
+  let res =
+    Obs.span ectx.Attack.Ctx.obs "metrics.experiment"
+      ~fields:[ ("experiment", Obs.Int i) ]
+      (fun () ->
+        Attack.Recover.mantissa_low_multi ~ctx:ectx ~leakage
+          ~top:(Array.length candidates) ~candidates:(Array.to_seq candidates)
+          [ view ])
+  in
+  let rank =
+    truth_rank ~truth:d_true ~size:(Array.length candidates)
+      res.Attack.Recover.pruned
+  in
+  let mtd, mtd_conf =
+    disclosure ~ctx:ectx ~spec ~step ~parts ~known ~truth:d_true ~candidates
+      traces
+  in
+  (rank, mtd, mtd_conf)
 
 let run ?ctx ?stop_alpha ?condition config =
   if config.budget < 8 then invalid_arg "Assess.Metrics: budget must be at least 8";
@@ -267,8 +272,7 @@ type hqc_config = { noise : float; budget : int; experiments : int; seed : int }
 
 let run_hqc ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alpha) config =
   let { noise; budget; experiments; seed } = config in
-  let obs = c.Attack.Ctx.obs in
-  Obs.span obs "metrics.hqc"
+  Obs.span c.Attack.Ctx.obs "metrics.hqc"
     ~fields:[ ("experiments", Obs.Int experiments); ("budget", Obs.Int budget) ]
   @@ fun () ->
   if experiments < 1 then invalid_arg "Assess.Metrics: experiments must be positive";
@@ -276,55 +280,44 @@ let run_hqc ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alpha) 
   let model = { Leakage.default_model with noise_sigma = noise } in
   let step = max 1 (budget / 16) in
   let spec = Sequential.Decision.spec ~alpha:stop_alpha () in
-  let run_one i =
-    let eseed = seed + (7919 * i) in
-    let secret = Hqc.keygen ~seed:(eseed lxor 0x5eed) in
-    let next = Hqc.capture_stream model ~seed:eseed secret in
-    let records = Array.init budget (fun _ -> next ()) in
-    let traces =
-      Array.map (fun (r : Tracestore.record) -> r.Tracestore.samples) records
-    in
-    let known = Array.map Hqc.u_of_record records in
-    let child = Obs.buffered obs in
-    let ectx = Attack.Ctx.with_obs child (Attack.Ctx.sequential c) in
-    let rank = ref 1 in
-    (try
-       for j = 0 to Hqc.Params.weight - 1 do
-         let prev = Array.sub secret 0 j in
-         let count = Attack.Target.Hqc.guess_count ~unit_index:j ~prev in
-         if count > 1 then begin
-           let ranking =
-             Attack.Dema.rank ~ctx:ectx ~traces
-               ~parts:(Attack.Target.Hqc.parts ~leakage:`Hw ~unit_index:j ~prev)
-               ~known ~top:count
-               (Attack.Target.Hqc.guess_space ~unit_index:j ~prev)
-           in
-           let pos = truth_rank ~truth:secret.(j) ~size:count ranking in
-           if pos <> 1 then begin
-             rank := pos;
-             raise Exit
-           end
+  fan_out c ~experiments @@ fun ectx i ->
+  let eseed = seed + (7919 * i) in
+  let secret = Hqc.keygen ~seed:(eseed lxor 0x5eed) in
+  let next = Hqc.capture_stream model ~seed:eseed secret in
+  let records = Array.init budget (fun _ -> next ()) in
+  let traces =
+    Array.map (fun (r : Tracestore.record) -> r.Tracestore.samples) records
+  in
+  let known = Array.map Hqc.u_of_record records in
+  let rank = ref 1 in
+  (try
+     for j = 0 to Hqc.Params.weight - 1 do
+       let prev = Array.sub secret 0 j in
+       let count = Attack.Target.Hqc.guess_count ~unit_index:j ~prev in
+       if count > 1 then begin
+         let ranking =
+           Attack.Dema.rank ~ctx:ectx ~traces
+             ~parts:(Attack.Target.Hqc.parts ~leakage:`Hw ~unit_index:j ~prev)
+             ~known ~top:count
+             (Attack.Target.Hqc.guess_space ~unit_index:j ~prev)
+         in
+         let pos = truth_rank ~truth:secret.(j) ~size:count ranking in
+         if pos <> 1 then begin
+           rank := pos;
+           raise Exit
          end
-       done
-     with Exit -> ());
-    let mtd, mtd_conf =
-      disclosure ~ctx:ectx ~spec ~step
-        ~parts:(Attack.Target.Hqc.parts ~leakage:`Hw ~unit_index:0 ~prev:[||])
-        ~known ~truth:secret.(0)
-        ~candidates:
-          (Array.of_seq (Attack.Target.Hqc.guess_space ~unit_index:0 ~prev:[||]))
-        traces
-    in
-    (!rank, mtd, mtd_conf, child)
+       end
+     done
+   with Exit -> ());
+  let mtd, mtd_conf =
+    disclosure ~ctx:ectx ~spec ~step
+      ~parts:(Attack.Target.Hqc.parts ~leakage:`Hw ~unit_index:0 ~prev:[||])
+      ~known ~truth:secret.(0)
+      ~candidates:
+        (Array.of_seq (Attack.Target.Hqc.guess_space ~unit_index:0 ~prev:[||]))
+      traces
   in
-  let results =
-    Parallel.map_array ~jobs:c.Attack.Ctx.jobs run_one (Array.init experiments Fun.id)
-  in
-  Array.iter (fun (_, _, _, child) -> Obs.drain ~into:obs child) results;
-  aggregate
-    (Array.map (fun (r, _, _, _) -> r) results)
-    (Array.map (fun (_, m, _, _) -> m) results)
-    (Array.map (fun (_, _, mc, _) -> mc) results)
+  (!rank, mtd, mtd_conf)
 
 let of_store ?ctx ?stop_alpha ?seed ~experiments ~decoys dir =
   let defense, secret, campaign_seed, reader = Campaign.open_store dir in

@@ -31,19 +31,22 @@
       lower median + found count, like MTD.  [None] = the tester never
       reached confidence within the experiment's budget.
 
-    Experiments fan out on the {!Parallel} pool ({!of_entries} is a pure
-    function of its arguments per experiment index, so results are
-    bit-identical at every [jobs]); the candidate sweep inside each
-    experiment stays sequential.  The per-experiment attack goes through
+    {!of_entries} (FALCON) and {!run_hqc} (HQC) share one experiment
+    driver: it fans the experiments out on the {!Parallel} pool (each
+    is a pure function of its arguments and index, so results are
+    bit-identical at every [jobs]), keeps the candidate sweep inside
+    each experiment sequential, drains each experiment's buffered obs
+    context in experiment order and aggregates the per-experiment
+    (rank, mtd, mtd_conf) into one {!outcome}.  The per-experiment attack goes through
     {!Attack.Recover.mantissa_low_multi} and therefore inherits the
     fused {!Stats.Pearson.Batch} kernel, bit-identical to the scalar
     reference.
 
     [?ctx] ({!Attack.Ctx.t}) bundles [jobs], the distinguisher and an
-    observability context; each experiment runs under a buffered child
-    context ("metrics.experiment" spans) drained in experiment order, so
-    the event stream is deterministic and every figure bit-identical
-    with any sink. *)
+    observability context; since each experiment's events (FALCON's
+    "metrics.experiment" spans included) are drained in experiment
+    order, the event stream is deterministic and every figure
+    bit-identical with any sink. *)
 
 type config = {
   defense : Campaign.defense;

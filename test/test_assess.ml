@@ -280,6 +280,68 @@ let test_matrix_report_validates () =
   | Ok () -> Alcotest.fail "missing cells accepted"
   | Error _ -> ()
 
+(* The 14-cell report bin/assess_matrix.expected pins: both targets,
+   both distinguishers, a baseline and a non-baseline condition. *)
+let pinned_report =
+  lazy
+    (Assess.Matrix.to_json
+       (Assess.Matrix.tiny ~targets:[ "falcon"; "hqc" ]
+          ~distinguishers:[ "pearson"; "profiled" ]
+          ~conditions:
+            (List.map Assess.Campaign.condition_of_name [ "hw"; "hd+jitter+realign" ])
+          ~seed:9 ()))
+
+(* [set k v j]: object [j] with member [k] replaced by [v]. *)
+let set k v = function
+  | Assess.Json.Obj kvs ->
+      Assess.Json.Obj (List.map (fun (k', x) -> (k', if k' = k then v else x)) kvs)
+  | _ -> Alcotest.fail "not an object"
+
+let edit_cell i f j =
+  match Assess.Json.member "cells" j with
+  | Some (Assess.Json.List cells) ->
+      set "cells" (Assess.Json.List (List.mapi (fun k c -> if k = i then f c else c) cells)) j
+  | _ -> Alcotest.fail "report has no cells"
+
+(* Every cell must be its grid point: a cell moved off the report's
+   axes, or off the axes its target spans, is refused, and so is a
+   target with no point on the axes at all. *)
+let test_matrix_refuses_off_grid_cells () =
+  let report = Lazy.force pinned_report in
+  let refused what j =
+    match Assess.Matrix.validate j with
+    | Ok () -> Alcotest.failf "%s accepted" what
+    | Error _ -> ()
+  in
+  (match Assess.Matrix.validate report with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "pinned report rejected: %s" e);
+  let condition name = set "condition" (Assess.Json.String name) in
+  refused "a FALCON cell's condition off the axis" (edit_cell 0 (condition "hd") report);
+  refused "an HQC cell under a condition HQC does not span"
+    (edit_cell 12 (condition "hd+jitter+realign") report);
+  refused "an HQC cell under a defense HQC does not span"
+    (edit_cell 13 (set "defense" (Assess.Json.String "masking")) report);
+  refused "a cell's distinguisher swapped"
+    (edit_cell 1 (set "distinguisher" (Assess.Json.String "pearson")) report);
+  refused "an overhead that is not its defense's"
+    (edit_cell 4 (set "overhead" (Assess.Json.Float 1.)) report);
+  let hqc = Assess.Matrix.to_json (Assess.Matrix.tiny ~targets:[ "hqc" ] ~seed:9 ()) in
+  refused "an HQC report whose condition axis lacks hw"
+    (set "conditions" (Assess.Json.List [ Assess.Json.String "hd+jitter" ]) hqc);
+  match
+    Assess.Matrix.tiny ~targets:[ "hqc" ]
+      ~conditions:[ Assess.Campaign.condition_of_name "hd+jitter" ]
+      ~progress:(fun _ -> Alcotest.fail "a cell ran")
+      ~seed:9 ()
+  with
+  | _ -> Alcotest.fail "HQC matrix without hw ran"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        "the refusal names the target and --conditions" true
+        (String.starts_with ~prefix:"Assess.Matrix: target \"hqc\"" msg
+        && String.ends_with ~suffix:"(add hw to --conditions)" msg)
+
 (* One minimal passing report per bench-gate schema. *)
 let bench_fixtures =
   List.map
@@ -385,6 +447,67 @@ let test_bench_gate_refuses_each_row () =
       List [];
     ]
 
+(* {2 Decoder fuzzing}
+
+   Every truncation and 500 seeded single-byte xors of a valid input
+   go through one decoder: each mutant must decode to [Ok] or [Error],
+   or raise [Failure]; any other exception is a decoder bug. *)
+let fuzz_decoder ~what ~seed decode s =
+  let n = String.length s in
+  let run m =
+    match decode m with
+    | Ok _ | Error _ | (exception Failure _) -> ()
+    | exception e ->
+        Alcotest.failf "%s: %s escaped on a %d-byte mutant" what
+          (Printexc.to_string e) (String.length m)
+  in
+  for len = 0 to n - 1 do
+    run (String.sub s 0 len)
+  done;
+  let rng = Stats.Rng.create ~seed in
+  for _ = 1 to 500 do
+    let b = Bytes.of_string s in
+    let i = Stats.Rng.int_below rng n in
+    let x = 1 + Stats.Rng.int_below rng 255 in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
+    run (Bytes.to_string b)
+  done
+
+(* A debug-level JSONL log of an adaptive HQC crack (its per-unit
+   [seq.unit] decisions included), timed by a counting clock so the
+   bytes are the same on every run. *)
+let crack_log () =
+  let dir = Filename.temp_dir "fd_assess_log" "" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      Attack.Target.Hqc.record_store ~dir ~n:Hqc.Params.n_bits ~traces:120
+        ~noise:0.6 ~seed:11 ~shard_traces:64 ();
+      let buf = Buffer.create (1 lsl 16) in
+      let clock =
+        let t = ref 0L in
+        fun () -> t := Int64.add !t 1000L; !t
+      in
+      let obs = Obs.make ~level:Obs.Debug ~clock (Obs.Jsonl.to_buffer buf) in
+      ignore
+        (Attack.Target.Hqc.recover_store
+           ~ctx:(Attack.Ctx.make ~jobs:1 ~obs ())
+           ~stop:(Sequential.Decision.spec ~alpha:1e-3 ())
+           ~dir (Tracestore.Reader.open_store dir));
+      Buffer.contents buf)
+
+let test_decoders_fuzz () =
+  let report = Assess.Json.to_string ~pretty:true (Lazy.force pinned_report) ^ "\n" in
+  fuzz_decoder ~what:"matrix report" ~seed:1
+    (fun s -> Assess.Matrix.validate (Assess.Json.of_string s))
+    report;
+  fuzz_decoder ~what:"bench gate" ~seed:2
+    (fun s -> Assess.Bench_gate.check (Assess.Json.of_string s))
+    (Assess.Json.to_string (List.assoc Assess.Bench_gate.pearson bench_fixtures));
+  fuzz_decoder ~what:"crack log" ~seed:3
+    (fun s -> Obs.Jsonl.validate (Obs.Jsonl.read_string s))
+    (crack_log ())
+
 let suite =
   [
     Alcotest.test_case "campaign store round-trip" `Quick test_campaign_store_roundtrip;
@@ -402,4 +525,8 @@ let suite =
     Alcotest.test_case "matrix report validates" `Slow test_matrix_report_validates;
     Alcotest.test_case "bench gate refuses each row by name" `Quick
       test_bench_gate_refuses_each_row;
+    Alcotest.test_case "decoders survive truncation and byte flips" `Slow
+      test_decoders_fuzz;
+    Alcotest.test_case "matrix refuses cells off the grid" `Quick
+      test_matrix_refuses_off_grid_cells;
   ]
