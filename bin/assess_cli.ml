@@ -12,16 +12,6 @@
 
 let with_errors = Cli_common.with_errors
 
-let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* {2 tvla} *)
 
 let verdict t1 t2 =
@@ -60,18 +50,8 @@ let print_tvla defense (r : Assess.Tvla.result) pair_t rvr_max =
   Printf.printf "random-vs-random null: max |t1| = %.2f (expect < %.1f)\n" rvr_max
     Assess.Tvla.threshold
 
-(* Recorded assessment campaigns are read strictly, so --on-corrupt skip
-   cannot apply to them: refuse it before the store is opened rather than
-   accept the flag and fail on the first corrupt shard anyway. *)
-let refuse_skip_on_store (flags : Cli_common.Common_flags.t) store =
-  if store <> None && flags.Cli_common.Common_flags.on_corrupt = `Skip then
-    failwith
-      "--on-corrupt skip cannot be used with --store: recorded assessment \
-       campaigns are read strictly, so a corrupt shard always fails the command"
-
-let cmd_tvla store defense traces noise seed flags =
-  Cli_common.run flags @@ fun ctx ->
-  refuse_skip_on_store flags store;
+let cmd_tvla store defense traces noise seed jobs log =
+  Cli_common.run ~jobs log @@ fun ctx ->
   let defense, entries =
     match store with
     | Some dir ->
@@ -141,9 +121,9 @@ let print_outcome (o : Assess.Metrics.outcome) =
   Printf.printf "                   mtd:  %s\n" (opt_row o.Assess.Metrics.mtds);
   Printf.printf "                   mtd@conf: %s\n" (opt_row o.Assess.Metrics.mtd_confs)
 
-let cmd_metrics store defense noise budget experiments decoys seed stop_alpha flags =
-  Cli_common.run flags @@ fun ctx ->
-  refuse_skip_on_store flags store;
+let cmd_metrics store defense noise budget experiments decoys seed stop_alpha jobs log
+    templates =
+  Cli_common.run ~jobs ?templates log @@ fun ctx ->
   let outcome =
     match store with
     | Some dir ->
@@ -176,8 +156,8 @@ let print_cell (c : Assess.Matrix.cell) =
     (if Assess.Matrix.first_order_leak c then "LEAK" else "quiet")
 
 let cmd_matrix tiny targets sigmas budgets conditions distinguishers experiments
-    decoys seed out flags =
-  Cli_common.run flags @@ fun ctx ->
+    decoys seed out jobs log =
+  Cli_common.run ~jobs log @@ fun ctx ->
   let conditions = List.map Assess.Campaign.condition_of_name conditions in
   let report =
     if tiny then
@@ -189,10 +169,12 @@ let cmd_matrix tiny targets sigmas budgets conditions distinguishers experiments
   in
   let json = Assess.Matrix.to_json report in
   let json_path = out ^ ".json" and csv_path = out ^ ".csv" in
-  write_file json_path (Assess.Json.to_string ~pretty:true json ^ "\n");
-  write_file csv_path (Assess.Matrix.to_csv report);
+  Cli_common.write_file json_path (Assess.Json.to_string ~pretty:true json ^ "\n");
+  Cli_common.write_file csv_path (Assess.Matrix.to_csv report);
   (* round-trip self-check: what landed on disk parses and validates *)
-  (match Assess.Matrix.validate (Assess.Json.of_string (read_file json_path)) with
+  (match
+     Assess.Matrix.validate (Assess.Json.of_string (Cli_common.read_file json_path))
+   with
   | Ok () -> ()
   | Error msg -> failwith ("emitted report fails validation: " ^ msg));
   Printf.printf "wrote %s and %s (%d cells, schema %s)\n" json_path csv_path
@@ -204,7 +186,7 @@ let cmd_matrix tiny targets sigmas budgets conditions distinguishers experiments
 
 let cmd_check json_path =
   with_errors @@ fun () ->
-  let report = Assess.Json.of_string (read_file json_path) in
+  let report = Assess.Json.of_string (Cli_common.read_file json_path) in
   match Assess.Matrix.validate report with
   | Ok () ->
       let cells = Option.bind (Assess.Json.member "cells" report) Assess.Json.to_list_opt in
@@ -235,7 +217,9 @@ let cmd_check_log log_path =
    shape error exits with the data-error status. *)
 let cmd_check_bench json_path =
   with_errors @@ fun () ->
-  match Assess.Bench_gate.check (Assess.Json.of_string (read_file json_path)) with
+  match
+    Assess.Bench_gate.check (Assess.Json.of_string (Cli_common.read_file json_path))
+  with
   | Ok summary ->
       Printf.printf "%s: %s\n" json_path summary;
       Cli_common.ok
@@ -262,7 +246,8 @@ let store_arg =
 let traces_arg = Cli_common.traces_arg ~default:2000 ~doc:"Campaign trace count." ()
 let noise_arg = Cli_common.noise_arg
 let seed_arg = Cli_common.seed_arg ()
-let flags = Cli_common.flags_term
+let jobs_arg = Cli_common.jobs_arg
+let log_term = Cli_common.log_term
 
 let experiments_arg =
   Arg.(
@@ -300,7 +285,7 @@ let tvla_cmd =
           test for masked traces)")
     Term.(
       const cmd_tvla $ store_arg $ defense_arg $ traces_arg $ noise_arg $ seed_arg
-      $ flags)
+      $ jobs_arg $ log_term)
 
 let metrics_cmd =
   Cmd.v
@@ -311,7 +296,8 @@ let metrics_cmd =
           experiments")
     Term.(
       const cmd_metrics $ store_arg $ defense_arg $ noise_arg $ budget_arg
-      $ experiments_arg $ decoys_arg $ seed_arg $ stop_alpha_arg $ flags)
+      $ experiments_arg $ decoys_arg $ seed_arg $ stop_alpha_arg $ jobs_arg
+      $ log_term $ Cli_common.templates_arg)
 
 let sigmas_arg =
   Arg.(
@@ -390,7 +376,7 @@ let matrix_cmd =
     Term.(
       const cmd_matrix $ tiny_arg $ targets_arg $ sigmas_arg $ budgets_arg
       $ conditions_arg $ distinguishers_arg $ experiments_arg $ decoys_arg
-      $ seed_arg $ out_arg $ flags)
+      $ seed_arg $ out_arg $ jobs_arg $ log_term)
 
 let json_arg =
   Arg.(

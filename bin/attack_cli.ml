@@ -9,11 +9,11 @@
 (* Exit statuses follow the repository-wide convention in Cli_common:
    expected failures (malformed or missing input files, failed key
    reconstruction) become a message on stderr and the data-error status
-   rather than an uncaught exception.  The shared -j/--backend/--log
-   flags are parsed once in Cli_common and arrive as an Attack.Ctx. *)
+   rather than an uncaught exception.  The -j/--templates/--log flags
+   are parsed in Cli_common and arrive as an Attack.Ctx. *)
 
-let cmd_run n traces noise seed flags =
-  Cli_common.run flags @@ fun ctx ->
+let cmd_run n traces noise seed jobs log templates =
+  Cli_common.run ~jobs ?templates log @@ fun ctx ->
   let model = { Leakage.default_model with noise_sigma = noise } in
   Printf.printf "victim: FALCON-%d, %d traces, noise sigma %.2f, seed %d\n%!" n traces
     noise seed;
@@ -38,8 +38,8 @@ let cmd_run n traces noise seed flags =
         (Falcon.Scheme.verify pk msg sg);
       0
 
-let cmd_coefficient traces noise seed flags =
-  Cli_common.run flags @@ fun ctx ->
+let cmd_coefficient traces noise seed jobs log templates =
+  Cli_common.run ~jobs ?templates log @@ fun ctx ->
   let model = { Leakage.default_model with noise_sigma = noise } in
   let x = 0xC06017BC8036B580L in
   Printf.printf "attacking the paper's coefficient %Lx with %d traces\n%!" x traces;
@@ -74,12 +74,44 @@ let print_stop_summary (s : Sequential.Campaign.summary) =
     used.((n - 1) / 2)
     s.Sequential.Campaign.total_traces s.Sequential.Campaign.traces_saved
 
-(* Every store crack goes through the target registry: same store
-   streaming, same sequential stopping, scheme-specific attack behind
-   Attack.Target.S, one outcome format. *)
-let crack_target (module T : Attack.Target.S) dir leakage stop alpha max_traces
-    flags ctx =
+(* Profiling phase of the GALACTICS-style template attack: train
+   per-intermediate Gaussian templates on a cloned-device campaign whose
+   ground-truth sidecars the store carries, and persist them for
+   `crack --templates PATH`. *)
+let cmd_profile dir out leakage npoi ndim max_traces log (sf : Cli_common.stream) =
+  Cli_common.run log @@ fun ctx ->
   let reader = Tracestore.Reader.open_store dir in
+  let t = Cli_common.target_of_store dir reader in
+  let module T = (val t : Attack.Target.S) in
+  Printf.printf "profiling %d traces (%d shards) of a %s campaign from %s\n%!"
+    (Tracestore.Reader.total_traces reader)
+    (Tracestore.Reader.shard_count reader)
+    T.name dir;
+  let store =
+    Attack.Target.profile ~ctx ~leakage ~on_corrupt:sf.on_corrupt ~prefetch:sf.prefetch
+      ?npoi ?ndim ?max_traces t ~dir reader
+  in
+  Attack.Profile.save out store;
+  Printf.printf "wrote %s: %s\n" out (Attack.Profile.describe store);
+  0
+
+(* Every store crack goes through the target registry: the store's
+   manifest names its target, and the same store streaming, sequential
+   stopping and outcome format serve every scheme. *)
+let cmd_crack dir leakage until_confident alpha max_traces jobs log templates
+    (sf : Cli_common.stream) =
+  Cli_common.run ~jobs ?templates log @@ fun ctx ->
+  let stop =
+    if until_confident then Some (Sequential.Decision.spec ~alpha ()) else None
+  in
+  (* the flag-only refusals come before the first line of output or I/O *)
+  Attack.Target.check_options ~ctx ~stop ~max_traces ();
+  (if leakage = `Hd then
+     Printf.printf
+       "matching bus Hamming-distance hypothesis models (campaign recorded \
+        with --model hd)\n%!");
+  let reader = Tracestore.Reader.open_store dir in
+  let module T = (val Cli_common.target_of_store dir reader : Attack.Target.S) in
   Printf.printf "streaming %d traces (%d shards) of a %s victim from %s\n%!"
     (Tracestore.Reader.total_traces reader)
     (Tracestore.Reader.shard_count reader)
@@ -88,9 +120,8 @@ let crack_target (module T : Attack.Target.S) dir leakage stop alpha max_traces
     Printf.printf "adaptive trace budget: stop per unit at confidence (alpha %g)\n%!"
       alpha;
   let o =
-    T.recover_store ~ctx ~leakage ?stop ?max_traces
-      ~on_corrupt:flags.Cli_common.Common_flags.on_corrupt
-      ~prefetch:flags.Cli_common.Common_flags.prefetch ~dir reader
+    T.recover_store ~ctx ~leakage ?stop ?max_traces ~on_corrupt:sf.on_corrupt
+      ~prefetch:sf.prefetch ~dir reader
   in
   (match o.Attack.Target.stop with Some s -> print_stop_summary s | None -> ());
   Printf.printf "recovered %d/%d key units from %d of %d traces\n" o.units_ok o.units
@@ -100,74 +131,40 @@ let crack_target (module T : Attack.Target.S) dir leakage stop alpha max_traces
   Printf.printf "secret recovered exactly: %b\n" o.success;
   if o.success then 0 else 1
 
-(* Profiling phase of the GALACTICS-style template attack: train
-   per-intermediate Gaussian templates on a cloned-device campaign whose
-   ground-truth sidecars the store carries, and persist them for
-   `crack --backend profiled --templates PATH`. *)
-let cmd_profile target dir out leakage npoi ndim max_traces flags =
-  Cli_common.run flags @@ fun ctx ->
-  match Attack.Target.find target with
-  | None ->
-      prerr_endline ("unknown --target " ^ target);
-      1
-  | Some t ->
-      let reader = Tracestore.Reader.open_store dir in
-      let module T = (val t : Attack.Target.S) in
-      Printf.printf "profiling %d traces (%d shards) of a %s campaign from %s\n%!"
-        (Tracestore.Reader.total_traces reader)
-        (Tracestore.Reader.shard_count reader)
-        T.name dir;
-      let store =
-        Attack.Target.profile ~ctx ~leakage
-          ~on_corrupt:flags.Cli_common.Common_flags.on_corrupt
-          ~prefetch:flags.Cli_common.Common_flags.prefetch ?npoi ?ndim ?max_traces t
-          ~dir reader
-      in
-      Attack.Profile.save out store;
-      Printf.printf "wrote %s: %s\n" out (Attack.Profile.describe store);
-      0
-
-let cmd_crack target dir leakage until_confident alpha max_traces flags =
-  Cli_common.run flags @@ fun ctx ->
-  let stop =
-    if until_confident then Some (Sequential.Decision.spec ~alpha ()) else None
-  in
-  (* every refusal comes before the first line of output or I/O *)
-  Attack.Target.check_options ~ctx ~target ~leakage ~stop ~max_traces ();
-  (if leakage = `Hd then
-     Printf.printf
-       "matching bus Hamming-distance hypothesis models (campaign recorded \
-        with --model hd)\n%!");
-  match Attack.Target.find target with
-  | Some t -> crack_target t dir leakage stop alpha max_traces flags ctx
-  | None ->
-      prerr_endline ("unknown --target " ^ target);
-      1
-
 open Cmdliner
 
 let n_arg = Cli_common.n_arg
 let traces_arg = Cli_common.traces_arg ()
 let noise_arg = Cli_common.noise_arg
 let seed_arg = Cli_common.seed_arg ()
-let flags = Cli_common.flags_term
+let jobs_arg = Cli_common.jobs_arg
+let log_term = Cli_common.log_term
+let templates_arg = Cli_common.templates_arg
 
 let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Full key extraction and forgery on a fresh victim")
-    Term.(const cmd_run $ n_arg $ traces_arg $ noise_arg $ seed_arg $ flags)
+    Term.(
+      const cmd_run $ n_arg $ traces_arg $ noise_arg $ seed_arg $ jobs_arg
+      $ log_term $ templates_arg)
 
 let coeff_cmd =
   Cmd.v
     (Cmd.info "coefficient" ~doc:"Attack the single coefficient of the paper's Fig. 4")
-    Term.(const cmd_coefficient $ traces_arg $ noise_arg $ seed_arg $ flags)
+    Term.(
+      const cmd_coefficient $ traces_arg $ noise_arg $ seed_arg $ jobs_arg
+      $ log_term $ templates_arg)
 
 let store_arg =
   Cli_common.store_default_arg
     ~doc:
-      "Sharded trace-store campaign to attack (recorded with trace_cli), \
-       streaming shards so peak memory stays bounded by one shard per worker \
-       plus a window buffer of at most 8 shards' worth."
+      "Sharded trace-store campaign to attack (recorded with trace_cli); its \
+       manifest names the target (FALCON or HQC).  Shards are streamed: a \
+       fixed-budget crack holds one shard per worker plus a window buffer of \
+       at most 8 shards' worth.  Under $(b,--until-confident) a FALCON \
+       crack also buffers, for each undecided unit, its two 16-sample \
+       windows of every trace read so far: up to D x 2n x 32 floats after D \
+       traces."
 
 let leakage_arg =
   Arg.(
@@ -177,11 +174,11 @@ let leakage_arg =
         ~doc:
           "Hypothesis models to match: $(b,hw) (Hamming weight, the default) \
            or $(b,hd) (bus Hamming-distance transitions — for campaigns \
-           recorded with trace_cli $(b,--model hd)).  For the FALCON target \
+           recorded with trace_cli $(b,--model hd)).  On a FALCON store \
            $(b,hd) cannot combine with $(b,--until-confident): its streaming \
            decision sweep has no d-free Hamming-distance part set (the HQC \
-           transition hypothesis is prefix-free, so $(b,--target hqc) stops \
-           under both).")
+           transition hypothesis is prefix-free, so an HQC store stops under \
+           both).")
 
 let until_confident_arg =
   Arg.(
@@ -217,8 +214,7 @@ let crack_cmd =
     (Cmd.info "crack"
        ~doc:"Recover the key and forge from a recorded trace store")
     Term.(
-      const cmd_crack $ Cli_common.target_arg $ store_arg $ leakage_arg
-      $ until_confident_arg $ alpha_arg
+      const cmd_crack $ store_arg $ leakage_arg $ until_confident_arg $ alpha_arg
       $ max_traces_arg
           ~doc:
             "Cap the adaptive campaign at N traces (needs \
@@ -226,7 +222,7 @@ let crack_cmd =
              full buffered prefix at the cap.  A fixed-budget crack reads the \
              whole store, so without $(b,--until-confident) the option is \
              refused."
-      $ flags)
+      $ jobs_arg $ log_term $ templates_arg $ Cli_common.stream_term)
 
 let profile_store_arg =
   Cli_common.store_default_arg
@@ -262,10 +258,10 @@ let profile_cmd =
          "Train profiled Gaussian templates on a cloned-device campaign with \
           known key")
     Term.(
-      const cmd_profile $ Cli_common.target_arg $ profile_store_arg
-      $ profile_out_arg $ leakage_arg $ npoi_arg $ ndim_arg
+      const cmd_profile $ profile_store_arg $ profile_out_arg $ leakage_arg
+      $ npoi_arg $ ndim_arg
       $ max_traces_arg ~doc:"Train on the first N traces of the campaign only."
-      $ flags)
+      $ log_term $ Cli_common.stream_term)
 
 let () =
   let doc = "Falcon Down side-channel attack driver" in

@@ -5,31 +5,19 @@
      dune exec bin/falcon_cli.exe -- sign -k key.sk -m "hello" -o sig.txt
      dune exec bin/falcon_cli.exe -- verify -k key.pk -m "hello" -i sig.txt *)
 
-let write_file path content =
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc
-
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
 let ints_to_line a = String.concat " " (Array.to_list (Array.map string_of_int a))
 
 let line_to_ints line =
   Array.of_list (List.map int_of_string (String.split_on_char ' ' (String.trim line)))
 
 let save_secret path (kp : Ntru.Ntrugen.keypair) =
-  write_file path
+  Cli_common.write_file path
     (Printf.sprintf "falcon-secret n=%d\nf %s\ng %s\nF %s\nG %s\nh %s\n" kp.n
        (ints_to_line kp.f) (ints_to_line kp.g) (ints_to_line kp.big_f)
        (ints_to_line kp.big_g) (ints_to_line kp.h))
 
 let load_secret path : Ntru.Ntrugen.keypair =
-  match String.split_on_char '\n' (read_file path) with
+  match String.split_on_char '\n' (Cli_common.read_file path) with
   | header :: lines when String.length header > 16 ->
       let n = int_of_string (List.nth (String.split_on_char '=' header) 1) in
       let field tag =
@@ -50,10 +38,11 @@ let load_secret path : Ntru.Ntrugen.keypair =
   | _ -> failwith "malformed secret key file"
 
 let save_public path (pk : Falcon.Scheme.public_key) =
-  write_file path (Printf.sprintf "falcon-public n=%d\nh %s\n" pk.params.n (ints_to_line pk.h))
+  Cli_common.write_file path
+    (Printf.sprintf "falcon-public n=%d\nh %s\n" pk.params.n (ints_to_line pk.h))
 
 let load_public path : Falcon.Scheme.public_key =
-  match String.split_on_char '\n' (read_file path) with
+  match String.split_on_char '\n' (Cli_common.read_file path) with
   | header :: lines when String.length header > 16 ->
       let n = int_of_string (List.nth (String.split_on_char '=' header) 1) in
       let h =
@@ -72,33 +61,33 @@ let string_of_hex h =
 
 (* Exit statuses follow the repository-wide convention in Cli_common:
    malformed key/signature files and bad parameters exit with the
-   data-error status and a message, never a backtrace.  The shared
-   -j/--backend/--log flags are parsed once in Cli_common. *)
+   data-error status and a message, never a backtrace.  No subcommand
+   takes the attack pipeline's -j/--templates/--log flags. *)
 
-let cmd_keygen n seed out flags =
-  Cli_common.run flags @@ fun _ctx ->
+let cmd_keygen n seed out =
+  Cli_common.with_errors @@ fun () ->
   let sk, pk = Falcon.Scheme.keygen ~n ~seed in
   save_secret (out ^ ".sk") sk.kp;
   save_public (out ^ ".pk") pk;
   Printf.printf "wrote %s.sk and %s.pk (FALCON-%d)\n" out out n;
   0
 
-let cmd_sign key msg out flags =
-  Cli_common.run flags @@ fun _ctx ->
+let cmd_sign key msg out =
+  Cli_common.with_errors @@ fun () ->
   let kp = load_secret key in
   let sk = Falcon.Scheme.secret_of_keypair kp in
   let rng = Prng.of_seed (Printf.sprintf "cli-sign-%f" (Sys.time ())) in
   let sg = Falcon.Scheme.sign ~rng sk msg in
-  write_file out
+  Cli_common.write_file out
     (Printf.sprintf "falcon-signature\nsalt %s\nbody %s\n" (hex_of_string sg.salt)
        (hex_of_string sg.body));
   Printf.printf "wrote %s (%d bytes of signature body)\n" out (String.length sg.body);
   0
 
-let cmd_verify key msg input flags =
-  Cli_common.run flags @@ fun _ctx ->
+let cmd_verify key msg input =
+  Cli_common.with_errors @@ fun () ->
   let pk = load_public key in
-  let lines = String.split_on_char '\n' (read_file input) in
+  let lines = String.split_on_char '\n' (Cli_common.read_file input) in
   let field tag =
     match
       List.find_opt
@@ -128,7 +117,6 @@ let n_arg =
 let seed_arg =
   Arg.(value & opt string "falcon cli seed" & info [ "s"; "seed" ] ~doc:"Keygen seed.")
 
-let flags = Cli_common.flags_term
 let out_arg d = Arg.(value & opt string d & info [ "o"; "out" ] ~doc:"Output path.")
 let key_arg = Arg.(required & opt (some string) None & info [ "k"; "key" ] ~doc:"Key file.")
 let msg_arg = Arg.(required & opt (some string) None & info [ "m"; "message" ] ~doc:"Message.")
@@ -136,15 +124,15 @@ let sig_arg = Arg.(value & opt string "sig.txt" & info [ "i"; "input" ] ~doc:"Si
 
 let keygen_cmd =
   Cmd.v (Cmd.info "keygen" ~doc:"Generate a FALCON key pair")
-    Term.(const cmd_keygen $ n_arg $ seed_arg $ out_arg "key" $ flags)
+    Term.(const cmd_keygen $ n_arg $ seed_arg $ out_arg "key")
 
 let sign_cmd =
   Cmd.v (Cmd.info "sign" ~doc:"Sign a message")
-    Term.(const cmd_sign $ key_arg $ msg_arg $ out_arg "sig.txt" $ flags)
+    Term.(const cmd_sign $ key_arg $ msg_arg $ out_arg "sig.txt")
 
 let verify_cmd =
   Cmd.v (Cmd.info "verify" ~doc:"Verify a signature")
-    Term.(const cmd_verify $ key_arg $ msg_arg $ sig_arg $ flags)
+    Term.(const cmd_verify $ key_arg $ msg_arg $ sig_arg)
 
 let () =
   let doc = "FALCON post-quantum signatures (Falcon Down reproduction)" in

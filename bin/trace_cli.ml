@@ -9,12 +9,6 @@
      dune exec bin/trace_cli.exe -- verify -i campaign
      dune exec bin/attack_cli.exe -- crack --store campaign -j 4 *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* --model/--jitter/--drift compose into a Leakage.emitter; a target
    refuses one it cannot simulate (HQC: hw or hd, no jitter). *)
 let emitter_of kind jitter drift =
@@ -37,8 +31,8 @@ let emitter_label kind jitter drift =
 (* Every target records through the registry: the instance owns its
    victim generation, refuses a bad emitter or noise model before the
    store is created, and writes its ground-truth sidecars. *)
-let cmd_record target n traces noise model_kind jitter drift seed shard out flags =
-  Cli_common.run flags @@ fun ctx ->
+let cmd_record target n traces noise model_kind jitter drift seed shard out log =
+  Cli_common.run log @@ fun ctx ->
   let module T = (val Option.get (Attack.Target.find target)) in
   T.record_store ~ctx
     ~emitter:(emitter_of model_kind jitter drift)
@@ -52,11 +46,32 @@ let cmd_record target n traces noise model_kind jitter drift seed shard out flag
     shard;
   0
 
-let cmd_append store traces seed flags =
-  Cli_common.run flags @@ fun ctx ->
+(* The victim a store's manifest names, e.g. "FALCON-16": the registered
+   target whose codec accepts it; none for a record-tvla campaign. *)
+let victim_of (m : Tracestore.meta) =
+  Option.map
+    (fun (module T : Attack.Target.S) ->
+      Printf.sprintf "%s-%d" (String.uppercase_ascii T.name) m.Tracestore.n)
+    (Attack.Target.of_meta m)
+
+(* Appending re-signs with the FALCON secret.key sidecar, so any other
+   store is refused, naming its target, before the writer is opened. *)
+let cmd_append store traces seed log =
+  Cli_common.run log @@ fun ctx ->
+  let module T =
+    (val Cli_common.target_of_store store (Tracestore.Reader.open_store store))
+  in
+  if T.name <> Attack.Target.Falcon.name then
+    failwith
+      (Printf.sprintf
+         "%s: append extends FALCON campaigns only (this store's target is %s)" store
+         T.name);
   let writer = Tracestore.Writer.open_append store in
   let meta = Tracestore.Writer.meta writer in
-  match Falcon.Keycodec.decode_secret (read_file (Filename.concat store "secret.key")) with
+  match
+    Falcon.Keycodec.decode_secret
+      (Cli_common.read_file (Filename.concat store "secret.key"))
+  with
   | None ->
       prerr_endline "could not read the store's secret.key (needed to keep signing)";
       1
@@ -72,13 +87,16 @@ let cmd_append store traces seed flags =
       Printf.printf "store now records %d traces\n" (before + traces);
       0
 
-let cmd_inspect store flags =
-  Cli_common.run flags @@ fun _ctx ->
+let cmd_inspect store =
+  Cli_common.with_errors @@ fun () ->
   let reader = Tracestore.Reader.open_store store in
   let m = Tracestore.Reader.meta reader in
   Printf.printf "store      %s\n" store;
-  Printf.printf "victim     FALCON-%d (%d samples/trace)\n" m.Tracestore.n
-    m.Tracestore.width;
+  (match victim_of m with
+  | Some v -> Printf.printf "victim     %s (%d samples/trace)\n" v m.Tracestore.width
+  | None ->
+      Printf.printf "shape      n %d, %d samples/trace (no registered victim)\n"
+        m.Tracestore.n m.Tracestore.width);
   Printf.printf "model      alpha %.3f, noise sigma %.3f, baseline %.3f\n"
     m.Tracestore.model.alpha m.Tracestore.model.noise_sigma m.Tracestore.model.baseline;
   Printf.printf "sharding   %d traces per full shard\n" m.Tracestore.shard_traces;
@@ -103,11 +121,14 @@ let cmd_inspect store flags =
   end;
   0
 
-let cmd_verify store flags =
-  Cli_common.run flags @@ fun _ctx ->
+let cmd_verify store =
+  Cli_common.with_errors @@ fun () ->
   let meta, results = Tracestore.verify store in
-  Printf.printf "verifying %s (FALCON-%d, %d samples/trace)\n%!" store
-    meta.Tracestore.n meta.Tracestore.width;
+  Printf.printf "verifying %s (%s, %d samples/trace)\n%!" store
+    (match victim_of meta with
+    | Some v -> v
+    | None -> Printf.sprintf "n %d" meta.Tracestore.n)
+    meta.Tracestore.width;
   if results = [] then begin
     (* an empty store has nothing left to corrupt — it verifies *)
     Printf.printf "empty store: 0 shards, nothing to verify\n";
@@ -136,15 +157,14 @@ let cmd_verify store flags =
 (* Streaming static realignment: undo the integer part of acquisition
    jitter by cross-correlating each trace against a reference window and
    writing the shift-corrected campaign to a fresh store. *)
-let cmd_align src dst max_shift ref_traces flags =
-  Cli_common.run flags @@ fun ctx ->
+let cmd_align src dst max_shift ref_traces jobs log (sf : Cli_common.stream) =
+  Cli_common.run ~jobs log @@ fun ctx ->
   Printf.printf
     "realigning %s into %s (max shift %d samples, reference from first %d \
      traces)\n%!"
     src dst max_shift ref_traces;
   let st =
-    Align.realign_store ~ctx ~on_corrupt:flags.Cli_common.Common_flags.on_corrupt
-      ~prefetch:flags.Cli_common.Common_flags.prefetch ~max_shift
+    Align.realign_store ~ctx ~on_corrupt:sf.on_corrupt ~prefetch:sf.prefetch ~max_shift
       ~reference_traces:ref_traces ~src ~dst ()
   in
   if st.Align.traces = 0 then Printf.printf "empty store: 0 traces realigned\n"
@@ -161,8 +181,8 @@ let cmd_align src dst max_shift ref_traces flags =
 (* Single-multiply fixed-vs-random campaign for the leakage-assessment
    workflow (assess_cli): the class label and known operand ride in each
    record, defense/secret/seed in the assess.fda sidecar. *)
-let cmd_record_tvla defense traces noise seed p_fixed shard out flags =
-  Cli_common.run flags @@ fun _ctx ->
+let cmd_record_tvla defense traces noise seed p_fixed shard out =
+  Cli_common.with_errors @@ fun () ->
   let secret = Assess.Campaign.secret_operand (Stats.Rng.create ~seed:(seed lxor 0x7e57)) in
   Assess.Campaign.record_store ~p_fixed ~dir:out defense ~noise ~secret ~count:traces
     ~seed ~shard_traces:shard ();
@@ -179,7 +199,7 @@ open Cmdliner
 let n_arg = Cli_common.n_arg
 let traces_arg = Cli_common.traces_arg ()
 let noise_arg = Cli_common.noise_arg
-let flags = Cli_common.flags_term
+let log_term = Cli_common.log_term
 
 let seed_arg =
   Cli_common.seed_arg
@@ -200,6 +220,22 @@ let out_arg =
   Arg.(value & opt string "campaign" & info [ "o"; "out" ] ~doc:"Store directory.")
 
 let store_arg = Cli_common.store_default_arg ~doc:"Store directory."
+
+(* --target dispatches on the Attack.Target registry; the conv rejects
+   unknown names with the registry's own list, so the CLI never drifts
+   from the library. *)
+let target_arg =
+  Arg.(
+    value
+    & opt (enum (List.map (fun n -> (n, n)) Attack.Target.names)) "falcon"
+    & info [ "target" ] ~docv:"SCHEME"
+        ~doc:
+          (Printf.sprintf
+             "Victim scheme to record: %s.  $(b,falcon) (the default) is the \
+              paper's FALCON FFT multiplier; $(b,hqc) is the HQC sparse \
+              polynomial rotate-and-accumulate victim."
+             (String.concat " or "
+                (List.map (Printf.sprintf "$(b,%s)") Attack.Target.names))))
 
 let model_arg =
   Arg.(
@@ -242,24 +278,25 @@ let record_cmd =
           target cannot simulate, or a negative noise or jitter, is refused \
           (exit 1) before the store directory is created")
     Term.(
-      const cmd_record $ Cli_common.target_arg $ n_arg $ traces_arg $ noise_arg
-      $ model_arg $ jitter_arg $ drift_arg $ seed_arg $ shard_arg $ out_arg $ flags)
+      const cmd_record $ target_arg $ n_arg $ traces_arg $ noise_arg
+      $ model_arg $ jitter_arg $ drift_arg $ seed_arg $ shard_arg $ out_arg
+      $ log_term)
 
 let append_cmd =
   Cmd.v
     (Cmd.info "append" ~doc:"Extend an existing campaign with more traces (append-only)")
-    Term.(const cmd_append $ store_arg $ traces_arg $ seed_arg $ flags)
+    Term.(const cmd_append $ store_arg $ traces_arg $ seed_arg $ log_term)
 
 let inspect_cmd =
   Cmd.v
     (Cmd.info "inspect" ~doc:"Print the manifest: metadata and per-shard inventory")
-    Term.(const cmd_inspect $ store_arg $ flags)
+    Term.(const cmd_inspect $ store_arg)
 
 let verify_cmd =
   Cmd.v
     (Cmd.info "verify"
        ~doc:"CRC-check and fully parse every shard; exit 1 if any is corrupt")
-    Term.(const cmd_verify $ store_arg $ flags)
+    Term.(const cmd_verify $ store_arg)
 
 let defense_arg =
   Arg.(
@@ -285,7 +322,7 @@ let record_tvla_cmd =
           (analysed with assess_cli)")
     Term.(
       const cmd_record_tvla $ defense_arg $ traces_arg $ noise_arg $ seed_arg
-      $ p_fixed_arg $ shard_arg $ out_arg $ flags)
+      $ p_fixed_arg $ shard_arg $ out_arg)
 
 let align_src_arg =
   Arg.(
@@ -324,7 +361,7 @@ let align_cmd =
           sidecars; deterministic at every -j and prefetch setting")
     Term.(
       const cmd_align $ align_src_arg $ align_dst_arg $ max_shift_arg
-      $ ref_traces_arg $ flags)
+      $ ref_traces_arg $ Cli_common.jobs_arg $ log_term $ Cli_common.stream_term)
 
 let () =
   let doc = "Falcon Down trace-campaign store driver" in

@@ -327,12 +327,15 @@ let run ?ctx:(c = Attack.Ctx.default ()) ?(targets = [ "falcon" ])
         Obs.span c.Attack.Ctx.obs "matrix.cell"
           ~fields:(List.map (fun (name, f) -> (name, field (f p))) coordinates)
         @@ fun () ->
-        let cell_ctx =
+        (* the cell's label alone picks its distinguisher, whatever
+           backend the caller's ctx carries *)
+        let backend =
           if p.distinguisher = "profiled" then
-            let store = ev.clone c ~experiments ~seed:(p.seed + 4099) p in
-            Attack.Ctx.with_backend (Attack.Distinguisher.Profiled store) c
-          else c
+            Attack.Distinguisher.Profiled
+              (ev.clone c ~experiments ~seed:(p.seed + 4099) p)
+          else Attack.Distinguisher.Pearson
         in
+        let cell_ctx = Attack.Ctx.with_backend backend c in
         let outcome = ev.outcome cell_ctx ~experiments ~decoys p in
         let cell = { point = p; outcome; tvla = ev.assess c ~seed:(p.seed + 17) p } in
         progress cell;

@@ -113,8 +113,10 @@ val run :
     campaign and the analysis follow the condition (HD hypothesis
     models, realignment pass — see {!Metrics.of_entries}), including
     the TVLA sweep, which assesses the realigned traces when the
-    condition realigns.  [progress] fires after each finished cell.
-    Raises [Invalid_argument] from {!grid} before any cell runs. *)
+    condition realigns.  A cell's distinguisher is its label's: the
+    [ctx] lends only its jobs and observability, never its backend.
+    [progress] fires after each finished cell.  Raises
+    [Invalid_argument] from {!grid} before any cell runs. *)
 
 val tiny :
   ?ctx:Attack.Ctx.t ->

@@ -5,7 +5,12 @@
     worker count, the distinguisher scoring every ranking, and the
     observability context.  An omitted [?ctx] means {!default}.  The
     per-call data choices ([?leakage], [?on_corrupt], [?prefetch]) are
-    arguments of the entry points that use them, not context fields. *)
+    arguments of the entry points that use them, not context fields.
+
+    The CLIs build one per subcommand ([bin/cli_common] [run]): [-j]
+    sets [jobs], [--templates PATH] alone selects the profiled
+    distinguisher (Pearson otherwise) and [--log]/[--log-level] the
+    sink, on exactly the subcommands whose bodies read them. *)
 
 type t = {
   jobs : int;  (** worker domains for [Parallel] sweeps (>= 1) *)

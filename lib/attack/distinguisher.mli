@@ -41,8 +41,8 @@ type selection =
           {!Profile.store} (GALACTICS-style profiled attack) *)
 
 val name : selection -> string
-(** ["pearson"] or ["profiled"] — the one vocabulary of the CLI
-    [--backend] flag, the obs [backend] field and [Assess.Matrix]. *)
+(** ["pearson"] or ["profiled"] — the one vocabulary of the obs
+    [backend] field and the [Assess.Matrix] distinguisher axis. *)
 
 val names : string list
 (** The vocabulary, in declaration order. *)

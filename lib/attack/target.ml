@@ -52,25 +52,19 @@ module type S = sig
     outcome
 end
 
-let check_options ?ctx ~target ~leakage ~stop ~max_traces () =
+let check_options ?ctx ~stop ~max_traces () =
   if max_traces <> None && stop = None then
     invalid_arg
       "--max-traces needs --until-confident: a fixed-budget crack reads every \
        stored trace";
-  if stop <> None then begin
-    if target = "falcon" && leakage = `Hd then
+  match (stop, ctx) with
+  | Some _, Some c when not (Distinguisher.has_gap_test c.Ctx.backend) ->
       invalid_arg
-        "--until-confident is not available with --leakage hd on falcon: the \
-         streaming decision sweeps have no d-free Hamming-distance part set";
-    match ctx with
-    | Some c when not (Distinguisher.has_gap_test c.Ctx.backend) ->
-        invalid_arg
-          (Printf.sprintf
-             "--until-confident is not available with --backend %s: it has no \
-              sequential gap statistic (use --backend pearson)"
-             (Distinguisher.name c.Ctx.backend))
-    | _ -> ()
-  end
+        (Printf.sprintf
+           "--until-confident is not available with --templates: the %s \
+            distinguisher has no sequential gap statistic"
+           (Distinguisher.name c.Ctx.backend))
+  | _ -> ()
 
 let read_file path =
   let ic = open_in_bin path in
@@ -208,7 +202,11 @@ module Falcon = struct
 
   let recover_store ?ctx ?(leakage = `Hw) ?stop ?max_traces ?on_corrupt ?prefetch
       ~dir reader =
-    check_options ?ctx ~target:name ~leakage ~stop ~max_traces ();
+    check_options ?ctx ~stop ~max_traces ();
+    if stop <> None && leakage = `Hd then
+      invalid_arg
+        "--until-confident is not available with --leakage hd on falcon: the \
+         streaming decision sweeps have no d-free Hamming-distance part set";
     let pk, truth_kp = read_keys dir in
     let truth_sk = Falcon.Scheme.secret_of_keypair truth_kp in
     let summary = ref None in
@@ -361,7 +359,7 @@ module Hqc_target = struct
 
   let recover_store ?ctx ?(leakage = `Hw) ?stop ?max_traces ?on_corrupt ?prefetch
       ~dir reader =
-    check_options ?ctx ~target:name ~leakage ~stop ~max_traces ();
+    check_options ?ctx ~stop ~max_traces ();
     let total = Tracestore.Reader.total_traces reader in
     let budget = match max_traces with None -> total | Some k -> min k total in
     let read = lazy (fixed_budget_traces ~on_corrupt reader) in
@@ -441,6 +439,13 @@ let find name =
     (fun m ->
       let module T = (val m : S) in
       T.name = name)
+    all
+
+let of_meta meta =
+  List.find_opt
+    (fun m ->
+      let module T = (val m : S) in
+      match T.codec.Dema.Stream.check meta with () -> true | exception Failure _ -> false)
     all
 
 (* ---------------- generic profiled training ----------------

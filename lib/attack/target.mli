@@ -50,20 +50,18 @@ type outcome = {
 
 val check_options :
   ?ctx:Ctx.t ->
-  target:string ->
-  leakage:leakage ->
   stop:Sequential.Decision.spec option ->
   max_traces:int option ->
   unit ->
   unit
-(** The one refusal of option combinations a store crack cannot run,
-    checked before any I/O.  Raises [Invalid_argument], naming the
-    [attack_cli crack] flags, for [max_traces] without [stop] (a fixed
-    budget reads every stored trace), and for [stop] on target
-    ["falcon"] under [`Hd] (its decision sweeps have no d-free
-    Hamming-distance part set) or under a [ctx] backend with no
-    sequential gap test ({!Distinguisher.has_gap_test}).  Every
-    {!S.recover_store} calls it first. *)
+(** The target-independent refusal of option combinations a store
+    crack cannot run, checked before any I/O.  Raises
+    [Invalid_argument], naming the [attack_cli crack] flags, for
+    [max_traces] without [stop] (a fixed budget reads every stored
+    trace) and for [stop] under a [ctx] backend with no sequential gap
+    test ({!Distinguisher.has_gap_test}).  Every {!S.recover_store}
+    calls it first; a target adds its own refusals after it, still
+    before any I/O ({!Falcon} refuses [stop] under [`Hd]). *)
 
 val record :
   ctx:Ctx.t -> Tracestore.Writer.t -> traces:int -> (unit -> Tracestore.record) -> unit
@@ -138,16 +136,18 @@ module type S = sig
       sidecars; the reader streams the traces).  Deterministic: the
       [witness] (and stop points, with [?stop]) are bit-identical
       across [jobs] and prefetch.  [?max_traces] caps an adaptive
-      campaign.  Raises [Invalid_argument] from {!check_options}
-      before reading anything, and [Failure] on missing/corrupt
-      sidecars. *)
+      campaign.  Raises [Invalid_argument] from {!check_options}, or
+      for a combination this target cannot run, before reading
+      anything, and [Failure] on missing/corrupt sidecars. *)
 end
 
 module Falcon : S
 (** The FALCON mantissa/coefficient attack behind the target
     interface, and the only [attack_cli crack --store] driver for
-    FALCON.  [recover_store] delegates to {!Fullkey.recover_key_store}
-    with [Fullkey.sampled_strategy ~seed:0] over the sidecar's FFT(f)
+    FALCON.  [recover_store] refuses [?stop] under [`Hd] before any
+    read (its decision sweeps have no d-free Hamming-distance part set)
+    and delegates to {!Fullkey.recover_key_store} with
+    [Fullkey.sampled_strategy ~seed:0] over the sidecar's FFT(f)
     (per-unit seed [coeff*7 + mul], 512 decoys), then forges with the
     rebuilt key ({!Fullkey.forge}, verified under [public.key]) to
     decide [success]; the [witness] is the hex dump of the recovered
@@ -195,7 +195,13 @@ end
 val all : (module S) list
 val names : string list
 val find : string -> (module S) option
-(** Registry for CLI dispatch ([--target falcon|hqc]). *)
+(** Registry for CLI dispatch ([trace_cli record --target falcon|hqc]). *)
+
+val of_meta : Tracestore.meta -> (module S) option
+(** The registered target whose {!S.codec} accepts a store's manifest:
+    FALCON stores have width 70n, HQC stores n 32 and width 12; [None]
+    for any other store (e.g. a [trace_cli record-tvla] campaign).  How
+    [attack_cli crack] and [profile] pick the target of a store. *)
 
 val profile :
   ?ctx:Ctx.t ->

@@ -280,6 +280,25 @@ let test_matrix_report_validates () =
   | Ok () -> Alcotest.fail "missing cells accepted"
   | Error _ -> ()
 
+(* A cell's label alone picks its distinguisher: under a ctx that
+   carries a profiled backend, the pearson cells of Matrix.tiny are
+   still byte for byte the ones the default ctx gives. *)
+let test_matrix_cells_ignore_ctx_backend () =
+  let secret = Assess.Campaign.secret_operand (Stats.Rng.create ~seed:5) in
+  let store =
+    Assess.Metrics.profile_entries ~defense:`None ~truth:secret
+      (Assess.Campaign.generate ~p_fixed:1.0 `None ~noise:0.5 ~secret ~count:400
+         ~seed:5)
+  in
+  let profiled =
+    Attack.Ctx.make ~distinguisher:(Attack.Distinguisher.Profiled store) ()
+  in
+  let report ?ctx () =
+    Assess.Json.to_string (Assess.Matrix.to_json (Assess.Matrix.tiny ?ctx ~seed:9 ()))
+  in
+  Alcotest.(check string) "pearson cells under a profiled ctx" (report ())
+    (report ~ctx:profiled ())
+
 (* The 14-cell report bin/assess_matrix.expected pins: both targets,
    both distinguishers, a baseline and a non-baseline condition. *)
 let pinned_report =
@@ -529,4 +548,6 @@ let suite =
       test_decoders_fuzz;
     Alcotest.test_case "matrix refuses cells off the grid" `Quick
       test_matrix_refuses_off_grid_cells;
+    Alcotest.test_case "matrix cells ignore the ctx backend" `Quick
+      test_matrix_cells_ignore_ctx_backend;
   ]
