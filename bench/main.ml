@@ -5,10 +5,9 @@
    outputs).  `dune exec bench/main.exe` runs everything; environment
    variables scale the experiments:
 
-     FD_ONLY    run a single section (fig3, fig4, headline, ntt_vs_fft,
-                ablation_snr, ablation_prune, countermeasures, profiled,
-                stream, assess, pearson, sequential, obs, leakage, target,
-                micro)
+     FD_ONLY    run a single section (fig3, fig4, headline, ablation_snr,
+                ablation_prune, profiled, stream, assess, pearson,
+                sequential, obs, leakage, target, micro)
      FD_TRACES  trace budget for the per-coefficient experiments (10000)
      FD_N       ring size of the full-key attack (32)
      FD_NOISE   leakage noise sigma (2.0)
@@ -305,75 +304,6 @@ let headline () =
           forged jobs wall
       end)
     [ 250; 500; 1000; 2000; 4000 ]
-
-(* ---------------------------------------------------------------- *)
-(* Section V-C: NTT vs FFT side-channel comparison. *)
-
-let ntt_vs_fft () =
-  section "Section V-C — NTT vs FFT leakage comparison";
-  let rng = Stats.Rng.create ~seed:(seed + 9) in
-  let count = min trace_budget 4000 in
-  (* NTT: secret coefficient times known stream, modular product leaks *)
-  let secret_ntt = 4242 in
-  let ys = Array.init count (fun _ -> 1 + Stats.Rng.int_below rng (Zq.q - 1)) in
-  let ntt_model = { Leakage.alpha = 1.; noise_sigma = noise; baseline = 0. } in
-  let ntt_traces =
-    Array.map (fun y -> Leakage.hw_trace ntt_model rng [| Zq.mul secret_ntt y |]) ys
-  in
-  let ntt_hyp g = Array.map (fun y -> float_of_int (Bitops.popcount (Zq.mul g y))) ys in
-  let ntt_series =
-    List.map
-      (fun (d, r) -> (d, Float.abs r))
-      (Stats.Pearson.evolution ~traces:ntt_traces ~hyp:(ntt_hyp secret_ntt) ~sample:0
-         ~step:50)
-  in
-  (* FFT multiply: w00 of the paper coefficient *)
-  let v = Lazy.force paper_view in
-  let fft_series =
-    List.map
-      (fun (d, r) -> (d, Float.abs r))
-      (Attack.Dema.evolution ~traces:v.traces
-         ~sample:(Attack.Recover.sample Fpr.Mant_w00)
-         ~model:Attack.Recover.p_w00 ~known:v.known ~guess:d_true ~step:50)
-  in
-  (* survivors at 1000 traces *)
-  let col = Array.init 1000 (fun i -> ntt_traces.(i).(0)) in
-  let score g = Float.abs (Stats.Pearson.corr (Array.sub (ntt_hyp g) 0 1000) col) in
-  let best = score secret_ntt in
-  let survivors_ntt = ref 0 in
-  for g = 1 to Zq.q - 1 do
-    if g mod 3 = 0 && score g > 0.95 *. best then incr survivors_ntt
-  done;
-  let cands =
-    Attack.Hypothesis.sampled (Stats.Rng.create ~seed:(seed + 10)) ~width:25
-      ~truth:d_true ~decoys:4096 ()
-  in
-  let v1000 =
-    {
-      Attack.Recover.traces = Array.sub v.Attack.Recover.traces 0 1000;
-      known = Array.sub v.Attack.Recover.known 0 1000;
-    }
-  in
-  let ranked =
-    Attack.Recover.attack_mantissa_low_naive ~top:64 ~candidates:(Array.to_seq cands)
-      v1000
-  in
-  let top = (List.hd ranked).Attack.Dema.corr in
-  let survivors_fft =
-    List.length
-      (List.filter (fun (s : Attack.Dema.scored) -> s.corr > 0.95 *. top) ranked)
-  in
-  Printf.printf "transform | traces to 99.99%% significance | guesses alive at 1k traces\n";
-  Printf.printf "NTT       | %-29s | %d (of ~4096 scanned)\n"
-    (match Stats.Signif.traces_to_significance ntt_series with
-    | Some d -> string_of_int d
-    | None -> Printf.sprintf "> %d" count)
-    !survivors_ntt;
-  Printf.printf "FFT mul   | %-29s | %d (alias class persists without prune)\n"
-    (match Stats.Signif.traces_to_significance fft_series with
-    | Some d -> string_of_int d
-    | None -> Printf.sprintf "> %d" count)
-    survivors_fft
 
 (* ---------------------------------------------------------------- *)
 (* Ablation: noise sweep. *)
@@ -920,11 +850,10 @@ let sequential () =
   rm_store dir
 
 (* ---------------------------------------------------------------- *)
-(* Observability overhead: the same end-to-end ranking sweep with no
-   context (the legacy call), a Null-sink context and a JSONL-sink
-   context.  Instrumentation must be observationally transparent — all
-   three rankings are asserted bit-identical — and the Null sink is
-   required to cost nothing measurable (the acceptance bar is 2%).
+(* Observability overhead: the same end-to-end ranking sweep under a
+   Null-sink context and a JSONL-sink context.  Instrumentation must be
+   observationally transparent — the two rankings are asserted
+   bit-identical — and the JSONL overhead is reported against Null.
    Emits one JSON row (BENCH_obs.json); check-bench gates its
    bit_identical. *)
 
@@ -946,10 +875,7 @@ let obs_bench () =
   in
   Printf.printf "%d guesses x %d traces, %d jobs\n%!" (Array.length guesses)
     (Array.length traces) jobs;
-  let legacy () =
-    Attack.Dema.rank ~ctx:(jctx jobs) ~traces ~parts ~known ~top:32 (Array.to_seq guesses)
-  in
-  let null_ctx = Attack.Ctx.with_jobs jobs (Attack.Ctx.default ()) in
+  let null_ctx = jctx jobs in
   let null () =
     Attack.Dema.rank ~ctx:null_ctx ~traces ~parts ~known ~top:32
       (Array.to_seq guesses)
@@ -960,43 +886,40 @@ let obs_bench () =
     let ctx = Attack.Ctx.with_obs (Obs.make (Obs.Jsonl.to_buffer buf)) null_ctx in
     Attack.Dema.rank ~ctx ~traces ~parts ~known ~top:32 (Array.to_seq guesses)
   in
-  let r_legacy = legacy () in
-  let identical = r_legacy = null () && r_legacy = jsonl () in
+  let identical = null () = jsonl () in
   let events =
     List.length (String.split_on_char '\n' (String.trim (Buffer.contents buf)))
   in
   (* interleaved min-of-rounds timing: every contestant is measured
-     once per round so shared-machine noise hits all three alike.  The measurement order rotates each round —
-     with a fixed order, GC and allocator state left by contestant k
-     systematically lands on contestant k+1 and masquerades as sink
-     overhead. *)
+     once per round so shared-machine noise hits both alike.  The
+     measurement order alternates each round — with a fixed order, GC
+     and allocator state left by one contestant systematically lands on
+     the next and masquerades as sink overhead. *)
   let rounds = 12 in
-  let contestants = [| legacy; null; jsonl |] in
-  let best = Array.make 3 infinity in
+  let contestants = [| null; jsonl |] in
+  let best = Array.make 2 infinity in
   for round = 0 to rounds - 1 do
-    for k = 0 to 2 do
-      let i = (round + k) mod 3 in
+    for k = 0 to 1 do
+      let i = (round + k) mod 2 in
       let t0 = Unix.gettimeofday () in
       ignore (Sys.opaque_identity (contestants.(i) ()));
       best.(i) <- Float.min best.(i) (Unix.gettimeofday () -. t0)
     done
   done;
-  let legacy_s = best.(0) and null_s = best.(1) and jsonl_s = best.(2) in
-  let pct base s = (s -. base) /. base *. 100. in
-  Printf.printf "sink      | time (s) | overhead vs legacy\n";
-  Printf.printf "----------+----------+-------------------\n";
-  Printf.printf "legacy    | %8.4f | --\n" legacy_s;
-  Printf.printf "null      | %8.4f | %+.2f%%\n" null_s (pct legacy_s null_s);
+  let null_s = best.(0) and jsonl_s = best.(1) in
+  let jsonl_overhead_pct = (jsonl_s -. null_s) /. null_s *. 100. in
+  Printf.printf "sink      | time (s) | overhead vs null\n";
+  Printf.printf "----------+----------+-----------------\n";
+  Printf.printf "null      | %8.4f | --\n" null_s;
   Printf.printf "jsonl     | %8.4f | %+.2f%% (%d events per run)\n%!" jsonl_s
-    (pct legacy_s jsonl_s) events;
+    jsonl_overhead_pct events;
   Printf.printf "rankings bit-identical across sinks: %b\n" identical;
   emit ~schema:Assess.Bench_gate.obs "obs"
     Obs.Json.
       [
         ("traces", Int (Array.length traces)); ("guesses", Int (Array.length guesses));
-        ("jobs", Int jobs); ("legacy_s", Float legacy_s); ("null_s", Float null_s);
-        ("jsonl_s", Float jsonl_s); ("null_overhead_pct", Float (pct legacy_s null_s));
-        ("jsonl_overhead_pct", Float (pct legacy_s jsonl_s));
+        ("jobs", Int jobs); ("null_s", Float null_s); ("jsonl_s", Float jsonl_s);
+        ("jsonl_overhead_pct", Float jsonl_overhead_pct);
         ("jsonl_events", Int events); ("bit_identical", Bool identical);
       ]
 
@@ -1284,60 +1207,9 @@ let micro () =
     tests
 
 (* ---------------------------------------------------------------- *)
-(* Section V extensions: countermeasures (V-B) and profiling (V-A). *)
-
-let countermeasures () =
-  section "Section V-B — countermeasures: masking and shuffling";
-  let count = min trace_budget 3000 in
-  let mk_view kind =
-    let rng = Stats.Rng.create ~seed:(seed + 31) in
-    let ys =
-      Attack.Workload.known_inputs ~n:64 ~coeff:5 ~component:`Re ~count
-        ~seed:(Printf.sprintf "cm %d" seed)
-    in
-    let trace y =
-      match kind with
-      | `Plain -> Leakage.mul_trace model rng ~known:y ~secret:paper_coeff
-      | `Masked ->
-          Array.sub
-            (Leakage.hw_trace model rng
-               (Defense.Masking.values rng ~known:y ~secret:paper_coeff))
-            0 16
-      | `Shuffled ->
-          Leakage.hw_trace model rng
-            (Defense.Shuffle.values rng ~known:y ~secret:paper_coeff)
-    in
-    { Attack.Recover.traces = Array.map trace ys; known = ys }
-  in
-  Printf.printf "implementation | corr(true D) at w00 | low-half attack (%d traces) | events/mul\n"
-    count;
-  Printf.printf "---------------+---------------------+------------------------------+-----------\n";
-  List.iter
-    (fun (name, kind, events) ->
-      let v = mk_view kind in
-      let col =
-        Array.map (fun t -> t.(Attack.Recover.sample Fpr.Mant_w00)) v.Attack.Recover.traces
-      in
-      let h =
-        Attack.Dema.hyp_vector ~model:Attack.Recover.p_w00 ~known:v.Attack.Recover.known
-          d_true
-      in
-      let corr = Stats.Pearson.corr h col in
-      let cands =
-        Attack.Hypothesis.sampled (Stats.Rng.create ~seed:(seed + 32)) ~width:25
-          ~truth:d_true ~decoys:1024 ()
-      in
-      let r = Attack.Recover.mantissa_low_multi ~candidates:(Array.to_seq cands) [ v ] in
-      Printf.printf "%-14s | %+19.4f | %-28s | %d\n%!" name corr
-        (if r.winner = d_true then "recovers D" else "FAILS (D not recovered)")
-        events)
-    [
-      ("unprotected", `Plain, Leakage.events_per_mul);
-      ("masked", `Masked, Defense.Masking.events_per_mul);
-      ("shuffled", `Shuffled, Leakage.events_per_mul);
-    ];
-  Printf.printf "masking overhead: %.2fx events per multiply\n"
-    Defense.Masking.overhead_factor
+(* Section V extension: profiling (V-A).  The V-B countermeasure and
+   V-C NTT-vs-FFT comparisons are the pinned examples
+   examples/countermeasures.ml and examples/ntt_vs_fft.ml. *)
 
 (* Section V-A + GALACTICS — the profiled template distinguisher.
    Trains a template store on a cloned-device campaign (Target.profile
@@ -1452,10 +1324,8 @@ let () =
   if want "fig3" then fig3 ();
   if want "fig4" then fig4 ();
   if want "headline" then headline ();
-  if want "ntt_vs_fft" then ntt_vs_fft ();
   if want "ablation_snr" then ablation_snr ();
   if want "ablation_prune" then ablation_prune ();
-  if want "countermeasures" then countermeasures ();
   if want "profiled" then profiled ();
   if want "stream" then stream ();
   if want "assess" then assess ();

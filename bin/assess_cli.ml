@@ -1,9 +1,12 @@
 (* Leakage-assessment driver: TVLA leakage detection, attack-success
-   metrics and the countermeasure evaluation matrix.
+   metrics and the countermeasure evaluation matrix.  tvla and metrics
+   analyse a campaign recorded by trace_cli record-tvla; the store's
+   sidecar names its defense, secret and seed.
 
      dune exec bin/trace_cli.exe  -- record-tvla --defense masking -t 2000 -o camp
-     dune exec bin/assess_cli.exe -- tvla --store camp -j 2
-     dune exec bin/assess_cli.exe -- metrics --defense shuffle -t 500 --experiments 8
+     dune exec bin/assess_cli.exe -- tvla -i camp -j 2
+     dune exec bin/trace_cli.exe  -- record-tvla -t 4000 --p-fixed 1.0 -o atk
+     dune exec bin/assess_cli.exe -- metrics -i atk --experiments 8
      dune exec bin/assess_cli.exe -- matrix -o report -j 4
      dune exec bin/assess_cli.exe -- check --json report.json
      dune exec bin/assess_cli.exe -- check-log --json run.jsonl
@@ -50,31 +53,14 @@ let print_tvla defense (r : Assess.Tvla.result) pair_t rvr_max =
   Printf.printf "random-vs-random null: max |t1| = %.2f (expect < %.1f)\n" rvr_max
     Assess.Tvla.threshold
 
-let cmd_tvla store defense traces noise seed jobs log =
+let cmd_tvla dir jobs log =
   Cli_common.run ~jobs log @@ fun ctx ->
-  let defense, entries =
-    match store with
-    | Some dir ->
-        let defense, _secret, _seed, reader = Assess.Campaign.open_store dir in
-        let entries = Array.of_seq (Assess.Campaign.seq_of_store reader) in
-        Printf.printf "campaign: store %s — defense %s, %d traces, width %d\n" dir
-          (Assess.Campaign.name defense)
-          (Array.length entries)
-          (Assess.Campaign.width defense);
-        (defense, entries)
-    | None ->
-        let secret =
-          Assess.Campaign.secret_operand (Stats.Rng.create ~seed:(seed lxor 0x7e57))
-        in
-        let entries =
-          Assess.Campaign.generate defense ~noise ~secret ~count:traces ~seed
-        in
-        Printf.printf
-          "campaign: generated — defense %s, %d traces, noise sigma %.2f, seed %d\n"
-          (Assess.Campaign.name defense)
-          traces noise seed;
-        (defense, entries)
-  in
+  let defense, _secret, _seed, reader = Assess.Campaign.open_store dir in
+  let entries = Array.of_seq (Assess.Campaign.seq_of_store reader) in
+  Printf.printf "campaign: store %s — defense %s, %d traces, width %d\n" dir
+    (Assess.Campaign.name defense)
+    (Array.length entries)
+    (Assess.Campaign.width defense);
   let r = Assess.Tvla.of_entries ~ctx ~classify:Assess.Tvla.fixed_vs_random entries in
   Printf.printf "populations: %d fixed, %d random\n" r.Assess.Tvla.n_a r.Assess.Tvla.n_b;
   let pairs = Assess.Campaign.share_pairs defense in
@@ -121,24 +107,11 @@ let print_outcome (o : Assess.Metrics.outcome) =
   Printf.printf "                   mtd:  %s\n" (opt_row o.Assess.Metrics.mtds);
   Printf.printf "                   mtd@conf: %s\n" (opt_row o.Assess.Metrics.mtd_confs)
 
-let cmd_metrics store defense noise budget experiments decoys seed stop_alpha jobs log
-    templates =
+let cmd_metrics dir experiments decoys jobs log templates =
   Cli_common.run ~jobs ?templates log @@ fun ctx ->
-  let outcome =
-    match store with
-    | Some dir ->
-        Printf.printf "evaluating recorded campaign %s (%d experiments, %d decoys)\n%!"
-          dir experiments decoys;
-        Assess.Metrics.of_store ~ctx ~stop_alpha ~experiments ~decoys dir
-    | None ->
-        Printf.printf
-          "defense %s, noise sigma %.2f, %d traces x %d experiments, %d decoys, \
-           seed %d\n%!"
-          (Assess.Campaign.name defense)
-          noise budget experiments decoys seed;
-        Assess.Metrics.run ~ctx ~stop_alpha
-          { Assess.Metrics.defense; noise; budget; experiments; decoys; seed }
-  in
+  Printf.printf "evaluating recorded campaign %s (%d experiments, %d decoys)\n%!" dir
+    experiments decoys;
+  let outcome = Assess.Metrics.of_store ~ctx ~experiments ~decoys dir in
   print_outcome outcome;
   Cli_common.ok
 
@@ -155,17 +128,13 @@ let print_cell (c : Assess.Matrix.cell) =
     c.tvla.max_t1 c.tvla.max_t2
     (if Assess.Matrix.first_order_leak c then "LEAK" else "quiet")
 
-let cmd_matrix tiny targets sigmas budgets conditions distinguishers experiments
-    decoys seed out jobs log =
+let cmd_matrix targets sigmas budgets conditions distinguishers experiments decoys
+    seed out jobs log =
   Cli_common.run ~jobs log @@ fun ctx ->
   let conditions = List.map Assess.Campaign.condition_of_name conditions in
   let report =
-    if tiny then
-      Assess.Matrix.tiny ~ctx ~targets ~conditions ~distinguishers
-        ~progress:print_cell ~seed ()
-    else
-      Assess.Matrix.run ~ctx ~targets ~conditions ~distinguishers
-        ~progress:print_cell ~sigmas ~budgets ~experiments ~decoys ~seed ()
+    Assess.Matrix.run ~ctx ~targets ~conditions ~distinguishers ~progress:print_cell
+      ~sigmas ~budgets ~experiments ~decoys ~seed ()
   in
   let json = Assess.Matrix.to_json report in
   let json_path = out ^ ".json" and csv_path = out ^ ".csv" in
@@ -229,22 +198,12 @@ let cmd_check_bench json_path =
 
 open Cmdliner
 
-let defense_arg =
-  Arg.(
-    value
-    & opt (enum [ ("none", `None); ("masking", `Masking); ("shuffle", `Shuffle) ]) `None
-    & info [ "defense" ] ~docv:"DEFENSE"
-        ~doc:"Countermeasure under assessment: $(b,none), $(b,masking) or \
-              $(b,shuffle).")
-
 let store_arg =
-  Cli_common.store_opt_arg
+  Cli_common.store_default_arg
     ~doc:
-      "Assess a recorded campaign (trace_cli record-tvla) instead of generating \
-       one; defense, secret and seed come from the store's sidecar."
+      "Recorded assessment campaign (trace_cli record-tvla); defense, secret \
+       and seed come from the store's sidecar."
 
-let traces_arg = Cli_common.traces_arg ~default:2000 ~doc:"Campaign trace count." ()
-let noise_arg = Cli_common.noise_arg
 let seed_arg = Cli_common.seed_arg ()
 let jobs_arg = Cli_common.jobs_arg
 let log_term = Cli_common.log_term
@@ -262,20 +221,6 @@ let decoys_arg =
     & opt int 128
     & info [ "decoys" ] ~docv:"K" ~doc:"Random decoy hypotheses per candidate set.")
 
-let budget_arg =
-  Arg.(
-    value & opt int 500 & info [ "t"; "traces" ] ~doc:"Trace budget per experiment.")
-
-let stop_alpha_arg =
-  Arg.(
-    value
-    & opt float 1e-4
-    & info [ "stop-alpha" ] ~docv:"ALPHA"
-        ~doc:
-          "Nominal level of the sequential tester behind the measured \
-           MTD-at-confidence column: a one-sided Fisher-z test of the top-1 vs \
-           runner-up gap, spending ALPHA across its looks.")
-
 let tvla_cmd =
   Cmd.v
     (Cmd.info "tvla"
@@ -283,20 +228,21 @@ let tvla_cmd =
          "Fixed-vs-random and random-vs-random Welch t-tests per sample point \
           (first order and centered second order, plus the bivariate share-pair \
           test for masked traces)")
-    Term.(
-      const cmd_tvla $ store_arg $ defense_arg $ traces_arg $ noise_arg $ seed_arg
-      $ jobs_arg $ log_term)
+    Term.(const cmd_tvla $ store_arg $ jobs_arg $ log_term)
 
 let metrics_cmd =
   Cmd.v
     (Cmd.info "metrics"
        ~doc:
          "Success rate, partial guessing entropy, median traces-to-disclosure and \
-          measured traces-to-decision over N independently seeded attack \
-          experiments")
+          measured traces-to-decision over N attack experiments, each on its \
+          own consecutive slice of the store's fixed-class traces (record \
+          with $(b,--p-fixed 1.0) to use every trace).  The traces-to-decision \
+          column is the sequential Fisher-z tester at alpha 1e-4; under \
+          $(b,--templates) it is empty and traces-to-disclosure is measured \
+          as winner stability")
     Term.(
-      const cmd_metrics $ store_arg $ defense_arg $ noise_arg $ budget_arg
-      $ experiments_arg $ decoys_arg $ seed_arg $ stop_alpha_arg $ jobs_arg
+      const cmd_metrics $ store_arg $ experiments_arg $ decoys_arg $ jobs_arg
       $ log_term $ Cli_common.templates_arg)
 
 let sigmas_arg =
@@ -353,13 +299,6 @@ let distinguishers_arg =
            curve per countermeasure.  The default $(b,pearson) reproduces the \
            pre-axis matrix cell for cell.")
 
-let tiny_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "tiny" ]
-        ~doc:"Smoke-test preset: one sigma, one small budget, 2 experiments.")
-
 let out_arg =
   Arg.(
     value
@@ -374,7 +313,7 @@ let matrix_cmd =
           condition grid and emit the JSON/CSV report (validated against the \
           schema after writing)")
     Term.(
-      const cmd_matrix $ tiny_arg $ targets_arg $ sigmas_arg $ budgets_arg
+      const cmd_matrix $ targets_arg $ sigmas_arg $ budgets_arg
       $ conditions_arg $ distinguishers_arg $ experiments_arg $ decoys_arg
       $ seed_arg $ out_arg $ jobs_arg $ log_term)
 

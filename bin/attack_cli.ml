@@ -4,7 +4,8 @@
 
      dune exec bin/attack_cli.exe -- run -n 32 -t 2500 --noise 2.0 -j 4
      dune exec bin/attack_cli.exe -- coefficient --traces 4000
-     dune exec bin/attack_cli.exe -- crack --store campaign --log jsonl:run.jsonl *)
+     dune exec bin/attack_cli.exe -- crack --store campaign --log jsonl:run.jsonl
+     dune exec bin/attack_cli.exe -- crack --store campaign --until-confident=1e-3 *)
 
 (* Exit statuses follow the repository-wide convention in Cli_common:
    expected failures (malformed or missing input files, failed key
@@ -98,11 +99,11 @@ let cmd_profile dir out leakage npoi ndim max_traces log (sf : Cli_common.stream
 (* Every store crack goes through the target registry: the store's
    manifest names its target, and the same store streaming, sequential
    stopping and outcome format serve every scheme. *)
-let cmd_crack dir leakage until_confident alpha max_traces jobs log templates
+let cmd_crack dir leakage until_confident max_traces jobs log templates
     (sf : Cli_common.stream) =
   Cli_common.run ~jobs ?templates log @@ fun ctx ->
   let stop =
-    if until_confident then Some (Sequential.Decision.spec ~alpha ()) else None
+    Option.map (fun alpha -> Sequential.Decision.spec ~alpha ()) until_confident
   in
   (* the flag-only refusals come before the first line of output or I/O *)
   Attack.Target.check_options ~ctx ~stop ~max_traces ();
@@ -116,9 +117,9 @@ let cmd_crack dir leakage until_confident alpha max_traces jobs log templates
     (Tracestore.Reader.total_traces reader)
     (Tracestore.Reader.shard_count reader)
     T.name dir;
-  if stop <> None then
-    Printf.printf "adaptive trace budget: stop per unit at confidence (alpha %g)\n%!"
-      alpha;
+  Option.iter
+    (Printf.printf "adaptive trace budget: stop per unit at confidence (alpha %g)\n%!")
+    until_confident;
   let o =
     T.recover_store ~ctx ~leakage ?stop ?max_traces ~on_corrupt:sf.on_corrupt
       ~prefetch:sf.prefetch ~dir reader
@@ -134,7 +135,7 @@ let cmd_crack dir leakage until_confident alpha max_traces jobs log templates
 open Cmdliner
 
 let n_arg = Cli_common.n_arg
-let traces_arg = Cli_common.traces_arg ()
+let traces_arg = Cli_common.traces_arg
 let noise_arg = Cli_common.noise_arg
 let seed_arg = Cli_common.seed_arg ()
 let jobs_arg = Cli_common.jobs_arg
@@ -183,28 +184,19 @@ let leakage_arg =
 let until_confident_arg =
   Arg.(
     value
-    & flag
-    & info [ "until-confident" ]
+    & opt ~vopt:(Some 1e-4) (some float) None
+    & info [ "until-confident" ] ~docv:"ALPHA"
         ~doc:
           "Adaptive trace budget: each unit stops reading traces once the \
            sequential Fisher-z test on its top-1 vs runner-up correlation gap \
-           reaches confidence, instead of consuming the whole campaign.  The \
+           reaches confidence, instead of consuming the whole campaign.  \
+           ALPHA is the nominal per-unit level: every unit runs its own \
+           one-sided test and spends ALPHA across its looks (ALPHA 2^-k at \
+           look k).  This bounds no family-wise error: each of the 2n units \
+           spends the full ALPHA, and in practice a unit can stop on a wrong \
+           winner more often than that (an open item of the ROADMAP).  The \
            recovered key and every stop point are bit-identical across -j \
            and $(b,--no-prefetch).")
-
-let alpha_arg =
-  Arg.(
-    value
-    & opt float 1e-4
-    & info [ "alpha" ] ~docv:"ALPHA"
-        ~doc:
-          "Nominal per-unit level of the sequential test behind \
-           $(b,--until-confident): every unit runs its own one-sided Fisher-z \
-           test of the top-1 vs runner-up correlation gap and spends ALPHA \
-           across its looks (ALPHA 2^-k at look k).  This bounds no family-wise \
-           error: each of the 2n units spends the full ALPHA, and in practice a \
-           unit can stop on a wrong winner more often than that (an open item \
-           of the ROADMAP).")
 
 let max_traces_arg ~doc =
   Arg.(value & opt (some int) None & info [ "max-traces" ] ~docv:"N" ~doc)
@@ -214,7 +206,7 @@ let crack_cmd =
     (Cmd.info "crack"
        ~doc:"Recover the key and forge from a recorded trace store")
     Term.(
-      const cmd_crack $ store_arg $ leakage_arg $ until_confident_arg $ alpha_arg
+      const cmd_crack $ store_arg $ leakage_arg $ until_confident_arg
       $ max_traces_arg
           ~doc:
             "Cap the adaptive campaign at N traces (needs \

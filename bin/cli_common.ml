@@ -152,10 +152,7 @@ let noise_arg =
     & info [ "noise" ] ~doc:"Noise sigma.")
 let n_arg = Arg.(value & opt int 32 & info [ "n" ] ~doc:"Ring degree of the victim.")
 
-let traces_arg ?(default = 2500) ?(doc = "Trace count.") () =
-  Arg.(value & opt int default & info [ "t"; "traces" ] ~doc)
-
-let store_opt_arg ~doc = Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
+let traces_arg = Arg.(value & opt int 2500 & info [ "t"; "traces" ] ~doc:"Trace count.")
 
 let store_default_arg ~doc =
   Arg.(value & opt string "campaign" & info [ "i"; "store" ] ~docv:"DIR" ~doc)

@@ -197,7 +197,7 @@ let cmd_record_tvla defense traces noise seed p_fixed shard out =
 open Cmdliner
 
 let n_arg = Cli_common.n_arg
-let traces_arg = Cli_common.traces_arg ()
+let traces_arg = Cli_common.traces_arg
 let noise_arg = Cli_common.noise_arg
 let log_term = Cli_common.log_term
 
@@ -324,11 +324,7 @@ let record_tvla_cmd =
       const cmd_record_tvla $ defense_arg $ traces_arg $ noise_arg $ seed_arg
       $ p_fixed_arg $ shard_arg $ out_arg)
 
-let align_src_arg =
-  Arg.(
-    value
-    & opt string "campaign"
-    & info [ "i"; "store" ] ~docv:"DIR" ~doc:"Source store directory.")
+let align_src_arg = Cli_common.store_default_arg ~doc:"Source store directory."
 
 let align_dst_arg =
   Arg.(
@@ -356,9 +352,10 @@ let align_cmd =
   Cmd.v
     (Cmd.info "align"
        ~doc:
-         "Realign a jittered campaign against its own mean reference window \
-          (integer-shift correction) into a fresh store, copying the key \
-          sidecars; deterministic at every -j and prefetch setting")
+         "Realign a jittered campaign of any target against its own mean \
+          reference window (integer-shift correction) into a fresh store, \
+          copying every sidecar file; deterministic at every -j and prefetch \
+          setting")
     Term.(
       const cmd_align $ align_src_arg $ align_dst_arg $ max_shift_arg
       $ ref_traces_arg $ Cli_common.jobs_arg $ log_term $ Cli_common.stream_term)

@@ -275,19 +275,27 @@ let realign_matched ?ctx:(c = Attack.Ctx.default ()) ?(max_shift = 3) ~fill ~tem
     (out, st)
   end
 
-let copy_sidecar src_dir dst_dir name =
-  let src = Filename.concat src_dir name in
-  if Sys.file_exists src then begin
-    let ic = open_in_bin src in
-    let len = in_channel_length ic in
-    let buf = really_input_string ic len in
-    close_in ic;
-    let oc = open_out_bin (Filename.concat dst_dir name) in
-    output_string oc buf;
-    close_out oc
-  end
+(* Realignment moves samples only: records decode verbatim, with no
+   FFT(c) recompute, so a store of any target realigns the same way and
+   re-encodes byte for byte where its shift is 0. *)
+let raw_codec =
+  { Attack.Dema.Stream.check = ignore; decode = (fun _ r -> Leakage.raw_of_record r) }
 
-let sidecars = [ "public.key"; "secret.key"; "assess.fda" ]
+(* Every file of [src] but its manifest and shards — the key and
+   campaign sidecars of whichever target recorded it. *)
+let copy_sidecars reader ~src ~dst =
+  let store_files =
+    Tracestore.manifest_name
+    :: List.init (Tracestore.Reader.shard_count reader) Tracestore.shard_name
+  in
+  Array.iter
+    (fun name ->
+      let path = Filename.concat src name in
+      if not (List.mem name store_files || Sys.is_directory path) then
+        let data = In_channel.with_open_bin path In_channel.input_all in
+        Out_channel.with_open_bin (Filename.concat dst name) (fun oc ->
+            Out_channel.output_string oc data))
+    (Sys.readdir src)
 
 (* First [reference_traces] rows of the store, for the in-memory
    bootstrap, read through the same feed (and corrupt-shard policy) as
@@ -295,8 +303,8 @@ let sidecars = [ "public.key"; "secret.key"; "assess.fda" ]
 let bootstrap_rows ~on_corrupt ~prefetch ~reference_traces reader =
   if reference_traces < 1 then invalid_arg "Align: reference_traces < 1";
   let feed =
-    Attack.Dema.Stream.shard_feed ?on_corrupt ?prefetch ~max_traces:reference_traces
-      reader
+    Attack.Dema.Stream.shard_feed ?on_corrupt ?prefetch ~codec:raw_codec
+      ~max_traces:reference_traces reader
   in
   Fun.protect ~finally:feed.Attack.Dema.Stream.close @@ fun () ->
   let rec loop acc =
@@ -320,84 +328,77 @@ let realign_store ?ctx:(c = Attack.Ctx.default ()) ?on_corrupt ?prefetch
   let width = meta.Tracestore.width in
   let fill = meta.Tracestore.model.Tracestore.baseline in
   let lo, hi = resolve_window ?window ~max_shift ~width () in
-  let writer =
-    Tracestore.Writer.create ~dir:dst ~n:meta.Tracestore.n ~width
-      ~shard_traces:meta.Tracestore.shard_traces ~model:meta.Tracestore.model
+  (* [f] on every decoded shard in shard order; the count of corrupt
+     shards skipped.  Both passes see the same surviving shards — the
+     store is immutable — so trace i of one pass is trace i of the
+     other. *)
+  let stream f =
+    let feed =
+      Attack.Dema.Stream.shard_feed ?on_corrupt ?prefetch ~codec:raw_codec reader
+    in
+    Fun.protect ~finally:feed.Attack.Dema.Stream.close @@ fun () ->
+    let rec loop () =
+      match feed.Attack.Dema.Stream.next () with
+      | None -> ()
+      | Some batch ->
+          f batch;
+          loop ()
+    in
+    loop ();
+    feed.Attack.Dema.Stream.skipped ()
   in
-  let finish st =
-    Tracestore.Writer.close writer;
-    List.iter (copy_sidecar src dst) sidecars;
-    emit_stats obs st;
-    st
-  in
-  match bootstrap_rows ~on_corrupt ~prefetch ~reference_traces reader with
-  | None -> finish zero_stats
-  | Some rows ->
-      let reference = bootstrap_reference ~lo ~hi ~max_shift rows in
-      let range = search_range max_shift in
-      (* Pass A: stream the whole store once to estimate every relative
-         shift (a handful of bytes per trace — the out-of-core property
-         survives), then anchor. *)
-      let relative =
-        let feed = Attack.Dema.Stream.shard_feed ?on_corrupt ?prefetch reader in
-        Fun.protect ~finally:feed.Attack.Dema.Stream.close @@ fun () ->
+  (* Pass A, before [dst] exists so that a refused source leaves nothing
+     behind: stream the whole store once to estimate every relative
+     shift (a handful of bytes per trace — the out-of-core property
+     survives), then anchor. *)
+  let shifts =
+    match bootstrap_rows ~on_corrupt ~prefetch ~reference_traces reader with
+    | None -> [||]
+    | Some rows ->
+        let reference = bootstrap_reference ~lo ~hi ~max_shift rows in
+        let range = search_range max_shift in
         let acc = ref [] in
-        let rec loop () =
-          match feed.Attack.Dema.Stream.next () with
-          | None -> ()
-          | Some batch ->
-              let rel =
+        let (_ : int) =
+          stream (fun batch ->
+              acc :=
                 Parallel.map_array ~jobs:c.Attack.Ctx.jobs
                   (fun (t : Leakage.trace) ->
                     estimate ~reference ~lo ~max_shift:range t.Leakage.samples)
                   batch
-              in
-              acc := rel :: !acc;
-              loop ()
+                :: !acc)
         in
-        loop ();
-        Array.concat (List.rev !acc)
-      in
-      if Array.length relative = 0 then finish zero_stats
-      else begin
+        let relative = Array.concat (List.rev !acc) in
         let anchor = anchor_of relative in
-        let shifts =
-          Array.map (fun r -> clamp max_shift (r - anchor)) relative
-        in
-        (* Pass B: stream again in the same shard order and write the
-           corrected campaign.  The two passes see the same surviving
-           shards — the store is immutable — so index i in [shifts]
-           is trace i of this pass too. *)
-        let feed = Attack.Dema.Stream.shard_feed ?on_corrupt ?prefetch reader in
-        Fun.protect ~finally:feed.Attack.Dema.Stream.close @@ fun () ->
-        let i = ref 0 in
-        let rec loop () =
-          match feed.Attack.Dema.Stream.next () with
-          | None -> ()
-          | Some batch ->
-              let base = !i in
-              i := base + Array.length batch;
-              let out =
-                Parallel.map_array ~jobs:c.Attack.Ctx.jobs
-                  (fun k ->
-                    let t = batch.(k) in
-                    let s = shifts.(base + k) in
-                    let t =
-                      if s = 0 then t
-                      else
-                        {
-                          t with
-                          Leakage.samples =
-                            shift_samples ~fill ~shift:s t.Leakage.samples;
-                        }
-                    in
-                    Leakage.to_record t)
-                  (Array.init (Array.length batch) Fun.id)
-              in
-              Array.iter (Tracestore.Writer.append writer) out;
-              loop ()
-        in
-        loop ();
-        let skipped = feed.Attack.Dema.Stream.skipped () in
-        finish (stats_of_shifts ~skipped shifts)
-      end
+        Array.map (fun r -> clamp max_shift (r - anchor)) relative
+  in
+  (* Pass B: stream again and write the corrected campaign. *)
+  let writer =
+    Tracestore.Writer.create ~dir:dst ~n:meta.Tracestore.n ~width
+      ~shard_traces:meta.Tracestore.shard_traces ~model:meta.Tracestore.model
+  in
+  let skipped =
+    if shifts = [||] then 0
+    else
+      let i = ref 0 in
+      stream (fun batch ->
+          let base = !i in
+          i := base + Array.length batch;
+          Array.iter (Tracestore.Writer.append writer)
+            (Parallel.map_array ~jobs:c.Attack.Ctx.jobs
+               (fun k ->
+                 let t = batch.(k) in
+                 let s = shifts.(base + k) in
+                 Leakage.to_record
+                   (if s = 0 then t
+                    else
+                      {
+                        t with
+                        Leakage.samples = shift_samples ~fill ~shift:s t.Leakage.samples;
+                      }))
+               (Array.init (Array.length batch) Fun.id)))
+  in
+  Tracestore.Writer.close writer;
+  copy_sidecars reader ~src ~dst;
+  let st = stats_of_shifts ~skipped shifts in
+  emit_stats obs st;
+  st

@@ -126,8 +126,10 @@ val realign_store :
   dst:string ->
   unit ->
   stats
-(** Out-of-core two-pass realignment of a {!Tracestore} campaign.  The
-    bootstrap reference is built in memory from the first
+(** Out-of-core two-pass realignment of a {!Tracestore} campaign of
+    any target (FALCON, HQC or a record-tvla campaign): records are
+    decoded verbatim, with no FFT(c) recompute, and only their samples
+    move.  The bootstrap reference is built in memory from the first
     [?reference_traces] (default 64) stored traces; the store then
     streams twice through {!Attack.Dema.Stream.shard_feed} (honouring
     [?on_corrupt] / [?prefetch] exactly as the analysis
@@ -135,10 +137,12 @@ val realign_store :
     per trace held in memory, so the out-of-core property survives)
     and, after anchoring, once to write the corrected campaign to a
     fresh store at [dst] with the same metadata, the store's recorded
-    baseline as fill.  Sidecar files ([public.key], [secret.key],
-    [assess.fda]) present in [src] are copied so the realigned store
-    remains attackable in place of the original.  An empty source
-    store yields an empty destination store and {!zero_stats}.
+    baseline as fill.  [dst] is created only after the first pass, so
+    a source refused for a corrupt shard leaves nothing behind.  Every
+    other file of [src] (the key and campaign sidecars: [public.key],
+    [secret.key], [hqc.key], [assess.fda]) is copied so the realigned
+    store remains attackable in place of the original.  An empty
+    source store yields an empty destination store and {!zero_stats}.
     Deterministic: the destination bytes are a pure function of the
     source store (plus shard boundaries), independent of [jobs] and
     [prefetch].  Instrumented as an ["align.realign_store"] span with

@@ -345,10 +345,6 @@ let run ?ctx:(c = Attack.Ctx.default ()) ?(targets = [ "falcon" ])
   { seed; experiments; decoys; targets; defenses; sigmas; budgets; conditions;
     distinguishers; cells }
 
-let tiny ?ctx ?targets ?conditions ?distinguishers ?progress ~seed () =
-  run ?ctx ?targets ?conditions ?distinguishers ?progress
-    ~sigmas:[ 0.5 ] ~budgets:[ 200 ] ~experiments:2 ~decoys:24 ~seed ()
-
 (* {2 Serialisation} *)
 
 let to_json r =

@@ -118,18 +118,6 @@ val run :
     [progress] fires after each finished cell.  Raises
     [Invalid_argument] from {!grid} before any cell runs. *)
 
-val tiny :
-  ?ctx:Attack.Ctx.t ->
-  ?targets:string list ->
-  ?conditions:Campaign.condition list ->
-  ?distinguishers:string list ->
-  ?progress:(cell -> unit) ->
-  seed:int ->
-  unit ->
-  report
-(** The smoke-test preset: full defense axis, one sigma (0.5), one
-    budget (200), 2 experiments, 24 decoys — seconds, not minutes. *)
-
 val first_order_leak : cell -> bool
 (** [max_t1 > Tvla.threshold]. *)
 

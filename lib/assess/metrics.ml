@@ -24,7 +24,9 @@ type outcome = {
 
 let m25 = (1 lsl 25) - 1
 let derived_seed seed = seed + 31337
-let default_stop_alpha = 1e-4
+(* The one level of the sequential tester behind the MTD-at-confidence
+   column. *)
+let stop_spec = Sequential.Decision.spec ~alpha:1e-4 ()
 
 (* lower median with None ordered as +infinity: the median experiment
    must itself have disclosed for the cell to report a finite value *)
@@ -119,10 +121,11 @@ let truth_rank ~truth ~size ranking =
 
 (* One experiment's (mtd, mtd_conf).  Disclosure watches the truth's
    correlation evolution on the first part; the sequential stop runs
-   the adaptive tester over every part, looking every [step] traces.  A
+   the adaptive campaign engine's tester ([stop_spec]) over every part,
+   looking every [step] traces.  A
    selection with no gap test measures winner stability instead
    ([profiled_mtd]) and has no mtd_conf. *)
-let disclosure ~ctx ~spec ~step ~parts ~known ~truth ~candidates traces =
+let disclosure ~ctx ~step ~parts ~known ~truth ~candidates traces =
   if not (Attack.Distinguisher.has_gap_test ctx.Attack.Ctx.backend) then
     (profiled_mtd ~ctx ~parts ~known ~truth ~step ~candidates traces, None)
   else
@@ -132,8 +135,8 @@ let disclosure ~ctx ~spec ~step ~parts ~known ~truth ~candidates traces =
         ~guess:truth ~step
     in
     let until =
-      Attack.Dema.rank_until ~ctx ~spec ~batch:step ~traces ~parts ~known ~top:1
-        (Array.to_seq candidates)
+      Attack.Dema.rank_until ~ctx ~spec:stop_spec ~batch:step ~traces ~parts ~known
+        ~top:1 (Array.to_seq candidates)
     in
     ( Stats.Signif.traces_to_significance series,
       Option.map
@@ -171,9 +174,8 @@ let profile_entries ?ctx:(c = Attack.Ctx.default ())
         (fun (e : Campaign.entry) -> f e (Campaign.attack_window defense e.samples))
         fixed)
 
-let of_entries ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alpha)
-    ?(condition = Campaign.baseline_condition) ~defense ~truth ~experiments
-    ~decoys ~seed entries =
+let of_entries ?ctx:(c = Attack.Ctx.default ()) ?(condition = Campaign.baseline_condition)
+    ~defense ~truth ~experiments ~decoys ~seed entries =
   Obs.span c.Attack.Ctx.obs "metrics.of_entries"
     ~fields:[ ("experiments", Obs.Int experiments); ("decoys", Obs.Int decoys) ]
   @@ fun () ->
@@ -209,10 +211,6 @@ let of_entries ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alph
     List.map (fun (lbl, m) -> (Attack.Recover.sample lbl, m)) (extend @ prune)
   in
   let step = max 1 (per / 16) in
-  (* measured traces-to-decision: the same sequential tester the
-     adaptive campaign engine uses, looking every [step] traces at the
-     low-mantissa decision parts over this experiment's candidate set *)
-  let spec = Sequential.Decision.spec ~alpha:stop_alpha () in
   fan_out c ~experiments @@ fun ectx i ->
   let slice = Array.sub fixed (i * per) per in
   let traces =
@@ -241,19 +239,19 @@ let of_entries ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alph
       res.Attack.Recover.pruned
   in
   let mtd, mtd_conf =
-    disclosure ~ctx:ectx ~spec ~step ~parts ~known ~truth:d_true ~candidates
+    disclosure ~ctx:ectx ~step ~parts ~known ~truth:d_true ~candidates
       traces
   in
   (rank, mtd, mtd_conf)
 
-let run ?ctx ?stop_alpha ?condition config =
+let run ?ctx ?condition config =
   if config.budget < 8 then invalid_arg "Assess.Metrics: budget must be at least 8";
   let secret = Campaign.secret_operand (Stats.Rng.create ~seed:(config.seed lxor 0x5eed)) in
   let entries =
     Campaign.generate ~p_fixed:1.0 ?condition config.defense ~noise:config.noise
       ~secret ~count:(config.budget * config.experiments) ~seed:config.seed
   in
-  of_entries ?ctx ?stop_alpha ?condition ~defense:config.defense
+  of_entries ?ctx ?condition ~defense:config.defense
     ~truth:secret ~experiments:config.experiments ~decoys:config.decoys
     ~seed:(derived_seed config.seed) entries
 
@@ -270,7 +268,7 @@ let run ?ctx ?stop_alpha ?condition config =
 
 type hqc_config = { noise : float; budget : int; experiments : int; seed : int }
 
-let run_hqc ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alpha) config =
+let run_hqc ?ctx:(c = Attack.Ctx.default ()) config =
   let { noise; budget; experiments; seed } = config in
   Obs.span c.Attack.Ctx.obs "metrics.hqc"
     ~fields:[ ("experiments", Obs.Int experiments); ("budget", Obs.Int budget) ]
@@ -279,7 +277,6 @@ let run_hqc ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alpha) 
   if budget < 8 then invalid_arg "Assess.Metrics: budget must be at least 8";
   let model = { Leakage.default_model with noise_sigma = noise } in
   let step = max 1 (budget / 16) in
-  let spec = Sequential.Decision.spec ~alpha:stop_alpha () in
   fan_out c ~experiments @@ fun ectx i ->
   let eseed = seed + (7919 * i) in
   let secret = Hqc.keygen ~seed:(eseed lxor 0x5eed) in
@@ -310,7 +307,7 @@ let run_hqc ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alpha) 
      done
    with Exit -> ());
   let mtd, mtd_conf =
-    disclosure ~ctx:ectx ~spec ~step
+    disclosure ~ctx:ectx ~step
       ~parts:(Attack.Target.Hqc.parts ~leakage:`Hw ~unit_index:0 ~prev:[||])
       ~known ~truth:secret.(0)
       ~candidates:
@@ -319,9 +316,8 @@ let run_hqc ?ctx:(c = Attack.Ctx.default ()) ?(stop_alpha = default_stop_alpha) 
   in
   (!rank, mtd, mtd_conf)
 
-let of_store ?ctx ?stop_alpha ?seed ~experiments ~decoys dir =
-  let defense, secret, campaign_seed, reader = Campaign.open_store dir in
+let of_store ?ctx ~experiments ~decoys dir =
+  let defense, secret, seed, reader = Campaign.open_store dir in
   let entries = Array.of_seq (Campaign.seq_of_store reader) in
-  let seed = match seed with Some s -> s | None -> derived_seed campaign_seed in
-  of_entries ?ctx ?stop_alpha ~defense ~truth:secret ~experiments ~decoys
-    ~seed entries
+  of_entries ?ctx ~defense ~truth:secret ~experiments ~decoys
+    ~seed:(derived_seed seed) entries

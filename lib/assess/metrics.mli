@@ -22,7 +22,7 @@
       disclosed within budget);
     - {b MTD-at-confidence}: the {e measured} traces-to-decision of the
       sequential early-stopping tester ({!Sequential.Decision}, Fisher-z
-      top-1 vs runner-up gap with alpha-spending, default
+      top-1 vs runner-up gap with alpha-spending, at
       [alpha = 1e-4]) run via {!Attack.Dema.rank_until} over the same
       candidate set and the low-half decision parts
       ({!Attack.Recover.low_stages}, extend then prune) — i.e. the
@@ -97,7 +97,6 @@ val profile_entries :
 
 val of_entries :
   ?ctx:Attack.Ctx.t ->
-  ?stop_alpha:float ->
   ?condition:Campaign.condition ->
   defense:Campaign.defense ->
   truth:Fpr.t ->
@@ -107,10 +106,10 @@ val of_entries :
   Campaign.entry array ->
   outcome
 (** Slice the campaign's fixed-class entries into [experiments]
-    consecutive blocks and attack each.  [?stop_alpha] is the sequential
-    tester's nominal level for the MTD-at-confidence column (default
-    [1e-4]): a one-sided Fisher-z test of the top-1 vs runner-up gap,
-    alpha-spent across looks, with no family-wise guarantee.
+    consecutive blocks and attack each.  The sequential tester behind
+    the MTD-at-confidence column runs at the nominal level [1e-4]: a
+    one-sided Fisher-z test of the top-1 vs runner-up gap, alpha-spent
+    across looks, with no family-wise guarantee.
 
     [?condition] (default {!Campaign.baseline_condition}) is the
     analysis half of the acquisition condition the entries were
@@ -124,20 +123,14 @@ val of_entries :
     or nonsensical parameters, [Failure] when the fixed class is too
     small for the requested experiment count. *)
 
-val run :
-  ?ctx:Attack.Ctx.t ->
-  ?stop_alpha:float ->
-  ?condition:Campaign.condition ->
-  config ->
-  outcome
+val run : ?ctx:Attack.Ctx.t -> ?condition:Campaign.condition -> config -> outcome
 (** Generate an all-fixed campaign of [budget * experiments] traces
     (secret drawn from the config seed) under [?condition] and evaluate
     it under the same condition. *)
 
 type hqc_config = { noise : float; budget : int; experiments : int; seed : int }
 
-val run_hqc :
-  ?ctx:Attack.Ctx.t -> ?stop_alpha:float -> hqc_config -> outcome
+val run_hqc : ?ctx:Attack.Ctx.t -> hqc_config -> outcome
 (** The same SR/GE/MTD vocabulary over the HQC rotate-and-accumulate
     victim ({!Attack.Target.Hqc}).  Each experiment draws a fresh sparse
     secret and [budget] simulated traces, then runs the chained per-unit
@@ -149,15 +142,8 @@ val run_hqc :
     no decoy sampling, hence no [decoys] knob.  Deterministic in [seed]
     at every [jobs]. *)
 
-val of_store :
-  ?ctx:Attack.Ctx.t ->
-  ?stop_alpha:float ->
-  ?seed:int ->
-  experiments:int ->
-  decoys:int ->
-  string ->
-  outcome
+val of_store : ?ctx:Attack.Ctx.t -> experiments:int -> decoys:int -> string -> outcome
 (** Evaluate a recorded campaign directory ({!Campaign.record_store});
-    uses the sidecar's defense/secret/seed, with [?seed] overriding the
-    derived candidate seed.  Bit-identical to {!of_entries} on the
+    uses the sidecar's defense/secret, and {!derived_seed} of its seed
+    for the candidate sets.  Bit-identical to {!of_entries} on the
     in-memory form of the same campaign. *)

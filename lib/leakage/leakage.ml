@@ -350,8 +350,3 @@ let of_record ~n (r : Tracestore.record) =
     msg = r.msg;
     signature = { Falcon.Scheme.salt = r.salt; body = r.body };
   }
-
-let ntt_trace model rng p =
-  let values = ref [] in
-  ignore (Zq.ntt_emit ~emit:(fun (e : Zq.ntt_event) -> values := e.value :: !values) p);
-  hw_trace model rng (Array.of_list (List.rev !values))

@@ -264,9 +264,3 @@ val raw_of_record : Tracestore.record -> trace
     samples and strings are carried verbatim and [c_fft] is left empty
     (length 0).  The decode path of non-FALCON {!Attack.Target} codecs,
     whose known operands live in the record's [msg] field. *)
-
-(** {1 NTT traces (section V-C comparison)} *)
-
-val ntt_trace : model -> Stats.Rng.t -> int array -> float array
-(** Trace of a forward NTT of the given mod-q polynomial: 3 samples per
-    butterfly, Hamming weight of the 14-bit modular values. *)

@@ -61,17 +61,10 @@ let tables n =
       Hashtbl.add table_cache n t;
       t
 
-type ntt_event = { index : int; value : int }
-
-let ntt_generic ~emit a =
+let ntt a =
   let n = Array.length a in
   let fwd, _, _ = tables n in
   let a = Array.map reduce a in
-  let idx = ref 0 in
-  let ev v =
-    emit { index = !idx; value = v };
-    incr idx
-  in
   let t = ref n and m = ref 1 in
   while !m < n do
     t := !t lsr 1;
@@ -80,21 +73,13 @@ let ntt_generic ~emit a =
       let j1 = 2 * i * !t in
       for j = j1 to j1 + !t - 1 do
         let u = a.(j) and v = mul a.(j + !t) s in
-        ev v;
         a.(j) <- add u v;
-        ev a.(j);
-        a.(j + !t) <- sub u v;
-        ev a.(j + !t)
+        a.(j + !t) <- sub u v
       done
     done;
     m := !m lsl 1
   done;
   a
-
-let no_emit (_ : ntt_event) = ()
-
-let ntt a = ntt_generic ~emit:no_emit a
-let ntt_emit ~emit a = ntt_generic ~emit a
 
 let intt a =
   let n = Array.length a in

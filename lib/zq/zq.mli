@@ -33,14 +33,6 @@ val ntt : int array -> int array
 val intt : int array -> int array
 (** Inverse of {!ntt}. *)
 
-type ntt_event = { index : int; value : int }
-(** One butterfly intermediate: the [index]-th modular value written
-    during the transform. *)
-
-val ntt_emit : emit:(ntt_event -> unit) -> int array -> int array
-(** Instrumented forward transform for the NTT-vs-FFT leakage study; emits
-    the twiddle product and the two butterfly outputs of every butterfly. *)
-
 val mul_poly : int array -> int array -> int array
 (** Negacyclic product via NTT. *)
 

@@ -314,8 +314,50 @@ let test_realign_store_corrupt_shard () =
   with
   | _ -> Alcotest.fail "realign_store accepted a corrupt shard"
   | exception Failure msg ->
-      Alcotest.(check bool) "error names shard 0" true
-        (contains msg "shard 0")
+      Alcotest.(check bool) "error names shard 0" true (contains msg "shard 0");
+      Alcotest.(check bool) "a refused source leaves no destination" false
+        (Sys.file_exists (Filename.concat tmp "fail"))
+
+(* Realignment reads every target's store, not only FALCON's: at
+   max_shift 0 a record-tvla store and an HQC store come out record for
+   record, with every sidecar (assess.fda, hqc.key) copied verbatim. *)
+let test_realign_store_any_target () =
+  let tmp = Filename.temp_dir "fd_align_targets" "" in
+  let read dir name =
+    In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all
+  in
+  let records dir =
+    Array.of_seq (Tracestore.Reader.to_seq (Tracestore.Reader.open_store dir))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun d -> rm_rf (Filename.concat tmp d)) (Sys.readdir tmp);
+      rm_rf tmp)
+  @@ fun () ->
+  List.iter
+    (fun (label, sidecar, record) ->
+      let src = Filename.concat tmp label in
+      let dst = src ^ "-al" in
+      record src;
+      let st = Align.realign_store ~max_shift:0 ~src ~dst () in
+      Alcotest.(check int) (label ^ ": nothing shifted") 0 st.Align.shifted;
+      Alcotest.(check bool) (label ^ ": every record reproduced") true
+        (records dst = records src);
+      Alcotest.(check string) (label ^ ": " ^ sidecar ^ " copied") (read src sidecar)
+        (read dst sidecar))
+    [
+      ( "tvla",
+        Assess.Campaign.sidecar_name,
+        fun dir ->
+          Assess.Campaign.record_store ~dir `Masking ~noise:0.5
+            ~secret:(Assess.Campaign.secret_operand (Stats.Rng.create ~seed:3))
+            ~count:50 ~seed:3 ~shard_traces:20 () );
+      ( "hqc",
+        Hqc.key_file,
+        fun dir ->
+          Attack.Target.Hqc.record_store ~dir ~n:Hqc.Params.n_bits ~traces:50 ~noise:0.5
+            ~seed:3 ~shard_traces:20 () );
+    ]
 
 (* {2 End-to-end} *)
 
@@ -486,6 +528,8 @@ let suite =
       test_realign_store_deterministic;
     Alcotest.test_case "realign_store under a corrupt shard" `Quick
       test_realign_store_corrupt_shard;
+    Alcotest.test_case "realign_store keeps any target's records and sidecars" `Quick
+      test_realign_store_any_target;
     Alcotest.test_case "hd full key after realignment" `Slow
       test_hd_fullkey_after_realign;
     Alcotest.test_case "hd leakage rejects adaptive stop" `Quick test_hd_stop_rejected;

@@ -280,8 +280,14 @@ let test_matrix_report_validates () =
   | Ok () -> Alcotest.fail "missing cells accepted"
   | Error _ -> ()
 
+(* The small grid the CI matrix rules run: every defense, one sigma
+   (0.5), one budget (200), 2 experiments, 24 decoys. *)
+let tiny ?ctx ?targets ?conditions ?distinguishers ?progress ~seed () =
+  Assess.Matrix.run ?ctx ?targets ?conditions ?distinguishers ?progress
+    ~sigmas:[ 0.5 ] ~budgets:[ 200 ] ~experiments:2 ~decoys:24 ~seed ()
+
 (* A cell's label alone picks its distinguisher: under a ctx that
-   carries a profiled backend, the pearson cells of Matrix.tiny are
+   carries a profiled backend, the pearson cells of the small grid are
    still byte for byte the ones the default ctx gives. *)
 let test_matrix_cells_ignore_ctx_backend () =
   let secret = Assess.Campaign.secret_operand (Stats.Rng.create ~seed:5) in
@@ -294,7 +300,7 @@ let test_matrix_cells_ignore_ctx_backend () =
     Attack.Ctx.make ~distinguisher:(Attack.Distinguisher.Profiled store) ()
   in
   let report ?ctx () =
-    Assess.Json.to_string (Assess.Matrix.to_json (Assess.Matrix.tiny ?ctx ~seed:9 ()))
+    Assess.Json.to_string (Assess.Matrix.to_json (tiny ?ctx ~seed:9 ()))
   in
   Alcotest.(check string) "pearson cells under a profiled ctx" (report ())
     (report ~ctx:profiled ())
@@ -304,7 +310,7 @@ let test_matrix_cells_ignore_ctx_backend () =
 let pinned_report =
   lazy
     (Assess.Matrix.to_json
-       (Assess.Matrix.tiny ~targets:[ "falcon"; "hqc" ]
+       (tiny ~targets:[ "falcon"; "hqc" ]
           ~distinguishers:[ "pearson"; "profiled" ]
           ~conditions:
             (List.map Assess.Campaign.condition_of_name [ "hw"; "hd+jitter+realign" ])
@@ -345,11 +351,11 @@ let test_matrix_refuses_off_grid_cells () =
     (edit_cell 1 (set "distinguisher" (Assess.Json.String "pearson")) report);
   refused "an overhead that is not its defense's"
     (edit_cell 4 (set "overhead" (Assess.Json.Float 1.)) report);
-  let hqc = Assess.Matrix.to_json (Assess.Matrix.tiny ~targets:[ "hqc" ] ~seed:9 ()) in
+  let hqc = Assess.Matrix.to_json (tiny ~targets:[ "hqc" ] ~seed:9 ()) in
   refused "an HQC report whose condition axis lacks hw"
     (set "conditions" (Assess.Json.List [ Assess.Json.String "hd+jitter" ]) hqc);
   match
-    Assess.Matrix.tiny ~targets:[ "hqc" ]
+    tiny ~targets:[ "hqc" ]
       ~conditions:[ Assess.Campaign.condition_of_name "hd+jitter" ]
       ~progress:(fun _ -> Alcotest.fail "a cell ran")
       ~seed:9 ()
@@ -396,8 +402,8 @@ let bench_fixtures =
             "write_s":0.02,"mem_rank_s":0.01,"stream_rank_s":0.04,
             "stream_traces_per_sec":7000.0,"bit_identical":true|} );
         ( obs,
-          {|"traces":300,"guesses":2085,"jobs":2,"jsonl_events":4,"legacy_s":0.013,
-            "null_s":0.013,"jsonl_s":0.014,"bit_identical":true|} );
+          {|"traces":300,"guesses":2085,"jobs":2,"jsonl_events":4,"null_s":0.013,
+            "jsonl_s":0.014,"bit_identical":true|} );
       ]
 
 (* Each schema's fixture passes; for every row, each value that breaks

@@ -159,16 +159,6 @@ let test_capture_goldens_register_transfer () =
     "0e0149e9a08d81a9e2156e706e5c0b93"
     (capture_digest (Leakage.capture ~emitter model ~seed:9 sk ~count:3))
 
-let test_ntt_trace () =
-  let rng = Stats.Rng.create ~seed:14 in
-  let p = Array.init 16 (fun i -> (i * 37) mod Zq.q) in
-  let tr = Leakage.ntt_trace Leakage.clean_model rng p in
-  (* log2(16) = 4 levels x 8 butterflies x 3 events *)
-  Alcotest.(check int) "length" (4 * 8 * 3) (Array.length tr);
-  Array.iter
-    (fun v -> Alcotest.(check bool) "HW range" true (v >= 0. && v <= 14.))
-    tr
-
 let suite =
   [
     Alcotest.test_case "layout constants" `Quick test_layout_constants;
@@ -182,7 +172,6 @@ let suite =
     Alcotest.test_case "capture goldens" `Quick test_capture_goldens;
     Alcotest.test_case "capture goldens, register transfer" `Quick
       test_capture_goldens_register_transfer;
-    Alcotest.test_case "ntt trace" `Quick test_ntt_trace;
   ]
 
 (* A captured trace set is kept on disk as a trace-store shard

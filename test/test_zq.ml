@@ -80,20 +80,6 @@ let test_inv_poly () =
   let z = Array.make n 0 in
   Alcotest.(check bool) "zero not invertible" true (Zq.inv_poly z = None)
 
-let test_ntt_emit () =
-  let n = 16 in
-  let p = random_poly n in
-  let count = ref 0 and last = ref (-1) in
-  let out = Zq.ntt_emit ~emit:(fun (e : Zq.ntt_event) ->
-      Alcotest.(check bool) "indices increase" true (e.index = !last + 1);
-      last := e.index;
-      Alcotest.(check bool) "value in range" true (e.value >= 0 && e.value < Zq.q);
-      incr count) p
-  in
-  Alcotest.(check bool) "same output as plain" true (out = Zq.ntt p);
-  (* log2(n) levels, n/2 butterflies each, 3 events per butterfly *)
-  Alcotest.(check int) "event count" (3 * (n / 2) * 4) !count
-
 let test_norm_sq_centered () =
   Alcotest.(check int) "norm" (1 + 4 + 9) (Zq.norm_sq_centered [| 1; Zq.q - 2; 3 |]);
   Alcotest.(check int) "zero" 0 (Zq.norm_sq_centered [| 0; 0 |])
@@ -128,7 +114,6 @@ let suite =
     Alcotest.test_case "mul_poly vs schoolbook" `Quick test_mul_poly_vs_schoolbook;
     Alcotest.test_case "negacyclic wraparound" `Quick test_negacyclic_wraparound;
     Alcotest.test_case "inv_poly" `Quick test_inv_poly;
-    Alcotest.test_case "ntt_emit" `Quick test_ntt_emit;
     Alcotest.test_case "norm_sq_centered" `Quick test_norm_sq_centered;
     QCheck_alcotest.to_alcotest prop_ntt_linear;
     QCheck_alcotest.to_alcotest prop_mul_commutative;
