@@ -154,11 +154,35 @@ let cmd_verify store =
     end
   end
 
+let default_max_shift = 3
+
+(* Without --max-shift, the widest search up to [default_max_shift]
+   that the store's trace width leaves a window for; a given one the
+   width cannot hold is refused with the largest that fits. *)
+let fit_max_shift src max_shift =
+  let width =
+    (Tracestore.Reader.meta (Tracestore.Reader.open_store src)).Tracestore.width
+  in
+  let wanted = Option.value max_shift ~default:default_max_shift in
+  match (max_shift, Align.widest_max_shift ~up_to:wanted ~width) with
+  | _ when wanted < 0 -> failwith (Printf.sprintf "--max-shift %d is negative" wanted)
+  | None, Some s -> s
+  | Some s, Some fit when fit = s -> s
+  | Some s, Some fit ->
+      failwith
+        (Printf.sprintf
+           "--max-shift %d leaves no alignment window in %s's %d-sample traces; \
+            --max-shift %d fits"
+           s src width fit)
+  | _, None ->
+      failwith (Printf.sprintf "%s: %d-sample traces are too narrow to align" src width)
+
 (* Streaming static realignment: undo the integer part of acquisition
    jitter by cross-correlating each trace against a reference window and
    writing the shift-corrected campaign to a fresh store. *)
 let cmd_align src dst max_shift ref_traces jobs log (sf : Cli_common.stream) =
   Cli_common.run ~jobs log @@ fun ctx ->
+  let max_shift = fit_max_shift src max_shift in
   Printf.printf
     "realigning %s into %s (max shift %d samples, reference from first %d \
      traces)\n%!"
@@ -335,11 +359,13 @@ let align_dst_arg =
 let max_shift_arg =
   Arg.(
     value
-    & opt int 3
+    & opt (some int) None
     & info [ "max-shift" ] ~docv:"SAMPLES"
         ~doc:
           "Largest correction searched, in samples; match (or exceed) the \
-           acquisition's $(b,--jitter) bound.")
+           acquisition's $(b,--jitter) bound.  Defaults to the largest value \
+           up to 3 that the store's trace width leaves an alignment window \
+           for; a value the width cannot hold is refused.")
 
 let ref_traces_arg =
   Arg.(

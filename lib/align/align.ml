@@ -54,6 +54,16 @@ let default_window ~max_shift ~width =
     invalid_arg "Align.default_window: trace too narrow for this max_shift";
   (lo, hi)
 
+let widest_max_shift ~up_to ~width =
+  let rec go s =
+    if s < 0 then None
+    else
+      match default_window ~max_shift:s ~width with
+      | _ -> Some s
+      | exception Invalid_argument _ -> go (s - 1)
+  in
+  go up_to
+
 let check_window ~width (lo, hi) =
   if lo < 0 || hi >= width || hi - lo + 1 < 2 then
     invalid_arg "Align: window out of bounds or shorter than 2 samples"

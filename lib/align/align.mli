@@ -45,6 +45,11 @@ val default_window : max_shift:int -> width:int -> int * int
     Raises [Invalid_argument] if the result is shorter than 2
     samples. *)
 
+val widest_max_shift : up_to:int -> width:int -> int option
+(** The largest [max_shift <= up_to] whose {!default_window} fits a
+    [width]-sample trace, or [None] if none does (a negative [up_to],
+    or [width < 2]). *)
+
 val reference_of_rows : window:int * int -> float array array -> float array
 (** Mean of the rows over the inclusive [window].  Raises
     [Invalid_argument] on an empty row set or an out-of-bounds

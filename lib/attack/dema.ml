@@ -264,14 +264,15 @@ end
    log-likelihood row is candidate-independent, so [prepare] builds one
    flat {!Profile.class_table} per part and segment from the template's
    points of interest, next to the part's hypothesis source, and every
-   guess just sums its predicted class's entry.  Every model runs a
-   4-guess register tile over its segment table (one prepped load, four
+   guess just sums its predicted class's entry.  A product model runs
+   {!Stats.Pearson.Batch.Fused.fold_class_product}, the C tile with the
+   hardware popcount; a split or plain model runs the same 4-guess
+   register tile in OCaml over its segment table (one prepped load, four
    eval/popcount/table reads per trace), the shape of
-   {!Stats.Pearson.Batch.Fused.fold_split}; a product model's table is
-   read with [eval = ( * )].  One accumulator per (part, guess) takes
-   its additions in global trace order however the stream is split or
-   the guesses tiled; the mean (not sum) over traces keeps scores
-   comparable across budgets, like a correlation. *)
+   {!Stats.Pearson.Batch.Fused.fold_split}.  One accumulator per (part,
+   guess) takes its additions in global trace order however the stream
+   is split or the guesses tiled; the mean (not sum) over traces keeps
+   scores comparable across budgets, like a correlation. *)
 module Profiled (P : sig
   val store : Profile.store
 end) : Distinguisher.S = struct
@@ -334,40 +335,45 @@ end) : Distinguisher.S = struct
     Array.iteri
       (fun j tbl ->
         let acc = a.sll.(j) in
-        let prepped, eval = tab s.srcs.(j) in
-        (* 4-guess tiles, then the tail one guess at a time *)
-        let r = ref 0 in
-        while !r + 4 <= g do
-          let r0 = !r in
-          let g0 = Array.unsafe_get guesses r0
-          and g1 = Array.unsafe_get guesses (r0 + 1)
-          and g2 = Array.unsafe_get guesses (r0 + 2)
-          and g3 = Array.unsafe_get guesses (r0 + 3) in
-          let e0 = ref (Array.unsafe_get acc r0)
-          and e1 = ref (Array.unsafe_get acc (r0 + 1))
-          and e2 = ref (Array.unsafe_get acc (r0 + 2))
-          and e3 = ref (Array.unsafe_get acc (r0 + 3)) in
-          for i = 0 to len - 1 do
-            let p = Array.unsafe_get prepped i in
-            e0 := !e0 +. entry tbl i (Bitops.popcount (eval g0 p));
-            e1 := !e1 +. entry tbl i (Bitops.popcount (eval g1 p));
-            e2 := !e2 +. entry tbl i (Bitops.popcount (eval g2 p));
-            e3 := !e3 +. entry tbl i (Bitops.popcount (eval g3 p))
-          done;
-          Array.unsafe_set acc r0 !e0;
-          Array.unsafe_set acc (r0 + 1) !e1;
-          Array.unsafe_set acc (r0 + 2) !e2;
-          Array.unsafe_set acc (r0 + 3) !e3;
-          r := r0 + 4
-        done;
-        for r0 = !r to g - 1 do
-          let gu = Array.unsafe_get guesses r0 in
-          let e = ref (Array.unsafe_get acc r0) in
-          for i = 0 to len - 1 do
-            e := !e +. entry tbl i (Bitops.popcount (eval gu (Array.unsafe_get prepped i)))
-          done;
-          Array.unsafe_set acc r0 !e
-        done)
+        match s.srcs.(j) with
+        | Mul prepped ->
+            Stats.Pearson.Batch.Fused.fold_class_product ~acc ~tbl ~nclass ~guesses
+              ~prepped ~len
+        | Tab (prepped, eval) ->
+            (* 4-guess tiles, then the tail one guess at a time *)
+            let r = ref 0 in
+            while !r + 4 <= g do
+              let r0 = !r in
+              let g0 = Array.unsafe_get guesses r0
+              and g1 = Array.unsafe_get guesses (r0 + 1)
+              and g2 = Array.unsafe_get guesses (r0 + 2)
+              and g3 = Array.unsafe_get guesses (r0 + 3) in
+              let e0 = ref (Array.unsafe_get acc r0)
+              and e1 = ref (Array.unsafe_get acc (r0 + 1))
+              and e2 = ref (Array.unsafe_get acc (r0 + 2))
+              and e3 = ref (Array.unsafe_get acc (r0 + 3)) in
+              for i = 0 to len - 1 do
+                let p = Array.unsafe_get prepped i in
+                e0 := !e0 +. entry tbl i (Bitops.popcount (eval g0 p));
+                e1 := !e1 +. entry tbl i (Bitops.popcount (eval g1 p));
+                e2 := !e2 +. entry tbl i (Bitops.popcount (eval g2 p));
+                e3 := !e3 +. entry tbl i (Bitops.popcount (eval g3 p))
+              done;
+              Array.unsafe_set acc r0 !e0;
+              Array.unsafe_set acc (r0 + 1) !e1;
+              Array.unsafe_set acc (r0 + 2) !e2;
+              Array.unsafe_set acc (r0 + 3) !e3;
+              r := r0 + 4
+            done;
+            for r0 = !r to g - 1 do
+              let gu = Array.unsafe_get guesses r0 in
+              let e = ref (Array.unsafe_get acc r0) in
+              for i = 0 to len - 1 do
+                e :=
+                  !e +. entry tbl i (Bitops.popcount (eval gu (Array.unsafe_get prepped i)))
+              done;
+              Array.unsafe_set acc r0 !e
+            done)
       s.tables
 
   let finalize p ~parts a =

@@ -76,7 +76,8 @@ val rank :
     intermediates on the fly inside register tiles — no per-guess
     vectors, no [G x D] block.  {!Hypothesis.Model.Split} and
     {!Hypothesis.Model.Product} models hoist the known-operand digest
-    into a per-segment prep table, and products are multiplied inline
+    into a per-segment prep table, and products are multiplied and
+    popcounted inline by a C tile
     ({!Stats.Pearson.Batch.Fused.fold_product}). *)
 
 val rank_absolute :

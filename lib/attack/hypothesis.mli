@@ -34,8 +34,9 @@ val sampled :
     [eval] combines it with the guess using integer arithmetic only.
     A {!product} model is the split whose [eval] is [( * )] — the
     extend-phase partial products of the paper's mantissa attack — and
-    is scored by {!Stats.Pearson.Batch.Fused.fold_product}, which
-    multiplies inline.  The sweep engines precompute [prep] over the
+    is scored by {!Stats.Pearson.Batch.Fused.fold_product} (and by
+    [fold_class_product] under templates), C tiles that multiply and
+    count bits inline.  The sweep engines precompute [prep] over the
     known operands once per segment; split models drive
     {!Stats.Pearson.Batch.Fused.fold_split} with [eval] on plain
     [int]s, and {!fn} models drive it over an index table, calling the

@@ -10,9 +10,9 @@ let popcount64 (x : int64) : int =
   let x = logand (add x (shift_right_logical x 4)) m4 in
   to_int (shift_right_logical (mul x h01) 56)
 
-(* Native-int SWAR popcount: the distinguisher evaluates this once per
-   (guess, trace) pair, so it must not round-trip through boxed [Int64]
-   (each Int64 operation allocates without flambda).  All masks fit in a
+(* Native-int SWAR popcount: the split-model tiles evaluate this once
+   per (guess, trace) pair, so it must not round-trip through boxed
+   [Int64] (each Int64 operation allocates without flambda).  All masks fit in a
    63-bit int because the argument is non-negative (bits 0..61 only). *)
 let m1 = 0x1555555555555555 (* 01 repeated over bits 0..60 *)
 let m2 = 0x3333333333333333

@@ -6,9 +6,12 @@
 
 val popcount : int -> int
 (** [popcount x] is the number of set bits in the 63-bit value [x].
-    [x] must be non-negative.  Allocation-free native-int SWAR — this is
-    the per-(guess, trace) primitive of the Pearson sweeps, so it never
-    touches boxed [Int64] arithmetic. *)
+    [x] must be non-negative.  Allocation-free native-int SWAR, never
+    boxed [Int64] arithmetic: it is the per-(guess, trace) primitive of
+    the split-model tiles and the scalar reference loops.  The product
+    model's tiles count bits with the hardware instruction instead
+    ([Stats.Pearson.Batch.Fused.fold_product] and [fold_class_product],
+    in C) and refuse the same negative products. *)
 
 val popcount64 : int64 -> int
 (** Hamming weight of a full 64-bit word. *)

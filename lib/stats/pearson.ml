@@ -129,14 +129,16 @@ let evolution ~traces ~hyp ~sample ~step =
    One column, G hypotheses, no hypothesis vectors: each guess is
    combined with a per-trace prep table into the modelled *integer*
    intermediate on the fly and the tile computes [float (popcount v)]
-   inline.  The accumulator state lives in the [t] record and survives
-   across folds, which is what lets a streaming sweep feed the campaign
-   one shard segment at a time.  Determinism contract: per row, the
-   three accumulators (sum, sum of squares, cross term) receive exactly
-   the additions of [corr_with], in global trace order — the four-row
-   register tile only re-interleaves updates of *distinct*
-   accumulators, so every correlation is bit-identical to the scalar
-   path as long as segments arrive in order. *)
+   inline — in OCaml for split models, in C (tile_stubs.c, the
+   hardware popcount) for the product model.  The accumulator state
+   lives in the [t] record and survives across folds, which is what
+   lets a streaming sweep feed the campaign one shard segment at a
+   time.  Determinism contract: per row, the three accumulators (sum,
+   sum of squares, cross term) receive exactly the additions of
+   [corr_with], in global trace order — the four-row register tile
+   only re-interleaves updates of *distinct* accumulators, so every
+   correlation is bit-identical to the scalar path as long as segments
+   arrive in order. *)
 module Batch = struct
   type backend = Scalar | Batched
 
@@ -221,68 +223,40 @@ module Batch = struct
         incr r
       done
 
-    (* The product model's tile: [fold_split] with [eval = ( * )]
-       written inline, so the element loop makes no call at all.  The
-       same additions in the same order, so it is bit-identical to
-       [fold_split ~eval:( * )]. *)
+    (* The product model's tiles live in tile_stubs.c: the same loops
+       as [fold_split ~eval:( * )] and the profiled sweep's split tile,
+       with [popcount] one instruction instead of a SWAR sequence.  Each
+       returns whether some product had bit 62 set — OCaml's sign bit,
+       which [Bitops.popcount] refuses — and the wrapper refuses it
+       too. *)
+    external product_tile :
+      float array -> float array -> float array -> int array -> int array ->
+      float array -> int -> bool = "fd_product_tile_byte" "fd_product_tile"
+    [@@noalloc]
+
+    external class_product_tile :
+      float array -> float array -> int -> int array -> int array -> int -> bool
+      = "fd_class_product_tile_byte" "fd_class_product_tile"
+    [@@noalloc]
+
+    let negative_product entry =
+      invalid_arg
+        ("Pearson.Batch.Fused." ^ entry ^ ": a product guess * prep has bit 62 set")
+
     let fold_product t ~guesses ~prepped ~col ~len =
       check "fold_product" t ~guesses ~prepped ~col ~len;
-      let g = t.g in
-      let sh = t.sh and shh = t.shh and sht = t.sht in
-      let r = ref 0 in
-      while !r + 4 <= g do
-        let r0 = !r in
-        let g0 = Array.unsafe_get guesses r0
-        and g1 = Array.unsafe_get guesses (r0 + 1)
-        and g2 = Array.unsafe_get guesses (r0 + 2)
-        and g3 = Array.unsafe_get guesses (r0 + 3) in
-        let a0 = ref (Array.unsafe_get sh r0)
-        and q0 = ref (Array.unsafe_get shh r0)
-        and c0 = ref (Array.unsafe_get sht r0) in
-        let a1 = ref (Array.unsafe_get sh (r0 + 1))
-        and q1 = ref (Array.unsafe_get shh (r0 + 1))
-        and c1 = ref (Array.unsafe_get sht (r0 + 1)) in
-        let a2 = ref (Array.unsafe_get sh (r0 + 2))
-        and q2 = ref (Array.unsafe_get shh (r0 + 2))
-        and c2 = ref (Array.unsafe_get sht (r0 + 2)) in
-        let a3 = ref (Array.unsafe_get sh (r0 + 3))
-        and q3 = ref (Array.unsafe_get shh (r0 + 3))
-        and c3 = ref (Array.unsafe_get sht (r0 + 3)) in
-        for i = 0 to len - 1 do
-          let t = Array.unsafe_get col i in
-          let p = Array.unsafe_get prepped i in
-          let x0 = float_of_int (Bitops.popcount (g0 * p)) in
-          let x1 = float_of_int (Bitops.popcount (g1 * p)) in
-          let x2 = float_of_int (Bitops.popcount (g2 * p)) in
-          let x3 = float_of_int (Bitops.popcount (g3 * p)) in
-          a0 := !a0 +. x0; q0 := !q0 +. (x0 *. x0); c0 := !c0 +. (x0 *. t);
-          a1 := !a1 +. x1; q1 := !q1 +. (x1 *. x1); c1 := !c1 +. (x1 *. t);
-          a2 := !a2 +. x2; q2 := !q2 +. (x2 *. x2); c2 := !c2 +. (x2 *. t);
-          a3 := !a3 +. x3; q3 := !q3 +. (x3 *. x3); c3 := !c3 +. (x3 *. t)
-        done;
-        sh.(r0) <- !a0; shh.(r0) <- !q0; sht.(r0) <- !c0;
-        sh.(r0 + 1) <- !a1; shh.(r0 + 1) <- !q1; sht.(r0 + 1) <- !c1;
-        sh.(r0 + 2) <- !a2; shh.(r0 + 2) <- !q2; sht.(r0 + 2) <- !c2;
-        sh.(r0 + 3) <- !a3; shh.(r0 + 3) <- !q3; sht.(r0 + 3) <- !c3;
-        r := r0 + 4
-      done;
-      while !r < g do
-        let r0 = !r in
-        let gu = Array.unsafe_get guesses r0 in
-        let a = ref sh.(r0) and q = ref shh.(r0) and c = ref sht.(r0) in
-        for i = 0 to len - 1 do
-          let x =
-            float_of_int (Bitops.popcount (gu * Array.unsafe_get prepped i))
-          in
-          a := !a +. x;
-          q := !q +. (x *. x);
-          c := !c +. (x *. Array.unsafe_get col i)
-        done;
-        sh.(r0) <- !a;
-        shh.(r0) <- !q;
-        sht.(r0) <- !c;
-        incr r
-      done
+      if product_tile t.sh t.shh t.sht guesses prepped col len then
+        negative_product "fold_product"
+
+    let fold_class_product ~acc ~tbl ~nclass ~guesses ~prepped ~len =
+      let fail what = invalid_arg ("Pearson.Batch.Fused.fold_class_product: " ^ what) in
+      if len < 0 then fail "negative segment length";
+      if nclass < 1 then fail "no class";
+      if Array.length acc <> Array.length guesses then fail "one guess per row required";
+      if Array.length prepped < len then fail "segment longer than prepped table";
+      if Array.length tbl / nclass < len then fail "segment longer than class table";
+      if class_product_tile acc tbl nclass guesses prepped len then
+        negative_product "fold_class_product"
 
     (* Finalisation: exactly [corr_with]'s epilogue per row, with the
        column statistics supplied by the caller (they are global to the

@@ -64,9 +64,10 @@ module Batch : sig
       allocates nothing.
 
       Two entries, one tile shape: {!fold_product} for the product
-      family [v = g * p] (the extend-phase mantissa products), with the
-      multiply written inline, and {!fold_split} for any other integer
-      evaluator, which pays one indirect call per (guess, trace) pair.
+      family [v = g * p] (the extend-phase mantissa products), a C tile
+      with the multiply and the hardware popcount inline, and
+      {!fold_split} for any other integer evaluator, an OCaml tile that
+      pays one indirect call per (guess, trace) pair.
       A model with no prep digest runs {!fold_split} over an index table
       (entry [i] is [i]) with [eval] reading the known operand itself.
 
@@ -108,9 +109,30 @@ module Batch : sig
     val fold_product :
       t -> guesses:int array -> prepped:int array -> col:float array -> len:int -> unit
     (** [fold_product t ~guesses ~prepped ~col ~len] is
-        [fold_split t ~eval:( * ) ~guesses ~prepped ~col ~len] with the
-        product computed inline: no call per element, bit-identical
-        accumulators.  Raises [Invalid_argument] like {!fold_split}. *)
+        [fold_split t ~eval:( * ) ~guesses ~prepped ~col ~len], run by
+        the C tile of [tile_stubs.c] with the hardware popcount:
+        bit-identical accumulators, no allocation.  Raises
+        [Invalid_argument] like {!fold_split}, and if some product
+        [guesses.(r) * prepped.(i)] has bit 62 set (the inputs
+        [Bitops.popcount] refuses); [t] is then unspecified. *)
+
+    val fold_class_product :
+      acc:float array ->
+      tbl:float array ->
+      nclass:int ->
+      guesses:int array ->
+      prepped:int array ->
+      len:int ->
+      unit
+    (** [fold_class_product ~acc ~tbl ~nclass ~guesses ~prepped ~len] is
+        the profiled sweep's product tile: for [i = 0 .. len-1] in order,
+        [acc.(r)] gets [tbl.(i * nclass + min h (nclass - 1))] added,
+        [h] the Hamming weight of [guesses.(r) * prepped.(i)].  The same
+        C file and the same bits as the OCaml loop over [eval = ( * )].
+        Raises [Invalid_argument] if [len < 0], [nclass < 1], [acc] and
+        [guesses] differ in length, [prepped] is shorter than [len] or
+        [tbl] than [len * nclass], or a product has bit 62 set ([acc] is
+        then unspecified). *)
 
     val corr : t -> n:int -> sum_t:float -> var_t:float -> float array
     (** Per-row correlations, finalised with the whole-sweep column

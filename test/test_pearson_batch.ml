@@ -3,9 +3,10 @@
    to corr_with over hyp_vector's rows — for every guess count (G = 0,
    G = 1, counts that do not fill the 4-row register tile), constant
    columns, whole-campaign and arbitrarily segmented folds, through both
-   entries (the inline-multiply product tile against fold_split with
-   eval = ( * ), a prep table against the index table a plain model
-   runs over) — and that the batched attack paths (extend-and-prune,
+   entries (the C product tile against fold_split with eval = ( * ),
+   over products up to 2^62 and wrapped ones, with bit 62 refused; a
+   prep table against the index table a plain model runs over) — and
+   that the batched attack paths (extend-and-prune,
    streaming rank) return exactly the scalar results at every jobs
    level.  Everything here checks float *bits*, not tolerances. *)
 
@@ -202,7 +203,18 @@ let test_allocation_canary () =
       ( "fold_product",
         (fun t -> Fused.fold_product t ~guesses ~prepped ~col ~len:d),
         want_product );
-    ]
+    ];
+  (* the profiled sweep's product tile: one sum per guess *)
+  let nclass = 65 in
+  let tbl = Array.init (d * nclass) (fun k -> float_of_int (k mod 97) *. 0.25) in
+  let acc = Array.make g 0. in
+  let fold () = Fused.fold_class_product ~acc ~tbl ~nclass ~guesses ~prepped ~len:d in
+  fold () (* warm-up *);
+  let before = Gc.allocated_bytes () in
+  fold ();
+  let allocated = Gc.allocated_bytes () -. before in
+  if allocated > 65536. then
+    Alcotest.failf "fold_class_product allocated %.0f bytes for G=%d D=%d" allocated g d
 
 let prop_product_matches_corr_with =
   QCheck.Test.make ~count:300 ~name:"Fused.fold_product == corr_with (bitwise)"
@@ -233,6 +245,78 @@ let prop_product_segmented_matches_whole =
         ~fold_seg:(fun t ~off ~len ->
           Fused.fold_product t ~guesses ~prepped:(Array.sub prepped off len)
             ~col:(Array.sub col off len) ~len))
+
+(* Products over the whole range the product tile takes: guesses below
+   2^28 and preps below 2^34, so every g * p is below 2^62 (one of each
+   pinned at its maximum).  G is never a multiple of 4, so the one-row
+   tail always runs, and one seed in four has D = 0 or D = 1. *)
+let random_wide seed =
+  let rng = Stats.Rng.create ~seed in
+  let g = (4 * Stats.Rng.int_below rng 5) + 1 + Stats.Rng.int_below rng 3 in
+  let d =
+    match Stats.Rng.int_below rng 8 with
+    | 0 -> 0
+    | 1 -> 1
+    | _ -> 2 + Stats.Rng.int_below rng 48
+  in
+  let guesses = Array.init g (fun _ -> Stats.Rng.bits rng 28) in
+  let prepped = Array.init d (fun _ -> Stats.Rng.bits rng 34) in
+  guesses.(Stats.Rng.int_below rng g) <- (1 lsl 28) - 1;
+  if d > 0 then prepped.(Stats.Rng.int_below rng d) <- (1 lsl 34) - 1;
+  let col = Array.init d (fun _ -> Stats.Rng.gaussian rng ~mu:0. ~sigma:1.5) in
+  (g, d, prepped, guesses, col)
+
+let prop_product_wide_range =
+  QCheck.Test.make ~count:300
+    ~name:"Fused.fold_product over g * p < 2^62 == corr_with == fold_split (bitwise)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let _, d, prepped, guesses, col = random_wide seed in
+      let via_c =
+        fused_corr
+          (fold_with ~guesses (fun t -> Fused.fold_product t ~guesses ~prepped ~col ~len:d))
+          ~d ~col
+      in
+      let via_split =
+        fused_corr
+          (fold_with ~guesses (fun t ->
+               Fused.fold_split t ~eval:( * ) ~guesses ~prepped ~col ~len:d))
+          ~d ~col
+      in
+      array_bits_eq via_split via_c
+      && array_bits_eq
+           (reference ~model:(Attack.Hypothesis.Model.fn ( * )) ~known:prepped ~guesses ~col)
+           via_c)
+
+(* A product of 2^63 or more wraps in OCaml's 63-bit int; while its bit
+   62 is clear the C tile counts the same wrapped bits.  A product with
+   bit 62 set is refused by both tiles, as [Bitops.popcount] refuses
+   it. *)
+let test_product_top_bits () =
+  let col = [| 0.5; -1.25; 2.0 |] in
+  let prepped = [| 1 lsl 31; (1 lsl 33) + 5; 3 |] in
+  let guesses = [| 1 lsl 32; (1 lsl 31) - 1; 7; (1 lsl 30) + 1; 1 |] in
+  let fold f = fused_corr (fold_with ~guesses f) ~d:3 ~col in
+  Alcotest.(check bool) "wrapped products: C tile == fold_split ~eval:( * )" true
+    (array_bits_eq
+       (fold (fun t -> Fused.fold_split t ~eval:( * ) ~guesses ~prepped ~col ~len:3))
+       (fold (fun t -> Fused.fold_product t ~guesses ~prepped ~col ~len:3)));
+  let bad = [| 3; 1 lsl 31 |] and prepped = [| 1; 1 lsl 31 |] in
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted a product with bit 62 set" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "fold_product" (fun () ->
+      Fused.fold_product (Fused.create ~rows:2) ~guesses:bad ~prepped ~col:[| 1.; 2. |]
+        ~len:2);
+  refused "fold_class_product" (fun () ->
+      Fused.fold_class_product ~acc:[| 0.; 0. |] ~tbl:(Array.make 4 1.) ~nclass:2
+        ~guesses:bad ~prepped ~len:2);
+  Alcotest.(check bool) "Bitops.popcount refuses it too" true
+    (match Bitops.popcount ((1 lsl 31) * (1 lsl 31)) with
+     | _ -> false
+     | exception Assert_failure _ -> true)
 
 (* ---- subset scoring: [Distinguisher.S.finalize ~parts] and
    [Dema.Sweep.scores ?parts] ----
@@ -555,4 +639,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_model_product;
     Alcotest.test_case "absolute tile == per-guess residual loop" `Quick
       test_absolute_pinned;
+    QCheck_alcotest.to_alcotest prop_product_wide_range;
+    Alcotest.test_case "product tile: wrapped products, bit 62 refused" `Quick
+      test_product_top_bits;
   ]

@@ -2,7 +2,8 @@
    the scalar Pearson reference against the fused kernel and every
    entry point that runs it, profiled scorer determinism across jobs /
    batch splits, profiled rankings pinned by digest, the flat class
-   table against the per-trace score formula (QCheck oracle),
+   table against the per-trace score formula (QCheck oracle), the C
+   product tile against the per-guess OCaml loop,
    template-store round-trip with corruption rejection, the decoder's
    refusal of templates training never produces, a truncation / xor
    mutation harness over the store bytes, and the pooled-covariance
@@ -565,6 +566,48 @@ let prop_class_table_oracle =
                          table.((i * nclass) + c) want.(c))))
            (List.init len Fun.id))
 
+(* The profiled sweep's product tile (C, hardware popcount) against the
+   per-guess OCaml loop over [eval = ( * )] it replaced, bit for bit:
+   products up to 2^62 (guesses below 2^28, preps below 2^34), G never
+   a multiple of 4, D down to 0 and 1, nclass from 1 (every weight
+   clamps to class 0) to 65, and accumulators that start non-zero. *)
+let prop_class_product_tile =
+  QCheck.Test.make ~count:300 ~name:"fold_class_product == per-guess loop (bitwise)"
+    QCheck.(pair (int_range 1 65) (int_bound 1_000_000))
+    (fun (nclass, seed) ->
+      let rng = Stats.Rng.create ~seed in
+      let g = (4 * Stats.Rng.int_below rng 5) + 1 + Stats.Rng.int_below rng 3 in
+      let len =
+        match Stats.Rng.int_below rng 8 with
+        | 0 -> 0
+        | 1 -> 1
+        | _ -> 2 + Stats.Rng.int_below rng 40
+      in
+      let guesses = Array.init g (fun _ -> Stats.Rng.bits rng 28) in
+      let prepped = Array.init len (fun _ -> Stats.Rng.bits rng 34) in
+      guesses.(Stats.Rng.int_below rng g) <- (1 lsl 28) - 1;
+      let tbl =
+        Array.init (len * nclass) (fun _ -> Stats.Rng.gaussian rng ~mu:(-3.) ~sigma:4.)
+      in
+      let start = Array.init g (fun _ -> Stats.Rng.gaussian rng ~mu:0. ~sigma:10.) in
+      let want =
+        Array.mapi
+          (fun r gu ->
+            let e = ref start.(r) in
+            for i = 0 to len - 1 do
+              let cls = min (Bitops.popcount (gu * prepped.(i))) (nclass - 1) in
+              e := !e +. tbl.((i * nclass) + cls)
+            done;
+            !e)
+          guesses
+      in
+      let acc = Array.copy start in
+      Stats.Pearson.Batch.Fused.fold_class_product ~acc ~tbl ~nclass ~guesses ~prepped
+        ~len;
+      Array.for_all2
+        (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+        want acc)
+
 (* One engine, three routes.  A FALCON-8 victim store (160 traces in
    uneven 23-trace shards) and templates trained on a clone: the
    profiled statistic scores bit-identically through Dema.rank,
@@ -894,4 +937,5 @@ let suite =
     Alcotest.test_case "every payload truncation" `Quick test_every_payload_truncation;
     Alcotest.test_case "payload xor refused or trainable" `Quick test_payload_xor;
     QCheck_alcotest.to_alcotest prop_profiled_subset_equals_rank;
+    QCheck_alcotest.to_alcotest prop_class_product_tile;
   ]
