@@ -386,9 +386,9 @@ let ablation_prune () =
 (* ---------------------------------------------------------------- *)
 (* Out-of-core engine: streaming sweeps over a sharded trace store vs
    the in-memory engine at equal trace counts.  The streaming ranking
-   must be bit-identical (column extraction is arithmetic-free); the
-   evolution checkpoints agree with prefix rescans up to FP
-   reassociation.  Emits one JSON row (BENCH_stream.json) with
+   must be bit-identical (column extraction is arithmetic-free), and so
+   must the evolution checkpoints (one Pearson pass over the gathered
+   columns, [evo_max_dev] 0).  Emits one JSON row (BENCH_stream.json) with
    throughput and a peak-memory proxy; check-bench gates its
    bit_identical. *)
 
@@ -485,7 +485,7 @@ let stream () =
         d_true best.Attack.Dema.corr
   | [] -> ());
 
-  (* evolution checkpoints: shard-merged accumulators vs prefix rescans *)
+  (* evolution checkpoints: the store pass vs the in-memory pass *)
   let stream_evo =
     Attack.Dema.Stream.evolution ~ctx:(jctx jobs) reader
       ~sample:(Attack.Recover.sample Fpr.Mant_w00)

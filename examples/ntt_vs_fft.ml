@@ -32,7 +32,7 @@ let () =
   let ntt_hyp g = Array.map (fun y -> float_of_int (Bitops.popcount (Zq.mul g y))) ys in
   let ntt_series =
     Stats.Pearson.evolution ~traces:ntt_traces ~hyp:(ntt_hyp secret_ntt) ~sample:0
-      ~step:50
+      ~at:(Stats.Pearson.steps ~step:50 count)
   in
   (* candidate survival after 1000 traces *)
   let sub = Array.sub ntt_traces 0 1000 in

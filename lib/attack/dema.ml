@@ -260,187 +260,117 @@ end) : Distinguisher.S = struct
     out
 end
 
-(* Profiled template scoring: per (part, trace) the class-conditional
-   log-likelihood row is candidate-independent, so [prepare] builds one
-   flat {!Profile.class_table} per part and segment from the template's
-   points of interest, next to the part's hypothesis source, and every
-   guess just sums its predicted class's entry.  A product model runs
-   {!Stats.Pearson.Batch.Fused.fold_class_product}, the C tile with the
-   hardware popcount; a split or plain model runs the same 4-guess
-   register tile in OCaml over its segment table (one prepped load, four
-   eval/popcount/table reads per trace), the shape of
-   {!Stats.Pearson.Batch.Fused.fold_split}.  One accumulator per (part,
-   guess) takes its additions in global trace order however the stream
-   is split or the guesses tiled; the mean (not sum) over traces keeps
-   scores comparable across budgets, like a correlation. *)
-module Profiled (P : sig
-  val store : Profile.store
+(* The per-guess-sum statistics: a guess's score is the sum over parts
+   of one running total per (part, guess), to which every trace adds a
+   term read off a per-segment payload, finalised exactly from the
+   sum.  One accumulator per (part, guess) takes its additions in
+   global trace order however the stream is split or the guesses tiled.
+   An instance supplies only what differs: what its plan keeps for a
+   part at an absolute sample, the columns that part needs, the payload
+   it builds from them per segment, the tile that adds one segment's
+   terms, and the finalisation of the part sum over [n] traces. *)
+module Per_guess_sum (I : sig
+  val name : string
+
+  type part
+
+  val part : int -> part
+  val columns : part -> int list
+
+  type payload
+
+  val payload : part -> float array array -> len:int -> payload
+  val tile : payload -> seg_src -> acc:float array -> guesses:int array -> len:int -> unit
+  val finish : n:int -> float -> float
 end) : Distinguisher.S = struct
-  let name = "profiled"
-  let nclass = P.store.Profile.nclass
+  let name = I.name
 
   type 'k plan = {
-    points : Profile.point array;
+    parts : I.part array;
     models : 'k Hypothesis.Model.t array;
     mutable n : int;
   }
 
   let plan ~parts =
     {
-      points =
-        Array.of_list (List.map (fun (s, _) -> Profile.point P.store ~sample:s) parts);
+      parts = Array.of_list (List.map (fun (s, _) -> I.part s) parts);
       models = Array.of_list (List.map snd parts);
       n = 0;
     }
 
-  let needs p =
-    Array.to_list (Array.map (fun pt -> Array.to_list pt.Profile.abs_pois) p.points)
+  let needs p = Array.to_list (Array.map I.columns p.parts)
 
-  type 'k seg = {
-    len : int;
-    tables : float array array;  (* per part: trace-major class scores *)
-    srcs : seg_src array;  (* per part *)
-  }
+  type 'k seg = { len : int; payloads : I.payload array; srcs : seg_src array }
 
   let prepare p batch =
     let len =
-      checked_length ~what:"Dema: profiled" ~nparts:(Array.length p.points)
-        ~ncols:(fun j -> Array.length p.points.(j).Profile.abs_pois)
+      checked_length ~what:("Dema: " ^ I.name) ~nparts:(Array.length p.parts)
+        ~ncols:(fun j -> List.length (I.columns p.parts.(j)))
         batch
     in
     p.n <- p.n + len;
     {
       len;
-      tables =
-        Array.mapi
-          (fun j (cols, _) -> Profile.class_table P.store p.points.(j).Profile.tpl cols ~len)
-          batch;
+      payloads = Array.mapi (fun j (cols, _) -> I.payload p.parts.(j) cols ~len) batch;
       srcs = Array.mapi (fun j (_, ks) -> seg_src p.models.(j) ks) batch;
     }
 
-  type 'k acc = { guesses : int array; sll : float array array (* part -> guess *) }
+  type 'k acc = { guesses : int array; sums : float array array (* part -> guess *) }
 
   let acc p guesses =
-    {
-      guesses;
-      sll = Array.map (fun _ -> Array.make (Array.length guesses) 0.) p.points;
-    }
+    { guesses; sums = Array.map (fun _ -> Array.make (Array.length guesses) 0.) p.parts }
+
+  let fold a s =
+    Array.iteri
+      (fun j pl -> I.tile pl s.srcs.(j) ~acc:a.sums.(j) ~guesses:a.guesses ~len:s.len)
+      s.payloads
+
+  let finalize p ~parts a =
+    let finish = I.finish ~n:p.n in
+    Array.init (Array.length a.guesses) (fun r ->
+        let s = ref 0. in
+        List.iter (fun j -> s := !s +. a.sums.(j).(r)) parts;
+        finish !s)
+end
+
+(* Profiled template scoring: per (part, trace) the class-conditional
+   log-likelihood row is candidate-independent, so the payload is one
+   flat {!Profile.class_table} per part and segment, built from the
+   template's points of interest, and every guess just sums its
+   predicted class's entry.  A product model runs
+   {!Stats.Pearson.Batch.Fused.fold_class_product}, the C tile with the
+   hardware popcount; a split or plain model runs the same 4-guess
+   register tile in OCaml over its segment table (one prepped load, four
+   eval/popcount/table reads per trace), the shape of
+   {!Stats.Pearson.Batch.Fused.fold_split}.  The mean (not sum) over
+   traces keeps scores comparable across budgets, like a correlation. *)
+module Profiled (P : sig
+  val store : Profile.store
+end) =
+Per_guess_sum (struct
+  let name = "profiled"
+  let nclass = P.store.Profile.nclass
+
+  type part = Profile.point
+
+  let part s = Profile.point P.store ~sample:s
+  let columns pt = Array.to_list pt.Profile.abs_pois
+
+  type payload = float array  (* trace-major class scores *)
+
+  let payload pt cols ~len = Profile.class_table P.store pt.Profile.tpl cols ~len
 
   let[@inline] entry tbl i cls =
     Array.unsafe_get tbl ((i * nclass) + if cls >= nclass then nclass - 1 else cls)
 
-  let fold a s =
-    let len = s.len and guesses = a.guesses in
+  let tile tbl src ~acc ~guesses ~len =
     let g = Array.length guesses in
-    Array.iteri
-      (fun j tbl ->
-        let acc = a.sll.(j) in
-        match s.srcs.(j) with
-        | Mul prepped ->
-            Stats.Pearson.Batch.Fused.fold_class_product ~acc ~tbl ~nclass ~guesses
-              ~prepped ~len
-        | Tab (prepped, eval) ->
-            (* 4-guess tiles, then the tail one guess at a time *)
-            let r = ref 0 in
-            while !r + 4 <= g do
-              let r0 = !r in
-              let g0 = Array.unsafe_get guesses r0
-              and g1 = Array.unsafe_get guesses (r0 + 1)
-              and g2 = Array.unsafe_get guesses (r0 + 2)
-              and g3 = Array.unsafe_get guesses (r0 + 3) in
-              let e0 = ref (Array.unsafe_get acc r0)
-              and e1 = ref (Array.unsafe_get acc (r0 + 1))
-              and e2 = ref (Array.unsafe_get acc (r0 + 2))
-              and e3 = ref (Array.unsafe_get acc (r0 + 3)) in
-              for i = 0 to len - 1 do
-                let p = Array.unsafe_get prepped i in
-                e0 := !e0 +. entry tbl i (Bitops.popcount (eval g0 p));
-                e1 := !e1 +. entry tbl i (Bitops.popcount (eval g1 p));
-                e2 := !e2 +. entry tbl i (Bitops.popcount (eval g2 p));
-                e3 := !e3 +. entry tbl i (Bitops.popcount (eval g3 p))
-              done;
-              Array.unsafe_set acc r0 !e0;
-              Array.unsafe_set acc (r0 + 1) !e1;
-              Array.unsafe_set acc (r0 + 2) !e2;
-              Array.unsafe_set acc (r0 + 3) !e3;
-              r := r0 + 4
-            done;
-            for r0 = !r to g - 1 do
-              let gu = Array.unsafe_get guesses r0 in
-              let e = ref (Array.unsafe_get acc r0) in
-              for i = 0 to len - 1 do
-                e :=
-                  !e +. entry tbl i (Bitops.popcount (eval gu (Array.unsafe_get prepped i)))
-              done;
-              Array.unsafe_set acc r0 !e
-            done)
-      s.tables
-
-  let finalize p ~parts a =
-    let nrm = 1. /. float_of_int (max 1 p.n) in
-    Array.init (Array.length a.guesses) (fun r ->
-        let s = ref 0. in
-        List.iter (fun j -> s := !s +. a.sll.(j).(r)) parts;
-        !s *. nrm)
-end
-
-(* The calibrated absolute-level statistic of the exponent sweep: the
-   negative mean squared residual between the samples and
-   [baseline + alpha * HW], one running error per (part, guess) summed
-   over parts at the end. *)
-module Absolute (L : sig
-  val alpha : float
-  val baseline : float
-end) : Distinguisher.S = struct
-  let name = "absolute"
-
-  type 'k plan = { samples : int array; models : 'k Hypothesis.Model.t array; mutable n : int }
-
-  let plan ~parts =
-    {
-      samples = Array.of_list (List.map fst parts);
-      models = Array.of_list (List.map snd parts);
-      n = 0;
-    }
-
-  let needs p = Array.to_list (Array.map (fun s -> [ s ]) p.samples)
-
-  type 'k seg = { len : int; cols : float array array; srcs : seg_src array }
-
-  let prepare p batch =
-    let len =
-      checked_length ~what:"Dema: absolute" ~nparts:(Array.length p.models)
-        ~ncols:(fun _ -> 1) batch
-    in
-    p.n <- p.n + len;
-    {
-      len;
-      cols = Array.map (fun (c, _) -> c.(0)) batch;
-      srcs = Array.mapi (fun j (_, ks) -> seg_src p.models.(j) ks) batch;
-    }
-
-  type 'k acc = { guesses : int array; err : float array array (* part -> guess *) }
-
-  let acc p guesses =
-    {
-      guesses;
-      err = Array.map (fun _ -> Array.make (Array.length guesses) 0.) p.models;
-    }
-
-  let[@inline] sq_residual t x =
-    let rr = t -. (L.baseline +. (L.alpha *. float_of_int (Bitops.popcount x))) in
-    rr *. rr
-
-  (* the profiled fold's 4-guess tiles, then the tail one guess at a
-     time; each guess's error takes its additions in trace order either
-     way *)
-  let fold a s =
-    let len = s.len and guesses = a.guesses in
-    let g = Array.length guesses in
-    Array.iteri
-      (fun j col ->
-        let err = a.err.(j) in
-        let prepped, eval = tab s.srcs.(j) in
+    match src with
+    | Mul prepped ->
+        Stats.Pearson.Batch.Fused.fold_class_product ~acc ~tbl ~nclass ~guesses ~prepped
+          ~len
+    | Tab (prepped, eval) ->
+        (* 4-guess tiles, then the tail one guess at a time *)
         let r = ref 0 in
         while !r + 4 <= g do
           let r0 = !r in
@@ -448,42 +378,103 @@ end) : Distinguisher.S = struct
           and g1 = Array.unsafe_get guesses (r0 + 1)
           and g2 = Array.unsafe_get guesses (r0 + 2)
           and g3 = Array.unsafe_get guesses (r0 + 3) in
-          let e0 = ref (Array.unsafe_get err r0)
-          and e1 = ref (Array.unsafe_get err (r0 + 1))
-          and e2 = ref (Array.unsafe_get err (r0 + 2))
-          and e3 = ref (Array.unsafe_get err (r0 + 3)) in
+          let e0 = ref (Array.unsafe_get acc r0)
+          and e1 = ref (Array.unsafe_get acc (r0 + 1))
+          and e2 = ref (Array.unsafe_get acc (r0 + 2))
+          and e3 = ref (Array.unsafe_get acc (r0 + 3)) in
           for i = 0 to len - 1 do
-            let t = Array.unsafe_get col i and p = Array.unsafe_get prepped i in
-            e0 := !e0 +. sq_residual t (eval g0 p);
-            e1 := !e1 +. sq_residual t (eval g1 p);
-            e2 := !e2 +. sq_residual t (eval g2 p);
-            e3 := !e3 +. sq_residual t (eval g3 p)
+            let p = Array.unsafe_get prepped i in
+            e0 := !e0 +. entry tbl i (Bitops.popcount (eval g0 p));
+            e1 := !e1 +. entry tbl i (Bitops.popcount (eval g1 p));
+            e2 := !e2 +. entry tbl i (Bitops.popcount (eval g2 p));
+            e3 := !e3 +. entry tbl i (Bitops.popcount (eval g3 p))
           done;
-          Array.unsafe_set err r0 !e0;
-          Array.unsafe_set err (r0 + 1) !e1;
-          Array.unsafe_set err (r0 + 2) !e2;
-          Array.unsafe_set err (r0 + 3) !e3;
+          Array.unsafe_set acc r0 !e0;
+          Array.unsafe_set acc (r0 + 1) !e1;
+          Array.unsafe_set acc (r0 + 2) !e2;
+          Array.unsafe_set acc (r0 + 3) !e3;
           r := r0 + 4
         done;
         for r0 = !r to g - 1 do
           let gu = Array.unsafe_get guesses r0 in
-          let e = ref (Array.unsafe_get err r0) in
+          let e = ref (Array.unsafe_get acc r0) in
           for i = 0 to len - 1 do
-            e :=
-              !e
-              +. sq_residual (Array.unsafe_get col i) (eval gu (Array.unsafe_get prepped i))
+            e := !e +. entry tbl i (Bitops.popcount (eval gu (Array.unsafe_get prepped i)))
           done;
-          Array.unsafe_set err r0 !e
-        done)
-      s.cols
+          Array.unsafe_set acc r0 !e
+        done
 
-  let finalize p ~parts a =
-    let d = float_of_int p.n in
-    Array.init (Array.length a.guesses) (fun r ->
-        let s = ref 0. in
-        List.iter (fun j -> s := !s +. a.err.(j).(r)) parts;
-        -. !s /. d)
-end
+  let finish ~n =
+    let nrm = 1. /. float_of_int (max 1 n) in
+    fun s -> s *. nrm
+end)
+
+(* The calibrated absolute-level statistic of the exponent sweep: the
+   negative mean squared residual between the samples and
+   [baseline + alpha * HW].  The payload is the part's raw column. *)
+module Absolute (L : sig
+  val alpha : float
+  val baseline : float
+end) =
+Per_guess_sum (struct
+  let name = "absolute"
+
+  type part = int
+
+  let part s = s
+  let columns s = [ s ]
+
+  type payload = float array
+
+  let payload _ cols ~len:_ = cols.(0)
+
+  let[@inline] sq_residual t x =
+    let rr = t -. (L.baseline +. (L.alpha *. float_of_int (Bitops.popcount x))) in
+    rr *. rr
+
+  (* the profiled tile's shape: 4-guess tiles, then the tail one guess
+     at a time *)
+  let tile col src ~acc ~guesses ~len =
+    let g = Array.length guesses in
+    let prepped, eval = tab src in
+    let r = ref 0 in
+    while !r + 4 <= g do
+      let r0 = !r in
+      let g0 = Array.unsafe_get guesses r0
+      and g1 = Array.unsafe_get guesses (r0 + 1)
+      and g2 = Array.unsafe_get guesses (r0 + 2)
+      and g3 = Array.unsafe_get guesses (r0 + 3) in
+      let e0 = ref (Array.unsafe_get acc r0)
+      and e1 = ref (Array.unsafe_get acc (r0 + 1))
+      and e2 = ref (Array.unsafe_get acc (r0 + 2))
+      and e3 = ref (Array.unsafe_get acc (r0 + 3)) in
+      for i = 0 to len - 1 do
+        let t = Array.unsafe_get col i and p = Array.unsafe_get prepped i in
+        e0 := !e0 +. sq_residual t (eval g0 p);
+        e1 := !e1 +. sq_residual t (eval g1 p);
+        e2 := !e2 +. sq_residual t (eval g2 p);
+        e3 := !e3 +. sq_residual t (eval g3 p)
+      done;
+      Array.unsafe_set acc r0 !e0;
+      Array.unsafe_set acc (r0 + 1) !e1;
+      Array.unsafe_set acc (r0 + 2) !e2;
+      Array.unsafe_set acc (r0 + 3) !e3;
+      r := r0 + 4
+    done;
+    for r0 = !r to g - 1 do
+      let gu = Array.unsafe_get guesses r0 in
+      let e = ref (Array.unsafe_get acc r0) in
+      for i = 0 to len - 1 do
+        e :=
+          !e +. sq_residual (Array.unsafe_get col i) (eval gu (Array.unsafe_get prepped i))
+      done;
+      Array.unsafe_set acc r0 !e
+    done
+
+  let finish ~n =
+    let d = float_of_int n in
+    fun s -> -.s /. d
+end)
 
 let pearson kernel : (module Distinguisher.S) =
   (module Pearson (struct
@@ -768,11 +759,8 @@ let rank_until ?ctx:(c = Ctx.default ()) ~spec ?(batch = 64) ~traces ~parts
    unit, so at most [jobs] decoded shards are ever live) and their
    per-shard results are combined in shard order.  Column extraction is
    arithmetic-free, so each shard is one driver segment holding exactly
-   the columns the in-memory path sees, and every ranking below is
-   bit-identical to its in-memory counterpart at every [jobs]; the
-   evolution path merges Welford/Chan accumulators in shard order,
-   deterministic at every [jobs] and equal to a prefix rescan up to
-   floating-point reassociation. *)
+   the columns the in-memory path sees, and every result below is
+   bit-identical to its in-memory counterpart at every [jobs]. *)
 module Stream = struct
   type codec = {
     check : Tracestore.meta -> unit;
@@ -1039,28 +1027,24 @@ module Stream = struct
       Obs.count ~level:Obs.Error
         ~fields:[ ("traces", Obs.Int tot) ]
         c.Ctx.obs "dema.degenerate_evolution" 1;
-    let f = Hypothesis.Model.apply model in
-    let per_shard =
-      map_shards ~ctx:c ?on_corrupt ?prefetch ?codec reader (fun traces ->
-          let acc = Stats.Welford.Cov.create () in
-          Array.iter
-            (fun (t : Leakage.trace) ->
-              Stats.Welford.Cov.add acc
-                (float_of_int (Bitops.popcount (f guess (known t))))
-                t.samples.(sample))
-            traces;
-          acc)
+    (* each shard's column and operands, gathered on the pool; the
+       correlation is then the in-memory evolution's one pass, read off
+       at every shard end *)
+    let pieces =
+      map_shards ~ctx:c ?on_corrupt ?prefetch ?codec reader
+        (gather ~samples:[| sample |] ~known)
     in
-    let _, checkpoints =
+    let _, at =
       List.fold_left
-        (fun (acc, out) shard_acc ->
-          let acc = Stats.Welford.Cov.merge acc shard_acc in
-          ( acc,
-            (Stats.Welford.Cov.count acc, Stats.Welford.Cov.correlation acc) :: out ))
-        (Stats.Welford.Cov.create (), [])
-        per_shard
+        (fun (n, at) (rows, _) ->
+          let n = n + Array.length rows in
+          (n, n :: at))
+        (0, []) pieces
     in
-    List.rev checkpoints
+    Stats.Pearson.evolution
+      ~traces:(Array.concat (List.map fst pieces))
+      ~hyp:(hyp_vector ~model ~known:(Array.concat (List.map snd pieces)) guess)
+      ~sample:0 ~at:(List.rev at)
 end
 
 (* a correlation-vs-time matrix is Pearson by definition, so it runs
@@ -1073,5 +1057,5 @@ let corr_time ?ctx:(c = Ctx.default ()) ~traces ~model ~known ~guesses () =
         ~hyps:(Array.map (hyp_vector ~model ~known) guesses))
 
 let evolution ~traces ~sample ~model ~known ~guess ~step =
-  let hyp = hyp_vector ~model ~known guess in
-  Stats.Pearson.evolution ~traces ~hyp ~sample ~step
+  Stats.Pearson.evolution ~traces ~hyp:(hyp_vector ~model ~known guess) ~sample
+    ~at:(Stats.Pearson.steps ~step (Array.length traces))

@@ -4,8 +4,13 @@
 
     {b One engine.}  Each statistic is one {!Distinguisher.S} instance
     — Pearson ({!distinguisher} on a Pearson selection), profiled
-    templates ([Profiled]) and the calibrated absolute-level exponent
-    statistic ({!absolute}).  The driver folds an instance over a
+    templates ({!distinguisher} on a [Profiled] selection) and the
+    calibrated absolute-level exponent statistic ({!absolute}).  The
+    last two are instances of one per-guess-sum functor: a guess's
+    score is the sum over parts of one running total per (part, guess),
+    and each supplies only its segment payload (a template class table,
+    or the raw column), its tile and its exact finalisation.  The
+    driver folds an instance over a
     {e feed} of (per-part column segments, known operands): in-memory
     traces are a one-segment feed ({!rank}, {!rank_absolute}), a trace
     store is its shards ({!Stream.rank}), and a sequential campaign
@@ -204,10 +209,10 @@ val rank_until :
     shard is one driver segment, so every instance replays the in-memory
     sweep's additions in global trace order and {!Stream.rank} is
     {e bit-identical} to the in-memory {!rank} over the same traces, at
-    every [jobs] and selection, with prefetch on or off.  {!Stream.evolution} merges
-    {!Stats.Welford.Cov} accumulators in shard order (Chan's formula):
-    deterministic at every [jobs], and equal to a prefix rescan up to
-    floating-point reassociation (1e-9 in the property tests).
+    every [jobs] and selection, with prefetch on or off.
+    {!Stream.evolution} is the in-memory {!evolution}'s one pass over
+    the gathered columns, so its checkpoints are bit-identical to the
+    in-memory values at the same trace counts.
 
     {b Corrupt shards.}  All entry points raise [Failure] if the store's
     sample width does not match its ring size.  The reader is a strict
@@ -350,9 +355,13 @@ module Stream : sig
     known:(Leakage.trace -> 'k) ->
     guess:int ->
     (int * float) list
-  (** Correlation-vs-trace-count checkpoints, one per shard boundary
-      (Fig. 4 e-h at campaign scale): running accumulators instead of
-      prefix rescans.  Raises [Failure] on a store holding no traces —
+  (** Correlation-vs-trace-count checkpoints, one at the end of every
+      non-empty shard (Fig. 4 e-h at campaign scale).  Shards are
+      decoded on the pool at [jobs > 1]; each contributes its sample
+      column and known operands, and {!Stats.Pearson.evolution} makes
+      its one pass over them in trace order, so every checkpoint is bit
+      for bit the in-memory {!evolution} value at that trace count.
+      Raises [Failure] on a store holding no traces —
       an empty campaign is a data error, not an empty evolution.  The
       model is the same {!Hypothesis.Model.t} the ranking sweeps take,
       evaluated through {!Hypothesis.Model.apply}. *)
@@ -382,7 +391,8 @@ val evolution :
   step:int ->
   (int * float) list
 (** Correlation at [sample] as a function of the trace count —
-    Fig. 4 (e-h). *)
+    Fig. 4 (e-h): {!Stats.Pearson.evolution} at every [step] traces and
+    at the whole set ({!Stats.Pearson.steps}). *)
 
 val hyp_vector : model:'k Hypothesis.Model.t -> known:'k array -> int -> float array
 (** The modelled leakage vector of one guess: the Hamming weight of

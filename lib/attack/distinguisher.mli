@@ -11,7 +11,9 @@
     order.  In-memory traces are a one-segment feed, a trace store is
     its shards, and a sequential campaign is the same fold with a
     tester looking between segments.  The registered instances live in
-    [Dema] ([Dema.distinguisher], [Dema.absolute]).
+    [Dema] ([Dema.distinguisher], [Dema.absolute]); the profiled and
+    absolute ones are one per-guess-sum functor, each supplying only
+    its segment payload, tile and finalisation.
 
     {b The contract} ({!S}).  An instance splits its work three ways:
     - a {e plan} per sweep, which resolves the parts, declares the

@@ -98,46 +98,6 @@ let eigenvalues a =
   let order = eigen_order vals in
   Array.map (fun i -> vals.(i)) order
 
-let pooled_covariance ~nclass ~classes rows =
-  let n = Array.length rows in
-  if n = 0 then invalid_arg "Profile.pooled_covariance: empty profiling set";
-  if Array.length classes <> n then
-    invalid_arg "Profile.pooled_covariance: classes/rows length mismatch";
-  let d = Array.length rows.(0) in
-  let counts = Array.make nclass 0 in
-  let sums = Array.make_matrix nclass d 0.0 in
-  Array.iteri
-    (fun i row ->
-      let c = classes.(i) in
-      if c < 0 || c >= nclass then
-        invalid_arg "Profile.pooled_covariance: class out of range";
-      if Array.length row <> d then
-        invalid_arg "Profile.pooled_covariance: ragged rows";
-      counts.(c) <- counts.(c) + 1;
-      for j = 0 to d - 1 do
-        sums.(c).(j) <- sums.(c).(j) +. row.(j)
-      done)
-    rows;
-  let means =
-    Array.init nclass (fun c ->
-        if counts.(c) = 0 then Array.make d 0.0
-        else Array.map (fun s -> s /. float_of_int counts.(c)) sums.(c))
-  in
-  let present = Array.fold_left (fun acc k -> if k > 0 then acc + 1 else acc) 0 counts in
-  let m2 = Array.make_matrix d d 0.0 in
-  Array.iteri
-    (fun i row ->
-      let mu = means.(classes.(i)) in
-      for j = 0 to d - 1 do
-        let xj = row.(j) -. mu.(j) in
-        for k = 0 to d - 1 do
-          m2.(j).(k) <- m2.(j).(k) +. (xj *. (row.(k) -. mu.(k)))
-        done
-      done)
-    rows;
-  let denom = float_of_int (max 1 (n - present)) in
-  Array.map (Array.map (fun x -> x /. denom)) m2
-
 (* {2 Training} *)
 
 (* per-template streaming accumulators *)

@@ -103,18 +103,10 @@ val train_plan :
     [target].  [observations] runs once per pass and must replay the
     same observations. *)
 
-val pooled_covariance :
-  nclass:int -> classes:int array -> float array array -> float array array
-(** [pooled_covariance ~nclass ~classes rows] is the pooled
-    within-class covariance of the row vectors (row [i] belongs to class
-    [classes.(i)]): class means subtracted, outer products summed,
-    normalised by [n - observed_classes].  The closed form the streaming
-    pass 2 accumulates; exposed for the property tests (symmetric PSD on
-    any profiling set). *)
-
 val eigenvalues : float array array -> float array
-(** Eigenvalues of a symmetric matrix (cyclic Jacobi), descending.
-    Deterministic; exposed for the PSD property tests. *)
+(** Eigenvalues of a symmetric matrix (cyclic Jacobi, the solver the
+    LDA whitening runs), descending.  Deterministic; exposed for the
+    solver's property test. *)
 
 (** {1 Scoring} *)
 

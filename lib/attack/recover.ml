@@ -222,7 +222,7 @@ let eval_hi ~sign g p =
    prior breaks the tie: |FFT(f)_k| <= n * 127 < 2^33 and is essentially
    never below 2^-31, so exactly one member of each 64-spaced tie class
    lies in the 64-wide biased-exponent window [992, 1056). *)
-let default_exponent_window = Seq.init 64 (fun i -> 992 + i)
+let exponent_window = Seq.init 64 (fun i -> 992 + i)
 
 (* Per-view calibration on the known-operand load transitions,
    averaged over the views whose fitted alpha sits within tolerance of
@@ -285,15 +285,14 @@ let hd_sign_exp_stage ~mant =
     (Fpr.Result_hi, Hypothesis.Model.fn (fun g y -> lo_word y lxor hi_word g y));
   ]
 
-let sign_exponent_multi ?ctx:(c = Ctx.default ()) ?(leakage = `Hw)
-    ?(exp_candidates = default_exponent_window) ~mant views =
+let sign_exponent_multi ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ~mant views =
   Obs.span c.Ctx.obs "recover.sign_exponent"
     ~fields:[ ("views", Obs.Int (List.length views)) ]
   @@ fun () ->
   let alpha, baseline = calibrate_views ~leakage views in
   let traces, idx = combine views in
   let candidates =
-    Seq.concat_map (fun e -> List.to_seq [ e; (1 lsl 11) lor e ]) exp_candidates
+    Seq.concat_map (fun e -> List.to_seq [ e; (1 lsl 11) lor e ]) exponent_window
   in
   (* the 12-bit joint guess packs (sign << 11) | exponent; each part's
      eval unpacks it, so all three stay split models *)

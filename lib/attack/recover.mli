@@ -136,7 +136,6 @@ val attack_sign : view -> int * float
 val sign_exponent_multi :
   ?ctx:Ctx.t ->
   ?leakage:leakage ->
-  ?exp_candidates:int Seq.t ->
   mant:int ->
   view list ->
   int * int * Dema.scored list

@@ -66,6 +66,10 @@ let check_options ?ctx ~stop ~max_traces () =
            (Distinguisher.name c.Ctx.backend))
   | _ -> ()
 
+let check_store ~dir reader =
+  if Tracestore.Reader.total_traces reader = 0 then
+    failwith (Printf.sprintf "store %s holds no traces (empty campaign)" dir)
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -207,6 +211,7 @@ module Falcon = struct
       invalid_arg
         "--until-confident is not available with --leakage hd on falcon: the \
          streaming decision sweeps have no d-free Hamming-distance part set";
+    check_store ~dir reader;
     let pk, truth_kp = read_keys dir in
     let truth_sk = Falcon.Scheme.secret_of_keypair truth_kp in
     let summary = ref None in
@@ -360,6 +365,7 @@ module Hqc_target = struct
   let recover_store ?ctx ?(leakage = `Hw) ?stop ?max_traces ?on_corrupt ?prefetch
       ~dir reader =
     check_options ?ctx ~stop ~max_traces ();
+    check_store ~dir reader;
     let total = Tracestore.Reader.total_traces reader in
     let budget = match max_traces with None -> total | Some k -> min k total in
     let read = lazy (fixed_budget_traces ~on_corrupt reader) in

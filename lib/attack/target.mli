@@ -138,7 +138,10 @@ module type S = sig
       across [jobs] and prefetch.  [?max_traces] caps an adaptive
       campaign.  Raises [Invalid_argument] from {!check_options}, or
       for a combination this target cannot run, before reading
-      anything, and [Failure] on missing/corrupt sidecars. *)
+      anything, [Failure] naming [dir] on a store that holds no traces
+      (before any sidecar read: an empty campaign is a data error, not
+      a recovery of nothing), and [Failure] on missing/corrupt
+      sidecars. *)
 end
 
 module Falcon : S

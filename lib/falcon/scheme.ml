@@ -33,7 +33,7 @@ let secret_of_keypair (kp : Ntru.Ntrugen.keypair) =
 let keygen ~n ~seed =
   (* validate n before the NTRU sampler touches it *)
   let (_ : Params.t) = Params.make n in
-  let kp = Ntru.Ntrugen.keygen ~n ~seed () in
+  let kp = Ntru.Ntrugen.keygen ~n ~seed in
   let sk = secret_of_keypair kp in
   (sk, { params = sk.params; h = kp.h })
 

@@ -162,7 +162,7 @@ let gs_norm_ok f g =
     n2 <= bound
   end
 
-let keygen ?(max_attempts = 50) ~n ~seed () =
+let keygen ~n ~seed =
   let rng = Prng.of_seed seed in
   let sigma = sigma_fg n in
   let rec attempt k =
@@ -190,7 +190,7 @@ let keygen ?(max_attempts = 50) ~n ~seed () =
       end
     end
   in
-  attempt max_attempts
+  attempt 50
 
 let recover_from_f ~n ~f ~h =
   if Array.length f <> n || Array.length h <> n then None

@@ -38,9 +38,9 @@ val gs_norm_ok : int array -> int array -> bool
     ||q (f-bar, g-bar) / (f f-bar + g g-bar)|| must stay below
     1.17 sqrt q. *)
 
-val keygen : ?max_attempts:int -> n:int -> seed:string -> unit -> keypair
+val keygen : n:int -> seed:string -> keypair
 (** Full key generation; deterministic in [seed].  Raises [Failure] after
-    [max_attempts] (default 50) rejected candidates. *)
+    50 rejected candidates. *)
 
 val recover_from_f : n:int -> f:int array -> h:int array -> keypair option
 (** The post-attack step: given the recovered f and the public h, derive

@@ -100,11 +100,22 @@ let corr_matrix ~traces ~hyps =
       hyps
   end
 
-let evolution ~traces ~hyp ~sample ~step =
+let steps ~step d =
+  if step < 1 then invalid_arg "Pearson.steps: step must be >= 1";
+  List.filter (fun n -> n mod step = 0 || n = d) (List.init d succ)
+
+let evolution ~traces ~hyp ~sample ~at =
   let d = Array.length traces in
-  assert (step > 0 && Array.length hyp = d);
+  if Array.length hyp <> d then invalid_arg "Pearson.evolution: one hypothesis per trace";
+  ignore
+    (List.fold_left
+       (fun prev n ->
+         if n <= prev || n > d then
+           invalid_arg "Pearson.evolution: checkpoints must rise within 1..traces";
+         n)
+       0 at);
   let sx = ref 0. and sy = ref 0. and sxx = ref 0. and syy = ref 0. and sxy = ref 0. in
-  let out = ref [] in
+  let out = ref [] and at = ref at in
   for i = 0 to d - 1 do
     let x = hyp.(i) and y = traces.(i).(sample) in
     sx := !sx +. x;
@@ -112,15 +123,16 @@ let evolution ~traces ~hyp ~sample ~step =
     sxx := !sxx +. (x *. x);
     syy := !syy +. (y *. y);
     sxy := !sxy +. (x *. y);
-    let n = i + 1 in
-    if n mod step = 0 || n = d then begin
-      let nf = float_of_int n in
-      let cov = !sxy -. (!sx *. !sy /. nf) in
-      let vx = !sxx -. (!sx *. !sx /. nf) in
-      let vy = !syy -. (!sy *. !sy /. nf) in
-      let r = if vx <= 0. || vy <= 0. || n < 2 then 0. else cov /. sqrt (vx *. vy) in
-      out := (n, r) :: !out
-    end
+    match !at with
+    | n :: rest when n = i + 1 ->
+        at := rest;
+        let nf = float_of_int n in
+        let cov = !sxy -. (!sx *. !sy /. nf) in
+        let vx = !sxx -. (!sx *. !sx /. nf) in
+        let vy = !syy -. (!sy *. !sy /. nf) in
+        let r = if vx <= 0. || vy <= 0. || n < 2 then 0. else cov /. sqrt (vx *. vy) in
+        out := (n, r) :: !out
+    | _ -> ()
   done;
   List.rev !out
 

@@ -40,12 +40,21 @@ val evolution :
   traces:float array array ->
   hyp:float array ->
   sample:int ->
-  step:int ->
+  at:int list ->
   (int * float) list
-(** [evolution ~traces ~hyp ~sample ~step] is the correlation of [hyp]
-    against sample [sample] computed over the first [d] traces for
-    [d = step, 2*step, ...] — the paper's correlation-vs-measurement
-    plots (Fig. 4 e-h). *)
+(** [evolution ~traces ~hyp ~sample ~at] is the correlation of [hyp]
+    against sample [sample] over the first [d] traces, for each
+    checkpoint [d] of [at] — the paper's correlation-vs-measurement
+    plots (Fig. 4 e-h).  One pass: the five raw sums of {!corr} take
+    their additions in trace order and are read off at each checkpoint,
+    so the value at [d] is bit for bit [corr] over the first [d]
+    traces.  Raises [Invalid_argument] unless [hyp] has one entry per
+    trace and [at] rises strictly within [1 .. D]. *)
+
+val steps : step:int -> int -> int list
+(** [steps ~step d] is the checkpoint list [step, 2*step, ...], ending
+    with [d] itself: every [step] traces and the whole set.  Raises
+    [Invalid_argument] if [step < 1]. *)
 
 (** The batched Pearson kernel: {!Fused}, the single-column tile every
     production sweep scores with, and the {!backend} switch that selects

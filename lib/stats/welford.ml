@@ -91,59 +91,3 @@ module Moments = struct
       { n = a.n + b.n; mu; m2; m3; m4 }
     end
 end
-
-module Cov = struct
-  type t = {
-    mutable n : int;
-    mutable mean_x : float;
-    mutable mean_y : float;
-    mutable m2x : float;
-    mutable m2y : float;
-    mutable cxy : float;
-  }
-
-  let create () = { n = 0; mean_x = 0.; mean_y = 0.; m2x = 0.; m2y = 0.; cxy = 0. }
-  let copy t = { t with n = t.n }
-
-  let add t x y =
-    t.n <- t.n + 1;
-    let nf = float_of_int t.n in
-    let dx = x -. t.mean_x and dy = y -. t.mean_y in
-    t.mean_x <- t.mean_x +. (dx /. nf);
-    t.mean_y <- t.mean_y +. (dy /. nf);
-    (* dx is the pre-update deviation, the second factors post-update:
-       the standard bias-free bivariate Welford recurrence *)
-    t.m2x <- t.m2x +. (dx *. (x -. t.mean_x));
-    t.m2y <- t.m2y +. (dy *. (y -. t.mean_y));
-    t.cxy <- t.cxy +. (dx *. (y -. t.mean_y))
-
-  let count t = t.n
-  let mean_x t = t.mean_x
-  let mean_y t = t.mean_y
-  let variance_x t = if t.n < 2 then 0. else t.m2x /. float_of_int (t.n - 1)
-  let variance_y t = if t.n < 2 then 0. else t.m2y /. float_of_int (t.n - 1)
-  let covariance t = if t.n < 2 then 0. else t.cxy /. float_of_int (t.n - 1)
-
-  let correlation t =
-    if t.n < 2 || t.m2x <= 0. || t.m2y <= 0. then 0.
-    else t.cxy /. sqrt (t.m2x *. t.m2y)
-
-  let merge a b =
-    if a.n = 0 then copy b
-    else if b.n = 0 then copy a
-    else begin
-      let n = a.n + b.n in
-      let nf = float_of_int n in
-      let na = float_of_int a.n and nb = float_of_int b.n in
-      let dx = b.mean_x -. a.mean_x and dy = b.mean_y -. a.mean_y in
-      let w = na *. nb /. nf in
-      {
-        n;
-        mean_x = a.mean_x +. (dx *. nb /. nf);
-        mean_y = a.mean_y +. (dy *. nb /. nf);
-        m2x = a.m2x +. b.m2x +. (dx *. dx *. w);
-        m2y = a.m2y +. b.m2y +. (dy *. dy *. w);
-        cxy = a.cxy +. b.cxy +. (dx *. dy *. w);
-      }
-    end
-end

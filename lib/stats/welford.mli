@@ -16,9 +16,8 @@ val merge : t -> t -> t
 (** Single-pass accumulator for the first four central moments
     (Pébay's generalisation of Welford/Chan).  [merge] combines two
     disjoint partial accumulators into exactly the moments of the
-    concatenated stream, with the same empty-side identity guarantee as
-    {!Cov.merge}: merging with an empty accumulator returns (a copy of)
-    the other side bit-for-bit.  Used by the TVLA engine
+    concatenated stream, and merging with an empty accumulator returns
+    (a copy of) the other side bit-for-bit.  Used by the TVLA engine
     ([Assess.Tvla]) for centered-second-order t-tests, where the
     variance of the centered-square variable is [central4 - central2^2]. *)
 module Moments : sig
@@ -44,39 +43,4 @@ module Moments : sig
   val merge : t -> t -> t
   (** Pébay's parallel combination.  Neither input is mutated; when one
       side is empty the other is returned unchanged (as a copy). *)
-end
-
-(** Paired (bivariate) accumulator: single-pass running mean, variance
-    and covariance of an (x, y) stream, with a Chan-formula [merge] so
-    partial accumulators computed shard-by-shard (possibly on different
-    domains) combine into exactly the statistic of the concatenated
-    stream, up to floating-point reassociation (see the 1e-9 property
-    tests).  One per trace column gives a streaming correlation tracker
-    (see [Attack.Dema.Stream.evolution]). *)
-module Cov : sig
-  type t
-
-  val create : unit -> t
-  val copy : t -> t
-
-  val add : t -> float -> float -> unit
-  (** [add t x y] folds one paired observation. *)
-
-  val count : t -> int
-  val mean_x : t -> float
-  val mean_y : t -> float
-
-  val variance_x : t -> float
-  (** Unbiased; 0 when fewer than two observations (likewise below). *)
-
-  val variance_y : t -> float
-  val covariance : t -> float
-
-  val correlation : t -> float
-  (** Pearson correlation of everything folded so far; 0 if either side
-      is constant. *)
-
-  val merge : t -> t -> t
-  (** Combine two disjoint partial accumulators (Chan).  Neither input
-      is mutated. *)
 end

@@ -1,4 +1,4 @@
-let kp = lazy (Ntru.Ntrugen.keygen ~n:32 ~seed:"keycodec key" ())
+let kp = lazy (Ntru.Ntrugen.keygen ~n:32 ~seed:"keycodec key")
 
 let pk () =
   let kp = Lazy.force kp in

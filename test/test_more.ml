@@ -94,7 +94,7 @@ let prop_decompress_garbage_total =
 let test_keygen_sizes () =
   List.iter
     (fun n ->
-      let kp = Ntru.Ntrugen.keygen ~n ~seed:(Printf.sprintf "sz %d" n) () in
+      let kp = Ntru.Ntrugen.keygen ~n ~seed:(Printf.sprintf "sz %d" n) in
       Alcotest.(check bool)
         (Printf.sprintf "NTRU equation n=%d" n)
         true

@@ -93,7 +93,7 @@ let test_solve_reduced_coefficients () =
   go 30
 
 let test_keygen_end_to_end () =
-  let kp = Ntru.Ntrugen.keygen ~n:16 ~seed:"keygen test" () in
+  let kp = Ntru.Ntrugen.keygen ~n:16 ~seed:"keygen test" in
   Alcotest.(check int) "n" 16 kp.n;
   Alcotest.(check bool) "NTRU equation" true
     (Ntru.Ntrugen.verify_ntru kp.f kp.g kp.big_f kp.big_g);
@@ -103,14 +103,14 @@ let test_keygen_end_to_end () =
   Alcotest.(check bool) "gs norm ok" true (Ntru.Ntrugen.gs_norm_ok kp.f kp.g)
 
 let test_keygen_deterministic () =
-  let a = Ntru.Ntrugen.keygen ~n:8 ~seed:"det" () in
-  let b = Ntru.Ntrugen.keygen ~n:8 ~seed:"det" () in
+  let a = Ntru.Ntrugen.keygen ~n:8 ~seed:"det" in
+  let b = Ntru.Ntrugen.keygen ~n:8 ~seed:"det" in
   Alcotest.(check bool) "same keys" true (a.f = b.f && a.g = b.g && a.h = b.h);
-  let c = Ntru.Ntrugen.keygen ~n:8 ~seed:"det2" () in
+  let c = Ntru.Ntrugen.keygen ~n:8 ~seed:"det2" in
   Alcotest.(check bool) "different seed differs" true (a.f <> c.f || a.g <> c.g)
 
 let test_recover_from_f () =
-  let kp = Ntru.Ntrugen.keygen ~n:16 ~seed:"recover" () in
+  let kp = Ntru.Ntrugen.keygen ~n:16 ~seed:"recover" in
   match Ntru.Ntrugen.recover_from_f ~n:16 ~f:kp.f ~h:kp.h with
   | None -> Alcotest.fail "recovery failed"
   | Some rec_kp ->
@@ -120,7 +120,7 @@ let test_recover_from_f () =
         (Ntru.Ntrugen.verify_ntru rec_kp.f rec_kp.g rec_kp.big_f rec_kp.big_g)
 
 let test_recover_wrong_f_fails () =
-  let kp = Ntru.Ntrugen.keygen ~n:16 ~seed:"wrong f" () in
+  let kp = Ntru.Ntrugen.keygen ~n:16 ~seed:"wrong f" in
   let f_bad = Array.copy kp.f in
   f_bad.(0) <- f_bad.(0) + 1;
   (* with a wrong f, the derived g is no longer small, so recovery must

@@ -259,29 +259,36 @@ let test_uncovered_sample_rejected () =
     expect_failure "point on un-profiled offset" (fun () ->
         ignore (Attack.Profile.point s ~sample:!uncovered))
 
-let prop_pooled_covariance_psd =
-  QCheck.Test.make ~count:100 ~name:"pooled covariance is symmetric PSD"
-    QCheck.(triple (int_range 2 6) (int_range 4 40) (int_range 2 8))
-    (fun (dim, n, nclass) ->
-      let rng = Stats.Rng.create ~seed:(dim + (31 * n) + (997 * nclass)) in
-      let rows =
-        Array.init n (fun _ ->
-            Array.init dim (fun _ -> Stats.Rng.gaussian rng ~mu:0. ~sigma:1.))
+(* The Jacobi solver behind the LDA whitening, on the matrices it
+   whitens: a random Gram matrix A·Aᵀ is symmetric PSD, so its
+   eigenvalues must be non-negative (to rounding) and sum to its
+   trace. *)
+let prop_gram_eigenvalues =
+  QCheck.Test.make ~count:100 ~name:"Gram matrix eigenvalues: PSD, sum to trace"
+    QCheck.(pair (int_range 2 6) (int_range 1 12))
+    (fun (dim, k) ->
+      let rng = Stats.Rng.create ~seed:(dim + (31 * k)) in
+      let a =
+        Array.init dim (fun _ ->
+            Array.init k (fun _ -> Stats.Rng.gaussian rng ~mu:0. ~sigma:1.))
       in
-      let classes = Array.init n (fun _ -> Stats.Rng.int_below rng nclass) in
-      let cov = Attack.Profile.pooled_covariance ~nclass ~classes rows in
-      let symmetric = ref true in
-      for i = 0 to dim - 1 do
-        for j = 0 to dim - 1 do
-          if Float.abs (cov.(i).(j) -. cov.(j).(i)) > 1e-9 then
-            symmetric := false
-        done
-      done;
-      let evs = Attack.Profile.eigenvalues cov in
-      let scale =
-        Array.fold_left (fun a v -> Float.max a (Float.abs v)) 1.0 evs
+      let gram =
+        Array.init dim (fun i ->
+            Array.init dim (fun j ->
+                let s = ref 0. in
+                for l = 0 to k - 1 do
+                  s := !s +. (a.(i).(l) *. a.(j).(l))
+                done;
+                !s))
       in
-      !symmetric && Array.for_all (fun v -> v >= -1e-9 *. scale) evs)
+      let evs = Attack.Profile.eigenvalues gram in
+      let scale = Array.fold_left (fun a v -> Float.max a (Float.abs v)) 1.0 evs in
+      let trace = ref 0. in
+      Array.iteri (fun i row -> trace := !trace +. row.(i)) gram;
+      Array.length evs = dim
+      && Array.for_all (fun v -> v >= -1e-9 *. scale) evs
+      && Float.abs (Array.fold_left ( +. ) 0. evs -. !trace)
+         <= 1e-9 *. scale *. float_of_int dim)
 
 (* ---- the decoder refuses templates training never produces ----
 
@@ -924,7 +931,7 @@ let suite =
       test_store_corruption_rejected;
     Alcotest.test_case "un-profiled sample rejected" `Quick
       test_uncovered_sample_rejected;
-    QCheck_alcotest.to_alcotest prop_pooled_covariance_psd;
+    QCheck_alcotest.to_alcotest prop_gram_eigenvalues;
     Alcotest.test_case "profiled and absolute routes agree" `Quick
       test_engine_routes_agree;
     Alcotest.test_case "profiled digests pinned" `Quick test_profiled_digests_pinned;

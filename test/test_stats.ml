@@ -22,58 +22,6 @@ let test_welford_merge () =
   Alcotest.(check bool) "merged var" true
     (feq (Stats.Welford.variance m) (Stats.Welford.variance all))
 
-let test_cov_exact () =
-  let c = Stats.Welford.Cov.create () in
-  List.iter
-    (fun (x, y) -> Stats.Welford.Cov.add c x y)
-    [ (1., 2.); (2., 4.); (3., 6.); (4., 8.) ];
-  Alcotest.(check int) "count" 4 (Stats.Welford.Cov.count c);
-  Alcotest.(check bool) "mean x" true (feq (Stats.Welford.Cov.mean_x c) 2.5);
-  Alcotest.(check bool) "mean y" true (feq (Stats.Welford.Cov.mean_y c) 5.);
-  Alcotest.(check bool) "var x" true (feq (Stats.Welford.Cov.variance_x c) (5. /. 3.));
-  Alcotest.(check bool) "var y" true (feq (Stats.Welford.Cov.variance_y c) (20. /. 3.));
-  Alcotest.(check bool) "cov" true (feq (Stats.Welford.Cov.covariance c) (10. /. 3.));
-  Alcotest.(check bool) "perfect corr" true (feq (Stats.Welford.Cov.correlation c) 1.);
-  (* constant y: correlation defined as 0, not NaN *)
-  let k = Stats.Welford.Cov.create () in
-  List.iter (fun x -> Stats.Welford.Cov.add k x 7.) [ 1.; 2.; 3. ];
-  Alcotest.(check bool) "constant side" true (feq (Stats.Welford.Cov.correlation k) 0.)
-
-let test_cov_matches_two_pass () =
-  let rng = Stats.Rng.create ~seed:21 in
-  let d = 500 in
-  let xs = Array.init d (fun _ -> Stats.Rng.gaussian rng ~mu:3. ~sigma:2.) in
-  let ys =
-    Array.map (fun x -> (0.7 *. x) +. Stats.Rng.gaussian rng ~mu:0. ~sigma:1.) xs
-  in
-  let c = Stats.Welford.Cov.create () in
-  Array.iteri (fun i x -> Stats.Welford.Cov.add c x ys.(i)) xs;
-  Alcotest.(check bool) "streaming corr == two-pass corr" true
-    (feq (Stats.Welford.Cov.correlation c) (Stats.Pearson.corr xs ys))
-
-let test_cov_merge () =
-  let rng = Stats.Rng.create ~seed:22 in
-  let whole = Stats.Welford.Cov.create () in
-  let a = Stats.Welford.Cov.create () and b = Stats.Welford.Cov.create () in
-  for i = 0 to 199 do
-    let x = Stats.Rng.gaussian rng ~mu:0. ~sigma:1. in
-    let y = x +. Stats.Rng.gaussian rng ~mu:0. ~sigma:0.5 in
-    Stats.Welford.Cov.add whole x y;
-    Stats.Welford.Cov.add (if i < 73 then a else b) x y
-  done;
-  let m = Stats.Welford.Cov.merge a b in
-  Alcotest.(check int) "count" 200 (Stats.Welford.Cov.count m);
-  Alcotest.(check bool) "mean x" true
-    (feq (Stats.Welford.Cov.mean_x m) (Stats.Welford.Cov.mean_x whole));
-  Alcotest.(check bool) "cov" true
-    (feq (Stats.Welford.Cov.covariance m) (Stats.Welford.Cov.covariance whole));
-  Alcotest.(check bool) "corr" true
-    (feq (Stats.Welford.Cov.correlation m) (Stats.Welford.Cov.correlation whole));
-  (* merging with an empty accumulator is the identity *)
-  let e = Stats.Welford.Cov.merge (Stats.Welford.Cov.create ()) whole in
-  Alcotest.(check bool) "empty merge identity" true
-    (feq (Stats.Welford.Cov.correlation e) (Stats.Welford.Cov.correlation whole))
-
 let test_corr_exact () =
   let xs = [| 1.; 2.; 3.; 4. |] in
   let ys = [| 2.; 4.; 6.; 8. |] in
@@ -158,7 +106,9 @@ let test_evolution_tail () =
   let traces =
     Array.map (fun h -> [| (2. *. h) +. Stats.Rng.gaussian rng ~mu:0. ~sigma:0.1 |]) hyp
   in
-  let series = Stats.Pearson.evolution ~traces ~hyp ~sample:0 ~step:16 in
+  let series =
+    Stats.Pearson.evolution ~traces ~hyp ~sample:0 ~at:(Stats.Pearson.steps ~step:16 d)
+  in
   Alcotest.(check int) "series length" 4 (List.length series);
   let dlast, rlast = List.nth series 3 in
   Alcotest.(check int) "last d" 64 dlast;
@@ -283,24 +233,6 @@ let prop_moments_empty_identity =
       let right = Stats.Welford.Moments.merge m (Stats.Welford.Moments.create ()) in
       probe left = probe m && probe right = probe m)
 
-let prop_cov_empty_identity =
-  QCheck.Test.make ~count:100 ~name:"Cov: merge with empty is identity"
-    QCheck.(pair small_int (int_range 1 50))
-    (fun (seed, n) ->
-      let rng = Stats.Rng.create ~seed in
-      let c = Stats.Welford.Cov.create () in
-      for _ = 1 to n do
-        let x = Stats.Rng.gaussian rng ~mu:0. ~sigma:1. in
-        Stats.Welford.Cov.add c x (x +. Stats.Rng.gaussian rng ~mu:0. ~sigma:1.)
-      done;
-      let probe x =
-        Stats.Welford.Cov.(
-          (count x, mean_x x, mean_y x, variance_x x, variance_y x, covariance x))
-      in
-      let left = Stats.Welford.Cov.merge (Stats.Welford.Cov.create ()) c in
-      let right = Stats.Welford.Cov.merge c (Stats.Welford.Cov.create ()) in
-      probe left = probe c && probe right = probe c)
-
 let test_welch_t () =
   (* hand-checked: n=4 each, means 1 vs 0, variances 1 and 4 ->
      t = 1 / sqrt(1/4 + 4/4) = 1/sqrt(1.25) *)
@@ -346,9 +278,6 @@ let suite =
   [
     Alcotest.test_case "welford basic" `Quick test_welford;
     Alcotest.test_case "welford merge" `Quick test_welford_merge;
-    Alcotest.test_case "cov exact" `Quick test_cov_exact;
-    Alcotest.test_case "cov matches two-pass" `Quick test_cov_matches_two_pass;
-    Alcotest.test_case "cov merge" `Quick test_cov_merge;
     Alcotest.test_case "pearson exact" `Quick test_corr_exact;
     Alcotest.test_case "corr_matrix agrees with corr" `Quick test_corr_matrix_agrees;
     Alcotest.test_case "corr_matrix bit-exact vs corr" `Quick
@@ -363,7 +292,6 @@ let suite =
     Alcotest.test_case "moments merge" `Quick test_moments_merge;
     Alcotest.test_case "welch t" `Quick test_welch_t;
     QCheck_alcotest.to_alcotest prop_moments_empty_identity;
-    QCheck_alcotest.to_alcotest prop_cov_empty_identity;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng next64 goldens" `Quick test_rng_goldens;
     Alcotest.test_case "gaussian moments" `Slow test_gaussian_moments;

@@ -1,11 +1,9 @@
-(* Streaming (out-of-core) analysis engine: the property tests of the
-   determinism contract.  Streaming Pearson (one Welford.Cov per trace
-   column) must equal the two-pass computation to 1e-9; its merges must
-   be associative and split-point independent; shard-checkpointed evolution
-   must match prefix rescans; and the store-backed rank / full-key paths
-   must be bit-identical to the in-memory ones at every jobs value. *)
-
-let feq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps *. (1. +. Float.abs a)
+(* Streaming (out-of-core) analysis engine: the tests of the
+   determinism contract.  The store-backed rank, evolution and full-key
+   paths must be bit-identical to the in-memory ones at every jobs
+   value: a store's evolution checkpoints are the in-memory evolution's
+   values at its shard ends, and a one-shard store's single checkpoint
+   is [Stats.Pearson.corr] over the whole campaign. *)
 
 let sk16 = lazy (fst (Falcon.Scheme.keygen ~n:16 ~seed:"stream test key"))
 let model = { Leakage.default_model with noise_sigma = 0.4 }
@@ -16,16 +14,16 @@ let rm_rf dir =
     Sys.rmdir dir
   end
 
-(* [traces] written to a temporary FALCON-16 store in shards of
+(* [traces] written to a temporary FALCON-[n] store (default 16) in shards of
    [shard_traces], handed to [f] as a reader *)
-let with_store ~shard_traces traces f =
+let with_store ?(n = 16) ~shard_traces traces f =
   let dir = Filename.temp_dir "fd_stream_test" "" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let w =
-        Tracestore.Writer.create ~dir ~n:16
-          ~width:(16 * Leakage.events_per_coeff)
+        Tracestore.Writer.create ~dir ~n
+          ~width:(n * Leakage.events_per_coeff)
           ~shard_traces
           ~model
       in
@@ -38,82 +36,6 @@ let with_campaign f =
   let sk = Lazy.force sk16 in
   let traces = Leakage.capture model ~seed:77 sk ~count:30 in
   with_store ~shard_traces:8 traces (f sk traces)
-
-(* A streaming per-column correlation tracker: one Welford.Cov per
-   trace column, every column fed the same hypothesis stream. *)
-let tracker ~hyps ~rows ~width lo hi =
-  let cols = Array.init width (fun _ -> Stats.Welford.Cov.create ()) in
-  for i = lo to hi - 1 do
-    Array.iteri (fun j acc -> Stats.Welford.Cov.add acc hyps.(i) rows.(i).(j)) cols
-  done;
-  cols
-
-let merge_trackers = Array.map2 Stats.Welford.Cov.merge
-
-let test_streaming_pearson_matches_two_pass () =
-  let rng = Stats.Rng.create ~seed:31 in
-  let d = 200 and width = 5 in
-  let hyps = Array.init d (fun _ -> Stats.Rng.gaussian rng ~mu:4. ~sigma:1.5) in
-  let rows =
-    Array.map
-      (fun h ->
-        Array.init width (fun j ->
-            (float_of_int (j + 1) *. h) +. Stats.Rng.gaussian rng ~mu:0. ~sigma:2.))
-      hyps
-  in
-  let s = tracker ~hyps ~rows ~width 0 d in
-  Array.iteri
-    (fun j acc ->
-      Alcotest.(check int) "count" d (Stats.Welford.Cov.count acc);
-      let col = Array.map (fun r -> r.(j)) rows in
-      let two_pass = Stats.Pearson.corr hyps col in
-      let streaming = Stats.Welford.Cov.correlation acc in
-      if not (feq streaming two_pass) then
-        Alcotest.failf "column %d: streaming %.12f vs two-pass %.12f" j streaming
-          two_pass)
-    s
-
-let test_streaming_merge_split_independent () =
-  let rng = Stats.Rng.create ~seed:32 in
-  let d = 120 and width = 3 in
-  let hyps = Array.init d (fun _ -> Stats.Rng.gaussian rng ~mu:0. ~sigma:1.) in
-  let rows =
-    Array.map
-      (fun h ->
-        Array.init width (fun _ -> h +. Stats.Rng.gaussian rng ~mu:0. ~sigma:0.7))
-      hyps
-  in
-  let tracker = tracker ~hyps ~rows ~width in
-  let agree what a b =
-    Array.iteri
-      (fun j x ->
-        if
-          not
-            (feq (Stats.Welford.Cov.correlation x) (Stats.Welford.Cov.correlation b.(j)))
-        then Alcotest.failf "%s: col %d diverges" what j)
-      a
-  in
-  let whole = tracker 0 d in
-  (* any split into consecutive chunks must merge back to the whole *)
-  List.iter
-    (fun cuts ->
-      let bounds = (0 :: cuts) @ [ d ] in
-      let rec pieces = function
-        | lo :: (hi :: _ as rest) -> tracker lo hi :: pieces rest
-        | _ -> []
-      in
-      let merged =
-        match pieces bounds with
-        | p :: ps -> List.fold_left merge_trackers p ps
-        | [] -> assert false
-      in
-      agree ("split " ^ String.concat "," (List.map string_of_int cuts)) merged whole)
-    [ [ 60 ]; [ 17 ]; [ 40; 80 ]; [ 8; 16; 100 ] ];
-  (* associativity: (a + b) + c == a + (b + c) *)
-  let a = tracker 0 40 and b = tracker 40 80 and c = tracker 80 d in
-  agree "merge associativity"
-    (merge_trackers (merge_trackers a b) c)
-    (merge_trackers a (merge_trackers b c))
 
 let test_stream_rank_bit_identical () =
   with_campaign @@ fun sk traces reader ->
@@ -176,10 +98,10 @@ let test_stream_evolution_matches_prefix_rescan () =
       match List.assoc_opt d rescans with
       | None -> Alcotest.failf "no rescan at %d traces" d
       | Some r' ->
-          if not (feq r r') then
-            Alcotest.failf "checkpoint at %d traces: %.12f vs rescan %.12f" d r r')
+          if not (Float.equal r r') then
+            Alcotest.failf "checkpoint at %d traces: %h vs rescan %h" d r r')
     checkpoints;
-  (* deterministic across jobs (same shard-order merge) *)
+  (* deterministic across jobs: the pool gathers, one pass adds *)
   Alcotest.(check bool) "evolution jobs-invariant" true (streamed 2 = checkpoints)
 
 let fullkey_strategy sk ~coeff ~mul =
@@ -278,18 +200,21 @@ let test_stream_evolution_single_shard () =
       with
       | [ (d, r) ] ->
           Alcotest.(check int) "checkpoint at full campaign" 24 d;
-          let acc = Stats.Welford.Cov.create () in
-          Array.iter
-            (fun (t : Leakage.trace) ->
-              Stats.Welford.Cov.add acc
-                (float_of_int
-                   (Bitops.popcount
-                      (Attack.Hypothesis.Model.apply Attack.Recover.p_w00 d_true
-                         (known t))))
-                t.samples.(Attack.Recover.sample Fpr.Mant_w00))
-            traces;
-          Alcotest.(check bool) "equals full batch correlation" true
-            (feq r (Stats.Welford.Cov.correlation acc))
+          let hyp =
+            Array.map
+              (fun t ->
+                float_of_int
+                  (Bitops.popcount
+                     (Attack.Hypothesis.Model.apply Attack.Recover.p_w00 d_true (known t))))
+              traces
+          in
+          let col =
+            Array.map
+              (fun (t : Leakage.trace) -> t.samples.(Attack.Recover.sample Fpr.Mant_w00))
+              traces
+          in
+          Alcotest.(check bool) "equals full batch correlation, bit for bit" true
+            (Float.equal r (Stats.Pearson.corr hyp col))
       | cps -> Alcotest.failf "expected one checkpoint, got %d" (List.length cps))
 
 let test_stream_evolution_empty_store () =
@@ -665,6 +590,62 @@ let test_candidate_count_goldens () =
     (candidate_count_digests sk traces reader)
     candidate_count_goldens
 
+(* The sign/exponent stage's top-8 ranking ({!Attack.Recover.sign_exponent_multi},
+   the calibrated absolute-level statistic over three or four split
+   parts per view and two views) on two units of a seeded FALCON-8
+   store, under the Hamming-weight and the bus Hamming-distance models:
+   every (guess, score bits) digested, equal at -j 1 and -j 4 and to
+   goldens captured from the per-statistic scoring loops that preceded
+   the shared per-guess-sum instance. *)
+let sign_exponent_units = [ (1, `Re); (6, `Im) ]
+
+let sign_exponent_goldens =
+  [
+    (`Hw, [ "efc03d8efdc8746ce1d304de37aaf7fd"; "86a404c874bb897ee6e6a0dd7f7a0b09" ]);
+    (`Hd, [ "0d43c3dd7f0f89f9483a281f8796e3e2"; "1c911a12fd50beef7418d78aad16875d" ]);
+  ]
+
+let test_sign_exponent_goldens () =
+  let sk = fst (Falcon.Scheme.keygen ~n:8 ~seed:"sign exponent golden") in
+  List.iter
+    (fun (leakage, goldens) ->
+      let emitter =
+        match leakage with `Hw -> Leakage.default_emitter | `Hd -> Leakage.hd_emitter
+      in
+      let traces = Leakage.capture ~emitter model ~seed:83 sk ~count:96 in
+      with_store ~n:8 ~shard_traces:32 traces @@ fun reader ->
+      let fd = Attack.Dema.Stream.shard_feed reader in
+      let rec drain () = match fd.next () with Some b -> b :: drain () | None -> [] in
+      let stored = Array.concat (drain ()) in
+      fd.close ();
+      List.iter2
+        (fun (coeff, component) golden ->
+          let truth =
+            match component with
+            | `Re -> sk.Falcon.Scheme.f_fft.Fft.re.(coeff)
+            | `Im -> sk.Falcon.Scheme.f_fft.Fft.im.(coeff)
+          in
+          let views = Attack.Recover.views_for stored ~coeff ~component in
+          let digest jobs =
+            let _, _, ranked =
+              Attack.Recover.sign_exponent_multi ~ctx:(Attack.Ctx.make ~jobs ()) ~leakage
+                ~mant:(Fpr.mantissa truth) views
+            in
+            Alcotest.(check int) "top 8" 8 (List.length ranked);
+            ranking_digest ranked
+          in
+          let what =
+            Printf.sprintf "%s unit (%d, %s)"
+              (match leakage with `Hw -> "hw" | `Hd -> "hd")
+              coeff
+              (match component with `Re -> "re" | `Im -> "im")
+          in
+          let d1 = digest 1 in
+          Alcotest.(check string) (what ^ ": -j 4 == -j 1") d1 (digest 4);
+          Alcotest.(check string) (what ^ ": golden") golden d1)
+        sign_exponent_units goldens)
+    sign_exponent_goldens
+
 (* Dema.corr_time, the Fig. 4 (a-d) matrices: Pearson.corr_matrix over
    hyp_vector rows, bit for bit, on a fixed simulated multiplication
    view under the sign and exponent models.  The goldens digest every
@@ -760,10 +741,6 @@ let test_fixed_sweep_is_lazy () =
 
 let suite =
   [
-    Alcotest.test_case "streaming pearson == two-pass" `Quick
-      test_streaming_pearson_matches_two_pass;
-    Alcotest.test_case "merge split-independent and associative" `Quick
-      test_streaming_merge_split_independent;
     Alcotest.test_case "stream rank bit-identical" `Quick
       test_stream_rank_bit_identical;
     Alcotest.test_case "evolution checkpoints == prefix rescans" `Quick
@@ -792,6 +769,8 @@ let suite =
       test_prefetch_parity;
     Alcotest.test_case "rank over 0/1/512/513 candidates matches goldens" `Quick
       test_candidate_count_goldens;
+    Alcotest.test_case "sign/exponent top-8 on store units matches goldens" `Quick
+      test_sign_exponent_goldens;
     Alcotest.test_case "fixed sweep reads candidates lazily" `Quick
       test_fixed_sweep_is_lazy;
     Alcotest.test_case "corr_time == corr_matrix, goldens, empty shapes" `Quick
