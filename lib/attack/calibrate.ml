@@ -1,25 +1,25 @@
 let lo32 y = Int64.to_int (Int64.logand y 0xFFFFFFFFL)
 let hi32 y = Int64.to_int (Int64.shift_right_logical y 32)
 
+(* The least-squares fit over every (HW, sample) point of [points], the
+   sums added point by point from the last (sample, word) pair's last
+   trace back to the first pair's first trace.  The loops close over no
+   float accumulator, so the sums stay unboxed. *)
 let estimate_points ~traces ~known points =
-  let pts = ref [] in
-  let add (sample, word_of) =
-    Array.iteri
-      (fun i t ->
-        let hw = float_of_int (Bitops.popcount (word_of known.(i))) in
-        pts := (hw, t.(sample)) :: !pts)
-      traces
-  in
-  List.iter add points;
-  let n = float_of_int (List.length !pts) in
+  let points = Array.of_list points and d = Array.length traces in
+  let n = float_of_int (Array.length points * d) in
   let sx = ref 0. and sy = ref 0. and sxx = ref 0. and sxy = ref 0. in
-  List.iter
-    (fun (x, y) ->
+  for p = Array.length points - 1 downto 0 do
+    let sample, word_of = points.(p) in
+    for i = d - 1 downto 0 do
+      let x = float_of_int (Bitops.popcount (word_of known.(i))) in
+      let y = traces.(i).(sample) in
       sx := !sx +. x;
       sy := !sy +. y;
       sxx := !sxx +. (x *. x);
-      sxy := !sxy +. (x *. y))
-    !pts;
+      sxy := !sxy +. (x *. y)
+    done
+  done;
   let denom = !sxx -. (!sx *. !sx /. n) in
   if denom <= 0. then (1., 0.)
   else begin

@@ -90,10 +90,6 @@ let seg_src model known =
   | Hypothesis.Model.Fn f ->
       Tab (Array.init (Array.length known) Fun.id, fun g i -> f g (Array.unsafe_get known i))
 
-(* [Mul] as the [Tab] it abbreviates, for the statistics without a
-   product tile *)
-let tab = function Tab (prepped, eval) -> (prepped, eval) | Mul prepped -> (prepped, ( * ))
-
 (* Pearson DEMA (Eq. 1): per candidate, the sum over parts of |r|
    between the modelled Hamming weights and the part's column.  The
    plan keeps each column's running moments; a chunk keeps per (part,
@@ -134,6 +130,7 @@ end) : Distinguisher.S = struct
     }
 
   let needs p = Array.to_list (Array.map (fun s -> [ s ]) p.samples)
+  let terms p = Array.length p.samples * p.n
 
   type 'k seg = {
     len : int;
@@ -260,84 +257,12 @@ end) : Distinguisher.S = struct
     out
 end
 
-(* The per-guess-sum statistics: a guess's score is the sum over parts
-   of one running total per (part, guess), to which every trace adds a
-   term read off a per-segment payload, finalised exactly from the
-   sum.  One accumulator per (part, guess) takes its additions in
-   global trace order however the stream is split or the guesses tiled.
-   An instance supplies only what differs: what its plan keeps for a
-   part at an absolute sample, the columns that part needs, the payload
-   it builds from them per segment, the tile that adds one segment's
-   terms, and the finalisation of the part sum over [n] traces. *)
-module Per_guess_sum (I : sig
-  val name : string
-
-  type part
-
-  val part : int -> part
-  val columns : part -> int list
-
-  type payload
-
-  val payload : part -> float array array -> len:int -> payload
-  val tile : payload -> seg_src -> acc:float array -> guesses:int array -> len:int -> unit
-  val finish : n:int -> float -> float
-end) : Distinguisher.S = struct
-  let name = I.name
-
-  type 'k plan = {
-    parts : I.part array;
-    models : 'k Hypothesis.Model.t array;
-    mutable n : int;
-  }
-
-  let plan ~parts =
-    {
-      parts = Array.of_list (List.map (fun (s, _) -> I.part s) parts);
-      models = Array.of_list (List.map snd parts);
-      n = 0;
-    }
-
-  let needs p = Array.to_list (Array.map I.columns p.parts)
-
-  type 'k seg = { len : int; payloads : I.payload array; srcs : seg_src array }
-
-  let prepare p batch =
-    let len =
-      checked_length ~what:("Dema: " ^ I.name) ~nparts:(Array.length p.parts)
-        ~ncols:(fun j -> List.length (I.columns p.parts.(j)))
-        batch
-    in
-    p.n <- p.n + len;
-    {
-      len;
-      payloads = Array.mapi (fun j (cols, _) -> I.payload p.parts.(j) cols ~len) batch;
-      srcs = Array.mapi (fun j (_, ks) -> seg_src p.models.(j) ks) batch;
-    }
-
-  type 'k acc = { guesses : int array; sums : float array array (* part -> guess *) }
-
-  let acc p guesses =
-    { guesses; sums = Array.map (fun _ -> Array.make (Array.length guesses) 0.) p.parts }
-
-  let fold a s =
-    Array.iteri
-      (fun j pl -> I.tile pl s.srcs.(j) ~acc:a.sums.(j) ~guesses:a.guesses ~len:s.len)
-      s.payloads
-
-  let finalize p ~parts a =
-    let finish = I.finish ~n:p.n in
-    Array.init (Array.length a.guesses) (fun r ->
-        let s = ref 0. in
-        List.iter (fun j -> s := !s +. a.sums.(j).(r)) parts;
-        finish !s)
-end
-
 (* Profiled template scoring: per (part, trace) the class-conditional
-   log-likelihood row is candidate-independent, so the payload is one
-   flat {!Profile.class_table} per part and segment, built from the
-   template's points of interest, and every guess just sums its
-   predicted class's entry.  A product model runs
+   log-likelihood row is candidate-independent, so each part's segment
+   payload is one flat {!Profile.class_table}, built from the template's
+   points of interest, and a guess's score is the sum over parts of one
+   running total per (part, guess), to which every trace adds its
+   predicted class's entry in global trace order.  A product model runs
    {!Stats.Pearson.Batch.Fused.fold_class_product}, the C tile with the
    hardware popcount; a split or plain model runs the same 4-guess
    register tile in OCaml over its segment table (one prepped load, four
@@ -346,19 +271,49 @@ end
    traces keeps scores comparable across budgets, like a correlation. *)
 module Profiled (P : sig
   val store : Profile.store
-end) =
-Per_guess_sum (struct
+end) : Distinguisher.S = struct
   let name = "profiled"
   let nclass = P.store.Profile.nclass
 
-  type part = Profile.point
+  type 'k plan = {
+    points : Profile.point array;
+    models : 'k Hypothesis.Model.t array;
+    mutable n : int;
+  }
 
-  let part s = Profile.point P.store ~sample:s
-  let columns pt = Array.to_list pt.Profile.abs_pois
+  let plan ~parts =
+    {
+      points = Array.of_list (List.map (fun (s, _) -> Profile.point P.store ~sample:s) parts);
+      models = Array.of_list (List.map snd parts);
+      n = 0;
+    }
 
-  type payload = float array  (* trace-major class scores *)
+  let needs p = Array.to_list (Array.map (fun pt -> Array.to_list pt.Profile.abs_pois) p.points)
+  let terms p = Array.length p.points * p.n
 
-  let payload pt cols ~len = Profile.class_table P.store pt.Profile.tpl cols ~len
+  (* per part: the trace-major class scores and the hypothesis source *)
+  type 'k seg = { len : int; tables : float array array; srcs : seg_src array }
+
+  let prepare p batch =
+    let len =
+      checked_length ~what:"Dema: profiled" ~nparts:(Array.length p.points)
+        ~ncols:(fun j -> Array.length p.points.(j).Profile.abs_pois)
+        batch
+    in
+    p.n <- p.n + len;
+    {
+      len;
+      tables =
+        Array.mapi
+          (fun j (cols, _) -> Profile.class_table P.store p.points.(j).Profile.tpl cols ~len)
+          batch;
+      srcs = Array.mapi (fun j (_, ks) -> seg_src p.models.(j) ks) batch;
+    }
+
+  type 'k acc = { guesses : int array; sums : float array array (* part -> guess *) }
+
+  let acc p guesses =
+    { guesses; sums = Array.map (fun _ -> Array.make (Array.length guesses) 0.) p.points }
 
   let[@inline] entry tbl i cls =
     Array.unsafe_get tbl ((i * nclass) + if cls >= nclass then nclass - 1 else cls)
@@ -404,77 +359,192 @@ Per_guess_sum (struct
           Array.unsafe_set acc r0 !e
         done
 
-  let finish ~n =
-    let nrm = 1. /. float_of_int (max 1 n) in
-    fun s -> s *. nrm
-end)
+  let fold a s =
+    Array.iteri
+      (fun j tbl -> tile tbl s.srcs.(j) ~acc:a.sums.(j) ~guesses:a.guesses ~len:s.len)
+      s.tables
+
+  let finalize p ~parts a =
+    let nrm = 1. /. float_of_int (max 1 p.n) in
+    Array.init (Array.length a.guesses) (fun r ->
+        let s = ref 0. in
+        List.iter (fun j -> s := !s +. a.sums.(j).(r)) parts;
+        !s *. nrm)
+end
 
 (* The calibrated absolute-level statistic of the exponent sweep: the
    negative mean squared residual between the samples and
-   [baseline + alpha * HW].  The payload is the part's raw column. *)
+   [baseline + alpha * HW].  A part reads a trace only through its
+   model's digest of the known operand (the [prep] of a split or product
+   model), so the plan folds each trace into the class of its digest, in
+   global trace order: the class keeps its count n, its pivot (its first
+   sample), S1 = Σ(t − pivot) and S2 = Σ(t − pivot)².  A guess is then
+   scored over the classes, not the traces: with
+   δ = baseline + alpha·HW(eval g digest) − pivot, a class's squared
+   residuals sum to S2 + δ·(n·δ − 2·S1).  A plain model has no digest,
+   so each of its traces is a class of its own, whose term is exactly
+   the trace's squared residual; plain parts, and parts whose digests
+   are all distinct, score as the per-trace sum bit for bit.  The
+   per-guess state is only the guesses: a score reads the plan's
+   classes, so it covers every segment prepared so far and depends on
+   neither the segment split nor the candidate chunking. *)
 module Absolute (L : sig
   val alpha : float
   val baseline : float
-end) =
-Per_guess_sum (struct
+end) : Distinguisher.S = struct
   let name = "absolute"
 
-  type part = int
+  (* [baseline + alpha * h] for every Hamming weight of a 63-bit word *)
+  let level = Array.init 64 (fun h -> L.baseline +. (L.alpha *. float_of_int h))
 
-  let part s = s
-  let columns s = [ s ]
+  (* digest -> class, hashed through a multiplicative mix so that
+     digests sharing their low bits still spread over the buckets *)
+  module Ids = Hashtbl.Make (struct
+    type t = int
 
-  type payload = float array
+    let equal = Int.equal
 
-  let payload _ cols ~len:_ = cols.(0)
+    let hash x =
+      let h = x * 0x2545F4914F6CDD1D in
+      (h lxor (h lsr 32)) land max_int
+  end)
 
-  let[@inline] sq_residual t x =
-    let rr = t -. (L.baseline +. (L.alpha *. float_of_int (Bitops.popcount x))) in
-    rr *. rr
+  (* One part's classes, in order of first appearance. *)
+  type 'k part = {
+    sample : int;
+    model : 'k Hypothesis.Model.t;
+    ids : int Ids.t;
+    mutable ops : 'k array;  (* plain model: class -> its trace's known operand *)
+    mutable digests : int array;  (* class -> digest (plain model: the class) *)
+    mutable count : float array;
+    mutable pivot : float array;
+    mutable s1 : float array;
+    mutable s2 : float array;
+    mutable size : int;
+  }
 
-  (* the profiled tile's shape: 4-guess tiles, then the tail one guess
-     at a time *)
-  let tile col src ~acc ~guesses ~len =
-    let g = Array.length guesses in
-    let prepped, eval = tab src in
-    let r = ref 0 in
-    while !r + 4 <= g do
-      let r0 = !r in
-      let g0 = Array.unsafe_get guesses r0
-      and g1 = Array.unsafe_get guesses (r0 + 1)
-      and g2 = Array.unsafe_get guesses (r0 + 2)
-      and g3 = Array.unsafe_get guesses (r0 + 3) in
-      let e0 = ref (Array.unsafe_get acc r0)
-      and e1 = ref (Array.unsafe_get acc (r0 + 1))
-      and e2 = ref (Array.unsafe_get acc (r0 + 2))
-      and e3 = ref (Array.unsafe_get acc (r0 + 3)) in
-      for i = 0 to len - 1 do
-        let t = Array.unsafe_get col i and p = Array.unsafe_get prepped i in
-        e0 := !e0 +. sq_residual t (eval g0 p);
-        e1 := !e1 +. sq_residual t (eval g1 p);
-        e2 := !e2 +. sq_residual t (eval g2 p);
-        e3 := !e3 +. sq_residual t (eval g3 p)
-      done;
-      Array.unsafe_set acc r0 !e0;
-      Array.unsafe_set acc (r0 + 1) !e1;
-      Array.unsafe_set acc (r0 + 2) !e2;
-      Array.unsafe_set acc (r0 + 3) !e3;
-      r := r0 + 4
-    done;
-    for r0 = !r to g - 1 do
-      let gu = Array.unsafe_get guesses r0 in
-      let e = ref (Array.unsafe_get acc r0) in
-      for i = 0 to len - 1 do
-        e :=
-          !e +. sq_residual (Array.unsafe_get col i) (eval gu (Array.unsafe_get prepped i))
-      done;
-      Array.unsafe_set acc r0 !e
-    done
+  type 'k plan = { parts : 'k part array; mutable n : int }
 
-  let finish ~n =
-    let d = float_of_int n in
-    fun s -> -.s /. d
-end)
+  let plan ~parts =
+    {
+      parts =
+        Array.of_list
+          (List.map
+             (fun (sample, model) ->
+               {
+                 sample;
+                 model;
+                 ids = Ids.create 64;
+                 ops = [||];
+                 digests = [||];
+                 count = [||];
+                 pivot = [||];
+                 s1 = [||];
+                 s2 = [||];
+                 size = 0;
+               })
+             parts);
+      n = 0;
+    }
+
+  let needs p = Array.to_list (Array.map (fun q -> [ q.sample ]) p.parts)
+  let terms p = Array.fold_left (fun a q -> a + q.size) 0 p.parts
+  let grow a fill = Array.append a (Array.make (max 16 (Array.length a)) fill)
+
+  (* a new class [digest] whose first sample is [t] *)
+  let open_class q digest t =
+    let c = q.size in
+    if c = Array.length q.digests then begin
+      q.digests <- grow q.digests 0;
+      q.count <- grow q.count 0.;
+      q.pivot <- grow q.pivot 0.;
+      q.s1 <- grow q.s1 0.;
+      q.s2 <- grow q.s2 0.
+    end;
+    q.digests.(c) <- digest;
+    q.count.(c) <- 1.;
+    q.pivot.(c) <- t;
+    q.s1.(c) <- 0.;
+    q.s2.(c) <- 0.;
+    q.size <- c + 1
+
+  let add q t k =
+    match q.model with
+    | Hypothesis.Model.Fn _ ->
+        if q.size = Array.length q.ops then q.ops <- grow q.ops k;
+        q.ops.(q.size) <- k;
+        open_class q q.size t
+    | Hypothesis.Model.Split (prep, _) | Hypothesis.Model.Product prep -> (
+        let d = prep k in
+        match Ids.find q.ids d with
+        | c ->
+            let u = t -. q.pivot.(c) in
+            q.count.(c) <- q.count.(c) +. 1.;
+            q.s1.(c) <- q.s1.(c) +. u;
+            q.s2.(c) <- q.s2.(c) +. (u *. u)
+        | exception Not_found ->
+            Ids.add q.ids d q.size;
+            open_class q d t)
+
+  type 'k seg = unit
+
+  let prepare p batch =
+    let len =
+      checked_length ~what:"Dema: absolute" ~nparts:(Array.length p.parts)
+        ~ncols:(fun _ -> 1) batch
+    in
+    Array.iteri
+      (fun j (cols, ks) ->
+        let q = p.parts.(j) and col = cols.(0) in
+        for i = 0 to len - 1 do
+          add q col.(i) ks.(i)
+        done)
+      batch;
+    p.n <- p.n + len
+
+  type 'k acc = int array
+
+  let acc _ guesses = guesses
+  let fold _ () = ()
+
+  (* per guess, the part's squared residuals summed class by class *)
+  let part_sums q guesses =
+    let eval =
+      match q.model with
+      | Hypothesis.Model.Split (_, eval) -> eval
+      | Hypothesis.Model.Product _ -> ( * )
+      | Hypothesis.Model.Fn f ->
+          let ops = q.ops in
+          fun g c -> f g (Array.unsafe_get ops c)
+    in
+    let digests = q.digests and count = q.count and pivot = q.pivot in
+    let s1 = q.s1 and s2 = q.s2 in
+    Array.map
+      (fun g ->
+        let e = ref 0. in
+        for c = 0 to q.size - 1 do
+          let dl =
+            Array.unsafe_get level
+              (Bitops.popcount (eval g (Array.unsafe_get digests c)))
+            -. Array.unsafe_get pivot c
+          in
+          e :=
+            !e
+            +. (Array.unsafe_get s2 c
+               +. (dl *. ((Array.unsafe_get count c *. dl) -. (2. *. Array.unsafe_get s1 c))))
+        done;
+        !e)
+      guesses
+
+  let finalize p ~parts guesses =
+    let out = Array.make (Array.length guesses) 0. in
+    List.iter
+      (fun j ->
+        Array.iteri (fun r e -> out.(r) <- out.(r) +. e) (part_sums p.parts.(j) guesses))
+      parts;
+    let d = float_of_int p.n in
+    Array.map (fun s -> -.s /. d) out
+end
 
 let pearson kernel : (module Distinguisher.S) =
   (module Pearson (struct
@@ -539,13 +609,13 @@ let fixed (type k) (module D : Distinguisher.S) ~ctx:c
                t)
              ~reduce:Topk.merge ~init:(Topk.create top) candidates))
   in
+  let terms = D.terms plan in
   if Obs.enabled obs then begin
     let n = Atomic.get scored in
     Obs.count obs "dema.guesses" n;
-    (* one correlation = ~6 flops/trace (centre, multiply-accumulate,
-       normalise amortised); a per-sweep order-of-magnitude estimate *)
-    Obs.gauge obs "dema.flops_est"
-      (float_of_int n *. float_of_int (List.length parts) *. 6. *. float_of_int d);
+    (* ~6 flops per scored term (centre, multiply-accumulate, normalise
+       amortised); a per-sweep order-of-magnitude estimate *)
+    Obs.gauge obs "dema.flops_est" (float_of_int n *. float_of_int terms *. 6.);
     (* fewer traces than candidates: the top of the ranking is dominated
        by chance correlations, not evidence *)
     if d < n then
@@ -553,7 +623,7 @@ let fixed (type k) (module D : Distinguisher.S) ~ctx:c
         ~fields:[ ("traces", Obs.Int d); ("guesses", Obs.Int n) ]
         obs "dema.degenerate_rank" 1
   end;
-  ranking
+  (ranking, terms)
 
 let in_memory ~traces ~known needs =
   let d = Array.length traces in
@@ -709,8 +779,9 @@ let until ~ctx:c ~what ~spec ~total ~top ~parts ~feed candidates =
 
 let rank ?ctx:(c = Ctx.default ()) ~traces ~parts ~known ~top candidates =
   let run () =
-    fixed (distinguisher c.Ctx.backend) ~ctx:c ~parts ~top
-      ~source:(in_memory ~traces ~known) candidates
+    fst
+      (fixed (distinguisher c.Ctx.backend) ~ctx:c ~parts ~top
+         ~source:(in_memory ~traces ~known) candidates)
   in
   if Obs.enabled c.Ctx.obs then
     Obs.span c.Ctx.obs "dema.rank"
@@ -730,8 +801,12 @@ let rank_absolute ?ctx:(c = Ctx.default ()) ~traces ~parts ~known ~top ~alpha
   Obs.span c.Ctx.obs "dema.rank_absolute"
     ~fields:[ ("traces", Obs.Int (Array.length traces)); ("top", Obs.Int top) ]
     (fun () ->
-      fixed (absolute ~alpha ~baseline) ~ctx:c ~parts ~top
-        ~source:(in_memory ~traces ~known) candidates)
+      let ranking, classes =
+        fixed (absolute ~alpha ~baseline) ~ctx:c ~parts ~top
+          ~source:(in_memory ~traces ~known) candidates
+      in
+      if Obs.enabled c.Ctx.obs then Obs.count c.Ctx.obs "dema.classes" classes;
+      ranking)
 
 let rank_until ?ctx:(c = Ctx.default ()) ~spec ?(batch = 64) ~traces ~parts
     ~known ~top candidates =
@@ -984,7 +1059,7 @@ module Stream = struct
           ("shards", Obs.Int (Tracestore.Reader.shard_count reader));
           ("backend", Obs.Str (Distinguisher.name c.Ctx.backend));
         ]
-      (fun () -> fixed (distinguisher c.Ctx.backend) ~ctx:c ~parts ~top ~source candidates)
+      (fun () -> fst (fixed (distinguisher c.Ctx.backend) ~ctx:c ~parts ~top ~source candidates))
 
   (* Adaptive variant of [rank]: shards are pulled one at a time from
      [shard_feed] and fed to an incremental sweep; the tester looks

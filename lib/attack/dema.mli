@@ -6,11 +6,11 @@
     — Pearson ({!distinguisher} on a Pearson selection), profiled
     templates ({!distinguisher} on a [Profiled] selection) and the
     calibrated absolute-level exponent statistic ({!absolute}).  The
-    last two are instances of one per-guess-sum functor: a guess's
-    score is the sum over parts of one running total per (part, guess),
-    and each supplies only its segment payload (a template class table,
-    or the raw column), its tile and its exact finalisation.  The
-    driver folds an instance over a
+    profiled statistic keeps one running total per (part, guess), to
+    which every trace adds its template class table's entry; the
+    absolute one folds every trace into the class of its part's digest
+    of the known operand and rescores each guess over those classes.
+    The driver folds an instance over a
     {e feed} of (per-part column segments, known operands): in-memory
     traces are a one-segment feed ({!rank}, {!rank_absolute}), a trace
     store is its shards ({!Stream.rank}), and a sequential campaign
@@ -19,15 +19,17 @@
     looks.  The driver owns candidate chunking, [jobs], top-k selection,
     the [dema.*] observability events and the degenerate-rank warning;
     the instance's candidate-independent work (column moments, split
-    model prep tables, template class-score tables) runs once per
-    segment and is shared read-only by every candidate chunk.
+    model prep tables, template class-score tables, digest class sums)
+    runs once per segment and is shared read-only by every candidate
+    chunk.
 
     {b Determinism.}  All rankings are selected under the strict total
     order {!compare_scored} (higher score first, exact ties broken by
     the smaller guess value), so the returned list is a pure function of
     the candidate {e multiset} — reordering the candidate sequence, or
     sweeping it in parallel chunks, yields bit-identical output.  Every
-    instance accumulator receives its additions in global trace order,
+    instance accumulator (and the absolute statistic's class sums)
+    receives its additions in global trace order,
     so in-memory, store-backed and exhausted sequential sweeps over the
     same traces agree bit for bit at every [jobs] and prefetch
     setting.
@@ -104,7 +106,11 @@ val rank_absolute :
     {!Recover.sign_exponent_multi}).  [alpha] and [baseline] come from
     {!Calibrate.estimate} — i.e. from the same traces, not from a
     profiling device.  The statistic is the {!absolute} instance, the
-    same under every selection. *)
+    same under every selection.  It scores guesses over the classes of
+    each part's digest of the known operand (the [prep] of a split or
+    product model; a plain model gives every trace its own class), so
+    a sweep costs guesses x classes, not guesses x traces; emits the
+    [dema.classes] count. *)
 
 (** {1 Sequential early-stopping sweeps}
 
@@ -410,4 +416,12 @@ val distinguisher : Distinguisher.selection -> (module Distinguisher.S)
     columns. *)
 
 val absolute : alpha:float -> baseline:float -> (module Distinguisher.S)
-(** The calibrated absolute-level instance behind {!rank_absolute}. *)
+(** The calibrated absolute-level instance behind {!rank_absolute}.
+    Its plan keeps, per part and digest class in order of first
+    appearance, the count, a pivot (the class's first sample) and the
+    sums of [t - pivot] and its square, added in global trace order; a
+    guess's class term is [S2 + d * (n * d - 2 * S1)] with
+    [d = baseline + alpha * HW - pivot].  Parts whose digests are all
+    distinct, and plain parts, score exactly as the per-trace sum of
+    squared residuals.  Its per-guess state is empty: [finalize] reads
+    every segment prepared so far. *)

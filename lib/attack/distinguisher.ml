@@ -19,6 +19,7 @@ module type S = sig
 
   val plan : parts:(int * 'k Hypothesis.Model.t) list -> 'k plan
   val needs : 'k plan -> int list list
+  val terms : 'k plan -> int
 
   type 'k seg
 

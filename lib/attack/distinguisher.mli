@@ -11,24 +11,27 @@
     order.  In-memory traces are a one-segment feed, a trace store is
     its shards, and a sequential campaign is the same fold with a
     tester looking between segments.  The registered instances live in
-    [Dema] ([Dema.distinguisher], [Dema.absolute]); the profiled and
-    absolute ones are one per-guess-sum functor, each supplying only
-    its segment payload, tile and finalisation.
+    [Dema] ([Dema.distinguisher], [Dema.absolute]).
 
     {b The contract} ({!S}).  An instance splits its work three ways:
     - a {e plan} per sweep, which resolves the parts, declares the
       trace-sample columns each part needs, and accumulates the
       candidate-independent running totals (column moments, trace
-      count) as segments are {e prepared};
+      count, the absolute statistic's digest class sums) as segments
+      are {e prepared};
     - a {e prepared segment}: the candidate-independent work on one
       batch of traces (prep tables for split models, class-score tables
       for templates), computed once and shared read-only by every
       candidate chunk;
     - an {e accumulator} per candidate chunk, folded with prepared
-      segments and finalised against the plan.
+      segments and finalised against the plan.  An instance whose plan
+      holds every sum it scores from (the absolute statistic) keeps
+      only the guesses there, and its [finalize] reads every segment
+      prepared so far; the drivers fold every prepared segment into
+      every accumulator, so the two readings agree.
 
-    Determinism is part of the contract: every accumulator receives its
-    additions in global trace order, so scores are bit-identical however
+    Determinism is part of the contract: every accumulator (and every
+    plan total) receives its additions in global trace order, so scores are bit-identical however
     the traces are split into segments and the candidates into chunks —
     which is what lets in-memory, store-backed and sequential sweeps
     agree bit for bit at every [jobs]. *)
@@ -76,6 +79,12 @@ module type S = sig
       segment must supply for that part, in order.  Pearson needs
       exactly the part's own column; a profiled instance needs its
       template's points of interest. *)
+
+  val terms : 'k plan -> int
+  (** The per-guess terms a finalised score sums, over the segments
+      prepared so far: parts x traces for Pearson and the profiled
+      statistic, the digest classes of every part for the absolute one.
+      The driver's [dema.flops_est] is guesses x terms x 6. *)
 
   type 'k seg
 

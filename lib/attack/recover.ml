@@ -184,6 +184,24 @@ let spread_parts views stage =
            stage)
        views)
 
+(* The narrow form of [combine], for a stage that reads few samples:
+   per trace, the samples at [labels] of every view, view by view. *)
+let gather views labels =
+  let samples = Array.of_list (List.map sample labels) in
+  let windows = Array.of_list (List.map (fun v -> v.traces) views) in
+  let width = Array.length samples and nv = Array.length windows in
+  Array.init
+    (if nv = 0 then 0 else Array.length windows.(0))
+    (fun i ->
+      let row = Array.create_float (nv * width) in
+      for j = 0 to nv - 1 do
+        let w = windows.(j).(i) in
+        for k = 0 to width - 1 do
+          row.((j * width) + k) <- w.(samples.(k))
+        done
+      done;
+      row)
+
 let attack_sign v =
   let col = Array.map (fun t -> t.(sample Fpr.Sign_xor)) v.traces in
   let h = Dema.hyp_vector ~model:p_sign ~known:v.known 1 in
@@ -197,24 +215,27 @@ let attack_sign v =
    produce Hamming-weight sequences affinely equivalent to the right one.
    The store of the result's high 32-bit word (sign, exponent field, top
    mantissa bits) disambiguates once the mantissa and sign are known —
-   that is why the divide-and-conquer runs the mantissa first.  The
-   high-word model's prep digests the per-operand mantissa product and
-   exponent carry into one packed word — 12 bits of (delta + 2048), 20
-   of the result's top mantissa bits, 1 of the operand's sign. *)
+   that is why the divide-and-conquer runs the mantissa first.  The word's
+   three fields are disjoint bits: the sign (bit 31), the exponent (bits
+   20-30) and the top 20 bits of the result's mantissa, [hi20] (bits
+   0-19).  So its Hamming weight is exactly the weight of the guessed
+   sign and exponent fields plus HW(hi20), and hi20 is fixed per trace by
+   the recovered mantissa.  The high-word model therefore digests only
+   what the guessed fields read: [prep_hi] packs the operand's exponent
+   carry (delta + 2048, 12 bits) over its sign bit — a few dozen values
+   over a campaign — and [sign_exponent_multi] takes the guess-free
+   alpha * HW(hi20) out of the Result_hi column before ranking. *)
 let prep_hi ~mant =
   let x0 = Fpr.make ~sign:0 ~exp:1023 ~mant in
-  fun y ->
-    let r0 = Fpr.mul x0 y in
-    ((Fpr.biased_exponent r0 - 1023 + 2048) lsl 21)
-    lor ((Fpr.mantissa r0 lsr 32) lsl 1)
-    lor Fpr.sign_bit y
+  fun y -> ((Fpr.biased_exponent (Fpr.mul x0 y) - 1023 + 2048) lsl 1) lor Fpr.sign_bit y
+
+let hi20 ~mant =
+  let x0 = Fpr.make ~sign:0 ~exp:1023 ~mant in
+  fun y -> Fpr.mantissa (Fpr.mul x0 y) lsr 32
 
 let eval_hi ~sign g p =
-  let sy = p land 1 in
-  let hi20 = (p lsr 1) land 0xFFFFF in
-  let delta = (p lsr 21) - 2048 in
-  let e_res = (g + delta) land 0x7FF in
-  (((sign lxor sy) lsl 31) lor (e_res lsl 20) lor hi20) land 0xFFFFFFFF
+  let sy = p land 1 and delta = (p lsr 1) - 2048 in
+  ((sign lxor sy) lsl 31) lor (((g + delta) land 0x7FF) lsl 20)
 
 (* Hypotheses e and e + 64k predict Hamming weights that differ by a
    per-trace constant over the narrow FFT(c) exponent spread, so Pearson
@@ -236,18 +257,18 @@ let exponent_window = Seq.init 64 (fun i -> 992 + i)
    all pass the tolerance, and the result is the plain mean over all
    views (arithmetic identical to the historical behaviour, so clean
    HW attacks are bit-for-bit unchanged).  Deterministic fold order, so
-   results stay bit-identical across jobs. *)
-let calibrate_views ?(leakage = `Hw) views =
+   results stay bit-identical across jobs.  [traces] holds the views'
+   samples side by side, and [at j label] is the column of view [j]'s
+   sample at [label]. *)
+let calibrate_views ~leakage ~traces ~at views =
   let als =
-    List.map
-      (fun v ->
+    List.mapi
+      (fun j v ->
         match (leakage : leakage) with
         | `Hw ->
-            Calibrate.estimate ~traces:v.traces ~known:v.known
-              ~lo_sample:(sample Fpr.Load_x_lo) ~hi_sample:(sample Fpr.Load_x_hi)
-        | `Hd ->
-            Calibrate.estimate_hd ~traces:v.traces ~known:v.known
-              ~hi_sample:(sample Fpr.Load_x_hi))
+            Calibrate.estimate ~traces ~known:v.known ~lo_sample:(at j Fpr.Load_x_lo)
+              ~hi_sample:(at j Fpr.Load_x_hi)
+        | `Hd -> Calibrate.estimate_hd ~traces ~known:v.known ~hi_sample:(at j Fpr.Load_x_hi))
       views
   in
   if als = [] then invalid_arg "Recover.calibrate_views: no views";
@@ -289,8 +310,6 @@ let sign_exponent_multi ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ~mant views =
   Obs.span c.Ctx.obs "recover.sign_exponent"
     ~fields:[ ("views", Obs.Int (List.length views)) ]
   @@ fun () ->
-  let alpha, baseline = calibrate_views ~leakage views in
-  let traces, idx = combine views in
   let candidates =
     Seq.concat_map (fun e -> List.to_seq [ e; (1 lsl 11) lor e ]) exponent_window
   in
@@ -312,12 +331,51 @@ let sign_exponent_multi ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ~mant views =
                 eval_hi ~sign:(g lsr 11) (g land 0x7FF) p) );
         ]
   in
+  (* one pass over the windows reads every sample the stage uses: the
+     calibration loads and the parts' own samples *)
+  let labels = Fpr.Load_x_lo :: Fpr.Load_x_hi :: List.map fst stage in
+  let traces = gather views labels in
+  let at j lbl = (j * List.length labels) + Option.get (List.find_index (( = ) lbl) labels) in
+  let alpha, baseline = calibrate_views ~leakage ~traces ~at views in
+  (* the high word's hi20 field is guess-free: its alpha-scaled weight
+     leaves the Result_hi column of [gather]'s fresh rows *)
+  (match (leakage : leakage) with
+  | `Hw ->
+      let hi20 = hi20 ~mant in
+      List.iteri
+        (fun j v ->
+          let col = at j Fpr.Result_hi in
+          Array.iteri
+            (fun i row ->
+              row.(col) <-
+                row.(col) -. (alpha *. float_of_int (Bitops.popcount (hi20 v.known.(i)))))
+            traces)
+        views
+  | `Hd -> ());
+  let parts =
+    List.concat
+      (List.mapi
+         (fun j v ->
+           List.map
+             (fun (lbl, m) -> (at j lbl, Hypothesis.Model.contramap (fun i -> v.known.(i)) m))
+             stage)
+         views)
+  in
   let ranked =
-    Dema.rank_absolute ~ctx:c ~traces ~parts:(spread_parts views stage) ~known:idx
+    Dema.rank_absolute ~ctx:c ~traces ~parts
+      ~known:(Array.init (Array.length traces) Fun.id)
       ~top:8 ~alpha ~baseline candidates
   in
   match ranked with
-  | best :: _ -> (best.guess lsr 11, best.guess land 0x7FF, ranked)
+  | best :: rest ->
+      let sign = best.guess lsr 11 and exp = best.guess land 0x7FF in
+      (match rest with
+      | second :: _ ->
+          Obs.gauge ~level:Obs.Debug
+            ~fields:[ ("sign", Obs.Int sign); ("exponent", Obs.Int exp) ]
+            c.Ctx.obs "recover.sign_exponent_gap" (best.corr -. second.corr)
+      | [] -> ());
+      (sign, exp, ranked)
   | [] -> invalid_arg "Recover.sign_exponent: empty candidate set"
 
 type mantissa_result = {

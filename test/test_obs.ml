@@ -411,6 +411,79 @@ let test_buffered_drain_order () =
   in
   Alcotest.(check (list string)) "drain order wins" [ "first"; "second" ] names
 
+(* The absolute statistic reports its work in digest classes:
+   [dema.classes] counts the classes of every part (3 digests, plus one
+   per trace for the plain part) and [dema.flops_est] is guesses x
+   classes x 6.  The sign/exponent stage logs its leader gap at Debug,
+   naming the winning sign and exponent. *)
+let test_absolute_counters () =
+  let records obs_run =
+    let t, buf = jsonl_ctx ~level:Obs.Debug () in
+    obs_run (Attack.Ctx.make ~obs:t ());
+    Obs.Jsonl.read_string (Buffer.contents buf)
+  in
+  let find name rs =
+    match
+      List.filter
+        (fun r -> Option.bind (Obs.Json.member "name" r) Obs.Json.to_string_opt = Some name)
+        rs
+    with
+    | [ r ] -> r
+    | l -> Alcotest.failf "%d %s records, want one" (List.length l) name
+  in
+  let number key r =
+    match Option.bind (Obs.Json.member key r) Obs.Json.to_number_opt with
+    | Some x -> x
+    | None -> Alcotest.failf "record without %s" key
+  in
+  let d = 40 and guesses = 16 in
+  let rng = Stats.Rng.create ~seed:11 in
+  let traces =
+    Array.init d (fun _ -> Array.init 2 (fun _ -> Stats.Rng.gaussian rng ~mu:10. ~sigma:1.))
+  in
+  let rs =
+    records (fun ctx ->
+        ignore
+          (Attack.Dema.rank_absolute ~ctx ~traces
+             ~parts:
+               [
+                 (0, Attack.Hypothesis.Model.split ~prep:(fun i -> i mod 3) ~eval:( + ));
+                 (1, Attack.Hypothesis.Model.fn (fun g i -> g lxor i));
+               ]
+             ~known:(Array.init d Fun.id) ~top:4 ~alpha:1. ~baseline:10.
+             (Seq.init guesses Fun.id)))
+  in
+  Alcotest.(check (float 0.)) "dema.classes" (float_of_int (3 + d))
+    (number "value" (find "dema.classes" rs));
+  Alcotest.(check (float 0.)) "dema.flops_est"
+    (float_of_int (guesses * (3 + d) * 6))
+    (number "value" (find "dema.flops_est" rs));
+  let x = Fpr.make ~sign:1 ~exp:1030 ~mant:0x2B7E151628AED in
+  let known =
+    Attack.Workload.known_inputs ~n:16 ~coeff:2 ~component:`Re ~count:120 ~seed:"obs gap"
+  in
+  let v = Attack.Workload.mul_views Leakage.default_model (Stats.Rng.create ~seed:5) ~x ~known in
+  let won = ref (0, 0, []) in
+  let gap =
+    find "recover.sign_exponent_gap"
+      (records (fun ctx ->
+           won := Attack.Recover.sign_exponent_multi ~ctx ~mant:(Fpr.mantissa x) [ v ]))
+  in
+  let sign, exp, ranked = !won in
+  let field key =
+    match Option.bind (Obs.Json.member "fields" gap) (Obs.Json.member key) with
+    | Some f -> Obs.Json.to_int_opt f
+    | None -> None
+  in
+  Alcotest.(check (pair (option int) (option int))) "gap names the winner"
+    (Some sign, Some exp) (field "sign", field "exponent");
+  match ranked with
+  | best :: second :: _ ->
+      Alcotest.(check (float 0.)) "gap = leader - runner-up"
+        (best.Attack.Dema.corr -. second.Attack.Dema.corr)
+        (number "value" gap)
+  | _ -> Alcotest.fail "fewer than two ranked guesses"
+
 let suite =
   [
     Alcotest.test_case "jsonl round-trip + validate" `Quick test_jsonl_roundtrip;
@@ -432,4 +505,6 @@ let suite =
       test_fullkey_store_one_pass;
     Alcotest.test_case "buffered children drain in order" `Quick
       test_buffered_drain_order;
+    Alcotest.test_case "absolute statistic counts classes, logs its gap" `Quick
+      test_absolute_counters;
   ]

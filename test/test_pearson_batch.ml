@@ -471,65 +471,121 @@ let prop_model_product =
           prep y' = fused_prep y && Model.apply m' gg y' = gg * fused_prep y
       | Model.Split _ | Model.Fn _ -> false)
 
-(* The absolute tile pinned to the arithmetic it replaced, not just to a
-   second tiled route: per guess and per part in plan order, a fresh
+(* The absolute statistic pinned to the arithmetic it restates, not
+   just to a second route: per guess and per part in plan order, a fresh
    error summing (col - (baseline + alpha * HW))^2 in trace order, the
    parts added to 0 in order, negated and divided by the trace count.
-   Product, split and plain parts, so every segment source is tiled;
+   Parts whose digests are all distinct (product and split) and a plain
+   part (a class per trace) score exactly that, under Float.equal.
+   Parts with 1, 2 and 8 distinct digests fold their traces into shared
+   classes and agree with it to 1e-12 relative.  Every score is
+   bit-equal at jobs 1 and 4 and over one, two and random segments.
    G = 513 spans two 512-candidate chunks. *)
 let test_absolute_pinned () =
   let alpha = 0.7 and baseline = 9.5 and d = 37 in
   let rng = Stats.Rng.create ~seed:4242 in
+  let few k =
+    Model.split ~prep:(fun y -> y mod k) ~eval:(fun gg p -> (gg * (p + 1)) land 0xFFFFFF)
+  in
   let models =
     [|
       Model.product fused_prep;
       Model.split ~prep:fused_prep ~eval:fused_eval;
       Model.fn (fun gg y -> ((gg lxor y) * 3) land 0xFFFF);
+      few 1;
+      few 2;
+      Model.product (fun y -> 1 + (y mod 8));
     |]
   in
+  let exact = [ 0; 1; 2 ] and all = List.init (Array.length models) Fun.id in
   let cols =
     Array.map (fun _ -> Array.init d (fun _ -> Stats.Rng.gaussian rng ~mu:10. ~sigma:1.5)) models
   in
   let ks = Array.map (fun _ -> Array.init d (fun _ -> Stats.Rng.bits rng 24)) models in
-  let traces = Array.init d (fun i -> Array.map (fun c -> c.(i)) cols) in
-  let parts =
-    Array.to_list (Array.mapi (fun j m -> (j, Model.contramap (fun i -> ks.(j).(i)) m)) models)
+  let distinct j =
+    List.length (List.sort_uniq compare (Array.to_list (Array.map fused_prep ks.(j))))
   in
-  let hand gg =
+  Alcotest.(check (list int)) "the exact parts' digests are all distinct" [ d; d ]
+    [ distinct 0; distinct 1 ];
+  let traces = Array.init d (fun i -> Array.map (fun c -> c.(i)) cols) in
+  let hand subset gg =
     let s = ref 0. in
-    Array.iteri
-      (fun j m ->
+    List.iter
+      (fun j ->
         let e = ref 0. in
         for i = 0 to d - 1 do
-          let hw = Bitops.popcount (Model.apply m gg ks.(j).(i)) in
+          let hw = Bitops.popcount (Model.apply models.(j) gg ks.(j).(i)) in
           let rr = cols.(j).(i) -. (baseline +. (alpha *. float_of_int hw)) in
           e := !e +. (rr *. rr)
         done;
         s := !s +. !e)
-      models;
+      subset;
     -. !s /. float_of_int d
+  in
+  let rank subset ~jobs guesses =
+    let parts =
+      List.map (fun j -> (j, Model.contramap (fun i -> ks.(j).(i)) models.(j))) subset
+    in
+    Attack.Dema.rank_absolute ~ctx:(Attack.Ctx.make ~jobs ()) ~traces ~parts
+      ~known:(Array.init d Fun.id) ~top:(max 1 (Array.length guesses)) ~alpha ~baseline
+      (Array.to_seq guesses)
+  in
+  let by_guess ranked =
+    let tbl = Hashtbl.create 64 in
+    List.iter (fun (s : Attack.Dema.scored) -> Hashtbl.replace tbl s.guess s.corr) ranked;
+    Hashtbl.find tbl
+  in
+  let splits =
+    [
+      ("one segment", [ 0; d ]);
+      ("two segments", [ 0; d / 2; d ]);
+      ( "random segments",
+        List.sort_uniq compare (0 :: d :: List.init 5 (fun _ -> Stats.Rng.int_below rng d)) );
+    ]
   in
   List.iter
     (fun g ->
       let guesses = Array.init g (fun r -> (r lsl 12) lor Stats.Rng.bits rng 12) in
+      let what = Printf.sprintf "G=%d" g in
+      let reference = rank all ~jobs:1 guesses in
+      Alcotest.(check (list int))
+        (what ^ ": every guess scored")
+        (List.sort compare (Array.to_list guesses))
+        (List.sort compare (List.map (fun (s : Attack.Dema.scored) -> s.guess) reference));
+      List.iter
+        (fun (s : Attack.Dema.scored) ->
+          let want = hand all s.guess in
+          if Float.abs (s.corr -. want) > 1e-12 *. Float.abs want then
+            Alcotest.failf "%s: guess 0x%x scored %h, the per-trace loop %h" what s.guess
+              s.corr want)
+        reference;
+      let score = by_guess reference in
+      let bit_equal route got =
+        Array.iteri
+          (fun r gg ->
+            if not (Float.equal (score gg) got.(r)) then
+              Alcotest.failf "%s %s: guess 0x%x scored %h, -j 1 %h" what route gg got.(r)
+                (score gg))
+          guesses
+      in
+      bit_equal "-j 4" (Array.map (by_guess (rank all ~jobs:4 guesses)) guesses);
+      List.iter
+        (fun (route, cuts) ->
+          bit_equal route
+            (finalize_subset
+               (Attack.Dema.absolute ~alpha ~baseline)
+               (cols, ks, models, guesses, all, cuts)
+               ~chunks:2))
+        splits;
       List.iter
         (fun jobs ->
-          let ranked =
-            Attack.Dema.rank_absolute ~ctx:(Attack.Ctx.make ~jobs ()) ~traces ~parts
-              ~known:(Array.init d Fun.id) ~top:(max 1 g) ~alpha ~baseline
-              (Array.to_seq guesses)
-          in
-          let what = Printf.sprintf "G=%d -j %d" g jobs in
-          Alcotest.(check (list int))
-            (what ^ ": every guess scored")
-            (List.sort compare (Array.to_list guesses))
-            (List.sort compare (List.map (fun (s : Attack.Dema.scored) -> s.guess) ranked));
           List.iter
             (fun (s : Attack.Dema.scored) ->
-              if not (Float.equal s.corr (hand s.guess)) then
-                Alcotest.failf "%s: guess 0x%x scored %h, the per-guess loop %h" what s.guess
-                  s.corr (hand s.guess))
-            ranked)
+              if not (Float.equal s.corr (hand exact s.guess)) then
+                Alcotest.failf "%s -j %d: guess 0x%x scored %h on the exact parts, the \
+                                per-trace loop %h"
+                  what jobs s.guess s.corr (hand exact s.guess))
+            (rank exact ~jobs guesses))
         [ 1; 4 ])
     [ 0; 1; 3; 4; 5; 513 ]
 
@@ -637,7 +693,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_product_matches_split;
     QCheck_alcotest.to_alcotest prop_product_segmented_matches_whole;
     QCheck_alcotest.to_alcotest prop_model_product;
-    Alcotest.test_case "absolute tile == per-guess residual loop" `Quick
+    Alcotest.test_case "absolute class sums == per-trace residual loop" `Quick
       test_absolute_pinned;
     QCheck_alcotest.to_alcotest prop_product_wide_range;
     Alcotest.test_case "product tile: wrapped products, bit 62 refused" `Quick
