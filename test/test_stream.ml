@@ -624,26 +624,34 @@ let sign_exponent_guess_goldens =
       ] );
   ]
 
-let test_sign_exponent_goldens () =
+(* The seeded FALCON-8 key and 96-trace store the unit goldens read,
+   captured under [leakage]'s emitter and read back through a shard
+   feed. *)
+let with_golden_store leakage f =
   let sk = fst (Falcon.Scheme.keygen ~n:8 ~seed:"sign exponent golden") in
+  let emitter =
+    match leakage with `Hw -> Leakage.default_emitter | `Hd -> Leakage.hd_emitter
+  in
+  let traces = Leakage.capture ~emitter model ~seed:83 sk ~count:96 in
+  with_store ~n:8 ~shard_traces:32 traces @@ fun reader ->
+  let fd = Attack.Dema.Stream.shard_feed reader in
+  let rec drain () = match fd.next () with Some b -> b :: drain () | None -> [] in
+  let stored = Array.concat (drain ()) in
+  fd.close ();
+  f sk stored
+
+let unit_truth sk (coeff, component) =
+  match component with
+  | `Re -> sk.Falcon.Scheme.f_fft.Fft.re.(coeff)
+  | `Im -> sk.Falcon.Scheme.f_fft.Fft.im.(coeff)
+
+let test_sign_exponent_goldens () =
   List.iter
     (fun (leakage, goldens) ->
-      let emitter =
-        match leakage with `Hw -> Leakage.default_emitter | `Hd -> Leakage.hd_emitter
-      in
-      let traces = Leakage.capture ~emitter model ~seed:83 sk ~count:96 in
-      with_store ~n:8 ~shard_traces:32 traces @@ fun reader ->
-      let fd = Attack.Dema.Stream.shard_feed reader in
-      let rec drain () = match fd.next () with Some b -> b :: drain () | None -> [] in
-      let stored = Array.concat (drain ()) in
-      fd.close ();
+      with_golden_store leakage @@ fun sk stored ->
       List.iter2
         (fun (coeff, component) (golden, guesses) ->
-          let truth =
-            match component with
-            | `Re -> sk.Falcon.Scheme.f_fft.Fft.re.(coeff)
-            | `Im -> sk.Falcon.Scheme.f_fft.Fft.im.(coeff)
-          in
+          let truth = unit_truth sk (coeff, component) in
           let views = Attack.Recover.views_for stored ~coeff ~component in
           let digest jobs =
             let _, _, ranked =
@@ -666,6 +674,50 @@ let test_sign_exponent_goldens () =
         sign_exponent_units
         (List.combine goldens (List.assoc leakage sign_exponent_guess_goldens)))
     sign_exponent_goldens
+
+(* The bus Hamming-distance mantissa stages on the same two units of
+   the HD store: the low half's and (given the true low half) the high
+   half's extend and prune top-32 over the sampled candidate sets of
+   {!Attack.Recover.sampled_candidates} (200 decoys, rng seeded by the
+   coefficient), every (guess, score bits) digested.  The goldens were
+   taken from the hand-written bus-transition models that preceded the
+   event-derived ones. *)
+let hd_mantissa_goldens =
+  [
+    ("low extend", [ "aa231d56c8b5d9f3c1945ba6776c9a94"; "e075ac82e5376353fe55404bf7283138" ]);
+    ("low pruned", [ "6b5cada38997283f76c137a616a782b0"; "904ccf25a03b27a5ad1a2719eade37fc" ]);
+    ("high extend", [ "36b742eb30dbdc405836ace169bd73a3"; "fa347723a9bcf9b68195e7c7032e351d" ]);
+    ("high pruned", [ "e1964ad2baf102555df49141725abe5b"; "80b84ed83176e2b0d7638a4c3b0bb951" ]);
+  ]
+
+let test_hd_mantissa_goldens () =
+  with_golden_store `Hd @@ fun sk stored ->
+  List.iteri
+    (fun u (coeff, component) ->
+      let truth = unit_truth sk (coeff, component) in
+      let views = Attack.Recover.views_for stored ~coeff ~component in
+      let low_cands, high_cands =
+        Attack.Recover.sampled_candidates ~rng:(Stats.Rng.create ~seed:coeff) ~decoys:200
+          ~truth
+      in
+      let d = (Fpr.mantissa truth lor (1 lsl 52)) land 0x1FFFFFF in
+      let low =
+        Attack.Recover.mantissa_low_multi ~leakage:`Hd ~top:32
+          ~candidates:(Array.to_seq low_cands) views
+      and high =
+        Attack.Recover.mantissa_high_multi ~leakage:`Hd ~top:32
+          ~candidates:(Array.to_seq high_cands) ~d views
+      in
+      List.iter2
+        (fun (what, goldens) ranked ->
+          Alcotest.(check string)
+            (Printf.sprintf "hd unit (%d, %s): %s" coeff
+               (match component with `Re -> "re" | `Im -> "im")
+               what)
+            (List.nth goldens u) (ranking_digest ranked))
+        hd_mantissa_goldens
+        [ low.extend; low.pruned; high.extend; high.pruned ])
+    sign_exponent_units
 
 (* Dema.corr_time, the Fig. 4 (a-d) matrices: Pearson.corr_matrix over
    hyp_vector rows, bit for bit, on a fixed simulated multiplication
@@ -792,6 +844,8 @@ let suite =
       test_candidate_count_goldens;
     Alcotest.test_case "sign/exponent top-8 on store units matches goldens" `Quick
       test_sign_exponent_goldens;
+    Alcotest.test_case "hd mantissa top-32 on store units matches goldens" `Quick
+      test_hd_mantissa_goldens;
     Alcotest.test_case "fixed sweep reads candidates lazily" `Quick
       test_fixed_sweep_is_lazy;
     Alcotest.test_case "corr_time == corr_matrix, goldens, empty shapes" `Quick
