@@ -1041,10 +1041,11 @@ let leakage_bench () =
           let d =
             (Fpr.mantissa sk.f_fft.Fft.re.(coeff) lor (1 lsl 52)) land 0x1FFFFFF
           in
+          (* the HD extend stage's one part, the w10 transition *)
+          let lbl, model = List.hd (fst (Attack.Recover.low_stages `Hd)) in
           let series =
             Attack.Dema.evolution ~traces:v.Attack.Recover.traces
-              ~sample:(Attack.Recover.sample Fpr.Mant_w10)
-              ~model:Attack.Recover.p_hd_w10 ~known:v.Attack.Recover.known
+              ~sample:(Attack.Recover.sample lbl) ~model ~known:v.Attack.Recover.known
               ~guess:d ~step:1
           in
           Stats.Signif.traces_to_significance series)

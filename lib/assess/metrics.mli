@@ -114,9 +114,9 @@ val of_entries :
     [?condition] (default {!Campaign.baseline_condition}) is the
     analysis half of the acquisition condition the entries were
     generated under: [`Hd] swaps every distinguisher to the matched
-    bus-transition models ({!Attack.Recover.p_hd_w10} /
-    [p_hd_z1a] extend/prune, the w10 transition for the MTD series and
-    the two d-free HD parts for the sequential tester), and [realign]
+    bus-transition models of [Attack.Recover.low_stages `Hd] (the w10
+    and z1a transitions extend/prune, the w10 transition for the MTD
+    series and both for the sequential tester), and [realign]
     runs {!Align.realign_rows} over the whole fixed class (max shift =
     the condition's jitter bound, fill = the default model baseline)
     before slicing.  Raises [Invalid_argument] on a degenerate secret

@@ -1,11 +1,8 @@
-let lo32 y = Int64.to_int (Int64.logand y 0xFFFFFFFFL)
-let hi32 y = Int64.to_int (Int64.shift_right_logical y 32)
-
 (* The least-squares fit over every (HW, sample) point of [points], the
    sums added point by point from the last (sample, word) pair's last
    trace back to the first pair's first trace.  The loops close over no
    float accumulator, so the sums stay unboxed. *)
-let estimate_points ~traces ~known points =
+let estimate ~traces ~known points =
   let points = Array.of_list points and d = Array.length traces in
   let n = float_of_int (Array.length points * d) in
   let sx = ref 0. and sy = ref 0. and sxx = ref 0. and sxy = ref 0. in
@@ -27,12 +24,3 @@ let estimate_points ~traces ~known points =
     let baseline = (!sy -. (alpha *. !sx)) /. n in
     (alpha, baseline)
   end
-
-let estimate ~traces ~known ~lo_sample ~hi_sample =
-  estimate_points ~traces ~known [ (lo_sample, lo32); (hi_sample, hi32) ]
-
-(* Under bus-HD leakage the load of the known operand's high word leaks
-   the transition from its low word: HD(word_lo, word_hi), still fully
-   public data. *)
-let estimate_hd ~traces ~known ~hi_sample =
-  estimate_points ~traces ~known [ (hi_sample, fun y -> lo32 y lxor hi32 y) ]

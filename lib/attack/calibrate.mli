@@ -3,8 +3,8 @@
     The attack is non-profiled (no second device, no chosen keys), but
     the victim's own traces contain operations on fully public data: the
     loads of the FFT(c) operand words inside the attacked multiply.
-    Regressing the measured samples at those two instants against the
-    Hamming weights of the known words recovers the per-bit amplitude
+    Regressing the measured samples at those instants against the
+    Hamming weights of what they predict recovers the per-bit amplitude
     alpha and the baseline offset beta of the measurement chain, which
     the absolute-level exponent distinguisher ({!Dema.rank_absolute})
     needs. *)
@@ -12,18 +12,12 @@
 val estimate :
   traces:float array array ->
   known:Fpr.t array ->
-  lo_sample:int ->
-  hi_sample:int ->
+  (int * (Fpr.t -> int)) list ->
   float * float
-(** [(alpha, baseline)] over the known-operand load samples of every
-    trace ([lo_sample]/[hi_sample] carry the low/high 32-bit words of
-    the known operand) — the Hamming-weight probe's calibration. *)
-
-val estimate_hd :
-  traces:float array array ->
-  known:Fpr.t array ->
-  hi_sample:int ->
-  float * float
-(** Bus-HD calibration: at the high-word load the shared write-back
-    register transitions from the known low word to the known high word,
-    so the sample regresses against [HW(word_lo lxor word_hi)]. *)
+(** [(alpha, baseline)] of the least-squares fit of every trace's
+    sample at each point's index against the Hamming weight of the
+    point's word of the trace's known operand.  The points come from
+    the load events ({!Recover.calibration_points}): under the
+    Hamming-weight probe the low and high 32-bit words at their loads,
+    under bus HD the low word's transition into the high word at the
+    high word's load. *)

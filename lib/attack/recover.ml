@@ -31,129 +31,95 @@ let m25 = (1 lsl 25) - 1
 let b25 y = (Fpr.mantissa y lor (1 lsl 52)) land m25
 let a28 y = (Fpr.mantissa y lor (1 lsl 52)) lsr 25
 
-(* ---- leakage models ----
+(* ---- the attacked multiplier's events ----
 
    In the attacked multiply the known FFT(c) value is the first operand
    and the secret the second: B/A are the known low/high significand
    halves, the guess is D (secret low 25) or E (secret high 28).  Each
-   model predicts the value [Fpr.mul_emit] emits at its label (the test
-   suite checks them against it), and touches the known operand only
-   through a few small integer digests (B, A, its sign, its exponent),
-   so each is a {!Hypothesis.Model.Split}: [prep] digests the operand
-   once per sweep, [eval] runs the candidate loop on plain ints inside
-   the fused kernel.  The four partial products are
-   {!Hypothesis.Model.Product}s: [eval] is the product itself, which
-   the kernel computes inline. *)
+   event [Fpr.mul_emit] emits is written once below, in its order
+   ({!Leakage.mul_event_order}), as a function of the guessed half and
+   a small integer digest of the known operand; the test suite checks
+   each against the emitter.  Every model is read off them: a
+   Hamming-weight model is its event, a bus Hamming-distance model
+   ({!Leakage.Register_file.bus}: sample j leaks HW(v_(j-1) lxor v_j))
+   its event XOR the event before it, so it stays exact.  A model
+   touches the known operand only through its digest, so it is a
+   {!Hypothesis.Model.Split}: [prep] digests the operand once per sweep,
+   [eval] runs the candidate loop on plain ints inside the fused kernel;
+   the four partial products are {!Hypothesis.Model.Product}s, which
+   the kernel multiplies inline.
+
+   Every eval names the events it reads: ocamlopt without flambda
+   inlines a known function of the same module, but neither one passed
+   as a closure argument (a generic [hd prev cur] made the HD extend
+   and prune ~1.7x slower) nor, under dune's [-opaque] dev profile, one
+   of another module. *)
+
+(* The 32-bit words of a value: the loads Load_x_lo and Load_x_hi of the
+   known operand (the secret's loads read both guessed halves and have
+   no model), and Result_lo of the result. *)
+let word_lo y = Int64.to_int (Int64.logand y 0xFFFFFFFFL)
+let word_hi y = Int64.to_int (Int64.shift_right_logical y 32)
 
 (* B and A packed into one word: B is 25 bits, A is 28, total 53 < 63. *)
 let pack_ba y = b25 y lor (a28 y lsl 25)
 
-let p_sign = Hypothesis.Model.split ~prep:Fpr.sign_bit ~eval:(fun g s -> g lxor s)
+(* The low phase, guess D, digest [pack_ba]. *)
+let[@inline] ev_w00 d p = d * (p land m25)
+let[@inline] ev_w10 d p = d * (p lsr 25)
+let[@inline] ev_z1a d p = (ev_w00 d p lsr 25) + (ev_w10 d p land m25)
 
-let p_exp =
-  Hypothesis.Model.split ~prep:Fpr.biased_exponent
-    ~eval:(fun g e -> (g + e - 2100) land 0xFFFFFFFF)
+(* The high phase, guess E given the recovered D, digest [pack_ba]; its
+   first predecessor is the low phase's z1a. *)
+let[@inline] ev_w01 e p = e * (p land m25)
+let[@inline] ev_z1 ~d e p = ev_z1a d p + (ev_w01 e p land m25)
+let[@inline] ev_w11 e p = e * (p lsr 25)
 
+let[@inline] ev_zhigh ~d e p =
+  ev_w11 e p + (ev_w01 e p lsr 25) + (ev_w10 d p lsr 25) + (ev_z1 ~d e p lsr 25)
+
+(* The tail, given the recovered mantissa (D and E).  Mant_norm: the
+   normalised 55-bit product with its sticky bit, digest [pack_ba]. *)
+let ev_mant_norm ~d ~e p =
+  let zhigh = ev_zhigh ~d e p in
+  let sticky = if (ev_w00 d p land m25) lor (ev_z1 ~d e p land m25) <> 0 then 1 else 0 in
+  (if zhigh >= 1 lsl 55 then (zhigh lsr 1) lor (zhigh land 1) else zhigh) lor sticky
+
+(* Exp_sum: e = ex + ey - 2100 as its 32-bit two's complement, guess the
+   secret's biased exponent ex, digest the known one ey.  Sign_xor:
+   guess the secret's sign bit, digest the known one. *)
+let[@inline] ev_exp_sum ex ey = (ex + ey - 2100) land 0xFFFFFFFF
+let[@inline] ev_sign_xor s sy = s lxor sy
+
+(* The stored result r.  Its significand does not depend on the guessed
+   sign and exponent: [product ~mant y] multiplies the known operand by
+   the secret significand at exponent 1023, which rounds the same
+   significands, so Result_lo is its low word, and its exponent is the
+   known one's plus the normalisation carry, [delta] = its biased
+   exponent - 1023.  Result_hi's three fields are disjoint bits: the
+   sign (bit 31), the exponent (bits 20-30) and the top 20 bits of the
+   result's mantissa, [hi20] (bits 0-19). *)
+let product ~mant =
+  let x0 = Fpr.make ~sign:0 ~exp:1023 ~mant in
+  fun y -> Fpr.mul x0 y
+
+let[@inline] ev_result_hi s ex ~sy ~delta ~hi20 =
+  ((ev_sign_xor s sy lsl 31) lor (((ex + delta) land 0x7FF) lsl 20) lor hi20)
+  land 0xFFFFFFFF
+
+(* ---- Hamming-weight models: each is its event ---- *)
+
+let p_sign = Hypothesis.Model.split ~prep:Fpr.sign_bit ~eval:ev_sign_xor
+let p_exp = Hypothesis.Model.split ~prep:Fpr.biased_exponent ~eval:ev_exp_sum
 let p_w00 = Hypothesis.Model.product b25
 let p_w10 = Hypothesis.Model.product a28
 let p_w01 = Hypothesis.Model.product b25
 let p_w11 = Hypothesis.Model.product a28
-
-let p_z1a =
-  Hypothesis.Model.split ~prep:pack_ba ~eval:(fun d p ->
-      let b = p land m25 and a = p lsr 25 in
-      ((d * b) lsr 25) + ((d * a) land m25))
-
-let p_z1 ~d =
-  Hypothesis.Model.split ~prep:pack_ba ~eval:(fun e p ->
-      let b = p land m25 and a = p lsr 25 in
-      ((d * b) lsr 25) + ((d * a) land m25) + ((e * b) land m25))
-
-let p_zhigh ~d =
-  Hypothesis.Model.split ~prep:pack_ba ~eval:(fun e p ->
-      let b = p land m25 and a = p lsr 25 in
-      let w01 = e * b and w10 = d * a in
-      let z1 = ((d * b) lsr 25) + ((d * a) land m25) + (w01 land m25) in
-      (e * a) + (w01 lsr 25) + (w10 lsr 25) + (z1 lsr 25))
-
-(* ---- Hamming-distance (register-transfer) forms ----
-
-   Under [Leakage.Register_file.bus] every intermediate crosses one
-   shared write-back register, so the sample at event j leaks
-   HD(v_(j-1), v_j) = HW(v_(j-1) lxor v_j) — the transition between
-   consecutive architecturally visible values.  Within the 16-event
-   multiply window the predecessor of every attacked intermediate is
-   itself predictable from the guess and the known operand, so each HD
-   model below is simply the XOR of two consecutive HW models:
-
-     w10 sample:   (D.B)  xor (D.A)        (both d-dependent)
-     z1a sample:   (D.A)  xor z1a(d)       (the prune target keeps its
-                                            non-shift-covariance)
-     w01 sample:   z1a(d) xor (E.B)        (needs the recovered d)
-     z1  sample:   (E.B)  xor z1(d,e)
-     w11 sample:   z1(d,e) xor (E.A)
-     zhigh sample: (E.A)  xor zhigh(d,e)
-
-   The load-window and secret-load transitions are either known-only
-   (used for calibration, see [Calibrate.estimate_hd]) or depend on the
-   not-yet-guessed secret words and are skipped.  The models stay exact,
-   so the HD attack retains the full correlation of the HW one. *)
+let p_z1a = Hypothesis.Model.split ~prep:pack_ba ~eval:ev_z1a
+let p_z1 ~d = Hypothesis.Model.split ~prep:pack_ba ~eval:(fun e p -> ev_z1 ~d e p)
+let p_zhigh ~d = Hypothesis.Model.split ~prep:pack_ba ~eval:(fun e p -> ev_zhigh ~d e p)
 
 type leakage = [ `Hw | `Hd ]
-
-let p_hd_w10 =
-  Hypothesis.Model.split ~prep:pack_ba ~eval:(fun d p ->
-      let b = p land m25 and a = p lsr 25 in
-      (d * b) lxor (d * a))
-
-let p_hd_z1a =
-  Hypothesis.Model.split ~prep:pack_ba ~eval:(fun d p ->
-      let b = p land m25 and a = p lsr 25 in
-      let w10 = d * a in
-      w10 lxor (((d * b) lsr 25) + (w10 land m25)))
-
-let p_hd_w01 ~d =
-  Hypothesis.Model.split ~prep:pack_ba ~eval:(fun e p ->
-      let b = p land m25 and a = p lsr 25 in
-      (((d * b) lsr 25) + ((d * a) land m25)) lxor (e * b))
-
-let p_hd_z1 ~d =
-  Hypothesis.Model.split ~prep:pack_ba ~eval:(fun e p ->
-      let b = p land m25 and a = p lsr 25 in
-      let w01 = e * b in
-      w01 lxor (((d * b) lsr 25) + ((d * a) land m25) + (w01 land m25)))
-
-let p_hd_w11 ~d =
-  Hypothesis.Model.split ~prep:pack_ba ~eval:(fun e p ->
-      let b = p land m25 and a = p lsr 25 in
-      let z1 = ((d * b) lsr 25) + ((d * a) land m25) + ((e * b) land m25) in
-      z1 lxor (e * a))
-
-let p_hd_zhigh ~d =
-  Hypothesis.Model.split ~prep:pack_ba ~eval:(fun e p ->
-      let b = p land m25 and a = p lsr 25 in
-      let w01 = e * b and w10 = d * a in
-      let z1 = ((d * b) lsr 25) + ((d * a) land m25) + (w01 land m25) in
-      let w11 = e * a in
-      w11 lxor (w11 + (w01 lsr 25) + (w10 lsr 25) + (z1 lsr 25)))
-
-(* The normalised 55-bit product (with sticky bit), recomputed from the
-   recovered mantissa and the known operand exactly as [Fpr.mul_emit]
-   forms it — the predecessor of the exponent register write under the
-   shared bus. *)
-let norm_value ~mant y =
-  let b = b25 y and a = a28 y in
-  let xu = mant lor (1 lsl 52) in
-  let d = xu land m25 and e = xu lsr 25 in
-  let w00 = d * b and w10 = d * a and w01 = e * b and w11 = e * a in
-  let z1a = (w00 lsr 25) + (w10 land m25) in
-  let z1 = z1a + (w01 land m25) in
-  let zhigh = w11 + (w01 lsr 25) + (w10 lsr 25) + (z1 lsr 25) in
-  let sticky = if (w00 land m25) lor (z1 land m25) <> 0 then 1 else 0 in
-  let m =
-    if zhigh >= 1 lsl 55 then (zhigh lsr 1) lor (zhigh land 1) else zhigh
-  in
-  m lor sticky
 
 (* ---- joint machinery over one or several windows ----
 
@@ -162,16 +128,26 @@ let norm_value ~mant y =
    view's known-operand lookup ({!Hypothesis.Model.contramap}), so split
    models stay split across the index indirection. *)
 
+(* The trace count every view shares.  Views of different lengths
+   would lose a longer view's extra traces or index past a shorter
+   one's end, so they are refused. *)
+let trace_count who views =
+  let counts = List.map (fun v -> Array.length v.traces) views in
+  match counts with
+  | [] -> invalid_arg (who ^ ": no views")
+  | d :: rest ->
+      if List.exists (( <> ) d) rest then
+        invalid_arg
+          (Printf.sprintf "%s: views hold different trace counts (%s)" who
+             (String.concat ", " (List.map string_of_int counts)));
+      d
+
 let combine views =
-  match views with
-  | [] -> invalid_arg "Recover.combine: no views"
-  | v0 :: rest ->
-      let d = Array.length v0.traces in
-      List.iter (fun v -> assert (Array.length v.traces = d)) rest;
-      let traces =
-        Array.init d (fun i -> Array.concat (List.map (fun v -> v.traces.(i)) views))
-      in
-      (traces, Array.init d (fun i -> i))
+  let d = trace_count "Recover.combine" views in
+  let traces =
+    Array.init d (fun i -> Array.concat (List.map (fun v -> v.traces.(i)) views))
+  in
+  (traces, Array.init d (fun i -> i))
 
 let spread_parts views stage =
   List.concat
@@ -190,9 +166,7 @@ let gather views labels =
   let samples = Array.of_list (List.map sample labels) in
   let windows = Array.of_list (List.map (fun v -> v.traces) views) in
   let width = Array.length samples and nv = Array.length windows in
-  Array.init
-    (if nv = 0 then 0 else Array.length windows.(0))
-    (fun i ->
+  Array.init (trace_count "Recover.gather" views) (fun i ->
       let row = Array.create_float (nv * width) in
       for j = 0 to nv - 1 do
         let w = windows.(j).(i) in
@@ -213,29 +187,23 @@ let attack_sign v =
 (* Exponent recovery needs more than the raw e = ex + ey - 2100 register:
    over the narrow exponent spread of FFT(c) values, many wrong exponents
    produce Hamming-weight sequences affinely equivalent to the right one.
-   The store of the result's high 32-bit word (sign, exponent field, top
-   mantissa bits) disambiguates once the mantissa and sign are known —
-   that is why the divide-and-conquer runs the mantissa first.  The word's
-   three fields are disjoint bits: the sign (bit 31), the exponent (bits
-   20-30) and the top 20 bits of the result's mantissa, [hi20] (bits
-   0-19).  So its Hamming weight is exactly the weight of the guessed
-   sign and exponent fields plus HW(hi20), and hi20 is fixed per trace by
-   the recovered mantissa.  The high-word model therefore digests only
-   what the guessed fields read: [prep_hi] packs the operand's exponent
-   carry (delta + 2048, 12 bits) over its sign bit — a few dozen values
-   over a campaign — and [sign_exponent_multi] takes the guess-free
-   alpha * HW(hi20) out of the Result_hi column before ranking. *)
+   The store of the result's high word disambiguates once the mantissa
+   and sign are known — that is why the divide-and-conquer runs the
+   mantissa first.  Its Hamming weight is exactly the weight of the
+   guessed sign and exponent fields plus HW(hi20), and hi20 is fixed per
+   trace by the recovered mantissa.  The HW high-word model therefore
+   digests only what the guessed fields read: [prep_hi] packs the
+   operand's exponent carry (delta + 2048, 12 bits) over its sign bit —
+   a few dozen values over a campaign — and [sign_exponent_multi] takes
+   the guess-free alpha * HW(hi20) out of the Result_hi column before
+   ranking. *)
 let prep_hi ~mant =
-  let x0 = Fpr.make ~sign:0 ~exp:1023 ~mant in
-  fun y -> ((Fpr.biased_exponent (Fpr.mul x0 y) - 1023 + 2048) lsl 1) lor Fpr.sign_bit y
+  let product = product ~mant in
+  fun y -> ((Fpr.biased_exponent (product y) - 1023 + 2048) lsl 1) lor Fpr.sign_bit y
 
 let hi20 ~mant =
-  let x0 = Fpr.make ~sign:0 ~exp:1023 ~mant in
-  fun y -> Fpr.mantissa (Fpr.mul x0 y) lsr 32
-
-let eval_hi ~sign g p =
-  let sy = p land 1 and delta = (p lsr 1) - 2048 in
-  ((sign lxor sy) lsl 31) lor (((g + delta) land 0x7FF) lsl 20)
+  let product = product ~mant in
+  fun y -> Fpr.mantissa (product y) lsr 32
 
 (* Hypotheses e and e + 64k predict Hamming weights that differ by a
    per-trace constant over the narrow FFT(c) exponent spread, so Pearson
@@ -245,7 +213,14 @@ let eval_hi ~sign g p =
    lies in the 64-wide biased-exponent window [992, 1056). *)
 let exponent_window = Seq.init 64 (fun i -> 992 + i)
 
-(* Per-view calibration on the known-operand load transitions,
+(* Calibration regresses samples on the known operand's load events:
+   their weights under HW, the low word's transition into the high word
+   under bus HD. *)
+let calibration_points = function
+  | `Hw -> [ (Fpr.Load_x_lo, word_lo); (Fpr.Load_x_hi, word_hi) ]
+  | `Hd -> [ (Fpr.Load_x_hi, fun y -> word_lo y lxor word_hi y) ]
+
+(* Per-view calibration on the known-operand load events,
    averaged over the views whose fitted alpha sits within tolerance of
    the largest.  The load samples sit at the very start of the first
    multiplication window, so for the first coefficient they are the
@@ -264,47 +239,65 @@ let calibrate_views ~leakage ~traces ~at views =
   let als =
     List.mapi
       (fun j v ->
-        match (leakage : leakage) with
-        | `Hw ->
-            Calibrate.estimate ~traces ~known:v.known ~lo_sample:(at j Fpr.Load_x_lo)
-              ~hi_sample:(at j Fpr.Load_x_hi)
-        | `Hd -> Calibrate.estimate_hd ~traces ~known:v.known ~hi_sample:(at j Fpr.Load_x_hi))
+        Calibrate.estimate ~traces ~known:v.known
+          (List.map (fun (lbl, word) -> (at j lbl, word)) (calibration_points leakage)))
       views
   in
-  if als = [] then invalid_arg "Recover.calibrate_views: no views";
   let amax = List.fold_left (fun acc (a, _) -> Float.max acc a) neg_infinity als in
   let keep = List.filter (fun (a, _) -> a >= 0.9 *. amax) als in
   let nf = float_of_int (List.length keep) in
   ( List.fold_left (fun acc (a, _) -> acc +. a) 0. keep /. nf,
     List.fold_left (fun acc (_, b) -> acc +. b) 0. keep /. nf )
 
-(* Bus-HD transitions around the tail of the window, as [Fn] closures
-   over the recovered mantissa (the packed digests would overflow the
-   63-bit split-prep word): the normalised product into the exponent
-   register, the exponent word into the sign flag, the sign flag into
-   the result's low word, and the result's low word into its high
-   word.  The result-low transition only distinguishes the sign bit but
-   rides along for free. *)
-let hd_sign_exp_stage ~mant =
-  let x0 = Fpr.make ~sign:0 ~exp:1023 ~mant in
-  let exp_word g y =
-    ((g land 0x7FF) + Fpr.biased_exponent y - 2100) land 0xFFFFFFFF
-  in
-  let sgn g y = (g lsr 11) lxor Fpr.sign_bit y in
-  let lo_word y = Int64.to_int (Int64.logand (Fpr.mul x0 y) 0xFFFFFFFFL) in
-  let hi_word g y =
-    let r0 = Fpr.mul x0 y in
-    let e_res = ((g land 0x7FF) + Fpr.biased_exponent r0 - 1023) land 0x7FF in
-    ((sgn g y lsl 31) lor (e_res lsl 20) lor (Fpr.mantissa r0 lsr 32))
-    land 0xFFFFFFFF
-  in
-  [
-    ( Fpr.Exp_sum,
-      Hypothesis.Model.fn (fun g y -> norm_value ~mant y lxor exp_word g y) );
-    (Fpr.Sign_xor, Hypothesis.Model.fn (fun g y -> exp_word g y lxor sgn g y));
-    (Fpr.Result_lo, Hypothesis.Model.fn (fun g y -> sgn g y lxor lo_word y));
-    (Fpr.Result_hi, Hypothesis.Model.fn (fun g y -> lo_word y lxor hi_word g y));
-  ]
+(* The joint sign/exponent stage on one view, as (label, model) parts
+   over the view's trace index.  The 12-bit joint guess g packs
+   (sign << 11) | exponent.  Under HW the parts are the Exp_sum,
+   Sign_xor and Result_hi events, split models over the operand's
+   digests.  Under bus HD they are the Exp_sum, Sign_xor, Result_lo and
+   Result_hi transitions, each from its predecessor: the predecessors
+   Mant_norm and Result_lo and the result's fields are guess-free, so
+   they are computed once per trace and each part is a plain model,
+   one class per trace. *)
+let sign_exponent_parts ~leakage ~mant known =
+  match (leakage : leakage) with
+  | `Hw ->
+      List.map
+        (fun (lbl, m) -> (lbl, Hypothesis.Model.contramap (fun i -> known.(i)) m))
+        [
+          ( Fpr.Exp_sum,
+            Hypothesis.Model.split ~prep:Fpr.biased_exponent ~eval:(fun g ey ->
+                ev_exp_sum (g land 0x7FF) ey) );
+          ( Fpr.Sign_xor,
+            Hypothesis.Model.split ~prep:Fpr.sign_bit ~eval:(fun g sy ->
+                ev_sign_xor (g lsr 11) sy) );
+          ( Fpr.Result_hi,
+            Hypothesis.Model.split ~prep:(prep_hi ~mant) ~eval:(fun g p ->
+                ev_result_hi (g lsr 11) (g land 0x7FF) ~sy:(p land 1)
+                  ~delta:((p lsr 1) - 2048) ~hi20:0) );
+        ]
+  | `Hd ->
+      let xu = mant lor (1 lsl 52) in
+      let d = xu land m25 and e = xu lsr 25 in
+      let r = Array.map (product ~mant) known in
+      let norm = Array.map (fun y -> ev_mant_norm ~d ~e (pack_ba y)) known in
+      let ey = Array.map Fpr.biased_exponent known and sy = Array.map Fpr.sign_bit known in
+      let lo = Array.map word_lo r in
+      let delta = Array.map (fun r -> Fpr.biased_exponent r - 1023) r in
+      let hi20 = Array.map (fun r -> Fpr.mantissa r lsr 32) r in
+      [
+        ( Fpr.Exp_sum,
+          Hypothesis.Model.fn (fun g i -> norm.(i) lxor ev_exp_sum (g land 0x7FF) ey.(i)) );
+        ( Fpr.Sign_xor,
+          Hypothesis.Model.fn (fun g i ->
+              ev_exp_sum (g land 0x7FF) ey.(i) lxor ev_sign_xor (g lsr 11) sy.(i)) );
+        ( Fpr.Result_lo,
+          Hypothesis.Model.fn (fun g i -> ev_sign_xor (g lsr 11) sy.(i) lxor lo.(i)) );
+        ( Fpr.Result_hi,
+          Hypothesis.Model.fn (fun g i ->
+              lo.(i)
+              lxor ev_result_hi (g lsr 11) (g land 0x7FF) ~sy:sy.(i) ~delta:delta.(i)
+                     ~hi20:hi20.(i)) );
+      ]
 
 let sign_exponent_multi ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ~mant views =
   Obs.span c.Ctx.obs "recover.sign_exponent"
@@ -313,32 +306,18 @@ let sign_exponent_multi ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ~mant views =
   let candidates =
     Seq.concat_map (fun e -> List.to_seq [ e; (1 lsl 11) lor e ]) exponent_window
   in
-  (* the 12-bit joint guess packs (sign << 11) | exponent; each part's
-     eval unpacks it, so all three stay split models *)
-  let stage =
-    match (leakage : leakage) with
-    | `Hd -> hd_sign_exp_stage ~mant
-    | `Hw ->
-        [
-          ( Fpr.Exp_sum,
-            Hypothesis.Model.split ~prep:Fpr.biased_exponent ~eval:(fun g e ->
-                ((g land 0x7FF) + e - 2100) land 0xFFFFFFFF) );
-          ( Fpr.Sign_xor,
-            Hypothesis.Model.split ~prep:Fpr.sign_bit ~eval:(fun g s ->
-                (g lsr 11) lxor s) );
-          ( Fpr.Result_hi,
-            Hypothesis.Model.split ~prep:(prep_hi ~mant) ~eval:(fun g p ->
-                eval_hi ~sign:(g lsr 11) (g land 0x7FF) p) );
-        ]
-  in
+  let stages = List.map (fun v -> sign_exponent_parts ~leakage ~mant v.known) views in
   (* one pass over the windows reads every sample the stage uses: the
      calibration loads and the parts' own samples *)
-  let labels = Fpr.Load_x_lo :: Fpr.Load_x_hi :: List.map fst stage in
+  let labels =
+    List.map fst (calibration_points leakage)
+    @ match stages with s :: _ -> List.map fst s | [] -> []
+  in
   let traces = gather views labels in
   let at j lbl = (j * List.length labels) + Option.get (List.find_index (( = ) lbl) labels) in
   let alpha, baseline = calibrate_views ~leakage ~traces ~at views in
-  (* the high word's hi20 field is guess-free: its alpha-scaled weight
-     leaves the Result_hi column of [gather]'s fresh rows *)
+  (* the high word's hi20 field is guess-free: under HW its alpha-scaled
+     weight leaves the Result_hi column of [gather]'s fresh rows *)
   (match (leakage : leakage) with
   | `Hw ->
       let hi20 = hi20 ~mant in
@@ -353,13 +332,7 @@ let sign_exponent_multi ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ~mant views =
         views
   | `Hd -> ());
   let parts =
-    List.concat
-      (List.mapi
-         (fun j v ->
-           List.map
-             (fun (lbl, m) -> (at j lbl, Hypothesis.Model.contramap (fun i -> v.known.(i)) m))
-             stage)
-         views)
+    List.concat (List.mapi (fun j stage -> List.map (fun (lbl, m) -> (at j lbl, m)) stage) stages)
   in
   let ranked =
     Dema.rank_absolute ~ctx:c ~traces ~parts
@@ -417,26 +390,49 @@ let extend_prune_multi ~ctx ~top ~candidates ~extend_stage ~prune_stage views =
   prune_multi ~ctx ~top ~extend ~extend_stage ~prune_stage views
 
 (* Extend phase: correlate the guess against both partial products
-   (D x B at the w00 sample, D x A at the w10 sample) — Section III-C.
-   Under bus-HD the w00 transition needs the secret high word and drops
-   out; the w10 and z1a transitions are d-only and carry the stage. *)
-let low_extend_stage = [ (Fpr.Mant_w00, p_w00); (Fpr.Mant_w10, p_w10) ]
-
+   (D x B at the w00 sample, D x A at the w10 sample) — Section III-C;
+   prune on their addition z1a.  Under bus HD every model is its event
+   XOR the one before it: the w00 transition needs the secret high
+   word's load and drops out, so the d-only w10 and z1a transitions
+   carry the stage. *)
 type stage = (Fpr.label * Fpr.t Hypothesis.Model.t) list
 
 let mantissa_low_width = 25
 
 let low_stages = function
-  | `Hw -> (low_extend_stage, [ (Fpr.Mant_z1a, p_z1a) ])
-  | `Hd -> ([ (Fpr.Mant_w10, p_hd_w10) ], [ (Fpr.Mant_z1a, p_hd_z1a) ])
+  | `Hw -> ([ (Fpr.Mant_w00, p_w00); (Fpr.Mant_w10, p_w10) ], [ (Fpr.Mant_z1a, p_z1a) ])
+  | `Hd ->
+      ( [ ( Fpr.Mant_w10,
+            Hypothesis.Model.split ~prep:pack_ba ~eval:(fun d p ->
+                ev_w00 d p lxor ev_w10 d p) ) ],
+        [ ( Fpr.Mant_z1a,
+            Hypothesis.Model.split ~prep:pack_ba ~eval:(fun d p ->
+                ev_w10 d p lxor ev_z1a d p) ) ] )
 
+(* The high phase given D: extend on E x B and E x A, prune on z1 and
+   the high-word accumulation (their transitions under bus HD, the
+   first from the low phase's z1a). *)
 let high_stages ~d = function
   | `Hw ->
       ( [ (Fpr.Mant_w01, p_w01); (Fpr.Mant_w11, p_w11) ],
         [ (Fpr.Mant_z1, p_z1 ~d); (Fpr.Mant_zhigh, p_zhigh ~d) ] )
   | `Hd ->
-      ( [ (Fpr.Mant_w01, p_hd_w01 ~d); (Fpr.Mant_w11, p_hd_w11 ~d) ],
-        [ (Fpr.Mant_z1, p_hd_z1 ~d); (Fpr.Mant_zhigh, p_hd_zhigh ~d) ] )
+      ( [
+          ( Fpr.Mant_w01,
+            Hypothesis.Model.split ~prep:pack_ba ~eval:(fun e p ->
+                ev_z1a d p lxor ev_w01 e p) );
+          ( Fpr.Mant_w11,
+            Hypothesis.Model.split ~prep:pack_ba ~eval:(fun e p ->
+                ev_z1 ~d e p lxor ev_w11 e p) );
+        ],
+        [
+          ( Fpr.Mant_z1,
+            Hypothesis.Model.split ~prep:pack_ba ~eval:(fun e p ->
+                ev_w01 e p lxor ev_z1 ~d e p) );
+          ( Fpr.Mant_zhigh,
+            Hypothesis.Model.split ~prep:pack_ba ~eval:(fun e p ->
+                ev_w11 e p lxor ev_zhigh ~d e p) );
+        ] )
 
 let mantissa_low_multi ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ?(top = 16)
     ~candidates views =
@@ -448,7 +444,7 @@ let mantissa_low_multi ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ?(top = 16)
 
 let attack_mantissa_low_naive ?ctx ?(top = 16) ~candidates v =
   Dema.rank ?ctx ~traces:v.traces
-    ~parts:[ (sample Fpr.Mant_w00, p_w00); (sample Fpr.Mant_w10, p_w10) ]
+    ~parts:(List.map (fun (lbl, m) -> (sample lbl, m)) (fst (low_stages `Hw)))
     ~known:v.known ~top candidates
 
 let mantissa_high_multi ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ?(top = 16)

@@ -30,22 +30,26 @@ val sample : Fpr.label -> int
 
 (** {1 Leakage models (predicted intermediates)}
 
-    Every model is a {!Hypothesis.Model.t}: the one form the ranking
-    sweeps, the profiled trainer, {!Target} and the correlation plots
-    ({!Dema.corr_time}, {!Dema.evolution}) all take.  [apply m guess y]
-    predicts the value [Fpr.mul_emit y secret] emits at the model's
-    event label when [guess] is the matching slice of the secret
-    operand: the test suite checks every model below against the
-    victim's emitter, not against a second copy of the arithmetic.
+    The attacked multiply's events are written once, in [Fpr.mul_emit]'s
+    order ({!Leakage.mul_event_order}), as functions of the guessed
+    slice of the secret operand and a small digest of the known one
+    (its significand halves B and A, its sign or its exponent).  Every
+    model is read off them: a Hamming-weight model is its event, a bus
+    Hamming-distance model its event XOR the event before it.  So
+    [apply m guess y] is the value [Fpr.mul_emit y secret] emits at the
+    model's label (its bus transition under [`Hd]) when [guess] is the
+    matching slice of the secret, and the test suite checks every model
+    against the emitter, not against a second copy of the arithmetic.
 
-    The known operand is digested once per sweep ([prep], its
-    significand halves B and A, its sign or its exponent) and the
-    candidate loop runs on plain ints ([eval]) inside the fused Pearson
-    kernel.  The four partial products [p_w00], [p_w10], [p_w01] and
-    [p_w11] are {!Hypothesis.Model.Product} values ([eval] is the
-    product itself, computed inline by the kernel).  Integer arithmetic
-    throughout, so rankings are bit-identical on either Pearson
-    kernel. *)
+    Every model is a {!Hypothesis.Model.t}, the one form the ranking
+    sweeps, the profiled trainer, {!Target} and the correlation plots
+    ({!Dema.corr_time}, {!Dema.evolution}) take.  The known operand is
+    digested once per sweep ([prep]) and the candidate loop runs on
+    plain ints ([eval]) inside the fused Pearson kernel; the four
+    partial products [p_w00], [p_w10], [p_w01] and [p_w11] are
+    {!Hypothesis.Model.Product} values, multiplied inline by the
+    kernel.  Integer arithmetic throughout, so rankings are
+    bit-identical on either Pearson kernel. *)
 
 val p_sign : Fpr.t Hypothesis.Model.t
 (** guess = secret sign bit; predicted sign of the product. *)
@@ -76,33 +80,34 @@ val p_zhigh : d:int -> Fpr.t Hypothesis.Model.t
 (** guess = E, given [d]; predicted high-word accumulation
     EA + (EB >> 25) + (DA >> 25) + (z1 >> 25). *)
 
-(** {2 Hamming-distance forms}
-
-    Matched models for bus-HD leakage ({!Leakage.Register_file.bus}: one
-    shared write-back register, so sample j leaks
-    [HW(v_(j-1) lxor v_j)]).  Each is the XOR of the two values
-    co-resident on the bus at that sample; the models stay exact, so the
-    HD attack keeps the full correlation of the HW one.  Select them
-    through the [?leakage] argument of the component attacks below. *)
-
 type leakage = [ `Hw | `Hd ]
 (** Which device model the hypothesis models are matched against:
     the idealized Hamming-weight probe (the default, matching
     [Leakage.default_emitter]) or bus Hamming-distance
-    ([Leakage.hd_emitter]).  Every component attack takes it as a
-    [?leakage] argument, [`Hw] by default. *)
+    ([Leakage.hd_emitter]: one shared write-back register, so sample j
+    leaks [HW(v_(j-1) lxor v_j)]).  Every component attack takes it as
+    a [?leakage] argument, [`Hw] by default; under [`Hd] every model is
+    its event XOR the one before it. *)
 
-val p_hd_w10 : Fpr.t Hypothesis.Model.t
-(** guess = D; predicted (D x B) xor (D x A) — the w10-sample bus
-    transition. *)
+val calibration_points : leakage -> (Fpr.label * (Fpr.t -> int)) list
+(** The load events {!Calibrate.estimate} regresses on, as (label, word
+    of the known operand): [`Hw] the low and high 32-bit words at
+    [Load_x_lo] and [Load_x_hi]; [`Hd] the low word's transition into
+    the high word, [word_lo lxor word_hi], at [Load_x_hi]. *)
 
-val p_hd_z1a : Fpr.t Hypothesis.Model.t
-val p_hd_w01 : d:int -> Fpr.t Hypothesis.Model.t
-val p_hd_z1 : d:int -> Fpr.t Hypothesis.Model.t
-val p_hd_w11 : d:int -> Fpr.t Hypothesis.Model.t
-val p_hd_zhigh : d:int -> Fpr.t Hypothesis.Model.t
-(** The other transitions: each XORs the value at its label with the
-    one before it on the bus, same prep digests as the HW models. *)
+val sign_exponent_parts :
+  leakage:leakage -> mant:int -> Fpr.t array -> (Fpr.label * int Hypothesis.Model.t) list
+(** The parts {!sign_exponent_multi} scores on one view whose known
+    operands are the array, given the recovered 52-bit mantissa
+    [mant], as models over the view's trace index.  The guess packs
+    [(sign lsl 11) lor exponent].  [`Hw]: Exp_sum, Sign_xor and
+    Result_hi, whose model leaves out the guess-free top mantissa bits
+    ({!hi20}); [`Hd]: the Exp_sum, Sign_xor, Result_lo and Result_hi
+    transitions. *)
+
+val hi20 : mant:int -> Fpr.t -> int
+(** The top 20 bits of the product's mantissa, given the secret's
+    mantissa [mant]: the guess-free field of the result's high word. *)
 
 (** {2 Stage part sets}
 
@@ -117,8 +122,8 @@ type stage = (Fpr.label * Fpr.t Hypothesis.Model.t) list
 
 val low_stages : leakage -> stage * stage
 (** Low 25-bit phase.  [`Hw]: extend on w00+w10, prune on z1a; [`Hd]:
-    the w00 transition needs the secret high word and drops out, so
-    extend on the w10 transition, prune on the z1a transition. *)
+    the w00 transition needs the secret high word's load and drops out,
+    so extend on the w10 transition, prune on the z1a transition. *)
 
 val high_stages : d:int -> leakage -> stage * stage
 (** High 28-bit phase given the recovered low half [d]: extend on
@@ -127,7 +132,10 @@ val high_stages : d:int -> leakage -> stage * stage
 val mantissa_low_width : int
 (** 25 — the guess width of the low phase ({!low_stages} candidates). *)
 
-(** {1 Component attacks} *)
+(** {1 Component attacks}
+
+    An attack over several views raises [Invalid_argument], naming the
+    counts, when the views hold different numbers of traces. *)
 
 val attack_sign : view -> int * float
 (** Recovered sign bit and its correlation at the sign sample (the

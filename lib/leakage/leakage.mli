@@ -70,6 +70,11 @@ val events_per_add : int  (** 3 *)
 
 val events_per_coeff : int  (** 70 *)
 
+val mul_event_order : Fpr.label array
+(** The 16 labels of a multiplication window in [Fpr.mul_emit]'s
+    emission order: sample j of a window holds event j, and under bus
+    Hamming distance it leaks the transition from event j - 1. *)
+
 val mul_event_offset : Fpr.label -> int
 (** Offset of a multiplication event inside its 16-sample window; raises
     [Invalid_argument] for addition labels. *)

@@ -147,11 +147,43 @@ let test_calibration () =
   let v = Lazy.force paper_view in
   let alpha, baseline =
     Attack.Calibrate.estimate ~traces:v.traces ~known:v.known
-      ~lo_sample:(Attack.Recover.sample Fpr.Load_x_lo)
-      ~hi_sample:(Attack.Recover.sample Fpr.Load_x_hi)
+      (List.map
+         (fun (lbl, word) -> (Attack.Recover.sample lbl, word))
+         (Attack.Recover.calibration_points `Hw))
   in
   Alcotest.(check bool) "alpha ~ 1" true (Float.abs (alpha -. 1.) < 0.05);
   Alcotest.(check bool) "baseline ~ 10" true (Float.abs (baseline -. 10.) < 0.5)
+
+(* A stage over views of different lengths is refused, naming the
+   lengths, whichever view is the longer: unchecked, a shorter first
+   view drops the longer view's extra traces silently, and a longer
+   first view indexes past the shorter one's end. *)
+let test_unequal_views_refused () =
+  let view d =
+    {
+      Attack.Recover.traces = Array.make d (Array.make Leakage.events_per_mul 10.);
+      known = Array.make d (Fpr.make ~sign:0 ~exp:1023 ~mant:0x123456789);
+    }
+  in
+  List.iter
+    (fun (views, lengths) ->
+      let refused who f =
+        match f () with
+        | () -> Alcotest.failf "%s accepted views of %s traces" who lengths
+        | exception Invalid_argument msg ->
+            Alcotest.(check string)
+              (who ^ " names the lengths")
+              (Printf.sprintf "Recover.%s: views hold different trace counts (%s)"
+                 (if who = "sign_exponent_multi" then "gather" else "combine")
+                 lengths)
+              msg
+      in
+      refused "sign_exponent_multi" (fun () ->
+          ignore (Attack.Recover.sign_exponent_multi ~mant:0x123 views));
+      refused "mantissa_low_multi" (fun () ->
+          ignore
+            (Attack.Recover.mantissa_low_multi ~candidates:(List.to_seq [ 1; 2; 3 ]) views)))
+    [ ([ view 3; view 2 ], "3, 2"); ([ view 2; view 3 ], "2, 3") ]
 
 let test_evolution_and_significance () =
   (* correlation of the true w00 hypothesis becomes significant and stays *)
@@ -205,28 +237,39 @@ let test_recovery_fails_with_wrong_traces () =
   Alcotest.(check bool) "key B not recovered from key A's traces" true
     (res.keypair = None || res.f <> sk_b.kp.f)
 
+(* The events of [Fpr.mul_emit known secret]: their labels in order, the
+   value at a label, and its XOR with the value of the event before. *)
+let emitted known secret =
+  let events = ref [] in
+  ignore (Fpr.mul_emit ~emit:(fun ev -> events := ev :: !events) known secret);
+  let events = Array.of_list (List.rev !events) in
+  let index lbl =
+    let rec go i = if events.(i).Fpr.label = lbl then i else go (i + 1) in
+    go 0
+  in
+  ( Array.map (fun ev -> ev.Fpr.label) events,
+    (fun lbl -> events.(index lbl).Fpr.value),
+    fun lbl ->
+      let i = index lbl in
+      events.(i - 1).Fpr.value lxor events.(i).Fpr.value )
+
 (* The leakage models are pinned to the victim: applied to the true
-   guess, every stage model of both leakage families, and the sign and
-   exponent models, predict exactly the value [Fpr.mul_emit] emits at
-   the model's label — under bus-HD, its XOR with the previous event's
-   value.  The known FFT(c) operand is the first operand of the
-   attacked multiply, the secret the second. *)
+   guess, every model of both leakage families predicts exactly the
+   value [Fpr.mul_emit] emits at the model's label — under bus HD, its
+   XOR with the value of the event before it in the emitter's order,
+   {!Leakage.mul_event_order}.  That covers the calibration load
+   points, the mantissa stages, [p_sign], [p_exp] and the sign/exponent
+   stage's parts; the HW Result_hi part leaves out the guess-free hi20
+   field, so it is checked with [hi20] put back.  The known FFT(c)
+   operand is the first operand of the attacked multiply, the secret
+   the second.  The sign/exponent parts model FALCON's range, where no
+   product overflows or flushes to zero, so they are checked on the pair
+   with both biased exponents folded into [900, 1150). *)
 let prop_models_match_emitter =
-  QCheck.Test.make ~count:2000 ~name:"leakage models = Fpr.mul_emit values"
+  QCheck.Test.make ~count:100_000 ~name:"leakage models = Fpr.mul_emit values"
     QCheck.(pair int64 int64)
     (fun (known, secret) ->
-      let events = ref [] in
-      ignore (Fpr.mul_emit ~emit:(fun ev -> events := ev :: !events) known secret);
-      let events = Array.of_list (List.rev !events) in
-      let index lbl =
-        let rec go i = if events.(i).Fpr.label = lbl then i else go (i + 1) in
-        go 0
-      in
-      let hw lbl = events.(index lbl).Fpr.value in
-      let hd lbl =
-        let i = index lbl in
-        events.(i - 1).Fpr.value lxor events.(i).Fpr.value
-      in
+      let order, hw, hd = emitted known secret in
       let yu = Fpr.mantissa secret lor (1 lsl 52) in
       let d = yu land 0x1FFFFFF and e = yu lsr 25 in
       let staged leakage =
@@ -238,11 +281,43 @@ let prop_models_match_emitter =
       let matches expect (lbl, m, guess) =
         Attack.Hypothesis.Model.apply m guess known = expect lbl
       in
-      List.for_all (matches hw)
-        ((Fpr.Sign_xor, Attack.Recover.p_sign, Fpr.sign_bit secret)
-        :: (Fpr.Exp_sum, Attack.Recover.p_exp, Fpr.biased_exponent secret)
-        :: staged `Hw)
-      && List.for_all (matches hd) (staged `Hd))
+      let calibrated expect leakage =
+        List.for_all
+          (fun (lbl, word) -> word known = expect lbl)
+          (Attack.Recover.calibration_points leakage)
+      in
+      let tame y =
+        Fpr.make ~sign:(Fpr.sign_bit y)
+          ~exp:(900 + (Fpr.biased_exponent y mod 250))
+          ~mant:(Fpr.mantissa y)
+      in
+      let tail_matches () =
+        let known = tame known and secret = tame secret in
+        let _, hw, hd = emitted known secret in
+        let mant = Fpr.mantissa secret in
+        let g = (Fpr.sign_bit secret lsl 11) lor Fpr.biased_exponent secret in
+        let parts leakage =
+          List.map
+            (fun (lbl, m) -> (lbl, Attack.Hypothesis.Model.apply m g 0))
+            (Attack.Recover.sign_exponent_parts ~leakage ~mant [| known |])
+        in
+        List.for_all
+          (fun (lbl, v) ->
+            match lbl with
+            | Fpr.Result_hi -> v lor Attack.Recover.hi20 ~mant known = hw lbl
+            | _ -> v = hw lbl)
+          (parts `Hw)
+        && List.for_all (fun (lbl, v) -> v = hd lbl) (parts `Hd)
+      in
+      order = Leakage.mul_event_order
+      && calibrated hw `Hw
+      && calibrated hd `Hd
+      && List.for_all (matches hw)
+           ((Fpr.Sign_xor, Attack.Recover.p_sign, Fpr.sign_bit secret)
+           :: (Fpr.Exp_sum, Attack.Recover.p_exp, Fpr.biased_exponent secret)
+           :: staged `Hw)
+      && List.for_all (matches hd) (staged `Hd)
+      && tail_matches ())
 
 let suite =
   [
@@ -257,6 +332,7 @@ let suite =
     Alcotest.test_case "paper coefficient end-to-end" `Slow test_full_coefficient;
     Alcotest.test_case "exhaustive search, reduced width" `Slow test_exhaustive_small_window;
     Alcotest.test_case "calibration" `Slow test_calibration;
+    Alcotest.test_case "views of unequal length refused" `Quick test_unequal_views_refused;
     Alcotest.test_case "traces-to-significance" `Slow test_evolution_and_significance;
     Alcotest.test_case "full pipeline forgery" `Slow test_full_pipeline_forgery;
     Alcotest.test_case "wrong traces do not recover" `Slow test_recovery_fails_with_wrong_traces;
