@@ -160,8 +160,49 @@ let prop_linear =
       let rhs = Array.map Fpr.of_int sum in
       Array.for_all2 (fun a b -> close (Fpr.to_float a) (Fpr.to_float b)) lhs rhs)
 
+(* Digests of the transforms and the pointwise products on seeded
+   inputs whose imaginary parts are signed zeros and whose coefficients
+   include zeros, taken before the FFT moved onto unboxed floats: every
+   zero operand must give the bits it gave on the soft core. *)
+let bits_digest arrays =
+  let b = Buffer.create 4096 in
+  List.iter (Array.iter (Buffer.add_int64_le b)) arrays;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_zero_imaginary_goldens () =
+  let r = Stats.Rng.create ~seed:77 in
+  let n = 64 in
+  let signed_zero () = if Stats.Rng.bits r 1 = 0 then Fpr.zero else Fpr.neg Fpr.zero in
+  let value () =
+    match Stats.Rng.int_below r 4 with
+    | 0 -> signed_zero ()
+    | _ -> Fpr.of_float ((Stats.Rng.float01 r -. 0.5) *. 4096.)
+  in
+  let real () =
+    { Fft.re = Array.init n (fun _ -> value ()); im = Array.init n (fun _ -> signed_zero ()) }
+  in
+  let p = Array.init n (fun _ -> value ()) in
+  let a = real () and b = real () in
+  b.re.(0) <- Fpr.one;
+  let f = Fft.fft p in
+  let f0, f1 = Fft.split a in
+  let m = Fft.merge (a, b) in
+  let nonzero = Array.map (fun x -> if Fpr.is_zero x then Fpr.one else x) b.re in
+  let prod = Fft.mul a b and quot = Fft.div a { b with re = nonzero } in
+  List.iter
+    (fun (name, expect, arrays) -> Alcotest.(check string) name expect (bits_digest arrays))
+    [
+      ("fft", "99d9af0acf196c5503aa298d297ab951", [ f.re; f.im ]);
+      ("ifft", "5afae7c5701eceaaa7ee0b5d6e9204bc", [ Fft.ifft a ]);
+      ("split", "7408bf53706b4670e8690d7b282bfdd9", [ f0.re; f0.im; f1.re; f1.im ]);
+      ("merge", "612914dfdbda6b61b89cde01c9a4ee76", [ m.re; m.im ]);
+      ("mul", "d3368769b3b48a58557d79c561e2c074", [ prod.re; prod.im ]);
+      ("div", "0a38a0ef0e4f5fa5b9921ec031234872", [ quot.re; quot.im ]);
+    ]
+
 let suite =
   [
+    Alcotest.test_case "zero-imaginary goldens" `Quick test_zero_imaginary_goldens;
     Alcotest.test_case "ifft . fft = id" `Quick test_roundtrip;
     Alcotest.test_case "constant poly" `Quick test_constant;
     Alcotest.test_case "fft(x) = tree points" `Quick test_x_matches_tree_points;

@@ -110,8 +110,31 @@ let test_prng_uniformity () =
   (* dof = 255, mean 255, sigma = sqrt(510) ~ 22.6 *)
   Alcotest.(check bool) "chi-square plausible" true (chi2 > 150. && chi2 < 400.)
 
+(* A seeded generator's stream over 80 blocks: single bytes between the
+   64-bit draws shift them off the 8-byte grid, so some straddle a block
+   edge and take the refill inside the draw. *)
+let test_prng_stream_golden () =
+  let t = Prng.of_seed "stream golden" in
+  let b = Buffer.create 6000 in
+  let pos = ref 0 and straddles = ref 0 in
+  while !pos < 80 * 64 do
+    if !pos mod 11 = 3 || !pos mod 5 = 0 then begin
+      Buffer.add_uint8 b (Prng.byte t);
+      incr pos
+    end
+    else begin
+      if !pos mod 64 > 56 then incr straddles;
+      Buffer.add_int64_le b (Prng.u64 t);
+      pos := !pos + 8
+    end
+  done;
+  Alcotest.(check bool) "draws straddle block edges" true (!straddles >= 10);
+  Alcotest.(check string) "stream digest" "3f60d0ab4a51c6c7070ebe8b63c5d6f6"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let suite =
   [
+    Alcotest.test_case "prng stream golden" `Quick test_prng_stream_golden;
     Alcotest.test_case "SHA3-256 empty" `Quick test_sha3_256_empty;
     Alcotest.test_case "SHA3-256 abc" `Quick test_sha3_256_abc;
     Alcotest.test_case "SHAKE256 empty" `Quick test_shake256_empty;

@@ -96,8 +96,35 @@ let test_public_of_secret () =
   let pk' = Falcon.Scheme.public_of_secret sk in
   Alcotest.(check bool) "same h" true (pk'.h = pk.h)
 
+(* Digest of two signatures (salt and body) and of the FFT(c) each
+   multiplied, on a seeded key.  The goldens were taken before signing
+   moved onto unboxed floats, so they pin keygen's basis and tree, the
+   hash-to-point, the FFT, ffSampling and compression bit for bit. *)
+let signature_digest n =
+  let sk, _ = Falcon.Scheme.keygen ~n ~seed:(Printf.sprintf "signature golden %d" n) in
+  let rng = Prng.of_seed (Printf.sprintf "signature golden rng %d" n) in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun msg ->
+      let sg, c_fft =
+        Falcon.Scheme.sign_observed ~emit_cf:(fun _ _ -> ()) ~rng sk msg
+      in
+      Buffer.add_string b sg.salt;
+      Buffer.add_string b sg.body;
+      Array.iter (Buffer.add_int64_le b) c_fft.Fft.re;
+      Array.iter (Buffer.add_int64_le b) c_fft.Fft.im)
+    [ "first message"; "second message" ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_signature_goldens () =
+  List.iter
+    (fun (n, expect) ->
+      Alcotest.(check string) (Printf.sprintf "n = %d" n) expect (signature_digest n))
+    [ (16, "66ac4f62278dee47aaf0011ff5718b2e"); (64, "3400faffbe5ba6ab45512fccff7de7b9"); (512, "3b9f99167af01cc56cfb3a2785db3d61"); (1024, "428f649077660fd16a77951db53d9e1d") ]
+
 let suite =
   [
+    Alcotest.test_case "signature goldens, n = 16..1024" `Quick test_signature_goldens;
     Alcotest.test_case "sign/verify n=128" `Quick test_sign_verify_n128;
     Alcotest.test_case "sign/verify FALCON-512" `Slow test_sign_verify_falcon512;
     Alcotest.test_case "ffSampling integrality" `Quick test_ffsampling_integrality;
