@@ -1174,7 +1174,10 @@ let micro () =
   let fft512 = Fft.fft poly512 in
   let zq512 = Array.init 512 (fun i -> i * 23 mod Zq.q) in
   let sk512, _ = Falcon.Scheme.keygen ~n:512 ~seed:"bench key" in
+  let sk16, _ = Falcon.Scheme.keygen ~n:16 ~seed:"bench key" in
   let signer = Prng.of_seed "bench signer" in
+  let capture16 = Leakage.capture_stream Leakage.default_model ~seed:1 sk16 in
+  let chacha = Prng.of_seed "bench chacha" in
   let tests =
     [
       Test.make ~name:"fpr_mul" (Staged.stage (fun () -> Fpr.mul x y));
@@ -1190,6 +1193,15 @@ let micro () =
         (Staged.stage (fun () -> Falcon.Hash.to_point ~n:512 "salted message"));
       Test.make ~name:"sign_512"
         (Staged.stage (fun () -> Falcon.Scheme.sign ~rng:signer sk512 "msg"));
+      Test.make ~name:"sign_16"
+        (Staged.stage (fun () -> Falcon.Scheme.sign ~rng:signer sk16 "msg"));
+      Test.make ~name:"capture_16" (Staged.stage (fun () -> capture16 ()));
+      (* 64 bytes from a generator: one in-place block refill, 8 reads *)
+      Test.make ~name:"chacha_block"
+        (Staged.stage (fun () ->
+             for _ = 1 to 8 do
+               ignore (Sys.opaque_identity (Prng.u64 chacha))
+             done));
     ]
   in
   let instance = Toolkit.Instance.monotonic_clock in
