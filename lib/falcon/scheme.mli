@@ -11,9 +11,9 @@
 type secret_key = {
   params : Params.t;
   kp : Ntru.Ntrugen.keypair;
-  basis : Fft.t array array;  (** [[g, -f], [G, -F]] in the FFT domain *)
+  basis : Fft.Vec.t array array;  (** [[g, -f], [G, -F]] in the FFT domain *)
   f_fft : Fft.t;  (** FFT(f): the values the attack recovers *)
-  big_f_fft : Fft.t;  (** FFT(F) *)
+  big_f_fft : Fft.Vec.t;  (** FFT(F) *)
   tree : Tree.t;
 }
 

@@ -4,13 +4,16 @@
 
     The tree halves the FFT size at every level; each internal node
     stores the LDL coefficient L10, and the leaves store the per-
-    coordinate Gaussian widths sigma / sqrt(D_ii) used by SamplerZ. *)
+    coordinate Gaussian widths sigma / sqrt(D_ii) used by SamplerZ.
+
+    Building and sampling run on the unboxed FFT kernel {!Fft.Vec}, so
+    every value is bit-identical to FALCON's soft-float. *)
 
 type t =
   | Leaf of float  (** sampling sigma for one integer coordinate *)
-  | Node of { l10 : Fft.t; left : t; right : t }
+  | Node of { l10 : Fft.Vec.t; left : t; right : t }
 
-val build : sigma:float -> Fft.t array array -> t
+val build : sigma:float -> Fft.Vec.t array array -> t
 (** [build ~sigma b] for the 2x2 FFT-domain basis
     [b = [|[|g; -f|]; [|G; -F|]|]]: computes the Gram matrix B B* and
     recursively LDL-decomposes it down to scalar leaves. *)
@@ -21,7 +24,8 @@ val leaves : t -> float list
 
 val depth : t -> int
 
-val sample : Prng.t -> sigma_min:float -> t -> Fft.t * Fft.t -> Fft.t * Fft.t
+val sample :
+  Prng.t -> sigma_min:float -> t -> Fft.Vec.t * Fft.Vec.t -> Fft.Vec.t * Fft.Vec.t
 (** ffSampling: given the target centre (t0, t1), return (z0, z1) — FFTs
     of integer polynomials — distributed as spherical Gaussians around
     the centre with covariance shaped by the tree. *)

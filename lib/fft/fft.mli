@@ -15,14 +15,54 @@
     point pair (v, -v), and the sequence of squared points v^2 is exactly
     the tree order of size n/2.
 
-    All arithmetic goes through {!Fpr}, so every value is bit-identical
-    to FALCON's reference soft-float; only {!mul_emit} runs the
-    instrumented soft core step by step, the rest takes {!Fpr}'s
-    native-FPU fast path where it is exact. *)
+    One implementation, the kernel {!Vec}, computes over unboxed
+    [float array]s, and every add/sub/mul/div (and halving) in it goes
+    through {!Fpr}'s guard ({!Fpr.fadd} etc.): the host FPU where it is
+    bit-identical to FALCON's reference soft-float, {!Fpr.Soft} on the
+    bits elsewhere.  Signing ([Falcon.Scheme], the ffSampling tree, the
+    key's basis) runs on {!Vec}.  The boxed {!type-t} over {!Fpr.t} is
+    the public boundary the attack, the benchmark and the tests read:
+    its functions convert to {!Vec}, compute there and convert back.
+    Only {!mul_emit}, the leaking product, stays on boxed values, running
+    the instrumented soft core step by step. *)
+
+(** {1 The unboxed kernel} *)
+
+module Vec : sig
+  type t = { re : float array; im : float array }
+  (** [re.(k) + i im.(k)] is the value at the k-th tree-ordered root,
+      as host floats; both arrays have the same power-of-two length. *)
+
+  val length : t -> int
+
+  val fft : float array -> t
+  val ifft : t -> float array
+  val fft_of_int : int array -> t
+  val add : t -> t -> t
+  val sub : t -> t -> t
+  val neg : t -> t
+  val adj : t -> t
+  val mul : t -> t -> t
+  val div : t -> t -> t
+  val mulconst : t -> float -> t
+  val split : t -> t * t
+  val merge : t -> t -> t
+  val norm_sq : t -> float
+
+  val round_to_int : float array -> int array
+  (** {!Fpr.rint} of each value. *)
+end
+(** The same operations as the boxed functions below, with the same
+    bits: [of_vec (Vec.f (to_vec a))] is [f a] for every [f]. *)
+
+(** {1 The boxed boundary} *)
 
 type t = { re : Fpr.t array; im : Fpr.t array }
 (** FFT-domain polynomial: [re.(k) + i im.(k)] is the value at the k-th
     tree-ordered root.  Both arrays have the same power-of-two length. *)
+
+val to_vec : t -> Vec.t
+val of_vec : Vec.t -> t
 
 val length : t -> int
 val zero : int -> t
@@ -45,7 +85,8 @@ val round_to_int : Fpr.t array -> int array
 
 val tree_points : int -> (Fpr.t * Fpr.t) array
 (** [tree_points n] is the array of n/2 points v_u such that FFT entries
-    [2u] and [2u+1] of a size-n transform sit at (v_u, -v_u).  Memoised. *)
+    [2u] and [2u+1] of a size-n transform sit at (v_u, -v_u).  The
+    twiddle table behind it is built once. *)
 
 (** {1 Pointwise ring operations in the FFT domain} *)
 

@@ -287,43 +287,46 @@ module Soft = struct
     end
 end
 
-(* A normal double whose biased exponent lies in [2, 0x7FD].  When both
-   operands and the result of an add/sub/mul/div are such values, the
-   host FPU and the soft core round the same exact value the same way,
-   bit for bit; everything else (zeros, results at or below 2^-1021,
-   where the soft core flushes to zero, and the top of the range) goes
-   to the soft core. *)
-let[@inline] native_range (x : t) =
-  let e = biased_exponent x in
-  e >= 2 && e <= 0x7FD
+(* The guard, written once over host floats.  An operand or result is
+   admitted when it is a signed zero or a normal double whose biased
+   exponent lies in [2, 0x7FD].  When both operands and the result of an
+   add/sub/mul/div are admitted (and a divisor is nonzero), the host FPU
+   and the soft core agree bit for bit: both round the same exact value
+   the same way, and on zeros both follow IEEE (x + (-x) = +0, signed
+   zero products and quotients, and a product or quotient that rounds
+   to 0 is below 2^-1074, where the soft core flushes too).  Everything
+   else (results at or below 2^-1021 that the FPU keeps as subnormals or
+   tiny normals, the top of the range, non-finite encodings, division
+   by zero) runs the soft core on the bits. *)
+let[@inline] admitted x =
+  let a = Float.abs x in
+  a = 0. || (a >= 0x1p-1021 && a < 0x1p1023)
 
-let add x y =
-  if native_range x && native_range y then begin
-    let r = of_float (to_float x +. to_float y) in
-    if native_range r then r else Soft.add x y
-  end
-  else Soft.add x y
+let[@inline never] soft_bits op x y = to_float (op (of_float x) (of_float y))
 
-let sub x y =
-  if native_range x && native_range y then begin
-    let r = of_float (to_float x -. to_float y) in
-    if native_range r then r else Soft.sub x y
-  end
-  else Soft.sub x y
+let[@inline] fadd x y =
+  let r = x +. y in
+  if admitted x && admitted y && admitted r then r else soft_bits Soft.add x y
 
-let mul x y =
-  if native_range x && native_range y then begin
-    let r = of_float (to_float x *. to_float y) in
-    if native_range r then r else Soft.mul x y
-  end
-  else Soft.mul x y
+let[@inline] fsub x y =
+  let r = x -. y in
+  if admitted x && admitted y && admitted r then r else soft_bits Soft.sub x y
 
-let div x y =
-  if native_range x && native_range y then begin
-    let r = of_float (to_float x /. to_float y) in
-    if native_range r then r else Soft.div x y
-  end
-  else Soft.div x y
+let[@inline] fmul x y =
+  let r = x *. y in
+  if admitted x && admitted y && admitted r then r else soft_bits Soft.mul x y
+
+let[@inline] fdiv x y =
+  let r = x /. y in
+  if y <> 0. && admitted x && admitted y && admitted r then r
+  else soft_bits Soft.div x y
+
+let fhalf x = if admitted x then x *. 0.5 else to_float (half (of_float x))
+
+let add x y = of_float (fadd (to_float x) (to_float y))
+let sub x y = of_float (fsub (to_float x) (to_float y))
+let mul x y = of_float (fmul (to_float x) (to_float y))
+let div x y = of_float (fdiv (to_float x) (to_float y))
 
 let inv x = div one x
 let sqrt = Soft.sqrt

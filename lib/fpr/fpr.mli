@@ -17,10 +17,14 @@
 
     Only {!mul_emit} and {!add_emit} leak: they are the FPEMU model the
     attack targets and always run the soft core.  The non-emitting
-    {!add}, {!sub}, {!mul} and {!div} compute on the host FPU when both
-    operands and the result are normal with a biased exponent in
-    [\[2, 0x7FD\]], and fall back to {!Soft} otherwise; a property test
-    pins them to {!Soft} bit for bit over the whole exponent range. *)
+    arithmetic goes through one guard, written over host floats
+    ({!fadd}, {!fsub}, {!fmul}, {!fdiv}): it computes on the host FPU
+    when both operands and the result are signed zeros or normal with a
+    biased exponent in [\[2, 0x7FD\]], and falls back to {!Soft} on the
+    bits otherwise.  The boxed {!add}, {!sub}, {!mul} and {!div} are
+    that guard applied to the bits.  A property test pins both the float
+    entries and the boxed ones to {!Soft} bit for bit over the whole
+    exponent range, signed zeros and division by zero included. *)
 
 type t = int64
 (** Binary64 bit pattern: bit 63 sign, bits 62-52 biased exponent,
@@ -101,9 +105,28 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 val div : t -> t -> t
-(** Host-FPU arithmetic where it provably equals the soft core (both
-    operands and the result normal, biased exponent in [\[2, 0x7FD\]]);
-    {!Soft} otherwise.  Bit-identical to {!Soft} on every input. *)
+(** {!fadd}, {!fsub}, {!fmul}, {!fdiv} on the bits: host-FPU arithmetic
+    where it provably equals the soft core, {!Soft} otherwise.
+    Bit-identical to {!Soft} on every input. *)
+
+(** {2 The guard over host floats}
+
+    The entries the unboxed FFT kernel ([Fft.Vec]) computes with, and
+    the one definition of the guard.  An operation runs on the host FPU
+    when both operands and the result are signed zeros or normal with a
+    biased exponent in [\[2, 0x7FD\]] (and, for a division, the divisor
+    is nonzero); every other case runs {!Soft} on the bits.  On every
+    input the result has the bits {!Soft} gives, and an input {!Soft}
+    refuses raises the same exception. *)
+
+val fadd : float -> float -> float
+val fsub : float -> float -> float
+val fmul : float -> float -> float
+val fdiv : float -> float -> float
+
+val fhalf : float -> float
+(** {!half} on a host float: [x *. 0.5] for a signed zero or a biased
+    exponent in [\[2, 0x7FD\]], {!half} on the bits otherwise. *)
 
 val inv : t -> t
 (** [div one x]. *)

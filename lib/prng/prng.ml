@@ -8,17 +8,7 @@ let word s off =
 
 let mask32 = 0xFFFFFFFF
 
-let rotl32 x k = ((x lsl k) lor (x lsr (32 - k))) land mask32
-
-let quarter st a b c d =
-  st.(a) <- (st.(a) + st.(b)) land mask32;
-  st.(d) <- rotl32 (st.(d) lxor st.(a)) 16;
-  st.(c) <- (st.(c) + st.(d)) land mask32;
-  st.(b) <- rotl32 (st.(b) lxor st.(c)) 12;
-  st.(a) <- (st.(a) + st.(b)) land mask32;
-  st.(d) <- rotl32 (st.(d) lxor st.(a)) 8;
-  st.(c) <- (st.(c) + st.(d)) land mask32;
-  st.(b) <- rotl32 (st.(b) lxor st.(c)) 7
+let[@inline] rotl32 x k = ((x lsl k) lor (x lsr (32 - k))) land mask32
 
 (* The state words of block 0: constants, key, counter 0, nonce. *)
 let initial_state ~key ~nonce =
@@ -35,23 +25,59 @@ let initial_state ~key ~nonce =
   done;
   init
 
-(* The block function: 20 rounds over a copy of [init] in the scratch
-   [st], then the 64-byte keystream block written into [out]. *)
-let core init st out =
-  Array.blit init 0 st 0 16;
+(* The block function: 20 rounds over the sixteen state words of [init]
+   held in local variables, then the 64-byte keystream block written
+   into [out].  Each quarter round on (a, b, c, d) is
+     a += b; d ^= a; d <<<= 16;  c += d; b ^= c; b <<<= 12;
+     a += b; d ^= a; d <<<= 8;   c += d; b ^= c; b <<<= 7
+   with additions mod 2^32. *)
+let core init out =
+  let x0 = ref init.(0) and x1 = ref init.(1) and x2 = ref init.(2) and x3 = ref init.(3) in
+  let x4 = ref init.(4) and x5 = ref init.(5) and x6 = ref init.(6) and x7 = ref init.(7) in
+  let x8 = ref init.(8) and x9 = ref init.(9) and x10 = ref init.(10) and x11 = ref init.(11) in
+  let x12 = ref init.(12) and x13 = ref init.(13) and x14 = ref init.(14) in
+  let x15 = ref init.(15) in
   for _ = 1 to 10 do
-    quarter st 0 4 8 12;
-    quarter st 1 5 9 13;
-    quarter st 2 6 10 14;
-    quarter st 3 7 11 15;
-    quarter st 0 5 10 15;
-    quarter st 1 6 11 12;
-    quarter st 2 7 8 13;
-    quarter st 3 4 9 14
+    (* columns: (0 4 8 12) (1 5 9 13) (2 6 10 14) (3 7 11 15) *)
+    x0 := (!x0 + !x4) land mask32; x12 := rotl32 (!x12 lxor !x0) 16;
+    x8 := (!x8 + !x12) land mask32; x4 := rotl32 (!x4 lxor !x8) 12;
+    x0 := (!x0 + !x4) land mask32; x12 := rotl32 (!x12 lxor !x0) 8;
+    x8 := (!x8 + !x12) land mask32; x4 := rotl32 (!x4 lxor !x8) 7;
+    x1 := (!x1 + !x5) land mask32; x13 := rotl32 (!x13 lxor !x1) 16;
+    x9 := (!x9 + !x13) land mask32; x5 := rotl32 (!x5 lxor !x9) 12;
+    x1 := (!x1 + !x5) land mask32; x13 := rotl32 (!x13 lxor !x1) 8;
+    x9 := (!x9 + !x13) land mask32; x5 := rotl32 (!x5 lxor !x9) 7;
+    x2 := (!x2 + !x6) land mask32; x14 := rotl32 (!x14 lxor !x2) 16;
+    x10 := (!x10 + !x14) land mask32; x6 := rotl32 (!x6 lxor !x10) 12;
+    x2 := (!x2 + !x6) land mask32; x14 := rotl32 (!x14 lxor !x2) 8;
+    x10 := (!x10 + !x14) land mask32; x6 := rotl32 (!x6 lxor !x10) 7;
+    x3 := (!x3 + !x7) land mask32; x15 := rotl32 (!x15 lxor !x3) 16;
+    x11 := (!x11 + !x15) land mask32; x7 := rotl32 (!x7 lxor !x11) 12;
+    x3 := (!x3 + !x7) land mask32; x15 := rotl32 (!x15 lxor !x3) 8;
+    x11 := (!x11 + !x15) land mask32; x7 := rotl32 (!x7 lxor !x11) 7;
+    (* diagonals: (0 5 10 15) (1 6 11 12) (2 7 8 13) (3 4 9 14) *)
+    x0 := (!x0 + !x5) land mask32; x15 := rotl32 (!x15 lxor !x0) 16;
+    x10 := (!x10 + !x15) land mask32; x5 := rotl32 (!x5 lxor !x10) 12;
+    x0 := (!x0 + !x5) land mask32; x15 := rotl32 (!x15 lxor !x0) 8;
+    x10 := (!x10 + !x15) land mask32; x5 := rotl32 (!x5 lxor !x10) 7;
+    x1 := (!x1 + !x6) land mask32; x12 := rotl32 (!x12 lxor !x1) 16;
+    x11 := (!x11 + !x12) land mask32; x6 := rotl32 (!x6 lxor !x11) 12;
+    x1 := (!x1 + !x6) land mask32; x12 := rotl32 (!x12 lxor !x1) 8;
+    x11 := (!x11 + !x12) land mask32; x6 := rotl32 (!x6 lxor !x11) 7;
+    x2 := (!x2 + !x7) land mask32; x13 := rotl32 (!x13 lxor !x2) 16;
+    x8 := (!x8 + !x13) land mask32; x7 := rotl32 (!x7 lxor !x8) 12;
+    x2 := (!x2 + !x7) land mask32; x13 := rotl32 (!x13 lxor !x2) 8;
+    x8 := (!x8 + !x13) land mask32; x7 := rotl32 (!x7 lxor !x8) 7;
+    x3 := (!x3 + !x4) land mask32; x14 := rotl32 (!x14 lxor !x3) 16;
+    x9 := (!x9 + !x14) land mask32; x4 := rotl32 (!x4 lxor !x9) 12;
+    x3 := (!x3 + !x4) land mask32; x14 := rotl32 (!x14 lxor !x3) 8;
+    x9 := (!x9 + !x14) land mask32; x4 := rotl32 (!x4 lxor !x9) 7
   done;
-  for i = 0 to 15 do
-    Bytes.set_int32_le out (4 * i) (Int32.of_int ((st.(i) + init.(i)) land mask32))
-  done
+  let put i x = Bytes.set_int32_le out (4 * i) (Int32.of_int (x + init.(i))) in
+  put 0 !x0; put 1 !x1; put 2 !x2; put 3 !x3;
+  put 4 !x4; put 5 !x5; put 6 !x6; put 7 !x7;
+  put 8 !x8; put 9 !x9; put 10 !x10; put 11 !x11;
+  put 12 !x12; put 13 !x13; put 14 !x14; put 15 !x15
 
 let block ~key ~nonce ~counter =
   if String.length key <> 32 then invalid_arg "Prng.block: key must be 32 bytes";
@@ -59,14 +85,13 @@ let block ~key ~nonce ~counter =
   let init = initial_state ~key ~nonce in
   init.(12) <- counter land mask32;
   let out = Bytes.create 64 in
-  core init (Array.make 16 0) out;
+  core init out;
   Bytes.unsafe_to_string out
 
-(* A generator owns its state words, round scratch and output block, and
-   refills the block in place. *)
+(* A generator owns its state words and output block, and refills the
+   block in place. *)
 type t = {
   init : int array;
-  st : int array;
   buf : Bytes.t;
   mutable counter : int;
   mutable pos : int;
@@ -77,7 +102,6 @@ let create ~key ~nonce =
   if String.length nonce <> 12 then invalid_arg "Prng.create: nonce must be 12 bytes";
   {
     init = initial_state ~key ~nonce;
-    st = Array.make 16 0;
     buf = Bytes.create 64;
     counter = 0;
     pos = 64;
@@ -89,7 +113,7 @@ let of_seed seed =
 
 let refill t =
   t.init.(12) <- t.counter land mask32;
-  core t.init t.st t.buf;
+  core t.init t.buf;
   t.counter <- t.counter + 1;
   t.pos <- 0
 

@@ -95,37 +95,92 @@ let tiny_result_pair op =
       let y = if Stats.Rng.bits fast_rng 1 = 0 then y else Fpr.neg y in
       (x, y)
 
+(* Pairs on the guard's zero domain, where the FPU now answers: a
+   signed zero against an in-range value, x + (-x) (and x - x), and
+   in-range pairs whose product or quotient rounds to a signed zero;
+   for a division, also a signed-zero divisor, which must still reach
+   the soft core and fail the way it does. *)
+let zero_domain_pair op =
+  let signed_zero () = if Stats.Rng.bits fast_rng 1 = 0 then Fpr.zero else Fpr.neg Fpr.zero in
+  let normal () = with_exp (2 + Stats.Rng.int_below fast_rng 0x7FC) in
+  let underflow () =
+    match op with
+    | `Div ->
+        (* x / y below 2^-1075 *)
+        let ex = 2 + Stats.Rng.int_below fast_rng 900 in
+        (with_exp ex, with_exp (ex + 1078 + Stats.Rng.int_below fast_rng (0x7FD - ex - 1077)))
+    | _ ->
+        (* x * y below 2^-1075 *)
+        let ex = 2 + Stats.Rng.int_below fast_rng 480 in
+        (with_exp ex, with_exp (2 + Stats.Rng.int_below fast_rng (967 - ex)))
+  in
+  match (Stats.Rng.int_below fast_rng 3, op) with
+  | 0, _ ->
+      let z = signed_zero () and v = normal () in
+      if Stats.Rng.bits fast_rng 1 = 0 then (z, v) else (v, z)
+  | 1, `Add ->
+      let x = normal () in
+      (x, Fpr.neg x)
+  | 1, `Sub ->
+      let x = normal () in
+      (x, x)
+  | 1, `Div -> ((if Stats.Rng.bits fast_rng 1 = 0 then normal () else signed_zero ()), signed_zero ())
+  | _ -> underflow ()
+
 let outcome f x y = try Ok (f x y) with e -> Error (Printexc.to_string e)
+
+(* The float entries the FFT kernel computes with, on the same bits. *)
+let on_floats f x y = Fpr.of_float (f (Fpr.to_float x) (Fpr.to_float y))
 
 let test_fast_path_equals_soft () =
   let ops =
     [
-      ("add", `Add, Fpr.add, Fpr.Soft.add, ( +. ));
-      ("sub", `Sub, Fpr.sub, Fpr.Soft.sub, ( -. ));
-      ("mul", `Mul, Fpr.mul, Fpr.Soft.mul, ( *. ));
-      ("div", `Div, Fpr.div, Fpr.Soft.div, ( /. ));
+      ("add", `Add, Fpr.add, Fpr.fadd, Fpr.Soft.add, ( +. ));
+      ("sub", `Sub, Fpr.sub, Fpr.fsub, Fpr.Soft.sub, ( -. ));
+      ("mul", `Mul, Fpr.mul, Fpr.fmul, Fpr.Soft.mul, ( *. ));
+      ("div", `Div, Fpr.div, Fpr.fdiv, Fpr.Soft.div, ( /. ));
     ]
   in
+  let admitted x =
+    Fpr.is_zero x || (Fpr.biased_exponent x >= 2 && Fpr.biased_exponent x <= 0x7FD)
+  in
   List.iter
-    (fun (name, op, fast, soft, fpu) ->
+    (fun (name, op, boxed, floats, soft, fpu) ->
       (* cases where the FPU keeps a nonzero result that the soft core
          flushes: the guard is what keeps the two equal there *)
       let flushed = ref 0 in
-      for i = 1 to 30000 do
+      (* admitted operands with a signed-zero result (the FPU answers),
+         and divisions by a signed zero (the soft core answers) *)
+      let zero_results = ref 0 and zero_divisors = ref 0 in
+      for i = 1 to 45000 do
         let x, y =
-          if i mod 3 = 0 then tiny_result_pair op else (any_operand (), any_operand ())
+          match i mod 3 with
+          | 0 -> tiny_result_pair op
+          | 1 -> zero_domain_pair op
+          | _ -> (any_operand (), any_operand ())
         in
-        let got = outcome fast x y and expect = outcome soft x y in
-        if got <> expect then
-          Alcotest.failf "%s %Lx %Lx: fast %s, soft %s" name x y
-            (match got with Ok r -> Printf.sprintf "%Lx" r | Error e -> e)
-            (match expect with Ok r -> Printf.sprintf "%Lx" r | Error e -> e);
+        let expect = outcome soft x y in
+        List.iter
+          (fun (entry, f) ->
+            let got = outcome f x y in
+            if got <> expect then
+              Alcotest.failf "%s (%s) %Lx %Lx: fast %s, soft %s" name entry x y
+                (match got with Ok r -> Printf.sprintf "%Lx" r | Error e -> e)
+                (match expect with Ok r -> Printf.sprintf "%Lx" r | Error e -> e))
+          [ ("boxed", boxed); ("floats", on_floats floats) ];
         let r = Fpr.of_float (fpu (Fpr.to_float x) (Fpr.to_float y)) in
-        if (not (Fpr.is_zero r)) && Fpr.biased_exponent r <= 1 then incr flushed
+        if (not (Fpr.is_zero r)) && Fpr.biased_exponent r <= 1 then incr flushed;
+        if op = `Div && Fpr.is_zero y then incr zero_divisors
+        else if admitted x && admitted y && Fpr.is_zero r then incr zero_results
       done;
       if !flushed < 1000 then
         Alcotest.failf "%s: only %d cases with a result at or below 2^-1021" name
-          !flushed)
+          !flushed;
+      if !zero_results < 1000 then
+        Alcotest.failf "%s: only %d admitted cases with a signed-zero result" name
+          !zero_results;
+      if op = `Div && !zero_divisors < 1000 then
+        Alcotest.failf "div: only %d divisions by a signed zero" !zero_divisors)
     ops
 
 let test_special_values () =

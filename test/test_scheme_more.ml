@@ -25,17 +25,16 @@ let test_ffsampling_integrality () =
      vector: inverse transform within 1e-6 of integers *)
   let sk, _ = Falcon.Scheme.keygen ~n:32 ~seed:"integrality" in
   let rng = Prng.of_seed "integrality rng" in
-  let t0 = Fft.fft_of_int (Array.init 32 (fun i -> (i mod 7) - 3)) in
-  let t1 = Fft.fft_of_int (Array.init 32 (fun i -> (i mod 5) - 2)) in
+  let t0 = Fft.Vec.fft_of_int (Array.init 32 (fun i -> (i mod 7) - 3)) in
+  let t1 = Fft.Vec.fft_of_int (Array.init 32 (fun i -> (i mod 5) - 2)) in
   let z0, z1 = Falcon.Tree.sample rng ~sigma_min:sk.params.sigma_min sk.tree (t0, t1) in
   List.iter
     (fun z ->
       Array.iter
-        (fun c ->
-          let v = Fpr.to_float c in
+        (fun v ->
           if Float.abs (v -. Float.round v) > 1e-6 then
             Alcotest.failf "non-integer coefficient %.9f" v)
-        (Fft.ifft z))
+        (Fft.Vec.ifft z))
     [ z0; z1 ]
 
 let test_ffsampling_centered () =
@@ -43,14 +42,14 @@ let test_ffsampling_centered () =
      per-coordinate deviation is of the order sigma/gs-norm ~ O(1) *)
   let sk, _ = Falcon.Scheme.keygen ~n:16 ~seed:"centered" in
   let rng = Prng.of_seed "centered rng" in
-  let t0 = Fft.fft_of_int (Array.make 16 3) in
-  let t1 = Fft.fft_of_int (Array.make 16 (-2)) in
+  let t0 = Fft.Vec.fft_of_int (Array.make 16 3) in
+  let t1 = Fft.Vec.fft_of_int (Array.make 16 (-2)) in
   let acc = Stats.Welford.create () in
   for _ = 1 to 50 do
     let z0, z1 = Falcon.Tree.sample rng ~sigma_min:sk.params.sigma_min sk.tree (t0, t1) in
-    let d0 = Fft.ifft (Fft.sub z0 t0) and d1 = Fft.ifft (Fft.sub z1 t1) in
-    Array.iter (fun c -> Stats.Welford.add acc (Fpr.to_float c)) d0;
-    Array.iter (fun c -> Stats.Welford.add acc (Fpr.to_float c)) d1
+    let d0 = Fft.Vec.ifft (Fft.Vec.sub z0 t0) and d1 = Fft.Vec.ifft (Fft.Vec.sub z1 t1) in
+    Array.iter (Stats.Welford.add acc) d0;
+    Array.iter (Stats.Welford.add acc) d1
   done;
   Alcotest.(check bool) "mean deviation near zero" true
     (Float.abs (Stats.Welford.mean acc) < 0.5);
