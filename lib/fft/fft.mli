@@ -63,6 +63,7 @@ type t = { re : Fpr.t array; im : Fpr.t array }
 
 val to_vec : t -> Vec.t
 val of_vec : Vec.t -> t
+(** Bit-exact conversions between the boundary and the kernel. *)
 
 val length : t -> int
 val zero : int -> t
@@ -106,7 +107,8 @@ val mul_emit : emit:(int -> Fpr.event -> unit) -> t -> t -> t
     coefficient index alongside each soft-float leakage event.  Each
     complex coefficient product executes 4 instrumented real
     multiplications and 2 instrumented additions, exactly the structure
-    of Fig. 2 of the paper. *)
+    of Fig. 2 of the paper.  It runs on boxed values and the soft core,
+    and its result has the bits of {!mul}'s. *)
 
 (** {1 Half-size projections (for ffSampling and ffLDL)} *)
 

@@ -202,7 +202,6 @@ let test_zero_imaginary_goldens () =
 
 let suite =
   [
-    Alcotest.test_case "zero-imaginary goldens" `Quick test_zero_imaginary_goldens;
     Alcotest.test_case "ifft . fft = id" `Quick test_roundtrip;
     Alcotest.test_case "constant poly" `Quick test_constant;
     Alcotest.test_case "fft(x) = tree points" `Quick test_x_matches_tree_points;
@@ -215,4 +214,5 @@ let suite =
     Alcotest.test_case "div" `Quick test_div_inverse;
     Alcotest.test_case "mul_emit structure" `Quick test_mul_emit_structure;
     QCheck_alcotest.to_alcotest prop_linear;
+    Alcotest.test_case "zero-imaginary goldens" `Quick test_zero_imaginary_goldens;
   ]

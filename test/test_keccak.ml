@@ -134,7 +134,6 @@ let test_prng_stream_golden () =
 
 let suite =
   [
-    Alcotest.test_case "prng stream golden" `Quick test_prng_stream_golden;
     Alcotest.test_case "SHA3-256 empty" `Quick test_sha3_256_empty;
     Alcotest.test_case "SHA3-256 abc" `Quick test_sha3_256_abc;
     Alcotest.test_case "SHAKE256 empty" `Quick test_shake256_empty;
@@ -147,4 +146,5 @@ let suite =
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
     Alcotest.test_case "prng ranges" `Quick test_prng_ranges;
     Alcotest.test_case "prng uniformity" `Quick test_prng_uniformity;
+    Alcotest.test_case "prng stream golden" `Quick test_prng_stream_golden;
   ]

@@ -123,7 +123,6 @@ let test_signature_goldens () =
 
 let suite =
   [
-    Alcotest.test_case "signature goldens, n = 16..1024" `Quick test_signature_goldens;
     Alcotest.test_case "sign/verify n=128" `Quick test_sign_verify_n128;
     Alcotest.test_case "sign/verify FALCON-512" `Slow test_sign_verify_falcon512;
     Alcotest.test_case "ffSampling integrality" `Quick test_ffsampling_integrality;
@@ -132,4 +131,5 @@ let suite =
     Alcotest.test_case "params sweep" `Quick test_params_sweep;
     Alcotest.test_case "keygen rejects bad n" `Quick test_keygen_rejects_bad_n;
     Alcotest.test_case "public_of_secret" `Quick test_public_of_secret;
+    Alcotest.test_case "signature goldens, n = 16..1024" `Quick test_signature_goldens;
   ]
