@@ -233,38 +233,13 @@ let length p = Array.length p.re
 
 let zero n = { re = Array.make n Fpr.zero; im = Array.make n Fpr.zero }
 
-let copy p = { re = Array.copy p.re; im = Array.copy p.im }
-
 let tree_points n =
   let { cos; sin } = points n in
   Array.init (n / 2) (fun u -> (Fpr.of_float cos.(u), Fpr.of_float sin.(u)))
 
-let fft coeffs = of_vec (Vec.fft (Array.map Fpr.to_float coeffs))
 let ifft p = Array.map Fpr.of_float (Vec.ifft (to_vec p))
 let fft_of_int p = of_vec (Vec.fft_of_int p)
 let round_to_int = Array.map Fpr.rint
-
-let lift2 f a b = of_vec (f (to_vec a) (to_vec b))
-
-let add = lift2 Vec.add
-let sub = lift2 Vec.sub
-let mul = lift2 Vec.mul
-let div = lift2 Vec.div
-let neg a = of_vec (Vec.neg (to_vec a))
-let adj a = of_vec (Vec.adj (to_vec a))
-let mulconst a c = of_vec (Vec.mulconst (to_vec a) (Fpr.to_float c))
-
-let split f =
-  let f0, f1 = Vec.split (to_vec f) in
-  (of_vec f0, of_vec f1)
-
-let merge (f0, f1) = of_vec (Vec.merge (to_vec f0) (to_vec f1))
-
-let norm_sq f = Fpr.of_float (Vec.norm_sq (to_vec f))
-
-let mul_ring p q =
-  assert (Array.length p = Array.length q);
-  Vec.round_to_int (Vec.ifft (Vec.mul (Vec.fft_of_int p) (Vec.fft_of_int q)))
 
 let mul_emit ~emit a b =
   let n = length a in

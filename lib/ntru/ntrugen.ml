@@ -43,17 +43,21 @@ let gauss_sample rng ~sigma =
 
 (* ---- floating-point scaffolding for Babai reduction ---- *)
 
+module V = Fft.Vec
+
 let float_poly p size =
   Array.map
     (fun c ->
       let m, e = Bignum.to_float_scaled c in
-      Fpr.of_float (m *. (2. ** float_of_int (e - size))))
+      m *. (2. ** float_of_int (e - size)))
     p
 
-let round_clamped x =
-  let v = Fpr.to_float x in
+let round_clamped v =
   let v = Float.max (-0x1p40) (Float.min 0x1p40 v) in
   int_of_float (Float.round v)
+
+(* f adj f + g adj g in the FFT domain. *)
+let gram fa ga = V.add (V.mul fa (V.adj fa)) (V.mul ga (V.adj ga))
 
 (* Babai-reduce (F, G) against (f, g): repeatedly subtract
    k . (f, g) . 2^t with k = round((F adj f + G adj g) / (f adj f + g adj g) / 2^t),
@@ -61,9 +65,9 @@ let round_clamped x =
    The NTRU invariant fG - gF = q is preserved exactly for any k. *)
 let reduce f g big_f big_g =
   let size_fg = max 1 (max (Bigpoly.max_bit_length f) (Bigpoly.max_bit_length g)) in
-  let fa = Fft.fft (float_poly f size_fg) in
-  let ga = Fft.fft (float_poly g size_fg) in
-  let den = Fft.add (Fft.mul fa (Fft.adj fa)) (Fft.mul ga (Fft.adj ga)) in
+  let fa = V.fft (float_poly f size_fg) in
+  let ga = V.fft (float_poly g size_fg) in
+  let den = gram fa ga in
   let rec loop big_f big_g iters prev_size =
     let size_big =
       max (Bigpoly.max_bit_length big_f) (Bigpoly.max_bit_length big_g)
@@ -72,13 +76,10 @@ let reduce f g big_f big_g =
     else begin
       let scale = size_big - size_fg in
       let w = min scale 30 in
-      let fa_big = Fft.fft (float_poly big_f (size_big - w)) in
-      let ga_big = Fft.fft (float_poly big_g (size_big - w)) in
-      let num =
-        Fft.add (Fft.mul fa_big (Fft.adj fa)) (Fft.mul ga_big (Fft.adj ga))
-      in
-      let kf = Fft.ifft (Fft.div num den) in
-      let ki = Array.map round_clamped kf in
+      let fa_big = V.fft (float_poly big_f (size_big - w)) in
+      let ga_big = V.fft (float_poly big_g (size_big - w)) in
+      let num = V.add (V.mul fa_big (V.adj fa)) (V.mul ga_big (V.adj ga)) in
+      let ki = Array.map round_clamped (V.ifft (V.div num den)) in
       if Array.for_all (fun k -> k = 0) ki then (big_f, big_g)
       else begin
         let kp = Bigpoly.of_int_poly ki in
@@ -151,46 +152,38 @@ let gs_norm_ok f g =
   let n1 = sqrt (sq f +. sq g) in
   if n1 > bound then false
   else begin
-    let fa = Fft.fft_of_int f and ga = Fft.fft_of_int g in
-    let den = Fft.add (Fft.mul fa (Fft.adj fa)) (Fft.mul ga (Fft.adj ga)) in
-    let qfp = Fft.mulconst (Fft.adj fa) (Fpr.of_int Zq.q) in
-    let qgp = Fft.mulconst (Fft.adj ga) (Fpr.of_int Zq.q) in
-    let t0 = Fft.div qfp den and t1 = Fft.div qgp den in
-    let n2 =
-      sqrt (Fpr.to_float (Fft.norm_sq t0) +. Fpr.to_float (Fft.norm_sq t1))
-    in
+    let fa = V.fft_of_int f and ga = V.fft_of_int g in
+    let den = gram fa ga in
+    let q = float_of_int Zq.q in
+    let t0 = V.div (V.mulconst (V.adj fa) q) den in
+    let t1 = V.div (V.mulconst (V.adj ga) q) den in
+    let n2 = sqrt (V.norm_sq t0 +. V.norm_sq t1) in
     n2 <= bound
   end
 
+(* Like the reference, draw until a candidate passes every check. *)
 let keygen ~n ~seed =
   let rng = Prng.of_seed seed in
   let sigma = sigma_fg n in
-  let rec attempt k =
-    if k = 0 then failwith "Ntrugen.keygen: out of attempts"
+  let rec attempt () =
+    let f = Array.init n (fun _ -> gauss_sample rng ~sigma) in
+    let g = Array.init n (fun _ -> gauss_sample rng ~sigma) in
+    let ok_range = Array.for_all (fun c -> abs c <= 127) f
+                   && Array.for_all (fun c -> abs c <= 127) g in
+    if not (ok_range && gs_norm_ok f g) then attempt ()
     else begin
-      let f = Array.init n (fun _ -> gauss_sample rng ~sigma) in
-      let g = Array.init n (fun _ -> gauss_sample rng ~sigma) in
-      let ok_range = Array.for_all (fun c -> abs c <= 127) f
-                     && Array.for_all (fun c -> abs c <= 127) g in
-      if not ok_range then attempt (k - 1)
-      else if not (gs_norm_ok f g) then attempt (k - 1)
-      else begin
-        match Zq.inv_poly (Zq.of_centered f) with
-        | None -> attempt (k - 1)
-        | Some f_inv -> begin
-            match solve f g with
-            | None -> attempt (k - 1)
-            | Some (big_f, big_g) ->
-                if not (verify_ntru f g big_f big_g) then attempt (k - 1)
-                else begin
-                  let h = Zq.mul_poly (Zq.of_centered g) f_inv in
-                  { n; f; g; big_f; big_g; h }
-                end
-          end
-      end
+      match Zq.inv_poly (Zq.of_centered f) with
+      | None -> attempt ()
+      | Some f_inv -> begin
+          match solve f g with
+          | Some (big_f, big_g) when verify_ntru f g big_f big_g ->
+              let h = Zq.mul_poly (Zq.of_centered g) f_inv in
+              { n; f; g; big_f; big_g; h }
+          | _ -> attempt ()
+        end
     end
   in
-  attempt 50
+  attempt ()
 
 let recover_from_f ~n ~f ~h =
   if Array.length f <> n || Array.length h <> n then None

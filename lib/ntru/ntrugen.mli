@@ -39,8 +39,8 @@ val gs_norm_ok : int array -> int array -> bool
     1.17 sqrt q. *)
 
 val keygen : n:int -> seed:string -> keypair
-(** Full key generation; deterministic in [seed].  Raises [Failure] after
-    50 rejected candidates. *)
+(** Full key generation; deterministic in [seed].  Like FALCON's
+    reference, it draws candidates until one passes every check. *)
 
 val recover_from_f : n:int -> f:int array -> h:int array -> keypair option
 (** The post-attack step: given the recovered f and the public h, derive

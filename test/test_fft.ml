@@ -1,10 +1,11 @@
+module V = Fft.Vec
+
 let rng = Stats.Rng.create ~seed:31415
 
 let random_int_poly n range =
   Array.init n (fun _ -> Stats.Rng.int_below rng (2 * range) - range)
 
-let random_fpr_poly n =
-  Array.init n (fun _ -> Fpr.of_float ((Stats.Rng.float01 rng -. 0.5) *. 256.))
+let random_float_poly n = Array.init n (fun _ -> (Stats.Rng.float01 rng -. 0.5) *. 256.)
 
 (* Schoolbook negacyclic product in Z[x]/(x^n + 1). *)
 let negacyclic_mul p q =
@@ -24,9 +25,8 @@ let close ?(eps = 1e-6) a b = Float.abs (a -. b) <= eps *. (1. +. Float.abs a)
 let check_poly_close name expect got =
   Array.iteri
     (fun i e ->
-      if not (close (Fpr.to_float e) (Fpr.to_float got.(i))) then
-        Alcotest.failf "%s: coeff %d: expected %g got %g" name i (Fpr.to_float e)
-          (Fpr.to_float got.(i)))
+      if not (close e got.(i)) then
+        Alcotest.failf "%s: coeff %d: expected %g got %g" name i e got.(i))
     expect
 
 let sizes = [ 2; 4; 8; 16; 64; 512 ]
@@ -34,36 +34,31 @@ let sizes = [ 2; 4; 8; 16; 64; 512 ]
 let test_roundtrip () =
   List.iter
     (fun n ->
-      let p = random_fpr_poly n in
-      check_poly_close (Printf.sprintf "ifft(fft) n=%d" n) p (Fft.ifft (Fft.fft p)))
+      let p = random_float_poly n in
+      check_poly_close (Printf.sprintf "ifft(fft) n=%d" n) p (V.ifft (V.fft p)))
     sizes
 
 let test_constant () =
   let n = 16 in
-  let p = Array.make n Fpr.zero in
-  p.(0) <- Fpr.of_int 7;
-  let f = Fft.fft p in
-  Array.iter
-    (fun v -> Alcotest.(check bool) "re=7" true (close (Fpr.to_float v) 7.))
-    f.re;
-  Array.iter
-    (fun v -> Alcotest.(check bool) "im=0" true (Float.abs (Fpr.to_float v) < 1e-9))
-    f.im
+  let p = Array.make n 0. in
+  p.(0) <- 7.;
+  let f = V.fft p in
+  Array.iter (fun v -> Alcotest.(check bool) "re=7" true (close v 7.)) f.re;
+  Array.iter (fun v -> Alcotest.(check bool) "im=0" true (Float.abs v < 1e-9)) f.im
 
 let test_x_matches_tree_points () =
   let n = 32 in
-  let p = Array.make n Fpr.zero in
-  p.(1) <- Fpr.one;
-  let f = Fft.fft p in
+  let p = Array.make n 0. in
+  p.(1) <- 1.;
+  let f = V.fft p in
   let pts = Fft.tree_points n in
   for u = 0 to (n / 2) - 1 do
     let vre, vim = pts.(u) in
     Alcotest.(check bool) "F[2u] = v" true
-      (close (Fpr.to_float vre) (Fpr.to_float f.re.(2 * u))
-      && close (Fpr.to_float vim) (Fpr.to_float f.im.(2 * u)));
+      (close (Fpr.to_float vre) f.re.(2 * u) && close (Fpr.to_float vim) f.im.(2 * u));
     Alcotest.(check bool) "F[2u+1] = -v" true
-      (close (-.Fpr.to_float vre) (Fpr.to_float f.re.((2 * u) + 1))
-      && close (-.Fpr.to_float vim) (Fpr.to_float f.im.((2 * u) + 1)))
+      (close (-.Fpr.to_float vre) f.re.((2 * u) + 1)
+      && close (-.Fpr.to_float vim) f.im.((2 * u) + 1))
   done
 
 let test_points_on_unit_circle () =
@@ -86,7 +81,7 @@ let test_mul_ring_vs_schoolbook () =
     (fun n ->
       let p = random_int_poly n 100 and q = random_int_poly n 100 in
       let expect = negacyclic_mul p q in
-      let got = Fft.mul_ring p q in
+      let got = V.round_to_int (V.ifft (V.mul (V.fft_of_int p) (V.fft_of_int q))) in
       if expect <> got then Alcotest.failf "mul_ring mismatch at n=%d" n)
     [ 2; 4; 8; 32; 128 ]
 
@@ -94,25 +89,25 @@ let test_parseval () =
   let n = 64 in
   let p = random_int_poly n 50 in
   let direct = Array.fold_left (fun acc c -> acc +. float_of_int (c * c)) 0. p in
-  let viafft = Fpr.to_float (Fft.norm_sq (Fft.fft_of_int p)) in
+  let viafft = V.norm_sq (V.fft_of_int p) in
   Alcotest.(check bool) "norm preserved" true (close direct viafft)
 
 let test_split_is_even_odd () =
   let n = 64 in
-  let p = random_fpr_poly n in
-  let f0, f1 = Fft.split (Fft.fft p) in
+  let p = random_float_poly n in
+  let f0, f1 = V.split (V.fft p) in
   let even = Array.init (n / 2) (fun i -> p.(2 * i)) in
   let odd = Array.init (n / 2) (fun i -> p.((2 * i) + 1)) in
-  check_poly_close "f0 = even coeffs" even (Fft.ifft f0);
-  check_poly_close "f1 = odd coeffs" odd (Fft.ifft f1)
+  check_poly_close "f0 = even coeffs" even (V.ifft f0);
+  check_poly_close "f1 = odd coeffs" odd (V.ifft f1)
 
 let test_merge_split_roundtrip () =
   List.iter
     (fun n ->
-      let p = random_fpr_poly n in
-      let f = Fft.fft p in
-      let back = Fft.merge (Fft.split f) in
-      check_poly_close "merge(split)" (Fft.ifft f) (Fft.ifft back))
+      let p = random_float_poly n in
+      let f = V.fft p in
+      let f0, f1 = V.split f in
+      check_poly_close "merge(split)" (V.ifft f) (V.ifft (V.merge f0 f1)))
     [ 4; 16; 256 ]
 
 let test_adj () =
@@ -120,7 +115,7 @@ let test_adj () =
      equivalently ifft(adj(fft f)) has coeffs [f0; -f(n-1); ...; -f1]. *)
   let n = 16 in
   let p = random_int_poly n 20 in
-  let a = Fft.round_to_int (Fft.ifft (Fft.adj (Fft.fft_of_int p))) in
+  let a = V.round_to_int (V.ifft (V.adj (V.fft_of_int p))) in
   Alcotest.(check int) "constant term" p.(0) a.(0);
   for i = 1 to n - 1 do
     Alcotest.(check int) "reversed negated" (-p.(n - i)) a.(i)
@@ -130,9 +125,9 @@ let test_div_inverse () =
   let n = 16 in
   let p = random_int_poly n 30 in
   let p = Array.map (fun c -> if c = 0 then 1 else c) p in
-  let f = Fft.fft_of_int p in
-  let q = Fft.div (Fft.mul f f) f in
-  check_poly_close "(f*f)/f = f" (Array.map Fpr.of_int p) (Fft.ifft q)
+  let f = V.fft_of_int p in
+  let q = V.div (V.mul f f) f in
+  check_poly_close "(f*f)/f = f" (Array.map float_of_int p) (V.ifft q)
 
 let test_mul_emit_structure () =
   let n = 8 in
@@ -144,7 +139,7 @@ let test_mul_emit_structure () =
   Array.iteri
     (fun k c -> Alcotest.(check int) (Printf.sprintf "events coeff %d" k) 70 c)
     per_coeff;
-  let plain = Fft.mul a b in
+  let plain = Fft.of_vec (V.mul (Fft.to_vec a) (Fft.to_vec b)) in
   Alcotest.(check bool) "same values" true (plain.re = prod.re && plain.im = prod.im)
 
 let prop_linear =
@@ -156,9 +151,9 @@ let prop_linear =
       let p = Array.init n (fun _ -> Stats.Rng.int_below rng 200 - 100) in
       let q = Array.init n (fun _ -> Stats.Rng.int_below rng 200 - 100) in
       let sum = Array.init n (fun i -> p.(i) + q.(i)) in
-      let lhs = Fft.ifft (Fft.add (Fft.fft_of_int p) (Fft.fft_of_int q)) in
-      let rhs = Array.map Fpr.of_int sum in
-      Array.for_all2 (fun a b -> close (Fpr.to_float a) (Fpr.to_float b)) lhs rhs)
+      let lhs = V.ifft (V.add (V.fft_of_int p) (V.fft_of_int q)) in
+      let rhs = Array.map float_of_int sum in
+      Array.for_all2 close lhs rhs)
 
 (* Digests of the transforms and the pointwise products on seeded
    inputs whose imaginary parts are signed zeros and whose coefficients
@@ -166,34 +161,34 @@ let prop_linear =
    zero operand must give the bits it gave on the soft core. *)
 let bits_digest arrays =
   let b = Buffer.create 4096 in
-  List.iter (Array.iter (Buffer.add_int64_le b)) arrays;
+  List.iter (Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x))) arrays;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let test_zero_imaginary_goldens () =
   let r = Stats.Rng.create ~seed:77 in
   let n = 64 in
-  let signed_zero () = if Stats.Rng.bits r 1 = 0 then Fpr.zero else Fpr.neg Fpr.zero in
+  let signed_zero () = if Stats.Rng.bits r 1 = 0 then 0. else -0. in
   let value () =
     match Stats.Rng.int_below r 4 with
     | 0 -> signed_zero ()
-    | _ -> Fpr.of_float ((Stats.Rng.float01 r -. 0.5) *. 4096.)
+    | _ -> (Stats.Rng.float01 r -. 0.5) *. 4096.
   in
   let real () =
-    { Fft.re = Array.init n (fun _ -> value ()); im = Array.init n (fun _ -> signed_zero ()) }
+    { V.re = Array.init n (fun _ -> value ()); im = Array.init n (fun _ -> signed_zero ()) }
   in
   let p = Array.init n (fun _ -> value ()) in
   let a = real () and b = real () in
-  b.re.(0) <- Fpr.one;
-  let f = Fft.fft p in
-  let f0, f1 = Fft.split a in
-  let m = Fft.merge (a, b) in
-  let nonzero = Array.map (fun x -> if Fpr.is_zero x then Fpr.one else x) b.re in
-  let prod = Fft.mul a b and quot = Fft.div a { b with re = nonzero } in
+  b.re.(0) <- 1.;
+  let f = V.fft p in
+  let f0, f1 = V.split a in
+  let m = V.merge a b in
+  let nonzero = Array.map (fun x -> if x = 0. then 1. else x) b.re in
+  let prod = V.mul a b and quot = V.div a { b with re = nonzero } in
   List.iter
     (fun (name, expect, arrays) -> Alcotest.(check string) name expect (bits_digest arrays))
     [
       ("fft", "99d9af0acf196c5503aa298d297ab951", [ f.re; f.im ]);
-      ("ifft", "5afae7c5701eceaaa7ee0b5d6e9204bc", [ Fft.ifft a ]);
+      ("ifft", "5afae7c5701eceaaa7ee0b5d6e9204bc", [ V.ifft a ]);
       ("split", "7408bf53706b4670e8690d7b282bfdd9", [ f0.re; f0.im; f1.re; f1.im ]);
       ("merge", "612914dfdbda6b61b89cde01c9a4ee76", [ m.re; m.im ]);
       ("mul", "d3368769b3b48a58557d79c561e2c074", [ prod.re; prod.im ]);
