@@ -132,6 +132,22 @@ let test_prng_stream_golden () =
   Alcotest.(check string) "stream digest" "3f60d0ab4a51c6c7070ebe8b63c5d6f6"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* SHAKE-128 and SHAKE-256 over every input length from 0 to 3 rate + 1:
+   absorbs end on, just before and just after each block edge, and each
+   300-byte squeeze crosses at least one more. *)
+let test_shake_lengths_golden () =
+  let b = Buffer.create 300_000 in
+  List.iter
+    (fun (mk, rate) ->
+      for len = 0 to (3 * rate) + 1 do
+        let t = mk () in
+        Keccak.absorb t (String.init len (fun i -> Char.chr (((7 * i) + len) land 0xFF)));
+        Buffer.add_string b (Keccak.squeeze t 300)
+      done)
+    [ (Keccak.shake128, 168); (Keccak.shake256, 136) ];
+  Alcotest.(check string) "outputs digest" "6e8cb8c076c0f36731e3f541c8ed4193"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let suite =
   [
     Alcotest.test_case "SHA3-256 empty" `Quick test_sha3_256_empty;
@@ -147,4 +163,5 @@ let suite =
     Alcotest.test_case "prng ranges" `Quick test_prng_ranges;
     Alcotest.test_case "prng uniformity" `Quick test_prng_uniformity;
     Alcotest.test_case "prng stream golden" `Quick test_prng_stream_golden;
+    Alcotest.test_case "SHAKE lengths golden" `Quick test_shake_lengths_golden;
   ]
