@@ -1178,6 +1178,13 @@ let micro () =
   let signer = Prng.of_seed "bench signer" in
   let capture16 = Leakage.capture_stream Leakage.default_model ~seed:1 sk16 in
   let chacha = Prng.of_seed "bench chacha" in
+  (* one FALCON-16 record is ~9 KiB: 1120 samples of 8 bytes plus its
+     strings *)
+  let record_bytes = Bytes.init 9216 (fun i -> Char.chr ((i * 131) land 0xFF)) in
+  let noise_rng = Stats.Rng.create ~seed:1 in
+  let signal16 =
+    Array.init (16 * Leakage.events_per_coeff) (fun i -> float_of_int (i mod 33))
+  in
   let tests =
     [
       Test.make ~name:"fpr_mul" (Staged.stage (fun () -> Fpr.mul x y));
@@ -1196,6 +1203,13 @@ let micro () =
       Test.make ~name:"sign_16"
         (Staged.stage (fun () -> Falcon.Scheme.sign ~rng:signer sk16 "msg"));
       Test.make ~name:"capture_16" (Staged.stage (fun () -> capture16 ()));
+      Test.make ~name:"crc32_9KiB"
+        (Staged.stage (fun () -> Tracestore.Crc32.digest record_bytes ~pos:0 ~len:9216));
+      (* render works in place on an unjittered signal: copy it first *)
+      Test.make ~name:"render_16"
+        (Staged.stage (fun () ->
+             Leakage.render Leakage.default_model Leakage.no_jitter noise_rng
+               (Array.copy signal16)));
       (* 64 bytes from a generator: one in-place block refill, 8 reads *)
       Test.make ~name:"chacha_block"
         (Staged.stage (fun () ->

@@ -26,10 +26,20 @@ let cmd_keygen n seed out =
   Printf.printf "wrote %s.sk and %s.pk (FALCON-%d)\n" out out n;
   0
 
+(* The signer's salt and ffSampling randomness come from 32 bytes of
+   the OS entropy source, so no two runs share a stream; without them
+   there is no signature. *)
+let entropy_seed () =
+  try
+    let ic = open_in_bin "/dev/urandom" in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> really_input_string ic 32)
+  with Sys_error _ | End_of_file ->
+    failwith "sign: cannot read 32 bytes from /dev/urandom to seed the signer"
+
 let cmd_sign key msg out =
   Cli_common.with_errors @@ fun () ->
   let sk = Scheme.secret_of_keypair (load "secret key" Keycodec.decode_secret key) in
-  let rng = Prng.of_seed (Printf.sprintf "cli-sign-%f" (Sys.time ())) in
+  let rng = Prng.of_seed (entropy_seed ()) in
   let sg = Scheme.sign ~rng sk msg in
   Cli_common.write_file out (Keycodec.encode_signature sk.params sg);
   Printf.printf "wrote %s (%d bytes of signature body)\n" out (String.length sg.body);

@@ -110,6 +110,8 @@ let decode_secret data =
           let n = 1 lsl logn in
           let w_fg = Char.code data.[1] lsr 4 and w_big = Char.code data.[1] land 0x0F in
           if w_fg < 2 || w_big < 2 then None
+          else if String.length data <> 2 + (((2 * n * (w_fg + w_big)) + 7) / 8) then
+            None
           else begin
             let r = reader data 2 in
             let f = Array.init n (fun _ -> get_signed r ~width:w_fg) in

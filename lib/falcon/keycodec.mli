@@ -17,7 +17,9 @@ val decode_public : string -> Scheme.public_key option
 
 val encode_secret : Ntru.Ntrugen.keypair -> string
 val decode_secret : string -> Ntru.Ntrugen.keypair option
-(** The public key h is recomputed from (f, g) on decode. *)
+(** The public key h is recomputed from (f, g) on decode.  The input
+    must end with the byte that holds the last bit of G: trailing bytes
+    give [None], as a wrong length does for the other two decoders. *)
 
 val encode_signature : Params.t -> Scheme.signature -> string
 val decode_signature : Params.t -> string -> Scheme.signature option

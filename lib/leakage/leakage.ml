@@ -229,11 +229,9 @@ let render model jitter rng signal =
   let offset, drift = draw_jitter jitter rng in
   let s = misalign ~offset ~drift signal in
   for j = 0 to Array.length s - 1 do
-    s.(j) <-
-      model.baseline
-      +. (model.alpha *. s.(j))
-      +. Stats.Rng.gaussian rng ~mu:0. ~sigma:model.noise_sigma
+    s.(j) <- model.baseline +. (model.alpha *. s.(j))
   done;
+  Stats.Rng.add_gaussian rng ~mu:0. ~sigma:model.noise_sigma s;
   s
 
 let hw_trace model rng values =

@@ -59,17 +59,27 @@ let int_below t n =
   in
   if n = 1 then 0 else draw ()
 
-let float01 t =
+let[@inline] float01 t =
   let v = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int v *. 0x1p-53
 
-let gaussian t ~mu ~sigma =
-  let rec nonzero () =
-    let u = float01 t in
-    if u > 0. then u else nonzero ()
-  in
-  let u1 = nonzero () and u2 = float01 t in
-  mu +. (sigma *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
+(* The one Box-Muller draw: u1 in (0, 1) (zeros redrawn), then u2 in
+   [0, 1).  Inlined into both entries below, so the loop of
+   [add_gaussian] makes no call and boxes no float per sample. *)
+let[@inline] box_muller t ~mu ~sigma =
+  let u1 = ref (float01 t) in
+  while not (!u1 > 0.) do
+    u1 := float01 t
+  done;
+  let u2 = float01 t in
+  mu +. (sigma *. sqrt (-2. *. log !u1) *. cos (2. *. Float.pi *. u2))
+
+let gaussian t ~mu ~sigma = box_muller t ~mu ~sigma
+
+let add_gaussian t ~mu ~sigma a =
+  for j = 0 to Array.length a - 1 do
+    Array.unsafe_set a j (Array.unsafe_get a j +. box_muller t ~mu ~sigma)
+  done
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -30,5 +30,12 @@ val float01 : t -> float
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Box-Muller normal deviate. *)
 
+val add_gaussian : t -> mu:float -> sigma:float -> float array -> unit
+(** [add_gaussian t ~mu ~sigma a] adds successive deviates to [a.(0)],
+    [a.(1)], ... in order, in place: [a.(j) +. g_j] where [g_j] is bit
+    for bit the [j]-th of [Array.length a] calls of {!gaussian}, which
+    also leave the generator in the same state.  The trace renderer's
+    noise: no separate noise array is allocated. *)
+
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

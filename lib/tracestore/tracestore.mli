@@ -60,8 +60,10 @@ val manifest_name : string
 
 module Crc32 : sig
   val digest : Bytes.t -> pos:int -> len:int -> int
-  (** Standard CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected),
-      returned as a non-negative int in [0, 2^32). *)
+  (** Standard CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected) of
+      bytes [\[pos, pos + len)], returned as a non-negative int in
+      [0, 2^32).  Raises [Invalid_argument] when [pos < 0], [len < 0]
+      or [pos + len] exceeds the buffer. *)
 
   val digest_string : string -> int
 end

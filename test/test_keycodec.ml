@@ -89,6 +89,16 @@ let prop_public_roundtrip_random_h =
       | Some pk' -> pk'.h = h
       | None -> false)
 
+let test_secret_rejects_trailing_bytes () =
+  let enc = Falcon.Keycodec.encode_secret (Lazy.force kp) in
+  Alcotest.(check bool) "encoding decodes" true
+    (Falcon.Keycodec.decode_secret enc <> None);
+  List.iter
+    (fun tail ->
+      Alcotest.(check bool) (Printf.sprintf "%S appended" tail) true
+        (Falcon.Keycodec.decode_secret (enc ^ tail) = None))
+    [ "\000"; "trailing" ]
+
 let suite =
   [
     Alcotest.test_case "public roundtrip" `Quick test_public_roundtrip;
@@ -98,4 +108,6 @@ let suite =
     Alcotest.test_case "decoded key signs" `Quick test_secret_decoded_key_signs;
     Alcotest.test_case "signature roundtrip" `Quick test_signature_roundtrip;
     QCheck_alcotest.to_alcotest prop_public_roundtrip_random_h;
+    Alcotest.test_case "secret rejects trailing bytes" `Quick
+      test_secret_rejects_trailing_bytes;
   ]

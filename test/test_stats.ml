@@ -274,6 +274,35 @@ let test_gaussian_moments () =
   Alcotest.(check bool) "sigma close" true
     (Float.abs (Stats.Welford.stddev w -. 3.) < 0.1)
 
+(* The render kernel: one in-place add over a zero array equals a loop
+   of [gaussian], value for value and bit for bit, adds onto what the
+   array holds, and leaves the generator where the loop does. *)
+let test_add_gaussian_matches_loop () =
+  let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  List.iter
+    (fun sigma ->
+      let a = Stats.Rng.create ~seed:7 and b = Stats.Rng.create ~seed:7 in
+      let added = Array.make 1000 0. in
+      Stats.Rng.add_gaussian a ~mu:0. ~sigma added;
+      let looped = Array.init 1000 (fun _ -> Stats.Rng.gaussian b ~mu:0. ~sigma) in
+      Alcotest.(check bool) (Printf.sprintf "sigma %g: same bits" sigma) true
+        (Array.for_all2 same_bits added looped);
+      Alcotest.(check int64)
+        (Printf.sprintf "sigma %g: same next64" sigma)
+        (Stats.Rng.next64 b) (Stats.Rng.next64 a))
+    [ 0.; 0.5; 8. ];
+  let base = Array.init 100 (fun i -> float_of_int (i - 50) *. 0.37) in
+  let a = Stats.Rng.create ~seed:9 and b = Stats.Rng.create ~seed:9 in
+  let added = Array.copy base in
+  Stats.Rng.add_gaussian a ~mu:1.5 ~sigma:2. added;
+  let looped = Array.map (fun x -> x +. Stats.Rng.gaussian b ~mu:1.5 ~sigma:2.) base in
+  Alcotest.(check bool) "adds onto the array" true (Array.for_all2 same_bits added looped);
+  let rng = Stats.Rng.create ~seed:7 in
+  Stats.Rng.add_gaussian rng ~mu:0. ~sigma:1. [||];
+  Alcotest.(check int64) "empty array draws nothing"
+    (Stats.Rng.next64 (Stats.Rng.create ~seed:7))
+    (Stats.Rng.next64 rng)
+
 let suite =
   [
     Alcotest.test_case "welford basic" `Quick test_welford;
@@ -296,4 +325,6 @@ let suite =
     Alcotest.test_case "rng next64 goldens" `Quick test_rng_goldens;
     Alcotest.test_case "gaussian moments" `Slow test_gaussian_moments;
     QCheck_alcotest.to_alcotest prop_int_below_range;
+    Alcotest.test_case "add_gaussian = gaussian loop" `Quick
+      test_add_gaussian_matches_loop;
   ]
