@@ -29,9 +29,20 @@ let jobs = getenv_int "FD_JOBS" 1
 let () = Parallel.set_default_jobs jobs
 let jctx jobs = Attack.Ctx.make ~jobs ()
 
-(* FD_ALPHA / FD_NOISE / FD_BASELINE all land here through the one
-   place the acquisition constants live. *)
-let model = Leakage.Params.of_env ()
+(* FD_ALPHA / FD_NOISE / FD_BASELINE override the default acquisition
+   model; a malformed or non-finite value falls back to the default. *)
+let getenv_float name default =
+  match Option.bind (Sys.getenv_opt name) (fun s -> float_of_string_opt (String.trim s)) with
+  | Some f when Float.is_finite f -> f
+  | _ -> default
+
+let model =
+  let d = Leakage.default_model in
+  {
+    Leakage.alpha = getenv_float "FD_ALPHA" d.alpha;
+    noise_sigma = getenv_float "FD_NOISE" d.noise_sigma;
+    baseline = getenv_float "FD_BASELINE" d.baseline;
+  }
 let noise = model.Leakage.noise_sigma
 
 let section name = Printf.printf "\n================ %s ================\n%!" name
@@ -1037,7 +1048,7 @@ let leakage_bench () =
     let mtds =
       List.filter_map
         (fun coeff ->
-          let v = Attack.Recover.sub_view traces ~coeff ~mul:0 in
+          let v = List.hd (Attack.Recover.views_for traces ~coeff ~component:`Re) in
           let d =
             (Fpr.mantissa sk.f_fft.Fft.re.(coeff) lor (1 lsl 52)) land 0x1FFFFFF
           in

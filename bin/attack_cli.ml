@@ -105,14 +105,16 @@ let cmd_crack dir leakage until_confident max_traces jobs log templates
   let stop =
     Option.map (fun alpha -> Sequential.Decision.spec ~alpha ()) until_confident
   in
-  (* the flag-only refusals come before the first line of output or I/O *)
+  (* the flag-only refusals come before any I/O, the target's own once
+     the manifest names it; both before the first line of output *)
   Attack.Target.check_options ~ctx ~stop ~max_traces ();
+  let reader = Tracestore.Reader.open_store dir in
+  let module T = (val Cli_common.target_of_store dir reader : Attack.Target.S) in
+  T.check_leakage ~leakage ~stop;
   (if leakage = `Hd then
      Printf.printf
        "matching bus Hamming-distance hypothesis models (campaign recorded \
         with --model hd)\n%!");
-  let reader = Tracestore.Reader.open_store dir in
-  let module T = (val Cli_common.target_of_store dir reader : Attack.Target.S) in
   Printf.printf "streaming %d traces (%d shards) of a %s victim from %s\n%!"
     (Tracestore.Reader.total_traces reader)
     (Tracestore.Reader.shard_count reader)
@@ -161,11 +163,12 @@ let store_arg =
     ~doc:
       "Sharded trace-store campaign to attack (recorded with trace_cli); its \
        manifest names the target (FALCON or HQC).  Shards are streamed: a \
-       fixed-budget crack holds one shard per worker plus a window buffer of \
-       at most 8 shards' worth.  Under $(b,--until-confident) a FALCON \
-       crack also buffers, for each undecided unit, its two 16-sample \
-       windows of every trace read so far: up to D x 2n x 32 floats after D \
-       traces."
+       fixed-budget crack holds one shard per worker plus the views it cuts \
+       from them (each unit's two 16-sample windows and their known \
+       operands), at most 8 shards' worth per pass.  Under \
+       $(b,--until-confident) a FALCON crack also buffers, for each \
+       undecided unit, its two views of every trace read so far: up to D x \
+       2n x 32 floats after D traces."
 
 let leakage_arg =
   Arg.(

@@ -148,7 +148,7 @@ let noise_arg =
   (* default from the one place the acquisition constants live *)
   Arg.(
     value
-    & opt float Leakage.Params.default.Leakage.noise_sigma
+    & opt float Leakage.default_model.Leakage.noise_sigma
     & info [ "noise" ] ~doc:"Noise sigma.")
 let n_arg = Arg.(value & opt int 32 & info [ "n" ] ~doc:"Ring degree of the victim.")
 

@@ -258,13 +258,19 @@ module Stream : sig
       [n * Leakage.events_per_coeff], records decode through
       {!Leakage.of_record} (FFT(c) recomputed from salt+message). *)
 
-  val gather :
-    samples:int array ->
-    known:(Leakage.trace -> 'k) ->
-    Leakage.trace array ->
-    float array array * 'k array
-  (** One decoded batch's [|batch| x |samples|] window rows and known
-      operands, in batch order — the per-shard step of {!extract}. *)
+  val map_shards :
+    ?ctx:Ctx.t ->
+    ?on_corrupt:[ `Fail | `Skip ] ->
+    ?prefetch:bool ->
+    ?codec:codec ->
+    Tracestore.Reader.t ->
+    (Leakage.trace array -> 'a) ->
+    'a list
+  (** [f] on every non-empty decoded shard, in shard order: the one
+      pass under {!extract}, {!rank} and {!evolution}.  At [jobs > 1]
+      [f] runs on the domain pool, so it must be pure; the results
+      depend on neither [jobs] nor [prefetch].  With a sink, it counts
+      the store's shards, bytes and traces once. *)
 
   val extract :
     ?ctx:Ctx.t ->
@@ -275,8 +281,8 @@ module Stream : sig
     samples:int list ->
     known:(Leakage.trace -> 'k) ->
     float array array * 'k array
-  (** One streaming pass assembling the narrow [D x |samples|] column
-      matrix and the known-operand array, in global trace order. *)
+  (** One {!map_shards} pass assembling the narrow [D x |samples|]
+      column matrix and the known-operand array, in global trace order. *)
 
   val rank :
     ?ctx:Ctx.t ->

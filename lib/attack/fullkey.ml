@@ -4,16 +4,14 @@ type result = {
   keypair : Ntru.Ntrugen.keypair option;
 }
 
-(* Which multiplications a secret component leaks through, and the known
-   operand of each — shared by the fixed driver, the adaptive driver and
-   the FALCON profiling plan (Target.Falcon.profile_parts). *)
-let component_muls = function `Re -> [ 0; 3 ] | `Im -> [ 1; 2 ]
-let mul_known (re, im) = function 0 | 2 -> re | _ -> im
+let component_muls = Recover.component_muls
+let mul_known = Recover.mul_known
 
 (* The unit order every driver shares: task [t] attacks coefficient
-   [t / 2], its real part on even [t]. *)
+   [t / 2], its real part on even [t].  A unit's strategy is keyed by
+   its first multiplication. *)
 let unit_of t = (t lsr 1, if t land 1 = 0 then `Re else `Im)
-let mul_of = function `Re -> 0 | `Im -> 1
+let mul_of component = List.hd (component_muls component)
 
 (* Fan the 2n independent (coefficient, component) attacks across the
    pool, [per_pass] units at a time; leftover parallelism goes to the
@@ -89,54 +87,48 @@ let recover_key ?ctx ?leakage ~traces ~h strategy =
 
 (* ---- out-of-core variants over a Tracestore campaign ----
 
-   Both store drivers gather many units' inputs from one streaming
-   pass: each decoded shard yields every unit's two 16-sample windows
-   and FFT(c) known operands ([Dema.Stream.gather]).  The fixed-budget
-   driver runs [Recover.coefficient] on each unit's slice; the adaptive
+   Both store drivers cut many units' views from one streaming pass:
+   each decoded shard yields every unit's [Recover.views_for], so a
+   unit's views over the store are its per-shard views end to end.  The
+   fixed-budget driver runs [Recover.coefficient] on them; the adaptive
    one also folds decision sweeps that let a unit stop early, then takes
    the unit's mantissa rankings from those sweeps and runs only
-   [Recover.finish_coefficient] on its buffered prefix.  Extraction is
-   arithmetic-free and in shard order, so every unit's views are the
-   ones [Recover.views_for] builds in memory and the key is
-   bit-identical to [recover_key] at every [jobs].  The adaptive driver
-   buffers each live unit's prefix, up to D x 2n x 32 floats.  The
-   fixed-budget one takes as many whole coefficients per pass as fit in
-   [window_shards] decoded shards' worth of floats (all of them, in one
-   pass, unless the campaign spans more than about [window_shards]
-   shards), so its peak memory is that buffer plus one decoded shard
-   per domain. *)
+   [Recover.finish_coefficient] on its buffered prefix.  Shards arrive
+   in shard order, so every unit's views are the ones [Recover.views_for]
+   cuts in memory and the key is bit-identical to [recover_key] at every
+   [jobs].  The adaptive driver buffers each live unit's views, up to
+   D x 2n x 32 floats.  The fixed-budget one takes as many whole
+   coefficients per pass as fit in [window_shards] decoded shards' worth
+   of floats (all of them, in one pass, unless the campaign spans more
+   than about [window_shards] shards), so its peak memory is those views
+   plus one decoded shard per domain. *)
 let window_shards = 8
 
-(* A unit's 32 absolute sample indices, in view order. *)
-let unit_samples ~coeff ~component =
-  List.concat_map
-    (fun m ->
-      List.init Leakage.events_per_mul (fun i ->
-          (coeff * Leakage.events_per_coeff) + (m * Leakage.events_per_mul) + i))
-    (component_muls component)
-
-(* A unit's views from window rows holding its [unit_samples] at
-   columns [off ..] and each trace's (c_re, c_im) of its coefficient. *)
-let unit_views ~component ~off rows ks =
+(* A unit's views over consecutive batches: per multiplication, the
+   batches' windows and known operands end to end, from an empty view,
+   so a campaign that delivers no batch still gives every unit its
+   views. *)
+let concat_views ~coeff ~component batches =
   List.mapi
-    (fun vi m ->
-      let lo = off + (vi * Leakage.events_per_mul) in
+    (fun j (empty : Recover.view) ->
+      let vs = empty :: List.map (fun b -> List.nth b j) batches in
       {
-        Recover.traces =
-          Array.map (fun row -> Array.sub row lo Leakage.events_per_mul) rows;
-        known = Array.map (fun k -> mul_known k m) ks;
+        Recover.traces = Array.concat (List.map (fun (v : Recover.view) -> v.traces) vs);
+        known = Array.concat (List.map (fun (v : Recover.view) -> v.known) vs);
       })
-    (component_muls component)
+    (Recover.views_for [||] ~coeff ~component)
 
 (* ---- adaptive (early-stopping) variant ----
 
-   Each batch is decoded once and every still-undecided unit extracts
-   its two windows from it, buffers them (the prefix its high prune and
-   sign/exponent will run on) and folds two incremental decision sweeps
-   — low mantissa half on [w00; w10; z1a] over the width-25 candidate
-   set (z1a is what breaks the exact shift-alias ties of w00/w10) and
-   high half on [w01; w11] over the width-28 candidates (whose [lo]
-   excludes shift aliases, so no d-dependent part is needed).  The
+   Each batch is decoded once and every still-undecided unit cuts its
+   views from it ([Recover.views_for]), buffers them (the prefix its
+   high prune and sign/exponent will run on) and folds two incremental
+   decision sweeps — the low mantissa half on both stages of
+   [Recover.low_stages] (w00, w10; z1a) over the width-25 candidate set
+   (z1a is what breaks the exact shift-alias ties of w00/w10) and the
+   high half on the extend stage of [Recover.high_stages] (w01, w11)
+   over the width-28 candidates (whose [lo] excludes shift aliases, so
+   no d-dependent part is needed).  The
    unit's reported gap is the {e weaker} of the two sweeps' standardised
    gaps, so a stop certifies both halves separated at the spent level.
    Once stopped, the unit is retired: its buffer stops growing and later
@@ -164,64 +156,56 @@ let decision_candidates strategy ~coeff ~mul =
   | Recover.Eval_sampled { rng; decoys; truth } ->
       Recover.sampled_candidates ~rng ~decoys ~truth
 
+(* The decision sweeps' stages.  The high half's extend reads no d
+   under [`Hw], so any d gives it. *)
+let low_extend, low_prune = Recover.low_stages `Hw
+let high_extend = fst (Recover.high_stages ~d:0 `Hw)
+
 type unit_state = {
-  u_samples : int array;  (* [unit_samples], as an array *)
-  u_component : [ `Re | `Im ];
-  (* buffered prefix, newest segment first: (D_b x 32 window rows, knowns) *)
-  u_segs : (float array array * (Fpr.t * Fpr.t) array) list ref;
+  u_coeff : int;
+  u_component : Recover.component;
+  u_segs : Recover.view list list ref;  (* buffered prefix, newest batch first *)
   u_low : Fpr.t Dema.Sweep.t;
   u_high : Fpr.t Dema.Sweep.t;
 }
 
+(* A sweep holds its stage's parts label-major: each label's model once
+   per view. *)
 let make_unit strategy ~coeff ~component =
-  let muls = component_muls component in
   let low_cands, high_cands =
     decision_candidates strategy ~coeff ~mul:(mul_of component)
   in
-  let spread = List.concat_map (fun m -> List.map (fun _ -> m) muls) in
+  let sweep stage =
+    Dema.Sweep.create ~backend:Stats.Pearson.Batch.Batched
+      ~parts:
+        (List.concat_map
+           (fun (_, m) -> List.map (fun _ -> m) (component_muls component))
+           stage)
+  in
   {
-    u_samples = Array.of_list (unit_samples ~coeff ~component);
+    u_coeff = coeff;
     u_component = component;
     u_segs = ref [];
-    u_low =
-      Dema.Sweep.create ~backend:Stats.Pearson.Batch.Batched
-        ~parts:(spread [ Recover.p_w00; Recover.p_w10; Recover.p_z1a ])
-        low_cands;
-    u_high =
-      Dema.Sweep.create ~backend:Stats.Pearson.Batch.Batched
-        ~parts:(spread [ Recover.p_w01; Recover.p_w11 ])
-        high_cands;
+    u_low = sweep (low_extend @ low_prune) low_cands;
+    u_high = sweep high_extend high_cands;
   }
 
-let unit_fold u batch ~coeff =
-  let rows, ks =
-    Dema.Stream.gather ~samples:u.u_samples
-      ~known:(fun (t : Leakage.trace) ->
-        (t.Leakage.c_fft.Fft.re.(coeff), t.Leakage.c_fft.Fft.im.(coeff)))
-      batch
-  in
-  u.u_segs := (rows, ks) :: !(u.u_segs);
-  (* per-view known operands and per-(view, label) columns *)
-  let kvs =
+let unit_fold u batch =
+  let views = Recover.views_for batch ~coeff:u.u_coeff ~component:u.u_component in
+  u.u_segs := views :: !(u.u_segs);
+  let segs stage =
     Array.of_list
-      (List.map
-         (fun m -> Array.map (fun k -> mul_known k m) ks)
-         (component_muls u.u_component))
+      (List.concat_map
+         (fun (lbl, _) ->
+           let s = Recover.sample lbl in
+           List.map
+             (fun (v : Recover.view) ->
+               (Array.map (fun row -> Array.unsafe_get row s) v.traces, v.known))
+             views)
+         stage)
   in
-  let nviews = Array.length kvs in
-  let col vi lbl =
-    let off = (vi * Leakage.events_per_mul) + Recover.sample lbl in
-    Array.map (fun row -> Array.unsafe_get row off) rows
-  in
-  let segs labels =
-    Array.concat
-      (List.map
-         (fun lbl -> Array.init nviews (fun vi -> (col vi lbl, kvs.(vi))))
-         labels)
-  in
-  Dema.Sweep.fold ~jobs:1 u.u_low
-    (segs [ Fpr.Mant_w00; Fpr.Mant_w10; Fpr.Mant_z1a ]);
-  Dema.Sweep.fold ~jobs:1 u.u_high (segs [ Fpr.Mant_w01; Fpr.Mant_w11 ])
+  Dema.Sweep.fold ~jobs:1 u.u_low (segs (low_extend @ low_prune));
+  Dema.Sweep.fold ~jobs:1 u.u_high (segs high_extend)
 
 (* The unit separates only when BOTH halves do: report the weaker
    sweep's leaders, so the tester's one-sided gap test certifies the
@@ -235,23 +219,28 @@ let unit_leaders u =
   in
   if z ll <= z lh then ll else lh
 
-(* The sweeps hold their parts label-major ([w00·v0; w00·v1; w10·v0;
-   ...]) while [Recover] spreads a stage view-major ([w00·v0; w10·v0;
-   w00·v1; ...]); [view_major labels] lists the sweep indices of
-   [labels] (label positions) in [Recover]'s order, so the sums add in
-   its order and the scores match bit for bit. *)
-let view_major labels =
-  List.concat_map (fun vi -> List.map (fun li -> (li * 2) + vi) labels) [ 0; 1 ]
-
 (* A unit's low extend-and-prune result and high extend ranking, as
    [Recover.coefficient] would rank its candidates on the folded
    prefix: extend on the multiplication parts, prune the extend
-   survivors on those parts followed by z1a. *)
+   survivors on those parts followed by z1a.  [Recover] spreads a stage
+   view-major ([w00·v0; w10·v0; w00·v1; ...]); [order ~from stage] lists
+   the sweep indices of the stage whose labels start at label position
+   [from] in that order, so the sums add in its order and the scores
+   match bit for bit. *)
 let unit_rankings ~jobs u =
   let top = Recover.coefficient_top in
-  let extend = view_major [ 0; 1 ] in
-  let low_extend = Dema.Sweep.ranking ~jobs ~parts:extend u.u_low ~top in
-  let prune = Dema.Sweep.scores ~jobs ~parts:(extend @ view_major [ 2 ]) u.u_low in
+  let nv = List.length (component_muls u.u_component) in
+  let order ~from stage =
+    List.concat
+      (List.init nv (fun v -> List.mapi (fun l _ -> ((from + l) * nv) + v) stage))
+  in
+  let extend = order ~from:0 low_extend in
+  let low_ranking = Dema.Sweep.ranking ~jobs ~parts:extend u.u_low ~top in
+  let prune =
+    Dema.Sweep.scores ~jobs
+      ~parts:(extend @ order ~from:(List.length low_extend) low_prune)
+      u.u_low
+  in
   let index = Hashtbl.create (Array.length prune) in
   Array.iteri (fun i g -> Hashtbl.replace index g i) (Dema.Sweep.guesses u.u_low);
   (* at most [top] survivors, so their re-ranking keeps them all *)
@@ -259,14 +248,14 @@ let unit_rankings ~jobs u =
     List.sort Dema.compare_scored
       (List.map
          (fun (s : Dema.scored) -> { s with corr = prune.(Hashtbl.find index s.guess) })
-         low_extend)
+         low_ranking)
   in
-  ( { Recover.winner = (List.hd pruned).guess; extend = low_extend; pruned },
-    Dema.Sweep.ranking ~jobs ~parts:extend u.u_high ~top )
+  ( { Recover.winner = (List.hd pruned).guess; extend = low_ranking; pruned },
+    Dema.Sweep.ranking ~jobs ~parts:(order ~from:0 high_extend) u.u_high ~top )
 
 let adaptive_rankings strategy ~coeff ~component traces =
   let u = make_unit strategy ~coeff ~component in
-  if Array.length traces > 0 then unit_fold u traces ~coeff;
+  if Array.length traces > 0 then unit_fold u traces;
   unit_rankings ~jobs:1 u
 
 let recover_f_fft_store_adaptive ~ctx:c ~on_corrupt ~prefetch ~stop:spec
@@ -278,10 +267,10 @@ let recover_f_fft_store_adaptive ~ctx:c ~on_corrupt ~prefetch ~stop:spec
         make_unit strategy ~coeff ~component)
   in
   let campaign_units =
-    Array.mapi
-      (fun t u ->
+    Array.map
+      (fun u ->
         {
-          Sequential.Campaign.fold = (fun batch -> unit_fold u batch ~coeff:(t lsr 1));
+          Sequential.Campaign.fold = unit_fold u;
           leaders = (fun () -> unit_leaders u);
         })
       units
@@ -305,9 +294,7 @@ let recover_f_fft_store_adaptive ~ctx:c ~on_corrupt ~prefetch ~stop:spec
       let u = units.(t) in
       let low, high_extend = unit_rankings ~jobs:tctx.Ctx.jobs u in
       Recover.finish_coefficient ~ctx:tctx ~low ~high_extend
-        (unit_views ~component:u.u_component ~off:0
-           (Array.concat (List.rev_map fst !(u.u_segs)))
-           (Array.concat (List.rev_map snd !(u.u_segs)))))
+        (concat_views ~coeff:u.u_coeff ~component:u.u_component (List.rev !(u.u_segs))))
 
 let recover_f_fft_store ?ctx:(c = Ctx.default ()) ?(on_corrupt = `Fail)
     ?(prefetch = true) ?(leakage = `Hw) ?stop ?max_traces ?stop_report ~reader
@@ -332,40 +319,29 @@ let recover_f_fft_store ?ctx:(c = Ctx.default ()) ?(on_corrupt = `Fail)
   let prefetch = prefetch && c.Ctx.jobs = 1 in
   match stop with
   | Some spec ->
-      (* The adaptive driver's streaming decision sweeps need a d-free
-         part set per half; under bus-HD every usable high-half
-         transition takes the recovered d, so there is no high sweep to
-         decide on.  Mirror the Exhaustive rejection rather than decide
-         on a mismatched model. *)
-      if leakage = `Hd then
-        invalid_arg
-          "Fullkey: ?stop is not available under `Hd leakage — the streaming \
-           decision sweeps have no d-free Hamming-distance part set";
+      (* the decision sweeps are [`Hw]'s: under bus HD every high-half
+         transition reads the recovered d *)
+      if leakage = `Hd then invalid_arg "Fullkey: ?stop needs `Hw leakage";
       Distinguisher.require_gap_test ~what:"Fullkey: ?stop" c.Ctx.backend;
       recover_f_fft_store_adaptive ~ctx:c ~on_corrupt ~prefetch ~stop:spec
         ~max_traces ~stop_report ~reader strategy n
   | None ->
-      (* per trace, a coefficient buffers 64 window and 2 known floats;
-         a decoded trace holds [width] samples and 2n FFT(c) floats *)
+      (* per trace, a coefficient buffers four 16-sample windows, each
+         with its header, and their four known operands; a decoded trace
+         holds [width] samples and 2n FFT(c) floats *)
       let m = Tracestore.Reader.meta reader in
       let shard_floats = window_shards * m.shard_traces * (m.width + (2 * n)) in
-      let coeff_floats = max 1 (Tracestore.Reader.total_traces reader) * 66 in
+      let coeff_floats = max 1 (Tracestore.Reader.total_traces reader) * 72 in
       let per_pass = 2 * max 1 (shard_floats / coeff_floats) in
       recover_units ~ctx:c ~n ~per_pass (fun ~lo ~hi ->
-          let c0 = lo / 2 and len = (hi - lo) / 2 in
-          let rows, cs =
-            Dema.Stream.extract ~ctx:c ~on_corrupt ~prefetch reader
-              ~samples:
-                (List.concat
-                   (List.init (hi - lo) (fun i ->
-                        let coeff, component = unit_of (lo + i) in
-                        unit_samples ~coeff ~component)))
-              ~known:(fun (t : Leakage.trace) ->
-                (Array.sub t.c_fft.re c0 len, Array.sub t.c_fft.im c0 len))
+          let shards =
+            Dema.Stream.map_shards ~ctx:c ~on_corrupt ~prefetch reader (fun batch ->
+                Array.init (hi - lo) (fun i ->
+                    let coeff, component = unit_of (lo + i) in
+                    Recover.views_for batch ~coeff ~component))
           in
           by_coefficient ~leakage strategy (fun t ~coeff ~component ->
-              unit_views ~component ~off:((t - lo) * 2 * Leakage.events_per_mul) rows
-                (Array.map (fun (re, im) -> (re.(coeff - c0), im.(coeff - c0))) cs)))
+              concat_views ~coeff ~component (List.map (fun s -> s.(t - lo)) shards)))
 
 let recover_key_store ?ctx ?on_corrupt ?prefetch ?leakage ?stop ?max_traces
     ?stop_report ~reader ~h strategy =
@@ -386,7 +362,7 @@ let recover_key_store ?ctx ?on_corrupt ?prefetch ?leakage ?stop ?max_traces
   { f_fft; f; keypair }
 
 let sampled_strategy ~seed (f_fft : Fft.t) ~coeff ~mul =
-  let truth = if mul = 0 then f_fft.Fft.re.(coeff) else f_fft.Fft.im.(coeff) in
+  let truth = Recover.component_of f_fft ~coeff Recover.layout.(mul).f in
   Recover.Eval_sampled
     { rng = Stats.Rng.create ~seed:(seed + (coeff * 7) + mul); decoys = 512; truth }
 

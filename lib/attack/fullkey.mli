@@ -22,9 +22,10 @@ val recover_f_fft :
   n:int ->
   (coeff:int -> mul:int -> Recover.strategy) ->
   Fft.t
-(** Attack every (coefficient, component) of FFT(f): the real part leaks
-    through multiplication 0 (c_re x f_re), the imaginary part through
-    multiplication 1 (c_im x f_im).
+(** Attack every (coefficient, component) of FFT(f) on its
+    {!Recover.views_for}; the strategy is keyed by the unit's first
+    multiplication ({!Recover.component_muls}): mul 0 for the real part,
+    mul 1 for the imaginary part.
 
     [ctx.jobs] fans the 2n independent per-coefficient attacks out
     across a domain pool (leftover parallelism flows into the candidate
@@ -59,13 +60,13 @@ val recover_f_fft_store :
   (coeff:int -> mul:int -> Recover.strategy) ->
   Fft.t
 (** Out-of-core {!recover_f_fft} over a {!Tracestore} campaign.  Each
-    streaming pass reads and decodes every shard once and gathers many
-    (coefficient, component) units' two 16-sample windows and FFT(c)
-    operands; the per-coefficient attacks then run on each unit's
-    slice.  At a fixed budget a pass takes as many whole coefficients as
-    fit in a window buffer of 8 decoded shards' worth of floats, so a
+    streaming pass ({!Dema.Stream.map_shards}) reads and decodes every
+    shard once and cuts many (coefficient, component) units' views from
+    it with {!Recover.views_for}; the per-coefficient attacks then run
+    on each unit's views.  At a fixed budget a pass takes as many whole
+    coefficients as fit in 8 decoded shards' worth of floats, so a
     campaign of up to about 8 shards is read once and a larger one in
-    proportionally more passes; peak memory is that buffer plus one
+    proportionally more passes; peak memory is those views plus one
     decoded shard per domain.  Bit-identical to the in-memory path over
     the same traces, at every [jobs].  [on_corrupt] (default [`Fail])
     and [prefetch] (default [true]) are forwarded to each pass: by
@@ -77,7 +78,7 @@ val recover_f_fft_store :
 
     {b Adaptive budgets.}  With [?stop], one pass runs with 2n live
     units: each still-undecided (coefficient, component) buffers its
-    windows from every batch (up to D x 2n x 32 floats in all) and folds
+    views of every batch (up to D x 2n x 32 floats in all) and folds
     two incremental decision sweeps (low mantissa half on
     [w00; w10; z1a], high half on [w01; w11], over the strategy's
     candidate sets); a unit stops — and is retired from all later
@@ -136,21 +137,17 @@ val adaptive_rankings :
     [prefix].  Raises [Invalid_argument] on an [Exhaustive] strategy. *)
 
 val component_muls : [ `Re | `Im ] -> int list
-(** The two multiplications a secret component leaks through: f_re in
-    (c_re x f_re) and (c_im x f_re) — muls 0 and 3; f_im in muls 1 and
-    2.  The view order of {!Recover.views_for} and of the streaming
-    extraction. *)
+(** {!Recover.component_muls}. *)
 
 val mul_known : Fpr.t * Fpr.t -> int -> Fpr.t
-(** [mul_known (c_re, c_im) mul] — the known operand of a
-    multiplication, given the coefficient's FFT(c) component pair. *)
+(** {!Recover.mul_known}. *)
 
 val sampled_strategy :
   seed:int -> Fft.t -> coeff:int -> mul:int -> Recover.strategy
 (** [sampled_strategy ~seed f_fft] — the truth-aware evaluation
     strategy every full-key driver runs: [Eval_sampled] with 512 random
-    decoys around the secret [f_fft]'s re (mul 0) or im (mul 1) value at
-    [coeff], its RNG seeded [seed + 7 coeff + mul].  Pure per (coeff,
+    decoys around the secret operand of multiplication [mul] at [coeff]
+    ({!Recover.layout}: re for mul 0, im for mul 1), its RNG seeded [seed + 7 coeff + mul].  Pure per (coeff,
     mul), so recovery is bit-identical at every [jobs].  [attack_cli
     run] passes its experiment seed; every crack passes 0.  The
     candidate sets contain the truth, so a recovery under this strategy

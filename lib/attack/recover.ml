@@ -3,28 +3,42 @@ type view = {
   known : Fpr.t array;
 }
 
+type component = [ `Re | `Im ]
+type mul = { f : component; c : component }
+
+(* The unit layout, written once.  Coefficient k's slice of
+   FFT(c) (.) FFT(f) runs four real multiplications, in [Fft.mul_emit]'s
+   order: (c_re x f_re), (c_im x f_im), (c_re x f_im), (c_im x f_re).
+   Entry [mul] names the FFT(f) component [f] that is its secret operand
+   and the FFT(c) component [c] that is its known one; its 16-sample
+   window starts [mul * events_per_mul] into the slice. *)
+let layout =
+  [|
+    { f = `Re; c = `Re };
+    { f = `Im; c = `Im };
+    { f = `Im; c = `Re };
+    { f = `Re; c = `Im };
+  |]
+
+let component_muls c =
+  List.filter (fun m -> layout.(m).f = c) (List.init (Array.length layout) Fun.id)
+
+let mul_known (re, im) mul = match layout.(mul).c with `Re -> re | `Im -> im
+let component_of (v : Fft.t) ~coeff = function `Re -> v.re.(coeff) | `Im -> v.im.(coeff)
+
 let sample = Leakage.mul_event_offset
 
+let window_start ~coeff ~mul =
+  (coeff * Leakage.events_per_coeff) + (mul * Leakage.events_per_mul)
+
 let sub_view traces ~coeff ~mul =
-  let lo = (coeff * Leakage.events_per_coeff) + (mul * Leakage.events_per_mul) in
+  let lo = window_start ~coeff ~mul in
   let window (t : Leakage.trace) = Array.sub t.samples lo Leakage.events_per_mul in
-  let known_of (t : Leakage.trace) =
-    (* multiplication order in Fft.mul_emit: (c.re f.re), (c.im f.im),
-       (c.re f.im), (c.im f.re) — the known operand is the c component *)
-    match mul with
-    | 0 | 2 -> t.c_fft.Fft.re.(coeff)
-    | 1 | 3 -> t.c_fft.Fft.im.(coeff)
-    | _ -> invalid_arg "Recover.sub_view: mul must be in 0..3"
-  in
+  let known_of (t : Leakage.trace) = component_of t.c_fft ~coeff layout.(mul).c in
   { traces = Array.map window traces; known = Array.map known_of traces }
 
 let views_for traces ~coeff ~component =
-  (* each secret component of FFT(f) enters two real multiplications:
-     f_re in (c_re x f_re) and (c_im x f_re); f_im in (c_im x f_im) and
-     (c_re x f_im) *)
-  match component with
-  | `Re -> [ sub_view traces ~coeff ~mul:0; sub_view traces ~coeff ~mul:3 ]
-  | `Im -> [ sub_view traces ~coeff ~mul:1; sub_view traces ~coeff ~mul:2 ]
+  List.map (fun mul -> sub_view traces ~coeff ~mul) (component_muls component)
 
 let m25 = (1 lsl 25) - 1
 
@@ -464,20 +478,26 @@ type strategy =
    small D) plus noise. *)
 let coefficient_top = 32
 
-let finish_coefficient ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ~low ~high_extend
-    views =
+(* The high half's prune, on the extend ranking [high_extend] computes
+   from the stage, then sign and exponent; the high half's extend and
+   prune run under one [recover.mantissa_high] span. *)
+let finish ~ctx:c ~leakage ~low ~high_extend views =
   let extend_stage, prune_stage = high_stages ~d:low.winner leakage in
   let high =
     Obs.span c.Ctx.obs "recover.mantissa_high"
       ~fields:[ ("part", Obs.Str "high28"); ("views", Obs.Int (List.length views)) ]
       (fun () ->
-        prune_multi ~ctx:c ~top:coefficient_top ~extend:high_extend ~extend_stage
-          ~prune_stage views)
+        prune_multi ~ctx:c ~top:coefficient_top ~extend:(high_extend extend_stage)
+          ~extend_stage ~prune_stage views)
   in
   let xu = (high.winner lsl 25) lor low.winner in
   let mant = xu land ((1 lsl 52) - 1) in
   let s, e, _ = sign_exponent_multi ~ctx:c ~leakage ~mant views in
   Fpr.make ~sign:s ~exp:e ~mant
+
+let finish_coefficient ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ~low ~high_extend
+    views =
+  finish ~ctx:c ~leakage ~low ~high_extend:(fun _ -> high_extend) views
 
 (* The high set is drawn from [rng] before the low one: the order every
    driver has always drawn them in, so sampled candidate sets (and the
@@ -505,9 +525,6 @@ let coefficient ?ctx:(c = Ctx.default ()) ?(leakage = `Hw) ~strategy views =
   let low =
     mantissa_low_multi ~ctx:c ~leakage ~top:coefficient_top ~candidates:low_cands views
   in
-  let high_extend =
-    extend_multi ~ctx:c ~top:coefficient_top ~candidates:high_cands
-      ~stage:(fst (high_stages ~d:low.winner leakage))
-      views
-  in
-  finish_coefficient ~ctx:c ~leakage ~low ~high_extend views
+  finish ~ctx:c ~leakage ~low views
+    ~high_extend:(fun stage ->
+      extend_multi ~ctx:c ~top:coefficient_top ~candidates:high_cands ~stage views)

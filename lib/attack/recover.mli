@@ -15,15 +15,43 @@ type view = {
   known : Fpr.t array;  (** known operand of each trace *)
 }
 
-val sub_view : Leakage.trace array -> coeff:int -> mul:int -> view
-(** Extract the window of (coefficient, multiplication) from full signing
-    traces; the known operand is the matching component of FFT(c). *)
+(** {1 The unit layout} *)
 
-val views_for :
-  Leakage.trace array -> coeff:int -> component:[ `Re | `Im ] -> view list
-(** The two windows in which the chosen secret component appears: f_re
-    leaks in (c_re x f_re) and (c_im x f_re), f_im in the other two.
-    Joint attacks over both windows use all available information. *)
+type component = [ `Re | `Im ]
+
+type mul = {
+  f : component;  (** the FFT(f) component that is the secret operand *)
+  c : component;  (** the FFT(c) component that is the known operand *)
+}
+
+val layout : mul array
+(** The one table of where a secret value leaks: a coefficient's four
+    real multiplications, in [Fft.mul_emit]'s order (c_re x f_re),
+    (c_im x f_im), (c_re x f_im), (c_im x f_re), each leaking in the 16
+    samples from its {!window_start}.  Every driver cuts its windows
+    with {!views_for}. *)
+
+val window_start : coeff:int -> mul:int -> int
+(** The first sample of multiplication [mul]'s window in a signing
+    trace: [coeff * Leakage.events_per_coeff + mul * events_per_mul]. *)
+
+val component_muls : component -> int list
+(** The two multiplications a secret component enters, in table order:
+    f_re muls 0 and 3, f_im muls 1 and 2 — the view order of
+    {!views_for}. *)
+
+val mul_known : Fpr.t * Fpr.t -> int -> Fpr.t
+(** [mul_known (c_re, c_im) mul] — the known operand of a
+    multiplication, given the coefficient's FFT(c) component pair. *)
+
+val component_of : Fft.t -> coeff:int -> component -> Fpr.t
+(** One component of point [coeff] of a transform: of FFT(f) for a
+    {!mul}'s [f], of FFT(c) for its [c]. *)
+
+val views_for : Leakage.trace array -> coeff:int -> component:component -> view list
+(** The windows of the {!component_muls} of a secret component, cut out
+    of full signing traces, each with its traces' known operands.  Joint
+    attacks over both windows use all available information. *)
 
 val sample : Fpr.label -> int
 (** Sample index of a multiplication event inside a window. *)
@@ -223,7 +251,9 @@ val coefficient :
     {!views_for}) and reassemble the 64-bit value: the low mantissa
     half ({!mantissa_low_multi}, top 32), the high half's extend ranking
     (top 32, on the extend stage of {!high_stages} with the recovered
-    low half), then {!finish_coefficient}.  [?ctx] ({!Ctx.t}, here and
+    low half), then {!finish_coefficient}.  The high half's extend and
+    prune run under one [recover.mantissa_high] span, as the low half's
+    run under [recover.mantissa_low].  [?ctx] ({!Ctx.t}, here and
     on every ranking entry point above) sets the worker-domain count of
     the underlying candidate sweeps (see {!Dema}), the distinguisher and
     the observability context; the output is bit-identical at every

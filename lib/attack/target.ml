@@ -27,6 +27,7 @@ module type S = sig
     (int * int * (Leakage.trace -> int)) list
 
   val codec : Dema.Stream.codec
+  val check_leakage : leakage:leakage -> stop:Sequential.Decision.spec option -> unit
 
   val record_store :
     ?ctx:Ctx.t ->
@@ -158,37 +159,28 @@ module Falcon = struct
     let sk = Falcon.Scheme.secret_of_keypair kp in
     List.concat
       (List.init n (fun coeff ->
-           List.concat_map
-             (fun mul ->
-               let secret =
-                 if mul = 0 || mul = 3 then sk.f_fft.Fft.re.(coeff)
-                 else sk.f_fft.Fft.im.(coeff)
-               in
-               let xu = Fpr.mantissa secret lor (1 lsl 52) in
-               let d = xu land ((1 lsl Recover.mantissa_low_width) - 1) in
-               let e = xu lsr Recover.mantissa_low_width in
-               let low_extend, low_prune = Recover.low_stages leakage in
-               let high_extend, high_prune = Recover.high_stages ~d leakage in
-               let base =
-                 (coeff * Leakage.events_per_coeff)
-                 + (mul * Leakage.events_per_mul)
-               in
-               List.concat_map
-                 (fun (g, stage) ->
-                   List.map
-                     (fun (lbl, model) ->
-                       let apply = Hypothesis.Model.apply model in
-                       ( base,
-                         Recover.sample lbl,
-                         fun (tr : Leakage.trace) ->
-                           apply g
-                             (Fullkey.mul_known
-                                ( tr.c_fft.Fft.re.(coeff),
-                                  tr.c_fft.Fft.im.(coeff) )
-                                mul) ))
-                     stage)
-                 [ (d, low_extend @ low_prune); (e, high_extend @ high_prune) ])
-             [ 0; 1; 2; 3 ]))
+           List.concat
+             (List.mapi
+                (fun mul (m : Recover.mul) ->
+                  let secret = Recover.component_of sk.f_fft ~coeff m.f in
+                  let xu = Fpr.mantissa secret lor (1 lsl 52) in
+                  let d = xu land ((1 lsl Recover.mantissa_low_width) - 1) in
+                  let e = xu lsr Recover.mantissa_low_width in
+                  let low_extend, low_prune = Recover.low_stages leakage in
+                  let high_extend, high_prune = Recover.high_stages ~d leakage in
+                  let base = Recover.window_start ~coeff ~mul in
+                  List.concat_map
+                    (fun (g, stage) ->
+                      List.map
+                        (fun (lbl, model) ->
+                          let apply = Hypothesis.Model.apply model in
+                          ( base,
+                            Recover.sample lbl,
+                            fun (tr : Leakage.trace) ->
+                              apply g (Recover.component_of tr.c_fft ~coeff m.c) ))
+                        stage)
+                    [ (d, low_extend @ low_prune); (e, high_extend @ high_prune) ])
+                (Array.to_list Recover.layout))))
 
   (* the canonical witness of a full recovery: the 2n recovered 64-bit
      FFT(f) patterns, hex, re/im interleaved in unit order *)
@@ -204,13 +196,19 @@ module Falcon = struct
      under the store's public key. *)
   let forgery_message = "offline-cracked forgery"
 
-  let recover_store ?ctx ?(leakage = `Hw) ?stop ?max_traces ?on_corrupt ?prefetch
-      ~dir reader =
-    check_options ?ctx ~stop ~max_traces ();
+  (* The adaptive driver's decision sweeps need a d-free part set per
+     half; under bus HD every usable high-half transition reads the
+     recovered d, so there is no high sweep to decide on. *)
+  let check_leakage ~leakage ~stop =
     if stop <> None && leakage = `Hd then
       invalid_arg
         "--until-confident is not available with --leakage hd on falcon: the \
-         streaming decision sweeps have no d-free Hamming-distance part set";
+         streaming decision sweeps have no d-free Hamming-distance part set"
+
+  let recover_store ?ctx ?(leakage = `Hw) ?stop ?max_traces ?on_corrupt ?prefetch
+      ~dir reader =
+    check_options ?ctx ~stop ~max_traces ();
+    check_leakage ~leakage ~stop;
     check_store ~dir reader;
     let pk, truth_kp = read_keys dir in
     let truth_sk = Falcon.Scheme.secret_of_keypair truth_kp in
@@ -274,6 +272,7 @@ module Hqc_target = struct
 
   (* the HD hypothesis (the accumulator transition rot(u, p_j)) is
      prefix-free, so the decision sweep exists under both families *)
+  let check_leakage ~leakage:_ ~stop:_ = ()
 
   let check_n n =
     if n <> Hqc.Params.n_bits then

@@ -60,8 +60,8 @@ val check_options :
     [max_traces] without [stop] (a fixed budget reads every stored
     trace) and for [stop] under a [ctx] backend with no sequential gap
     test ({!Distinguisher.has_gap_test}).  Every {!S.recover_store}
-    calls it first; a target adds its own refusals after it, still
-    before any I/O ({!Falcon} refuses [stop] under [`Hd]). *)
+    calls it first, then its target's {!S.check_leakage} ({!Falcon}
+    refuses [stop] under [`Hd]), both before any I/O. *)
 
 val record :
   ctx:Ctx.t -> Tracestore.Writer.t -> traces:int -> (unit -> Tracestore.record) -> unit
@@ -101,6 +101,13 @@ module type S = sig
   val codec : Dema.Stream.codec
   (** decode for {!Dema.Stream} entry points over this target's
       stores *)
+
+  val check_leakage : leakage:leakage -> stop:Sequential.Decision.spec option -> unit
+  (** The target's own refusal of a leakage family it has no decision
+      sweep for under [stop]: raises [Invalid_argument], naming the
+      [attack_cli crack] flags.  A crack calls it once the store names
+      its target and before any output; {!recover_store} calls it after
+      {!check_options}, before reading anything. *)
 
   val record_store :
     ?ctx:Ctx.t ->
@@ -147,9 +154,9 @@ end
 module Falcon : S
 (** The FALCON mantissa/coefficient attack behind the target
     interface, and the only [attack_cli crack --store] driver for
-    FALCON.  [recover_store] refuses [?stop] under [`Hd] before any
-    read (its decision sweeps have no d-free Hamming-distance part set)
-    and delegates to {!Fullkey.recover_key_store} with
+    FALCON.  [check_leakage] refuses [?stop] under [`Hd] (its decision
+    sweeps have no d-free Hamming-distance part set); [recover_store]
+    delegates to {!Fullkey.recover_key_store} with
     [Fullkey.sampled_strategy ~seed:0] over the sidecar's FFT(f)
     (per-unit seed [coeff*7 + mul], 512 decoys), then forges with the
     rebuilt key ({!Fullkey.forge}, verified under [public.key]) to

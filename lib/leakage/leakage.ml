@@ -4,31 +4,7 @@ type model = Tracestore.model_meta = {
   baseline : float;
 }
 
-module Params = struct
-  type t = model = { alpha : float; noise_sigma : float; baseline : float }
-
-  let default = { alpha = 1.0; noise_sigma = 2.0; baseline = 10.0 }
-
-  (* Malformed or non-finite overrides are ignored rather than fatal:
-     an acquisition box with a stale FD_NOISE should fall back to the
-     documented default, not crash the campaign. *)
-  let env_float name fallback =
-    match Sys.getenv_opt name with
-    | None -> fallback
-    | Some s -> (
-        match float_of_string_opt (String.trim s) with
-        | Some f when Float.is_finite f -> f
-        | _ -> fallback)
-
-  let of_env () =
-    {
-      alpha = env_float "FD_ALPHA" default.alpha;
-      noise_sigma = env_float "FD_NOISE" default.noise_sigma;
-      baseline = env_float "FD_BASELINE" default.baseline;
-    }
-end
-
-let default_model = Params.default
+let default_model = { alpha = 1.0; noise_sigma = 2.0; baseline = 10.0 }
 let clean_model = { alpha = 1.0; noise_sigma = 0.0; baseline = 0.0 }
 
 let events_per_mul = 16

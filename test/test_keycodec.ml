@@ -99,6 +99,44 @@ let test_secret_rejects_trailing_bytes () =
         (Falcon.Keycodec.decode_secret (enc ^ tail) = None))
     [ "\000"; "trailing" ]
 
+(* Every decoder is total: each strict prefix of an encoding, and 5 000
+   seeded single-byte xors of it, decode to [None] or a value and never
+   raise. *)
+let test_decoders_total () =
+  let kp = Lazy.force kp in
+  let sk = Falcon.Scheme.secret_of_keypair kp in
+  let p = sk.params in
+  let sg = Falcon.Scheme.sign ~rng:(Prng.of_seed "kc sweep") sk "sweep" in
+  let rng = Stats.Rng.create ~seed:41 in
+  List.iter
+    (fun (what, enc, decode) ->
+      let total how s =
+        match decode s with
+        | () -> ()
+        | exception e -> Alcotest.failf "%s, %s: raised %s" what how (Printexc.to_string e)
+      in
+      for len = 0 to String.length enc - 1 do
+        total (Printf.sprintf "%d-byte prefix" len) (String.sub enc 0 len)
+      done;
+      for _ = 1 to 5000 do
+        let b = Bytes.of_string enc in
+        let i = Stats.Rng.int_below rng (Bytes.length b) in
+        let x = 1 + Stats.Rng.int_below rng 255 in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
+        total (Printf.sprintf "byte %d xor %#x" i x) (Bytes.to_string b)
+      done)
+    [
+      ( "public key",
+        Falcon.Keycodec.encode_public (pk ()),
+        fun s -> ignore (Falcon.Keycodec.decode_public s) );
+      ( "secret key",
+        Falcon.Keycodec.encode_secret kp,
+        fun s -> ignore (Falcon.Keycodec.decode_secret s) );
+      ( "signature",
+        Falcon.Keycodec.encode_signature p sg,
+        fun s -> ignore (Falcon.Keycodec.decode_signature p s) );
+    ]
+
 let suite =
   [
     Alcotest.test_case "public roundtrip" `Quick test_public_roundtrip;
@@ -110,4 +148,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_public_roundtrip_random_h;
     Alcotest.test_case "secret rejects trailing bytes" `Quick
       test_secret_rejects_trailing_bytes;
+    Alcotest.test_case "decoders total over prefixes and byte xors" `Quick
+      test_decoders_total;
   ]

@@ -360,6 +360,30 @@ let test_fullkey_log_deterministic () =
     units;
   Alcotest.(check bool) "some unit stops" true (List.exists stopped units)
 
+(* Every extend runs inside its mantissa half's span: in a traced
+   full-key crack each [recover.extend] span, the high half's included,
+   has a [recover.mantissa_low] or [recover.mantissa_high] ancestor. *)
+let test_extend_spans_nested () =
+  let records = Obs.Jsonl.read_string (fullkey_log ~jobs:1 ()) in
+  let paths =
+    List.filter_map
+      (fun r ->
+        if Option.bind (Obs.Json.member "name" r) Obs.Json.to_string_opt
+           = Some "recover.extend"
+        then
+          Option.map
+            (List.filter_map Obs.Json.to_string_opt)
+            (Option.bind (Obs.Json.member "path" r) Obs.Json.to_list_opt)
+        else None)
+      records
+  in
+  Alcotest.(check int) "two extends per unit" 64 (List.length paths);
+  List.iter
+    (fun path ->
+      if not (List.mem "recover.mantissa_low" path || List.mem "recover.mantissa_high" path)
+      then Alcotest.failf "recover.extend under %s" (String.concat " > " path))
+    paths
+
 (* A fixed-budget store recovery reads a campaign of a few shards once
    for all 2n units: the stream's shard and trace counters appear
    exactly once, covering the whole store, at every jobs level. *)
@@ -501,6 +525,8 @@ let suite =
       test_transparency_stream_rank;
     Alcotest.test_case "fullkey JSONL stream deterministic" `Slow
       test_fullkey_log_deterministic;
+    Alcotest.test_case "every extend inside its mantissa span" `Quick
+      test_extend_spans_nested;
     Alcotest.test_case "fullkey store reads the campaign once" `Slow
       test_fullkey_store_one_pass;
     Alcotest.test_case "buffered children drain in order" `Quick
